@@ -182,6 +182,27 @@ impl LoopProfiler {
 mod tests {
     use super::*;
 
+    /// Phase names are `/metrics` labels and benchmark metric suffixes;
+    /// `ALL`'s order is the histogram array layout.
+    #[test]
+    fn phase_registry_is_pinned() {
+        assert_eq!(NUM_PHASES, Phase::ALL.len());
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(*phase as usize, i);
+        }
+        assert_eq!(
+            Phase::ALL.map(Phase::name),
+            [
+                "recv_drain",
+                "demux",
+                "drive",
+                "poll_encode",
+                "flush",
+                "idle"
+            ]
+        );
+    }
+
     #[test]
     fn disabled_profiler_is_inert() {
         let mut p = LoopProfiler::new(false);

@@ -190,6 +190,44 @@ mod tests {
         assert_eq!(s.rec.gauge(GaugeId::RtPoolHighWater).current, 9);
     }
 
+    /// The runtime's own ids are the `rt_*` tail of the registry, in
+    /// registry order: the key list of the report JSON is pinned in full.
+    #[test]
+    fn json_field_keys_are_pinned() {
+        let json = RuntimeStats::new().json_fields();
+        let keys: Vec<&str> = json
+            .split(',')
+            .map(|kv| kv.split(':').next().unwrap())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "\"rt_loop_iterations\"",
+                "\"rt_recv_batches\"",
+                "\"rt_send_batches\"",
+                "\"rt_datagrams_rx\"",
+                "\"rt_datagrams_tx\"",
+                "\"rt_decode_errors\"",
+                "\"rt_egress_backpressure\"",
+                "\"rt_late_ticks\"",
+                "\"rt_pool_hits\"",
+                "\"rt_pool_misses\"",
+                "\"rt_admin_requests\"",
+                "\"rt_egress_queue_depth\"",
+                "\"rt_egress_queue_depth_peak\"",
+                "\"rt_tick_skew_ns\"",
+                "\"rt_tick_skew_ns_peak\"",
+                "\"rt_pool_outstanding\"",
+                "\"rt_pool_outstanding_peak\"",
+                "\"rt_pool_high_water\"",
+                "\"rt_pool_high_water_peak\"",
+                "\"rt_tick_skew_p50_ns\"",
+                "\"rt_tick_skew_p99_ns\"",
+                "\"rt_tick_skew_max_ns\"",
+            ]
+        );
+    }
+
     #[test]
     fn json_fields_come_from_the_registry() {
         let mut s = RuntimeStats::new();
