@@ -17,18 +17,14 @@ use std::time::Duration;
 
 use mptcp_runtime::validate_exposition;
 
-fn usage(cmd: &str, err: &str) -> ! {
-    eprintln!("{err}");
-    match cmd {
-        "stat" => eprintln!("usage: repro stat <host:port> <command...> [--validate]"),
-        _ => eprintln!("usage: repro top <host:port> [--interval-ms N] [--once]"),
-    }
-    std::process::exit(2);
-}
+use crate::{reject_leftovers, take_flag, take_positional, take_value_flag, usage};
 
-fn parse_addr(cmd: &str, s: &str) -> SocketAddr {
+/// The `<host:port>` positional every admin client starts with.
+fn take_addr(args: &mut Vec<String>) -> SocketAddr {
+    let cmd = args[0].clone();
+    let s = take_positional(args).unwrap_or_else(|| usage(&cmd, "missing <host:port>"));
     s.parse()
-        .unwrap_or_else(|_| usage(cmd, &format!("bad address: {s}")))
+        .unwrap_or_else(|_| usage(&cmd, &format!("bad address: {s}")))
 }
 
 fn connect(cmd: &str, addr: SocketAddr) -> TcpStream {
@@ -77,26 +73,16 @@ fn request(stream: &mut TcpStream, cmd: &str) -> std::io::Result<Option<String>>
 }
 
 /// `repro stat`: one command, one response, exit.
-pub fn stat(args: &[String]) {
-    let mut addr: Option<SocketAddr> = None;
-    let mut words: Vec<String> = Vec::new();
-    let mut validate = false;
-    for a in args.iter().skip(1) {
-        match a.as_str() {
-            "--validate" => validate = true,
-            "--quick" => {}
-            other if addr.is_none() => addr = Some(parse_addr("stat", other)),
-            other => words.push(other.to_string()),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| usage("stat", "missing <host:port>"));
-    if words.is_empty() {
+pub fn stat(mut args: Vec<String>) {
+    let validate = take_flag(&mut args, "--validate");
+    let addr = take_addr(&mut args);
+    if args.len() < 2 {
         usage(
             "stat",
             "missing command (try: metrics, conns, health, profile)",
         );
     }
-    let cmd = words.join(" ");
+    let cmd = args[1..].join(" ");
 
     let mut stream = connect("stat", addr);
     let body = match request(&mut stream, &cmd) {
@@ -133,26 +119,11 @@ pub fn stat(args: &[String]) {
 }
 
 /// `repro top`: redraw health + loop phases + connections every interval.
-pub fn top(args: &[String]) {
-    let mut addr: Option<SocketAddr> = None;
-    let mut interval_ms: u64 = 1000;
-    let mut once = false;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--interval-ms" => {
-                interval_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("top", "--interval-ms needs a number"))
-            }
-            "--once" => once = true,
-            "--quick" => once = true,
-            other if addr.is_none() => addr = Some(parse_addr("top", other)),
-            other => usage("top", &format!("unknown argument: {other}")),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| usage("top", "missing <host:port>"));
+pub fn top(mut args: Vec<String>, quick: bool) {
+    let interval_ms: u64 = take_value_flag(&mut args, "--interval-ms").unwrap_or(1000);
+    let once = take_flag(&mut args, "--once") || quick;
+    let addr = take_addr(&mut args);
+    reject_leftovers(&args);
 
     let mut stream = connect("top", addr);
     loop {

@@ -31,8 +31,6 @@
 //!   serve       serve fetch requests on N UDP ports (one per path);
 //!               `--admin H:P` opens the introspection socket
 //!   fetch       connect over every listed path, transfer, verify bytes
-//!   wire-bench  loopback runtime throughput, writes BENCH_wire.json
-//!               (including per-phase event-loop timings)
 //!
 //! live introspection (clients of `serve --admin`):
 //!   stat        one admin command, one response: `repro stat H:P conns`
@@ -40,13 +38,9 @@
 //!               `metrics` scrape against the Prometheus text format
 //!   top         live health/loop-phase/connection view, refreshed every
 //!               `--interval-ms` (or one frame with `--once`)
-//!
-//! performance memory:
-//!   perf        hot-path microbenchmarks (codec, checksum, reorder) plus
-//!               one loopback wire transfer; writes BENCH_perf.json, or
-//!               with `--check BASELINE` fails on regression (the CI
-//!               perf gate; tolerance via REPRO_PERF_TOLERANCE)
 //! ```
+//!
+//! Performance is measured by `benchmark/run.sh`, not by this binary.
 //!
 //! `--quick` shrinks sweeps for a fast smoke run.
 //!
@@ -76,8 +70,6 @@
 //! e.g. `repro handover --fail-on-stall`.
 
 mod admin_cli;
-mod alloc_meter;
-mod perf_cli;
 mod runtime_cli;
 
 use mptcp_harness::experiments::common::Policy;
@@ -86,48 +78,85 @@ use mptcp_netsim::Duration;
 
 const SEED: u64 = 20120425; // NSDI'12 presentation date
 
-/// Remove `name <value>` from `args`, returning the value.
-fn take_value_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
+/// Print `err` and the usage line of subcommand `cmd`, then exit 2.
+fn usage(cmd: &str, err: &str) -> ! {
+    let line = match cmd {
+        "trace" => "trace [fig4|fig9|fallback] [--out DIR] [--fail-on-drops]",
+        "chaos" => "chaos [--out DIR] [--seed-sweep N] [--fail-on-invariant]",
+        "handover" => "handover [--out DIR] [--fail-on-stall]",
+        "serve" => {
+            "serve [--host H] [--port P] [--paths N] [--once] [--timeout-secs S] [--admin H:P]"
+        }
+        "fetch" => {
+            "fetch --connect H:P[,H:P...] [--size BYTES] [--seed S] [--out FILE] \
+             [--timeout-secs S]"
+        }
+        "stat" => "stat <host:port> <command...> [--validate]",
+        "top" => "top <host:port> [--interval-ms N] [--once]",
+        _ => "<experiment> [--quick] [--cc ALGO] [--sched SCHED] [--pm POLICY]",
+    };
+    eprintln!("{err}\nusage: repro {line}");
+    std::process::exit(2);
+}
+
+/// Remove `name <value>` from `args` (whose first element is the
+/// subcommand), returning the value parsed as `T`.
+fn take_value_flag<T>(args: &mut Vec<String>, name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let i = args.iter().position(|a| a == name)?;
     if i + 1 >= args.len() {
-        eprintln!("{name} needs a value");
-        std::process::exit(2);
+        usage(&args[0], &format!("{name} needs a value"));
     }
     args.remove(i);
-    Some(args.remove(i))
+    let value = args.remove(i);
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(e) => usage(
+            args.first().map_or("", String::as_str),
+            &format!("{name} {value}: {e}"),
+        ),
+    }
+}
+
+/// Remove the boolean flag `name` from `args`; true if it was there.
+fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != name);
+    args.len() != before
+}
+
+/// Remove and return the positional argument after the subcommand.
+fn take_positional(args: &mut Vec<String>) -> Option<String> {
+    (args.len() > 1).then(|| args.remove(1))
+}
+
+/// Call once every known flag and positional has been taken: anything
+/// left is an argument the subcommand does not know.
+fn reject_leftovers(args: &[String]) {
+    if let Some(other) = args.get(1) {
+        usage(&args[0], &format!("unknown argument: {other}"));
+    }
 }
 
 /// Parse the global `--cc` / `--sched` / `--pm` flags into a [`Policy`].
 fn parse_policy(args: &mut Vec<String>) -> Policy {
-    let mut policy = Policy::default();
-    if let Some(cc) = take_value_flag(args, "--cc") {
-        policy.cc = cc.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    Policy {
+        cc: take_value_flag(args, "--cc").unwrap_or_default(),
+        sched: take_value_flag(args, "--sched").unwrap_or_default(),
+        pm: take_value_flag(args, "--pm").unwrap_or_default(),
     }
-    if let Some(sched) = take_value_flag(args, "--sched") {
-        policy.sched = sched.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    }
-    if let Some(pm) = take_value_flag(args, "--pm") {
-        policy.pm = pm.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    }
-    policy
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let policy = parse_policy(&mut args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let quick = take_flag(&mut args, "--quick");
+    let which = args.first().cloned().unwrap_or_else(|| "all".to_string());
 
-    match which {
+    match which.as_str() {
         "fig3" => fig3(),
         "fig4" => fig4(quick, policy),
         "fig5" => fig5(quick, policy),
@@ -141,15 +170,13 @@ fn main() {
         "fig11" => fig11(quick, policy),
         "mbox" => mbox_matrix(policy),
         "telemetry" => telemetry_report(quick, policy),
-        "trace" => trace_run(&args, policy),
-        "chaos" => chaos_run(&args, policy),
-        "handover" => handover_run(&args, policy),
-        "serve" => runtime_cli::serve(&args),
-        "fetch" => runtime_cli::fetch(&args),
-        "wire-bench" => runtime_cli::wire_bench(&args),
-        "stat" => admin_cli::stat(&args),
-        "top" => admin_cli::top(&args),
-        "perf" => perf_cli::perf(&args),
+        "trace" => trace_run(args, policy),
+        "chaos" => chaos_run(args, quick, policy),
+        "handover" => handover_run(args, policy),
+        "serve" => runtime_cli::serve(args),
+        "fetch" => runtime_cli::fetch(args),
+        "stat" => admin_cli::stat(args),
+        "top" => admin_cli::top(args, quick),
         "all" => {
             mbox_matrix(policy);
             telemetry_report(quick, policy);
@@ -472,30 +499,20 @@ fn telemetry_report(quick: bool, policy: Policy) {
     println!("{}", mptcp_harness::to_json_lines(&[report]));
 }
 
-fn trace_run(args: &[String], policy: Policy) {
+fn trace_run(mut args: Vec<String>, policy: Policy) {
     use mptcp_harness::experiments::trace as tr;
     use mptcp_telemetry::TraceWriter;
 
-    let mut scenario = tr::TraceScenario::Fig9;
-    let mut out_dir = std::path::PathBuf::from("trace_out");
-    let mut fail_on_drops = false;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out_dir = it
-                    .next()
-                    .map(Into::into)
-                    .unwrap_or_else(|| usage_trace("--out needs a directory"))
-            }
-            "--fail-on-drops" => fail_on_drops = true,
-            "--quick" => {}
-            s => {
-                scenario =
-                    tr::TraceScenario::parse(s).unwrap_or_else(|| usage_trace("unknown scenario"))
-            }
+    let out_dir: std::path::PathBuf =
+        take_value_flag(&mut args, "--out").unwrap_or_else(|| "trace_out".into());
+    let fail_on_drops = take_flag(&mut args, "--fail-on-drops");
+    let scenario = match take_positional(&mut args) {
+        Some(s) => {
+            tr::TraceScenario::parse(&s).unwrap_or_else(|| usage("trace", "unknown scenario"))
         }
-    }
+        None => tr::TraceScenario::Fig9,
+    };
+    reject_leftovers(&args);
 
     header(&format!(
         "Trace: {} — {}",
@@ -571,33 +588,18 @@ fn trace_run(args: &[String], policy: Policy) {
     }
 }
 
-fn chaos_run(args: &[String], policy: Policy) {
+fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
     use mptcp_harness::experiments::{chaos, trace as tr};
     use mptcp_telemetry::TraceWriter;
 
-    let mut out_dir = std::path::PathBuf::from("chaos_out");
-    let mut sweep_n: u64 = 4;
-    let mut fail_on_invariant = false;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out_dir = it
-                    .next()
-                    .map(Into::into)
-                    .unwrap_or_else(|| usage_chaos("--out needs a directory"))
-            }
-            "--seed-sweep" => {
-                sweep_n = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage_chaos("--seed-sweep needs a count"))
-            }
-            "--fail-on-invariant" => fail_on_invariant = true,
-            "--quick" => sweep_n = sweep_n.min(2),
-            other => usage_chaos(&format!("unknown argument: {other}")),
-        }
+    let out_dir: std::path::PathBuf =
+        take_value_flag(&mut args, "--out").unwrap_or_else(|| "chaos_out".into());
+    let mut sweep_n: u64 = take_value_flag(&mut args, "--seed-sweep").unwrap_or(4);
+    if quick {
+        sweep_n = sweep_n.min(2);
     }
+    let fail_on_invariant = take_flag(&mut args, "--fail-on-invariant");
+    reject_leftovers(&args);
 
     header("Chaos: fault injection, path failure and break-before-make recovery");
     print_policy(policy);
@@ -713,31 +715,14 @@ fn chaos_run(args: &[String], policy: Policy) {
     }
 }
 
-fn usage_chaos(err: &str) -> ! {
-    eprintln!("{err}\nusage: repro chaos [--out DIR] [--seed-sweep N] [--fail-on-invariant]");
-    std::process::exit(2);
-}
-
-fn handover_run(args: &[String], policy: Policy) {
+fn handover_run(mut args: Vec<String>, policy: Policy) {
     use mptcp_harness::experiments::{handover, trace as tr};
     use mptcp_telemetry::TraceWriter;
 
-    let mut out_dir = std::path::PathBuf::from("handover_out");
-    let mut fail_on_stall = false;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out_dir = it
-                    .next()
-                    .map(Into::into)
-                    .unwrap_or_else(|| usage_handover("--out needs a directory"))
-            }
-            "--fail-on-stall" => fail_on_stall = true,
-            "--quick" => {}
-            other => usage_handover(&format!("unknown argument: {other}")),
-        }
-    }
+    let out_dir: std::path::PathBuf =
+        take_value_flag(&mut args, "--out").unwrap_or_else(|| "handover_out".into());
+    let fail_on_stall = take_flag(&mut args, "--fail-on-stall");
+    reject_leftovers(&args);
 
     header("Handover: WiFi withdrawn mid-stream, migrate onto pre-opened backup");
     print_policy(policy);
@@ -828,16 +813,6 @@ fn handover_run(args: &[String], policy: Policy) {
             std::process::exit(1);
         }
     }
-}
-
-fn usage_handover(err: &str) -> ! {
-    eprintln!("{err}\nusage: repro handover [--out DIR] [--fail-on-stall]");
-    std::process::exit(2);
-}
-
-fn usage_trace(err: &str) -> ! {
-    eprintln!("{err}\nusage: repro trace [fig4|fig9|fallback] [--out DIR] [--fail-on-drops]");
-    std::process::exit(2);
 }
 
 fn mbox_matrix(policy: Policy) {

@@ -1,13 +1,10 @@
-//! `repro serve` / `repro fetch` / `repro wire-bench`: the real-network
-//! subcommands, built on `mptcp-runtime`.
+//! `repro serve` / `repro fetch`: the real-network subcommands, built on
+//! `mptcp-runtime`.
 //!
-//! `serve` and `fetch` are two halves of a real two-process demo: the
-//! server multiplexes MPTCP-over-UDP connections on N fixed ports, the
-//! client opens one subflow per path and verifies every received byte
-//! against the deterministic keystream. `wire-bench` runs both ends
-//! in-process (server on a thread, client on the main thread, kernel
-//! loopback between them) and writes `BENCH_wire.json` with goodput and
-//! event-loop latency numbers.
+//! The two halves of a real two-process demo: the server multiplexes
+//! MPTCP-over-UDP connections on N fixed ports, the client opens one
+//! subflow per path and verifies every received byte against the
+//! deterministic keystream.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -15,75 +12,24 @@ use std::time::{Duration, Instant};
 use mptcp::MptcpConfig;
 use mptcp_runtime::{ClientRuntime, FetchClient, FetchServer, LoopConfig, ServerRuntime};
 
+use crate::{reject_leftovers, take_flag, take_value_flag, usage};
+
 const DEFAULT_SIZE: u64 = 8 * 1024 * 1024;
 const DEFAULT_SEED: u64 = 7;
-
-fn usage(cmd: &str, err: &str) -> ! {
-    eprintln!("{err}");
-    match cmd {
-        "serve" => eprintln!(
-            "usage: repro serve [--host H] [--port P] [--paths N] [--once] [--timeout-secs S] \
-             [--admin H:P]"
-        ),
-        "fetch" => eprintln!(
-            "usage: repro fetch --connect H:P[,H:P...] [--size BYTES] [--seed S] \
-             [--out FILE] [--timeout-secs S]"
-        ),
-        _ => eprintln!("usage: repro wire-bench [--size BYTES] [--paths N] [--out FILE] [--quick]"),
-    }
-    std::process::exit(2);
-}
-
-fn next_val<'a>(cmd: &str, flag: &str, it: &mut impl Iterator<Item = &'a String>) -> &'a str {
-    match it.next() {
-        Some(v) => v.as_str(),
-        None => usage(cmd, &format!("{flag} needs a value")),
-    }
-}
 
 /// `repro serve`: bind `--paths` consecutive UDP ports starting at
 /// `--port` and serve fetch requests until killed (or after one
 /// connection with `--once`). `--admin H:P` opens the introspection
 /// socket and turns on the loop-phase profiler, so `repro top`,
 /// `repro stat`, and any Prometheus scraper can watch the loop live.
-pub fn serve(args: &[String]) {
-    let mut host = "127.0.0.1".to_string();
-    let mut port: u16 = 19000;
-    let mut n_paths: usize = 2;
-    let mut once = false;
-    let mut timeout_secs: u64 = 0;
-    let mut admin: Option<SocketAddr> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--host" => host = next_val("serve", "--host", &mut it).to_string(),
-            "--admin" => {
-                admin = Some(
-                    next_val("serve", "--admin", &mut it)
-                        .parse()
-                        .unwrap_or_else(|_| usage("serve", "--admin needs host:port")),
-                )
-            }
-            "--port" => {
-                port = next_val("serve", "--port", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("serve", "--port needs a number"))
-            }
-            "--paths" => {
-                n_paths = next_val("serve", "--paths", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("serve", "--paths needs a number"))
-            }
-            "--once" => once = true,
-            "--timeout-secs" => {
-                timeout_secs = next_val("serve", "--timeout-secs", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("serve", "--timeout-secs needs a number"))
-            }
-            "--quick" => {}
-            other => usage("serve", &format!("unknown argument: {other}")),
-        }
-    }
+pub fn serve(mut args: Vec<String>) {
+    let host: String = take_value_flag(&mut args, "--host").unwrap_or_else(|| "127.0.0.1".into());
+    let port: u16 = take_value_flag(&mut args, "--port").unwrap_or(19000);
+    let n_paths: usize = take_value_flag(&mut args, "--paths").unwrap_or(2);
+    let once = take_flag(&mut args, "--once");
+    let timeout_secs: u64 = take_value_flag(&mut args, "--timeout-secs").unwrap_or(0);
+    let admin: Option<SocketAddr> = take_value_flag(&mut args, "--admin");
+    reject_leftovers(&args);
     if n_paths == 0 || (port != 0 && usize::from(u16::MAX - port) < n_paths - 1) {
         usage("serve", "--paths/--port out of range");
     }
@@ -146,47 +92,22 @@ pub fn serve(args: &[String]) {
 }
 
 /// `repro fetch`: connect over every listed path, transfer, verify.
-pub fn fetch(args: &[String]) {
-    let mut connect: Vec<SocketAddr> = Vec::new();
-    let mut size = DEFAULT_SIZE;
-    let mut seed = DEFAULT_SEED;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut timeout_secs: u64 = 120;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => {
-                connect = next_val("fetch", "--connect", &mut it)
-                    .split(',')
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| usage("fetch", "--connect: bad address"))
-                    })
-                    .collect()
-            }
-            "--size" => {
-                size = next_val("fetch", "--size", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("fetch", "--size needs a number"))
-            }
-            "--seed" => {
-                seed = next_val("fetch", "--seed", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("fetch", "--seed needs a number"))
-            }
-            "--out" => out = Some(next_val("fetch", "--out", &mut it).into()),
-            "--timeout-secs" => {
-                timeout_secs = next_val("fetch", "--timeout-secs", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("fetch", "--timeout-secs needs a number"))
-            }
-            "--quick" => {}
-            other => usage("fetch", &format!("unknown argument: {other}")),
-        }
-    }
-    if connect.is_empty() {
-        usage("fetch", "--connect is required");
-    }
+pub fn fetch(mut args: Vec<String>) {
+    let connect: Vec<SocketAddr> = match take_value_flag::<String>(&mut args, "--connect") {
+        Some(list) => list
+            .split(',')
+            .map(|s| {
+                s.parse()
+                    .unwrap_or_else(|_| usage("fetch", "--connect: bad address"))
+            })
+            .collect(),
+        None => usage("fetch", "--connect is required"),
+    };
+    let size: u64 = take_value_flag(&mut args, "--size").unwrap_or(DEFAULT_SIZE);
+    let seed: u64 = take_value_flag(&mut args, "--seed").unwrap_or(DEFAULT_SEED);
+    let out: Option<std::path::PathBuf> = take_value_flag(&mut args, "--out");
+    let timeout_secs: u64 = take_value_flag(&mut args, "--timeout-secs").unwrap_or(120);
+    reject_leftovers(&args);
 
     let binds: Vec<SocketAddr> = connect
         .iter()
@@ -256,142 +177,4 @@ pub fn fetch(args: &[String]) {
             std::process::exit(1);
         }
     }
-}
-
-/// Result of one in-process loopback transfer (see [`run_wire`]).
-pub struct WireRun {
-    pub goodput_mbps: f64,
-    /// Full `BENCH_wire.json` document for this run.
-    pub json: String,
-}
-
-/// Run both runtime ends in-process over kernel loopback: server on a
-/// thread, client on the caller's thread. Used by `repro wire-bench` and
-/// as the `wire_goodput_mbps` entry of `repro perf`.
-pub fn run_wire(size: u64, n_paths: usize) -> WireRun {
-    // Wire-realistic segments, big buffers: the benchmark measures the
-    // runtime's datagram pipeline, so don't throttle it with small
-    // windows (the stack's ACK clocking makes the standard MSS fastest).
-    let cfg = MptcpConfig::builder()
-        .buffers(4 * 1024 * 1024)
-        .build()
-        .expect("wire-bench config is valid");
-    // Tight loop: on loopback the idle-sleep cap *is* the RTT, so shrink
-    // it and raise the batch limits to measure the pipeline, not the nap.
-    let loop_cfg = LoopConfig {
-        egress_cap: 512,
-        recv_batch: 256,
-        idle_sleep: Duration::from_micros(50),
-        // Phase timings ride along in BENCH_wire.json: ~one clock read
-        // per phase per iteration, noise against 10k+ ns iterations.
-        profile: true,
-    };
-
-    let loopback: Vec<SocketAddr> = (0..n_paths)
-        .map(|_| "127.0.0.1:0".parse().unwrap())
-        .collect();
-    let mut server = ServerRuntime::bind(
-        cfg.clone(),
-        crate::SEED + 1,
-        &loopback,
-        Box::new(|| Box::new(FetchServer::new())),
-        loop_cfg,
-    )
-    .expect("bind server");
-    let addrs: Vec<SocketAddr> = (0..n_paths)
-        .map(|i| server.local_addr(i).unwrap())
-        .collect();
-    let alloc_before = crate::alloc_meter::bytes_allocated();
-    let server_thread = std::thread::spawn(move || {
-        let ok = server.run_until_served(1, Duration::from_secs(300)).is_ok();
-        (ok, format!("{{{}}}", server.stats().json_fields()))
-    });
-
-    let start = Instant::now();
-    let mut client = ClientRuntime::connect(
-        cfg,
-        crate::SEED,
-        &loopback,
-        &addrs,
-        FetchClient::new(size, DEFAULT_SEED),
-        loop_cfg,
-    )
-    .expect("bind client");
-    client
-        .run(Duration::from_secs(300))
-        .unwrap_or_else(|e| panic!("wire-bench transfer failed: {e}"));
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(client.app().ok(), "wire-bench payload failed verification");
-
-    let (server_ok, server_stats) = server_thread.join().expect("server thread");
-    assert!(server_ok, "server did not complete");
-
-    // Whole-process allocation per MiB transferred (both ends), measured
-    // only when the `alloc-count` feature installs the counting
-    // allocator; `null` otherwise.
-    let alloc_bytes_per_mib = match (alloc_before, crate::alloc_meter::bytes_allocated()) {
-        (Some(a), Some(b)) => format!("{:.0}", (b - a) as f64 / (size as f64 / (1 << 20) as f64)),
-        _ => "null".to_string(),
-    };
-
-    let iters = client
-        .stats()
-        .rec
-        .counter(mptcp_telemetry::CounterId::RtLoopIterations) as f64;
-    let goodput_mbps = (size as f64 * 8.0) / elapsed / 1e6;
-    let json = format!(
-        "{{\"bench\":\"wire\",\"size_bytes\":{},\"paths\":{},\"elapsed_s\":{:.3},\
-         \"goodput_mbps\":{:.2},\"loop_iters_per_sec\":{:.0},\
-         \"alloc_bytes_per_mib\":{},\"loop_phases\":{},\
-         \"client\":{{{}}},\"server\":{}}}",
-        size,
-        n_paths,
-        elapsed,
-        goodput_mbps,
-        iters / elapsed,
-        alloc_bytes_per_mib,
-        client.profiler().json_object(),
-        client.stats().json_fields(),
-        server_stats,
-    );
-    WireRun { goodput_mbps, json }
-}
-
-/// `repro wire-bench`: loopback throughput of the full runtime stack,
-/// written to `BENCH_wire.json`.
-pub fn wire_bench(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut size: u64 = if quick {
-        8 * 1024 * 1024
-    } else {
-        32 * 1024 * 1024
-    };
-    let mut n_paths: usize = 2;
-    let mut out = std::path::PathBuf::from("BENCH_wire.json");
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--size" => {
-                size = next_val("wire-bench", "--size", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("wire-bench", "--size needs a number"))
-            }
-            "--paths" => {
-                n_paths = next_val("wire-bench", "--paths", &mut it)
-                    .parse()
-                    .unwrap_or_else(|_| usage("wire-bench", "--paths needs a number"))
-            }
-            "--out" => out = next_val("wire-bench", "--out", &mut it).into(),
-            "--quick" => {}
-            other => usage("wire-bench", &format!("unknown argument: {other}")),
-        }
-    }
-
-    let run = run_wire(size, n_paths);
-    println!("{}", run.json);
-    if let Err(e) = std::fs::write(&out, &run.json) {
-        eprintln!("cannot write {}: {e}", out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out.display());
 }

@@ -139,9 +139,6 @@ pub struct MptcpConfig {
     pub(crate) send_buf: usize,
     /// Connection-level receive buffer cap in bytes.
     pub(crate) recv_buf: usize,
-    /// Automatically open subflows toward addresses learned via ADD_ADDR
-    /// or configured locally.
-    pub(crate) auto_join: bool,
     /// Maximum live subflows per connection; `open_subflow` and
     /// `accept_join` refuse beyond this.
     pub(crate) max_subflows: usize,
@@ -177,7 +174,6 @@ impl Default for MptcpConfig {
             scheduler: SchedulerKind::MinRtt,
             send_buf: 2 * 1024 * 1024,
             recv_buf: 2 * 1024 * 1024,
-            auto_join: true,
             max_subflows: 8,
             event_capacity: DEFAULT_EVENT_CAPACITY,
             trace: TraceConfig::disabled(),
@@ -262,11 +258,6 @@ impl MptcpConfig {
     /// Connection-level receive buffer cap (bytes).
     pub fn recv_buf(&self) -> usize {
         self.recv_buf
-    }
-
-    /// Are advertised addresses joined automatically?
-    pub fn auto_join(&self) -> bool {
-        self.auto_join
     }
 
     /// Maximum live subflows per connection.
@@ -524,22 +515,6 @@ impl MptcpConfigBuilder {
     /// Select the packet scheduler.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.cfg.scheduler = kind;
-        self
-    }
-
-    /// Couple congestion control across subflows (LIA) or not (Reno).
-    #[deprecated(note = "use `cc(CcAlgorithm::Lia)` / `cc(CcAlgorithm::Reno)`")]
-    pub fn coupled_cc(self, on: bool) -> Self {
-        self.cc(if on {
-            CcAlgorithm::Lia
-        } else {
-            CcAlgorithm::Reno
-        })
-    }
-
-    /// Automatically join advertised addresses.
-    pub fn auto_join(mut self, on: bool) -> Self {
-        self.cfg.auto_join = on;
         self
     }
 

@@ -1395,9 +1395,6 @@ impl MptcpConnection {
                     remote,
                     backup,
                 } => {
-                    if !self.cfg.auto_join {
-                        continue; // the owner opens subflows manually
-                    }
                     let kind = EventKind::PmOpenSubflow {
                         local: local.addr,
                         remote: remote.addr,

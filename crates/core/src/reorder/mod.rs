@@ -18,7 +18,8 @@
 //!
 //! All four implement [`OooQueue`] and count *ops* (node visits /
 //! comparisons) so the Figure 8 experiment can report relative CPU cost;
-//! the Criterion bench measures real wall-clock time as well.
+//! the benchmark's `mptcp.reorder_*_msegs` probes measure real wall-clock
+//! time as well.
 
 mod batch;
 mod linear;

@@ -15,12 +15,12 @@
 /// Internally this sums many bytes per add in u64 lanes — AVX-512 and AVX2
 /// kernels (runtime-detected on x86-64) widening 32-bit words into 64-bit
 /// vector accumulators, with a portable four-lane scalar kernel everywhere
-/// else — rather than one 16-bit word at a time; the perf suite pins the
-/// difference. The wide sum is taken in native byte order and corrected
-/// once at the end: a ones-complement sum is endian-independent up to a
-/// byte swap (RFC 1071 §2.B), so on little-endian hosts the folded 16-bit
-/// result is simply `swap_bytes()`d back to the big-endian word order the
-/// protocol defines.
+/// else — rather than one 16-bit word at a time (the benchmark's
+/// `packet.checksum_gbps` is its rate). The wide sum is taken in native
+/// byte order and corrected once at the end: a ones-complement sum is
+/// endian-independent up to a byte swap (RFC 1071 §2.B), so on
+/// little-endian hosts the folded 16-bit result is simply `swap_bytes()`d
+/// back to the big-endian word order the protocol defines.
 #[inline]
 pub fn ones_complement_add(sum: u32, data: &[u8]) -> u32 {
     sum + u32::from(wide_sum(data))

@@ -227,22 +227,13 @@ impl TcpSegment {
         })
     }
 
-    /// Encode to wire bytes (TCP header + options + payload; no IP header).
+    /// Encode to wire bytes (TCP header + options + payload; no IP header)
+    /// by *appending* to `out` — typically a pooled buffer (anything
+    /// dereferencing to `Vec<u8>`), so the hot path never allocates a fresh
+    /// `Vec` per segment.
     ///
     /// `wscale_shift` is the window scale negotiated for this direction: the
     /// codec stores `window >> shift` in the 16-bit field, as the wire does.
-    pub fn encode(&self, wscale_shift: u8) -> Result<Vec<u8>, options::OptionSpaceExceeded> {
-        let mut out = Vec::with_capacity(
-            TCP_HEADER_LEN + options::options_wire_len(&self.options) + self.payload.len(),
-        );
-        self.encode_into(wscale_shift, &mut out)?;
-        Ok(out)
-    }
-
-    /// Encode by *appending* to `out` — the zero-copy entry point taking a
-    /// pooled buffer (anything dereferencing to `Vec<u8>`), so the hot path
-    /// never allocates a fresh `Vec` per segment.
-    ///
     /// On error `out` is truncated back to its original length.
     pub fn encode_into(
         &self,
@@ -281,50 +272,16 @@ impl TcpSegment {
         Ok(())
     }
 
-    /// Decode from wire bytes produced by [`TcpSegment::encode`].
+    /// Decode wire bytes produced by [`TcpSegment::encode_into`] into an
+    /// existing segment, reusing its `options` Vec and taking the payload as
+    /// a zero-copy slice of `bytes` (which keeps the backing buffer, e.g. a
+    /// pooled receive buffer, alive for as long as the payload flows through
+    /// the reorder queue and up to the application). With a recycled `seg`
+    /// and pooled `bytes`, steady-state decode performs no heap allocation.
     ///
     /// `src_addr`/`dst_addr` come from the (conceptual) IP header;
-    /// `wscale_shift` re-expands the 16-bit window field.
-    pub fn decode(
-        bytes: &[u8],
-        src_addr: u32,
-        dst_addr: u32,
-        wscale_shift: u8,
-    ) -> Option<TcpSegment> {
-        let (header, data_offset) = parse_header(bytes, src_addr, dst_addr, wscale_shift)?;
-        let options = options::decode_options(&bytes[TCP_HEADER_LEN..data_offset]);
-        let payload = Bytes::copy_from_slice(&bytes[data_offset..]);
-        Some(TcpSegment {
-            payload,
-            options,
-            ..header
-        })
-    }
-
-    /// Decode a datagram held in shared storage, taking the payload as a
-    /// zero-copy slice of `bytes` — the receive-path twin of
-    /// [`TcpSegment::encode_into`]. The payload keeps the backing buffer
-    /// (e.g. a pooled receive buffer) alive for as long as it flows through
-    /// the reorder queue and up to the application.
-    pub fn decode_view(
-        bytes: &Bytes,
-        src_addr: u32,
-        dst_addr: u32,
-        wscale_shift: u8,
-    ) -> Option<TcpSegment> {
-        let (header, data_offset) = parse_header(bytes, src_addr, dst_addr, wscale_shift)?;
-        let options = options::decode_options(&bytes[TCP_HEADER_LEN..data_offset]);
-        let payload = bytes.slice(data_offset..);
-        Some(TcpSegment {
-            payload,
-            options,
-            ..header
-        })
-    }
-
-    /// Decode into an existing segment, reusing its `options` Vec and taking
-    /// the payload as a zero-copy slice of `bytes`. With a recycled `seg`
-    /// and pooled `bytes`, steady-state decode performs no heap allocation.
+    /// `wscale_shift` re-expands the 16-bit window field. This decoder
+    /// trusts its input; a real receive path uses the verified ones below.
     ///
     /// Returns `false` (leaving `seg` in an unspecified but valid state)
     /// when the bytes don't parse.
@@ -349,26 +306,11 @@ impl TcpSegment {
         true
     }
 
-    /// Decode wire bytes with the TCP checksum verified first.
-    ///
-    /// [`TcpSegment::decode`] trusts its input (simulator segments never
-    /// bit-rot); a real receive path must not. Any truncation or bit flip
-    /// between [`TcpSegment::encode`] and here is rejected: truncation is
-    /// caught structurally or by the pseudo-header length term, and a flip
-    /// of any single bit always changes the ones-complement sum.
-    pub fn decode_verified(
-        bytes: &[u8],
-        src_addr: u32,
-        dst_addr: u32,
-        wscale_shift: u8,
-    ) -> Result<TcpSegment, WireDecodeError> {
-        verify_wire(bytes, src_addr, dst_addr)?;
-        TcpSegment::decode(bytes, src_addr, dst_addr, wscale_shift)
-            .ok_or(WireDecodeError::Malformed)
-    }
-
-    /// Checksum-verified zero-copy decode: [`TcpSegment::decode_verified`]
-    /// semantics with the payload sliced out of `bytes` rather than copied.
+    /// Checksum-verified zero-copy decode into a fresh segment. Any
+    /// truncation or bit flip between [`TcpSegment::encode_into`] and here
+    /// is rejected: truncation is caught structurally or by the
+    /// pseudo-header length term, and a flip of any single bit always
+    /// changes the ones-complement sum.
     pub fn decode_verified_view(
         bytes: &Bytes,
         src_addr: u32,
@@ -376,13 +318,16 @@ impl TcpSegment {
         wscale_shift: u8,
     ) -> Result<TcpSegment, WireDecodeError> {
         verify_wire(bytes, src_addr, dst_addr)?;
-        TcpSegment::decode_view(bytes, src_addr, dst_addr, wscale_shift)
-            .ok_or(WireDecodeError::Malformed)
+        let (mut seg, data_offset) = parse_header(bytes, src_addr, dst_addr, wscale_shift)
+            .ok_or(WireDecodeError::Malformed)?;
+        options::decode_options_into(&bytes[TCP_HEADER_LEN..data_offset], &mut seg.options);
+        seg.payload = bytes.slice(data_offset..);
+        Ok(seg)
     }
 
     /// Checksum-verified decode into a reusable segment: the fully
     /// allocation-free receive path ([`TcpSegment::decode_view_into`] with
-    /// [`TcpSegment::decode_verified`]'s integrity guarantee).
+    /// [`TcpSegment::decode_verified_view`]'s integrity guarantee).
     pub fn decode_verified_view_into(
         bytes: &Bytes,
         src_addr: u32,
@@ -424,7 +369,7 @@ fn verify_wire(bytes: &[u8], src_addr: u32, dst_addr: u32) -> Result<(), WireDec
 }
 
 /// Parse the fixed 20-byte header, returning a payload-less segment and the
-/// data offset. Shared by the copying and view decoders.
+/// data offset. Shared by the fresh-segment and reusable-segment decoders.
 fn parse_header(
     bytes: &[u8],
     src_addr: u32,
@@ -471,14 +416,21 @@ mod tests {
         }
     }
 
+    /// `seg` encoded into a fresh buffer, as shared storage for the decoders.
+    fn wire(seg: &TcpSegment, wscale_shift: u8) -> Bytes {
+        let mut out = Vec::new();
+        seg.encode_into(wscale_shift, &mut out).unwrap();
+        Bytes::from(out)
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let mut seg = TcpSegment::new(tuple(), SeqNum(1000), SeqNum(2000), TcpFlags::ACK);
         seg.window = 65535;
         seg.payload = Bytes::from_static(b"hello, multipath world");
         seg.options = vec![TcpOption::Timestamps { val: 1, ecr: 2 }];
-        let wire = seg.encode(0).unwrap();
-        let back = TcpSegment::decode(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
+        let wire = wire(&seg, 0);
+        let back = TcpSegment::decode_verified_view(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
         assert_eq!(back, seg);
     }
 
@@ -486,12 +438,12 @@ mod tests {
     fn window_scaling_applied_at_wire() {
         let mut seg = TcpSegment::new(tuple(), SeqNum(0), SeqNum(0), TcpFlags::ACK);
         seg.window = 1 << 20; // 1 MiB: needs scaling to fit 16 bits
-        let wire = seg.encode(7).unwrap();
-        let back = TcpSegment::decode(&wire, 0x0a000001, 0x0a000002, 7).unwrap();
+        let wire = wire(&seg, 7);
+        let back = TcpSegment::decode_verified_view(&wire, 0x0a000001, 0x0a000002, 7).unwrap();
         assert_eq!(back.window, 1 << 20);
         // Without the scale shift applied by the receiver, the window reads
         // 128x smaller — exactly the RFC 1323 firewall hazard from §7.
-        let naive = TcpSegment::decode(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
+        let naive = TcpSegment::decode_verified_view(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
         assert_eq!(naive.window, (1 << 20) >> 7);
     }
 
@@ -524,11 +476,22 @@ mod tests {
 
     #[test]
     fn decode_rejects_short_or_corrupt() {
-        assert!(TcpSegment::decode(&[0u8; 10], 0, 0, 0).is_none());
         let seg = TcpSegment::new(tuple(), SeqNum(0), SeqNum(0), TcpFlags::ACK);
-        let mut wire = seg.encode(0).unwrap();
-        wire[12] = 0x20; // data offset 8 words = 32 bytes > actual length
-        assert!(TcpSegment::decode(&wire, 0, 0, 0).is_none());
+        let mut out = seg.clone();
+        let short = Bytes::from_static(&[0u8; 10]);
+        assert!(!TcpSegment::decode_view_into(&short, 0, 0, 0, &mut out));
+        assert_eq!(
+            TcpSegment::decode_verified_view(&short, 0, 0, 0),
+            Err(WireDecodeError::Truncated)
+        );
+        let mut wire = wire(&seg, 0).to_vec();
+        wire[12] = 0x20; // data offset 2 words = 8 bytes < the fixed header
+        let wire = Bytes::from(wire);
+        assert!(!TcpSegment::decode_view_into(&wire, 0, 0, 0, &mut out));
+        assert_eq!(
+            TcpSegment::decode_verified_view(&wire, 0, 0, 0),
+            Err(WireDecodeError::Malformed)
+        );
     }
 
     #[test]
@@ -542,12 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_appends_and_matches_encode() {
+    fn encode_into_appends_after_existing_bytes() {
         let mut seg = TcpSegment::new(tuple(), SeqNum(77), SeqNum(88), TcpFlags::ACK);
         seg.window = 4096;
         seg.payload = Bytes::from_static(b"payload bytes");
         seg.options = vec![TcpOption::Timestamps { val: 3, ecr: 4 }];
-        let wire = seg.encode(2).unwrap();
+        let wire = wire(&seg, 2);
         let mut buf = vec![0xAA, 0xBB]; // pre-existing bytes must survive
         seg.encode_into(2, &mut buf).unwrap();
         assert_eq!(&buf[..2], &[0xAA, 0xBB]);
@@ -574,17 +537,14 @@ mod tests {
     }
 
     #[test]
-    fn view_decoders_match_copy_decoder_without_copying() {
+    fn view_decoders_agree_without_copying() {
         let mut seg = TcpSegment::new(tuple(), SeqNum(9), SeqNum(10), TcpFlags::ACK);
         seg.payload = Bytes::from_static(b"zero copy me");
         seg.options = vec![TcpOption::Timestamps { val: 1, ecr: 2 }];
-        let wire = Bytes::from(seg.encode(0).unwrap());
+        let wire = wire(&seg, 0);
 
-        let copied = TcpSegment::decode(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
-        let viewed = TcpSegment::decode_view(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
-        assert_eq!(copied, viewed);
-        let verified = TcpSegment::decode_verified_view(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
-        assert_eq!(copied, verified);
+        let viewed = TcpSegment::decode_verified_view(&wire, 0x0a000001, 0x0a000002, 0).unwrap();
+        assert_eq!(viewed, seg);
 
         // The view's payload is a slice of the wire buffer, not a copy.
         let off = wire.len() - seg.payload.len();
@@ -605,7 +565,7 @@ mod tests {
             0,
             &mut reused
         ));
-        assert_eq!(reused, copied);
+        assert_eq!(reused, seg);
         assert_eq!(reused.options.capacity(), cap);
         assert!(!TcpSegment::decode_view_into(
             &wire.slice(..10),

@@ -9,6 +9,14 @@ use mptcp_packet::{
 };
 use proptest::prelude::*;
 
+/// `seg` encoded into a fresh buffer, as shared storage for the decoders.
+fn encode(seg: &TcpSegment, wscale_shift: u8) -> Bytes {
+    let mut out = Vec::new();
+    seg.encode_into(wscale_shift, &mut out)
+        .expect("options fit");
+    Bytes::from(out)
+}
+
 fn arb_mptcp_option() -> impl Strategy<Value = MptcpOption> {
     prop_oneof![
         (any::<u64>(), any::<bool>(), any::<Option<u64>>()).prop_map(|(k, c, r)| {
@@ -119,14 +127,30 @@ proptest! {
         seg.window = u32::from(window) << wscale;
         seg.options = opts;
         seg.payload = Bytes::from(payload);
-        let wire = seg.encode(wscale).expect("options fit");
-        let back = TcpSegment::decode(&wire, 0x0a000001, 0x0a000002, wscale).expect("decodable");
-        prop_assert_eq!(back, seg);
+        let wire = encode(&seg, wscale);
+        // The unverified decoder, into a dirty reusable segment: every field
+        // must be overwritten, nothing carried over from the last use.
+        let mut back = seg.clone();
+        back.seq = SeqNum(!seq);
+        back.options.push(TcpOption::SackPermitted);
+        back.payload = Bytes::from_static(b"stale");
+        prop_assert!(TcpSegment::decode_view_into(&wire, 0x0a000001, 0x0a000002, wscale, &mut back));
+        prop_assert_eq!(&back, &seg);
+        // Appending to a non-empty buffer writes the same bytes.
+        let mut appended = vec![0xEE; 5];
+        seg.encode_into(wscale, &mut appended).expect("options fit");
+        prop_assert_eq!(&appended[5..], &wire[..]);
     }
 
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
-        let _ = TcpSegment::decode(&bytes, 1, 2, 7);
+        let mut seg = TcpSegment::new(
+            FourTuple { src: Endpoint::new(1, 1), dst: Endpoint::new(2, 2) },
+            SeqNum(0),
+            SeqNum(0),
+            TcpFlags::ACK,
+        );
+        let _ = TcpSegment::decode_view_into(&Bytes::from(bytes.clone()), 1, 2, 7, &mut seg);
         let _ = mptcp_packet::options::decode_options(&bytes);
         let _ = MptcpOption::decode_value(&bytes);
     }
@@ -166,12 +190,17 @@ proptest! {
         );
         seg.options = opts;
         seg.payload = Bytes::from(payload);
-        let wire = seg.encode(4).expect("options fit");
+        let wire = encode(&seg, 4);
 
-        // Intact bytes verify and roundtrip exactly.
-        let back = TcpSegment::decode_verified(&wire, 0x0a000001, 0x0a000002, 4)
+        // Intact bytes verify and roundtrip exactly, through both the
+        // fresh-segment and the reusable-segment decoder.
+        let back = TcpSegment::decode_verified_view(&wire, 0x0a000001, 0x0a000002, 4)
             .expect("intact wire bytes verify");
-        prop_assert_eq!(back, seg);
+        prop_assert_eq!(&back, &seg);
+        let mut reused = TcpSegment::new(seg.tuple, SeqNum(0), SeqNum(0), TcpFlags::RST);
+        TcpSegment::decode_verified_view_into(&wire, 0x0a000001, 0x0a000002, 4, &mut reused)
+            .expect("intact wire bytes verify");
+        prop_assert_eq!(&reused, &seg);
 
         // A proper prefix is never accepted as the original: short ones
         // fail structurally, longer ones trip the pseudo-header length
@@ -179,7 +208,7 @@ proptest! {
         // collisions where a truncated tail cancels the length delta, so
         // the contract is "never the original", not "always rejected".)
         let cut = truncate_by.index(wire.len());
-        match TcpSegment::decode_verified(&wire[..cut], 0x0a000001, 0x0a000002, 4) {
+        match TcpSegment::decode_verified_view(&wire.slice(..cut), 0x0a000001, 0x0a000002, 4) {
             Err(_) => {}
             Ok(t) => prop_assert_ne!(t, seg.clone()),
         }
@@ -187,11 +216,16 @@ proptest! {
         // A flip of any bits within one byte always breaks the
         // ones-complement sum, wherever it lands (header, option, payload,
         // or the checksum field itself).
-        let mut flipped = wire.clone();
+        let mut flipped = wire.to_vec();
         let i = flip_at.index(flipped.len());
         flipped[i] ^= flip_bits;
+        let flipped = Bytes::from(flipped);
         prop_assert!(
-            TcpSegment::decode_verified(&flipped, 0x0a000001, 0x0a000002, 4).is_err()
+            TcpSegment::decode_verified_view(&flipped, 0x0a000001, 0x0a000002, 4).is_err()
+        );
+        prop_assert!(
+            TcpSegment::decode_verified_view_into(&flipped, 0x0a000001, 0x0a000002, 4, &mut reused)
+                .is_err()
         );
     }
 
@@ -199,7 +233,7 @@ proptest! {
     fn verified_decode_never_panics_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..120),
     ) {
-        let _ = TcpSegment::decode_verified(&bytes, 1, 2, 7);
+        let _ = TcpSegment::decode_verified_view(&Bytes::from(bytes), 1, 2, 7);
     }
 
     #[test]

@@ -198,10 +198,13 @@ mod tests {
     use bytes::Bytes;
     use mptcp_packet::{Endpoint, SeqNum, TcpFlags};
 
-    fn seg(tuple: FourTuple) -> TcpSegment {
+    /// A one-byte data segment on `tuple`, framed as a datagram.
+    fn datagram(tuple: FourTuple) -> Vec<u8> {
         let mut s = TcpSegment::new(tuple, SeqNum(1), SeqNum(0), TcpFlags::ACK);
         s.payload = Bytes::from_static(b"x");
-        s
+        let mut out = Vec::new();
+        wire::encode_datagram_into(&s, &mut out);
+        out
     }
 
     fn any_loopback() -> SocketAddr {
@@ -216,7 +219,7 @@ mod tests {
             src: Endpoint::new(0x0a000102, 7),
             dst: Endpoint::new(0x0a000101, 8),
         };
-        let dgram = wire::encode_datagram(&seg(tuple));
+        let dgram = datagram(tuple);
         let b_addr = b.local_addr(0).unwrap();
         assert_eq!(a.send(0, b_addr, &dgram), SendOutcome::Sent);
 
@@ -243,7 +246,7 @@ mod tests {
             src: Endpoint::new(1, 1),
             dst: Endpoint::new(2, 2),
         };
-        let dgram = wire::encode_datagram(&seg(tuple));
+        let dgram = datagram(tuple);
         let b_addr = b.local_addr(0).unwrap();
 
         a.set_blocked(0, true);
@@ -267,7 +270,7 @@ mod tests {
             src: Endpoint::new(1, 1),
             dst: Endpoint::new(2, 2),
         };
-        let mut dgram = wire::encode_datagram(&seg(tuple));
+        let mut dgram = datagram(tuple);
         let last = dgram.len() - 1;
         dgram[last] ^= 0xff;
         a.send(0, b.local_addr(0).unwrap(), &dgram);

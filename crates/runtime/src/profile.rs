@@ -15,50 +15,25 @@
 
 use std::time::Instant;
 
-use mptcp_telemetry::LogHistogram;
+use mptcp_telemetry::{registry, LogHistogram};
 
-/// The phases of one event-loop iteration, in execution order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
-    /// Draining datagrams out of every path's kernel buffer.
-    RecvDrain,
-    /// Routing decoded segments to connections (listener demux + timer pop).
-    Demux,
-    /// Application `drive()` calls on dirty connections.
-    Drive,
-    /// Polling connection output and encoding frames into egress queues.
-    PollEncode,
-    /// Pushing queued frames to the kernel.
-    Flush,
-    /// Sleeping in `idle_wait` between iterations.
-    Idle,
-}
-
-/// Number of [`Phase`] variants.
-pub const NUM_PHASES: usize = 6;
-
-impl Phase {
-    /// Every variant, in execution order.
-    pub const ALL: [Phase; NUM_PHASES] = [
-        Phase::RecvDrain,
-        Phase::Demux,
-        Phase::Drive,
-        Phase::PollEncode,
-        Phase::Flush,
-        Phase::Idle,
-    ];
-
-    /// Stable snake_case name used in JSON, exposition, and tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::RecvDrain => "recv_drain",
-            Phase::Demux => "demux",
-            Phase::Drive => "drive",
-            Phase::PollEncode => "poll_encode",
-            Phase::Flush => "flush",
-            Phase::Idle => "idle",
-        }
+registry! {
+    /// The phases of one event-loop iteration, in execution order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    #[repr(usize)]
+    pub enum Phase, NUM_PHASES {
+        /// Draining datagrams out of every path's kernel buffer.
+        RecvDrain = "recv_drain";
+        /// Routing decoded segments to connections (listener demux + timer pop).
+        Demux = "demux";
+        /// Application `drive()` calls on dirty connections.
+        Drive = "drive";
+        /// Polling connection output and encoding frames into egress queues.
+        PollEncode = "poll_encode";
+        /// Pushing queued frames to the kernel.
+        Flush = "flush";
+        /// Sleeping in `idle_wait` between iterations.
+        Idle = "idle";
     }
 }
 
@@ -124,33 +99,6 @@ impl LoopProfiler {
         self.hists.as_deref().map(|h| &h[phase as usize])
     }
 
-    /// JSON object mapping each phase to its summary, or `null` when
-    /// disabled. Shape: `{"recv_drain":{"count":..,"p50_ns":..,
-    /// "p99_ns":..,"max_ns":..,"sum_ns":..},...}`.
-    pub fn json_object(&self) -> String {
-        let Some(h) = self.hists.as_deref() else {
-            return "null".to_string();
-        };
-        let mut out = String::from("{");
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let hist = &h[*phase as usize];
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"sum_ns\":{}}}",
-                phase.name(),
-                hist.samples(),
-                hist.quantile(0.50),
-                hist.quantile(0.99),
-                hist.max(),
-                hist.sum()
-            ));
-        }
-        out.push('}');
-        out
-    }
-
     /// Aligned text table of per-phase timings for the admin `profile`
     /// command and `repro top`.
     pub fn render_table(&self) -> String {
@@ -211,7 +159,6 @@ mod tests {
         assert!(p.lap(None, Phase::Demux).is_none());
         p.record(Phase::Drive, 100); // no-op, must not panic
         assert!(p.hist(Phase::Drive).is_none());
-        assert_eq!(p.json_object(), "null");
         assert!(p.render_table().contains("disabled"));
     }
 
@@ -228,9 +175,6 @@ mod tests {
         let flush = p.hist(Phase::Flush).unwrap();
         assert_eq!(flush.samples(), 2);
         assert_eq!(flush.max(), 7_000);
-        let json = p.json_object();
-        assert!(json.contains("\"flush\":{\"count\":2"));
-        assert!(json.contains("\"recv_drain\""));
         let table = p.render_table();
         assert!(table.contains("poll_encode"));
     }

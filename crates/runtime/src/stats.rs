@@ -5,36 +5,17 @@
 //! loop-level signals. Tick skew — how late a wall-clock tick fired
 //! relative to the deadline `poll_at` asked for — additionally feeds a
 //! [`LogHistogram`] so the loop can report p50/p99/max latency without
-//! retaining per-sample memory. JSON output iterates the registry lists
-//! below, so the runtime JSON, Prometheus exposition, and `RunReport`
-//! all read the same names from the same ids and cannot drift.
+//! retaining per-sample memory. JSON output iterates the registry's
+//! `rt_*` rows, so the runtime JSON, Prometheus exposition, and
+//! `RunReport` all read the same names from the same ids and cannot drift.
 
 use mptcp_packet::PoolStats;
 use mptcp_telemetry::{CounterId, GaugeId, LogHistogram, Recorder};
 
-/// The counters the runtime loop itself owns, in report order. Exposition
-/// and JSON iterate this list instead of hand-listing ids.
-pub const RUNTIME_COUNTERS: &[CounterId] = &[
-    CounterId::RtLoopIterations,
-    CounterId::RtRecvBatches,
-    CounterId::RtSendBatches,
-    CounterId::RtDatagramsRx,
-    CounterId::RtDatagramsTx,
-    CounterId::RtDecodeErrors,
-    CounterId::RtEgressBackpressure,
-    CounterId::RtLateTicks,
-    CounterId::RtPoolHits,
-    CounterId::RtPoolMisses,
-    CounterId::RtAdminRequests,
-];
-
-/// The gauges the runtime loop itself owns, in report order.
-pub const RUNTIME_GAUGES: &[GaugeId] = &[
-    GaugeId::RtEgressQueueDepth,
-    GaugeId::RtTickSkewNs,
-    GaugeId::RtPoolOutstanding,
-    GaugeId::RtPoolHighWater,
-];
+/// The ids the runtime loop itself owns are the registry's `rt_*` rows.
+fn is_runtime(name: &str) -> bool {
+    name.starts_with("rt_")
+}
 
 /// Loop instrumentation: shared recorder plus the tick-skew histogram.
 pub struct RuntimeStats {
@@ -104,15 +85,18 @@ impl RuntimeStats {
 
     /// JSON object fragment with the loop's numbers (no braces; callers
     /// splice it into a larger object). Keys come straight from the
-    /// telemetry registry: every counter in [`RUNTIME_COUNTERS`] under its
-    /// `name()`, every gauge in [`RUNTIME_GAUGES`] as `<name>` (current)
-    /// plus `<name>_peak` (high-water), then the skew quantiles.
+    /// telemetry registry: every `rt_*` counter under its `name()`, every
+    /// `rt_*` gauge as `<name>` (current) plus `<name>_peak` (high-water),
+    /// then the skew quantiles.
     pub fn json_fields(&self) -> String {
         let mut out = String::new();
-        for &id in RUNTIME_COUNTERS {
+        for id in CounterId::ALL
+            .into_iter()
+            .filter(|id| is_runtime(id.name()))
+        {
             out.push_str(&format!("\"{}\":{},", id.name(), self.rec.counter(id)));
         }
-        for &id in RUNTIME_GAUGES {
+        for id in GaugeId::ALL.into_iter().filter(|id| is_runtime(id.name())) {
             let g = self.rec.gauge(id);
             out.push_str(&format!(
                 "\"{}\":{},\"{}_peak\":{},",
@@ -229,23 +213,13 @@ mod tests {
     }
 
     #[test]
-    fn json_fields_come_from_the_registry() {
+    fn json_fields_carry_recorded_values() {
         let mut s = RuntimeStats::new();
         s.rec.count(CounterId::RtLoopIterations);
         s.record_late_tick(5_000);
         let json = format!("{{{}}}", s.json_fields());
-        for &id in RUNTIME_COUNTERS {
-            assert!(
-                json.contains(&format!("\"{}\":", id.name())),
-                "missing {}",
-                id.name()
-            );
-        }
-        for &id in RUNTIME_GAUGES {
-            assert!(json.contains(&format!("\"{}\":", id.name())));
-            assert!(json.contains(&format!("\"{}_peak\":", id.name())));
-        }
-        assert!(json.contains("\"rt_tick_skew_p99_ns\":"));
+        assert!(json.contains("\"rt_tick_skew_ns\":5000,\"rt_tick_skew_ns_peak\":5000"));
+        assert!(json.contains("\"rt_late_ticks\":1"));
         assert!(json.contains("\"rt_loop_iterations\":1"));
     }
 }

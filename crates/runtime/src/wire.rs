@@ -11,7 +11,7 @@
 //! 4       1    window-scale shift applied by the sender's encoder
 //! 5       4    virtual source IPv4 address (big-endian)
 //! 9       4    virtual destination IPv4 address (big-endian)
-//! 13      -    TCP header + options + payload (TcpSegment::encode)
+//! 13      -    TCP header + options + payload (TcpSegment::encode_into)
 //! ```
 //!
 //! The virtual addresses name the MPTCP four-tuple — the identity the state
@@ -22,7 +22,7 @@
 //! changes (e.g. NAT rebinding) without disturbing the connection.
 //!
 //! The receiver verifies the TCP checksum over the virtual pseudo-header
-//! ([`TcpSegment::decode_verified`]) before any segment reaches a state
+//! ([`TcpSegment::decode_verified_view`]) before any segment reaches a state
 //! machine, so a corrupt or truncated datagram is counted and dropped, never
 //! parsed into nonsense.
 
@@ -80,13 +80,6 @@ pub fn encode_datagram_into(seg: &TcpSegment, out: &mut Vec<u8>) {
         .expect("state machines never emit >40 bytes of options");
 }
 
-/// Encode `seg` into a fresh self-contained datagram.
-pub fn encode_datagram(seg: &TcpSegment) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 60 + seg.payload.len());
-    encode_datagram_into(seg, &mut out);
-    out
-}
-
 /// Shared framing checks: magic, length, virtual addresses.
 fn parse_frame_header(bytes: &[u8]) -> Result<(u8, u32, u32), FrameError> {
     if bytes.len() < FRAME_HEADER_LEN {
@@ -99,13 +92,6 @@ fn parse_frame_header(bytes: &[u8]) -> Result<(u8, u32, u32), FrameError> {
     let src = u32::from_be_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]);
     let dst = u32::from_be_bytes([bytes[9], bytes[10], bytes[11], bytes[12]]);
     Ok((wscale, src, dst))
-}
-
-/// Decode and verify one datagram into a [`TcpSegment`].
-pub fn decode_datagram(bytes: &[u8]) -> Result<TcpSegment, FrameError> {
-    let (wscale, src, dst) = parse_frame_header(bytes)?;
-    TcpSegment::decode_verified(&bytes[FRAME_HEADER_LEN..], src, dst, wscale)
-        .map_err(FrameError::Segment)
 }
 
 /// Decode and verify one datagram with the payload *viewed*, not copied:
@@ -139,18 +125,21 @@ mod tests {
         seg
     }
 
-    #[test]
-    fn roundtrip() {
-        let seg = sample();
-        let wire = encode_datagram(&seg);
-        let back = decode_datagram(&wire).expect("roundtrips");
-        assert_eq!(back, seg);
+    /// `seg` framed into a fresh datagram.
+    fn datagram(seg: &TcpSegment) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_datagram_into(seg, &mut out);
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<TcpSegment, FrameError> {
+        decode_datagram_view(&Bytes::copy_from_slice(bytes))
     }
 
     #[test]
     fn view_roundtrip_shares_storage() {
         let seg = sample();
-        let wire = Bytes::from(encode_datagram(&seg));
+        let wire = Bytes::from(datagram(&seg));
         let back = decode_datagram_view(&wire).expect("roundtrips");
         assert_eq!(back, seg);
         // The payload is a window into the datagram, not a copy.
@@ -164,32 +153,29 @@ mod tests {
         let mut buf = vec![0xEE; 3];
         encode_datagram_into(&seg, &mut buf);
         assert_eq!(&buf[..3], &[0xEE; 3]);
-        assert_eq!(&buf[3..], &encode_datagram(&seg)[..]);
+        assert_eq!(&buf[3..], &datagram(&seg)[..]);
     }
 
     #[test]
     fn rejects_short_and_foreign_datagrams() {
-        assert_eq!(decode_datagram(&[]), Err(FrameError::TooShort));
-        assert_eq!(decode_datagram(&[0u8; 12]), Err(FrameError::TooShort));
-        let mut wire = encode_datagram(&sample());
+        assert_eq!(decode(&[]), Err(FrameError::TooShort));
+        assert_eq!(decode(&[0u8; 12]), Err(FrameError::TooShort));
+        let mut wire = datagram(&sample());
         wire[0] ^= 0xff;
-        assert_eq!(decode_datagram(&wire), Err(FrameError::BadMagic));
+        assert_eq!(decode(&wire), Err(FrameError::BadMagic));
     }
 
     #[test]
     fn rejects_corrupted_payload() {
-        let mut wire = encode_datagram(&sample());
+        let mut wire = datagram(&sample());
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
-        assert!(matches!(
-            decode_datagram(&wire),
-            Err(FrameError::Segment(_))
-        ));
+        assert!(matches!(decode(&wire), Err(FrameError::Segment(_))));
     }
 
     #[test]
     fn rejects_truncated_segment() {
-        let wire = encode_datagram(&sample());
-        assert!(decode_datagram(&wire[..FRAME_HEADER_LEN + 10]).is_err());
+        let wire = datagram(&sample());
+        assert!(decode(&wire[..FRAME_HEADER_LEN + 10]).is_err());
     }
 }

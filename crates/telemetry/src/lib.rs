@@ -27,400 +27,241 @@ pub use trace::{
     DEFAULT_TRACE_CAPACITY, SPAN_CONN_LEVEL,
 };
 
-/// Monotone counters, one slot per variant, held in a fixed array inside
-/// [`Recorder`]. Grouped by the layer that increments them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum CounterId {
-    // -- core::conn: the paper's M1-M4 mechanisms --------------------------
-    /// M1: segments opportunistically re-injected on another subflow.
-    M1Reinjections,
-    /// M2: times a slow subflow's cwnd was halved to unclog the send window.
-    M2Penalizations,
-    /// M3: receive/send buffer autotune growth steps.
-    M3BufferGrowths,
-    /// M4: times a subflow cwnd was capped to bound bufferbloat.
-    M4CwndCaps,
-    // -- core::conn: data-level machinery ----------------------------------
-    /// Segments handed to a subflow by the scheduler.
-    SchedulerPicks,
-    /// Times the scheduler found every subflow blocked (no cwnd/rwnd room).
-    SchedulerStalls,
-    /// Times the scheduler deliberately waited for a faster path (BLEST).
-    SchedulerDefers,
-    /// Data-level retransmissions triggered by the data-level RTO.
-    DataRtos,
-    /// Progress stalls observed at DATA_ACK level (snd_una unmoved too long).
-    DataAckStalls,
-    /// Duplicate data bytes discarded at the connection-level receiver.
-    DupDataBytes,
-    // -- core::conn: fallback (§3.3.6) and handshake rejections -------------
-    /// DSS checksum verification failures.
-    ChecksumFailures,
-    /// Connections that fell back to regular TCP, by cause (see events too).
-    Fallbacks,
-    /// MP_JOIN attempts rejected (bad HMAC, unknown token, limit, state).
-    JoinsRejected,
-    /// Subflows torn down with RST while the connection survived.
-    SubflowResets,
-    // -- core::conn: path management (§3.2, §3.4) ----------------------------
-    /// ADD_ADDR advertisements sent to the peer.
-    AddAddrsSent,
-    /// ADD_ADDR advertisements received from the peer.
-    AddAddrsReceived,
-    /// REMOVE_ADDR withdrawals sent to the peer.
-    RemoveAddrsSent,
-    /// REMOVE_ADDR withdrawals received from the peer.
-    RemoveAddrsReceived,
-    /// REMOVE_ADDR withdrawals rejected: the addr_id was never advertised
-    /// and no subflow uses it.
-    RemoveAddrUnknown,
-    /// ADD_ADDR advertisements retransmitted (unechoed past the interval).
-    AddAddrRetransmits,
-    /// Subflows opened by a path-manager decision.
-    PmSubflowsOpened,
-    /// Backup subflows promoted to regular priority by the path manager.
-    PmBackupPromotions,
-    // -- core::conn: path-failure detection and recovery ---------------------
-    /// Subflows demoted Active -> Suspect (consecutive RTOs / no progress).
-    PathSuspects,
-    /// Subflows declared Failed (in-flight data reinjected elsewhere).
-    PathFailures,
-    /// Suspect/Failed subflows that resumed progress and returned to Active.
-    PathRecoveries,
-    /// Connections aborted (all paths failed past the deadline, last
-    /// subflow removed, FastClose...).
-    ConnAborts,
-    // -- core::reorder -------------------------------------------------------
-    /// Segments inserted into the out-of-order queue.
-    ReorderInserts,
-    /// Pointer/node visits performed by the reorder algorithm.
-    ReorderOps,
-    /// Inserts satisfied by a shortcut (Shortcuts/AllShortcuts algorithms).
-    ReorderShortcutHits,
-    // -- tcpstack: per-subflow TCP internals --------------------------------
-    /// Retransmission timer fires.
-    TcpRtos,
-    /// Fast retransmits (triple-dup-ACK).
-    TcpFastRetransmits,
-    /// Segments retransmitted (either path).
-    TcpRetransmittedSegs,
-    /// Zero-window probes sent.
-    TcpZeroWindowProbes,
-    // -- netsim / middlebox --------------------------------------------------
-    /// Packets dropped by a full link queue.
-    LinkQueueDrops,
-    /// Packets dropped by configured random loss.
-    LinkRandomDrops,
-    /// TCP options removed by a middlebox.
-    MboxOptionStrips,
-    /// Payload bytes rewritten by a middlebox (e.g. ALG "fixups").
-    MboxPayloadMutations,
-    /// Segments split or coalesced by a middlebox/segmentation offload.
-    MboxResegmentations,
-    /// ACKs manufactured by a proactive-ACKing middlebox.
-    MboxProactiveAcks,
-    /// Sequence numbers rewritten by a randomizing middlebox.
-    MboxSeqRewrites,
-    /// Segments swallowed outright by a middlebox (hole droppers,
-    /// option-sensitive SYN droppers).
-    MboxSegmentDrops,
-    /// Scheduled fault events applied by the simulator's fault schedule.
-    FaultsInjected,
-    /// Packets silently discarded because a fault forced the link down.
-    LinkFaultDrops,
-    // -- runtime: real-I/O event loop (crates/runtime) -----------------------
-    /// Event-loop iterations executed.
-    RtLoopIterations,
-    /// recv-drain rounds that harvested at least one datagram (one batch of
-    /// recv syscalls).
-    RtRecvBatches,
-    /// egress-flush rounds that pushed at least one datagram to a socket
-    /// (one batch of send syscalls).
-    RtSendBatches,
-    /// UDP datagrams received and decoded into segments.
-    RtDatagramsRx,
-    /// UDP datagrams encoded and handed to the kernel.
-    RtDatagramsTx,
-    /// Inbound datagrams rejected by framing/decode/TCP-checksum checks.
-    RtDecodeErrors,
-    /// Times a connection's output poll was skipped because its bounded
-    /// egress queue was full (backpressure applied).
-    RtEgressBackpressure,
-    /// Timer deadlines that were processed after they had already expired
-    /// (wall-clock jitter; skew tracked by the `rt_tick_skew_ns` gauge).
-    RtLateTicks,
-    /// Egress buffer-pool checkouts satisfied by a recycled buffer.
-    RtPoolHits,
-    /// Egress buffer-pool checkouts that had to allocate a fresh buffer
-    /// (pool cold, or every pooled buffer still pinned by a live view).
-    RtPoolMisses,
-    /// Admin-socket commands served (stat protocol lines + HTTP scrapes).
-    RtAdminRequests,
+/// Declares a metric enum from one row per variant, so the variant, its
+/// serialized name and its help text cannot drift apart and a row with a
+/// piece missing does not compile. Three row shapes:
+///
+/// - `Variant = "name", "help";` — ids with Prometheus `# HELP` text;
+/// - `Variant = "name";` — plain ids;
+/// - `Variant { field: u32, .. } = "name";` — events with integer payloads
+///   (fields after a `+` ride in the variant but stay out of `fields()`).
+///
+/// Unit enums get `ALL` (declaration order, the array layout), `name()`
+/// and, when a constant name follows the enum name, `NUM_* = ALL.len()`.
+#[macro_export]
+macro_rules! registry {
+    ($(#[$m:meta])* pub enum $E:ident $(, $N:ident)? {
+        $($(#[$vm:meta])* $V:ident = $name:literal, $help:literal;)*
+    }) => {
+        $crate::registry! { $(#[$m])* pub enum $E $(, $N)? { $($(#[$vm])* $V = $name;)* } }
+        impl $E {
+            /// One-line human description, used as the Prometheus `# HELP` text.
+            pub fn help(self) -> &'static str {
+                match self { $(Self::$V => $help,)* }
+            }
+        }
+    };
+    ($(#[$m:meta])* pub enum $E:ident $(, $N:ident)? {
+        $($(#[$vm:meta])* $V:ident = $name:literal;)*
+    }) => {
+        $(#[$m])*
+        pub enum $E { $($(#[$vm])* $V,)* }
+        $(
+            #[doc = concat!("Number of [`", stringify!($E), "`] variants.")]
+            pub const $N: usize = $E::ALL.len();
+        )?
+        impl $E {
+            /// Every variant, in declaration order (the array layout).
+            pub const ALL: [$E; [$($name),*].len()] = [$(Self::$V),*];
+
+            /// Stable snake_case name used in JSON, exposition and tables.
+            pub fn name(self) -> &'static str {
+                match self { $(Self::$V => $name,)* }
+            }
+        }
+    };
+    ($(#[$m:meta])* pub enum $E:ident {
+        $($(#[$vm:meta])* $V:ident { $($f:ident: $t:ty),* } $(+ { $($xf:ident: $xt:ty),* })?
+            = $name:literal;)*
+    }) => {
+        $(#[$m])*
+        pub enum $E { $($(#[$vm])* $V { $($f: $t,)* $($($xf: $xt,)*)? },)* }
+        impl $E {
+            /// Stable snake_case name used in JSON and table output.
+            pub fn name(self) -> &'static str {
+                match self { $(Self::$V { .. } => $name,)* }
+            }
+
+            /// Variant payload as `(name, value)` pairs for serialization.
+            pub(crate) fn fields(self) -> Vec<(&'static str, u64)> {
+                match self {
+                    $(Self::$V { $($f,)* .. } => vec![$((stringify!($f), u64::from($f))),*],)*
+                }
+            }
+        }
+    };
 }
 
-impl CounterId {
-    /// Every variant, in declaration order (the array layout).
-    pub const ALL: [CounterId; NUM_COUNTERS] = [
-        CounterId::M1Reinjections,
-        CounterId::M2Penalizations,
-        CounterId::M3BufferGrowths,
-        CounterId::M4CwndCaps,
-        CounterId::SchedulerPicks,
-        CounterId::SchedulerStalls,
-        CounterId::SchedulerDefers,
-        CounterId::DataRtos,
-        CounterId::DataAckStalls,
-        CounterId::DupDataBytes,
-        CounterId::ChecksumFailures,
-        CounterId::Fallbacks,
-        CounterId::JoinsRejected,
-        CounterId::SubflowResets,
-        CounterId::AddAddrsSent,
-        CounterId::AddAddrsReceived,
-        CounterId::RemoveAddrsSent,
-        CounterId::RemoveAddrsReceived,
-        CounterId::RemoveAddrUnknown,
-        CounterId::AddAddrRetransmits,
-        CounterId::PmSubflowsOpened,
-        CounterId::PmBackupPromotions,
-        CounterId::PathSuspects,
-        CounterId::PathFailures,
-        CounterId::PathRecoveries,
-        CounterId::ConnAborts,
-        CounterId::ReorderInserts,
-        CounterId::ReorderOps,
-        CounterId::ReorderShortcutHits,
-        CounterId::TcpRtos,
-        CounterId::TcpFastRetransmits,
-        CounterId::TcpRetransmittedSegs,
-        CounterId::TcpZeroWindowProbes,
-        CounterId::LinkQueueDrops,
-        CounterId::LinkRandomDrops,
-        CounterId::MboxOptionStrips,
-        CounterId::MboxPayloadMutations,
-        CounterId::MboxResegmentations,
-        CounterId::MboxProactiveAcks,
-        CounterId::MboxSeqRewrites,
-        CounterId::MboxSegmentDrops,
-        CounterId::FaultsInjected,
-        CounterId::LinkFaultDrops,
-        CounterId::RtLoopIterations,
-        CounterId::RtRecvBatches,
-        CounterId::RtSendBatches,
-        CounterId::RtDatagramsRx,
-        CounterId::RtDatagramsTx,
-        CounterId::RtDecodeErrors,
-        CounterId::RtEgressBackpressure,
-        CounterId::RtLateTicks,
-        CounterId::RtPoolHits,
-        CounterId::RtPoolMisses,
-        CounterId::RtAdminRequests,
-    ];
-
-    /// Stable snake_case name used in JSON and table output.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterId::M1Reinjections => "m1_reinjections",
-            CounterId::M2Penalizations => "m2_penalizations",
-            CounterId::M3BufferGrowths => "m3_buffer_growths",
-            CounterId::M4CwndCaps => "m4_cwnd_caps",
-            CounterId::SchedulerPicks => "scheduler_picks",
-            CounterId::SchedulerStalls => "scheduler_stalls",
-            CounterId::SchedulerDefers => "scheduler_defers",
-            CounterId::DataRtos => "data_rtos",
-            CounterId::DataAckStalls => "data_ack_stalls",
-            CounterId::DupDataBytes => "dup_data_bytes",
-            CounterId::ChecksumFailures => "checksum_failures",
-            CounterId::Fallbacks => "fallbacks",
-            CounterId::JoinsRejected => "joins_rejected",
-            CounterId::SubflowResets => "subflow_resets",
-            CounterId::AddAddrsSent => "add_addrs_sent",
-            CounterId::AddAddrsReceived => "add_addrs_received",
-            CounterId::RemoveAddrsSent => "remove_addrs_sent",
-            CounterId::RemoveAddrsReceived => "remove_addrs_received",
-            CounterId::RemoveAddrUnknown => "remove_addr_unknown",
-            CounterId::AddAddrRetransmits => "add_addr_retransmits",
-            CounterId::PmSubflowsOpened => "pm_subflows_opened",
-            CounterId::PmBackupPromotions => "pm_backup_promotions",
-            CounterId::PathSuspects => "path_suspects",
-            CounterId::PathFailures => "path_failures",
-            CounterId::PathRecoveries => "path_recoveries",
-            CounterId::ConnAborts => "conn_aborts",
-            CounterId::ReorderInserts => "reorder_inserts",
-            CounterId::ReorderOps => "reorder_ops",
-            CounterId::ReorderShortcutHits => "reorder_shortcut_hits",
-            CounterId::TcpRtos => "tcp_rtos",
-            CounterId::TcpFastRetransmits => "tcp_fast_retransmits",
-            CounterId::TcpRetransmittedSegs => "tcp_retransmitted_segs",
-            CounterId::TcpZeroWindowProbes => "tcp_zero_window_probes",
-            CounterId::LinkQueueDrops => "link_queue_drops",
-            CounterId::LinkRandomDrops => "link_random_drops",
-            CounterId::MboxOptionStrips => "mbox_option_strips",
-            CounterId::MboxPayloadMutations => "mbox_payload_mutations",
-            CounterId::MboxResegmentations => "mbox_resegmentations",
-            CounterId::MboxProactiveAcks => "mbox_proactive_acks",
-            CounterId::MboxSeqRewrites => "mbox_seq_rewrites",
-            CounterId::MboxSegmentDrops => "mbox_segment_drops",
-            CounterId::FaultsInjected => "faults_injected",
-            CounterId::LinkFaultDrops => "link_fault_drops",
-            CounterId::RtLoopIterations => "rt_loop_iterations",
-            CounterId::RtRecvBatches => "rt_recv_batches",
-            CounterId::RtSendBatches => "rt_send_batches",
-            CounterId::RtDatagramsRx => "rt_datagrams_rx",
-            CounterId::RtDatagramsTx => "rt_datagrams_tx",
-            CounterId::RtDecodeErrors => "rt_decode_errors",
-            CounterId::RtEgressBackpressure => "rt_egress_backpressure",
-            CounterId::RtLateTicks => "rt_late_ticks",
-            CounterId::RtPoolHits => "rt_pool_hits",
-            CounterId::RtPoolMisses => "rt_pool_misses",
-            CounterId::RtAdminRequests => "rt_admin_requests",
-        }
-    }
-
-    /// One-line human description, used as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            CounterId::M1Reinjections => "M1 opportunistic reinjections onto another subflow",
-            CounterId::M2Penalizations => "M2 slow-subflow cwnd penalizations",
-            CounterId::M3BufferGrowths => "M3 receive/send buffer autotune growth steps",
-            CounterId::M4CwndCaps => "M4 subflow cwnd caps applied to bound bufferbloat",
-            CounterId::SchedulerPicks => "segments handed to a subflow by the scheduler",
-            CounterId::SchedulerStalls => "times the scheduler found every subflow blocked",
-            CounterId::SchedulerDefers => "times the scheduler waited for a faster path (BLEST)",
-            CounterId::DataRtos => "data-level retransmission timeouts",
-            CounterId::DataAckStalls => "DATA_ACK-level progress stalls",
-            CounterId::DupDataBytes => "duplicate data bytes discarded by the receiver",
-            CounterId::ChecksumFailures => "DSS checksum verification failures",
-            CounterId::Fallbacks => "connections that fell back to regular TCP",
-            CounterId::JoinsRejected => "MP_JOIN attempts rejected",
-            CounterId::SubflowResets => "subflows reset while the connection survived",
-            CounterId::AddAddrsSent => "ADD_ADDR advertisements sent",
-            CounterId::AddAddrsReceived => "ADD_ADDR advertisements received",
-            CounterId::RemoveAddrsSent => "REMOVE_ADDR withdrawals sent",
-            CounterId::RemoveAddrsReceived => "REMOVE_ADDR withdrawals received",
-            CounterId::RemoveAddrUnknown => "REMOVE_ADDR withdrawals rejected for unknown addr_id",
-            CounterId::AddAddrRetransmits => "ADD_ADDR advertisements retransmitted until echoed",
-            CounterId::PmSubflowsOpened => "subflows opened by a path-manager decision",
-            CounterId::PmBackupPromotions => "backup subflows promoted by the path manager",
-            CounterId::PathSuspects => "subflows demoted Active to Suspect",
-            CounterId::PathFailures => "subflows declared Failed",
-            CounterId::PathRecoveries => "subflows recovered back to Active",
-            CounterId::ConnAborts => "connections aborted",
-            CounterId::ReorderInserts => "segments inserted into the out-of-order queue",
-            CounterId::ReorderOps => "pointer visits performed by the reorder algorithm",
-            CounterId::ReorderShortcutHits => "reorder inserts satisfied by a shortcut",
-            CounterId::TcpRtos => "subflow TCP retransmission timer fires",
-            CounterId::TcpFastRetransmits => "subflow TCP fast retransmits",
-            CounterId::TcpRetransmittedSegs => "subflow TCP segments retransmitted",
-            CounterId::TcpZeroWindowProbes => "subflow TCP zero-window probes sent",
-            CounterId::LinkQueueDrops => "packets dropped by a full simulated link queue",
-            CounterId::LinkRandomDrops => "packets dropped by configured random loss",
-            CounterId::MboxOptionStrips => "TCP options removed by a middlebox",
-            CounterId::MboxPayloadMutations => "payload bytes rewritten by a middlebox",
-            CounterId::MboxResegmentations => "segments split or coalesced by a middlebox",
-            CounterId::MboxProactiveAcks => "ACKs manufactured by a proactive-ACKing middlebox",
-            CounterId::MboxSeqRewrites => "sequence numbers rewritten by a middlebox",
-            CounterId::MboxSegmentDrops => "segments swallowed outright by a middlebox",
-            CounterId::FaultsInjected => "scheduled fault events applied by the simulator",
-            CounterId::LinkFaultDrops => "packets discarded by a fault-forced link outage",
-            CounterId::RtLoopIterations => "event-loop iterations executed",
-            CounterId::RtRecvBatches => "recv-drain rounds that harvested at least one datagram",
-            CounterId::RtSendBatches => "egress-flush rounds that pushed at least one datagram",
-            CounterId::RtDatagramsRx => "UDP datagrams received and decoded",
-            CounterId::RtDatagramsTx => "UDP datagrams handed to the kernel",
-            CounterId::RtDecodeErrors => "inbound datagrams rejected by framing or checksum checks",
-            CounterId::RtEgressBackpressure => "polls skipped because the egress queue was full",
-            CounterId::RtLateTicks => "timer deadlines processed after they expired",
-            CounterId::RtPoolHits => "buffer-pool checkouts satisfied by a recycled buffer",
-            CounterId::RtPoolMisses => "buffer-pool checkouts that allocated a fresh buffer",
-            CounterId::RtAdminRequests => "admin-socket commands served",
-        }
+registry! {
+    /// Monotone counters, one slot per variant, held in a fixed array inside
+    /// [`Recorder`]. Grouped by the layer that increments them.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    #[repr(usize)]
+    pub enum CounterId, NUM_COUNTERS {
+        // -- core::conn: the paper's M1-M4 mechanisms --------------------------
+        /// M1: segments opportunistically re-injected on another subflow.
+        M1Reinjections = "m1_reinjections", "M1 opportunistic reinjections onto another subflow";
+        /// M2: times a slow subflow's cwnd was halved to unclog the send window.
+        M2Penalizations = "m2_penalizations", "M2 slow-subflow cwnd penalizations";
+        /// M3: receive/send buffer autotune growth steps.
+        M3BufferGrowths = "m3_buffer_growths", "M3 receive/send buffer autotune growth steps";
+        /// M4: times a subflow cwnd was capped to bound bufferbloat.
+        M4CwndCaps = "m4_cwnd_caps", "M4 subflow cwnd caps applied to bound bufferbloat";
+        // -- core::conn: data-level machinery ----------------------------------
+        /// Segments handed to a subflow by the scheduler.
+        SchedulerPicks = "scheduler_picks", "segments handed to a subflow by the scheduler";
+        /// Times the scheduler found every subflow blocked (no cwnd/rwnd room).
+        SchedulerStalls = "scheduler_stalls", "times the scheduler found every subflow blocked";
+        /// Times the scheduler deliberately waited for a faster path (BLEST).
+        SchedulerDefers = "scheduler_defers",
+            "times the scheduler waited for a faster path (BLEST)";
+        /// Data-level retransmissions triggered by the data-level RTO.
+        DataRtos = "data_rtos", "data-level retransmission timeouts";
+        /// Progress stalls observed at DATA_ACK level (snd_una unmoved too long).
+        DataAckStalls = "data_ack_stalls", "DATA_ACK-level progress stalls";
+        /// Duplicate data bytes discarded at the connection-level receiver.
+        DupDataBytes = "dup_data_bytes", "duplicate data bytes discarded by the receiver";
+        // -- core::conn: fallback (§3.3.6) and handshake rejections -------------
+        /// DSS checksum verification failures.
+        ChecksumFailures = "checksum_failures", "DSS checksum verification failures";
+        /// Connections that fell back to regular TCP, by cause (see events too).
+        Fallbacks = "fallbacks", "connections that fell back to regular TCP";
+        /// MP_JOIN attempts rejected (bad HMAC, unknown token, limit, state).
+        JoinsRejected = "joins_rejected", "MP_JOIN attempts rejected";
+        /// Subflows torn down with RST while the connection survived.
+        SubflowResets = "subflow_resets", "subflows reset while the connection survived";
+        // -- core::conn: path management (§3.2, §3.4) ----------------------------
+        /// ADD_ADDR advertisements sent to the peer.
+        AddAddrsSent = "add_addrs_sent", "ADD_ADDR advertisements sent";
+        /// ADD_ADDR advertisements received from the peer.
+        AddAddrsReceived = "add_addrs_received", "ADD_ADDR advertisements received";
+        /// REMOVE_ADDR withdrawals sent to the peer.
+        RemoveAddrsSent = "remove_addrs_sent", "REMOVE_ADDR withdrawals sent";
+        /// REMOVE_ADDR withdrawals received from the peer.
+        RemoveAddrsReceived = "remove_addrs_received", "REMOVE_ADDR withdrawals received";
+        /// REMOVE_ADDR withdrawals rejected: the addr_id was never advertised
+        /// and no subflow uses it.
+        RemoveAddrUnknown = "remove_addr_unknown",
+            "REMOVE_ADDR withdrawals rejected for unknown addr_id";
+        /// ADD_ADDR advertisements retransmitted (unechoed past the interval).
+        AddAddrRetransmits = "add_addr_retransmits",
+            "ADD_ADDR advertisements retransmitted until echoed";
+        /// Subflows opened by a path-manager decision.
+        PmSubflowsOpened = "pm_subflows_opened", "subflows opened by a path-manager decision";
+        /// Backup subflows promoted to regular priority by the path manager.
+        PmBackupPromotions = "pm_backup_promotions", "backup subflows promoted by the path manager";
+        // -- core::conn: path-failure detection and recovery ---------------------
+        /// Subflows demoted Active -> Suspect (consecutive RTOs / no progress).
+        PathSuspects = "path_suspects", "subflows demoted Active to Suspect";
+        /// Subflows declared Failed (in-flight data reinjected elsewhere).
+        PathFailures = "path_failures", "subflows declared Failed";
+        /// Suspect/Failed subflows that resumed progress and returned to Active.
+        PathRecoveries = "path_recoveries", "subflows recovered back to Active";
+        /// Connections aborted (all paths failed past the deadline, last
+        /// subflow removed, FastClose...).
+        ConnAborts = "conn_aborts", "connections aborted";
+        // -- core::reorder -------------------------------------------------------
+        /// Segments inserted into the out-of-order queue.
+        ReorderInserts = "reorder_inserts", "segments inserted into the out-of-order queue";
+        /// Pointer/node visits performed by the reorder algorithm.
+        ReorderOps = "reorder_ops", "pointer visits performed by the reorder algorithm";
+        /// Inserts satisfied by a shortcut (Shortcuts/AllShortcuts algorithms).
+        ReorderShortcutHits = "reorder_shortcut_hits", "reorder inserts satisfied by a shortcut";
+        // -- tcpstack: per-subflow TCP internals --------------------------------
+        /// Retransmission timer fires.
+        TcpRtos = "tcp_rtos", "subflow TCP retransmission timer fires";
+        /// Fast retransmits (triple-dup-ACK).
+        TcpFastRetransmits = "tcp_fast_retransmits", "subflow TCP fast retransmits";
+        /// Segments retransmitted (either path).
+        TcpRetransmittedSegs = "tcp_retransmitted_segs", "subflow TCP segments retransmitted";
+        /// Zero-window probes sent.
+        TcpZeroWindowProbes = "tcp_zero_window_probes", "subflow TCP zero-window probes sent";
+        // -- netsim / middlebox --------------------------------------------------
+        /// Packets dropped by a full link queue.
+        LinkQueueDrops = "link_queue_drops", "packets dropped by a full simulated link queue";
+        /// Packets dropped by configured random loss.
+        LinkRandomDrops = "link_random_drops", "packets dropped by configured random loss";
+        /// TCP options removed by a middlebox.
+        MboxOptionStrips = "mbox_option_strips", "TCP options removed by a middlebox";
+        /// Payload bytes rewritten by a middlebox (e.g. ALG "fixups").
+        MboxPayloadMutations = "mbox_payload_mutations", "payload bytes rewritten by a middlebox";
+        /// Segments split or coalesced by a middlebox/segmentation offload.
+        MboxResegmentations = "mbox_resegmentations", "segments split or coalesced by a middlebox";
+        /// ACKs manufactured by a proactive-ACKing middlebox.
+        MboxProactiveAcks = "mbox_proactive_acks",
+            "ACKs manufactured by a proactive-ACKing middlebox";
+        /// Sequence numbers rewritten by a randomizing middlebox.
+        MboxSeqRewrites = "mbox_seq_rewrites", "sequence numbers rewritten by a middlebox";
+        /// Segments swallowed outright by a middlebox (hole droppers,
+        /// option-sensitive SYN droppers).
+        MboxSegmentDrops = "mbox_segment_drops", "segments swallowed outright by a middlebox";
+        /// Scheduled fault events applied by the simulator's fault schedule.
+        FaultsInjected = "faults_injected", "scheduled fault events applied by the simulator";
+        /// Packets silently discarded because a fault forced the link down.
+        LinkFaultDrops = "link_fault_drops", "packets discarded by a fault-forced link outage";
+        // -- runtime: real-I/O event loop (crates/runtime) -----------------------
+        /// Event-loop iterations executed.
+        RtLoopIterations = "rt_loop_iterations", "event-loop iterations executed";
+        /// recv-drain rounds that harvested at least one datagram (one batch of
+        /// recv syscalls).
+        RtRecvBatches = "rt_recv_batches", "recv-drain rounds that harvested at least one datagram";
+        /// egress-flush rounds that pushed at least one datagram to a socket
+        /// (one batch of send syscalls).
+        RtSendBatches = "rt_send_batches", "egress-flush rounds that pushed at least one datagram";
+        /// UDP datagrams received and decoded into segments.
+        RtDatagramsRx = "rt_datagrams_rx", "UDP datagrams received and decoded";
+        /// UDP datagrams encoded and handed to the kernel.
+        RtDatagramsTx = "rt_datagrams_tx", "UDP datagrams handed to the kernel";
+        /// Inbound datagrams rejected by framing/decode/TCP-checksum checks.
+        RtDecodeErrors = "rt_decode_errors",
+            "inbound datagrams rejected by framing or checksum checks";
+        /// Times a connection's output poll was skipped because its bounded
+        /// egress queue was full (backpressure applied).
+        RtEgressBackpressure = "rt_egress_backpressure",
+            "polls skipped because the egress queue was full";
+        /// Timer deadlines that were processed after they had already expired
+        /// (wall-clock jitter; skew tracked by the `rt_tick_skew_ns` gauge).
+        RtLateTicks = "rt_late_ticks", "timer deadlines processed after they expired";
+        /// Egress buffer-pool checkouts satisfied by a recycled buffer.
+        RtPoolHits = "rt_pool_hits", "buffer-pool checkouts satisfied by a recycled buffer";
+        /// Egress buffer-pool checkouts that had to allocate a fresh buffer
+        /// (pool cold, or every pooled buffer still pinned by a live view).
+        RtPoolMisses = "rt_pool_misses", "buffer-pool checkouts that allocated a fresh buffer";
+        /// Admin-socket commands served (stat protocol lines + HTTP scrapes).
+        RtAdminRequests = "rt_admin_requests", "admin-socket commands served";
     }
 }
 
-/// Number of counter slots in a [`Recorder`].
-pub const NUM_COUNTERS: usize = 54;
-
-/// Instantaneous values tracked with a high-water mark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum GaugeId {
-    /// Out-of-order queue depth, in segments.
-    OfoQueueSegs,
-    /// Out-of-order queue occupancy, in bytes.
-    OfoQueueBytes,
-    /// Connection-level send buffer capacity (M3 grows this).
-    SndBufCap,
-    /// Connection-level receive buffer capacity (M3 grows this).
-    RcvBufCap,
-    /// Established subflows.
-    Subflows,
-    /// Bytes queued at the connection level awaiting scheduling.
-    SendQueueBytes,
-    /// Runtime egress queue depth, in segments (`max` is the high-water
-    /// mark the backpressure bound was sized against).
-    RtEgressQueueDepth,
-    /// Wall-clock lateness of the most recent timer tick, in nanoseconds
-    /// (`max` is the worst skew observed; see the `rt_late_ticks` counter).
-    RtTickSkewNs,
-    /// Egress buffer-pool buffers currently checked out.
-    RtPoolOutstanding,
-    /// Egress buffer-pool peak working set (the pool's own atomically
-    /// tracked high-water mark, exact even between sync points).
-    RtPoolHighWater,
-}
-
-impl GaugeId {
-    /// Every variant, in declaration order (the array layout).
-    pub const ALL: [GaugeId; NUM_GAUGES] = [
-        GaugeId::OfoQueueSegs,
-        GaugeId::OfoQueueBytes,
-        GaugeId::SndBufCap,
-        GaugeId::RcvBufCap,
-        GaugeId::Subflows,
-        GaugeId::SendQueueBytes,
-        GaugeId::RtEgressQueueDepth,
-        GaugeId::RtTickSkewNs,
-        GaugeId::RtPoolOutstanding,
-        GaugeId::RtPoolHighWater,
-    ];
-
-    /// Stable snake_case name used in JSON and table output.
-    pub fn name(self) -> &'static str {
-        match self {
-            GaugeId::OfoQueueSegs => "ofo_queue_segs",
-            GaugeId::OfoQueueBytes => "ofo_queue_bytes",
-            GaugeId::SndBufCap => "snd_buf_cap",
-            GaugeId::RcvBufCap => "rcv_buf_cap",
-            GaugeId::Subflows => "subflows",
-            GaugeId::SendQueueBytes => "send_queue_bytes",
-            GaugeId::RtEgressQueueDepth => "rt_egress_queue_depth",
-            GaugeId::RtTickSkewNs => "rt_tick_skew_ns",
-            GaugeId::RtPoolOutstanding => "rt_pool_outstanding",
-            GaugeId::RtPoolHighWater => "rt_pool_high_water",
-        }
-    }
-
-    /// One-line human description, used as the Prometheus `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            GaugeId::OfoQueueSegs => "out-of-order queue depth in segments",
-            GaugeId::OfoQueueBytes => "out-of-order queue occupancy in bytes",
-            GaugeId::SndBufCap => "connection-level send buffer capacity in bytes",
-            GaugeId::RcvBufCap => "connection-level receive buffer capacity in bytes",
-            GaugeId::Subflows => "established subflows",
-            GaugeId::SendQueueBytes => "bytes queued awaiting scheduling",
-            GaugeId::RtEgressQueueDepth => "runtime egress queue depth in segments",
-            GaugeId::RtTickSkewNs => "lateness of the most recent timer tick in nanoseconds",
-            GaugeId::RtPoolOutstanding => "buffer-pool buffers currently checked out",
-            GaugeId::RtPoolHighWater => "buffer-pool peak working set",
-        }
+registry! {
+    /// Instantaneous values tracked with a high-water mark.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    #[repr(usize)]
+    pub enum GaugeId, NUM_GAUGES {
+        /// Out-of-order queue depth, in segments.
+        OfoQueueSegs = "ofo_queue_segs", "out-of-order queue depth in segments";
+        /// Out-of-order queue occupancy, in bytes.
+        OfoQueueBytes = "ofo_queue_bytes", "out-of-order queue occupancy in bytes";
+        /// Connection-level send buffer capacity (M3 grows this).
+        SndBufCap = "snd_buf_cap", "connection-level send buffer capacity in bytes";
+        /// Connection-level receive buffer capacity (M3 grows this).
+        RcvBufCap = "rcv_buf_cap", "connection-level receive buffer capacity in bytes";
+        /// Established subflows.
+        Subflows = "subflows", "established subflows";
+        /// Bytes queued at the connection level awaiting scheduling.
+        SendQueueBytes = "send_queue_bytes", "bytes queued awaiting scheduling";
+        /// Runtime egress queue depth, in segments (`max` is the high-water
+        /// mark the backpressure bound was sized against).
+        RtEgressQueueDepth = "rt_egress_queue_depth", "runtime egress queue depth in segments";
+        /// Wall-clock lateness of the most recent timer tick, in nanoseconds
+        /// (`max` is the worst skew observed; see the `rt_late_ticks` counter).
+        RtTickSkewNs = "rt_tick_skew_ns", "lateness of the most recent timer tick in nanoseconds";
+        /// Egress buffer-pool buffers currently checked out.
+        RtPoolOutstanding = "rt_pool_outstanding", "buffer-pool buffers currently checked out";
+        /// Egress buffer-pool peak working set (the pool's own atomically
+        /// tracked high-water mark, exact even between sync points).
+        RtPoolHighWater = "rt_pool_high_water", "buffer-pool peak working set";
     }
 }
-
-/// Number of gauge slots in a [`Recorder`].
-pub const NUM_GAUGES: usize = 10;
 
 /// Current value plus high-water mark for one gauge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -431,226 +272,91 @@ pub struct Gauge {
     pub max: u64,
 }
 
-/// Why a connection abandoned MPTCP signalling and fell back to plain TCP
-/// (paper §3.3.6), or refused to start it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FallbackCause {
-    /// A DSS checksum failed: a middlebox rewrote the payload under us.
-    ChecksumFail,
-    /// MPTCP options were stripped by a middlebox (SYN or data path).
-    OptionStripped,
-    /// Data arrived with no covering DSS mapping: payload was altered
-    /// or re-segmented in a way the mappings cannot describe.
-    PayloadMutation,
-    /// The data-level RTO fired with the mapping never confirmed; the
-    /// path is presumed MPTCP-hostile.
-    DataRtoUnconfirmed,
-    /// The peer sent MP_FAIL.
-    MpFail,
-}
-
-impl FallbackCause {
-    /// Stable snake_case name used in JSON and table output.
-    pub fn name(self) -> &'static str {
-        match self {
-            FallbackCause::ChecksumFail => "checksum_fail",
-            FallbackCause::OptionStripped => "option_stripped",
-            FallbackCause::PayloadMutation => "payload_mutation",
-            FallbackCause::DataRtoUnconfirmed => "data_rto_unconfirmed",
-            FallbackCause::MpFail => "mp_fail",
-        }
+registry! {
+    /// Why a connection abandoned MPTCP signalling and fell back to plain TCP
+    /// (paper §3.3.6), or refused to start it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum FallbackCause {
+        /// A DSS checksum failed: a middlebox rewrote the payload under us.
+        ChecksumFail = "checksum_fail";
+        /// MPTCP options were stripped by a middlebox (SYN or data path).
+        OptionStripped = "option_stripped";
+        /// Data arrived with no covering DSS mapping: payload was altered
+        /// or re-segmented in a way the mappings cannot describe.
+        PayloadMutation = "payload_mutation";
+        /// The data-level RTO fired with the mapping never confirmed; the
+        /// path is presumed MPTCP-hostile.
+        DataRtoUnconfirmed = "data_rto_unconfirmed";
+        /// The peer sent MP_FAIL.
+        MpFail = "mp_fail";
     }
 }
 
-/// One recorded occurrence. The numeric payloads are variant-specific and
-/// documented per variant; keeping them as plain integers keeps `Event`
-/// `Copy` and the ring allocation-free.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// M1: `dsn` re-injected from subflow `from` onto subflow `to`.
-    M1Reinject { dsn: u64, from: u32, to: u32 },
-    /// M2: subflow `subflow` penalized, cwnd `before` -> `after` bytes.
-    M2Penalize {
-        subflow: u32,
-        before: u32,
-        after: u32,
-    },
-    /// M3: buffers grown to `snd_cap`/`rcv_cap` bytes.
-    M3Grow { snd_cap: u64, rcv_cap: u64 },
-    /// M4: subflow `subflow` cwnd capped at `cap` bytes.
-    M4Cap { subflow: u32, cap: u32 },
-    /// Fell back to regular TCP.
-    Fallback { cause: FallbackCause },
-    /// DSS checksum failed on subflow `subflow` covering `dsn`.
-    ChecksumFail { subflow: u32, dsn: u64 },
-    /// Data-level RTO fired; `dsn` is the oldest unacked mapping.
-    DataRto { dsn: u64 },
-    /// DATA_ACK progress stalled at `dsn` for `stalled_ns`.
-    DataAckStall { dsn: u64, stalled_ns: u64 },
-    /// MP_JOIN rejected (see `JoinsRejected`); `token` is the peer's.
-    JoinRejected { token: u32 },
-    /// Subflow `subflow` reset while the connection survived.
-    SubflowReset { subflow: u32 },
-    /// Reorder queue reached a new high-water mark of `segs`/`bytes`.
-    ReorderHighWater { segs: u64, bytes: u64 },
-    /// Subflow-level RTO on subflow `subflow`, `backoff` doublings deep.
-    TcpRto { subflow: u32, backoff: u32 },
-    /// Subflow-level fast retransmit of `seq` on subflow `subflow`.
-    TcpFastRetransmit { subflow: u32, seq: u32 },
-    /// ADD_ADDR: address `addr` with identifier `id` advertised.
-    /// `sent` is 1 when we advertised, 0 when the peer did.
-    AddAddr { addr: u32, id: u32, sent: u32 },
-    /// REMOVE_ADDR: address identifier `id` withdrawn.
-    /// `sent` is 1 when we withdrew, 0 when the peer did.
-    RemoveAddr { id: u32, sent: u32 },
-    /// REMOVE_ADDR for an unknown address identifier `id` was rejected.
-    RemoveAddrUnknown { id: u32 },
-    /// The path manager opened a subflow `local` -> `remote`
-    /// (`backup` is 1 for backup-priority joins).
-    PmOpenSubflow {
-        local: u32,
-        remote: u32,
-        backup: u32,
-    },
-    /// The path manager advertised local address `addr` as `id`.
-    PmAdvertise { addr: u32, id: u32 },
-    /// The path manager promoted backup subflow `subflow` to regular
-    /// priority (MP_PRIO sent to the peer).
-    PmBackupPromoted { subflow: u32 },
-    /// The scheduler entered a stall: work was queued but no subflow had
-    /// cwnd or send-buffer headroom. Recorded on the transition only.
-    SchedulerStall {
-        pending_bytes: u64,
-        reinject_queued: u64,
-    },
-    /// Subflow `subflow` demoted Active -> Suspect after `rtos` consecutive
-    /// RTOs (or a no-progress timeout when `rtos` is 0).
-    PathSuspect { subflow: u32, rtos: u32 },
-    /// Subflow `subflow` declared Failed; `reinjected` in-flight DSN chunks
-    /// were queued for delivery on surviving subflows.
-    PathFailed { subflow: u32, reinjected: u64 },
-    /// Subflow `subflow` resumed DATA_ACK progress and returned to Active.
-    PathRecovered { subflow: u32 },
-    /// The fault schedule took simulator path `path` down (blackout or
-    /// silent blackhole).
-    BlackoutInjected { path: u32 },
-    /// The connection aborted; `code` is the `AbortReason` discriminant
-    /// (0 = all paths failed, 1 = last subflow removed, 2 = peer FastClose).
-    ConnAborted { code: u32 },
-}
-
-impl EventKind {
-    /// Stable snake_case name used in JSON and table output.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::M1Reinject { .. } => "m1_reinject",
-            EventKind::M2Penalize { .. } => "m2_penalize",
-            EventKind::M3Grow { .. } => "m3_grow",
-            EventKind::M4Cap { .. } => "m4_cap",
-            EventKind::Fallback { .. } => "fallback",
-            EventKind::ChecksumFail { .. } => "checksum_fail",
-            EventKind::DataRto { .. } => "data_rto",
-            EventKind::DataAckStall { .. } => "data_ack_stall",
-            EventKind::JoinRejected { .. } => "join_rejected",
-            EventKind::SubflowReset { .. } => "subflow_reset",
-            EventKind::ReorderHighWater { .. } => "reorder_high_water",
-            EventKind::TcpRto { .. } => "tcp_rto",
-            EventKind::TcpFastRetransmit { .. } => "tcp_fast_retransmit",
-            EventKind::AddAddr { .. } => "add_addr",
-            EventKind::RemoveAddr { .. } => "remove_addr",
-            EventKind::RemoveAddrUnknown { .. } => "remove_addr_unknown",
-            EventKind::PmOpenSubflow { .. } => "pm_open_subflow",
-            EventKind::PmAdvertise { .. } => "pm_advertise",
-            EventKind::PmBackupPromoted { .. } => "pm_backup_promoted",
-            EventKind::SchedulerStall { .. } => "scheduler_stall",
-            EventKind::PathSuspect { .. } => "path_suspect",
-            EventKind::PathFailed { .. } => "path_failed",
-            EventKind::PathRecovered { .. } => "path_recovered",
-            EventKind::BlackoutInjected { .. } => "blackout_injected",
-            EventKind::ConnAborted { .. } => "conn_aborted",
-        }
-    }
-
-    /// Variant payload as `(name, value)` pairs for serialization.
-    pub(crate) fn fields(self) -> Vec<(&'static str, u64)> {
-        match self {
-            EventKind::M1Reinject { dsn, from, to } => {
-                vec![("dsn", dsn), ("from", from as u64), ("to", to as u64)]
-            }
-            EventKind::M2Penalize {
-                subflow,
-                before,
-                after,
-            } => vec![
-                ("subflow", subflow as u64),
-                ("before", before as u64),
-                ("after", after as u64),
-            ],
-            EventKind::M3Grow { snd_cap, rcv_cap } => {
-                vec![("snd_cap", snd_cap), ("rcv_cap", rcv_cap)]
-            }
-            EventKind::M4Cap { subflow, cap } => {
-                vec![("subflow", subflow as u64), ("cap", cap as u64)]
-            }
-            EventKind::Fallback { .. } => vec![],
-            EventKind::ChecksumFail { subflow, dsn } => {
-                vec![("subflow", subflow as u64), ("dsn", dsn)]
-            }
-            EventKind::DataRto { dsn } => vec![("dsn", dsn)],
-            EventKind::DataAckStall { dsn, stalled_ns } => {
-                vec![("dsn", dsn), ("stalled_ns", stalled_ns)]
-            }
-            EventKind::JoinRejected { token } => vec![("token", token as u64)],
-            EventKind::SubflowReset { subflow } => vec![("subflow", subflow as u64)],
-            EventKind::ReorderHighWater { segs, bytes } => {
-                vec![("segs", segs), ("bytes", bytes)]
-            }
-            EventKind::TcpRto { subflow, backoff } => {
-                vec![("subflow", subflow as u64), ("backoff", backoff as u64)]
-            }
-            EventKind::TcpFastRetransmit { subflow, seq } => {
-                vec![("subflow", subflow as u64), ("seq", seq as u64)]
-            }
-            EventKind::AddAddr { addr, id, sent } => vec![
-                ("addr", addr as u64),
-                ("id", id as u64),
-                ("sent", sent as u64),
-            ],
-            EventKind::RemoveAddr { id, sent } => {
-                vec![("id", id as u64), ("sent", sent as u64)]
-            }
-            EventKind::RemoveAddrUnknown { id } => vec![("id", id as u64)],
-            EventKind::PmOpenSubflow {
-                local,
-                remote,
-                backup,
-            } => vec![
-                ("local", local as u64),
-                ("remote", remote as u64),
-                ("backup", backup as u64),
-            ],
-            EventKind::PmAdvertise { addr, id } => {
-                vec![("addr", addr as u64), ("id", id as u64)]
-            }
-            EventKind::PmBackupPromoted { subflow } => vec![("subflow", subflow as u64)],
-            EventKind::SchedulerStall {
-                pending_bytes,
-                reinject_queued,
-            } => vec![
-                ("pending_bytes", pending_bytes),
-                ("reinject_queued", reinject_queued),
-            ],
-            EventKind::PathSuspect { subflow, rtos } => {
-                vec![("subflow", subflow as u64), ("rtos", rtos as u64)]
-            }
-            EventKind::PathFailed {
-                subflow,
-                reinjected,
-            } => vec![("subflow", subflow as u64), ("reinjected", reinjected)],
-            EventKind::PathRecovered { subflow } => vec![("subflow", subflow as u64)],
-            EventKind::BlackoutInjected { path } => vec![("path", path as u64)],
-            EventKind::ConnAborted { code } => vec![("code", code as u64)],
-        }
+registry! {
+    /// One recorded occurrence. The numeric payloads are variant-specific and
+    /// documented per variant; keeping them as plain integers keeps `Event`
+    /// `Copy` and the ring allocation-free.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum EventKind {
+        /// M1: `dsn` re-injected from subflow `from` onto subflow `to`.
+        M1Reinject { dsn: u64, from: u32, to: u32 } = "m1_reinject";
+        /// M2: subflow `subflow` penalized, cwnd `before` -> `after` bytes.
+        M2Penalize { subflow: u32, before: u32, after: u32 } = "m2_penalize";
+        /// M3: buffers grown to `snd_cap`/`rcv_cap` bytes.
+        M3Grow { snd_cap: u64, rcv_cap: u64 } = "m3_grow";
+        /// M4: subflow `subflow` cwnd capped at `cap` bytes.
+        M4Cap { subflow: u32, cap: u32 } = "m4_cap";
+        /// Fell back to regular TCP.
+        Fallback {} + { cause: FallbackCause } = "fallback";
+        /// DSS checksum failed on subflow `subflow` covering `dsn`.
+        ChecksumFail { subflow: u32, dsn: u64 } = "checksum_fail";
+        /// Data-level RTO fired; `dsn` is the oldest unacked mapping.
+        DataRto { dsn: u64 } = "data_rto";
+        /// DATA_ACK progress stalled at `dsn` for `stalled_ns`.
+        DataAckStall { dsn: u64, stalled_ns: u64 } = "data_ack_stall";
+        /// MP_JOIN rejected (see `JoinsRejected`); `token` is the peer's.
+        JoinRejected { token: u32 } = "join_rejected";
+        /// Subflow `subflow` reset while the connection survived.
+        SubflowReset { subflow: u32 } = "subflow_reset";
+        /// Reorder queue reached a new high-water mark of `segs`/`bytes`.
+        ReorderHighWater { segs: u64, bytes: u64 } = "reorder_high_water";
+        /// Subflow-level RTO on subflow `subflow`, `backoff` doublings deep.
+        TcpRto { subflow: u32, backoff: u32 } = "tcp_rto";
+        /// Subflow-level fast retransmit of `seq` on subflow `subflow`.
+        TcpFastRetransmit { subflow: u32, seq: u32 } = "tcp_fast_retransmit";
+        /// ADD_ADDR: address `addr` with identifier `id` advertised.
+        /// `sent` is 1 when we advertised, 0 when the peer did.
+        AddAddr { addr: u32, id: u32, sent: u32 } = "add_addr";
+        /// REMOVE_ADDR: address identifier `id` withdrawn.
+        /// `sent` is 1 when we withdrew, 0 when the peer did.
+        RemoveAddr { id: u32, sent: u32 } = "remove_addr";
+        /// REMOVE_ADDR for an unknown address identifier `id` was rejected.
+        RemoveAddrUnknown { id: u32 } = "remove_addr_unknown";
+        /// The path manager opened a subflow `local` -> `remote`
+        /// (`backup` is 1 for backup-priority joins).
+        PmOpenSubflow { local: u32, remote: u32, backup: u32 } = "pm_open_subflow";
+        /// The path manager advertised local address `addr` as `id`.
+        PmAdvertise { addr: u32, id: u32 } = "pm_advertise";
+        /// The path manager promoted backup subflow `subflow` to regular
+        /// priority (MP_PRIO sent to the peer).
+        PmBackupPromoted { subflow: u32 } = "pm_backup_promoted";
+        /// The scheduler entered a stall: work was queued but no subflow had
+        /// cwnd or send-buffer headroom. Recorded on the transition only.
+        SchedulerStall { pending_bytes: u64, reinject_queued: u64 } = "scheduler_stall";
+        /// Subflow `subflow` demoted Active -> Suspect after `rtos` consecutive
+        /// RTOs (or a no-progress timeout when `rtos` is 0).
+        PathSuspect { subflow: u32, rtos: u32 } = "path_suspect";
+        /// Subflow `subflow` declared Failed; `reinjected` in-flight DSN chunks
+        /// were queued for delivery on surviving subflows.
+        PathFailed { subflow: u32, reinjected: u64 } = "path_failed";
+        /// Subflow `subflow` resumed DATA_ACK progress and returned to Active.
+        PathRecovered { subflow: u32 } = "path_recovered";
+        /// The fault schedule took simulator path `path` down (blackout or
+        /// silent blackhole).
+        BlackoutInjected { path: u32 } = "blackout_injected";
+        /// The connection aborted; `code` is the `AbortReason` discriminant
+        /// (0 = all paths failed, 1 = last subflow removed, 2 = peer FastClose).
+        ConnAborted { code: u32 } = "conn_aborted";
     }
 }
 
