@@ -69,9 +69,7 @@ pub fn serve(mut args: Vec<String>) {
 
     let start = Instant::now();
     loop {
-        if !server.step() {
-            server.idle_wait();
-        }
+        server.turn();
         if once && server.served() >= 1 {
             break;
         }

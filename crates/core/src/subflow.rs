@@ -23,8 +23,9 @@ pub enum JoinState {
 
 /// Scheduler-visible health of a subflow's path.
 ///
-/// Transitions are driven by [`crate::MptcpConnection::tick`]: consecutive
-/// subflow RTOs (or a stalled DATA_ACK progress timer) demote
+/// Transitions are driven by the tick inside
+/// [`crate::MptcpConnection::poll`]: consecutive subflow RTOs (or a
+/// stalled DATA_ACK progress timer) demote
 /// `Active -> Suspect -> Failed`; an answered reachability probe promotes
 /// straight back to `Active`. Thresholds live in
 /// [`crate::FailureDetection`].

@@ -1,7 +1,7 @@
 //! Click-style middlebox models (§4.1 of the paper).
 //!
 //! The paper validated MPTCP against Click elements modelling the
-//! middlebox behaviours found in the IMC'11 Internet study [9]:
+//! middlebox behaviours found in the IMC'11 Internet study \[9\]:
 //!
 //! | Element                | Study finding it models                     |
 //! |------------------------|---------------------------------------------|

@@ -100,7 +100,7 @@ impl Middlebox for OptionStripper {
 
 /// Silently drops SYNs that carry one of the configured option kinds —
 /// models the handful of hosts/paths that choke on unknown SYN options
-/// (15 of the Alexa top 10,000 in [3]).
+/// (15 of the Alexa top 10,000 in \[3\]).
 pub struct SynDropper {
     kinds: Vec<u8>,
     /// SYNs swallowed.

@@ -5,7 +5,7 @@
 //! *every* split segment (§3.3.4) — which is why the DSS mapping must be
 //! self-describing (offset + length) rather than per-packet.
 //!
-//! Coalescers model traffic normalizers [8] that merge contiguous
+//! Coalescers model traffic normalizers \[8\] that merge contiguous
 //! segments. TCP's 40-byte option space can only hold one full DSS
 //! mapping, so the merged segment keeps the first and loses the second —
 //! the receiver then sees bytes with no mapping and the sender must

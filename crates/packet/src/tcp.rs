@@ -4,7 +4,7 @@
 //! packets), but every field a middlebox can touch — addresses, ports,
 //! sequence numbers, options, payload — is mutable, reflecting the paper's
 //! lesson that "the entire TCP header and the payload must be considered as
-//! mutable fields" (§7). [`TcpSegment::encode`]/[`TcpSegment::decode`]
+//! mutable fields" (§7). [`TcpSegment::encode_into`]/[`TcpSegment::decode_verified_view`]
 //! provide the real wire format for codec tests and checksum computation.
 
 use bytes::Bytes;
@@ -144,7 +144,7 @@ pub struct TcpSegment {
     pub payload: Bytes,
 }
 
-/// Why [`TcpSegment::decode_verified`] rejected a buffer of wire bytes.
+/// Why [`TcpSegment::decode_verified_view`] rejected a buffer of wire bytes.
 ///
 /// Real-I/O receive paths (the UDP encapsulation runtime) need to tell a
 /// datagram cut short in flight from one actively corrupted: the former is

@@ -29,6 +29,7 @@ use mptcp_telemetry::{CounterId, GaugeId, TelemetrySnapshot};
 
 use crate::paths::PathSet;
 use crate::profile::{LoopProfiler, Phase};
+use crate::server::Slot;
 use crate::stats::RuntimeStats;
 
 /// Concurrent admin clients; later connections are accepted and dropped.
@@ -47,11 +48,9 @@ pub struct AdminCtx<'a> {
     pub profiler: &'a LoopProfiler,
     /// Real sockets and the learned route table.
     pub paths: &'a PathSet,
-    /// Per-connection accept time, parallel to `listener.conns`.
-    pub conn_created: &'a [SimTime],
-    /// Which connections are finished and reaped, parallel to
-    /// `listener.conns` (empty on the client runtime).
-    pub reaped: &'a [bool],
+    /// The loop's per-connection table (accept time, reaped flag),
+    /// parallel to `listener.conns`.
+    pub(crate) slots: &'a [Slot],
     /// Current loop time.
     pub now: SimTime,
     /// Connections that finished their app and closed.
@@ -315,8 +314,12 @@ fn ip(addr: u32) -> String {
     )
 }
 
+fn reaped(ctx: &AdminCtx<'_>, i: usize) -> bool {
+    ctx.slots.get(i).is_some_and(|s| s.reaped)
+}
+
 fn age_secs(ctx: &AdminCtx<'_>, i: usize) -> f64 {
-    let created = ctx.conn_created.get(i).copied().unwrap_or(ctx.now);
+    let created = ctx.slots.get(i).map_or(ctx.now, |s| s.created);
     (ctx.now.0.saturating_sub(created.0)) as f64 / 1e9
 }
 
@@ -352,7 +355,7 @@ fn render_conns(ctx: &AdminCtx<'_>) -> String {
         "TOKEN", "STATE", "PATHS", "TX-BYTES", "RX-BYTES", "REORD", "AGE-S"
     );
     for (i, conn) in ctx.listener.conns.iter().enumerate() {
-        let state = if ctx.reaped.get(i).copied().unwrap_or(false) {
+        let state = if reaped(ctx, i) {
             "reaped"
         } else {
             conn_state_name(conn.state())
@@ -379,7 +382,7 @@ fn render_conn_detail(ctx: &AdminCtx<'_>, i: usize) -> String {
         conn.local_token(),
         conn_state_name(conn.state()),
         age_secs(ctx, i),
-        ctx.reaped.get(i).copied().unwrap_or(false),
+        reaped(ctx, i),
     );
     out.push_str(&format!(
         "  rcv_buf {}  rcv_window {}  reorder_segs {}  reorder_bytes {}\n",
@@ -455,7 +458,7 @@ fn render_paths(ctx: &AdminCtx<'_>) -> String {
     // kernel-style flags, the limits in force, and each outstanding
     // ADD_ADDR's echo/retransmit progress.
     for (i, conn) in ctx.listener.conns.iter().enumerate() {
-        if ctx.reaped.get(i).copied().unwrap_or(false) {
+        if reaped(ctx, i) {
             continue;
         }
         let pm = conn.path_manager();
@@ -498,7 +501,7 @@ fn render_health(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
         .conns
         .iter()
         .enumerate()
-        .filter(|(i, _)| !ctx.reaped.get(*i).copied().unwrap_or(false))
+        .filter(|(i, _)| !reaped(ctx, *i))
         .count();
     let c = |id: CounterId| stats.rec.counter(id);
     let mut out = String::new();
@@ -628,7 +631,7 @@ pub fn prometheus_text(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
         .conns
         .iter()
         .enumerate()
-        .filter(|(i, _)| !ctx.reaped.get(*i).copied().unwrap_or(false))
+        .filter(|(i, _)| !reaped(ctx, *i))
         .count();
     out.push_str(&format!(
         "# HELP mptcp_server_connections connections currently tracked and not reaped\n\

@@ -2,39 +2,26 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mptcp::{MptcpConfig, MptcpConnection, SubflowError};
 use mptcp_netsim::{SimRng, SimTime};
-use mptcp_packet::{BufPool, TcpSegment};
-use mptcp_telemetry::CounterId;
 
-use crate::clock::{Clock, WallClock};
 use crate::egress::Egress;
-use crate::paths::PathSet;
+use crate::event_loop::{close_done, EventLoop, EGRESS_CAP};
 use crate::profile::{LoopProfiler, Phase};
 use crate::proto::ConnApp;
 use crate::stats::RuntimeStats;
 use crate::{virtual_tuple, LoopConfig, RuntimeError};
 
-/// One connection, one app, N UDP paths, driven by a readiness loop.
+/// One connection, one app, N UDP paths, driven by the shared loop core.
 pub struct ClientRuntime<A: ConnApp> {
-    clock: WallClock,
+    core: EventLoop,
     conn: MptcpConnection,
     app: A,
-    paths: PathSet,
     server_addrs: Vec<SocketAddr>,
     egress: Egress,
-    /// Datagram buffers, shared with `paths`' ingress side.
-    pool: BufPool,
-    stats: RuntimeStats,
-    cfg: LoopConfig,
-    ingress: Vec<TcpSegment>,
     joined: bool,
-    /// The deadline the previous step promised to honor; compared against
-    /// the next wake-up to measure tick skew.
-    promised: Option<SimTime>,
-    profiler: LoopProfiler,
 }
 
 impl<A: ConnApp> ClientRuntime<A> {
@@ -54,125 +41,48 @@ impl<A: ConnApp> ClientRuntime<A> {
             server_addrs.len(),
             "one server address per local path"
         );
-        assert!(!local_binds.is_empty(), "at least one path");
-        let mut paths = PathSet::bind(local_binds)?;
-        let clock = WallClock::new();
-        let now = clock.now();
-
-        let tuple0 = virtual_tuple(0, paths.local_addr(0)?.port(), server_addrs[0].port());
-        paths.learn(tuple0, 0, server_addrs[0]);
-        let conn = MptcpConnection::client(mptcp, tuple0, now, SimRng::new(seed));
-
-        let pool = paths.pool();
+        let mut core = EventLoop::bind(local_binds, cfg)?;
+        let tuple0 = virtual_tuple(0, core.paths.local_addr(0)?.port(), server_addrs[0].port());
+        core.paths.learn(tuple0, 0, server_addrs[0]);
+        let conn = MptcpConnection::client(mptcp, tuple0, core.clock.now(), SimRng::new(seed));
         Ok(ClientRuntime {
-            clock,
+            core,
             conn,
             app,
-            paths,
             server_addrs: server_addrs.to_vec(),
-            egress: Egress::new(cfg.egress_cap),
-            pool,
-            stats: RuntimeStats::new(),
-            cfg,
-            ingress: Vec::new(),
+            egress: Egress::new(EGRESS_CAP),
             joined: false,
-            promised: None,
-            profiler: LoopProfiler::new(cfg.profile),
         })
     }
 
     /// One loop iteration: drain ingress, drive the app, pump output,
     /// flush. Returns whether any datagram moved (progress).
     pub fn step(&mut self) -> bool {
-        let mut lap = self.profiler.start();
-        let now = self.clock.now();
-        self.stats.rec.count(CounterId::RtLoopIterations);
-        if let Some(d) = self.promised.take() {
-            if d > SimTime::ZERO && now > d {
-                self.stats.record_late_tick(now.0 - d.0);
-            }
-        }
-
-        // Ingress: drain every path, then feed the state machine.
-        let mut rx = 0;
-        for i in 0..self.paths.len() {
-            rx += self
-                .paths
-                .drain(i, self.cfg.recv_batch, &mut self.stats, &mut self.ingress);
-        }
-        if rx > 0 {
-            self.stats.rec.count(CounterId::RtRecvBatches);
-        }
-        lap = self.profiler.lap(lap, Phase::RecvDrain);
-        // Whole-batch handoff: one subflow-stream drain per touched
-        // subflow instead of one per datagram. `clear` (not `take`) keeps
-        // the vector's capacity across iterations.
-        self.conn.handle_segments(now, &self.ingress);
-        self.ingress.clear();
-        lap = self.profiler.lap(lap, Phase::Demux);
-
-        // Application progress, then join any paths that became available.
-        self.app.drive(&mut self.conn, now);
+        let now = self.core.begin();
+        let lap = self.core.drain();
+        // The whole batch at once; `clear` (not `take`) keeps its capacity.
+        self.conn.handle_segments(now, &self.core.ingress);
+        self.core.ingress.clear();
+        // Ingress is what establishes the connection: waiting paths join.
         self.open_pending_joins(now);
-        lap = self.profiler.lap(lap, Phase::Drive);
-
-        // Pump connection output into the bounded egress queue.
-        let polled = self.pump(now);
-        lap = self.profiler.lap(lap, Phase::PollEncode);
-
-        // Flush to the kernel.
-        let tx = self.egress.flush(&mut self.paths, &mut self.stats);
-        if tx > 0 {
-            self.stats.rec.count(CounterId::RtSendBatches);
-        }
-        self.profiler.lap(lap, Phase::Flush);
-        self.stats.sync_pool(self.pool.stats());
-
-        self.promised = self.conn.poll_at(now);
-        rx > 0 || tx > 0 || polled > 0
-    }
-
-    fn pump(&mut self, now: SimTime) -> usize {
-        let mut polled = 0;
-        loop {
-            if !self.egress.has_room() {
-                // Queue still full after the last flush: the kernel is the
-                // bottleneck, so leave the connection unpolled (that is the
-                // backpressure) and try again next iteration.
-                self.stats.rec.count(CounterId::RtEgressBackpressure);
-                break;
-            }
-            let Some(seg) = self.conn.poll(now) else {
-                break;
-            };
-            polled += 1;
-            if let Some(route) = self.paths.route(seg.tuple) {
-                // Encode once, into a pooled buffer; the frame stays
-                // encoded across `WouldBlock` retries and the buffer
-                // recycles once the kernel takes it.
-                let mut frame = self.pool.checkout();
-                crate::wire::encode_datagram_into(&seg, &mut frame);
-                self.egress.push(route.path, route.peer, frame);
-            }
-            // Segments without a route can only belong to a subflow whose
-            // path was never registered; dropping them is indistinguishable
-            // from loss and recovery handles it.
-        }
-        polled
+        self.core.profiler.lap(lap, Phase::Demux);
+        self.core
+            .service(&mut self.conn, &mut self.app, &mut self.egress, now);
+        self.core.end(self.conn.poll_at(now))
     }
 
     fn open_pending_joins(&mut self, now: SimTime) {
         if self.joined || !self.conn.is_established() {
             return;
         }
-        for i in 1..self.paths.len() {
-            let Ok(local) = self.paths.local_addr(i) else {
+        for i in 1..self.core.paths.len() {
+            let Ok(local) = self.core.paths.local_addr(i) else {
                 continue;
             };
             let tuple = virtual_tuple(i, local.port(), self.server_addrs[i].port());
             match self.conn.open_subflow(tuple.src, tuple.dst, now) {
                 Ok(_) | Err(SubflowError::DuplicateSubflow) => {
-                    self.paths.learn(tuple, i, self.server_addrs[i]);
+                    self.core.paths.learn(tuple, i, self.server_addrs[i]);
                 }
                 Err(_) => {}
             }
@@ -180,53 +90,42 @@ impl<A: ConnApp> ClientRuntime<A> {
         self.joined = true;
     }
 
-    /// Sleep until the next protocol deadline, capped at the loop's idle
-    /// cap so arriving datagrams are noticed promptly. (A std-only loop has
-    /// no multi-socket readiness syscall, so bounded polling stands in for
-    /// epoll; the cap bounds added ingress latency.)
+    /// Sleep to the next deadline, capped at [`LoopConfig::idle_sleep`].
     pub fn idle_wait(&mut self) {
-        let now = self.clock.now();
-        let cap = self.cfg.idle_sleep;
-        let sleep = match self.promised {
-            Some(d) if d <= now => return,
-            Some(d) => std::time::Duration::from_nanos(d.0 - now.0).min(cap),
-            None => cap,
-        };
-        if !sleep.is_zero() {
-            let t = self.profiler.start();
-            std::thread::sleep(sleep);
-            self.profiler.lap(t, Phase::Idle);
+        self.core.idle_wait();
+    }
+
+    /// [`step`](Self::step), then [`idle_wait`](Self::idle_wait) if nothing moved.
+    pub fn turn(&mut self) {
+        if !self.step() {
+            self.idle_wait();
         }
     }
 
-    /// Drive until the app finishes, then linger briefly for the close
-    /// handshake. Errors on connection abort or timeout.
-    pub fn run(&mut self, timeout: std::time::Duration) -> Result<(), RuntimeError> {
+    /// Drive until the app finishes, then until the close handshake is
+    /// done at the data level (at most 500 ms; the transfer itself is
+    /// complete). Errors on connection abort or timeout.
+    pub fn run(&mut self, timeout: Duration) -> Result<(), RuntimeError> {
         let hard = Instant::now() + timeout;
         while !self.app.finished() {
             if let Some(reason) = self.conn.abort_reason() {
                 return Err(RuntimeError::Aborted(reason));
             }
-            if !self.step() {
-                self.idle_wait();
-            }
+            self.turn();
             if Instant::now() > hard {
                 return Err(RuntimeError::Timeout);
             }
         }
-        // Best-effort close handshake; the transfer itself is done.
-        let linger = Instant::now() + std::time::Duration::from_millis(500);
-        while !self.conn.fully_closed() && Instant::now() < linger {
-            if !self.step() {
-                self.idle_wait();
-            }
+        let linger = Instant::now() + Duration::from_millis(500);
+        while !close_done(&self.conn, &self.egress) && Instant::now() < linger {
+            self.turn();
         }
         Ok(())
     }
 
     /// Block or unblock a path (fault injection for tests and demos).
     pub fn block_path(&mut self, i: usize, blocked: bool) {
-        self.paths.set_blocked(i, blocked);
+        self.core.paths.set_blocked(i, blocked);
     }
 
     /// The application.
@@ -241,11 +140,11 @@ impl<A: ConnApp> ClientRuntime<A> {
 
     /// Loop instrumentation.
     pub fn stats(&self) -> &RuntimeStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Loop-phase timing histograms (inert unless `cfg.profile`).
     pub fn profiler(&self) -> &LoopProfiler {
-        &self.profiler
+        &self.core.profiler
     }
 }

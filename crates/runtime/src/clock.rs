@@ -20,16 +20,6 @@ use mptcp_netsim::SimTime;
 /// sentinel.
 pub const EPOCH_OFFSET: SimTime = SimTime::from_millis(1);
 
-/// A monotonic source of [`SimTime`].
-///
-/// Abstracting the clock keeps the event loop testable: unit tests drive it
-/// with a [`ManualClock`] and assert on exact timer behaviour, while the
-/// real binaries use [`WallClock`].
-pub trait Clock {
-    /// Current instant. Must be monotonically non-decreasing.
-    fn now(&self) -> SimTime;
-}
-
 /// Wall-clock time: `EPOCH_OFFSET` plus nanoseconds elapsed since the
 /// clock was created.
 pub struct WallClock {
@@ -43,49 +33,17 @@ impl WallClock {
             start: Instant::now(),
         }
     }
-}
 
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
+    /// Current instant. Monotonically non-decreasing.
+    pub fn now(&self) -> SimTime {
         let elapsed = self.start.elapsed();
         SimTime(EPOCH_OFFSET.0.saturating_add(elapsed.as_nanos() as u64))
     }
 }
 
-/// A hand-advanced clock for tests.
-pub struct ManualClock {
-    now: std::cell::Cell<u64>,
-}
-
-impl ManualClock {
-    /// Start at `EPOCH_OFFSET`.
-    pub fn new() -> ManualClock {
-        ManualClock {
-            now: std::cell::Cell::new(EPOCH_OFFSET.0),
-        }
-    }
-
-    /// Advance the clock by `ns` nanoseconds.
-    pub fn advance_ns(&self, ns: u64) {
-        self.now.set(self.now.get() + ns);
-    }
-}
-
-impl Default for ManualClock {
+impl Default for WallClock {
     fn default() -> Self {
-        ManualClock::new()
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> SimTime {
-        SimTime(self.now.get())
+        WallClock::new()
     }
 }
 
@@ -104,13 +62,5 @@ mod tests {
             a > SimTime::ZERO,
             "real timestamps never equal the sentinel"
         );
-    }
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::new();
-        let a = c.now();
-        c.advance_ns(1_000);
-        assert_eq!(c.now().0, a.0 + 1_000);
     }
 }

@@ -20,16 +20,25 @@
 //!   four-tuples to `(path, real address)`.
 //! - [`egress`]: bounded per-connection output queues — kernel pushback
 //!   becomes connection backpressure, never unbounded memory.
-//! - [`timers`]: a lazy min-heap over `poll_at` deadlines so a server full
-//!   of idle connections sleeps instead of scanning.
+//! - `event_loop` (crate-private): the one loop core — clock, paths,
+//!   pool, stats and profiler, and the steps every iteration shares
+//!   (late-tick accounting, path drain, drive → poll → encode → egress →
+//!   flush per connection, idle wait).
+//! - [`client`] / [`server`]: what differs on top of that core — one
+//!   connection and its pending joins, or a listener with a per-connection
+//!   slot table, a dirty set and [`timers`], a lazy min-heap over
+//!   `poll_at` deadlines so a server full of idle connections sleeps
+//!   instead of scanning.
 //! - [`proto`]: the verifiable fetch protocol (`MPFETCH <size> <seed>`)
-//!   used by the demo binaries, the smoke test, and the wire benchmark.
-//! - [`client`] / [`server`]: the event loops themselves.
+//!   used by the demo binaries, the smoke test, and the benchmark.
+//! - [`admin`] / [`profile`] / [`stats`]: the introspection socket, the
+//!   loop-phase profiler and the `rt_*` instrumentation.
 
 pub mod admin;
 pub mod client;
 pub mod clock;
 pub mod egress;
+mod event_loop;
 pub mod paths;
 pub mod profile;
 pub mod proto;
@@ -45,7 +54,7 @@ use mptcp_packet::{Endpoint, FourTuple};
 
 pub use admin::{check_monotone, validate_exposition, AdminServer, Exposition};
 pub use client::ClientRuntime;
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::WallClock;
 pub use profile::{LoopProfiler, Phase};
 pub use proto::{ConnApp, FetchClient, FetchServer, Fnv1a, Keystream};
 pub use server::{AppFactory, ServerRuntime};
@@ -54,11 +63,6 @@ pub use stats::RuntimeStats;
 /// Event-loop tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
-    /// Per-connection egress queue capacity, in datagrams. When full, the
-    /// connection is not polled until the kernel drains the queue.
-    pub egress_cap: usize,
-    /// Datagrams drained per path per iteration before other work runs.
-    pub recv_batch: usize,
     /// Idle sleep cap: the longest the loop sleeps regardless of protocol
     /// deadlines, bounding how stale ingress can get (std has no
     /// multi-socket readiness wait).
@@ -72,8 +76,6 @@ pub struct LoopConfig {
 impl Default for LoopConfig {
     fn default() -> Self {
         LoopConfig {
-            egress_cap: 256,
-            recv_batch: 64,
             idle_sleep: Duration::from_micros(500),
             profile: false,
         }

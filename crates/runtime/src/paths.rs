@@ -130,7 +130,7 @@ impl PathSet {
 
     /// Drain up to `max` datagrams from path `i` into `out`.
     ///
-    /// Each datagram is verified ([`wire::decode_datagram`]) before it is
+    /// Each datagram is verified ([`wire::decode_datagram_view`]) before it is
     /// surfaced; failures bump `RtDecodeErrors` and vanish. Every clean
     /// segment also refreshes the reverse route. Blocked paths still drain
     /// the kernel buffer (so queues do not rot) but discard everything.

@@ -9,18 +9,15 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mptcp::{MptcpConfig, MptcpListener};
 use mptcp_netsim::SimTime;
-use mptcp_packet::{BufPool, TcpSegment};
-use mptcp_telemetry::CounterId;
 
 use crate::admin::{AdminCtx, AdminServer};
-use crate::clock::{Clock, WallClock};
 use crate::egress::Egress;
-use crate::paths::PathSet;
-use crate::profile::{lap_into, LoopProfiler, Phase};
+use crate::event_loop::{close_done, EventLoop, EGRESS_CAP};
+use crate::profile::{LoopProfiler, Phase};
 use crate::proto::ConnApp;
 use crate::stats::RuntimeStats;
 use crate::timers::DeadlineHeap;
@@ -29,31 +26,29 @@ use crate::{LoopConfig, RuntimeError};
 /// Creates the application attached to each accepted connection.
 pub type AppFactory = Box<dyn FnMut() -> Box<dyn ConnApp + Send> + Send>;
 
-/// Listener, per-connection apps and egress queues, and the deadline heap.
+/// Per-connection loop state, parallel to `listener.conns`.
+pub(crate) struct Slot {
+    app: Box<dyn ConnApp + Send>,
+    egress: Egress,
+    /// Finished *and* closed; excluded from all further work.
+    pub(crate) reaped: bool,
+    /// Accept time (for admin `conns` age reporting).
+    pub(crate) created: SimTime,
+    /// Already queued in the dirty set.
+    dirty: bool,
+}
+
+/// Listener, connection slots, dirty set and deadline heap over the core.
 pub struct ServerRuntime {
-    clock: WallClock,
+    core: EventLoop,
     listener: MptcpListener,
-    apps: Vec<Box<dyn ConnApp + Send>>,
-    egress: Vec<Egress>,
-    /// Finished *and* fully closed; excluded from all further work.
-    reaped: Vec<bool>,
-    /// Accept time per connection (for admin `conns` age reporting).
-    created: Vec<SimTime>,
-    paths: PathSet,
-    /// Datagram buffers, shared with `paths`' ingress side.
-    pool: BufPool,
-    stats: RuntimeStats,
-    cfg: LoopConfig,
+    slots: Vec<Slot>,
     timers: DeadlineHeap,
     factory: AppFactory,
-    ingress: Vec<TcpSegment>,
-    touched: Vec<usize>,
+    /// Scratch: connections touched by ingress or an expired deadline.
+    woken: Vec<usize>,
     dirty: Vec<usize>,
-    dirty_flag: Vec<bool>,
-    due: Vec<usize>,
     served: u64,
-    promised: Option<SimTime>,
-    profiler: LoopProfiler,
     /// Live introspection plane, polled from this same loop when enabled.
     admin: Option<AdminServer>,
 }
@@ -67,30 +62,15 @@ impl ServerRuntime {
         factory: AppFactory,
         cfg: LoopConfig,
     ) -> io::Result<ServerRuntime> {
-        assert!(!binds.is_empty(), "at least one path");
-        let paths = PathSet::bind(binds)?;
-        let pool = paths.pool();
         Ok(ServerRuntime {
-            clock: WallClock::new(),
+            core: EventLoop::bind(binds, cfg)?,
             listener: MptcpListener::new(mptcp, seed),
-            apps: Vec::new(),
-            egress: Vec::new(),
-            reaped: Vec::new(),
-            created: Vec::new(),
-            paths,
-            pool,
-            stats: RuntimeStats::new(),
-            cfg,
+            slots: Vec::new(),
             timers: DeadlineHeap::new(),
             factory,
-            ingress: Vec::new(),
-            touched: Vec::new(),
+            woken: Vec::new(),
             dirty: Vec::new(),
-            dirty_flag: Vec::new(),
-            due: Vec::new(),
             served: 0,
-            promised: None,
-            profiler: LoopProfiler::new(cfg.profile),
             admin: None,
         })
     }
@@ -107,176 +87,100 @@ impl ServerRuntime {
 
     /// Real local address of path `i`.
     pub fn local_addr(&self, i: usize) -> io::Result<SocketAddr> {
-        self.paths.local_addr(i)
+        self.core.paths.local_addr(i)
     }
 
-    fn ensure(&mut self, idx: usize, now: SimTime) {
-        while self.apps.len() <= idx {
-            self.apps.push((self.factory)());
-            self.egress.push(Egress::new(self.cfg.egress_cap));
-            self.reaped.push(false);
-            self.created.push(now);
-            self.dirty_flag.push(false);
+    /// Queue connection `idx` for this (or the next) iteration, giving it
+    /// a slot if the listener just accepted it.
+    fn mark(&mut self, idx: usize, now: SimTime) {
+        while self.slots.len() <= idx {
+            self.slots.push(Slot {
+                app: (self.factory)(),
+                egress: Egress::new(EGRESS_CAP),
+                reaped: false,
+                created: now,
+                dirty: false,
+            });
         }
-    }
-
-    fn mark(&mut self, idx: usize) {
-        if !self.dirty_flag[idx] {
-            self.dirty_flag[idx] = true;
+        if !self.slots[idx].dirty {
+            self.slots[idx].dirty = true;
             self.dirty.push(idx);
         }
     }
 
     /// One loop iteration. Returns whether any datagram or segment moved.
     pub fn step(&mut self) -> bool {
-        let mut lap = self.profiler.start();
-        let now = self.clock.now();
-        self.stats.rec.count(CounterId::RtLoopIterations);
-        if let Some(d) = self.promised.take() {
-            if d > SimTime::ZERO && now > d {
-                self.stats.record_late_tick(now.0 - d.0);
-            }
-        }
-
-        // Ingress on every path; demux marks connections dirty.
-        let mut rx = 0;
-        for i in 0..self.paths.len() {
-            rx += self
-                .paths
-                .drain(i, self.cfg.recv_batch, &mut self.stats, &mut self.ingress);
-        }
-        if rx > 0 {
-            self.stats.rec.count(CounterId::RtRecvBatches);
-        }
-        lap = self.profiler.lap(lap, Phase::RecvDrain);
-        // Whole-batch handoff: contiguous same-connection runs cost one
-        // subflow-stream drain each instead of one per datagram.
-        let mut touched = std::mem::take(&mut self.touched);
+        let now = self.core.begin();
+        let lap = self.core.drain();
+        // The whole batch at once; demuxed connections and expired
+        // deadlines join the dirty set.
+        let mut woken = std::mem::take(&mut self.woken);
         self.listener
-            .handle_segments(now, &self.ingress, &mut touched);
-        self.ingress.clear();
-        for idx in touched.drain(..) {
-            self.ensure(idx, now);
-            self.mark(idx);
+            .handle_segments(now, &self.core.ingress, &mut woken);
+        self.core.ingress.clear();
+        self.timers.pop_due(now, &mut woken);
+        for idx in woken.drain(..) {
+            self.mark(idx, now);
         }
-        self.touched = touched;
+        self.woken = woken;
+        self.core.profiler.lap(lap, Phase::Demux);
 
-        // Expired deadlines join the dirty set.
-        let mut due = std::mem::take(&mut self.due);
-        self.timers.pop_due(now, &mut due);
-        for idx in due.drain(..) {
-            self.mark(idx);
-        }
-        self.due = due;
-        self.profiler.lap(lap, Phase::Demux);
-
-        // Drive exactly the dirty connections. Drive / poll-encode / flush
-        // interleave per connection, so their laps accumulate across the
-        // loop and are recorded once per iteration.
-        let work = std::mem::take(&mut self.dirty);
-        let mut polled = 0;
-        let mut tx_total = 0;
-        let mut acc = [0u64; 3];
-        for &idx in &work {
-            self.dirty_flag[idx] = false;
-        }
-        for idx in work {
-            if self.reaped[idx] {
+        // Drive exactly the dirty connections.
+        for idx in std::mem::take(&mut self.dirty) {
+            let slot = &mut self.slots[idx];
+            slot.dirty = false;
+            if slot.reaped {
                 continue;
             }
-            let mut t = self.profiler.start();
             let conn = &mut self.listener.conns[idx];
-            self.apps[idx].drive(conn, now);
-            lap_into(&mut t, &mut acc[0]);
-            loop {
-                if !self.egress[idx].has_room() {
-                    self.stats.rec.count(CounterId::RtEgressBackpressure);
-                    break;
-                }
-                let Some(seg) = conn.poll(now) else { break };
-                polled += 1;
-                if let Some(route) = self.paths.route(seg.tuple) {
-                    let mut frame = self.pool.checkout();
-                    crate::wire::encode_datagram_into(&seg, &mut frame);
-                    self.egress[idx].push(route.path, route.peer, frame);
-                }
-            }
-            lap_into(&mut t, &mut acc[1]);
-            tx_total += self.egress[idx].flush(&mut self.paths, &mut self.stats);
-            lap_into(&mut t, &mut acc[2]);
-            if !self.egress[idx].is_empty() {
-                // Kernel pushback: retry the flush next iteration.
-                self.mark(idx);
-            }
-            let conn = &self.listener.conns[idx];
-            // A connection is served once the app is done and the
-            // data-level close completed both ways. Waiting for every
-            // subflow socket to finish dying would hostage completion to a
-            // blackholed path's FIN retransmissions.
-            let closed = conn.fully_closed() || (conn.send_closed() && conn.at_eof());
-            if self.apps[idx].finished() && closed {
-                self.reaped[idx] = true;
+            self.core
+                .service(conn, slot.app.as_mut(), &mut slot.egress, now);
+            let backlogged = !slot.egress.is_empty();
+            if slot.app.finished() && close_done(conn, &slot.egress) {
+                slot.reaped = true;
                 self.served += 1;
                 self.timers.schedule(idx, None);
             } else {
                 self.timers.schedule(idx, conn.poll_at(now));
             }
+            if backlogged {
+                // Kernel pushback: retry the flush next iteration.
+                self.mark(idx, now);
+            }
         }
-        if tx_total > 0 {
-            self.stats.rec.count(CounterId::RtSendBatches);
-        }
-        if self.profiler.enabled() {
-            self.profiler.record(Phase::Drive, acc[0]);
-            self.profiler.record(Phase::PollEncode, acc[1]);
-            self.profiler.record(Phase::Flush, acc[2]);
-        }
-        self.stats.sync_pool(self.pool.stats());
+        let moved = self.core.end(self.timers.next_deadline());
 
         if let Some(admin) = self.admin.as_mut() {
             let ctx = AdminCtx {
                 listener: &self.listener,
-                profiler: &self.profiler,
-                paths: &self.paths,
-                conn_created: &self.created,
-                reaped: &self.reaped,
+                profiler: &self.core.profiler,
+                paths: &self.core.paths,
+                slots: &self.slots,
                 now,
                 served: self.served,
             };
-            admin.poll(&mut self.stats, &ctx);
+            admin.poll(&mut self.core.stats, &ctx);
         }
-
-        self.promised = self.timers.next_deadline();
-        rx > 0 || polled > 0 || tx_total > 0 || !self.dirty.is_empty()
+        moved || !self.dirty.is_empty()
     }
 
-    /// Sleep until the earliest connection deadline, capped at the idle
-    /// cap (see [`crate::client::ClientRuntime::idle_wait`]).
+    /// Sleep to the next deadline, capped at [`LoopConfig::idle_sleep`].
     pub fn idle_wait(&mut self) {
-        let now = self.clock.now();
-        let cap = self.cfg.idle_sleep;
-        let sleep = match self.promised {
-            Some(d) if d <= now => return,
-            Some(d) => std::time::Duration::from_nanos(d.0 - now.0).min(cap),
-            None => cap,
-        };
-        if !sleep.is_zero() {
-            let t = self.profiler.start();
-            std::thread::sleep(sleep);
-            self.profiler.lap(t, Phase::Idle);
+        self.core.idle_wait();
+    }
+
+    /// [`step`](Self::step), then [`idle_wait`](Self::idle_wait) if nothing moved.
+    pub fn turn(&mut self) {
+        if !self.step() {
+            self.idle_wait();
         }
     }
 
     /// Serve until `n` connections have finished and closed, or time out.
-    pub fn run_until_served(
-        &mut self,
-        n: u64,
-        timeout: std::time::Duration,
-    ) -> Result<(), RuntimeError> {
+    pub fn run_until_served(&mut self, n: u64, timeout: Duration) -> Result<(), RuntimeError> {
         let hard = Instant::now() + timeout;
         while self.served < n {
-            if !self.step() {
-                self.idle_wait();
-            }
+            self.turn();
             if Instant::now() > hard {
                 return Err(RuntimeError::Timeout);
             }
@@ -301,16 +205,11 @@ impl ServerRuntime {
 
     /// Loop instrumentation.
     pub fn stats(&self) -> &RuntimeStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Loop-phase timing histograms (inert unless `cfg.profile`).
     pub fn profiler(&self) -> &LoopProfiler {
-        &self.profiler
-    }
-
-    /// Bound admin-socket address, when the admin plane is enabled.
-    pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin.as_ref().and_then(|a| a.local_addr().ok())
+        &self.core.profiler
     }
 }

@@ -191,9 +191,7 @@ fn admin_answers_mid_transfer_and_counters_are_monotone() {
     let hard = Instant::now() + Duration::from_secs(30);
     while server.accepted() == 0 {
         assert!(Instant::now() < hard, "no connection arrived");
-        if !server.step() {
-            server.idle_wait();
-        }
+        server.turn();
     }
     let token = server.listener().conns[0].local_token();
 
@@ -239,9 +237,7 @@ fn admin_answers_mid_transfer_and_counters_are_monotone() {
     let hard = Instant::now() + Duration::from_secs(60);
     while server.served() == 0 {
         assert!(Instant::now() < hard, "transfer did not complete");
-        if !server.step() {
-            server.idle_wait();
-        }
+        server.turn();
     }
     assert!(fetcher.join().expect("client thread"), "payload verified");
 }

@@ -109,6 +109,42 @@ fn two_path_transfer_is_byte_identical() {
     assert_eq!(rec.counter(CounterId::RtDecodeErrors), 0);
 }
 
+/// `run()` returns once the close handshake is done at the data level —
+/// not after a fixed linger, and not before the server has seen it too.
+#[test]
+fn run_returns_as_soon_as_the_close_is_done_both_ways() {
+    const SIZE: u64 = 256 * 1024;
+    let (addrs, server) = spawn_server(MptcpConfig::default(), 2);
+    let mut client = ClientRuntime::connect(
+        MptcpConfig::default(),
+        SEED,
+        &loopback(2),
+        &addrs,
+        FetchClient::new(SIZE, 3),
+        LoopConfig::default(),
+    )
+    .expect("bind client paths");
+
+    let hard = Instant::now() + Duration::from_secs(60);
+    while !client.app().finished() {
+        client.turn();
+        assert!(Instant::now() < hard, "transfer stalled");
+    }
+    let finished = Instant::now();
+    client
+        .run(Duration::from_secs(60))
+        .expect("close completes");
+    let tail = finished.elapsed();
+
+    assert!(client.app().ok(), "payload verified");
+    assert!(
+        tail < Duration::from_millis(250),
+        "run() lingered {tail:?} after the app finished"
+    );
+    let report = server.join().expect("server thread");
+    assert_eq!(report.served, 1, "server saw the close complete");
+}
+
 #[test]
 fn transfer_survives_mid_stream_path_blackout() {
     const SIZE: u64 = 3 * 1024 * 1024;
@@ -152,9 +188,7 @@ fn transfer_survives_mid_stream_path_blackout() {
             client.block_path(1, true);
             blacked_out = true;
         }
-        if !client.step() {
-            client.idle_wait();
-        }
+        client.turn();
         assert!(
             client.conn().abort_reason().is_none(),
             "connection must survive a single-path blackout"
@@ -178,9 +212,7 @@ fn transfer_survives_mid_stream_path_blackout() {
     // Linger briefly so the server can finish its close handshake.
     let linger = Instant::now() + Duration::from_millis(500);
     while Instant::now() < linger {
-        if !client.step() {
-            client.idle_wait();
-        }
+        client.turn();
     }
 
     let report = server.join().expect("server thread");

@@ -1,6 +1,6 @@
 //! Congestion control: the pluggable per-subflow algorithm layer.
 //!
-//! The paper defers congestion control to [23] (Wischik et al., NSDI 2011)
+//! The paper defers congestion control to \[23\] (Wischik et al., NSDI 2011)
 //! but the evaluation depends on it: MPTCP subflows run a *coupled*
 //! congestion controller so that a multipath connection takes no more
 //! capacity than a single TCP on its best path. This module provides the
@@ -11,7 +11,7 @@
 //! * [`CcAlgorithm`] — the registry of built-in algorithms
 //!   ([`Reno`], [`Lia`], [`Olia`], [`CoupledCubic`]) used by
 //!   `MptcpConfig::builder().cc(..)`, the `repro --cc` flag and JSON
-//!   reports (via [`FromStr`](core::str::FromStr)/[`Display`](core::fmt::Display)).
+//!   reports (via [`FromStr`]/[`Display`](core::fmt::Display)).
 //! * [`CoupledState`] — the cross-subflow coupling computation. The
 //!   connection owns one of these, feeds it a [`FlowView`] per usable
 //!   subflow once per RTT-ish, and pushes the resulting per-flow
