@@ -21,6 +21,15 @@ pub const BLOCK: usize = 8192;
 /// Bytes of "HTTP request" in the closed-loop workload.
 pub const HTTP_REQUEST_LEN: usize = 100;
 
+/// Largest single application write.
+const WRITE_MAX: usize = 64 * 1024;
+/// What the applications write. The apps retry a refused write on every
+/// host poll and every delivered segment, so the bytes they offer live in
+/// statics: building a fresh buffer per attempt cost more than the stack.
+static BULK_BYTES: [u8; WRITE_MAX] = [0x5a; WRITE_MAX];
+static RESPONSE_BYTES: [u8; WRITE_MAX] = [0x52; WRITE_MAX];
+static REQUEST_BYTES: [u8; HTTP_REQUEST_LEN] = [0x47; HTTP_REQUEST_LEN];
+
 /// What the client application does.
 pub enum ClientApp {
     /// Send `total` bytes, then optionally close.
@@ -166,11 +175,10 @@ impl ClientHost {
                 close_when_done,
             } => {
                 while *written < *total {
-                    let want = (*total - *written).min(64 * 1024);
-                    let buf = vec![0x5au8; want];
+                    let want = (*total - *written).min(WRITE_MAX);
                     // WouldBlock: retry on the next drive. Closed: the
                     // failure path below (`transport.failed`) decides.
-                    let Ok(n) = self.transport.write(&buf) else {
+                    let Ok(n) = self.transport.write(&BULK_BYTES[..want]) else {
                         break;
                     };
                     *written += n;
@@ -192,11 +200,8 @@ impl ClientHost {
                 requested,
                 completed,
             } => {
-                if !*requested {
-                    let req = vec![0x47u8; HTTP_REQUEST_LEN];
-                    if self.transport.write(&req) == Ok(HTTP_REQUEST_LEN) {
-                        *requested = true;
-                    }
+                if !*requested && self.transport.write(&REQUEST_BYTES) == Ok(HTTP_REQUEST_LEN) {
+                    *requested = true;
                 }
                 while let Some(b) = self.transport.read(usize::MAX) {
                     self.app_bytes_received += b.len() as u64;
@@ -307,6 +312,8 @@ pub struct ServerHost {
     pub responses_started: u64,
     /// Receiver-memory sampler (Figure 5b).
     pub mem_sampler: Sampler,
+    /// Scratch for `listener.poll`, kept so its allocation is reused.
+    polled: Vec<TcpSegment>,
 }
 
 impl ServerHost {
@@ -320,6 +327,7 @@ impl ServerHost {
             block_received: Vec::new(),
             responses_started: 0,
             mem_sampler: Sampler::new(Duration::from_millis(10)),
+            polled: Vec::new(),
         }
     }
 
@@ -339,6 +347,14 @@ impl ServerHost {
         let last = self.app_bytes_received / BLOCK as u64;
         for _ in first..last {
             self.block_received.push(now);
+        }
+    }
+
+    /// Poll the listener into `out`.
+    fn emit(&mut self, now: SimTime, out: &mut Outbox) {
+        self.listener.poll(now, &mut self.polled);
+        for s in self.polled.drain(..) {
+            out.send(s);
         }
     }
 
@@ -389,9 +405,8 @@ impl ServerHost {
                         }
                     }
                     while prog.response_written < file_size {
-                        let want = (file_size - prog.response_written).min(64 * 1024);
-                        let buf = vec![0x52u8; want];
-                        let n = conn.write(&buf).accepted();
+                        let want = (file_size - prog.response_written).min(WRITE_MAX);
+                        let n = conn.write(&RESPONSE_BYTES[..want]).accepted();
                         if n == 0 {
                             break;
                         }
@@ -417,22 +432,14 @@ impl Host for ServerHost {
     fn handle_segment(&mut self, now: SimTime, seg: TcpSegment, out: &mut Outbox) {
         self.listener.handle_segment(now, &seg);
         self.drive_app(now);
-        let mut segs = Vec::new();
-        self.listener.poll(now, &mut segs);
-        for s in segs {
-            out.send(s);
-        }
+        self.emit(now, out);
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Outbox) {
         self.drive_app(now);
         let mem = self.receiver_memory() as f64;
         self.mem_sampler.maybe_sample(now, || mem);
-        let mut segs = Vec::new();
-        self.listener.poll(now, &mut segs);
-        for s in segs {
-            out.send(s);
-        }
+        self.emit(now, out);
     }
 
     fn addr_event(&mut self, now: SimTime, addr: u32, up: bool, out: &mut Outbox) {
@@ -443,11 +450,7 @@ impl Host for ServerHost {
                 conn.local_addr_down(addr, now);
             }
         }
-        let mut segs = Vec::new();
-        self.listener.poll(now, &mut segs);
-        for s in segs {
-            out.send(s);
-        }
+        self.emit(now, out);
     }
 
     fn poll_at(&self, now: SimTime) -> Option<SimTime> {

@@ -95,6 +95,8 @@ pub struct Sim<H: Host> {
     /// Timed fault events (blackouts, loss bursts, middlebox churn)
     /// applied to paths as the clock reaches them; empty by default.
     pub faults: FaultSchedule,
+    /// The one outbox every host call fills and `route_outbox` empties.
+    outbox: Outbox,
 }
 
 impl<H: Host> Sim<H> {
@@ -111,6 +113,7 @@ impl<H: Host> Sim<H> {
             routing_drops: 0,
             capture: PacketCapture::default(),
             faults: FaultSchedule::default(),
+            outbox: Outbox::default(),
         }
     }
 
@@ -154,10 +157,19 @@ impl<H: Host> Sim<H> {
 
     /// Run the simulation until `deadline` (or until no events remain).
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.run_while(deadline, |_| true);
+    }
+
+    /// Run until `keep_going` returns false (checked between events), no
+    /// events remain, or `deadline`.
+    pub fn run_while<F: FnMut(&Sim<H>) -> bool>(&mut self, deadline: SimTime, mut keep_going: F) {
         let mut stuck_at = self.now;
         let mut stuck_iters = 0u32;
         loop {
             self.drain_hosts();
+            if !keep_going(self) {
+                return;
+            }
             let Some(next) = self.next_wakeup() else {
                 self.now = self.now.max(deadline);
                 return;
@@ -185,35 +197,20 @@ impl<H: Host> Sim<H> {
         }
     }
 
-    /// Run until `stop` returns true (checked between events) or `deadline`.
-    pub fn run_while<F: FnMut(&Sim<H>) -> bool>(&mut self, deadline: SimTime, mut keep_going: F) {
-        loop {
-            self.drain_hosts();
-            if !keep_going(self) {
-                return;
-            }
-            let Some(next) = self.next_wakeup() else {
-                self.now = self.now.max(deadline);
-                return;
-            };
-            if next > deadline {
-                self.now = deadline;
-                return;
-            }
-            self.now = self.now.max(next);
-            self.fire_due();
+    /// Route everything `out` collected; `out` keeps its allocation.
+    fn route_outbox(&mut self, out: &mut Outbox) {
+        for s in out.segs.drain(..) {
+            self.route_segment(s);
         }
     }
 
     fn drain_hosts(&mut self) {
-        let mut out = Outbox::default();
+        let mut out = std::mem::take(&mut self.outbox);
         for i in 0..self.hosts.len() {
             self.hosts[i].poll(self.now, &mut out);
-            let segs = std::mem::take(&mut out.segs);
-            for s in segs {
-                self.route_segment(s);
-            }
+            self.route_outbox(&mut out);
         }
+        self.outbox = out;
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
@@ -229,6 +226,7 @@ impl<H: Host> Sim<H> {
     }
 
     fn fire_due(&mut self) {
+        let mut out = std::mem::take(&mut self.outbox);
         // Scheduled faults mutate paths before any traffic moves at this
         // instant, so a blackout swallows segments due "now".
         self.faults.apply_due(self.now, &mut self.paths);
@@ -239,11 +237,8 @@ impl<H: Host> Sim<H> {
             let Some(&owner) = self.addr_owner.get(&addr) else {
                 continue;
             };
-            let mut out = Outbox::default();
             self.hosts[owner].addr_event(self.now, addr, up, &mut out);
-            for s in out.segs {
-                self.route_segment(s);
-            }
+            self.route_outbox(&mut out);
         }
         // Middlebox timers (e.g. coalescers releasing held segments).
         for pid in 0..self.paths.len() {
@@ -262,12 +257,10 @@ impl<H: Host> Sim<H> {
                 self.routing_drops += 1;
                 continue;
             };
-            let mut out = Outbox::default();
             self.hosts[owner].handle_segment(self.now, seg, &mut out);
-            for s in out.segs {
-                self.route_segment(s);
-            }
+            self.route_outbox(&mut out);
         }
+        self.outbox = out;
     }
 
     fn route_segment(&mut self, seg: TcpSegment) {

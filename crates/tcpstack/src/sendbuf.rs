@@ -130,23 +130,35 @@ impl SendQueue {
         freed
     }
 
-    /// Extract up to `max_len` bytes starting at `from`, without crossing a
-    /// chunk boundary. Returns `None` when `from` is at or past the end.
-    pub fn segment_at(&self, from: SeqNum, max_len: usize) -> Option<SegmentData> {
+    /// The chunk holding `from` and the offset of `from` inside it. Chunks
+    /// are contiguous and sorted by sequence number, so this is a binary
+    /// search; `None` when `from` is outside `[una, end)`.
+    fn locate(&self, from: SeqNum) -> Option<(&Chunk, usize)> {
         if !from.in_window(self.una, self.end - self.una) {
             return None;
         }
-        let chunk = self
-            .chunks
-            .iter()
-            .find(|c| from.after_eq(c.seq) && from.before(c.end()))?;
-        let off = (from - chunk.seq) as usize;
+        let idx = self.chunks.partition_point(|c| c.end().before_eq(from));
+        let chunk = self.chunks.get(idx)?;
+        Some((chunk, (from - chunk.seq) as usize))
+    }
+
+    /// Extract up to `max_len` bytes starting at `from`, without crossing a
+    /// chunk boundary. Returns `None` when `from` is at or past the end.
+    pub fn segment_at(&self, from: SeqNum, max_len: usize) -> Option<SegmentData> {
+        let (chunk, off) = self.locate(from)?;
         let take = (chunk.payload.len() - off).min(max_len);
         Some(SegmentData {
             seq: from,
             payload: chunk.payload.slice(off..off + take),
             options: chunk.options.clone(),
         })
+    }
+
+    /// Payload length [`SendQueue::segment_at`] would return, without
+    /// building the segment.
+    pub fn segment_len_at(&self, from: SeqNum, max_len: usize) -> Option<usize> {
+        let (chunk, off) = self.locate(from)?;
+        Some((chunk.payload.len() - off).min(max_len))
     }
 
     /// The first unacknowledged segment (up to `max_len` bytes): what the
@@ -257,6 +269,71 @@ mod tests {
         let f = s.front_segment(2).unwrap();
         assert_eq!(f.seq, SeqNum(1002));
         assert_eq!(&f.payload[..], b"cd");
+    }
+
+    /// The scan `segment_at` used before the binary search; kept here as
+    /// the reference it is compared against.
+    fn linear_segment_at(s: &SendQueue, from: SeqNum, max_len: usize) -> Option<(Bytes, usize)> {
+        if !from.in_window(s.una, s.end - s.una) {
+            return None;
+        }
+        let chunk = s
+            .chunks
+            .iter()
+            .find(|c| from.after_eq(c.seq) && from.before(c.end()))?;
+        let off = (from - chunk.seq) as usize;
+        let take = (chunk.payload.len() - off).min(max_len);
+        Some((chunk.payload.slice(off..off + take), chunk.options.len()))
+    }
+
+    #[test]
+    fn binary_search_lookup_equals_linear_scan() {
+        let mut rng = mptcp_netsim::SimRng::new(0x5eed);
+        for round in 0..200 {
+            // Start near the wrap on some rounds: ordering is circular.
+            let start = if round % 4 == 0 {
+                u32::MAX - rng.range(0, 5000) as u32
+            } else {
+                rng.next_u32()
+            };
+            let mut s = SendQueue::new(SeqNum(start));
+            let mut byte = 0u8;
+            for _ in 0..rng.range(0, 40) {
+                let len = rng.range(1, 3000) as usize;
+                byte = byte.wrapping_add(1);
+                let options = if rng.chance(0.7) { opt() } else { vec![] };
+                s.enqueue(Bytes::from(vec![byte; len]), options);
+            }
+            // A partial ACK leaves a trimmed front chunk.
+            let buffered = s.buffered() as u64;
+            s.ack_to(s.una_seq() + rng.range(0, buffered + 1) as u32);
+
+            // Every chunk edge and its neighbours, `una`, `end`, beyond
+            // both, plus random interior points.
+            let mut probes = vec![s.una - 1, s.una, s.end - 1, s.end, s.end + 1, s.end + 9999];
+            for c in &s.chunks {
+                probes.extend([c.seq - 1, c.seq, c.seq + 1, c.end() - 1, c.end()]);
+            }
+            for _ in 0..50 {
+                probes.push(s.una + rng.range(0, s.buffered() as u64 + 10) as u32);
+            }
+            for from in probes {
+                let max_len = rng.range(1, 2000) as usize;
+                let want = linear_segment_at(&s, from, max_len);
+                let got = s.segment_at(from, max_len);
+                assert_eq!(
+                    got.as_ref()
+                        .map(|d| (d.seq, d.payload.clone(), d.options.len())),
+                    want.clone().map(|(p, o)| (from, p, o)),
+                    "round {round}, from {from:?}, max_len {max_len}"
+                );
+                assert_eq!(
+                    s.segment_len_at(from, max_len),
+                    want.map(|(p, _)| p.len()),
+                    "round {round}, from {from:?}, max_len {max_len}"
+                );
+            }
+        }
     }
 
     #[test]

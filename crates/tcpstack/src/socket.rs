@@ -1093,15 +1093,40 @@ impl TcpSocket {
         }
     }
 
+    /// Usable send window: `min(cwnd, peer window) − bytes in flight`.
+    fn usable_window(&self) -> u32 {
+        self.effective_cwnd()
+            .min(self.snd_wnd)
+            .saturating_sub(self.bytes_in_flight())
+    }
+
+    /// May new data go out now? The one predicate `poll`, and through
+    /// `has_immediate_output` also `poll_at`, decide on.
+    ///
+    /// Sender-side silly-window avoidance (RFC 1122 §4.2.3.4, RFC 9293
+    /// §3.8.6.2.1): the segment that would be built at `snd_nxt` — a full
+    /// MSS or the rest of its chunk, since segments never cross a chunk —
+    /// goes out only whole. A usable window smaller than that waits for the
+    /// ACKs that widen it instead of answering each with a fragment that
+    /// pays a full header. With nothing in flight no ACK is coming, so
+    /// whatever fits goes (a peer window under one MSS, a post-RTO cwnd).
     fn can_send_new(&self) -> bool {
         if !self.state.is_synchronized() || self.error {
             return false;
         }
-        if !self.send_q.has_data_at(self.snd_nxt) {
+        let usable = self.usable_window() as usize;
+        if usable == 0 || !self.send_q.has_data_at(self.snd_nxt) {
             return false;
         }
-        let wnd = self.effective_cwnd().min(self.snd_wnd);
-        self.bytes_in_flight() < wnd
+        // No segment exceeds the MSS, so only a window narrower than
+        // that needs the segment measured (a queue lookup `poll_at`
+        // would otherwise pay on every loop turn).
+        usable >= self.effective_mss
+            || self.bytes_in_flight() == 0
+            || self
+                .send_q
+                .segment_len_at(self.snd_nxt, self.effective_mss)
+                .is_some_and(|want| usable >= want)
     }
 
     fn can_send_fin(&self) -> bool {
@@ -1281,8 +1306,7 @@ impl TcpSocket {
 
         // 2. New data.
         if self.can_send_new() {
-            let wnd = self.effective_cwnd().min(self.snd_wnd);
-            let room = (wnd - self.bytes_in_flight()) as usize;
+            let room = self.usable_window() as usize;
             let seq = self.snd_nxt;
             if let Some(seg) = self.build_data_segment_limited(now, seq, room, false) {
                 self.snd_nxt = seg.seq_end();
@@ -1709,6 +1733,154 @@ mod tests {
         pump(probe_at, &mut c, &mut s);
         assert!(s.recv_buffered() > 0, "transfer resumed after probe");
         assert!(c.stats.probes >= 1);
+    }
+
+    /// Client and server joined by a fixed one-way delay and stepped in
+    /// 1 ms ticks, so ACKs arrive while later data is still in flight —
+    /// what `pump`'s zero-delay exchange never produces.
+    struct Wire {
+        c: TcpSocket,
+        s: TcpSocket,
+        delay: Duration,
+        to_s: std::collections::VecDeque<(SimTime, TcpSegment)>,
+        to_c: std::collections::VecDeque<(SimTime, TcpSegment)>,
+        /// `(payload len, bytes in flight before it, it ends the queue)`
+        /// for every new-data segment the client emitted.
+        sent: Vec<(usize, u32, bool)>,
+    }
+
+    impl Wire {
+        fn new(server_cfg: TcpConfig, delay: Duration) -> Wire {
+            let now = SimTime::ZERO;
+            let mut c = TcpSocket::client(TcpConfig::default(), tuple(), SeqNum(1), now, vec![]);
+            let syn = c.poll(now).unwrap();
+            let mut s = TcpSocket::accept(server_cfg, &syn, SeqNum(500), now, vec![]);
+            pump(now, &mut c, &mut s);
+            Wire {
+                c,
+                s,
+                delay,
+                to_s: Default::default(),
+                to_c: Default::default(),
+                sent: Vec::new(),
+            }
+        }
+
+        /// Send `data` client → server, the server's application reading
+        /// at most `read_max` bytes per millisecond; returns what it read.
+        fn transfer(&mut self, data: &[u8], read_max: usize) -> Vec<u8> {
+            assert_eq!(self.c.send(data), data.len());
+            let mut got = Vec::new();
+            let mut now = SimTime::from_millis(1);
+            while got.len() < data.len() {
+                let at = got.len();
+                assert!(now < SimTime::from_secs(120), "transfer stalled at {at}");
+                self.tick(now);
+                if let Some(b) = self.s.read(read_max) {
+                    got.extend_from_slice(&b);
+                }
+                now += Duration::from_millis(1);
+            }
+            got
+        }
+
+        /// Deliver what is due at `now`, then drain both sockets.
+        fn tick(&mut self, now: SimTime) {
+            while self.to_s.front().is_some_and(|(at, _)| *at <= now) {
+                let (_, seg) = self.to_s.pop_front().unwrap();
+                self.s.handle_segment(now, &seg);
+            }
+            while self.to_c.front().is_some_and(|(at, _)| *at <= now) {
+                let (_, seg) = self.to_c.pop_front().unwrap();
+                self.c.handle_segment(now, &seg);
+            }
+            loop {
+                // The contract `poll_at` and `poll` share: a socket that
+                // says "poll me right now" has a segment to give.
+                let promised = self.c.poll_at(now) == Some(SimTime::ZERO);
+                let in_flight = self.c.bytes_in_flight();
+                let retx_before = self.c.stats.retransmitted_segs;
+                let Some(seg) = self.c.poll(now) else {
+                    assert!(!promised, "client promised output at {now:?}, gave none");
+                    break;
+                };
+                if !seg.payload.is_empty() && self.c.stats.retransmitted_segs == retx_before {
+                    let last = seg.seq_end() == self.c.send_q.end_seq();
+                    self.sent.push((seg.payload.len(), in_flight, last));
+                }
+                self.to_s.push_back((now + self.delay, seg));
+            }
+            loop {
+                let promised = self.s.poll_at(now) == Some(SimTime::ZERO);
+                let Some(seg) = self.s.poll(now) else {
+                    assert!(!promised, "server promised output at {now:?}, gave none");
+                    break;
+                };
+                self.to_c.push_back((now + self.delay, seg));
+            }
+        }
+    }
+
+    #[test]
+    fn dribbling_reader_never_draws_a_partial_segment_while_data_is_in_flight() {
+        // A 6000-byte receive buffer read 100 bytes per millisecond: every
+        // ACK re-opens the window by a sliver while earlier segments are
+        // still on the 5 ms wire.
+        let cfg = TcpConfig {
+            recv_buf: 6000,
+            ..TcpConfig::default()
+        };
+        let mut w = Wire::new(cfg, Duration::from_millis(5));
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(
+            w.transfer(&data, 100),
+            data,
+            "stream must arrive byte-exact"
+        );
+
+        let mss = w.c.mss();
+        let partials: Vec<_> = w
+            .sent
+            .iter()
+            .filter(|&&(len, _, last)| len < mss && !last)
+            .collect();
+        // The window really was the limit: the rule had something to do.
+        assert!(!partials.is_empty());
+        for &&(len, in_flight, _) in &partials {
+            assert_eq!(
+                in_flight, 0,
+                "{len}-byte fragment sent with {in_flight} bytes in flight"
+            );
+        }
+    }
+
+    #[test]
+    fn sub_mss_tail_goes_out_at_once() {
+        // Two full segments and a 500-byte tail, all inside the initial
+        // window: the tail is the whole remaining queue, not a silly
+        // fragment, and must not wait for an ACK (no Nagle).
+        let (mut c, _s) = established_pair();
+        c.send(&vec![3u8; 2 * 1460 + 500]);
+        let now = SimTime::from_millis(1);
+        let sizes: Vec<usize> = std::iter::from_fn(|| c.poll(now))
+            .map(|seg| seg.payload.len())
+            .collect();
+        assert_eq!(sizes, [1460, 1460, 500]);
+    }
+
+    #[test]
+    fn idle_sender_fills_a_window_smaller_than_one_segment() {
+        // Peer window 1000 < MSS with nothing in flight: no ACK is coming
+        // that could widen it, so waiting would deadlock. Send what fits.
+        let cfg = TcpConfig {
+            recv_buf: 1000,
+            ..TcpConfig::default()
+        };
+        let mut w = Wire::new(cfg, Duration::from_millis(5));
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 241) as u8).collect();
+        assert_eq!(w.transfer(&data, 10_000), data);
+        assert_eq!(w.sent[0], (1000, 0, false), "first fills the window");
+        assert!(w.sent.iter().all(|&(len, _, _)| len <= 1000));
     }
 
     #[test]

@@ -38,6 +38,8 @@ fn main() {
             m12.goodput_mbps
         );
     }
-    println!("\nExpected shape: regular MPTCP trails TCP when underbuffered;");
-    println!("M1 recovers most of it; M1+M2 matches or beats TCP.");
+    println!("\nExpected shape: regular MPTCP trails TCP over WiFi at every buffer");
+    println!("shown, and M1 alone does not close the gap (it re-sends, but the slow");
+    println!("subflow keeps its window). M1+M2 beats TCP from 100 KB on and carries");
+    println!("about 9 of the 10 Mbps link sum at 400 KB.");
 }
