@@ -25,7 +25,7 @@ use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{
     checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
-use mptcp_tcpstack::{CoupledState, FlowView, TcpSocket};
+use mptcp_tcpstack::{CoupledState, FlowView, TcpSocket, TcpState};
 use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
     TraceSnapshot, Tracer, SPAN_CONN_LEVEL,
@@ -459,10 +459,12 @@ impl MptcpConnection {
     }
 
     /// All subflow sockets closed or dead: nothing further will happen.
+    /// A socket in TIME_WAIT still owes the peer ACKs and holds its
+    /// four-tuple, so it does not count until that has run out.
     pub fn fully_closed(&self) -> bool {
         self.subflows
             .iter()
-            .all(|s| s.dead || s.sock.state().is_closed())
+            .all(|s| s.dead || s.sock.state() == TcpState::Closed)
     }
 
     /// Subflow views (testing / instrumentation).

@@ -174,8 +174,8 @@ fn read_all(conn: &mut MptcpConnection) -> Vec<u8> {
 }
 
 fn server_conn(w: &mut Wire) -> &mut MptcpConnection {
-    assert_eq!(w.server.conns.len(), 1);
-    &mut w.server.conns[0]
+    assert_eq!(w.server.len(), 1);
+    w.server.conn_mut(0)
 }
 
 #[test]

@@ -40,6 +40,7 @@ pub mod pm;
 pub mod reorder;
 pub mod sched;
 pub mod subflow;
+mod timers;
 pub mod token;
 
 pub use api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};

@@ -154,8 +154,8 @@ fn record(strip_options: bool) -> (Vec<Round>, Observed) {
         rounds.push(round);
 
         // Applications.
-        if let Some(conn) = listener.conns.first_mut() {
-            serve(conn, &mut delivered);
+        if !listener.is_empty() {
+            serve(listener.conn_mut(0), &mut delivered);
         }
         if tick == JOIN_TICK && !strip_options {
             client
@@ -220,8 +220,8 @@ fn replay(rounds: &[Round], batch: usize) -> Observed {
                 listener.handle_segments(round.now, chunk, &mut touched);
             }
         }
-        if let Some(conn) = listener.conns.first_mut() {
-            serve(conn, &mut delivered);
+        if !listener.is_empty() {
+            serve(listener.conn_mut(0), &mut delivered);
         }
         let mut out = Vec::new();
         listener.poll(round.now, &mut out);

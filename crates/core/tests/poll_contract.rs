@@ -108,7 +108,7 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
     let mut warm = 0usize;
     for _ in 0..50 {
         pump(&mut client, &mut listener, now);
-        while let Some(b) = listener.conns[0].read(usize::MAX).into_data() {
+        while let Some(b) = listener.conn_mut(0).read(usize::MAX).into_data() {
             warm += b.len();
         }
         if warm == WARM && client.poll_at(now).is_none() {
@@ -201,7 +201,7 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
     let mut got = 0usize;
     for _ in 0..1000 {
         pump(&mut client, &mut listener, now);
-        while let Some(b) = listener.conns[0].read(usize::MAX).into_data() {
+        while let Some(b) = listener.conn_mut(0).read(usize::MAX).into_data() {
             got += b.len();
         }
         if got == DATA {

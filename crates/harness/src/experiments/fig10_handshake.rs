@@ -101,7 +101,7 @@ pub fn measure_mptcp(trials: usize, existing: usize, scan_lookup: bool, seed: u6
         // Poll only the new connection: the cost under test is key
         // generation + token uniqueness + SYN/ACK construction, not
         // unrelated connections.
-        let synack = listener.conns[idx].poll(SimTime::ZERO);
+        let synack = listener.conn_mut(idx).poll(SimTime::ZERO);
         samples.push(t.elapsed().as_nanos() as u64);
         debug_assert!(synack.is_some_and(|s| s.flags.syn && s.flags.ack));
     }

@@ -5,8 +5,6 @@
 //! accepts plain-TCP clients via fallback, so one server implementation
 //! serves every baseline — plus a [`ServerApp`].
 
-use std::collections::HashMap;
-
 use mptcp::{ConnEvent, MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, Host, Outbox, SimRng, SimTime};
 use mptcp_packet::SeqNum;
@@ -290,7 +288,7 @@ pub enum ServerApp {
 }
 
 /// Per-connection server-side bookkeeping.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ConnProgress {
     got_request: bool,
     response_written: usize,
@@ -303,7 +301,12 @@ pub struct ServerHost {
     pub listener: MptcpListener,
     /// Application behaviour.
     pub app: ServerApp,
-    progress: HashMap<usize, ConnProgress>,
+    /// `HttpResponder` state, indexed like `listener.conns`.
+    progress: Vec<ConnProgress>,
+    /// Sink modes: connections that may hold unread data, ascending. A
+    /// segment puts its connection here; reading it dry takes it out, so a
+    /// rate-limited reader's tick visits only what it left behind.
+    unread: Vec<usize>,
     /// Total application bytes read across connections.
     pub app_bytes_received: u64,
     /// Block receive timestamps (Figure 7).
@@ -322,7 +325,8 @@ impl ServerHost {
         ServerHost {
             listener: MptcpListener::new(cfg, seed),
             app,
-            progress: HashMap::new(),
+            progress: Vec::new(),
+            unread: Vec::new(),
             app_bytes_received: 0,
             block_received: Vec::new(),
             responses_started: 0,
@@ -333,11 +337,7 @@ impl ServerHost {
 
     /// Sum of receiver-held memory across connections.
     pub fn receiver_memory(&self) -> usize {
-        self.listener
-            .conns
-            .iter()
-            .map(|c| c.receiver_memory())
-            .sum()
+        receiver_memory(&self.listener)
     }
 
     fn note_received(&mut self, n: usize, now: SimTime) {
@@ -358,92 +358,110 @@ impl ServerHost {
         }
     }
 
-    fn drive_app(&mut self, now: SimTime) {
+    /// Let the application make progress; `fed` is the connection a segment
+    /// just reached, if that is what woke the host.
+    fn drive_app(&mut self, now: SimTime, fed: Option<usize>) {
+        if let ServerApp::HttpResponder { file_size } = self.app {
+            // A response advances only when its own connection hears from
+            // the peer (the request, then ACKs freeing send buffer).
+            if let Some(idx) = fed {
+                self.respond(idx, file_size);
+            }
+            return;
+        }
+        if let Some(idx) = fed {
+            if let Err(at) = self.unread.binary_search(&idx) {
+                self.unread.insert(at, idx);
+            }
+        }
         // Refill the slow-sink read budget outside the per-conn loop.
         let mut budget = match &mut self.app {
-            ServerApp::Sink => usize::MAX,
             ServerApp::SlowSink { rate, last, credit } => {
                 *credit += (*rate as f64) * (now - *last).as_secs_f64();
                 *last = now;
                 *credit as usize
             }
-            ServerApp::HttpResponder { .. } => 0,
+            _ => usize::MAX,
         };
-        let http_file = match &self.app {
-            ServerApp::HttpResponder { file_size } => Some(*file_size),
-            _ => None,
-        };
-
-        let nconns = self.listener.conns.len();
-        for idx in 0..nconns {
-            match http_file {
-                None => {
-                    // Sink / SlowSink: drain within budget.
-                    while budget > 0 {
-                        let Some(b) = self.listener.conns[idx].read(budget).into_data() else {
-                            break;
-                        };
-                        let n = b.len();
-                        if budget != usize::MAX {
-                            budget -= n;
-                        }
-                        self.note_received(n, now);
+        // Drain within budget, lowest index first.
+        let mut dry = 0;
+        while budget > 0 && dry < self.unread.len() {
+            let idx = self.unread[dry];
+            match self.listener.conn_mut(idx).read(budget).into_data() {
+                Some(b) => {
+                    let n = b.len();
+                    if budget != usize::MAX {
+                        budget -= n;
                     }
+                    self.note_received(n, now);
                 }
-                Some(file_size) => {
-                    let prog = self.progress.entry(idx).or_default();
-                    if prog.closed {
-                        continue;
-                    }
-                    let conn = &mut self.listener.conns[idx];
-                    if !prog.got_request {
-                        if conn.read(usize::MAX).into_data().is_some() {
-                            prog.got_request = true;
-                            self.responses_started += 1;
-                        } else {
-                            continue;
-                        }
-                    }
-                    while prog.response_written < file_size {
-                        let want = (file_size - prog.response_written).min(WRITE_MAX);
-                        let n = conn.write(&RESPONSE_BYTES[..want]).accepted();
-                        if n == 0 {
-                            break;
-                        }
-                        prog.response_written += n;
-                    }
-                    if prog.response_written >= file_size {
-                        conn.close();
-                        prog.closed = true;
-                    }
-                }
+                None => dry += 1,
             }
         }
+        self.unread.drain(..dry);
         // Persist the unspent slow-sink credit.
         if let ServerApp::SlowSink { credit, .. } = &mut self.app {
-            if budget != usize::MAX {
-                *credit = budget as f64;
+            *credit = budget as f64;
+        }
+    }
+
+    /// `HttpResponder` on connection `idx`: once the request is in, write
+    /// the response as the send buffer allows, then close.
+    fn respond(&mut self, idx: usize, file_size: usize) {
+        if self.progress.len() <= idx {
+            self.progress.resize(idx + 1, ConnProgress::default());
+        }
+        let prog = &mut self.progress[idx];
+        if prog.closed {
+            return;
+        }
+        let conn = self.listener.conn_mut(idx);
+        if !prog.got_request {
+            if conn.read(usize::MAX).into_data().is_none() {
+                return;
             }
+            prog.got_request = true;
+            self.responses_started += 1;
+        }
+        while prog.response_written < file_size {
+            let want = (file_size - prog.response_written).min(WRITE_MAX);
+            let n = conn.write(&RESPONSE_BYTES[..want]).accepted();
+            if n == 0 {
+                break;
+            }
+            prog.response_written += n;
+        }
+        if prog.response_written >= file_size {
+            conn.close();
+            prog.closed = true;
         }
     }
 }
 
+fn receiver_memory(listener: &MptcpListener) -> usize {
+    listener.conns.iter().map(|c| c.receiver_memory()).sum()
+}
+
 impl Host for ServerHost {
     fn handle_segment(&mut self, now: SimTime, seg: TcpSegment, out: &mut Outbox) {
-        self.listener.handle_segment(now, &seg);
-        self.drive_app(now);
+        let fed = self.listener.handle_segment(now, &seg);
+        self.drive_app(now, fed);
         self.emit(now, out);
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Outbox) {
-        self.drive_app(now);
-        let mem = self.receiver_memory() as f64;
-        self.mem_sampler.maybe_sample(now, || mem);
+        self.drive_app(now, None);
+        // Every connection ever accepted is summed here, so only when a
+        // sample is due, not on every turn of the simulator.
+        let listener = &self.listener;
+        self.mem_sampler
+            .maybe_sample(now, || receiver_memory(listener) as f64);
         self.emit(now, out);
     }
 
     fn addr_event(&mut self, now: SimTime, addr: u32, up: bool, out: &mut Outbox) {
-        for conn in &mut self.listener.conns {
+        for idx in 0..self.listener.len() {
+            let conn = self.listener.conn_mut(idx);
             if up {
                 conn.local_addr_up(addr, now);
             } else {

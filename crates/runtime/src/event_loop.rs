@@ -253,7 +253,8 @@ mod tests {
             let mut touched = Vec::new();
             listener.handle_segments(now, &server.ingress, &mut touched);
             server.ingress.clear();
-            for peer in &mut listener.conns {
+            for idx in 0..listener.len() {
+                let peer = listener.conn_mut(idx);
                 while let Some(b) = peer.read(usize::MAX).into_data() {
                     got.extend_from_slice(&b);
                 }

@@ -26,9 +26,9 @@
 //!   flush per connection, idle wait).
 //! - [`client`] / [`server`]: what differs on top of that core — one
 //!   connection and its pending joins, or a listener with a per-connection
-//!   slot table, a dirty set and [`timers`], a lazy min-heap over
-//!   `poll_at` deadlines so a server full of idle connections sleeps
-//!   instead of scanning.
+//!   slot table. Which connections an iteration services is the
+//!   listener's own ready set (woken ∪ expired `poll_at` deadlines), so a
+//!   server full of idle connections sleeps instead of scanning.
 //! - [`proto`]: the verifiable fetch protocol (`MPFETCH <size> <seed>`)
 //!   used by the demo binaries, the smoke test, and the benchmark.
 //! - [`admin`] / [`profile`] / [`stats`]: the introspection socket, the
@@ -44,7 +44,6 @@ pub mod profile;
 pub mod proto;
 pub mod server;
 pub mod stats;
-pub mod timers;
 pub mod wire;
 
 use std::time::Duration;

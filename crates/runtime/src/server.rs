@@ -1,11 +1,12 @@
 //! Server-side event loop: a listener multiplexing many connections over
 //! shared UDP sockets.
 //!
-//! Demux is entirely the core's: [`mptcp::MptcpListener`] routes segments
-//! to connections by virtual four-tuple and MP_JOIN token, so the runtime
-//! only moves datagrams. The loop maintains a *dirty set* — connections
-//! touched by ingress, an expired deadline, or backlogged egress — and
-//! drives exactly those, so idle connections cost nothing per iteration.
+//! Demux and readiness are entirely the core's: [`mptcp::MptcpListener`]
+//! routes segments to connections by virtual four-tuple and MP_JOIN token
+//! and says which connections are due — touched by ingress, an expired
+//! deadline, or woken here for backlogged egress — so the runtime only
+//! moves datagrams for exactly those, and idle connections cost nothing
+//! per iteration.
 
 use std::io;
 use std::net::SocketAddr;
@@ -20,7 +21,6 @@ use crate::event_loop::{close_done, EventLoop, EGRESS_CAP};
 use crate::profile::{LoopProfiler, Phase};
 use crate::proto::ConnApp;
 use crate::stats::RuntimeStats;
-use crate::timers::DeadlineHeap;
 use crate::{LoopConfig, RuntimeError};
 
 /// Creates the application attached to each accepted connection.
@@ -30,24 +30,21 @@ pub type AppFactory = Box<dyn FnMut() -> Box<dyn ConnApp + Send> + Send>;
 pub(crate) struct Slot {
     app: Box<dyn ConnApp + Send>,
     egress: Egress,
-    /// Finished *and* closed; excluded from all further work.
+    /// Finished *and* closed, and counted in `served`. The listener keeps
+    /// polling the connection until its sockets are through TIME_WAIT.
     pub(crate) reaped: bool,
     /// Accept time (for admin `conns` age reporting).
     pub(crate) created: SimTime,
-    /// Already queued in the dirty set.
-    dirty: bool,
 }
 
-/// Listener, connection slots, dirty set and deadline heap over the core.
+/// Listener and connection slots over the core.
 pub struct ServerRuntime {
     core: EventLoop,
     listener: MptcpListener,
     slots: Vec<Slot>,
-    timers: DeadlineHeap,
     factory: AppFactory,
-    /// Scratch: connections touched by ingress or an expired deadline.
-    woken: Vec<usize>,
-    dirty: Vec<usize>,
+    /// Scratch: the connections this iteration services.
+    due: Vec<usize>,
     served: u64,
     /// Live introspection plane, polled from this same loop when enabled.
     admin: Option<AdminServer>,
@@ -66,10 +63,8 @@ impl ServerRuntime {
             core: EventLoop::bind(binds, cfg)?,
             listener: MptcpListener::new(mptcp, seed),
             slots: Vec::new(),
-            timers: DeadlineHeap::new(),
             factory,
-            woken: Vec::new(),
-            dirty: Vec::new(),
+            due: Vec::new(),
             served: 0,
             admin: None,
         })
@@ -90,65 +85,48 @@ impl ServerRuntime {
         self.core.paths.local_addr(i)
     }
 
-    /// Queue connection `idx` for this (or the next) iteration, giving it
-    /// a slot if the listener just accepted it.
-    fn mark(&mut self, idx: usize, now: SimTime) {
-        while self.slots.len() <= idx {
-            self.slots.push(Slot {
-                app: (self.factory)(),
-                egress: Egress::new(EGRESS_CAP),
-                reaped: false,
-                created: now,
-                dirty: false,
-            });
-        }
-        if !self.slots[idx].dirty {
-            self.slots[idx].dirty = true;
-            self.dirty.push(idx);
-        }
-    }
-
     /// One loop iteration. Returns whether any datagram or segment moved.
     pub fn step(&mut self) -> bool {
         let now = self.core.begin();
         let lap = self.core.drain();
-        // The whole batch at once; demuxed connections and expired
-        // deadlines join the dirty set.
-        let mut woken = std::mem::take(&mut self.woken);
+        // The whole batch at once. The listener wakes what it fed, so the
+        // touched list it also fills in is dropped: `take_due` has those
+        // connections, the expired ones, and the order to service them in.
+        let mut due = std::mem::take(&mut self.due);
         self.listener
-            .handle_segments(now, &self.core.ingress, &mut woken);
+            .handle_segments(now, &self.core.ingress, &mut due);
         self.core.ingress.clear();
-        self.timers.pop_due(now, &mut woken);
-        for idx in woken.drain(..) {
-            self.mark(idx, now);
-        }
-        self.woken = woken;
+        due.clear();
+        self.listener.take_due(now, &mut due);
         self.core.profiler.lap(lap, Phase::Demux);
 
-        // Drive exactly the dirty connections.
-        for idx in std::mem::take(&mut self.dirty) {
-            let slot = &mut self.slots[idx];
-            slot.dirty = false;
-            if slot.reaped {
-                continue;
+        let mut backlogged = false;
+        for idx in due.drain(..) {
+            while self.slots.len() <= idx {
+                self.slots.push(Slot {
+                    app: (self.factory)(),
+                    egress: Egress::new(EGRESS_CAP),
+                    reaped: false,
+                    created: now,
+                });
             }
-            let conn = &mut self.listener.conns[idx];
+            let slot = &mut self.slots[idx];
+            let conn = self.listener.conn_mut(idx);
             self.core
                 .service(conn, slot.app.as_mut(), &mut slot.egress, now);
-            let backlogged = !slot.egress.is_empty();
-            if slot.app.finished() && close_done(conn, &slot.egress) {
+            if !slot.reaped && slot.app.finished() && close_done(conn, &slot.egress) {
                 slot.reaped = true;
                 self.served += 1;
-                self.timers.schedule(idx, None);
-            } else {
-                self.timers.schedule(idx, conn.poll_at(now));
             }
-            if backlogged {
+            self.listener.settle(idx, now);
+            if !slot.egress.is_empty() {
                 // Kernel pushback: retry the flush next iteration.
-                self.mark(idx, now);
+                self.listener.wake(idx);
+                backlogged = true;
             }
         }
-        let moved = self.core.end(self.timers.next_deadline());
+        self.due = due;
+        let moved = self.core.end(self.listener.poll_at(now));
 
         if let Some(admin) = self.admin.as_mut() {
             let ctx = AdminCtx {
@@ -161,7 +139,7 @@ impl ServerRuntime {
             };
             admin.poll(&mut self.core.stats, &ctx);
         }
-        moved || !self.dirty.is_empty()
+        moved || backlogged
     }
 
     /// Sleep to the next deadline, capped at [`LoopConfig::idle_sleep`].
