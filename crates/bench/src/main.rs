@@ -499,6 +499,23 @@ fn telemetry_report(quick: bool, policy: Policy) {
     println!("{}", mptcp_harness::to_json_lines(&[report]));
 }
 
+/// Write one run's artifact files under `out_dir` (created if missing),
+/// naming each on stdout; any I/O error ends the process with status 1.
+fn write_artifacts(out_dir: &std::path::Path, files: &[(String, String)]) {
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        eprintln!("cannot create {}: {e}", out_dir.display());
+        std::process::exit(1);
+    }
+    for (name, contents) in files {
+        let path = out_dir.join(name);
+        if let Err(e) = std::fs::write(&path, contents) {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        println!("wrote {}", path.display());
+    }
+}
+
 fn trace_run(mut args: Vec<String>, policy: Policy) {
     use mptcp_harness::experiments::trace as tr;
     use mptcp_telemetry::TraceWriter;
@@ -550,10 +567,6 @@ fn trace_run(mut args: Vec<String>, policy: Policy) {
         r.capture.dropped_records
     );
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    }
     let stem = scenario.name();
     let files = [
         (
@@ -568,14 +581,7 @@ fn trace_run(mut args: Vec<String>, policy: Policy) {
             mptcp_harness::to_json_lines(std::slice::from_ref(&art.report)),
         ),
     ];
-    for (name, contents) in &files {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
+    write_artifacts(&out_dir, &files);
 
     let dropped = r.trace.dropped_samples + r.capture.dropped_records;
     if fail_on_drops && dropped > 0 {
@@ -671,10 +677,6 @@ fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
         );
     }
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    }
     let report =
         mptcp_harness::RunReport::new("chaos", "blackout 3s, WiFi+3G", b.telemetry.clone())
             .policy(policy.cc.name(), policy.sched.name(), policy.pm.name())
@@ -694,14 +696,7 @@ fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
             mptcp_harness::to_json_lines(std::slice::from_ref(&report)),
         ),
     ];
-    for (name, contents) in &files {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
+    write_artifacts(&out_dir, &files);
 
     let violations = art.violations();
     if !violations.is_empty() {
@@ -764,10 +759,6 @@ fn handover_run(mut args: Vec<String>, policy: Policy) {
         }
     }
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        std::process::exit(1);
-    }
     let report = mptcp_harness::RunReport::new(
         "handover",
         "wifi withdrawn at 3s, pre-opened backup",
@@ -795,14 +786,7 @@ fn handover_run(mut args: Vec<String>, policy: Policy) {
             mptcp_harness::to_json_lines(std::slice::from_ref(&report)),
         ),
     ];
-    for (name, contents) in &files {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
+    write_artifacts(&out_dir, &files);
 
     if !out.violations.is_empty() {
         println!();

@@ -139,20 +139,20 @@ pub fn fetch(mut args: Vec<String>) {
         .stats()
         .rec
         .counter(mptcp_telemetry::CounterId::RtLoopIterations) as f64;
-    let json = format!(
-        "{{\"bench\":\"fetch\",\"size_bytes\":{},\"received\":{},\"ok\":{},\
-         \"checksum\":\"{:#018x}\",\"elapsed_s\":{:.3},\"goodput_mbps\":{:.2},\
-         \"subflows\":{},\"loop_iters_per_sec\":{:.0},{}}}",
-        size,
-        app.received(),
-        app.ok(),
-        app.checksum(),
-        elapsed,
-        goodput_mbps,
-        client.conn().subflows().len(),
-        iters / elapsed,
-        client.stats().json_fields()
-    );
+    let mut w = mptcp_telemetry::json::Writer::new();
+    w.begin_object().key("bench").string("fetch");
+    w.key("size_bytes").raw(size);
+    w.key("received").raw(app.received());
+    w.key("ok").raw(app.ok());
+    w.key("checksum")
+        .string(&format!("{:#018x}", app.checksum()));
+    w.key("elapsed_s").raw(format_args!("{elapsed:.3}"));
+    w.key("goodput_mbps").raw(format_args!("{goodput_mbps:.2}"));
+    w.key("subflows").raw(client.conn().subflows().len());
+    w.key("loop_iters_per_sec")
+        .raw(format_args!("{:.0}", iters / elapsed));
+    w.raw_fields(&client.stats().json_fields()).end_object();
+    let json = w.finish();
     println!("{json}");
     if let Some(path) = out {
         if let Err(e) = std::fs::write(&path, &json) {

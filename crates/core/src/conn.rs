@@ -25,10 +25,10 @@ use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{
     checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
-use mptcp_tcpstack::{CoupledState, FlowView, TcpSocket, TcpState};
+use mptcp_tcpstack::{CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS};
 use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
-    TraceSnapshot, Tracer, SPAN_CONN_LEVEL,
+    TraceSnapshot,
 };
 
 use crate::api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
@@ -73,7 +73,10 @@ pub enum ConnEvent {
     FellBack,
 }
 
-/// Counters for the paper's measurements.
+/// Byte and chunk tallies with no telemetry twin. Everything that is also
+/// an event (M1/M2 firings, data RTOs, checksum failures, resets, rejected
+/// joins, path failures and recoveries) or a registry counter (duplicate
+/// bytes) is read from [`MptcpConnection::telemetry`] by its `CounterId`.
 #[derive(Clone, Debug, Default)]
 pub struct ConnStats {
     /// Application bytes accepted for sending.
@@ -83,30 +86,8 @@ pub struct ConnStats {
     /// Payload bytes handed to subflows, including re-injections
     /// (throughput numerator).
     pub bytes_scheduled: u64,
-    /// M1 opportunistic retransmissions performed.
-    pub opportunistic_retx: u64,
-    /// M2 penalizations applied.
-    pub penalizations: u64,
-    /// Connection-level retransmission timeouts.
-    pub data_rtos: u64,
     /// Chunks re-injected on another subflow (any reason).
     pub reinjections: u64,
-    /// DSS checksum failures observed.
-    pub checksum_failures: u64,
-    /// Subflows reset due to checksum failures / bad MACs.
-    pub subflow_resets: u64,
-    /// Duplicate data-level bytes discarded at the receiver.
-    pub dup_bytes: u64,
-    /// MP_JOIN attempts rejected (bad token or MAC).
-    pub joins_rejected: u64,
-    /// Paths the failure detector declared Failed.
-    pub path_failures: u64,
-    /// Failed or Suspect paths that recovered to Active.
-    pub path_recoveries: u64,
-    /// Per-mechanism telemetry (counters, gauges, event ring). Populated
-    /// by [`MptcpConnection::conn_stats`]; the live `stats` field carries
-    /// an empty snapshot.
-    pub telemetry: TelemetrySnapshot,
 }
 
 /// A chunk handed to a subflow, retained until DATA_ACKed (§3.3.5: "even
@@ -200,11 +181,10 @@ pub struct MptcpConnection {
     /// Measurement counters.
     pub stats: ConnStats,
     /// Fine-grained mechanism telemetry (merged with per-subflow and
-    /// reorder-queue recorders by [`MptcpConnection::telemetry`]).
+    /// reorder-queue recorders by [`MptcpConnection::telemetry`]). Its
+    /// trace half holds the ConnSamples and connection-level spans; the
+    /// per-subflow series live in each subflow socket's recorder.
     telemetry: Recorder,
-    /// Connection-level time-series tracer (ConnSamples and span events;
-    /// per-subflow series live in each subflow socket's tracer).
-    tracer: Tracer,
     /// The configured packet scheduler (policy only; tiering, reinjection
     /// and telemetry stay here in the connection).
     sched: Box<dyn Scheduler>,
@@ -379,8 +359,7 @@ impl MptcpConnection {
             all_failed_since: None,
             events: VecDeque::new(),
             stats: ConnStats::default(),
-            telemetry: Recorder::with_event_capacity(cfg.event_capacity),
-            tracer: Tracer::new(cfg.trace),
+            telemetry: Recorder::traced(cfg.event_capacity, cfg.trace),
             sched: cfg.scheduler.build(),
             coupled: CoupledState::new(cfg.cc),
             sched_stalled: false,
@@ -398,7 +377,7 @@ impl MptcpConnection {
     /// Install the configured congestion controller on a subflow socket
     /// (coupled LIA by default; see [`mptcp_tcpstack::CcAlgorithm`]).
     fn install_cc(cfg: &MptcpConfig, sock: &mut TcpSocket) {
-        sock.set_cc(cfg.cc.build(cfg.tcp.mss as u32, cfg.tcp.init_cwnd_segs));
+        sock.set_cc(cfg.cc.build(cfg.tcp.mss as u32, INIT_CWND_SEGS));
     }
 
     fn set_remote_key(&mut self, key: u64) {
@@ -509,9 +488,12 @@ impl MptcpConnection {
     /// Snapshot the connection's telemetry: the connection-level recorder
     /// (M1–M4, fallback, data-level timers, joins) merged with the reorder
     /// queue's counters and every subflow socket's recorder (TCP RTOs,
-    /// fast retransmits, M4 caps).
+    /// fast retransmits, M4 caps). The events of all of them interleave by
+    /// time, and the newest `event_capacity` are kept.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut rec = self.telemetry.clone();
+        // A fresh recorder rather than a clone: the trace ring stays put.
+        let mut rec = Recorder::with_event_capacity(self.cfg.event_capacity);
+        rec.absorb(&self.telemetry);
         rec.count_n(CounterId::ReorderInserts, self.ooo.inserts());
         rec.count_n(CounterId::ReorderOps, self.ooo.ops());
         rec.count_n(CounterId::ReorderShortcutHits, self.ooo.shortcut_hits());
@@ -528,33 +510,21 @@ impl MptcpConnection {
         rec.snapshot()
     }
 
-    /// Snapshot the time-series trace: the connection-level tracer
-    /// (ConnSamples, span events) merged and time-sorted with every
-    /// subflow socket's tracer (SubflowSamples, TCP-level spans). Empty
+    /// Snapshot the time-series trace: the connection's own trace ring
+    /// (ConnSamples, connection-level spans) merged and time-sorted with
+    /// every subflow socket's (SubflowSamples, TCP-level spans). Empty
     /// when tracing is disabled.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        let mut snaps = vec![self.tracer.snapshot()];
+        let mut snaps = vec![self.telemetry.trace_snapshot()];
         for sf in &self.subflows {
-            snaps.push(sf.sock.tracer.snapshot());
+            snaps.push(sf.sock.telemetry.trace_snapshot());
         }
         TraceSnapshot::merge(snaps)
     }
 
-    /// Record a discrete span event in the trace (no-op when disabled).
-    /// `subflow` is an index, or [`SPAN_CONN_LEVEL`] for connection-level.
-    fn trace_span(&mut self, now: SimTime, subflow: u32, kind: EventKind) {
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceRecord::Span {
-                at_ns: now.0,
-                subflow,
-                kind,
-            });
-        }
-    }
-
     /// Record one connection-level sample (no-op when disabled).
     fn trace_conn_sample(&mut self, now: SimTime) {
-        if !self.tracer.is_enabled() {
+        if !self.telemetry.tracing() {
             return;
         }
         let rec = TraceRecord::ConnSample {
@@ -568,15 +538,7 @@ impl MptcpConnection {
             snd_buf_cap: self.snd_buf_cap as u64,
             rcv_buf_cap: self.rcv_buf_cap as u64,
         };
-        self.tracer.record(rec);
-    }
-
-    /// Measurement counters with the telemetry snapshot embedded — the
-    /// full observable state for reports.
-    pub fn conn_stats(&self) -> ConnStats {
-        let mut s = self.stats.clone();
-        s.telemetry = self.telemetry();
-        s
+        self.telemetry.sample(rec);
     }
 
     /// Drain pending events.
@@ -614,7 +576,6 @@ impl MptcpConnection {
             .saturating_sub(self.pending_bytes + self.sent_bytes);
         let take = data.len().min(space);
         if take > 0 {
-            self.maybe_grow_sndbuf(take);
             self.pending
                 .push_back(Bytes::copy_from_slice(&data[..take]));
             self.pending_bytes += take;
@@ -680,12 +641,12 @@ impl MptcpConnection {
         }
         self.abort_reason.get_or_insert(reason);
         self.all_failed_since = None; // the deadline fired; stop reporting it
-        self.telemetry.count(CounterId::ConnAborts);
-        let kind = EventKind::ConnAborted {
-            code: reason.code(),
-        };
-        self.telemetry.event(now.0, kind);
-        self.trace_span(now, SPAN_CONN_LEVEL, kind);
+        self.telemetry.note(
+            now.0,
+            EventKind::ConnAborted {
+                code: reason.code(),
+            },
+        );
         self.abort();
     }
 
@@ -835,65 +796,8 @@ impl MptcpConnection {
     }
 
     fn reject_join(&mut self, now: SimTime, token: u32) {
-        self.stats.joins_rejected += 1;
-        self.telemetry.count(CounterId::JoinsRejected);
         self.telemetry
-            .event(now.0, EventKind::JoinRejected { token });
-        self.trace_span(now, SPAN_CONN_LEVEL, EventKind::JoinRejected { token });
-    }
-
-    /// Advertise an additional local address to the peer (ADD_ADDR) —
-    /// how a multi-homed server invites NATted clients to open subflows
-    /// toward its other interfaces (§3.2).
-    pub fn advertise_addr(&mut self, addr: u32, port: Option<u16>, now: SimTime) {
-        let addr_id = self.next_addr_id;
-        self.next_addr_id += 1;
-        let opt = TcpOption::Mptcp(MptcpOption::AddAddr(AdvertisedAddr {
-            addr_id,
-            addr,
-            port,
-        }));
-        if let Some(sf) = self.subflows.iter_mut().find(|s| s.usable()) {
-            sf.sock.queue_oneshot_options(vec![opt]);
-            self.telemetry.count(CounterId::AddAddrsSent);
-            let kind = EventKind::AddAddr {
-                addr,
-                id: u32::from(addr_id),
-                sent: 1,
-            };
-            self.telemetry.event(now.0, kind);
-            self.trace_span(now, SPAN_CONN_LEVEL, kind);
-        }
-    }
-
-    /// Withdraw an address: peers close subflows using it (§3.4 mobility).
-    ///
-    /// Local subflows riding the address are torn down too — the address
-    /// is gone, they cannot continue. If that was the last live subflow
-    /// the connection aborts with [`AbortReason::LastSubflowRemoved`]
-    /// instead of stalling silently.
-    pub fn remove_addr(&mut self, addr_id: u8, now: SimTime) {
-        let opt = TcpOption::Mptcp(MptcpOption::RemoveAddr {
-            addr_ids: vec![addr_id],
-        });
-        // Announce on a subflow that survives the withdrawal when one
-        // exists; on the last subflow the RST conveys the teardown anyway.
-        let carrier = self
-            .subflows
-            .iter()
-            .position(|s| s.usable() && s.addr_id != addr_id)
-            .or_else(|| self.subflows.iter().position(|s| s.usable()));
-        if let Some(i) = carrier {
-            self.subflows[i].sock.queue_oneshot_options(vec![opt]);
-            self.telemetry.count(CounterId::RemoveAddrsSent);
-            let kind = EventKind::RemoveAddr {
-                id: u32::from(addr_id),
-                sent: 1,
-            };
-            self.telemetry.event(now.0, kind);
-            self.trace_span(now, SPAN_CONN_LEVEL, kind);
-        }
-        self.kill_subflows_by_addr_id(now, addr_id);
+            .note(now.0, EventKind::JoinRejected { token });
     }
 
     /// Does `tuple` (as seen in an incoming segment) belong to one of our
@@ -1129,14 +1033,14 @@ impl MptcpConnection {
                         continue;
                     }
                     self.peer_adverts.insert(a.addr_id, (a.addr, a.port));
-                    self.telemetry.count(CounterId::AddAddrsReceived);
-                    let kind = EventKind::AddAddr {
-                        addr: a.addr,
-                        id: u32::from(a.addr_id),
-                        sent: 0,
-                    };
-                    self.telemetry.event(now.0, kind);
-                    self.trace_span(now, SPAN_CONN_LEVEL, kind);
+                    self.telemetry.note(
+                        now.0,
+                        EventKind::AddAddr {
+                            addr: a.addr,
+                            id: u32::from(a.addr_id),
+                            sent: 0,
+                        },
+                    );
                     let actions = self.pm.on_event(
                         now,
                         PmEvent::AddrAdvertised {
@@ -1157,19 +1061,17 @@ impl MptcpConnection {
                         let known = advertised.is_some()
                             || self.subflows.iter().any(|s| !s.dead && s.addr_id == id);
                         if !known {
-                            self.telemetry.count(CounterId::RemoveAddrUnknown);
                             let kind = EventKind::RemoveAddrUnknown { id: u32::from(id) };
-                            self.telemetry.event(now.0, kind);
-                            self.trace_span(now, SPAN_CONN_LEVEL, kind);
+                            self.telemetry.note(now.0, kind);
                             continue;
                         }
-                        self.telemetry.count(CounterId::RemoveAddrsReceived);
-                        let kind = EventKind::RemoveAddr {
-                            id: u32::from(id),
-                            sent: 0,
-                        };
-                        self.telemetry.event(now.0, kind);
-                        self.trace_span(now, SPAN_CONN_LEVEL, kind);
+                        self.telemetry.note(
+                            now.0,
+                            EventKind::RemoveAddr {
+                                id: u32::from(id),
+                                sent: 0,
+                            },
+                        );
                         // Affected subflows: those the peer opened under
                         // this id, plus any we opened toward the
                         // withdrawn address.
@@ -1228,25 +1130,8 @@ impl MptcpConnection {
         if mac != expect {
             sf.sock.abort();
             sf.dead = true;
-            self.stats.joins_rejected += 1;
-            self.stats.subflow_resets += 1;
-            self.telemetry.count(CounterId::JoinsRejected);
-            self.telemetry.count(CounterId::SubflowResets);
-            self.telemetry
-                .event(now.0, EventKind::JoinRejected { token: rk.token });
-            self.telemetry.event(
-                now.0,
-                EventKind::SubflowReset {
-                    subflow: idx as u32,
-                },
-            );
-            self.trace_span(
-                now,
-                idx as u32,
-                EventKind::SubflowReset {
-                    subflow: idx as u32,
-                },
-            );
+            self.reject_join(now, rk.token);
+            self.note_subflow_reset(now, idx);
             return;
         }
         let sf = &mut self.subflows[idx];
@@ -1291,29 +1176,8 @@ impl MptcpConnection {
         if mac != expect {
             sf.sock.abort();
             sf.dead = true;
-            self.stats.joins_rejected += 1;
-            self.stats.subflow_resets += 1;
-            self.telemetry.count(CounterId::JoinsRejected);
-            self.telemetry.count(CounterId::SubflowResets);
-            self.telemetry.event(
-                now.0,
-                EventKind::JoinRejected {
-                    token: self.local.token,
-                },
-            );
-            self.telemetry.event(
-                now.0,
-                EventKind::SubflowReset {
-                    subflow: idx as u32,
-                },
-            );
-            self.trace_span(
-                now,
-                idx as u32,
-                EventKind::SubflowReset {
-                    subflow: idx as u32,
-                },
-            );
+            self.reject_join(now, self.local.token);
+            self.note_subflow_reset(now, idx);
             return;
         }
         let sf = &mut self.subflows[idx];
@@ -1322,22 +1186,13 @@ impl MptcpConnection {
         self.seed_new_subflow();
     }
 
-    fn kill_subflows_by_addr_id(&mut self, now: SimTime, addr_id: u8) {
-        let mut any_killed = false;
-        for i in 0..self.subflows.len() {
-            if self.subflows[i].addr_id == addr_id && !self.subflows[i].dead {
-                self.subflows[i].sock.abort();
-                self.subflows[i].dead = true;
-                any_killed = true;
-                self.events.push_back(ConnEvent::SubflowDown(i));
-            }
-        }
-        self.reinject_chunks_of_dead(now);
-        // Address removal that took out the last live subflow: there is no
-        // path left to recover on, so fail loudly rather than stall.
-        if any_killed && self.alive_subflows() == 0 {
-            self.abort_with(AbortReason::LastSubflowRemoved, now);
-        }
+    fn note_subflow_reset(&mut self, now: SimTime, idx: usize) {
+        self.telemetry.note(
+            now.0,
+            EventKind::SubflowReset {
+                subflow: idx as u32,
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1377,13 +1232,14 @@ impl MptcpConnection {
                     remote,
                     backup,
                 } => {
-                    let kind = EventKind::PmOpenSubflow {
-                        local: local.addr,
-                        remote: remote.addr,
-                        backup: u32::from(backup),
-                    };
-                    self.telemetry.event(now.0, kind);
-                    self.trace_span(now, SPAN_CONN_LEVEL, kind);
+                    self.telemetry.note(
+                        now.0,
+                        EventKind::PmOpenSubflow {
+                            local: local.addr,
+                            remote: remote.addr,
+                            backup: u32::from(backup),
+                        },
+                    );
                     if self.open_subflow_with(local, remote, backup, now).is_ok() {
                         self.telemetry.count(CounterId::PmSubflowsOpened);
                     }
@@ -1424,12 +1280,13 @@ impl MptcpConnection {
             } else {
                 self.telemetry.count(CounterId::AddAddrsSent);
             }
-            let kind = EventKind::PmAdvertise {
-                addr,
-                id: u32::from(addr_id),
-            };
-            self.telemetry.event(now.0, kind);
-            self.trace_span(now, SPAN_CONN_LEVEL, kind);
+            self.telemetry.note(
+                now.0,
+                EventKind::PmAdvertise {
+                    addr,
+                    id: u32::from(addr_id),
+                },
+            );
         }
     }
 
@@ -1463,22 +1320,22 @@ impl MptcpConnection {
                 backup: false,
                 addr_id: Some(addr_id),
             })]);
-        self.telemetry.count(CounterId::PmBackupPromotions);
-        let kind = EventKind::PmBackupPromoted {
-            subflow: idx as u32,
-        };
-        self.telemetry.event(now.0, kind);
-        self.trace_span(now, idx as u32, kind);
+        self.telemetry.note(
+            now.0,
+            EventKind::PmBackupPromoted {
+                subflow: idx as u32,
+            },
+        );
     }
 
-    /// Live backup-priority subflows other than `except`, in index order
+    /// Live backup-priority subflows outside `except`, in index order
     /// (the PM's promotion candidates).
-    fn backup_candidates(&self, except: usize) -> Vec<usize> {
+    fn backup_candidates(&self, except: &[usize]) -> Vec<usize> {
         self.subflows
             .iter()
             .enumerate()
             .filter(|(i, s)| {
-                *i != except && s.usable() && s.backup && s.path_state != PathState::Failed
+                !except.contains(i) && s.usable() && s.backup && s.path_state != PathState::Failed
             })
             .map(|(i, _)| i)
             .collect()
@@ -1514,32 +1371,20 @@ impl MptcpConnection {
                         addr_ids: ids.clone(),
                     })]);
                 for id in ids {
-                    self.telemetry.count(CounterId::RemoveAddrsSent);
-                    let kind = EventKind::RemoveAddr {
-                        id: u32::from(id),
-                        sent: 1,
-                    };
-                    self.telemetry.event(now.0, kind);
-                    self.trace_span(now, SPAN_CONN_LEVEL, kind);
+                    self.telemetry.note(
+                        now.0,
+                        EventKind::RemoveAddr {
+                            id: u32::from(id),
+                            sent: 1,
+                        },
+                    );
                 }
             }
         }
-        let backups = match affected.first() {
-            Some(_) => {
-                let aff = affected.clone();
-                self.subflows
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| {
-                        !aff.contains(i)
-                            && s.usable()
-                            && s.backup
-                            && s.path_state != PathState::Failed
-                    })
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-            None => Vec::new(),
+        let backups = if affected.is_empty() {
+            Vec::new()
+        } else {
+            self.backup_candidates(&affected)
         };
         let actions = self.pm.on_event(
             now,
@@ -1645,14 +1490,12 @@ impl MptcpConnection {
         for (dsn, data) in run.drain(..) {
             let end = dsn + data.len() as u64;
             if end <= self.rcv_nxt {
-                self.stats.dup_bytes += data.len() as u64;
                 self.telemetry
                     .count_n(CounterId::DupDataBytes, data.len() as u64);
                 continue;
             }
             let (dsn, data) = if dsn < self.rcv_nxt {
                 let cut = (self.rcv_nxt - dsn) as usize;
-                self.stats.dup_bytes += cut as u64;
                 self.telemetry.count_n(CounterId::DupDataBytes, cut as u64);
                 (self.rcv_nxt, data.slice(cut..))
             } else {
@@ -1699,12 +1542,7 @@ impl MptcpConnection {
         let bytes = self.ooo.buffered_bytes() as u64;
         if segs > self.telemetry.gauge(GaugeId::OfoQueueSegs).max {
             self.telemetry
-                .event(now.0, EventKind::ReorderHighWater { segs, bytes });
-            self.trace_span(
-                now,
-                SPAN_CONN_LEVEL,
-                EventKind::ReorderHighWater { segs, bytes },
-            );
+                .note(now.0, EventKind::ReorderHighWater { segs, bytes });
         }
         self.telemetry.gauge_set(GaugeId::OfoQueueSegs, segs);
         self.telemetry.gauge_set(GaugeId::OfoQueueBytes, bytes);
@@ -1723,18 +1561,8 @@ impl MptcpConnection {
     }
 
     fn on_checksum_fail(&mut self, now: SimTime, idx: usize, dsn: u64, data: Bytes) {
-        self.stats.checksum_failures += 1;
-        self.telemetry.count(CounterId::ChecksumFailures);
-        self.telemetry.event(
+        self.telemetry.note(
             now.0,
-            EventKind::ChecksumFail {
-                subflow: idx as u32,
-                dsn,
-            },
-        );
-        self.trace_span(
-            now,
-            idx as u32,
             EventKind::ChecksumFail {
                 subflow: idx as u32,
                 dsn,
@@ -1750,21 +1578,7 @@ impl MptcpConnection {
                 })]);
             self.subflows[idx].sock.abort();
             self.subflows[idx].dead = true;
-            self.stats.subflow_resets += 1;
-            self.telemetry.count(CounterId::SubflowResets);
-            self.telemetry.event(
-                now.0,
-                EventKind::SubflowReset {
-                    subflow: idx as u32,
-                },
-            );
-            self.trace_span(
-                now,
-                idx as u32,
-                EventKind::SubflowReset {
-                    subflow: idx as u32,
-                },
-            );
+            self.note_subflow_reset(now, idx);
             self.events.push_back(ConnEvent::SubflowDown(idx));
             self.reinject_chunks_of_dead(now);
         } else {
@@ -1796,9 +1610,7 @@ impl MptcpConnection {
             return;
         }
         self.state = ConnState::Fallback;
-        self.telemetry.count(CounterId::Fallbacks);
-        self.telemetry.event(now.0, EventKind::Fallback { cause });
-        self.trace_span(now, SPAN_CONN_LEVEL, EventKind::Fallback { cause });
+        self.telemetry.note(now.0, EventKind::Fallback { cause });
         self.events.push_back(ConnEvent::FellBack);
         // Stop MPTCP signalling; plain TCP from here. The failure detector
         // stops with it — clear its timers so they cannot pin `poll_at`.
@@ -2001,13 +1813,13 @@ impl MptcpConnection {
         sf.path_state = PathState::Suspect;
         sf.probes_unanswered = 0;
         sf.probe_at = Some(now + self.cfg.failure.probe_interval);
-        self.telemetry.count(CounterId::PathSuspects);
-        let kind = EventKind::PathSuspect {
-            subflow: idx as u32,
-            rtos,
-        };
-        self.telemetry.event(now.0, kind);
-        self.trace_span(now, idx as u32, kind);
+        self.telemetry.note(
+            now.0,
+            EventKind::PathSuspect {
+                subflow: idx as u32,
+                rtos,
+            },
+        );
     }
 
     fn fail_path(&mut self, now: SimTime, idx: usize) {
@@ -2018,17 +1830,16 @@ impl MptcpConnection {
             sf.probes_unanswered = 0;
             sf.probe_at = Some(now + self.cfg.failure.probe_interval);
         }
-        self.stats.path_failures += 1;
-        self.telemetry.count(CounterId::PathFailures);
-        let kind = EventKind::PathFailed {
-            subflow: idx as u32,
-            reinjected,
-        };
-        self.telemetry.event(now.0, kind);
-        self.trace_span(now, idx as u32, kind);
+        self.telemetry.note(
+            now.0,
+            EventKind::PathFailed {
+                subflow: idx as u32,
+                reinjected,
+            },
+        );
         // Failure feeds the path manager: it may promote a pre-opened
         // backup so the scheduler's first tier is never empty.
-        let backups = self.backup_candidates(idx);
+        let backups = self.backup_candidates(&[idx]);
         let actions = self.pm.on_event(
             now,
             PmEvent::SubflowFailed {
@@ -2044,13 +1855,12 @@ impl MptcpConnection {
         sf.path_state = PathState::Active;
         sf.probe_at = None;
         sf.probes_unanswered = 0;
-        self.stats.path_recoveries += 1;
-        self.telemetry.count(CounterId::PathRecoveries);
-        let kind = EventKind::PathRecovered {
-            subflow: idx as u32,
-        };
-        self.telemetry.event(now.0, kind);
-        self.trace_span(now, idx as u32, kind);
+        self.telemetry.note(
+            now.0,
+            EventKind::PathRecovered {
+                subflow: idx as u32,
+            },
+        );
         let actions = self
             .pm
             .on_event(now, PmEvent::SubflowRecovered { subflow: idx });
@@ -2152,7 +1962,7 @@ impl MptcpConnection {
         self.reap_dead(now);
         // Interval-driven trace sampling (congestion events add their own
         // samples; this keeps the timeline dense even on quiet paths).
-        if self.tracer.sample_due(now.0) {
+        if self.telemetry.sample_due(now.0) {
             self.trace_conn_sample(now);
             for sf in &mut self.subflows {
                 if !sf.dead {
@@ -2215,22 +2025,14 @@ impl MptcpConnection {
     }
 
     fn on_data_rto(&mut self, now: SimTime) {
-        self.stats.data_rtos += 1;
-        self.telemetry.count(CounterId::DataRtos);
         self.telemetry
-            .event(now.0, EventKind::DataRto { dsn: self.snd_una });
-        self.telemetry.count(CounterId::DataAckStalls);
-        self.telemetry.event(
+            .note(now.0, EventKind::DataRto { dsn: self.snd_una });
+        self.telemetry.note(
             now.0,
             EventKind::DataAckStall {
                 dsn: self.snd_una,
                 stalled_ns: self.data_rto_interval().as_nanos() as u64,
             },
-        );
-        self.trace_span(
-            now,
-            SPAN_CONN_LEVEL,
-            EventKind::DataRto { dsn: self.snd_una },
         );
         self.trace_conn_sample(now);
         // Client-side fallback detection (§3.3.6): our DSS options are
@@ -2407,9 +2209,8 @@ impl MptcpConnection {
                         self.telemetry.count(CounterId::SchedulerStalls);
                         if !self.sched_stalled {
                             self.sched_stalled = true;
-                            self.trace_span(
-                                now,
-                                SPAN_CONN_LEVEL,
+                            self.telemetry.note(
+                                now.0,
                                 EventKind::SchedulerStall {
                                     pending_bytes: self.pending_bytes as u64,
                                     reinject_queued: self.reinject.len() as u64,
@@ -2570,19 +2371,8 @@ impl MptcpConnection {
                     },
                 );
                 self.last_opp = Some((self.snd_una, now));
-                self.stats.opportunistic_retx += 1;
-                self.telemetry.count(CounterId::M1Reinjections);
-                self.telemetry.event(
+                self.telemetry.note(
                     now.0,
-                    EventKind::M1Reinject {
-                        dsn: self.snd_una,
-                        from: culprit as u32,
-                        to: fast as u32,
-                    },
-                );
-                self.trace_span(
-                    now,
-                    culprit as u32,
                     EventKind::M1Reinject {
                         dsn: self.snd_una,
                         from: culprit as u32,
@@ -2605,21 +2395,9 @@ impl MptcpConnection {
                     sf.sock.cc_mut().set_ssthresh(half);
                     sf.sock.cc_mut().set_cwnd(half);
                     sf.last_penalty = Some(now);
-                    sf.penalties += 1;
                     let after = sf.sock.cwnd();
-                    self.stats.penalizations += 1;
-                    self.telemetry.count(CounterId::M2Penalizations);
-                    self.telemetry.event(
+                    self.telemetry.note(
                         now.0,
-                        EventKind::M2Penalize {
-                            subflow: culprit as u32,
-                            before,
-                            after,
-                        },
-                    );
-                    self.trace_span(
-                        now,
-                        culprit as u32,
                         EventKind::M2Penalize {
                             subflow: culprit as u32,
                             before,
@@ -2747,17 +2525,8 @@ impl MptcpConnection {
         self.rcv_buf_cap = new_rcv;
         self.snd_buf_cap = new_snd;
         if grew {
-            self.telemetry.count(CounterId::M3BufferGrowths);
-            self.telemetry.event(
+            self.telemetry.note(
                 now.0,
-                EventKind::M3Grow {
-                    snd_cap: self.snd_buf_cap as u64,
-                    rcv_cap: self.rcv_buf_cap as u64,
-                },
-            );
-            self.trace_span(
-                now,
-                SPAN_CONN_LEVEL,
                 EventKind::M3Grow {
                     snd_cap: self.snd_buf_cap as u64,
                     rcv_cap: self.rcv_buf_cap as u64,
@@ -2769,10 +2538,5 @@ impl MptcpConnection {
             self.telemetry
                 .gauge_set(GaugeId::RcvBufCap, self.rcv_buf_cap as u64);
         }
-    }
-
-    fn maybe_grow_sndbuf(&mut self, _incoming: usize) {
-        // Growth is driven by the same M3 formula in maybe_grow_rcvbuf;
-        // without autotuning the cap is static.
     }
 }

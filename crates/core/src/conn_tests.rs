@@ -11,12 +11,13 @@ use std::collections::HashMap;
 use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, MptcpOption, TcpOption, TcpSegment};
 
-use mptcp_telemetry::{CounterId, EventKind};
+use mptcp_telemetry::{CounterId, EventKind, TraceConfig};
 
 use crate::api::{AbortReason, WriteOutcome};
 use crate::config::{FailureDetection, Mechanisms, MptcpConfig};
 use crate::conn::{ConnEvent, MptcpConnection};
 use crate::endpoint::MptcpListener;
+use crate::pm::{EndpointFlags, PathManagerCfg, PmEndpoint};
 use crate::sched::SchedulerKind;
 use crate::subflow::PathState;
 use mptcp_tcpstack::CcAlgorithm;
@@ -258,7 +259,7 @@ fn duplicate_subflow_not_opened() {
 fn join_synack_mac_verified() {
     // Corrupt the MP_JOIN SYN/ACK MAC in flight: the client must reset
     // the subflow rather than attach it.
-    let mut w = setup(MptcpConfig::default());
+    let mut w = setup(MptcpConfig::default().with_trace(TraceConfig::enabled()));
     w.run(SimTime::from_millis(100));
     w.mangle = Some(Box::new(|_, mut seg: TcpSegment| {
         for o in &mut seg.options {
@@ -272,7 +273,12 @@ fn join_synack_mac_verified() {
         .client
         .open_subflow(Endpoint::new(C2, 1001), Endpoint::new(S1, 80), w.now);
     w.run(w.now + Duration::from_millis(300));
-    assert_eq!(w.client.stats.joins_rejected, 1);
+    assert_eq!(w.client.telemetry().counter(CounterId::JoinsRejected), 1);
+    // The rejection and the reset are both marked in the trace.
+    let trace = w.client.trace_snapshot();
+    let spans: Vec<&str> = trace.spans().map(|(_, _, k)| k.name()).collect();
+    assert!(spans.contains(&"join_rejected"), "{spans:?}");
+    assert!(spans.contains(&"subflow_reset"), "{spans:?}");
     assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 1);
     // The original subflow still works.
     w.mangle = None;
@@ -367,6 +373,40 @@ fn fallback_when_data_options_stripped() {
 }
 
 #[test]
+fn telemetry_snapshot_keeps_a_late_fallback_over_old_subflow_events() {
+    // One lossy subflow can fill its socket's event ring long before the
+    // connection falls back. The merged snapshot is chronological and
+    // keeps the newest events, so the fallback — and its cause — survive.
+    let mut w = setup(MptcpConfig::default());
+    w.mangle = Some(Box::new(|_, mut seg: TcpSegment| {
+        if !seg.flags.syn {
+            seg.options.retain(|o| !o.is_mptcp());
+        }
+        Some(seg)
+    }));
+    w.run(SimTime::from_millis(100));
+    let sock = &mut server_conn(&mut w).subflows_mut()[0].sock;
+    for i in 0..300u32 {
+        let kind = EventKind::TcpFastRetransmit { subflow: 0, seq: i };
+        sock.telemetry.note(u64::from(i), kind);
+    }
+    w.client.write(&pattern(20_000));
+    w.run(w.now + Duration::from_secs(2));
+    let s = server_conn(&mut w);
+    assert!(s.is_fallback());
+    let t = s.telemetry();
+    assert_eq!(t.counter(CounterId::Fallbacks), 1);
+    assert_eq!(t.fallback_causes().len(), 1, "the cause was evicted");
+    assert!(
+        t.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
+        "merged events are not in time order"
+    );
+    assert_eq!(t.events.len(), 256);
+    assert_eq!(t.events_total, t.events.len() as u64 + t.events_dropped);
+    assert!(t.events_total > 300);
+}
+
+#[test]
 fn subflow_failure_recovers_on_other_path() {
     // Mid-transfer, one path goes dark (all segments dropped). The
     // connection must finish over the surviving subflow — the paper's
@@ -406,11 +446,11 @@ fn subflow_failure_recovers_on_other_path() {
     // Recovery may come from the data-level timer, dead-subflow
     // re-injection, or M1 walking the stranded range — any of them proves
     // the chunks were re-routed.
-    let st = w.client.stats.clone();
-    assert!(
-        st.reinjections + st.opportunistic_retx + st.data_rtos > 0,
-        "chunks were re-routed: {st:?}"
-    );
+    let t = w.client.telemetry();
+    let rerouted = w.client.stats.reinjections
+        + t.counter(CounterId::M1Reinjections)
+        + t.counter(CounterId::DataRtos);
+    assert!(rerouted > 0, "chunks were re-routed: {:?}", w.client.stats);
 }
 
 #[test]
@@ -458,12 +498,16 @@ fn path_blackout_fails_and_recovers() {
     // Exactly-once, in-order delivery of everything written.
     assert_eq!(got.len(), written, "all written bytes delivered");
     assert_eq!(got, data[..got.len()], "stream content intact");
-    let st = w.client.stats.clone();
-    assert!(st.path_failures >= 1, "blackout detected: {st:?}");
-    assert!(st.path_recoveries >= 1, "recovery detected: {st:?}");
+    let t = w.client.telemetry();
+    assert!(t.counter(CounterId::PathFailures) >= 1, "blackout detected");
     assert!(
-        st.reinjections >= 1,
-        "break-before-make reinjection: {st:?}"
+        t.counter(CounterId::PathRecoveries) >= 1,
+        "recovery detected"
+    );
+    assert!(
+        w.client.stats.reinjections >= 1,
+        "break-before-make reinjection: {:?}",
+        w.client.stats
     );
     assert_eq!(
         w.client.subflows()[1].path_state,
@@ -541,9 +585,8 @@ fn remove_addr_of_last_subflow_aborts_not_stalls() {
     w.run(SimTime::from_millis(100));
     assert!(w.client.is_established());
 
-    let addr_id = w.client.subflows()[0].addr_id;
     let t = w.now;
-    w.client.remove_addr(addr_id, t);
+    w.client.local_addr_down(C1, t);
 
     assert_eq!(
         w.client.abort_reason(),
@@ -562,11 +605,15 @@ fn remove_addr_of_last_subflow_aborts_not_stalls() {
 
 #[test]
 fn add_addr_event_surfaces() {
-    let mut w = setup(MptcpConfig::default());
-    w.run(SimTime::from_millis(100));
-    let t = w.now;
-    server_conn(&mut w).advertise_addr(0x0a000064, Some(80), t);
-    w.run(w.now + Duration::from_millis(100));
+    // The server's path manager advertises its `signal` endpoint as soon
+    // as MPTCP is confirmed.
+    let signal = PmEndpoint::new(0x0a000064, EndpointFlags::SIGNAL).with_port(80);
+    let server_cfg = MptcpConfig::default()
+        .with_path_manager(PathManagerCfg::default().endpoint(signal))
+        .expect("a signal endpoint is a valid path-manager config");
+    let client = client_conn(MptcpConfig::default());
+    let mut w = Wire::new(client, MptcpListener::new(server_cfg, 22));
+    w.run(SimTime::from_millis(200));
     let evs = w.client.take_events();
     assert!(
         evs.iter().any(|e| matches!(
@@ -602,7 +649,7 @@ fn mechanisms_fire_on_asymmetric_paths() {
         let _ = read_all(server_conn(&mut w));
     }
     assert!(
-        w.client.stats.opportunistic_retx > 0,
+        w.client.telemetry().counter(CounterId::M1Reinjections) > 0,
         "M1 engaged: {:?}",
         w.client.stats
     );
@@ -647,10 +694,10 @@ fn remove_addr_closes_matching_subflows() {
     w.run(w.now + Duration::from_millis(200));
     assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 2);
 
-    // The client withdraws its second address (addr_id of the join).
-    let addr_id = w.client.subflows()[1].addr_id;
+    // The client loses its second address: REMOVE_ADDR for the join's
+    // addr_id goes out on the surviving subflow.
     let t = w.now;
-    w.client.remove_addr(addr_id, t);
+    w.client.local_addr_down(C2, t);
     w.run(w.now + Duration::from_millis(300));
     // The server killed the matching subflow...
     let s = server_conn(&mut w);

@@ -61,8 +61,6 @@ pub struct Subflow {
     pub backup: bool,
     /// Last time mechanism 2 penalized this subflow (at most once per RTT).
     pub last_penalty: Option<SimTime>,
-    /// Times mechanism 2 has penalized this subflow.
-    pub penalties: u64,
     /// Path health as seen by the scheduler.
     pub path_state: PathState,
     /// `sock.stats().bytes_acked` when progress was last observed.
@@ -89,7 +87,6 @@ impl Subflow {
             dead: false,
             backup: false,
             last_penalty: None,
-            penalties: 0,
             path_state: PathState::Active,
             progress_bytes: 0,
             progress_at: None,

@@ -15,10 +15,10 @@
 //! everything a receiver exposes. A second trace strips every MPTCP option
 //! after the SYN, so the receiver spends the transfer in fallback.
 
-use mptcp::{ConnStats, MptcpConfig, MptcpConnection, MptcpListener};
+use mptcp::{MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
-use mptcp_telemetry::{CounterId, GaugeId, TelemetrySnapshot};
+use mptcp_telemetry::{CounterId, GaugeId};
 
 const C1: u32 = 0x0a00_0002;
 const C2: u32 = 0x0a00_0102;
@@ -84,10 +84,7 @@ fn observe(
     let t = conn.telemetry();
     // The event ring is not compared: a batch reports one reorder
     // high-water event where sequential inserts report each step.
-    let stats = ConnStats {
-        telemetry: TelemetrySnapshot::default(),
-        ..conn.conn_stats()
-    };
+    let stats = &conn.stats;
     Observed {
         delivered,
         emitted,

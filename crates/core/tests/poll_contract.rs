@@ -23,6 +23,7 @@
 //! the subflow RTO and the connection-level data RTO are pending, then
 //! delivers wakeups with grossly exaggerated jitter.
 
+use mptcp::telemetry::CounterId;
 use mptcp::{FailureDetection, MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
@@ -48,6 +49,19 @@ fn lax_cfg() -> MptcpConfig {
 /// Drain `client.poll` at `now` (each call ticks) and return the emitted
 /// segments. Checks invariant 3 on exit: after a tick, `poll_at` never
 /// returns a deadline at or before `now`.
+/// Data-level RTOs the connection has fired.
+fn data_rtos(client: &MptcpConnection) -> u64 {
+    client.telemetry().counter(CounterId::DataRtos)
+}
+
+/// RTOs the initial subflow's socket has fired.
+fn subflow_rtos(client: &MptcpConnection) -> u64 {
+    client.subflows()[0]
+        .sock
+        .telemetry
+        .counter(CounterId::TcpRtos)
+}
+
 fn drain(client: &mut MptcpConnection, now: SimTime) -> Vec<TcpSegment> {
     let mut out = Vec::new();
     while let Some(seg) = client.poll(now) {
@@ -127,7 +141,7 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
         }
     }
     assert_eq!(warm, WARM, "warmup write must be delivered");
-    assert_eq!(client.stats.data_rtos, 0, "warmup must not need timers");
+    assert_eq!(data_rtos(&client), 0, "warmup must not need timers");
 
     // Queue data, then blackhole everything the client sends: both the
     // subflow RTO and the data-level RTO are now pending.
@@ -136,8 +150,8 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
     assert_eq!(wrote, DATA);
     let lost = drain(&mut client, now);
     assert!(!lost.is_empty(), "the write must have produced segments");
-    assert_eq!(client.stats.data_rtos, 0);
-    assert_eq!(client.subflows()[0].sock.stats.rtos, 0);
+    assert_eq!(data_rtos(&client), 0);
+    assert_eq!(subflow_rtos(&client), 0);
 
     // Invariant 3: unacked data pending ⇒ there must be a future deadline.
     let deadline = client
@@ -151,11 +165,12 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
     let retx1 = drain(&mut client, now);
     assert!(!retx1.is_empty(), "an elapsed RTO must retransmit");
     assert_eq!(
-        client.stats.data_rtos, 1,
+        data_rtos(&client),
+        1,
         "a late tick must fire the data RTO once, not once per missed interval"
     );
     assert_eq!(
-        client.subflows()[0].sock.stats.rtos,
+        subflow_rtos(&client),
         1,
         "a late tick must fire the subflow RTO once, not once per missed interval"
     );
@@ -166,8 +181,8 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
         again.is_empty(),
         "a repeated tick at the same now re-emitted"
     );
-    assert_eq!(client.stats.data_rtos, 1);
-    assert_eq!(client.subflows()[0].sock.stats.rtos, 1);
+    assert_eq!(data_rtos(&client), 1);
+    assert_eq!(subflow_rtos(&client), 1);
 
     // Second late wakeup: the timers re-armed relative to the late tick
     // (backoff included). Only the timer whose deadline elapsed fires —
@@ -178,8 +193,8 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
     now = deadline2 + Duration::from_secs(2);
     let retx2 = drain(&mut client, now);
     assert!(!retx2.is_empty(), "the elapsed deadline must retransmit");
-    let data2 = client.stats.data_rtos - 1;
-    let sub2 = client.subflows()[0].sock.stats.rtos - 1;
+    let data2 = data_rtos(&client) - 1;
+    let sub2 = subflow_rtos(&client) - 1;
     assert!(
         data2 <= 1 && sub2 <= 1,
         "no timer may fire more than once per tick (data +{data2}, subflow +{sub2})"

@@ -67,9 +67,9 @@ pub struct BlackoutOutcome {
     pub delivered_during: u64,
     /// Server bytes delivered after the link came back.
     pub delivered_after: u64,
-    /// `ConnStats::path_failures` at the end.
+    /// `CounterId::PathFailures` at the end.
     pub path_failures: u64,
-    /// `ConnStats::path_recoveries` at the end.
+    /// `CounterId::PathRecoveries` at the end.
     pub path_recoveries: u64,
     /// `ConnStats::reinjections` at the end (break-before-make evidence).
     pub reinjections: u64,
@@ -111,26 +111,19 @@ pub fn blackout_with(seed: u64, policy: Policy) -> BlackoutOutcome {
     sc.run_for(Duration::from_secs(8));
     let delivered_after = sc.server().app_bytes_received - delivered_before - delivered_during;
 
-    let (path_failures, path_recoveries, reinjections, final_state, abort, telemetry, trace) = {
+    let (reinjections, final_state, abort, telemetry, trace) = {
         let client = sc.client_mut();
         let conn = client.transport.as_mptcp().expect("mptcp client");
-        let stats = (
-            conn.stats.path_failures,
-            conn.stats.path_recoveries,
-            conn.stats.reinjections,
-        );
-        let final_state = conn.subflows()[0].path_state;
-        let abort = conn.abort_reason();
         (
-            stats.0,
-            stats.1,
-            stats.2,
-            final_state,
-            abort,
+            conn.stats.reinjections,
+            conn.subflows()[0].path_state,
+            conn.abort_reason(),
             client.transport.telemetry(),
             client.transport.trace_snapshot(),
         )
     };
+    let path_failures = telemetry.counter(CounterId::PathFailures);
+    let path_recoveries = telemetry.counter(CounterId::PathRecoveries);
     let fault_telemetry = sc.sim.faults.telemetry();
     let faults = sc.sim.faults.applied().to_vec();
 
@@ -153,14 +146,8 @@ pub fn blackout_with(seed: u64, policy: Policy) -> BlackoutOutcome {
     if final_state != PathState::Active {
         violations.push(format!("final path state {final_state:?}, expected Active"));
     }
-    for (counter, what) in [
-        (CounterId::PathSuspects, "path_suspects"),
-        (CounterId::PathFailures, "path_failures"),
-        (CounterId::PathRecoveries, "path_recoveries"),
-    ] {
-        if telemetry.counter(counter) == 0 {
-            violations.push(format!("telemetry counter {what} is zero"));
-        }
+    if telemetry.counter(CounterId::PathSuspects) == 0 {
+        violations.push("blacked-out path was never declared Suspect".into());
     }
     if !telemetry
         .events
@@ -202,7 +189,7 @@ pub struct AllPathsOutcome {
     pub abort: Option<AbortReason>,
     /// Simulated second the `ConnAborted` event fired, if it did.
     pub aborted_at_s: Option<f64>,
-    /// `ConnStats::path_failures` at the end.
+    /// `CounterId::PathFailures` at the end.
     pub path_failures: u64,
     /// Client transport telemetry.
     pub telemetry: TelemetrySnapshot,
@@ -233,15 +220,12 @@ pub fn all_paths_with(seed: u64, policy: Policy) -> AllPathsOutcome {
     sc.sim.faults.at(from, 1, FaultKind::LinkDown);
     sc.run_for(Duration::from_secs(30));
 
-    let (abort, path_failures, telemetry) = {
+    let (abort, telemetry) = {
         let client = sc.client_mut();
         let conn = client.transport.as_mptcp().expect("mptcp client");
-        (
-            conn.abort_reason(),
-            conn.stats.path_failures,
-            client.transport.telemetry(),
-        )
+        (conn.abort_reason(), client.transport.telemetry())
     };
+    let path_failures = telemetry.counter(CounterId::PathFailures);
     let aborted_at_s = telemetry.events.iter().find_map(|e| {
         matches!(e.kind, EventKind::ConnAborted { .. }).then_some(e.at_ns as f64 / 1e9)
     });

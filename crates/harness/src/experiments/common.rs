@@ -258,42 +258,39 @@ pub fn run_bulk_traced_with(
         seed,
     );
     sc.sim.capture = PacketCapture::new(capture);
+    measure_bulk(&mut sc, warmup, measure)
+}
+
+/// Run `sc` for `warmup`, then for `measure`, and collect the rates and
+/// memory means of the measurement window plus the client's telemetry,
+/// trace and the simulator's capture at the end.
+pub(crate) fn measure_bulk(
+    sc: &mut Scenario,
+    warmup: Duration,
+    measure: Duration,
+) -> TracedBulkResult {
     sc.run_for(warmup);
     let delivered0 = sc.server().app_bytes_received;
-    let scheduled0 = scheduled_bytes(&mut sc);
+    let scheduled0 = scheduled_bytes(sc);
     let t0 = sc.sim.now;
     sc.run_for(measure);
     let elapsed = sc.sim.now - t0;
     let delivered = sc.server().app_bytes_received - delivered0;
-    let scheduled = scheduled_bytes(&mut sc) - scheduled0;
-    let warm = t0;
-    let (smem, rmem, fell_back, telemetry, trace) = {
-        let client = sc.client();
-        let smem = client.mem_sampler.mean_after(warm);
-        let fell = match &client.transport {
-            crate::transport::Transport::Mptcp(c) => c.is_fallback(),
-            _ => false,
-        };
-        let telemetry = client.transport.telemetry();
-        let trace = client.transport.trace_snapshot();
-        (
-            smem,
-            sc.server().mem_sampler.mean_after(warm),
-            fell,
-            telemetry,
-            trace,
-        )
-    };
+    let scheduled = scheduled_bytes(sc) - scheduled0;
+    let client = sc.client();
     TracedBulkResult {
         bulk: BulkResult {
             goodput_mbps: Rates::mbps(delivered, elapsed),
             throughput_mbps: Rates::mbps(scheduled, elapsed),
-            sender_mem: smem,
-            receiver_mem: rmem,
-            fell_back,
-            telemetry,
+            sender_mem: client.mem_sampler.mean_after(t0),
+            receiver_mem: sc.server().mem_sampler.mean_after(t0),
+            fell_back: match &client.transport {
+                crate::transport::Transport::Mptcp(c) => c.is_fallback(),
+                _ => false,
+            },
+            telemetry: client.transport.telemetry(),
         },
-        trace,
+        trace: client.transport.trace_snapshot(),
         capture: sc.sim.capture.snapshot(),
     }
 }

@@ -24,11 +24,10 @@ use mptcp::{Mechanisms, MptcpConfig};
 use mptcp_middlebox::PayloadModifier;
 use mptcp_netsim::{CaptureConfig, Duration, LinkCfg, PacketCapture, Path};
 
-use super::common::{run_bulk_traced_with, scheduled_bytes, wifi_3g_paths};
-use super::common::{BulkResult, Policy, TracedBulkResult, Variant};
+use super::common::{measure_bulk, run_bulk_traced_with, wifi_3g_paths};
+use super::common::{Policy, TracedBulkResult, Variant};
 use super::fig9_wifi3g::capped_wifi;
 use crate::hosts::{ClientApp, ServerApp};
-use crate::metrics::Rates;
 use crate::report::RunReport;
 use crate::scenario::{Scenario, TransportKind};
 
@@ -200,38 +199,7 @@ fn run_fallback(
         seed,
     );
     sc.sim.capture = PacketCapture::new(capture);
-    let t0 = sc.sim.now;
-    sc.run_for(Duration::from_secs(30));
-    let elapsed = sc.sim.now - t0;
-    let delivered = sc.server().app_bytes_received;
-    let scheduled = scheduled_bytes(&mut sc);
-    let (smem, rmem, fell_back, telemetry, trace) = {
-        let client = sc.client();
-        let smem = client.mem_sampler.mean_after(t0);
-        let fell = match &client.transport {
-            crate::transport::Transport::Mptcp(c) => c.is_fallback(),
-            _ => false,
-        };
-        (
-            smem,
-            sc.server().mem_sampler.mean_after(t0),
-            fell,
-            client.transport.telemetry(),
-            client.transport.trace_snapshot(),
-        )
-    };
-    TracedBulkResult {
-        bulk: BulkResult {
-            goodput_mbps: Rates::mbps(delivered, elapsed),
-            throughput_mbps: Rates::mbps(scheduled, elapsed),
-            sender_mem: smem,
-            receiver_mem: rmem,
-            fell_back,
-            telemetry,
-        },
-        trace,
-        capture: sc.sim.capture.snapshot(),
-    }
+    measure_bulk(&mut sc, Duration::ZERO, Duration::from_secs(30))
 }
 
 /// Render a gnuplot-ready timeline: blank-line-separated blocks selected

@@ -3,6 +3,7 @@
 //! helpers produce machine-readable series and per-run JSON reports that
 //! embed the transport's [`TelemetrySnapshot`]).
 
+use mptcp::telemetry::json::Writer;
 use mptcp::telemetry::{TelemetrySnapshot, TraceSnapshot};
 
 /// A labelled series of (x, y) points.
@@ -142,44 +143,30 @@ impl RunReport {
     /// Serialize as a single JSON object. Non-finite metric values render
     /// as `null` so the output stays valid JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"experiment\":{},\"label\":{},\"metrics\":{{",
-            json_str(&self.experiment),
-            json_str(&self.label)
-        ));
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("experiment").string(&self.experiment);
+        w.key("label").string(&self.label);
         if let Some((cc, sched, pm)) = &self.policy {
-            // Re-open the object: policy slots in before "metrics".
-            let metrics_open = out.len() - "\"metrics\":{".len();
-            out.truncate(metrics_open);
-            out.push_str(&format!(
-                "\"policy\":{{\"cc\":{},\"sched\":{},\"pm\":{}}},\"metrics\":{{",
-                json_str(cc),
-                json_str(sched),
-                json_str(pm)
-            ));
+            w.key("policy").begin_object();
+            w.key("cc").string(cc).key("sched").string(sched);
+            w.key("pm").string(pm).end_object();
         }
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            if value.is_finite() {
-                out.push_str(&format!("{}:{}", json_str(name), value));
-            } else {
-                out.push_str(&format!("{}:null", json_str(name)));
-            }
+        w.key("metrics").begin_object();
+        for (name, value) in &self.metrics {
+            w.key(name).float(*value);
         }
-        out.push_str("},\"telemetry\":");
-        out.push_str(&self.telemetry.to_json());
+        w.end_object().key("telemetry");
+        self.telemetry.write_json(&mut w);
         if let Some(t) = &self.trace {
-            out.push_str(&format!(
-                ",\"trace\":{{\"records\":{},\"total\":{},\"dropped_samples\":{},\
-                 \"spans\":{},\"subflows\":{}}}",
-                t.records, t.total, t.dropped_samples, t.spans, t.subflows
-            ));
+            w.key("trace").begin_object();
+            w.key("records").raw(t.records).key("total").raw(t.total);
+            w.key("dropped_samples").raw(t.dropped_samples);
+            w.key("spans").raw(t.spans).key("subflows").raw(t.subflows);
+            w.end_object();
         }
-        out.push('}');
-        out
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -194,24 +181,6 @@ pub fn to_json_lines(reports: &[RunReport]) -> String {
         out.push_str(&r.to_json());
     }
     out.push_str("\n]");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -290,7 +259,11 @@ mod tests {
 
     #[test]
     fn json_string_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let json = RunReport::new("a\"b\\c\n", "y", TelemetrySnapshot::default()).to_json();
+        assert!(
+            json.starts_with("{\"experiment\":\"a\\\"b\\\\c\\n\","),
+            "{json}"
+        );
     }
 
     #[test]

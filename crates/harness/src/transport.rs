@@ -155,13 +155,13 @@ impl Transport {
         }
     }
 
-    /// Time-series trace snapshot: connection + per-subflow tracers merged
-    /// and time-sorted, or the lone socket's tracer for the TCP baseline.
+    /// Time-series trace snapshot: connection + per-subflow trace rings
+    /// merged and time-sorted, or the lone socket's for the TCP baseline.
     /// Empty unless the transport was configured with tracing enabled.
     pub fn trace_snapshot(&self) -> mptcp::telemetry::TraceSnapshot {
         match self {
             Transport::Mptcp(c) => c.trace_snapshot(),
-            Transport::Tcp(s) => mptcp::telemetry::TraceSnapshot::merge(vec![s.tracer.snapshot()]),
+            Transport::Tcp(s) => s.telemetry.trace_snapshot(),
         }
     }
 }

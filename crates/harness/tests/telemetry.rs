@@ -86,16 +86,16 @@ fn checksum_corruption_records_fallback_cause() {
     );
     sc.run_for(Duration::from_secs(30));
 
-    // The receiver detects the mangled payload; its ConnStats must carry
+    // The receiver detects the mangled payload; its telemetry must carry
     // both the raw counter and the recorded fallback cause.
-    let stats = sc.server().listener.conns[0].conn_stats();
+    let server = sc.server().listener.conns[0].telemetry();
     assert!(
-        stats.telemetry.counter(CounterId::ChecksumFailures) > 0,
+        server.counter(CounterId::ChecksumFailures) > 0,
         "no checksum failures recorded:\n{}",
-        stats.telemetry.render_table()
+        server.render_table()
     );
-    assert!(stats.telemetry.counter(CounterId::Fallbacks) > 0);
-    let causes = stats.telemetry.fallback_causes();
+    assert!(server.counter(CounterId::Fallbacks) > 0);
+    let causes = server.fallback_causes();
     assert!(
         causes.contains(&FallbackCause::ChecksumFail),
         "fallback causes: {causes:?}"

@@ -119,8 +119,8 @@ fn fig9_trace_artifacts_are_pinned() {
         "fig9",
         &trace_rows(&art),
         &[
-            ("report.json", 4502, 0xbe9543b532277bd5),
-            ("report_lines.json", 4506, 0xca1968e45c308b95),
+            ("report.json", 4502, 0x46d24955b56acc03),
+            ("report_lines.json", 4506, 0x043f493f19bb3c9f),
             ("trace.jsonl", 3851126, 0xbaed3d14e49b44bd),
             ("trace.csv", 2197796, 0x5382c736754307b1),
             ("pcap.jsonl", 5075358, 0x8d5f6043f59f1341),
@@ -168,7 +168,7 @@ fn chaos_blackout_artifacts_are_pinned() {
         "chaos blackout",
         &rows,
         &[
-            ("report.json", 17601, 0x943e405c901c2017),
+            ("report.json", 17601, 0x13a2c8502d8d3e8f),
             ("trace.jsonl", 2194196, 0xe065659877daf664),
             ("trace.csv", 1258896, 0xb6bf7e1977b8dbc3),
             ("faults.json", 150, 0xd0ab9ee28e6d38ef),

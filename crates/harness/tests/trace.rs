@@ -48,7 +48,7 @@ fn fallback_trace_options_end_before_fallback_span() {
 /// The zero-cost contract at the harness level: a run with tracing and
 /// capture disabled records no samples and no packets — the disabled
 /// tracer holds no buffer (allocation-freedom of the write path is
-/// asserted by `Tracer::capacity()` in the telemetry unit tests).
+/// asserted in the telemetry unit tests).
 #[test]
 fn disabled_tracing_records_nothing() {
     let r = run_bulk_traced(

@@ -8,11 +8,13 @@
 //! emitted) carry a `mutated` annotation, so a trace shows *what the
 //! network did to the traffic*, not just what the endpoints saw.
 //!
-//! Like the [`Tracer`](mptcp_telemetry::Tracer), capture is zero-cost when
-//! disabled (one branch, no allocation) and bounded when enabled: a
-//! fixed-capacity ring plus a `dropped_records` counter.
+//! Like the trace ring in `mptcp_telemetry`, capture is zero-cost when
+//! disabled (one branch, no allocation) and bounded when enabled: the same
+//! [`Ring`] plus a `dropped_records` counter.
 
 use mptcp_packet::{MptcpOption, TcpSegment};
+use mptcp_telemetry::json::Writer;
+use mptcp_telemetry::Ring;
 
 use crate::path::Dir;
 
@@ -122,28 +124,25 @@ impl CaptureRecord {
 
     /// Render as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let opts: Vec<String> = self.mptcp.iter().map(|o| format!("\"{o}\"")).collect();
-        format!(
-            "{{\"type\":\"packet\",\"at_ns\":{},\"path\":{},\"dir\":\"{}\",\
-             \"src\":\"{}:{}\",\"dst\":\"{}:{}\",\"seq\":{},\"ack\":{},\
-             \"flags\":\"{}\",\"payload_len\":{},\"wire_len\":{},\
-             \"mptcp\":[{}],\"mutated\":{},\"fate\":\"{}\"}}",
-            self.at_ns,
-            self.path,
-            if self.fwd { "fwd" } else { "rev" },
-            self.src.0,
-            self.src.1,
-            self.dst.0,
-            self.dst.1,
-            self.seq,
-            self.ack,
-            self.flags,
-            self.payload_len,
-            self.wire_len,
-            opts.join(","),
-            self.mutated,
-            self.fate.name(),
-        )
+        let mut w = Writer::new();
+        w.begin_object().key("type").string("packet");
+        w.key("at_ns").raw(self.at_ns).key("path").raw(self.path);
+        w.key("dir").string(if self.fwd { "fwd" } else { "rev" });
+        w.key("src")
+            .string(&format!("{}:{}", self.src.0, self.src.1));
+        w.key("dst")
+            .string(&format!("{}:{}", self.dst.0, self.dst.1));
+        w.key("seq").raw(self.seq).key("ack").raw(self.ack);
+        w.key("flags").string(&self.flags);
+        w.key("payload_len").raw(self.payload_len);
+        w.key("wire_len").raw(self.wire_len);
+        w.key("mptcp").begin_array();
+        for o in &self.mptcp {
+            w.string(o);
+        }
+        w.end_array().key("mutated").raw(self.mutated);
+        w.key("fate").string(self.fate.name()).end_object();
+        w.finish()
     }
 }
 
@@ -213,34 +212,23 @@ fn flag_string(seg: &TcpSegment) -> String {
 }
 
 /// Bounded per-simulation packet capture.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PacketCapture {
-    enabled: bool,
-    buf: Vec<CaptureRecord>,
-    capacity: usize,
-    head: usize,
-    total: u64,
+    ring: Ring<CaptureRecord>,
 }
 
 impl PacketCapture {
     /// A capture honoring `cfg` (disabled config ⇒ permanent no-op).
     pub fn new(cfg: CaptureConfig) -> PacketCapture {
-        if !cfg.enabled || cfg.capacity == 0 {
-            return PacketCapture::default();
-        }
         PacketCapture {
-            enabled: true,
-            buf: Vec::with_capacity(cfg.capacity),
-            capacity: cfg.capacity,
-            head: 0,
-            total: 0,
+            ring: Ring::new(if cfg.enabled { cfg.capacity } else { 0 }),
         }
     }
 
     /// Is this capture recording?
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.ring.is_enabled()
     }
 
     /// Record one segment observation (no-op when disabled; all decoding
@@ -254,10 +242,10 @@ impl PacketCapture {
         mutated: bool,
         fate: PacketFate,
     ) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
-        let rec = CaptureRecord {
+        self.ring.push(CaptureRecord {
             at_ns,
             path,
             fwd: dir == Dir::Fwd,
@@ -271,39 +259,29 @@ impl PacketCapture {
             mptcp: seg.mptcp_options().map(summarize_option).collect(),
             mutated,
             fate,
-        };
-        self.total += 1;
-        if self.buf.len() < self.capacity {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-        }
+        });
     }
 
     /// Records ever offered, including overwritten ones.
     pub fn total(&self) -> u64 {
-        self.total
+        self.ring.total()
     }
 
     /// Records overwritten to make room.
     pub fn dropped_records(&self) -> u64 {
-        self.total - self.buf.len() as u64
+        self.ring.dropped()
     }
 
-    /// Allocated ring capacity (0 when disabled).
+    /// Ring capacity (0 when disabled).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// An immutable copy of the retained records and bookkeeping.
     pub fn snapshot(&self) -> CaptureSnapshot {
-        let mut records: Vec<CaptureRecord> = Vec::with_capacity(self.buf.len());
-        records.extend_from_slice(&self.buf[self.head..]);
-        records.extend_from_slice(&self.buf[..self.head]);
         CaptureSnapshot {
-            records,
-            total: self.total,
+            records: self.ring.iter().cloned().collect(),
+            total: self.total(),
             dropped_records: self.dropped_records(),
         }
     }
@@ -328,13 +306,14 @@ impl CaptureSnapshot {
             out.push_str(&r.to_json());
             out.push('\n');
         }
-        out.push_str(&format!(
-            "{{\"type\":\"capture_summary\",\"records\":{},\"total\":{},\
-             \"dropped_records\":{}}}\n",
-            self.records.len(),
-            self.total,
-            self.dropped_records
-        ));
+        let mut w = Writer::new();
+        w.begin_object().key("type").string("capture_summary");
+        w.key("records").raw(self.records.len());
+        w.key("total").raw(self.total);
+        w.key("dropped_records").raw(self.dropped_records);
+        w.end_object();
+        out.push_str(&w.finish());
+        out.push('\n');
         out
     }
 }

@@ -199,7 +199,7 @@ impl FaultSchedule {
                 path.fwd.up = false;
                 path.rev.up = false;
                 self.telemetry
-                    .event(now.0, EventKind::BlackoutInjected { path: pid as u32 });
+                    .note(now.0, EventKind::BlackoutInjected { path: pid as u32 });
             }
             FaultKind::LinkUp => {
                 path.fwd.up = true;
@@ -210,7 +210,7 @@ impl FaultSchedule {
                 path.rev.up = false;
                 self.restores.push((now + duration, pid, Restore::LinkUp));
                 self.telemetry
-                    .event(now.0, EventKind::BlackoutInjected { path: pid as u32 });
+                    .note(now.0, EventKind::BlackoutInjected { path: pid as u32 });
             }
             FaultKind::LossBurst { loss, duration } => {
                 self.save_cfgs(now + duration, pid, path);
@@ -239,7 +239,7 @@ impl FaultSchedule {
                 path.rev.up = false;
                 self.addr_events.push((addr, false));
                 self.telemetry
-                    .event(now.0, EventKind::BlackoutInjected { path: pid as u32 });
+                    .note(now.0, EventKind::BlackoutInjected { path: pid as u32 });
             }
             FaultKind::AddrUp { addr } => {
                 path.fwd.up = true;

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use mptcp_packet::TcpSegment;
 
-use crate::capture::{PacketCapture, PacketFate};
+use crate::capture::{CaptureConfig, PacketCapture, PacketFate};
 use crate::event::EventQueue;
 use crate::fault::FaultSchedule;
 use crate::path::{Dir, Path};
@@ -90,7 +90,7 @@ pub struct Sim<H: Host> {
     pub routing_drops: u64,
     /// Pcap-like per-link capture; disabled (and free) by default. Enable
     /// via [`PacketCapture::new`] with an enabled
-    /// [`CaptureConfig`](crate::capture::CaptureConfig).
+    /// [`CaptureConfig`].
     pub capture: PacketCapture,
     /// Timed fault events (blackouts, loss bursts, middlebox churn)
     /// applied to paths as the clock reaches them; empty by default.
@@ -111,7 +111,7 @@ impl<H: Host> Sim<H> {
             deliveries: EventQueue::new(),
             rng: SimRng::new(seed),
             routing_drops: 0,
-            capture: PacketCapture::default(),
+            capture: PacketCapture::new(CaptureConfig::disabled()),
             faults: FaultSchedule::default(),
             outbox: Outbox::default(),
         }

@@ -399,9 +399,14 @@ fn render_conn_detail(ctx: &AdminCtx<'_>, i: usize) -> String {
         s.bytes_scheduled,
         conn.data_outstanding(),
     ));
+    let t = conn.telemetry();
     out.push_str(&format!(
         "  reinjections {}  penalizations {}  data_rtos {}  path_failures {}  path_recoveries {}\n",
-        s.reinjections, s.penalizations, s.data_rtos, s.path_failures, s.path_recoveries,
+        s.reinjections,
+        t.counter(CounterId::M2Penalizations),
+        t.counter(CounterId::DataRtos),
+        t.counter(CounterId::PathFailures),
+        t.counter(CounterId::PathRecoveries),
     ));
     for (k, sf) in conn.subflows().iter().enumerate() {
         let t = sf.sock.tuple();
@@ -428,8 +433,8 @@ fn render_conn_detail(ctx: &AdminCtx<'_>, i: usize) -> String {
             sf.sock.rto().as_millis(),
             sf.sock.stats.bytes_out,
             sf.sock.stats.bytes_acked,
-            sf.sock.stats.rtos,
-            sf.sock.stats.fast_retransmits,
+            sf.sock.telemetry.counter(CounterId::TcpRtos),
+            sf.sock.telemetry.counter(CounterId::TcpFastRetransmits),
         ));
     }
     out

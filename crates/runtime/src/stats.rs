@@ -10,6 +10,7 @@
 //! `RunReport` all read the same names from the same ids and cannot drift.
 
 use mptcp_packet::PoolStats;
+use mptcp_telemetry::json::Writer;
 use mptcp_telemetry::{CounterId, GaugeId, LogHistogram, Recorder};
 
 /// The ids the runtime loop itself owns are the registry's `rt_*` rows.
@@ -89,30 +90,22 @@ impl RuntimeStats {
     /// `rt_*` gauge as `<name>` (current) plus `<name>_peak` (high-water),
     /// then the skew quantiles.
     pub fn json_fields(&self) -> String {
-        let mut out = String::new();
+        let mut w = Writer::new();
         for id in CounterId::ALL
             .into_iter()
             .filter(|id| is_runtime(id.name()))
         {
-            out.push_str(&format!("\"{}\":{},", id.name(), self.rec.counter(id)));
+            w.key(id.name()).raw(self.rec.counter(id));
         }
         for id in GaugeId::ALL.into_iter().filter(|id| is_runtime(id.name())) {
             let g = self.rec.gauge(id);
-            out.push_str(&format!(
-                "\"{}\":{},\"{}_peak\":{},",
-                id.name(),
-                g.current,
-                id.name(),
-                g.max
-            ));
+            w.key(id.name()).raw(g.current);
+            w.key(&format!("{}_peak", id.name())).raw(g.max);
         }
-        out.push_str(&format!(
-            "\"rt_tick_skew_p50_ns\":{},\"rt_tick_skew_p99_ns\":{},\"rt_tick_skew_max_ns\":{}",
-            self.skew.quantile(0.50),
-            self.skew.quantile(0.99),
-            self.skew.max()
-        ));
-        out
+        w.key("rt_tick_skew_p50_ns").raw(self.skew.quantile(0.50));
+        w.key("rt_tick_skew_p99_ns").raw(self.skew.quantile(0.99));
+        w.key("rt_tick_skew_max_ns").raw(self.skew.max());
+        w.finish()
     }
 }
 

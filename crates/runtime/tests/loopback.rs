@@ -53,7 +53,7 @@ fn spawn_server(
                 .iter()
                 .map(|s| s.sock.stats.bytes_out)
                 .collect(),
-            path_failures: conn.stats.path_failures,
+            path_failures: conn.telemetry().counter(CounterId::PathFailures),
             reinjections: conn.stats.reinjections,
         }
     });

@@ -3,7 +3,17 @@
 use mptcp_netsim::Duration;
 use mptcp_telemetry::TraceConfig;
 
-/// Tunables for a [`crate::TcpSocket`].
+/// Window-scale shift every socket advertises (RFC 1323).
+pub const WSCALE: u8 = 14;
+
+/// Initial congestion window in segments (RFC 6928).
+pub const INIT_CWND_SEGS: u32 = 10;
+
+/// Tunables for a [`crate::TcpSocket`]. What no experiment, example or
+/// test ever varied is not here: every data segment is acked at once (no
+/// delayed-ACK timer), RFC 1323 timestamps are always carried (they are
+/// the RTT sampler), a retried SYN always drops its extension options
+/// (§3.1), and [`WSCALE`] / [`INIT_CWND_SEGS`] are constants.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes per segment).
@@ -12,12 +22,6 @@ pub struct TcpConfig {
     pub send_buf: usize,
     /// Maximum receive buffer in bytes (autotuning grows toward this).
     pub recv_buf: usize,
-    /// Window-scale shift we advertise (RFC 1323).
-    pub wscale: u8,
-    /// Initial congestion window in segments.
-    pub init_cwnd_segs: u32,
-    /// Delayed-ACK timer; `None` acks every data segment immediately.
-    pub delayed_ack: Option<Duration>,
     /// Enable send/receive buffer autotuning (start small, grow on demand).
     pub autotune: bool,
     /// Cap cwnd when smoothed RTT exceeds twice the base RTT (the paper's
@@ -27,12 +31,6 @@ pub struct TcpConfig {
     pub min_rto: Duration,
     /// Maximum retransmission timeout.
     pub max_rto: Duration,
-    /// Carry RFC 1323 timestamps (used for RTT sampling).
-    pub timestamps: bool,
-    /// After a SYN retransmission, drop unacknowledged extension options
-    /// from the retried SYN (§3.1: "follow the retransmitted SYN with one
-    /// that omits the MP_CAPABLE option").
-    pub plain_syn_on_retry: bool,
     /// Time-series tracing of cwnd/ssthresh/srtt/in-flight on congestion
     /// events and a periodic interval. Disabled by default (zero-cost).
     pub trace: TraceConfig,
@@ -44,15 +42,10 @@ impl Default for TcpConfig {
             mss: 1460,
             send_buf: 2 * 1024 * 1024,
             recv_buf: 2 * 1024 * 1024,
-            wscale: 14,
-            init_cwnd_segs: 10,
-            delayed_ack: None,
             autotune: false,
             cap_cwnd_on_bufferbloat: false,
             min_rto: Duration::from_millis(200),
             max_rto: Duration::from_secs(60),
-            timestamps: true,
-            plain_syn_on_retry: true,
             trace: TraceConfig::disabled(),
         }
     }
@@ -79,7 +72,6 @@ mod tests {
         let c = TcpConfig::default();
         assert_eq!(c.mss, 1460);
         assert!(c.min_rto < c.max_rto);
-        assert!(c.init_cwnd_segs >= 1);
     }
 
     #[test]

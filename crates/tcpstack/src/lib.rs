@@ -39,7 +39,7 @@ pub use cc::{
     CcAlgorithm, CongestionControl, CoupledCubic, CoupledSignal, CoupledState, FlowView, Lia, Olia,
     Reno,
 };
-pub use config::TcpConfig;
+pub use config::{TcpConfig, INIT_CWND_SEGS};
 pub use rtt::RttEstimator;
 pub use socket::{SocketStats, TcpSocket};
 pub use state::TcpState;

@@ -9,16 +9,18 @@
 use bytes::Bytes;
 use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::{FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
-use mptcp_telemetry::{CounterId, EventKind, Recorder, TraceRecord, Tracer};
+use mptcp_telemetry::{CounterId, EventKind, Recorder, TraceRecord, DEFAULT_EVENT_CAPACITY};
 
 use crate::cc::{CongestionControl, Reno};
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, INIT_CWND_SEGS, WSCALE};
 use crate::recvbuf::RecvQueue;
 use crate::rtt::RttEstimator;
 use crate::sendbuf::{SegmentData, SendQueue};
 use crate::state::TcpState;
 
-/// Counters for instrumentation and the paper's measurements.
+/// Plain tallies with no telemetry twin. RTOs, fast retransmits,
+/// retransmitted segments and zero-window probes are counted once, in the
+/// socket's [`Recorder`] (`CounterId::Tcp*`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SocketStats {
     /// Segments emitted.
@@ -29,16 +31,8 @@ pub struct SocketStats {
     pub bytes_out: u64,
     /// Payload bytes cumulatively acknowledged.
     pub bytes_acked: u64,
-    /// Fast retransmissions triggered.
-    pub fast_retransmits: u64,
-    /// Retransmission timeouts fired.
-    pub rtos: u64,
     /// SYN retransmissions.
     pub syn_retransmits: u64,
-    /// Segments retransmitted (any reason).
-    pub retransmitted_segs: u64,
-    /// Pure window-probe segments sent.
-    pub probes: u64,
 }
 
 /// A single TCP connection endpoint.
@@ -63,13 +57,11 @@ pub struct TcpSocket {
     rtt: RttEstimator,
     cc: Box<dyn CongestionControl>,
     effective_mss: usize,
-    peer_wscale: u8,
 
     // Timers.
     rto_deadline: Option<SimTime>,
     rto_backoff: u32,
     consecutive_rtos: u32,
-    delack_deadline: Option<SimTime>,
     persist_deadline: Option<SimTime>,
     persist_backoff: u32,
     timewait_deadline: Option<SimTime>,
@@ -118,16 +110,14 @@ pub struct TcpSocket {
     error: bool,
     /// Counters.
     pub stats: SocketStats,
-    /// Structured telemetry: counters plus a bounded event ring. An MPTCP
-    /// connection absorbs this into its own recorder per snapshot.
+    /// Structured telemetry: counters, a bounded event ring and — when
+    /// `cfg.trace` is on — the cwnd/ssthresh/srtt/in-flight series sampled
+    /// on every congestion-control event plus the configured interval. An
+    /// MPTCP connection absorbs this into its own recorder per snapshot.
     pub telemetry: Recorder,
     /// Tag stamped into telemetry events (the owning subflow's index;
     /// 0 for plain TCP).
     telemetry_tag: u32,
-    /// Time-series tracer: cwnd/ssthresh/srtt/in-flight samples on every
-    /// congestion-control event plus the configured interval. Disabled by
-    /// default (config-gated, no allocation, one branch on the hot path).
-    pub tracer: Tracer,
 }
 
 impl TcpSocket {
@@ -173,7 +163,7 @@ impl TcpSocket {
 
     fn common(cfg: TcpConfig, tuple: FourTuple, iss: SeqNum, now: SimTime) -> TcpSocket {
         let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
-        let cc = Box::new(Reno::new(cfg.mss as u32, cfg.init_cwnd_segs));
+        let cc = Box::new(Reno::new(cfg.mss as u32, INIT_CWND_SEGS));
         let rbuf = if cfg.autotune {
             (16 * cfg.mss).min(cfg.recv_buf)
         } else {
@@ -201,11 +191,9 @@ impl TcpSocket {
             sbuf_cap: sbuf,
             rtt,
             cc,
-            peer_wscale: 0,
             rto_deadline: None,
             rto_backoff: 1,
             consecutive_rtos: 0,
-            delack_deadline: None,
             persist_deadline: None,
             persist_backoff: 1,
             timewait_deadline: None,
@@ -235,9 +223,8 @@ impl TcpSocket {
             rx_mptcp: Vec::new(),
             error: false,
             stats: SocketStats::default(),
-            telemetry: Recorder::new(),
+            telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
             telemetry_tag: 0,
-            tracer: Tracer::new(cfg.trace),
             cfg,
         }
     }
@@ -248,18 +235,12 @@ impl TcpSocket {
         self.telemetry_tag = tag;
     }
 
-    /// Replace the tracer (the MPTCP connection installs one per subflow
-    /// from its own trace configuration).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
     /// Record a [`TraceRecord::SubflowSample`] of the congestion and
     /// sequence state. Called internally on every congestion-control
     /// event; the owning connection also calls it on the sampling
     /// interval. One branch and no work when tracing is disabled.
     pub fn trace_sample(&mut self, now: SimTime) {
-        if !self.tracer.is_enabled() {
+        if !self.telemetry.tracing() {
             return;
         }
         let rec = TraceRecord::SubflowSample {
@@ -272,18 +253,7 @@ impl TcpSocket {
             snd_nxt: self.snd_nxt.0,
             rcv_nxt: self.rcv_nxt.0,
         };
-        self.tracer.record(rec);
-    }
-
-    /// Record a span event against this subflow's trace series.
-    fn trace_span(&mut self, now: SimTime, kind: EventKind) {
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceRecord::Span {
-                at_ns: now.0,
-                subflow: self.telemetry_tag,
-                kind,
-            });
-        }
+        self.telemetry.sample(rec);
     }
 
     // ------------------------------------------------------------------
@@ -572,7 +542,6 @@ impl TcpSocket {
 
     fn clear_timers(&mut self) {
         self.rto_deadline = None;
-        self.delack_deadline = None;
         self.persist_deadline = None;
         self.timewait_deadline = None;
     }
@@ -656,7 +625,7 @@ impl TcpSocket {
         }
 
         if !seg.payload.is_empty() {
-            self.process_payload(now, seg);
+            self.process_payload(seg);
         }
 
         if seg.flags.fin {
@@ -811,17 +780,8 @@ impl TcpSocket {
                 self.cc
                     .on_fast_retransmit(now, self.bytes_in_flight().min(self.cc.cwnd()));
                 self.pending_retransmit = Some(self.snd_una);
-                self.stats.fast_retransmits += 1;
-                self.telemetry.count(CounterId::TcpFastRetransmits);
-                self.telemetry.event(
+                self.telemetry.note(
                     now.0,
-                    EventKind::TcpFastRetransmit {
-                        subflow: self.telemetry_tag,
-                        seq: self.snd_una.0,
-                    },
-                );
-                self.trace_span(
-                    now,
                     EventKind::TcpFastRetransmit {
                         subflow: self.telemetry_tag,
                         seq: self.snd_una.0,
@@ -862,16 +822,8 @@ impl TcpSocket {
             if cap < self.cc.cwnd() {
                 self.cc.set_cwnd(cap.max(2 * self.effective_mss as u32));
                 self.last_cap_at = Some(now);
-                self.telemetry.count(CounterId::M4CwndCaps);
-                self.telemetry.event(
+                self.telemetry.note(
                     now.0,
-                    EventKind::M4Cap {
-                        subflow: self.telemetry_tag,
-                        cap: self.cc.cwnd(),
-                    },
-                );
-                self.trace_span(
-                    now,
                     EventKind::M4Cap {
                         subflow: self.telemetry_tag,
                         cap: self.cc.cwnd(),
@@ -885,7 +837,7 @@ impl TcpSocket {
         self.snd_nxt
     }
 
-    fn process_payload(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn process_payload(&mut self, seg: &TcpSegment) {
         if !self.state.can_receive() {
             self.need_ack = true;
             return;
@@ -925,23 +877,9 @@ impl TcpSocket {
         self.rcv_nxt += advanced as u32;
         self.maybe_grow_rbuf();
 
-        if advanced > 0 {
-            match self.cfg.delayed_ack {
-                None => self.need_ack = true,
-                Some(d) => {
-                    if self.delack_deadline.is_some() {
-                        // Second segment: ack immediately (ack every other).
-                        self.need_ack = true;
-                        self.delack_deadline = None;
-                    } else {
-                        self.delack_deadline = Some(now + d);
-                    }
-                }
-            }
-        } else {
-            // Out-of-order or duplicate: immediate (dup) ACK.
-            self.need_ack = true;
-        }
+        // In order, out of order or duplicate: every data segment is
+        // acked at once (a dup ACK in the latter two cases).
+        self.need_ack = true;
     }
 
     fn maybe_grow_rbuf(&mut self) {
@@ -1003,14 +941,8 @@ impl TcpSocket {
 
     fn absorb_syn_options(&mut self, seg: &TcpSegment) {
         for o in &seg.options {
-            match o {
-                TcpOption::Mss(m) => {
-                    self.effective_mss = self.effective_mss.min(*m as usize);
-                }
-                TcpOption::WindowScale(s) => {
-                    self.peer_wscale = *s;
-                }
-                _ => {}
+            if let TcpOption::Mss(m) = o {
+                self.effective_mss = self.effective_mss.min(*m as usize);
             }
         }
     }
@@ -1051,7 +983,6 @@ impl TcpSocket {
             return Some(SimTime::ZERO); // poll me right now
         }
         let mut t = self.rto_deadline;
-        t = opt_min(t, self.delack_deadline);
         t = opt_min(t, self.persist_deadline);
         t = opt_min(t, self.timewait_deadline);
         t
@@ -1187,12 +1118,6 @@ impl TcpSocket {
                 return;
             }
         }
-        if let Some(t) = self.delack_deadline {
-            if t <= now {
-                self.delack_deadline = None;
-                self.need_ack = true;
-            }
-        }
         if let Some(t) = self.persist_deadline {
             if t <= now {
                 self.probe_pending = true;
@@ -1213,17 +1138,8 @@ impl TcpSocket {
 
     fn on_rto(&mut self, now: SimTime) {
         self.consecutive_rtos += 1;
-        self.stats.rtos += 1;
-        self.telemetry.count(CounterId::TcpRtos);
-        self.telemetry.event(
+        self.telemetry.note(
             now.0,
-            EventKind::TcpRto {
-                subflow: self.telemetry_tag,
-                backoff: self.rto_backoff,
-            },
-        );
-        self.trace_span(
-            now,
             EventKind::TcpRto {
                 subflow: self.telemetry_tag,
                 backoff: self.rto_backoff,
@@ -1238,11 +1154,9 @@ impl TcpSocket {
         match self.state {
             TcpState::SynSent => {
                 self.stats.syn_retransmits += 1;
-                if self.cfg.plain_syn_on_retry {
-                    // §3.1: retry without the extension option in case a
-                    // middlebox is silently dropping option-bearing SYNs.
-                    self.syn_options.clear();
-                }
+                // §3.1: retry without the extension option in case a
+                // middlebox is silently dropping option-bearing SYNs.
+                self.syn_options.clear();
                 self.syn_needs_send = true;
             }
             TcpState::SynReceived => {
@@ -1337,7 +1251,6 @@ impl TcpSocket {
         // 4. Zero-window probe.
         if self.probe_pending {
             self.probe_pending = false;
-            self.stats.probes += 1;
             self.telemetry.count(CounterId::TcpZeroWindowProbes);
             if let Some(seg) = self.build_probe(now) {
                 return Some(seg);
@@ -1370,14 +1283,10 @@ impl TcpSocket {
     }
 
     fn ts_option(&self, now: SimTime) -> Vec<TcpOption> {
-        if self.cfg.timestamps {
-            vec![TcpOption::Timestamps {
-                val: self.ts_now(now),
-                ecr: self.ts_recent,
-            }]
-        } else {
-            Vec::new()
-        }
+        vec![TcpOption::Timestamps {
+            val: self.ts_now(now),
+            ecr: self.ts_recent,
+        }]
     }
 
     fn base_options(&mut self, now: SimTime) -> Vec<TcpOption> {
@@ -1403,7 +1312,6 @@ impl TcpSocket {
         seg.window = self.adv_window();
         self.last_adv_right_edge = self.rcv_nxt + seg.window;
         self.need_ack = false;
-        self.delack_deadline = None;
         self.stats.segs_out += 1;
         seg
     }
@@ -1418,14 +1326,12 @@ impl TcpSocket {
         self.snd_nxt = self.iss + 1;
         let mut seg = TcpSegment::new(self.tuple, self.iss, self.rcv_nxt, flags);
         seg.options.push(TcpOption::Mss(self.cfg.mss as u16));
-        seg.options.push(TcpOption::WindowScale(self.cfg.wscale));
+        seg.options.push(TcpOption::WindowScale(WSCALE));
         seg.options.push(TcpOption::SackPermitted);
-        if self.cfg.timestamps {
-            seg.options.push(TcpOption::Timestamps {
-                val: self.ts_now(now),
-                ecr: if is_synack { self.ts_recent } else { 0 },
-            });
-        }
+        seg.options.push(TcpOption::Timestamps {
+            val: self.ts_now(now),
+            ecr: if is_synack { self.ts_recent } else { 0 },
+        });
         seg.options.extend(self.syn_options.iter().cloned());
         seg.window = self.adv_window();
         self.stats.segs_out += 1;
@@ -1452,7 +1358,6 @@ impl TcpSocket {
         seg.options.extend(data.options);
         seg.options.extend(self.carry_options.iter().cloned());
         if retx {
-            self.stats.retransmitted_segs += 1;
             self.telemetry.count(CounterId::TcpRetransmittedSegs);
         }
         self.stats.bytes_out += seg.payload.len() as u64;
@@ -1597,7 +1502,7 @@ mod tests {
         let rto_at = c.poll_at(SimTime::from_millis(2)).unwrap();
         let retx = c.poll(rto_at).expect("retransmission");
         assert_eq!(&retx.payload[..], b"lost data");
-        assert_eq!(c.stats.rtos, 1);
+        assert_eq!(c.telemetry.counter(CounterId::TcpRtos), 1);
         s.handle_segment(rto_at, &retx);
         pump(rto_at, &mut c, &mut s);
         assert_eq!(&s.read(100).unwrap()[..], b"lost data");
@@ -1612,7 +1517,7 @@ mod tests {
         let _ = c.poll(t1).unwrap(); // first RTO retransmission
         let t2 = c.poll_at(t1).unwrap();
         assert!(t2 - t1 >= (t1 - SimTime::from_millis(1)), "backoff grew");
-        assert_eq!(c.stats.rtos, 1);
+        assert_eq!(c.telemetry.counter(CounterId::TcpRtos), 1);
     }
 
     #[test]
@@ -1668,8 +1573,8 @@ mod tests {
         }
         let retx = c.poll(now).expect("fast retransmit");
         assert_eq!(retx.seq, segs[0].seq);
-        assert_eq!(c.stats.fast_retransmits, 1);
-        assert_eq!(c.stats.rtos, 0);
+        assert_eq!(c.telemetry.counter(CounterId::TcpFastRetransmits), 1);
+        assert_eq!(c.telemetry.counter(CounterId::TcpRtos), 0);
     }
 
     #[test]
@@ -1732,7 +1637,7 @@ mod tests {
         s.handle_segment(probe_at, &probe);
         pump(probe_at, &mut c, &mut s);
         assert!(s.recv_buffered() > 0, "transfer resumed after probe");
-        assert!(c.stats.probes >= 1);
+        assert!(c.telemetry.counter(CounterId::TcpZeroWindowProbes) >= 1);
     }
 
     /// Client and server joined by a fixed one-way delay and stepped in
@@ -1799,12 +1704,14 @@ mod tests {
                 // says "poll me right now" has a segment to give.
                 let promised = self.c.poll_at(now) == Some(SimTime::ZERO);
                 let in_flight = self.c.bytes_in_flight();
-                let retx_before = self.c.stats.retransmitted_segs;
+                let retx_before = self.c.telemetry.counter(CounterId::TcpRetransmittedSegs);
                 let Some(seg) = self.c.poll(now) else {
                     assert!(!promised, "client promised output at {now:?}, gave none");
                     break;
                 };
-                if !seg.payload.is_empty() && self.c.stats.retransmitted_segs == retx_before {
+                if !seg.payload.is_empty()
+                    && self.c.telemetry.counter(CounterId::TcpRetransmittedSegs) == retx_before
+                {
                     let last = seg.seq_end() == self.c.send_q.end_seq();
                     self.sent.push((seg.payload.len(), in_flight, last));
                 }

@@ -3,27 +3,32 @@
 //! The paper's evaluation hinges on *why* throughput moved: which of the
 //! M1-M4 mechanisms fired, whether a connection fell back to regular TCP
 //! (and what middlebox behaviour caused it), and how deep the receive-side
-//! reorder structures grew. This crate gives every layer a uniform way to
-//! record those internals without pulling in dependencies or wall-clock
-//! time: a [`Recorder`] holds fixed-size counter and gauge arrays plus a
-//! bounded [`EventRing`], all timestamped by the caller from the simulated
-//! clock. A [`TelemetrySnapshot`] is a cheap, immutable copy that renders
-//! itself as JSON (for harness reports) or a text table (for the repro
-//! binary).
+//! reorder structures grew. This crate gives every layer one way to report
+//! those internals without pulling in dependencies or wall-clock time: a
+//! [`Recorder`] holds fixed-size counter and gauge arrays, a bounded event
+//! [`Ring`] and — when tracing is configured — a second ring of
+//! time-series records, all timestamped by the caller from the simulated
+//! clock. A layer reports a happening with one call, [`Recorder::note`];
+//! which counter it bumps and whether it lands in the event ring, the
+//! trace or both is declared once, next to [`EventKind`]. Snapshots render
+//! themselves through the one [`json::Writer`] or as a text table.
 //!
 //! Design constraints:
 //! - no `std::time` anywhere: timestamps are caller-supplied sim-clock
 //!   nanoseconds, so runs stay deterministic;
-//! - zero dependencies: JSON and table output are hand-rolled;
-//! - bounded memory: the event ring drops the oldest events past its
-//!   capacity and reports how many were dropped, so long runs can't bloat.
+//! - zero dependencies: the JSON writer and the table are in-tree;
+//! - bounded memory: a ring drops its oldest records past its capacity and
+//!   reports how many were dropped, so long runs can't bloat.
 
 mod hist;
+pub mod json;
+mod ring;
 mod trace;
 
 pub use hist::LogHistogram;
+pub use ring::Ring;
 pub use trace::{
-    TraceConfig, TraceRecord, TraceSnapshot, TraceWriter, Tracer, DEFAULT_SAMPLE_INTERVAL_NS,
+    TraceConfig, TraceRecord, TraceSnapshot, TraceWriter, DEFAULT_SAMPLE_INTERVAL_NS,
     DEFAULT_TRACE_CAPACITY, SPAN_CONN_LEVEL,
 };
 
@@ -31,7 +36,8 @@ pub use trace::{
 /// serialized name and its help text cannot drift apart and a row with a
 /// piece missing does not compile. Three row shapes:
 ///
-/// - `Variant = "name", "help";` — ids with Prometheus `# HELP` text;
+/// - `Variant = "name", "help";` — ids with Prometheus `# HELP` text,
+///   which is also the variant's rustdoc (a `///` on the row adds to it);
 /// - `Variant = "name";` — plain ids;
 /// - `Variant { field: u32, .. } = "name";` — events with integer payloads
 ///   (fields after a `+` ride in the variant but stay out of `fields()`).
@@ -43,7 +49,9 @@ macro_rules! registry {
     ($(#[$m:meta])* pub enum $E:ident $(, $N:ident)? {
         $($(#[$vm:meta])* $V:ident = $name:literal, $help:literal;)*
     }) => {
-        $crate::registry! { $(#[$m])* pub enum $E $(, $N)? { $($(#[$vm])* $V = $name;)* } }
+        $crate::registry! {
+            $(#[$m])* pub enum $E $(, $N)? { $(#[doc = $help] $(#[$vm])* $V = $name;)* }
+        }
         impl $E {
             /// One-line human description, used as the Prometheus `# HELP` text.
             pub fn help(self) -> &'static str {
@@ -94,171 +102,123 @@ macro_rules! registry {
 
 registry! {
     /// Monotone counters, one slot per variant, held in a fixed array inside
-    /// [`Recorder`]. Grouped by the layer that increments them.
+    /// [`Recorder`]. Grouped by the layer that increments them; a variant's
+    /// documentation is its help text.
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
     #[repr(usize)]
     pub enum CounterId, NUM_COUNTERS {
         // -- core::conn: the paper's M1-M4 mechanisms --------------------------
-        /// M1: segments opportunistically re-injected on another subflow.
         M1Reinjections = "m1_reinjections", "M1 opportunistic reinjections onto another subflow";
-        /// M2: times a slow subflow's cwnd was halved to unclog the send window.
         M2Penalizations = "m2_penalizations", "M2 slow-subflow cwnd penalizations";
-        /// M3: receive/send buffer autotune growth steps.
         M3BufferGrowths = "m3_buffer_growths", "M3 receive/send buffer autotune growth steps";
-        /// M4: times a subflow cwnd was capped to bound bufferbloat.
         M4CwndCaps = "m4_cwnd_caps", "M4 subflow cwnd caps applied to bound bufferbloat";
         // -- core::conn: data-level machinery ----------------------------------
-        /// Segments handed to a subflow by the scheduler.
         SchedulerPicks = "scheduler_picks", "segments handed to a subflow by the scheduler";
-        /// Times the scheduler found every subflow blocked (no cwnd/rwnd room).
+        /// (No subflow had cwnd/rwnd room.)
         SchedulerStalls = "scheduler_stalls", "times the scheduler found every subflow blocked";
-        /// Times the scheduler deliberately waited for a faster path (BLEST).
         SchedulerDefers = "scheduler_defers",
             "times the scheduler waited for a faster path (BLEST)";
-        /// Data-level retransmissions triggered by the data-level RTO.
         DataRtos = "data_rtos", "data-level retransmission timeouts";
-        /// Progress stalls observed at DATA_ACK level (snd_una unmoved too long).
+        /// (`snd_una` unmoved for a whole data-level RTO.)
         DataAckStalls = "data_ack_stalls", "DATA_ACK-level progress stalls";
-        /// Duplicate data bytes discarded at the connection-level receiver.
         DupDataBytes = "dup_data_bytes", "duplicate data bytes discarded by the receiver";
         // -- core::conn: fallback (§3.3.6) and handshake rejections -------------
-        /// DSS checksum verification failures.
         ChecksumFailures = "checksum_failures", "DSS checksum verification failures";
-        /// Connections that fell back to regular TCP, by cause (see events too).
+        /// (The cause is in the `fallback` event.)
         Fallbacks = "fallbacks", "connections that fell back to regular TCP";
-        /// MP_JOIN attempts rejected (bad HMAC, unknown token, limit, state).
+        /// (Bad HMAC, unknown token, subflow limit, wrong state.)
         JoinsRejected = "joins_rejected", "MP_JOIN attempts rejected";
-        /// Subflows torn down with RST while the connection survived.
         SubflowResets = "subflow_resets", "subflows reset while the connection survived";
         // -- core::conn: path management (§3.2, §3.4) ----------------------------
-        /// ADD_ADDR advertisements sent to the peer.
         AddAddrsSent = "add_addrs_sent", "ADD_ADDR advertisements sent";
-        /// ADD_ADDR advertisements received from the peer.
         AddAddrsReceived = "add_addrs_received", "ADD_ADDR advertisements received";
-        /// REMOVE_ADDR withdrawals sent to the peer.
         RemoveAddrsSent = "remove_addrs_sent", "REMOVE_ADDR withdrawals sent";
-        /// REMOVE_ADDR withdrawals received from the peer.
         RemoveAddrsReceived = "remove_addrs_received", "REMOVE_ADDR withdrawals received";
-        /// REMOVE_ADDR withdrawals rejected: the addr_id was never advertised
-        /// and no subflow uses it.
+        /// (The addr_id was never advertised and no subflow uses it.)
         RemoveAddrUnknown = "remove_addr_unknown",
             "REMOVE_ADDR withdrawals rejected for unknown addr_id";
-        /// ADD_ADDR advertisements retransmitted (unechoed past the interval).
         AddAddrRetransmits = "add_addr_retransmits",
             "ADD_ADDR advertisements retransmitted until echoed";
-        /// Subflows opened by a path-manager decision.
         PmSubflowsOpened = "pm_subflows_opened", "subflows opened by a path-manager decision";
-        /// Backup subflows promoted to regular priority by the path manager.
         PmBackupPromotions = "pm_backup_promotions", "backup subflows promoted by the path manager";
         // -- core::conn: path-failure detection and recovery ---------------------
-        /// Subflows demoted Active -> Suspect (consecutive RTOs / no progress).
+        /// (Consecutive RTOs, or no progress for a timeout.)
         PathSuspects = "path_suspects", "subflows demoted Active to Suspect";
-        /// Subflows declared Failed (in-flight data reinjected elsewhere).
+        /// (In-flight data is reinjected elsewhere.)
         PathFailures = "path_failures", "subflows declared Failed";
-        /// Suspect/Failed subflows that resumed progress and returned to Active.
         PathRecoveries = "path_recoveries", "subflows recovered back to Active";
-        /// Connections aborted (all paths failed past the deadline, last
-        /// subflow removed, FastClose...).
+        /// (All paths failed past the deadline, last subflow removed,
+        /// FastClose...)
         ConnAborts = "conn_aborts", "connections aborted";
         // -- core::reorder -------------------------------------------------------
-        /// Segments inserted into the out-of-order queue.
         ReorderInserts = "reorder_inserts", "segments inserted into the out-of-order queue";
-        /// Pointer/node visits performed by the reorder algorithm.
         ReorderOps = "reorder_ops", "pointer visits performed by the reorder algorithm";
-        /// Inserts satisfied by a shortcut (Shortcuts/AllShortcuts algorithms).
+        /// (Shortcuts/AllShortcuts algorithms.)
         ReorderShortcutHits = "reorder_shortcut_hits", "reorder inserts satisfied by a shortcut";
         // -- tcpstack: per-subflow TCP internals --------------------------------
-        /// Retransmission timer fires.
         TcpRtos = "tcp_rtos", "subflow TCP retransmission timer fires";
-        /// Fast retransmits (triple-dup-ACK).
         TcpFastRetransmits = "tcp_fast_retransmits", "subflow TCP fast retransmits";
-        /// Segments retransmitted (either path).
         TcpRetransmittedSegs = "tcp_retransmitted_segs", "subflow TCP segments retransmitted";
-        /// Zero-window probes sent.
         TcpZeroWindowProbes = "tcp_zero_window_probes", "subflow TCP zero-window probes sent";
         // -- netsim / middlebox --------------------------------------------------
-        /// Packets dropped by a full link queue.
         LinkQueueDrops = "link_queue_drops", "packets dropped by a full simulated link queue";
-        /// Packets dropped by configured random loss.
         LinkRandomDrops = "link_random_drops", "packets dropped by configured random loss";
-        /// TCP options removed by a middlebox.
         MboxOptionStrips = "mbox_option_strips", "TCP options removed by a middlebox";
-        /// Payload bytes rewritten by a middlebox (e.g. ALG "fixups").
+        /// (E.g. ALG "fixups".)
         MboxPayloadMutations = "mbox_payload_mutations", "payload bytes rewritten by a middlebox";
-        /// Segments split or coalesced by a middlebox/segmentation offload.
         MboxResegmentations = "mbox_resegmentations", "segments split or coalesced by a middlebox";
-        /// ACKs manufactured by a proactive-ACKing middlebox.
         MboxProactiveAcks = "mbox_proactive_acks",
             "ACKs manufactured by a proactive-ACKing middlebox";
-        /// Sequence numbers rewritten by a randomizing middlebox.
         MboxSeqRewrites = "mbox_seq_rewrites", "sequence numbers rewritten by a middlebox";
-        /// Segments swallowed outright by a middlebox (hole droppers,
-        /// option-sensitive SYN droppers).
+        /// (Hole droppers, option-sensitive SYN droppers.)
         MboxSegmentDrops = "mbox_segment_drops", "segments swallowed outright by a middlebox";
-        /// Scheduled fault events applied by the simulator's fault schedule.
         FaultsInjected = "faults_injected", "scheduled fault events applied by the simulator";
-        /// Packets silently discarded because a fault forced the link down.
         LinkFaultDrops = "link_fault_drops", "packets discarded by a fault-forced link outage";
         // -- runtime: real-I/O event loop (crates/runtime) -----------------------
-        /// Event-loop iterations executed.
         RtLoopIterations = "rt_loop_iterations", "event-loop iterations executed";
-        /// recv-drain rounds that harvested at least one datagram (one batch of
-        /// recv syscalls).
+        /// (One batch of recv syscalls.)
         RtRecvBatches = "rt_recv_batches", "recv-drain rounds that harvested at least one datagram";
-        /// egress-flush rounds that pushed at least one datagram to a socket
-        /// (one batch of send syscalls).
+        /// (One batch of send syscalls.)
         RtSendBatches = "rt_send_batches", "egress-flush rounds that pushed at least one datagram";
-        /// UDP datagrams received and decoded into segments.
         RtDatagramsRx = "rt_datagrams_rx", "UDP datagrams received and decoded";
-        /// UDP datagrams encoded and handed to the kernel.
         RtDatagramsTx = "rt_datagrams_tx", "UDP datagrams handed to the kernel";
-        /// Inbound datagrams rejected by framing/decode/TCP-checksum checks.
         RtDecodeErrors = "rt_decode_errors",
             "inbound datagrams rejected by framing or checksum checks";
-        /// Times a connection's output poll was skipped because its bounded
-        /// egress queue was full (backpressure applied).
+        /// (Backpressure: the connection's bounded egress queue.)
         RtEgressBackpressure = "rt_egress_backpressure",
             "polls skipped because the egress queue was full";
-        /// Timer deadlines that were processed after they had already expired
-        /// (wall-clock jitter; skew tracked by the `rt_tick_skew_ns` gauge).
+        /// (Wall-clock jitter; the skew is in the `rt_tick_skew_ns` gauge.)
         RtLateTicks = "rt_late_ticks", "timer deadlines processed after they expired";
-        /// Egress buffer-pool checkouts satisfied by a recycled buffer.
         RtPoolHits = "rt_pool_hits", "buffer-pool checkouts satisfied by a recycled buffer";
-        /// Egress buffer-pool checkouts that had to allocate a fresh buffer
-        /// (pool cold, or every pooled buffer still pinned by a live view).
+        /// (Pool cold, or every pooled buffer still pinned by a live view.)
         RtPoolMisses = "rt_pool_misses", "buffer-pool checkouts that allocated a fresh buffer";
-        /// Admin-socket commands served (stat protocol lines + HTTP scrapes).
+        /// (Stat protocol lines + HTTP scrapes.)
         RtAdminRequests = "rt_admin_requests", "admin-socket commands served";
     }
 }
 
 registry! {
-    /// Instantaneous values tracked with a high-water mark.
+    /// Instantaneous values tracked with a high-water mark; a variant's
+    /// documentation is its help text.
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
     #[repr(usize)]
     pub enum GaugeId, NUM_GAUGES {
-        /// Out-of-order queue depth, in segments.
         OfoQueueSegs = "ofo_queue_segs", "out-of-order queue depth in segments";
-        /// Out-of-order queue occupancy, in bytes.
         OfoQueueBytes = "ofo_queue_bytes", "out-of-order queue occupancy in bytes";
-        /// Connection-level send buffer capacity (M3 grows this).
+        /// (M3 grows this.)
         SndBufCap = "snd_buf_cap", "connection-level send buffer capacity in bytes";
-        /// Connection-level receive buffer capacity (M3 grows this).
+        /// (M3 grows this.)
         RcvBufCap = "rcv_buf_cap", "connection-level receive buffer capacity in bytes";
-        /// Established subflows.
         Subflows = "subflows", "established subflows";
-        /// Bytes queued at the connection level awaiting scheduling.
         SendQueueBytes = "send_queue_bytes", "bytes queued awaiting scheduling";
-        /// Runtime egress queue depth, in segments (`max` is the high-water
-        /// mark the backpressure bound was sized against).
+        /// (`max` is the high-water mark the backpressure bound was sized
+        /// against.)
         RtEgressQueueDepth = "rt_egress_queue_depth", "runtime egress queue depth in segments";
-        /// Wall-clock lateness of the most recent timer tick, in nanoseconds
-        /// (`max` is the worst skew observed; see the `rt_late_ticks` counter).
+        /// (`max` is the worst skew observed; see the `rt_late_ticks` counter.)
         RtTickSkewNs = "rt_tick_skew_ns", "lateness of the most recent timer tick in nanoseconds";
-        /// Egress buffer-pool buffers currently checked out.
         RtPoolOutstanding = "rt_pool_outstanding", "buffer-pool buffers currently checked out";
-        /// Egress buffer-pool peak working set (the pool's own atomically
-        /// tracked high-water mark, exact even between sync points).
+        /// (The pool's own atomically tracked high-water mark, exact even
+        /// between sync points.)
         RtPoolHighWater = "rt_pool_high_water", "buffer-pool peak working set";
     }
 }
@@ -360,6 +320,78 @@ registry! {
     }
 }
 
+impl EventKind {
+    /// The counter one occurrence bumps, if the kind has one of its own.
+    /// The counter-less kinds are high-water marks (`ReorderHighWater`),
+    /// decisions whose outcome is counted separately (`PmOpenSubflow`
+    /// counts only subflows that did open, `PmAdvertise` is a first send
+    /// or a retransmit) and transition markers of something counted per
+    /// occurrence (`SchedulerStall`, `BlackoutInjected`).
+    pub fn counter(self) -> Option<CounterId> {
+        use CounterId as C;
+        Some(match self {
+            Self::M1Reinject { .. } => C::M1Reinjections,
+            Self::M2Penalize { .. } => C::M2Penalizations,
+            Self::M3Grow { .. } => C::M3BufferGrowths,
+            Self::M4Cap { .. } => C::M4CwndCaps,
+            Self::Fallback { .. } => C::Fallbacks,
+            Self::ChecksumFail { .. } => C::ChecksumFailures,
+            Self::DataRto { .. } => C::DataRtos,
+            Self::DataAckStall { .. } => C::DataAckStalls,
+            Self::JoinRejected { .. } => C::JoinsRejected,
+            Self::SubflowReset { .. } => C::SubflowResets,
+            Self::TcpRto { .. } => C::TcpRtos,
+            Self::TcpFastRetransmit { .. } => C::TcpFastRetransmits,
+            Self::AddAddr { sent: 0, .. } => C::AddAddrsReceived,
+            Self::AddAddr { .. } => C::AddAddrsSent,
+            Self::RemoveAddr { sent: 0, .. } => C::RemoveAddrsReceived,
+            Self::RemoveAddr { .. } => C::RemoveAddrsSent,
+            Self::RemoveAddrUnknown { .. } => C::RemoveAddrUnknown,
+            Self::PmBackupPromoted { .. } => C::PmBackupPromotions,
+            Self::PathSuspect { .. } => C::PathSuspects,
+            Self::PathFailed { .. } => C::PathFailures,
+            Self::PathRecovered { .. } => C::PathRecoveries,
+            Self::ConnAborted { .. } => C::ConnAborts,
+            Self::ReorderHighWater { .. }
+            | Self::PmOpenSubflow { .. }
+            | Self::PmAdvertise { .. }
+            | Self::SchedulerStall { .. }
+            | Self::BlackoutInjected { .. } => return None,
+        })
+    }
+
+    /// The subflow series a span of this kind interrupts: the subflow the
+    /// payload names (for M1, the one the chunk was stuck on), or
+    /// [`SPAN_CONN_LEVEL`].
+    pub fn series(self) -> u32 {
+        match self {
+            Self::M1Reinject { from: subflow, .. }
+            | Self::M2Penalize { subflow, .. }
+            | Self::M4Cap { subflow, .. }
+            | Self::ChecksumFail { subflow, .. }
+            | Self::SubflowReset { subflow }
+            | Self::TcpRto { subflow, .. }
+            | Self::TcpFastRetransmit { subflow, .. }
+            | Self::PmBackupPromoted { subflow }
+            | Self::PathSuspect { subflow, .. }
+            | Self::PathFailed { subflow, .. }
+            | Self::PathRecovered { subflow } => subflow,
+            _ => SPAN_CONN_LEVEL,
+        }
+    }
+
+    /// Write the payload members of an event or span object: the fallback
+    /// cause by name, everything else as integers in declaration order.
+    pub(crate) fn write_payload(self, w: &mut json::Writer) {
+        if let EventKind::Fallback { cause } = self {
+            w.key("cause").string(cause.name());
+        }
+        for (name, value) in self.fields() {
+            w.key(name).raw(value);
+        }
+    }
+}
+
 /// A timestamped [`EventKind`]. `at_ns` is simulated-clock nanoseconds
 /// supplied by the caller; this crate never reads a real clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,69 +402,21 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Fixed-capacity ring of the most recent events. Older events are
-/// overwritten once full; `total`/`dropped` keep the bookkeeping honest.
-#[derive(Clone, Debug)]
-pub struct EventRing {
-    buf: Vec<Event>,
-    capacity: usize,
-    /// Index of the oldest retained event within `buf`.
-    head: usize,
-    /// Events ever offered, including dropped ones.
-    total: u64,
-}
-
-impl EventRing {
-    /// An empty ring retaining at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> EventRing {
-        EventRing {
-            buf: Vec::new(),
-            capacity: capacity.max(1),
-            head: 0,
-            total: 0,
-        }
-    }
-
-    /// Record an event, evicting the oldest if full.
-    pub fn push(&mut self, ev: Event) {
-        self.total += 1;
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-        }
-    }
-
-    /// Events ever offered to the ring.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.total - self.buf.len() as u64
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
-    }
-}
-
 /// Default event-ring capacity for a [`Recorder`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 256;
 
 /// Accumulates telemetry for one component (a connection, a TCP socket, a
 /// simulated link...). Recording is plain field arithmetic — no locking,
-/// no allocation beyond the bounded ring.
+/// no allocation beyond the bounded rings.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     counters: [u64; NUM_COUNTERS],
     gauges: [Gauge; NUM_GAUGES],
-    ring: EventRing,
+    ring: Ring<Event>,
+    /// Time-series records; capacity 0 (tracing off) unless configured.
+    trace: Ring<TraceRecord>,
+    sample_interval_ns: u64,
+    next_sample_at_ns: u64,
 }
 
 impl Default for Recorder {
@@ -442,21 +426,55 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder with the default event capacity.
+    /// A recorder with the default event capacity and tracing off.
     pub fn new() -> Recorder {
         Recorder::with_event_capacity(DEFAULT_EVENT_CAPACITY)
     }
 
-    /// A recorder retaining at most `capacity` events.
+    /// A recorder retaining at most `capacity` events, tracing off.
     pub fn with_event_capacity(capacity: usize) -> Recorder {
+        Recorder::traced(capacity, TraceConfig::disabled())
+    }
+
+    /// A recorder retaining at most `event_capacity` events (min 1) whose
+    /// trace ring honors `trace`.
+    pub fn traced(event_capacity: usize, trace: TraceConfig) -> Recorder {
         Recorder {
             counters: [0; NUM_COUNTERS],
             gauges: [Gauge::default(); NUM_GAUGES],
-            ring: EventRing::new(capacity),
+            ring: Ring::new(event_capacity.max(1)),
+            trace: Ring::new(if trace.enabled { trace.capacity } else { 0 }),
+            sample_interval_ns: trace.sample_interval_ns.max(1),
+            next_sample_at_ns: 0,
         }
     }
 
-    /// Increment `id` by one.
+    /// Report one happening at sim-time `at_ns`: bump the counter the kind
+    /// maps to, keep it in the event ring and, when tracing is on, mark it
+    /// as a span on the series it interrupts. Array arithmetic and ring
+    /// stores only — nothing is allocated or formatted here.
+    pub fn note(&mut self, at_ns: u64, kind: EventKind) {
+        if let Some(id) = kind.counter() {
+            self.count(id);
+        }
+        // A window-limited transfer stalls thousands of times: in a 256-slot
+        // ring that would evict every M1/M2/fallback event. The trace has room.
+        if !matches!(kind, EventKind::SchedulerStall { .. }) {
+            self.event(at_ns, kind);
+        }
+        // A `DataAckStall` only ever accompanies the `DataRto` span of the
+        // same instant and DSN; it gets no span of its own.
+        if !matches!(kind, EventKind::DataAckStall { .. }) {
+            self.trace.push(TraceRecord::Span {
+                at_ns,
+                subflow: kind.series(),
+                kind,
+            });
+        }
+    }
+
+    /// Increment `id` by one (for counts that are not events: scheduler
+    /// picks, retransmitted segments...).
     pub fn count(&mut self, id: CounterId) {
         self.counters[id as usize] += 1;
     }
@@ -483,15 +501,53 @@ impl Recorder {
         self.gauges[id as usize]
     }
 
-    /// Record an event at sim-time `at_ns`.
+    /// Store an event in the ring and nothing else. Layers report through
+    /// [`Recorder::note`]; this is its ring half.
     pub fn event(&mut self, at_ns: u64, kind: EventKind) {
         self.ring.push(Event { at_ns, kind });
     }
 
-    /// Fold another recorder's state into this one: counters add, gauge
-    /// maxima merge (currents take the other's as more recent), and the
-    /// other's retained events are replayed into this ring. Used by the
-    /// connection to absorb per-subflow socket telemetry.
+    /// Is the trace ring recording? Callers gate the gathering of a
+    /// sample's fields behind this.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.trace.is_enabled()
+    }
+
+    /// Interval gate for periodic samples: true at most once per
+    /// configured interval, advancing the deadline. Always false when
+    /// tracing is off.
+    #[inline]
+    pub fn sample_due(&mut self, now_ns: u64) -> bool {
+        if !self.tracing() || now_ns < self.next_sample_at_ns {
+            return false;
+        }
+        self.next_sample_at_ns = now_ns + self.sample_interval_ns;
+        true
+    }
+
+    /// Store a sample record in the trace ring (one branch and nothing
+    /// else when tracing is off).
+    #[inline]
+    pub fn sample(&mut self, rec: TraceRecord) {
+        self.trace.push(rec);
+    }
+
+    /// An immutable copy of the trace ring and its bookkeeping.
+    pub fn trace_snapshot(&self) -> TraceSnapshot {
+        TraceSnapshot {
+            records: self.trace.iter().copied().collect(),
+            total: self.trace.total(),
+            dropped_samples: self.trace.dropped(),
+        }
+    }
+
+    /// Fold another recorder's counters, gauges and events into this one:
+    /// counters add, gauge maxima merge (currents take the other's as more
+    /// recent), and the event rings merge in time order, keeping the
+    /// newest this ring has room for with `events_total`/`events_dropped`
+    /// exact (see [`Ring::absorb`]). Used by the connection to absorb
+    /// per-subflow socket telemetry.
     pub fn absorb(&mut self, other: &Recorder) {
         for i in 0..NUM_COUNTERS {
             self.counters[i] += other.counters[i];
@@ -500,14 +556,10 @@ impl Recorder {
             self.gauges[i].max = self.gauges[i].max.max(other.gauges[i].max);
             self.gauges[i].current = other.gauges[i].current;
         }
-        for ev in other.ring.iter() {
-            self.ring.push(*ev);
-        }
-        // Events dropped upstream are still events offered.
-        self.ring.total += other.ring.dropped();
+        self.ring.absorb(&other.ring, |e| e.at_ns);
     }
 
-    /// An immutable copy of everything recorded so far.
+    /// An immutable copy of the counters, gauges and event ring.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             counters: self.counters,
@@ -579,59 +631,40 @@ impl TelemetrySnapshot {
     /// skipped to keep harness reports readable; events carry their
     /// variant name, sim-time, and payload fields.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        let mut first = true;
+        let mut w = json::Writer::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// [`TelemetrySnapshot::to_json`] as a value inside a larger document.
+    pub fn write_json(&self, w: &mut json::Writer) {
+        w.begin_object().key("counters").begin_object();
         for id in CounterId::ALL {
             let v = self.counter(id);
             if v != 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{}\":{}", id.name(), v));
+                w.key(id.name()).raw(v);
             }
         }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
+        w.end_object().key("gauges").begin_object();
         for id in GaugeId::ALL {
             let g = self.gauge(id);
             if g.max != 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\"{}\":{{\"current\":{},\"max\":{}}}",
-                    id.name(),
-                    g.current,
-                    g.max
-                ));
+                w.key(id.name()).begin_object();
+                w.key("current").raw(g.current).key("max").raw(g.max);
+                w.end_object();
             }
         }
-        out.push_str(&format!(
-            "}},\"events_total\":{},\"events_dropped\":{},\"events\":[",
-            self.events_total, self.events_dropped
-        ));
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at_ns\":{},\"kind\":\"{}\"",
-                ev.at_ns,
-                ev.kind.name()
-            ));
-            if let EventKind::Fallback { cause } = ev.kind {
-                out.push_str(&format!(",\"cause\":\"{}\"", cause.name()));
-            }
-            for (name, value) in ev.kind.fields() {
-                out.push_str(&format!(",\"{name}\":{value}"));
-            }
-            out.push('}');
+        w.end_object();
+        w.key("events_total").raw(self.events_total);
+        w.key("events_dropped").raw(self.events_dropped);
+        w.key("events").begin_array();
+        for ev in &self.events {
+            w.begin_object().key("at_ns").raw(ev.at_ns);
+            w.key("kind").string(ev.kind.name());
+            ev.kind.write_payload(w);
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
     }
 
     /// Render nonzero counters and touched gauges as an aligned two-column
@@ -734,6 +767,90 @@ mod tests {
         assert_eq!(s.gauge(GaugeId::Subflows).max, 7);
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.events_total, 1);
+    }
+
+    /// The bug this pins: a subflow whose ring is full of old events used
+    /// to be replayed *after* the connection's, evicting a newer
+    /// connection-level fallback.
+    #[test]
+    fn absorb_merges_by_time_and_keeps_the_newest() {
+        let fallback = EventKind::Fallback {
+            cause: FallbackCause::MpFail,
+        };
+        let mut conn = Recorder::new();
+        conn.note(1_000, fallback);
+        let mut sock = Recorder::new();
+        for i in 0..300u64 {
+            sock.note(
+                i,
+                EventKind::TcpFastRetransmit {
+                    subflow: 1,
+                    seq: i as u32,
+                },
+            );
+        }
+        conn.absorb(&sock);
+        let s = conn.snapshot();
+        assert_eq!(s.fallback_causes(), vec![FallbackCause::MpFail]);
+        assert!(s.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        assert_eq!(s.events.len(), DEFAULT_EVENT_CAPACITY);
+        assert_eq!(s.events.last().map(|e| e.kind), Some(fallback));
+        assert_eq!((s.events_total, s.events_dropped), (301, 45));
+        assert_eq!(s.counter(CounterId::TcpFastRetransmits), 300);
+    }
+
+    #[test]
+    fn note_bumps_the_counter_and_feeds_both_rings() {
+        let mut r = Recorder::traced(8, TraceConfig::enabled());
+        let m1 = EventKind::M1Reinject {
+            dsn: 7,
+            from: 1,
+            to: 0,
+        };
+        r.note(5, m1);
+        r.note(6, EventKind::DataRto { dsn: 7 });
+        // Ring-only: no span of its own.
+        r.note(
+            6,
+            EventKind::DataAckStall {
+                dsn: 7,
+                stalled_ns: 9,
+            },
+        );
+        // Trace-only, and it has no counter.
+        r.note(
+            7,
+            EventKind::SchedulerStall {
+                pending_bytes: 1,
+                reinject_queued: 0,
+            },
+        );
+        let s = r.snapshot();
+        assert_eq!(s.counter(CounterId::M1Reinjections), 1);
+        assert_eq!(s.counter(CounterId::DataRtos), 1);
+        assert_eq!(s.counter(CounterId::DataAckStalls), 1);
+        assert_eq!(s.counter(CounterId::SchedulerStalls), 0);
+        let ring: Vec<&str> = s.events.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(ring, ["m1_reinject", "data_rto", "data_ack_stall"]);
+        let spans: Vec<(u64, u32, &str)> = r
+            .trace_snapshot()
+            .spans()
+            .map(|(at, sf, k)| (at, sf, k.name()))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                (5, 1, "m1_reinject"),
+                (6, SPAN_CONN_LEVEL, "data_rto"),
+                (7, SPAN_CONN_LEVEL, "scheduler_stall"),
+            ]
+        );
+        // Tracing off: same counters and ring, no trace.
+        let mut off = Recorder::new();
+        off.note(5, m1);
+        assert!(!off.tracing());
+        assert!(off.trace_snapshot().is_empty());
+        assert_eq!(off.snapshot().events.len(), 1);
     }
 
     #[test]

@@ -17,25 +17,29 @@
 //!   M4 cap, fallback, scheduler stall...) reusing [`EventKind`], anchored
 //!   to the subflow series it interrupts.
 //!
-//! Tracing is zero-cost when disabled: a disabled [`Tracer`] holds no
-//! buffer (an empty `Vec` does not allocate) and [`Tracer::record`] is a
-//! single branch. When enabled it is bounded: a fixed-capacity ring
-//! overwrites the oldest records and reports `dropped_samples` — no silent
-//! truncation, no unbounded growth.
+//! The ring is the trace half of a layer's [`Recorder`](crate::Recorder),
+//! which writes the spans itself ([`Recorder::note`](crate::Recorder::note))
+//! and takes samples through [`Recorder::sample`](crate::Recorder::sample).
+//! Tracing is zero-cost when disabled: a [`Ring`](crate::Ring) of capacity
+//! 0 never allocates and storing into it is a single branch. When enabled
+//! it is bounded: the ring overwrites the oldest records and reports
+//! `dropped_samples` — no silent truncation, no unbounded growth.
 
+use crate::json::Writer;
 use crate::EventKind;
 
 /// Subflow id stamped on connection-level [`TraceRecord::Span`]s (no
 /// single subflow series is interrupted).
 pub const SPAN_CONN_LEVEL: u32 = u32::MAX;
 
-/// Configuration for a [`Tracer`]. Carried inside the stack's config so a
-/// connection and its subflow sockets agree on gating and capacity.
+/// Configuration of a recorder's trace ring. Carried inside the stack's
+/// config so a connection and its subflow sockets agree on gating and
+/// capacity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch. When false nothing is ever buffered or allocated.
     pub enabled: bool,
-    /// Ring capacity in records (per tracer). Must be nonzero when
+    /// Ring capacity in records (per recorder). Must be nonzero when
     /// enabled; validated by the stack's config builder.
     pub capacity: usize,
     /// Interval for periodic samples between congestion-control events,
@@ -43,7 +47,7 @@ pub struct TraceConfig {
     pub sample_interval_ns: u64,
 }
 
-/// Default per-tracer ring capacity: ample for the paper's 25-second
+/// Default trace-ring capacity: ample for the paper's 25-second
 /// scenarios at ACK-rate sampling without dropping records.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
@@ -153,11 +157,13 @@ impl TraceRecord {
         }
     }
 
-    /// Render as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    /// A sample's columns as `(name, value)` pairs in output order — the
+    /// one list its JSON members and its CSV cells are rendered from.
+    /// Empty for spans, whose payload belongs to the [`EventKind`].
+    fn sample_fields(&self) -> Vec<(&'static str, u64)> {
         match *self {
             TraceRecord::SubflowSample {
-                at_ns,
+                at_ns: _,
                 subflow,
                 cwnd,
                 ssthresh,
@@ -165,13 +171,17 @@ impl TraceRecord {
                 in_flight,
                 snd_nxt,
                 rcv_nxt,
-            } => format!(
-                "{{\"type\":\"subflow_sample\",\"at_ns\":{at_ns},\"subflow\":{subflow},\
-                 \"cwnd\":{cwnd},\"ssthresh\":{ssthresh},\"srtt_us\":{srtt_us},\
-                 \"in_flight\":{in_flight},\"snd_nxt\":{snd_nxt},\"rcv_nxt\":{rcv_nxt}}}"
-            ),
+            } => vec![
+                ("subflow", subflow.into()),
+                ("cwnd", cwnd.into()),
+                ("ssthresh", ssthresh.into()),
+                ("srtt_us", srtt_us),
+                ("in_flight", in_flight.into()),
+                ("snd_nxt", snd_nxt.into()),
+                ("rcv_nxt", rcv_nxt.into()),
+            ],
             TraceRecord::ConnSample {
-                at_ns,
+                at_ns: _,
                 rwnd,
                 data_snd_nxt,
                 data_snd_una,
@@ -180,174 +190,56 @@ impl TraceRecord {
                 reorder_bytes,
                 snd_buf_cap,
                 rcv_buf_cap,
-            } => format!(
-                "{{\"type\":\"conn_sample\",\"at_ns\":{at_ns},\"rwnd\":{rwnd},\
-                 \"data_snd_nxt\":{data_snd_nxt},\"data_snd_una\":{data_snd_una},\
-                 \"data_rcv_nxt\":{data_rcv_nxt},\"reorder_segs\":{reorder_segs},\
-                 \"reorder_bytes\":{reorder_bytes},\"snd_buf_cap\":{snd_buf_cap},\
-                 \"rcv_buf_cap\":{rcv_buf_cap}}}"
-            ),
-            TraceRecord::Span {
-                at_ns,
-                subflow,
-                kind,
-            } => {
-                let mut out = format!(
-                    "{{\"type\":\"span\",\"at_ns\":{at_ns},\"kind\":\"{}\"",
-                    kind.name()
-                );
-                if subflow == SPAN_CONN_LEVEL {
-                    out.push_str(",\"subflow\":null");
-                } else {
-                    out.push_str(&format!(",\"subflow\":{subflow}"));
-                }
-                if let EventKind::Fallback { cause } = kind {
-                    out.push_str(&format!(",\"cause\":\"{}\"", cause.name()));
-                }
-                for (name, value) in kind.fields() {
-                    out.push_str(&format!(",\"{name}\":{value}"));
-                }
-                out.push('}');
-                out
+            } => vec![
+                ("rwnd", rwnd.into()),
+                ("data_snd_nxt", data_snd_nxt),
+                ("data_snd_una", data_snd_una),
+                ("data_rcv_nxt", data_rcv_nxt),
+                ("reorder_segs", reorder_segs),
+                ("reorder_bytes", reorder_bytes),
+                ("snd_buf_cap", snd_buf_cap),
+                ("rcv_buf_cap", rcv_buf_cap),
+            ],
+            TraceRecord::Span { .. } => Vec::new(),
+        }
+    }
+
+    /// Render as one JSON object (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut w = Writer::new();
+        w.begin_object().key("type").string(self.type_name());
+        w.key("at_ns").raw(self.at_ns());
+        if let TraceRecord::Span { subflow, kind, .. } = *self {
+            w.key("kind").string(kind.name()).key("subflow");
+            if subflow == SPAN_CONN_LEVEL {
+                w.raw("null");
+            } else {
+                w.raw(subflow);
             }
+            kind.write_payload(&mut w);
         }
+        for (name, value) in self.sample_fields() {
+            w.key(name).raw(value);
+        }
+        w.end_object();
+        w.finish()
     }
 }
 
-/// Records timestamped [`TraceRecord`]s into a bounded ring.
-///
-/// The hot-path contract: [`Tracer::record`] on a disabled tracer is a
-/// single branch, and a disabled tracer never allocates (its buffer is an
-/// empty `Vec`). Enabled tracers preallocate `capacity` once and then
-/// overwrite in place.
-#[derive(Clone, Debug)]
-pub struct Tracer {
-    enabled: bool,
-    buf: Vec<TraceRecord>,
-    capacity: usize,
-    head: usize,
-    total: u64,
-    sample_interval_ns: u64,
-    next_sample_at_ns: u64,
-}
-
-impl Default for Tracer {
-    fn default() -> Tracer {
-        Tracer::off()
-    }
-}
-
-impl Tracer {
-    /// A disabled tracer: no buffer, no allocation, every call a no-op.
-    pub fn off() -> Tracer {
-        Tracer {
-            enabled: false,
-            buf: Vec::new(),
-            capacity: 0,
-            head: 0,
-            total: 0,
-            sample_interval_ns: DEFAULT_SAMPLE_INTERVAL_NS,
-            next_sample_at_ns: 0,
-        }
-    }
-
-    /// A tracer honoring `cfg` (disabled config yields [`Tracer::off`]).
-    pub fn new(cfg: TraceConfig) -> Tracer {
-        if !cfg.enabled || cfg.capacity == 0 {
-            return Tracer::off();
-        }
-        Tracer {
-            enabled: true,
-            buf: Vec::with_capacity(cfg.capacity),
-            capacity: cfg.capacity,
-            head: 0,
-            total: 0,
-            sample_interval_ns: cfg.sample_interval_ns.max(1),
-            next_sample_at_ns: 0,
-        }
-    }
-
-    /// Is this tracer recording? Callers gate any field gathering that
-    /// would itself cost something behind this check.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record one trace record (no-op when disabled).
-    #[inline]
-    pub fn record(&mut self, rec: TraceRecord) {
-        if !self.enabled {
-            return;
-        }
-        self.total += 1;
-        if self.buf.len() < self.capacity {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-        }
-    }
-
-    /// Interval gate for periodic sampling: true at most once per
-    /// configured interval, advancing the deadline. Always false when
-    /// disabled.
-    #[inline]
-    pub fn sample_due(&mut self, now_ns: u64) -> bool {
-        if !self.enabled || now_ns < self.next_sample_at_ns {
-            return false;
-        }
-        self.next_sample_at_ns = now_ns + self.sample_interval_ns;
-        true
-    }
-
-    /// Records ever offered, including overwritten ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records overwritten to make room (the `dropped_samples` counter).
-    pub fn dropped_samples(&self) -> u64 {
-        self.total - self.buf.len() as u64
-    }
-
-    /// Retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
-    }
-
-    /// Allocated ring capacity (0 when disabled — the zero-allocation
-    /// contract a test can assert).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// An immutable copy of the retained records and the bookkeeping.
-    pub fn snapshot(&self) -> TraceSnapshot {
-        TraceSnapshot {
-            records: self.iter().copied().collect(),
-            total: self.total,
-            dropped_samples: self.dropped_samples(),
-        }
-    }
-}
-
-/// Immutable copy of one or more [`Tracer`]s' state, time-sorted.
+/// Immutable copy of one or more recorders' trace rings, time-sorted.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSnapshot {
     /// Retained records, ordered by `at_ns`.
     pub records: Vec<TraceRecord>,
-    /// Records ever offered across the merged tracers.
+    /// Records ever offered across the merged rings.
     pub total: u64,
     /// Records overwritten before this snapshot was taken.
     pub dropped_samples: u64,
 }
 
 impl TraceSnapshot {
-    /// Merge several snapshots (e.g. the connection tracer plus every
-    /// subflow socket tracer) into one time-sorted timeline.
+    /// Merge several snapshots (e.g. the connection's trace ring plus
+    /// every subflow socket's) into one time-sorted timeline.
     pub fn merge(parts: Vec<TraceSnapshot>) -> TraceSnapshot {
         let mut records = Vec::with_capacity(parts.iter().map(|p| p.records.len()).sum());
         let mut total = 0;
@@ -411,12 +303,14 @@ impl TraceWriter {
             out.push_str(&r.to_json());
             out.push('\n');
         }
-        out.push_str(&format!(
-            "{{\"type\":\"trace_summary\",\"records\":{},\"total\":{},\"dropped_samples\":{}}}\n",
-            snap.records.len(),
-            snap.total,
-            snap.dropped_samples
-        ));
+        let mut w = Writer::new();
+        w.begin_object().key("type").string("trace_summary");
+        w.key("records").raw(snap.records.len());
+        w.key("total").raw(snap.total);
+        w.key("dropped_samples").raw(snap.dropped_samples);
+        w.end_object();
+        out.push_str(&w.finish());
+        out.push('\n');
         out
     }
 
@@ -430,40 +324,23 @@ impl TraceWriter {
              snd_buf_cap,rcv_buf_cap,kind,detail\n",
         );
         for r in &snap.records {
+            let cells: Vec<String> = r
+                .sample_fields()
+                .iter()
+                .map(|(_, v)| v.to_string())
+                .collect();
+            let cells = cells.join(",");
+            let (at_ns, name) = (r.at_ns(), r.type_name());
             match *r {
-                TraceRecord::SubflowSample {
-                    at_ns,
-                    subflow,
-                    cwnd,
-                    ssthresh,
-                    srtt_us,
-                    in_flight,
-                    snd_nxt,
-                    rcv_nxt,
-                } => out.push_str(&format!(
-                    "{at_ns},subflow_sample,{subflow},{cwnd},{ssthresh},{srtt_us},\
-                     {in_flight},{snd_nxt},{rcv_nxt},,,,,,,,,,\n"
-                )),
-                TraceRecord::ConnSample {
-                    at_ns,
-                    rwnd,
-                    data_snd_nxt,
-                    data_snd_una,
-                    data_rcv_nxt,
-                    reorder_segs,
-                    reorder_bytes,
-                    snd_buf_cap,
-                    rcv_buf_cap,
-                } => out.push_str(&format!(
-                    "{at_ns},conn_sample,,,,,,,,{rwnd},{data_snd_nxt},{data_snd_una},\
-                     {data_rcv_nxt},{reorder_segs},{reorder_bytes},{snd_buf_cap},\
-                     {rcv_buf_cap},,\n"
-                )),
-                TraceRecord::Span {
-                    at_ns,
-                    subflow,
-                    kind,
-                } => {
+                // Columns 3-9, then the 8 connection columns, kind and
+                // detail stay empty.
+                TraceRecord::SubflowSample { .. } => {
+                    out.push_str(&format!("{at_ns},{name},{cells},,,,,,,,,,\n"))
+                }
+                TraceRecord::ConnSample { .. } => {
+                    out.push_str(&format!("{at_ns},{name},,,,,,,,{cells},,\n"))
+                }
+                TraceRecord::Span { subflow, kind, .. } => {
                     let sf = if subflow == SPAN_CONN_LEVEL {
                         String::new()
                     } else {
@@ -478,7 +355,7 @@ impl TraceWriter {
                         detail.push(format!("cause={}", cause.name()));
                     }
                     out.push_str(&format!(
-                        "{at_ns},span,{sf},,,,,,,,,,,,,,,{},{}\n",
+                        "{at_ns},{name},{sf},,,,,,,,,,,,,,,{},{}\n",
                         kind.name(),
                         detail.join(";")
                     ));
@@ -492,7 +369,18 @@ impl TraceWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FallbackCause;
+    use crate::{FallbackCause, Recorder};
+
+    fn traced(capacity: usize, sample_interval_ns: u64) -> Recorder {
+        Recorder::traced(
+            1,
+            TraceConfig {
+                enabled: true,
+                capacity,
+                sample_interval_ns,
+            },
+        )
+    }
 
     fn sf_sample(at_ns: u64) -> TraceRecord {
         TraceRecord::SubflowSample {
@@ -509,29 +397,24 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing_and_allocates_nothing() {
-        let mut t = Tracer::off();
+        let mut t = Recorder::new();
         for i in 0..1000 {
-            t.record(sf_sample(i));
+            t.sample(sf_sample(i));
         }
-        assert_eq!(t.total(), 0);
-        assert_eq!(t.capacity(), 0);
-        assert_eq!(t.snapshot().records.len(), 0);
+        assert!(!t.tracing());
+        assert_eq!(t.trace_snapshot(), TraceSnapshot::default());
         assert!(!t.sample_due(1_000_000_000));
-        // A disabled TraceConfig builds a disabled tracer.
-        assert!(!Tracer::new(TraceConfig::disabled()).is_enabled());
+        // So does an enabled config with no capacity.
+        assert!(!traced(0, 1).tracing());
     }
 
     #[test]
     fn ring_bounds_and_counts_dropped_samples() {
-        let mut t = Tracer::new(TraceConfig {
-            enabled: true,
-            capacity: 3,
-            sample_interval_ns: 1,
-        });
+        let mut t = traced(3, 1);
         for i in 0..5 {
-            t.record(sf_sample(i));
+            t.sample(sf_sample(i));
         }
-        let s = t.snapshot();
+        let s = t.trace_snapshot();
         assert_eq!(s.total, 5);
         assert_eq!(s.dropped_samples, 2);
         let times: Vec<u64> = s.records.iter().map(|r| r.at_ns()).collect();
@@ -540,11 +423,7 @@ mod tests {
 
     #[test]
     fn sample_due_honors_interval() {
-        let mut t = Tracer::new(TraceConfig {
-            enabled: true,
-            capacity: 8,
-            sample_interval_ns: 100,
-        });
+        let mut t = traced(8, 100);
         assert!(t.sample_due(0));
         assert!(!t.sample_due(50));
         assert!(t.sample_due(100));
@@ -554,18 +433,18 @@ mod tests {
 
     #[test]
     fn merge_sorts_by_time_and_sums_bookkeeping() {
-        let mut a = Tracer::new(TraceConfig::enabled());
-        let mut b = Tracer::new(TraceConfig::enabled());
-        a.record(sf_sample(30));
-        b.record(sf_sample(10));
-        b.record(TraceRecord::Span {
+        let mut a = traced(8, 1);
+        let mut b = traced(8, 1);
+        a.sample(sf_sample(30));
+        b.sample(sf_sample(10));
+        b.sample(TraceRecord::Span {
             at_ns: 20,
             subflow: SPAN_CONN_LEVEL,
             kind: EventKind::Fallback {
                 cause: FallbackCause::ChecksumFail,
             },
         });
-        let m = TraceSnapshot::merge(vec![a.snapshot(), b.snapshot()]);
+        let m = TraceSnapshot::merge(vec![a.trace_snapshot(), b.trace_snapshot()]);
         let times: Vec<u64> = m.records.iter().map(|r| r.at_ns()).collect();
         assert_eq!(times, vec![10, 20, 30]);
         assert_eq!(m.total, 3);
@@ -574,9 +453,9 @@ mod tests {
 
     #[test]
     fn jsonl_has_one_object_per_line_plus_summary() {
-        let mut t = Tracer::new(TraceConfig::enabled());
-        t.record(sf_sample(5));
-        t.record(TraceRecord::ConnSample {
+        let mut t = traced(8, 1);
+        t.sample(sf_sample(5));
+        t.sample(TraceRecord::ConnSample {
             at_ns: 7,
             rwnd: 1,
             data_snd_nxt: 2,
@@ -587,7 +466,7 @@ mod tests {
             snd_buf_cap: 7,
             rcv_buf_cap: 8,
         });
-        let jsonl = TraceWriter::to_jsonl(&t.snapshot());
+        let jsonl = TraceWriter::to_jsonl(&t.trace_snapshot());
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"type\":\"subflow_sample\""));
@@ -615,9 +494,9 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_record() {
-        let mut t = Tracer::new(TraceConfig::enabled());
-        t.record(sf_sample(5));
-        t.record(TraceRecord::Span {
+        let mut t = traced(8, 1);
+        t.sample(sf_sample(5));
+        t.sample(TraceRecord::Span {
             at_ns: 6,
             subflow: 1,
             kind: EventKind::M4Cap {
@@ -625,7 +504,7 @@ mod tests {
                 cap: 2920,
             },
         });
-        let csv = TraceWriter::to_csv(&t.snapshot());
+        let csv = TraceWriter::to_csv(&t.trace_snapshot());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("at_ns,record,subflow,cwnd"));

@@ -295,3 +295,57 @@ fn snapshot_json_is_pinned() {
     );
     assert_eq!(r.snapshot().to_json(), expected);
 }
+
+/// The kind → counter table, whole: every `EventKind` either names the
+/// counter one occurrence bumps or is listed here as counter-less.
+#[test]
+fn event_counter_table_is_pinned() {
+    let table = every_event().map(|k| (k.name(), k.counter().map(CounterId::name)));
+    assert_eq!(
+        table,
+        [
+            ("m1_reinject", Some("m1_reinjections")),
+            ("m2_penalize", Some("m2_penalizations")),
+            ("m3_grow", Some("m3_buffer_growths")),
+            ("m4_cap", Some("m4_cwnd_caps")),
+            ("fallback", Some("fallbacks")),
+            ("checksum_fail", Some("checksum_failures")),
+            ("data_rto", Some("data_rtos")),
+            ("data_ack_stall", Some("data_ack_stalls")),
+            ("join_rejected", Some("joins_rejected")),
+            ("subflow_reset", Some("subflow_resets")),
+            ("reorder_high_water", None),
+            ("tcp_rto", Some("tcp_rtos")),
+            ("tcp_fast_retransmit", Some("tcp_fast_retransmits")),
+            ("add_addr", Some("add_addrs_sent")),
+            ("remove_addr", Some("remove_addrs_sent")),
+            ("remove_addr_unknown", Some("remove_addr_unknown")),
+            ("pm_open_subflow", None),
+            ("pm_advertise", None),
+            ("pm_backup_promoted", Some("pm_backup_promotions")),
+            ("scheduler_stall", None),
+            ("path_suspect", Some("path_suspects")),
+            ("path_failed", Some("path_failures")),
+            ("path_recovered", Some("path_recoveries")),
+            ("blackout_injected", None),
+            ("conn_aborted", Some("conn_aborts")),
+        ]
+    );
+    // ADD_ADDR / REMOVE_ADDR pick their direction from the payload.
+    let add = |sent| EventKind::AddAddr {
+        addr: 1,
+        id: 2,
+        sent,
+    };
+    assert_eq!(add(1).counter(), Some(CounterId::AddAddrsSent));
+    assert_eq!(add(0).counter(), Some(CounterId::AddAddrsReceived));
+    let remove = |sent| EventKind::RemoveAddr { id: 2, sent };
+    assert_eq!(remove(1).counter(), Some(CounterId::RemoveAddrsSent));
+    assert_eq!(remove(0).counter(), Some(CounterId::RemoveAddrsReceived));
+    // One `note` is the whole report: counter and ring together.
+    let mut r = Recorder::new();
+    r.note(9, add(0));
+    let s = r.snapshot();
+    assert_eq!(s.counter(CounterId::AddAddrsReceived), 1);
+    assert_eq!(s.events.len(), 1);
+}

@@ -1,6 +1,7 @@
 //! Fallback behaviour through the full simulator with real middlebox
 //! models in the path — §3.1, §3.3.6 and §4.1.
 
+use mptcp::telemetry::CounterId;
 use mptcp::{Mechanisms, MptcpConfig};
 use mptcp_harness::hosts::{ClientApp, ServerApp};
 use mptcp_harness::scenario::{Scenario, TransportKind};
@@ -75,11 +76,12 @@ fn checksum_failure_on_one_path_resets_only_that_subflow() {
     let c = conn(&sc);
     assert!(!c.is_fallback(), "clean subflow keeps MPTCP alive");
     // The server-side connection reset the corrupted subflow.
-    let server_conn = &sc.server().listener.conns[0];
+    let server = sc.server().listener.conns[0].telemetry();
     assert!(
-        server_conn.stats.subflow_resets >= 1 || server_conn.stats.checksum_failures >= 1,
-        "server stats: {:?}",
-        server_conn.stats
+        server.counter(CounterId::SubflowResets) >= 1
+            || server.counter(CounterId::ChecksumFailures) >= 1,
+        "server telemetry:\n{}",
+        server.render_table()
     );
 }
 
