@@ -80,7 +80,7 @@ pub enum SubflowError {
     NoRemoteKey,
     /// A live subflow with the same four-tuple already exists.
     DuplicateSubflow,
-    /// The configured `max_subflows` limit is reached.
+    /// [`crate::MAX_SUBFLOWS`] live subflows already.
     SubflowLimit,
 }
 
@@ -90,7 +90,7 @@ impl fmt::Display for SubflowError {
             SubflowError::WrongState => "connection state does not allow new subflows",
             SubflowError::NoRemoteKey => "peer key unknown (MP_CAPABLE incomplete)",
             SubflowError::DuplicateSubflow => "a live subflow already uses this four-tuple",
-            SubflowError::SubflowLimit => "max_subflows limit reached",
+            SubflowError::SubflowLimit => "subflow limit reached",
         };
         f.write_str(msg)
     }
@@ -150,7 +150,7 @@ pub enum JoinError {
     /// carries no HMAC — this is reported by the later handshake steps and
     /// surfaces in telemetry as `JoinsRejected`.)
     BadHmac,
-    /// The configured `max_subflows` limit is reached.
+    /// [`crate::MAX_SUBFLOWS`] live subflows already.
     SubflowLimit,
     /// The connection cannot accept joins (fallen back or closed).
     WrongState,
@@ -162,7 +162,7 @@ impl fmt::Display for JoinError {
             JoinError::NoJoinOption => "SYN carried no MP_JOIN option",
             JoinError::UnknownToken => "token does not match this connection",
             JoinError::BadHmac => "join HMAC failed verification",
-            JoinError::SubflowLimit => "max_subflows limit reached",
+            JoinError::SubflowLimit => "subflow limit reached",
             JoinError::WrongState => "connection state does not accept joins",
         };
         f.write_str(msg)

@@ -10,7 +10,7 @@ use std::fmt;
 
 use mptcp_netsim::Duration;
 use mptcp_tcpstack::{CcAlgorithm, TcpConfig};
-use mptcp_telemetry::{TraceConfig, DEFAULT_EVENT_CAPACITY};
+use mptcp_telemetry::TraceConfig;
 
 use crate::pm::PathManagerCfg;
 use crate::sched::SchedulerKind;
@@ -139,12 +139,6 @@ pub struct MptcpConfig {
     pub(crate) send_buf: usize,
     /// Connection-level receive buffer cap in bytes.
     pub(crate) recv_buf: usize,
-    /// Maximum live subflows per connection; `open_subflow` and
-    /// `accept_join` refuse beyond this.
-    pub(crate) max_subflows: usize,
-    /// Capacity of the telemetry event ring (discrete events retained in a
-    /// [`mptcp_telemetry::TelemetrySnapshot`]).
-    pub(crate) event_capacity: usize,
     /// Time-series tracing of connection and subflow internals. Disabled
     /// by default; when set enabled it is also propagated to each
     /// subflow's `tcp.trace` so per-subflow cwnd/RTT series record too.
@@ -174,8 +168,6 @@ impl Default for MptcpConfig {
             scheduler: SchedulerKind::MinRtt,
             send_buf: 2 * 1024 * 1024,
             recv_buf: 2 * 1024 * 1024,
-            max_subflows: 8,
-            event_capacity: DEFAULT_EVENT_CAPACITY,
             trace: TraceConfig::disabled(),
             failure: FailureDetection::default(),
             pm: PathManagerCfg::default(),
@@ -260,16 +252,6 @@ impl MptcpConfig {
         self.recv_buf
     }
 
-    /// Maximum live subflows per connection.
-    pub fn max_subflows(&self) -> usize {
-        self.max_subflows
-    }
-
-    /// Telemetry event-ring capacity.
-    pub fn event_capacity(&self) -> usize {
-        self.event_capacity
-    }
-
     /// Time-series trace configuration.
     pub fn trace(&self) -> TraceConfig {
         self.trace
@@ -303,12 +285,6 @@ impl MptcpConfig {
         if self.recv_buf == 0 {
             return Err(ConfigError::ZeroRecvBuffer);
         }
-        if self.max_subflows == 0 {
-            return Err(ConfigError::ZeroMaxSubflows);
-        }
-        if self.event_capacity == 0 {
-            return Err(ConfigError::ZeroEventCapacity);
-        }
         // A zero-capacity trace ring would silently drop every sample; the
         // way to turn tracing off is `enabled: false`, not capacity 0.
         if self.trace.enabled && self.trace.capacity == 0 {
@@ -325,16 +301,6 @@ impl MptcpConfig {
             return Err(ConfigError::AutotuneCapBelowStart {
                 cap: self.send_buf.min(self.recv_buf),
                 start: AUTOTUNE_START,
-            });
-        }
-        // The linear-scan queue is O(n) per insert; with many subflows the
-        // out-of-order queue grows with the subflow count and Figure 8's
-        // pathology bites. Force an O(log n)/shortcut algorithm instead.
-        if self.reorder == ReorderAlgo::Regular && self.max_subflows > REGULAR_REORDER_MAX_SUBFLOWS
-        {
-            return Err(ConfigError::RegularReorderTooManySubflows {
-                max_subflows: self.max_subflows,
-                limit: REGULAR_REORDER_MAX_SUBFLOWS,
             });
         }
         // Detection must escalate: zero thresholds would demote a healthy
@@ -371,11 +337,8 @@ impl MptcpConfig {
     }
 }
 
-/// M3's initial autotuned buffer size (64 KiB, mirroring `conn::common`).
+/// M3's initial autotuned buffer size.
 pub const AUTOTUNE_START: usize = 64 * 1024;
-
-/// Largest `max_subflows` the builder accepts with [`ReorderAlgo::Regular`].
-pub const REGULAR_REORDER_MAX_SUBFLOWS: usize = 4;
 
 /// Why [`MptcpConfigBuilder::build`] refused a configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -384,10 +347,6 @@ pub enum ConfigError {
     ZeroSendBuffer,
     /// `recv_buf` is zero: the advertised window would be stuck at zero.
     ZeroRecvBuffer,
-    /// `max_subflows` is zero: even the initial subflow is forbidden.
-    ZeroMaxSubflows,
-    /// `event_capacity` is zero: the telemetry ring could hold nothing.
-    ZeroEventCapacity,
     /// Tracing enabled with a zero-record ring; disable tracing instead.
     ZeroTraceCapacity,
     /// M3 autotuning enabled with a buffer cap below its starting size.
@@ -396,14 +355,6 @@ pub enum ConfigError {
         cap: usize,
         /// The autotune starting size the cap must at least reach.
         start: usize,
-    },
-    /// The linear-scan reorder queue combined with a subflow count it
-    /// cannot keep up with (§4.3 / Figure 8).
-    RegularReorderTooManySubflows {
-        /// The requested subflow limit.
-        max_subflows: usize,
-        /// The largest supported with `ReorderAlgo::Regular`.
-        limit: usize,
     },
     /// Path-failure thresholds out of order: suspect must be nonzero and
     /// no larger than fail.
@@ -430,18 +381,12 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroSendBuffer => f.write_str("send_buf must be nonzero"),
             ConfigError::ZeroRecvBuffer => f.write_str("recv_buf must be nonzero"),
-            ConfigError::ZeroMaxSubflows => f.write_str("max_subflows must be nonzero"),
-            ConfigError::ZeroEventCapacity => f.write_str("event_capacity must be nonzero"),
             ConfigError::ZeroTraceCapacity => {
                 f.write_str("enabled tracing needs a nonzero ring capacity")
             }
             ConfigError::AutotuneCapBelowStart { cap, start } => write!(
                 f,
                 "autotune (M3) requires buffer caps >= its {start}-byte starting size, got {cap}"
-            ),
-            ConfigError::RegularReorderTooManySubflows { max_subflows, limit } => write!(
-                f,
-                "ReorderAlgo::Regular supports at most {limit} subflows, got max_subflows={max_subflows}"
             ),
             ConfigError::FailureThresholdOrder { suspect, fail } => write!(
                 f,
@@ -518,21 +463,9 @@ impl MptcpConfigBuilder {
         self
     }
 
-    /// Limit the number of live subflows.
-    pub fn max_subflows(mut self, n: usize) -> Self {
-        self.cfg.max_subflows = n;
-        self
-    }
-
     /// Replace the per-subflow TCP parameters.
     pub fn tcp(mut self, tcp: TcpConfig) -> Self {
         self.cfg.tcp = tcp;
-        self
-    }
-
-    /// Size the telemetry event ring (discrete events kept per snapshot).
-    pub fn event_capacity(mut self, records: usize) -> Self {
-        self.cfg.event_capacity = records;
         self
     }
 
@@ -592,7 +525,7 @@ mod tests {
     #[test]
     fn builder_accepts_defaults() {
         let cfg = MptcpConfig::builder().build().expect("defaults are valid");
-        assert_eq!(cfg.max_subflows, 8);
+        assert_eq!(cfg.reorder, ReorderAlgo::AllShortcuts);
     }
 
     #[test]
@@ -605,26 +538,6 @@ mod tests {
             MptcpConfig::builder().recv_buf(0).build().unwrap_err(),
             ConfigError::ZeroRecvBuffer
         );
-        assert_eq!(
-            MptcpConfig::builder().max_subflows(0).build().unwrap_err(),
-            ConfigError::ZeroMaxSubflows
-        );
-    }
-
-    #[test]
-    fn builder_rejects_zero_event_capacity() {
-        assert_eq!(
-            MptcpConfig::builder()
-                .event_capacity(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroEventCapacity
-        );
-        let cfg = MptcpConfig::builder()
-            .event_capacity(1024)
-            .build()
-            .expect("nonzero capacity is valid");
-        assert_eq!(cfg.event_capacity, 1024);
     }
 
     #[test]
@@ -732,23 +645,5 @@ mod tests {
             .build()
             .expect("a clean registry validates");
         assert_eq!(cfg.path_manager().policy, PmPolicy::Fullmesh);
-    }
-
-    #[test]
-    fn builder_rejects_linear_reorder_with_many_subflows() {
-        let err = MptcpConfig::builder()
-            .reorder(ReorderAlgo::Regular)
-            .max_subflows(16)
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ConfigError::RegularReorderTooManySubflows { .. }
-        ));
-        MptcpConfig::builder()
-            .reorder(ReorderAlgo::Regular)
-            .max_subflows(2)
-            .build()
-            .expect("few subflows are fine on the linear queue");
     }
 }

@@ -4,22 +4,18 @@
 //! This is the paper's primary contribution assembled: a connection that
 //! stripes one byte stream over several TCP subflows while surviving the
 //! middlebox bestiary of §3 and performing well under the memory limits of
-//! §4. The structure mirrors the paper:
-//!
-//! * §3.1 — MP_CAPABLE negotiation, fallback when options vanish, "carry
-//!   the option until one has been acked".
-//! * §3.2 — MP_JOIN with token demux and HMAC authentication; ADD_ADDR.
-//! * §3.3 — per-subflow sequence spaces; relative DSS mappings; explicit
-//!   DATA_ACK in options; shared receive pool window semantics; send
-//!   buffer retained until DATA_ACK; DSS checksum + fallback.
-//! * §3.4 — subflow FIN vs DATA_FIN; REMOVE_ADDR.
-//! * §4.2 — opportunistic retransmission (M1), penalizing slow subflows
-//!   (M2), buffer autotuning (M3), cwnd capping (M4, in the subflow TCP).
-//! * §4.3 — pluggable connection-level out-of-order queues.
+//! §4. The connection itself is glue — handshake, join and fallback, option
+//! dispatch, the scheduler call with M1/M2, congestion coupling,
+//! `poll`/`tick` — around machines that each own one argument of the
+//! paper and know nothing of sockets: [`DataSender`] (§3.3 reliability and
+//! flow control), [`DataReceiver`] (§4.3 receive path), [`PathHealth`]
+//! (§3.4, §4.2 quiet paths) and [`PathManager`] (§3.2, §3.4 addresses).
+//! The crate documentation maps the paper's sections onto the modules.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 
 use bytes::Bytes;
+use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{
@@ -28,18 +24,25 @@ use mptcp_packet::{
 use mptcp_tcpstack::{CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS};
 use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
-    TraceSnapshot,
+    TraceSnapshot, DEFAULT_EVENT_CAPACITY,
 };
 
 use crate::api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
-use crate::config::MptcpConfig;
-use crate::dsn::infer_full_dsn;
+use crate::config::{MptcpConfig, AUTOTUNE_START};
+use crate::health::{Change, PathHealth, PathState};
 use crate::mapping::{Consumed, MappingTracker};
 use crate::pm::{PathManager, PmAction, PmEvent};
-use crate::reorder::{make_queue, OooQueue};
-use crate::sched::{PathSnapshot, SchedCtx, SchedDecision, Scheduler};
-use crate::subflow::{JoinState, PathState, Subflow};
+use crate::reorder::OooQueue;
+use crate::rx::DataReceiver;
+use crate::sched::{PathSnapshot, SchedCtx, SchedDecision, Scheduler, SchedulerKind};
+use crate::subflow::{JoinState, Subflow};
 use crate::token::{KeySet, TokenTable};
+use crate::tx::DataSender;
+
+/// Most live subflows one connection holds; `open_subflow` and
+/// `accept_join` refuse beyond it. ([`crate::PmLimits::max_subflows`] caps
+/// what the path manager opens on its own, below this.)
+pub const MAX_SUBFLOWS: usize = 8;
 
 /// Connection lifecycle state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,20 +62,6 @@ pub enum ConnState {
     Closed,
 }
 
-/// Notifications surfaced to the owner (host / application glue).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ConnEvent {
-    /// The peer advertised an additional address (ADD_ADDR): the owner may
-    /// open a subflow toward it.
-    PeerAddr(AdvertisedAddr),
-    /// A subflow completed its handshake.
-    SubflowUp(usize),
-    /// A subflow died (RST, timeout, or checksum-triggered reset).
-    SubflowDown(usize),
-    /// The connection fell back to regular TCP.
-    FellBack,
-}
-
 /// Byte and chunk tallies with no telemetry twin. Everything that is also
 /// an event (M1/M2 firings, data RTOs, checksum failures, resets, rejected
 /// joins, path failures and recoveries) or a registry counter (duplicate
@@ -90,12 +79,19 @@ pub struct ConnStats {
     pub reinjections: u64,
 }
 
-/// A chunk handed to a subflow, retained until DATA_ACKed (§3.3.5: "even
-/// if a segment is ACKed at the subflow level, its data is kept in memory
-/// until we receive a DATA ACK").
-struct SentChunk {
-    data: Bytes,
-    subflow: usize,
+/// The MP_CAPABLE option of a handshake segment (§3.1): our key on the
+/// SYNs, both keys on the third ACK.
+fn mp_capable(
+    checksum_required: bool,
+    sender_key: u64,
+    receiver_key: Option<u64>,
+) -> Vec<TcpOption> {
+    vec![TcpOption::Mptcp(MptcpOption::MpCapable {
+        version: 0,
+        checksum_required,
+        sender_key,
+        receiver_key,
+    })]
 }
 
 /// One end of a Multipath TCP connection.
@@ -124,46 +120,12 @@ pub struct MptcpConnection {
     /// retransmits re-use the id instead of minting a new one.
     advertised_local: HashMap<u32, u8>,
 
-    // --- Send side -----------------------------------------------------
-    /// Next data sequence number to assign.
-    snd_nxt: u64,
-    /// Oldest un-DATA-ACKed data sequence number.
-    snd_una: u64,
-    /// Right edge of the peer's receive window in data sequence space
-    /// (monotonic max of DATA_ACK + window, §3.3.2).
-    snd_right_edge: u64,
-    /// App data written but not yet mapped onto a subflow.
-    pending: VecDeque<Bytes>,
-    pending_bytes: usize,
-    /// Chunks on subflows awaiting DATA_ACK, keyed by DSN.
-    sent: BTreeMap<u64, SentChunk>,
-    sent_bytes: usize,
-    /// Chunks to re-send (subflow death, data RTO, M1), keyed by DSN.
-    reinject: VecDeque<u64>,
-    /// Connection-level send buffer capacity (M3-autotuned).
-    snd_buf_cap: usize,
-    data_fin_queued: bool,
-    /// DSN assigned to the DATA_FIN once emitted.
-    data_fin_dsn: Option<u64>,
-    data_rto_deadline: Option<SimTime>,
-    data_rto_backoff: u32,
-    /// M1 duplicate-suppression: last opportunistically-retransmitted DSN
-    /// and when.
-    last_opp: Option<(u64, SimTime)>,
-
-    // --- Receive side ---------------------------------------------------
-    /// Next expected data sequence number.
-    rcv_nxt: u64,
-    /// The connection-level out-of-order queue (Figure 8 algorithms).
-    pub ooo: Box<dyn OooQueue>,
-    app_rx: VecDeque<Bytes>,
-    app_rx_bytes: usize,
-    /// Connection-level receive buffer capacity (M3-autotuned).
-    rcv_buf_cap: usize,
-    /// DSN of the peer's DATA_FIN, if announced.
-    rcv_fin_dsn: Option<u64>,
-    /// Peer's stream fully received and FIN consumed.
-    rcv_eof: bool,
+    /// Data-level reliability and flow control on the sending side.
+    tx: DataSender,
+    /// The receive path: duplicate trim, reorder queue, in-order delivery.
+    rx: DataReceiver,
+    /// The failure detector: per-path verdicts and every timer behind them.
+    health: PathHealth,
 
     // Fallback bookkeeping.
     confirmed: bool,
@@ -173,11 +135,6 @@ pub struct MptcpConnection {
 
     /// Why the connection was aborted, if it was.
     abort_reason: Option<AbortReason>,
-    /// Since when every live subflow has been Failed — start of the
-    /// abort-deadline countdown.
-    all_failed_since: Option<SimTime>,
-
-    events: VecDeque<ConnEvent>,
     /// Measurement counters.
     pub stats: ConnStats,
     /// Fine-grained mechanism telemetry (merged with per-subflow and
@@ -195,13 +152,6 @@ pub struct MptcpConnection {
     /// stall span; any non-stall decision clears it.
     sched_stalled: bool,
     poll_cursor: usize,
-    /// Scratch: consecutive in-mapping segments from one subflow drain,
-    /// delivered as a run so the reorder queue pays one walk per run.
-    /// Empty between calls; kept for its capacity.
-    mapped_run: Vec<(u64, Bytes)>,
-    /// Scratch for out-of-order items awaiting a batched `ooo` insert.
-    /// Empty between calls; kept for its capacity.
-    ooo_pending: Vec<(u64, Bytes, usize)>,
     /// Scratch: subflows fed by the current `handle_segments` batch whose
     /// post-input pipeline is still owed. Empty between calls.
     touched: Vec<usize>,
@@ -221,28 +171,11 @@ impl MptcpConnection {
         mut rng: SimRng,
     ) -> MptcpConnection {
         let local = KeySet::from_key(rng.next_u64());
-        let checksum_on = cfg.checksum;
-        let syn_opts = vec![TcpOption::Mptcp(MptcpOption::MpCapable {
-            version: 0,
-            checksum_required: checksum_on,
-            sender_key: local.key,
-            receiver_key: None,
-        })];
-        let mut sock = TcpSocket::client(
-            cfg.tcp.clone(),
-            tuple,
-            SeqNum(rng.next_u32()),
-            now,
-            syn_opts,
-        );
-        MptcpConnection::install_cc(&cfg, &mut sock);
+        let syn_opts = mp_capable(cfg.checksum, local.key, None);
+        let isn = SeqNum(rng.next_u32());
+        let sock = TcpSocket::client(cfg.tcp.clone(), tuple, isn, now, syn_opts);
         let mut conn = MptcpConnection::common(cfg, true, local, rng);
-        conn.subflows.push(Subflow::new(
-            sock,
-            MappingTracker::new(checksum_on),
-            JoinState::Initial,
-            0,
-        ));
+        conn.push_subflow(sock, JoinState::Initial, 0);
         conn
     }
 
@@ -265,61 +198,40 @@ impl MptcpConnection {
             _ => None,
         });
 
-        match peer_capable {
-            Some((peer_key, peer_ck)) => {
-                let local = tokens.generate(&mut rng);
-                let mut cfg = cfg;
-                cfg.checksum = cfg.checksum || peer_ck;
-                let checksum_on = cfg.checksum;
-                let syn_opts = vec![TcpOption::Mptcp(MptcpOption::MpCapable {
-                    version: 0,
-                    checksum_required: checksum_on,
-                    sender_key: local.key,
-                    receiver_key: None,
-                })];
-                let mut sock =
-                    TcpSocket::accept(cfg.tcp.clone(), syn, SeqNum(rng.next_u32()), now, syn_opts);
-                // The SYN's MP_CAPABLE was consumed here; don't let the
-                // harvested copy masquerade as third-ACK confirmation.
-                let _ = sock.take_rx_mptcp();
-                MptcpConnection::install_cc(&cfg, &mut sock);
-                let mut conn = MptcpConnection::common(cfg, false, local, rng);
-                conn.set_remote_key(peer_key);
-                conn.state = ConnState::Handshake;
-                conn.subflows.push(Subflow::new(
-                    sock,
-                    MappingTracker::new(checksum_on),
-                    JoinState::Initial,
-                    0,
-                ));
-                conn
-            }
-            None => {
-                // No MP_CAPABLE (stripped or plain peer): regular TCP.
-                let local = KeySet::from_key(rng.next_u64());
-                let sock =
-                    TcpSocket::accept(cfg.tcp.clone(), syn, SeqNum(rng.next_u32()), now, vec![]);
-                let mut conn = MptcpConnection::common(cfg, false, local, rng);
-                conn.state = ConnState::Fallback;
-                conn.subflows.push(Subflow::new(
-                    sock,
-                    MappingTracker::new(false),
-                    JoinState::Initial,
-                    0,
-                ));
-                conn
-            }
-        }
+        let Some((peer_key, peer_ck)) = peer_capable else {
+            // No MP_CAPABLE (stripped or plain peer): regular TCP, with
+            // the subflow socket's own congestion control and no mappings.
+            let local = KeySet::from_key(rng.next_u64());
+            let isn = SeqNum(rng.next_u32());
+            let sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, vec![]);
+            let mut conn = MptcpConnection::common(cfg, false, local, rng);
+            conn.state = ConnState::Fallback;
+            conn.checksum_on = false;
+            conn.push_subflow(sock, JoinState::Initial, 0);
+            return conn;
+        };
+        let local = tokens.generate(&mut rng);
+        let mut cfg = cfg;
+        cfg.checksum |= peer_ck;
+        let syn_opts = mp_capable(cfg.checksum, local.key, None);
+        let isn = SeqNum(rng.next_u32());
+        let mut sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, syn_opts);
+        // The SYN's MP_CAPABLE was consumed here; don't let the harvested
+        // copy masquerade as third-ACK confirmation.
+        let _ = sock.take_rx_mptcp();
+        let mut conn = MptcpConnection::common(cfg, false, local, rng);
+        conn.set_remote_key(peer_key);
+        conn.push_subflow(sock, JoinState::Initial, 0);
+        conn
     }
 
     fn common(cfg: MptcpConfig, is_client: bool, local: KeySet, rng: SimRng) -> MptcpConnection {
-        let snd_start = local.idsn.wrapping_add(1);
-        let (snd_buf_cap, rcv_buf_cap) = if cfg.mech.autotune {
-            ((64 * 1024).min(cfg.send_buf), (64 * 1024).min(cfg.recv_buf))
+        // M3 starts both buffers small and grows them toward their caps.
+        let start = if cfg.mech.autotune {
+            AUTOTUNE_START
         } else {
-            (cfg.send_buf, cfg.recv_buf)
+            usize::MAX
         };
-        let pm = PathManager::new(cfg.pm.clone());
         MptcpConnection {
             is_client,
             state: ConnState::Handshake,
@@ -329,43 +241,21 @@ impl MptcpConnection {
             checksum_on: cfg.checksum,
             subflows: Vec::new(),
             next_addr_id: 1,
-            pm,
+            pm: PathManager::new(cfg.pm.clone()),
             peer_adverts: HashMap::new(),
             advertised_local: HashMap::new(),
-            snd_nxt: snd_start,
-            snd_una: snd_start,
-            snd_right_edge: snd_start,
-            pending: VecDeque::new(),
-            pending_bytes: 0,
-            sent: BTreeMap::new(),
-            sent_bytes: 0,
-            reinject: VecDeque::new(),
-            snd_buf_cap,
-            data_fin_queued: false,
-            data_fin_dsn: None,
-            data_rto_deadline: None,
-            data_rto_backoff: 1,
-            last_opp: None,
-            rcv_nxt: 0,
-            ooo: make_queue(cfg.reorder),
-            app_rx: VecDeque::new(),
-            app_rx_bytes: 0,
-            rcv_buf_cap,
-            rcv_fin_dsn: None,
-            rcv_eof: false,
+            tx: DataSender::new(local.idsn.wrapping_add(1), cfg.send_buf.min(start)),
+            rx: DataReceiver::new(cfg.reorder, cfg.recv_buf.min(start)),
+            health: PathHealth::new(cfg.failure),
             confirmed: false,
             plain_rx_streak: 0,
             abort_reason: None,
-            all_failed_since: None,
-            events: VecDeque::new(),
             stats: ConnStats::default(),
-            telemetry: Recorder::traced(cfg.event_capacity, cfg.trace),
+            telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
             sched: cfg.scheduler.build(),
             coupled: CoupledState::new(cfg.cc),
             sched_stalled: false,
             poll_cursor: 0,
-            mapped_run: Vec::new(),
-            ooo_pending: Vec::new(),
             // Sized here, not on first use: one small allocation per
             // connection made mid-transfer lands between payload buffers
             // and costs `sim_http` 16 % peak RSS in heap fragmentation.
@@ -374,15 +264,32 @@ impl MptcpConnection {
         }
     }
 
-    /// Install the configured congestion controller on a subflow socket
-    /// (coupled LIA by default; see [`mptcp_tcpstack::CcAlgorithm`]).
-    fn install_cc(cfg: &MptcpConfig, sock: &mut TcpSocket) {
-        sock.set_cc(cfg.cc.build(cfg.tcp.mss as u32, INIT_CWND_SEGS));
+    /// Add a subflow around `sock`: tagged with its index for telemetry,
+    /// and running the configured congestion controller (coupled LIA by
+    /// default; see [`mptcp_tcpstack::CcAlgorithm`]) unless the connection
+    /// is plain TCP from the start.
+    fn push_subflow(&mut self, mut sock: TcpSocket, join: JoinState, addr_id: u8) -> &mut Subflow {
+        sock.set_telemetry_tag(self.subflows.len() as u32);
+        if self.state != ConnState::Fallback {
+            let mss = self.cfg.tcp.mss as u32;
+            sock.set_cc(self.cfg.cc.build(mss, INIT_CWND_SEGS));
+        }
+        let tracker = MappingTracker::new(self.checksum_on);
+        self.subflows
+            .push(Subflow::new(sock, tracker, join, addr_id));
+        self.health.add_path();
+        self.subflows.last_mut().expect("just pushed")
+    }
+
+    /// Subflow `idx` is dead: reset, timed out or torn down.
+    fn bury(&mut self, idx: usize) {
+        self.subflows[idx].dead = true;
+        self.health.retire(idx);
     }
 
     fn set_remote_key(&mut self, key: u64) {
         let ks = KeySet::from_key(key);
-        self.rcv_nxt = ks.idsn.wrapping_add(1);
+        self.rx.start_at(ks.idsn.wrapping_add(1));
         self.remote = Some(ks);
     }
 
@@ -424,16 +331,16 @@ impl MptcpConnection {
         let fin = if self.state == ConnState::Fallback {
             self.subflows.first().is_some_and(|s| s.sock.stream_fin())
         } else {
-            self.rcv_eof
+            self.rx.eof()
         };
-        fin && self.app_rx.is_empty()
+        fin && !self.rx.readable()
     }
 
     /// Has our DATA_FIN (or fallback FIN) been acknowledged?
     pub fn send_closed(&self) -> bool {
         match self.state {
             ConnState::Fallback => self.subflows.first().is_some_and(|s| s.sock.fin_acked()),
-            _ => self.data_fin_dsn.is_some_and(|f| self.snd_una > f),
+            _ => self.tx.fin_acked(),
         }
     }
 
@@ -456,54 +363,56 @@ impl MptcpConnection {
         &mut self.subflows
     }
 
+    /// Scheduler-visible health of subflow `idx`'s path.
+    pub fn path_state(&self, idx: usize) -> PathState {
+        self.health.state(idx)
+    }
+
+    /// The connection-level out-of-order queue (Figure 8 algorithms).
+    pub fn reorder_queue(&self) -> &dyn OooQueue {
+        self.rx.queue()
+    }
+
     /// Bytes the sender holds: pending + retained-until-DATA_ACK chunks
     /// (Figure 5a's sender memory).
     pub fn sender_memory(&self) -> usize {
-        self.pending_bytes + self.sent_bytes
+        self.tx.memory()
     }
 
     /// Bytes the receiver holds: connection out-of-order queue + unread
     /// in-order data + transient subflow buffers (Figure 5b).
     pub fn receiver_memory(&self) -> usize {
-        self.ooo.buffered_bytes()
-            + self.app_rx_bytes
-            + self
-                .subflows
-                .iter()
-                .map(|s| s.sock.recv_buffered())
-                .sum::<usize>()
+        let in_subflows: usize = self.subflows.iter().map(|s| s.sock.recv_buffered()).sum();
+        self.rx.memory() + in_subflows
     }
 
     /// Current connection-level advertised window.
     pub fn rcv_window(&self) -> u32 {
-        self.rcv_buf_cap
-            .saturating_sub(self.ooo.buffered_bytes() + self.app_rx_bytes) as u32
+        self.rx.window()
     }
 
     /// Current autotuned receive buffer capacity.
     pub fn rcv_buf_capacity(&self) -> usize {
-        self.rcv_buf_cap
+        self.rx.capacity()
     }
 
     /// Snapshot the connection's telemetry: the connection-level recorder
     /// (M1–M4, fallback, data-level timers, joins) merged with the reorder
     /// queue's counters and every subflow socket's recorder (TCP RTOs,
     /// fast retransmits, M4 caps). The events of all of them interleave by
-    /// time, and the newest `event_capacity` are kept.
+    /// time, and the newest [`DEFAULT_EVENT_CAPACITY`] are kept.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         // A fresh recorder rather than a clone: the trace ring stays put.
-        let mut rec = Recorder::with_event_capacity(self.cfg.event_capacity);
+        let mut rec = Recorder::new();
         rec.absorb(&self.telemetry);
-        rec.count_n(CounterId::ReorderInserts, self.ooo.inserts());
-        rec.count_n(CounterId::ReorderOps, self.ooo.ops());
-        rec.count_n(CounterId::ReorderShortcutHits, self.ooo.shortcut_hits());
-        rec.gauge_set(GaugeId::SndBufCap, self.snd_buf_cap as u64);
-        rec.gauge_set(GaugeId::RcvBufCap, self.rcv_buf_cap as u64);
+        let ooo = self.rx.queue();
+        rec.count_n(CounterId::ReorderInserts, ooo.inserts());
+        rec.count_n(CounterId::ReorderOps, ooo.ops());
+        rec.count_n(CounterId::ReorderShortcutHits, ooo.shortcut_hits());
+        rec.gauge_set(GaugeId::SndBufCap, self.tx.capacity() as u64);
+        rec.gauge_set(GaugeId::RcvBufCap, self.rx.capacity() as u64);
         rec.gauge_set(GaugeId::Subflows, self.alive_subflows() as u64);
-        rec.gauge_set(
-            GaugeId::SendQueueBytes,
-            (self.pending_bytes + self.sent_bytes) as u64,
-        );
+        rec.gauge_set(GaugeId::SendQueueBytes, self.tx.memory() as u64);
         for sf in &self.subflows {
             rec.absorb(&sf.sock.telemetry);
         }
@@ -515,11 +424,9 @@ impl MptcpConnection {
     /// every subflow socket's (SubflowSamples, TCP-level spans). Empty
     /// when tracing is disabled.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        let mut snaps = vec![self.telemetry.trace_snapshot()];
-        for sf in &self.subflows {
-            snaps.push(sf.sock.telemetry.trace_snapshot());
-        }
-        TraceSnapshot::merge(snaps)
+        let socks = self.subflows.iter().map(|sf| &sf.sock.telemetry);
+        let all = std::iter::once(&self.telemetry).chain(socks);
+        TraceSnapshot::merge(all.map(Recorder::trace_snapshot).collect())
     }
 
     /// Record one connection-level sample (no-op when disabled).
@@ -529,31 +436,21 @@ impl MptcpConnection {
         }
         let rec = TraceRecord::ConnSample {
             at_ns: now.0,
-            rwnd: self.rcv_window(),
-            data_snd_nxt: self.snd_nxt,
-            data_snd_una: self.snd_una,
-            data_rcv_nxt: self.rcv_nxt,
-            reorder_segs: self.ooo.len() as u64,
-            reorder_bytes: self.ooo.buffered_bytes() as u64,
-            snd_buf_cap: self.snd_buf_cap as u64,
-            rcv_buf_cap: self.rcv_buf_cap as u64,
+            rwnd: self.rx.window(),
+            data_snd_nxt: self.tx.snd_nxt(),
+            data_snd_una: self.tx.snd_una(),
+            data_rcv_nxt: self.rx.rcv_nxt(),
+            reorder_segs: self.rx.queue().len() as u64,
+            reorder_bytes: self.rx.queue().buffered_bytes() as u64,
+            snd_buf_cap: self.tx.capacity() as u64,
+            rcv_buf_cap: self.rx.capacity() as u64,
         };
         self.telemetry.sample(rec);
     }
 
-    /// Drain pending events.
-    pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        self.events.drain(..).collect()
-    }
-
-    /// Bytes not yet acknowledged at the data level.
+    /// Sequence space not yet acknowledged at the data level.
     pub fn data_outstanding(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-
-    /// Room left before the peer's advertised data-level right edge.
-    pub fn snd_window_room(&self) -> u64 {
-        self.snd_right_edge.saturating_sub(self.snd_nxt)
+        self.tx.outstanding()
     }
 
     // ------------------------------------------------------------------
@@ -563,7 +460,7 @@ impl MptcpConnection {
     /// Write application data; the outcome says how many bytes were
     /// accepted and via which path (connection send buffer permitting).
     pub fn write(&mut self, data: &[u8]) -> WriteOutcome {
-        if self.data_fin_queued || self.state == ConnState::Closed {
+        if self.tx.closing() || self.state == ConnState::Closed {
             return WriteOutcome::Closed;
         }
         if self.state == ConnState::Fallback {
@@ -571,42 +468,25 @@ impl MptcpConnection {
             self.stats.bytes_written += n as u64;
             return WriteOutcome::FellBack(n);
         }
-        let space = self
-            .snd_buf_cap
-            .saturating_sub(self.pending_bytes + self.sent_bytes);
-        let take = data.len().min(space);
-        if take > 0 {
-            self.pending
-                .push_back(Bytes::copy_from_slice(&data[..take]));
-            self.pending_bytes += take;
-            self.stats.bytes_written += take as u64;
-        } else if !data.is_empty() {
+        let take = self.tx.write(data);
+        if take == 0 && !data.is_empty() {
             return WriteOutcome::WouldBlock;
         }
+        self.stats.bytes_written += take as u64;
         WriteOutcome::Accepted(take)
     }
 
     /// Read in-order application data.
     pub fn read(&mut self, max: usize) -> ReadOutcome {
-        let Some(front) = self.app_rx.front_mut() else {
-            return if self.at_eof() {
-                ReadOutcome::Eof
-            } else if self.state == ConnState::Closed {
-                ReadOutcome::Closed
-            } else {
-                ReadOutcome::WouldBlock
-            };
-        };
-        let out = if front.len() <= max {
-            self.app_rx.pop_front().unwrap()
-        } else {
-            let head = front.slice(..max);
-            *front = front.slice(max..);
-            head
-        };
-        self.app_rx_bytes -= out.len();
-        self.stats.bytes_delivered += out.len() as u64;
-        ReadOutcome::Data(out)
+        match self.rx.read(max) {
+            Some(out) => {
+                self.stats.bytes_delivered += out.len() as u64;
+                ReadOutcome::Data(out)
+            }
+            None if self.at_eof() => ReadOutcome::Eof,
+            None if self.state == ConnState::Closed => ReadOutcome::Closed,
+            None => ReadOutcome::WouldBlock,
+        }
     }
 
     /// Close the sending direction (DATA_FIN, §3.4).
@@ -614,22 +494,19 @@ impl MptcpConnection {
         if self.state == ConnState::Fallback {
             self.subflows[0].sock.close();
         } else {
-            self.data_fin_queued = true;
+            self.tx.close();
         }
     }
 
     /// Abort everything.
     pub fn abort(&mut self) {
-        for sf in &mut self.subflows {
-            if !sf.dead {
-                sf.sock.abort();
-            }
-            // `tick` no longer runs once Closed; a timer left armed here
-            // would report a forever-past deadline from `poll_at`.
-            sf.probe_at = None;
-            sf.progress_at = None;
+        for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
+            sf.sock.abort();
         }
-        self.data_rto_deadline = None;
+        // `tick` no longer runs once Closed; a timer left armed here would
+        // report a forever-past deadline from `poll_at`.
+        self.health.clear();
+        self.tx.stop_rto();
         self.state = ConnState::Closed;
     }
 
@@ -640,13 +517,8 @@ impl MptcpConnection {
             return;
         }
         self.abort_reason.get_or_insert(reason);
-        self.all_failed_since = None; // the deadline fired; stop reporting it
-        self.telemetry.note(
-            now.0,
-            EventKind::ConnAborted {
-                code: reason.code(),
-            },
-        );
+        let code = reason.code();
+        self.telemetry.note(now.0, EventKind::ConnAborted { code });
         self.abort();
     }
 
@@ -682,19 +554,16 @@ impl MptcpConnection {
         let Some(rk) = self.remote else {
             return Err(SubflowError::NoRemoteKey);
         };
-        // Don't open duplicates.
+        // Don't open duplicates; a four-tuple whose subflow died is free
+        // again (§3.4: NAT timeout, mobility).
         let tuple = FourTuple {
             src: local,
             dst: remote,
         };
-        if self
-            .subflows
-            .iter()
-            .any(|s| !s.dead && s.sock.tuple() == tuple)
-        {
+        if self.owns_tuple(tuple.reversed()) {
             return Err(SubflowError::DuplicateSubflow);
         }
-        if self.alive_subflows() >= self.cfg.max_subflows {
+        if self.alive_subflows() >= MAX_SUBFLOWS {
             return Err(SubflowError::SubflowLimit);
         }
         let nonce = self.rng.next_u32();
@@ -706,24 +575,11 @@ impl MptcpConnection {
             addr_id,
             backup,
         })];
-        let mut sock = TcpSocket::client(
-            self.cfg.tcp.clone(),
-            tuple,
-            SeqNum(self.rng.next_u32()),
-            now,
-            syn_opts,
-        );
-        MptcpConnection::install_cc(&self.cfg, &mut sock);
-        sock.set_telemetry_tag(self.subflows.len() as u32);
-        let mut sf = Subflow::new(
-            sock,
-            MappingTracker::new(self.checksum_on),
-            JoinState::ClientSyn,
-            addr_id,
-        );
+        let isn = SeqNum(self.rng.next_u32());
+        let sock = TcpSocket::client(self.cfg.tcp.clone(), tuple, isn, now, syn_opts);
+        let sf = self.push_subflow(sock, JoinState::ClientSyn, addr_id);
         sf.nonce_local = nonce;
         sf.backup = backup;
-        self.subflows.push(sf);
         let id = SubflowId(self.subflows.len() - 1);
         self.telemetry
             .gauge_set(GaugeId::Subflows, self.alive_subflows() as u64);
@@ -754,7 +610,7 @@ impl MptcpConnection {
             self.reject_join(now, token);
             return Err(JoinError::UnknownToken);
         }
-        if self.alive_subflows() >= self.cfg.max_subflows {
+        if self.alive_subflows() >= MAX_SUBFLOWS {
             self.reject_join(now, token);
             return Err(JoinError::SubflowLimit);
         }
@@ -767,26 +623,13 @@ impl MptcpConnection {
             addr_id: 0,
             backup: false,
         })];
-        let mut sock = TcpSocket::accept(
-            self.cfg.tcp.clone(),
-            syn,
-            SeqNum(self.rng.next_u32()),
-            now,
-            syn_opts,
-        );
+        let isn = SeqNum(self.rng.next_u32());
+        let mut sock = TcpSocket::accept(self.cfg.tcp.clone(), syn, isn, now, syn_opts);
         let _ = sock.take_rx_mptcp(); // MP_JOIN SYN consumed above
-        MptcpConnection::install_cc(&self.cfg, &mut sock);
-        sock.set_telemetry_tag(self.subflows.len() as u32);
-        let mut sf = Subflow::new(
-            sock,
-            MappingTracker::new(self.checksum_on),
-            JoinState::ServerWait,
-            addr_id,
-        );
+        let sf = self.push_subflow(sock, JoinState::ServerWait, addr_id);
         sf.nonce_local = nonce_local;
         sf.nonce_remote = nonce;
         sf.backup = backup;
-        self.subflows.push(sf);
         // The peer joined toward this local address: if we had been
         // advertising it, the join is the echo — stop retransmitting.
         self.pm.mark_echoed(syn.tuple.dst.addr);
@@ -800,12 +643,23 @@ impl MptcpConnection {
             .note(now.0, EventKind::JoinRejected { token });
     }
 
-    /// Does `tuple` (as seen in an incoming segment) belong to one of our
-    /// subflows?
+    /// Does `incoming` (a tuple as seen in an arriving segment) belong to
+    /// one of our live subflows?
     pub fn owns_tuple(&self, incoming: FourTuple) -> bool {
-        self.subflows
-            .iter()
-            .any(|s| s.sock.tuple() == incoming.reversed())
+        self.subflow_for(incoming)
+            .is_some_and(|i| !self.subflows[i].dead)
+    }
+
+    /// The subflow an arriving segment is for: the live one on its
+    /// four-tuple, else a dead one (whose closed socket ignores it).
+    fn subflow_for(&self, incoming: FourTuple) -> Option<usize> {
+        let local = incoming.reversed();
+        let on_tuple = |live: bool| {
+            self.subflows
+                .iter()
+                .position(|s| s.dead != live && s.sock.tuple() == local)
+        };
+        on_tuple(true).or_else(|| on_tuple(false))
     }
 
     // ------------------------------------------------------------------
@@ -829,23 +683,20 @@ impl MptcpConnection {
     /// decisions depend on which segment came first.
     pub fn handle_segments(&mut self, now: SimTime, segs: &[TcpSegment]) {
         for seg in segs {
-            let Some(idx) = self
-                .subflows
-                .iter()
-                .position(|s| s.sock.tuple() == seg.tuple.reversed())
-            else {
+            let Some(idx) = self.subflow_for(seg.tuple) else {
                 continue;
             };
             self.subflows[idx].sock.handle_segment(now, seg);
 
             // §3.3.2: the receive window is interpreted relative to the
-            // explicit DATA_ACK it travelled with; track the monotonic right
-            // edge. Segments without a DATA_ACK (handshake, pre-confirmation)
-            // anchor the window at the current cumulative DATA_ACK instead —
-            // safe because `snd_una` is always at or behind the peer's real
-            // ack point. (`snd_una` advances in `after_input`, so mid-batch
-            // it may lag; `infer_full_dsn` only mis-anchors on a drift of
-            // ≥ 2^31 bytes — impossible within one drain.)
+            // explicit DATA_ACK it travelled with. Before confirmation the
+            // handshake segments carry no DSS yet their window must open
+            // the connection; afterwards a DSS-less segment is either
+            // fallen-back TCP (no data-level window) or a middlebox forgery
+            // (a pro-active acker's 1 MB-window ACKs must not inflate the
+            // data-level edge). (`snd_una` advances in `after_input`, so
+            // mid-batch it may lag; the truncated ack only mis-expands on a
+            // drift of ≥ 2^31 bytes — impossible within one drain.)
             if self.state != ConnState::Fallback && seg.flags.ack {
                 let dss_ack = seg.mptcp_options().find_map(|m| match m {
                     MptcpOption::Dss {
@@ -853,22 +704,7 @@ impl MptcpConnection {
                     } => Some(*a),
                     _ => None,
                 });
-                let base = match dss_ack {
-                    Some(a) => Some(infer_full_dsn(self.snd_una, a)),
-                    // Before confirmation the handshake segments carry no DSS
-                    // yet their window must open the connection; afterwards a
-                    // DSS-less segment is either fallen-back TCP (no data-level
-                    // window) or a middlebox forgery (a pro-active acker's
-                    // 1 MB-window ACKs must not inflate the data-level edge).
-                    None if !self.confirmed => Some(self.snd_una),
-                    None => None,
-                };
-                if let Some(base) = base {
-                    let edge = base.wrapping_add(u64::from(seg.window));
-                    if edge > self.snd_right_edge {
-                        self.snd_right_edge = edge;
-                    }
-                }
+                self.tx.on_window(dss_ack, !self.confirmed, seg.window);
             }
 
             if self.state == ConnState::Established && self.confirmed {
@@ -917,7 +753,7 @@ impl MptcpConnection {
         self.process_handshake(now, idx);
         self.process_rx_options(now, idx);
         self.drain_subflow_stream(now, idx);
-        self.reap_dead(now);
+        self.reap_dead();
         self.update_ack_state(now);
     }
 
@@ -935,45 +771,30 @@ impl MptcpConnection {
         }
         if self.is_client {
             // Look for the server's MP_CAPABLE in the harvested options.
-            let opts = sf.sock.take_rx_mptcp();
-            let mut server_key = None;
-            for o in &opts {
-                if let MptcpOption::MpCapable {
+            let server_key = sf.sock.take_rx_mptcp().iter().rev().find_map(|o| match o {
+                MptcpOption::MpCapable {
                     sender_key,
                     checksum_required,
                     ..
-                } = o
-                {
-                    server_key = Some((*sender_key, *checksum_required));
-                }
-            }
-            match server_key {
-                Some((key, ck)) => {
-                    self.set_remote_key(key);
-                    self.checksum_on = self.checksum_on || ck;
-                    self.state = ConnState::AwaitingConfirm;
-                    // Third ACK (and every segment until confirmed)
-                    // carries MP_CAPABLE with both keys (§3.1).
-                    let carry = vec![TcpOption::Mptcp(MptcpOption::MpCapable {
-                        version: 0,
-                        checksum_required: self.checksum_on,
-                        sender_key: self.local.key,
-                        receiver_key: Some(key),
-                    })];
-                    self.subflows[idx].sock.set_carry_options(carry);
-                    self.subflows[idx].sock.request_ack();
-                    self.events.push_back(ConnEvent::SubflowUp(idx));
-                }
-                None => {
-                    // SYN/ACK without MP_CAPABLE: fall back (§3.1).
-                    self.enter_fallback(FallbackCause::OptionStripped, now);
-                }
-            }
+                } => Some((*sender_key, *checksum_required)),
+                _ => None,
+            });
+            let Some((key, ck)) = server_key else {
+                // SYN/ACK without MP_CAPABLE: fall back (§3.1).
+                return self.enter_fallback(FallbackCause::OptionStripped, now);
+            };
+            self.set_remote_key(key);
+            self.checksum_on |= ck;
+            self.state = ConnState::AwaitingConfirm;
+            // Third ACK (and every segment until confirmed) carries
+            // MP_CAPABLE with both keys (§3.1).
+            let carry = mp_capable(self.checksum_on, self.local.key, Some(key));
+            self.subflows[idx].sock.set_carry_options(carry);
+            self.subflows[idx].sock.request_ack();
         } else {
             // Server: established; stay unconfirmed until the first
             // non-SYN segment proves the client received our key.
             self.state = ConnState::AwaitingConfirm;
-            self.events.push_back(ConnEvent::SubflowUp(idx));
         }
     }
 
@@ -1007,50 +828,41 @@ impl MptcpConnection {
                     if self.subflows[idx].join == JoinState::ClientEstablished {
                         self.subflows[idx].join = JoinState::Active;
                     }
-                    if let Some(m) = mapping {
-                        if data_fin {
-                            self.rcv_fin_dsn = Some(m.dsn + u64::from(m.len));
-                        }
-                        if m.len > 0 {
-                            self.subflows[idx].tracker.add(&m);
-                        }
-                    } else if data_fin {
-                        // DATA_FIN without mapping: FIN at current edge.
-                        self.rcv_fin_dsn.get_or_insert(self.rcv_nxt);
+                    if data_fin {
+                        self.rx
+                            .on_data_fin(mapping.map(|m| m.dsn + u64::from(m.len)));
+                    }
+                    if let Some(m) = mapping.filter(|m| m.len > 0) {
+                        self.subflows[idx].tracker.add(&m);
                     }
                     if let Some(a) = data_ack {
-                        let full = infer_full_dsn(self.snd_una.max(1), a);
-                        self.on_data_ack(now, full);
+                        self.tx.on_data_ack(a);
                     }
                 }
                 MptcpOption::AddAddr(a) => {
                     // Idempotency: ADD_ADDR is advertised repeatedly for
                     // reliability, so a repeat of a known (id, address)
-                    // pair must not re-count, re-fire the event, or
+                    // pair must not re-count, re-note the event, or
                     // trigger a duplicate join. A different address under
                     // a known id replaces the mapping.
                     if self.peer_adverts.get(&a.addr_id) == Some(&(a.addr, a.port)) {
                         continue;
                     }
                     self.peer_adverts.insert(a.addr_id, (a.addr, a.port));
-                    self.telemetry.note(
-                        now.0,
-                        EventKind::AddAddr {
-                            addr: a.addr,
-                            id: u32::from(a.addr_id),
-                            sent: 0,
-                        },
-                    );
-                    let actions = self.pm.on_event(
-                        now,
-                        PmEvent::AddrAdvertised {
-                            addr_id: a.addr_id,
-                            addr: a.addr,
-                            port: a.port,
-                        },
-                    );
-                    self.events.push_back(ConnEvent::PeerAddr(a));
-                    self.pm_apply(now, actions);
+                    let AdvertisedAddr {
+                        addr_id,
+                        addr,
+                        port,
+                    } = a;
+                    let (id, sent) = (u32::from(addr_id), 0);
+                    self.telemetry
+                        .note(now.0, EventKind::AddAddr { addr, id, sent });
+                    let learned = PmEvent::AddrAdvertised {
+                        addr_id,
+                        addr,
+                        port,
+                    };
+                    self.pm_event(now, learned);
                 }
                 MptcpOption::RemoveAddr { addr_ids } => {
                     for id in addr_ids {
@@ -1060,62 +872,37 @@ impl MptcpConnection {
                         let advertised = self.peer_adverts.remove(&id);
                         let known = advertised.is_some()
                             || self.subflows.iter().any(|s| !s.dead && s.addr_id == id);
+                        let (addr_id, id, sent) = (id, u32::from(id), 0);
                         if !known {
-                            let kind = EventKind::RemoveAddrUnknown { id: u32::from(id) };
-                            self.telemetry.note(now.0, kind);
+                            self.telemetry
+                                .note(now.0, EventKind::RemoveAddrUnknown { id });
                             continue;
                         }
-                        self.telemetry.note(
-                            now.0,
-                            EventKind::RemoveAddr {
-                                id: u32::from(id),
-                                sent: 0,
-                            },
-                        );
+                        self.telemetry
+                            .note(now.0, EventKind::RemoveAddr { id, sent });
                         // Affected subflows: those the peer opened under
                         // this id, plus any we opened toward the
                         // withdrawn address.
                         let gone = advertised.map(|(addr, _)| addr);
-                        let affected: Vec<usize> = self
-                            .subflows
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| {
-                                !s.dead
-                                    && (s.addr_id == id || Some(s.sock.tuple().dst.addr) == gone)
-                            })
-                            .map(|(i, _)| i)
-                            .collect();
-                        let actions = self.pm.on_event(
-                            now,
-                            PmEvent::AddrWithdrawn {
-                                addr_id: id,
-                                affected,
-                            },
-                        );
-                        self.pm_apply(now, actions);
+                        let affected = self.live_subflows_where(|_, s| {
+                            s.addr_id == addr_id || Some(s.sock.tuple().dst.addr) == gone
+                        });
+                        self.pm_event(now, PmEvent::AddrWithdrawn { addr_id, affected });
                     }
                 }
                 MptcpOption::MpJoinSynAck { mac, nonce, .. } => {
-                    self.handle_join_synack(now, idx, mac, nonce);
+                    self.handle_join_synack(now, idx, mac, nonce)
                 }
-                MptcpOption::MpJoinAck { mac } => {
-                    self.handle_join_ack(now, idx, mac);
-                }
-                MptcpOption::MpJoinSyn { .. } => {
-                    // Handled at accept_join; a duplicate SYN's option.
-                }
+                MptcpOption::MpJoinAck { mac } => self.handle_join_ack(now, idx, mac),
+                // Handled at accept_join; a duplicate SYN's option.
+                MptcpOption::MpJoinSyn { .. } => {}
                 MptcpOption::MpFail { .. } => {
                     if self.alive_subflows() <= 1 {
                         self.enter_fallback(FallbackCause::MpFail, now);
                     }
                 }
-                MptcpOption::FastClose { .. } => {
-                    self.abort_with(AbortReason::PeerFastClose, now);
-                }
-                MptcpOption::MpPrio { backup, .. } => {
-                    self.subflows[idx].backup = backup;
-                }
+                MptcpOption::FastClose { .. } => self.abort_with(AbortReason::PeerFastClose, now),
+                MptcpOption::MpPrio { backup, .. } => self.subflows[idx].backup = backup,
             }
         }
     }
@@ -1128,24 +915,19 @@ impl MptcpConnection {
         let Some(rk) = self.remote else { return };
         let expect = crypto::join_synack_mac(rk.key, self.local.key, sf.nonce_local, nonce_remote);
         if mac != expect {
-            sf.sock.abort();
-            sf.dead = true;
-            self.reject_join(now, rk.token);
-            self.note_subflow_reset(now, idx);
+            self.reject_join_mac(now, idx, rk.token);
             return;
         }
-        let sf = &mut self.subflows[idx];
-        sf.nonce_remote = nonce_remote;
         sf.join = JoinState::ClientEstablished;
-        // Third ACK carries our full HMAC until the server confirms (by
-        // sending any DSS on this subflow).
-        let ack_mac = crypto::join_ack_mac(self.local.key, rk.key, sf.nonce_local, nonce_remote);
-        sf.sock
-            .set_carry_options(vec![TcpOption::Mptcp(MptcpOption::MpJoinAck {
-                mac: ack_mac,
-            })]);
+        // The third ACK carries our full HMAC, computed here once, until
+        // the server confirms (by sending any DSS on this subflow).
+        sf.join_ack_mac =
+            crypto::join_ack_mac(self.local.key, rk.key, sf.nonce_local, nonce_remote);
+        let ack = MptcpOption::MpJoinAck {
+            mac: sf.join_ack_mac,
+        };
+        sf.sock.set_carry_options(vec![TcpOption::Mptcp(ack)]);
         sf.sock.request_ack();
-        self.events.push_back(ConnEvent::SubflowUp(idx));
         self.seed_new_subflow();
     }
 
@@ -1156,13 +938,8 @@ impl MptcpConnection {
     /// from the path already carrying it, so the newcomer catches up and
     /// the every-chunk-on-every-path invariant holds from its first RTT.
     fn seed_new_subflow(&mut self) {
-        if self.cfg.scheduler != crate::sched::SchedulerKind::Redundant {
-            return;
-        }
-        for &dsn in self.sent.keys() {
-            if !self.reinject.contains(&dsn) {
-                self.reinject.push_back(dsn);
-            }
+        if self.cfg.scheduler == SchedulerKind::Redundant {
+            self.tx.reinject_where(u64::MAX, |_, _| true);
         }
     }
 
@@ -1174,25 +951,25 @@ impl MptcpConnection {
         let Some(rk) = self.remote else { return };
         let expect = crypto::join_ack_mac(rk.key, self.local.key, sf.nonce_remote, sf.nonce_local);
         if mac != expect {
-            sf.sock.abort();
-            sf.dead = true;
-            self.reject_join(now, self.local.token);
-            self.note_subflow_reset(now, idx);
+            self.reject_join_mac(now, idx, self.local.token);
             return;
         }
-        let sf = &mut self.subflows[idx];
         sf.join = JoinState::Active;
-        self.events.push_back(ConnEvent::SubflowUp(idx));
         self.seed_new_subflow();
     }
 
+    /// A join's HMAC did not verify: reset the subflow.
+    fn reject_join_mac(&mut self, now: SimTime, idx: usize, token: u32) {
+        self.subflows[idx].sock.abort();
+        self.bury(idx);
+        self.reject_join(now, token);
+        self.note_subflow_reset(now, idx);
+    }
+
     fn note_subflow_reset(&mut self, now: SimTime, idx: usize) {
-        self.telemetry.note(
-            now.0,
-            EventKind::SubflowReset {
-                subflow: idx as u32,
-            },
-        );
+        let subflow = idx as u32;
+        self.telemetry
+            .note(now.0, EventKind::SubflowReset { subflow });
     }
 
     // ------------------------------------------------------------------
@@ -1211,16 +988,18 @@ impl MptcpConnection {
         self.confirmed = true;
         if self.state == ConnState::AwaitingConfirm {
             self.state = ConnState::Established;
-            let t = self.subflows[0].sock.tuple();
-            let actions = self.pm.on_event(
-                now,
-                PmEvent::Established {
-                    local: t.src,
-                    remote: t.dst,
-                },
-            );
-            self.pm_apply(now, actions);
+            let FourTuple {
+                src: local,
+                dst: remote,
+            } = self.subflows[0].sock.tuple();
+            self.pm_event(now, PmEvent::Established { local, remote });
         }
+    }
+
+    /// Tell the path manager what happened and execute what it decides.
+    fn pm_event(&mut self, now: SimTime, ev: PmEvent) {
+        let actions = self.pm.on_event(now, ev);
+        self.pm_apply(now, actions);
     }
 
     /// Execute a batch of path-manager decisions.
@@ -1232,61 +1011,45 @@ impl MptcpConnection {
                     remote,
                     backup,
                 } => {
-                    self.telemetry.note(
-                        now.0,
-                        EventKind::PmOpenSubflow {
-                            local: local.addr,
-                            remote: remote.addr,
-                            backup: u32::from(backup),
-                        },
-                    );
+                    let opening = EventKind::PmOpenSubflow {
+                        local: local.addr,
+                        remote: remote.addr,
+                        backup: u32::from(backup),
+                    };
+                    self.telemetry.note(now.0, opening);
                     if self.open_subflow_with(local, remote, backup, now).is_ok() {
                         self.telemetry.count(CounterId::PmSubflowsOpened);
                     }
                 }
-                PmAction::Advertise { addr, port } => {
-                    self.pm_send_advert(now, addr, port);
-                }
-                PmAction::CloseSubflow { subflow } => {
-                    self.close_subflow(now, subflow);
-                }
-                PmAction::PromoteBackup { subflow } => {
-                    self.promote_backup(now, subflow);
-                }
+                PmAction::Advertise { addr, port } => self.pm_send_advert(now, addr, port),
+                PmAction::CloseSubflow { subflow } => self.close_subflow(now, subflow),
+                PmAction::PromoteBackup { subflow } => self.promote_backup(now, subflow),
             }
         }
     }
 
     /// Send (or retransmit) an ADD_ADDR for `addr` with a stable addr_id.
     fn pm_send_advert(&mut self, now: SimTime, addr: u32, port: Option<u16>) {
-        let (addr_id, retx) = match self.advertised_local.get(&addr) {
-            Some(&id) => (id, true),
-            None => {
-                let id = self.next_addr_id;
-                self.next_addr_id += 1;
-                self.advertised_local.insert(addr, id);
-                (id, false)
-            }
-        };
-        let opt = TcpOption::Mptcp(MptcpOption::AddAddr(AdvertisedAddr {
+        let retx = self.advertised_local.contains_key(&addr);
+        let addr_id = *self.advertised_local.entry(addr).or_insert_with(|| {
+            self.next_addr_id += 1;
+            self.next_addr_id - 1
+        });
+        let advert = AdvertisedAddr {
             addr_id,
             addr,
             port,
-        }));
+        };
         if let Some(sf) = self.subflows.iter_mut().find(|s| s.usable()) {
-            sf.sock.queue_oneshot_options(vec![opt]);
-            if retx {
-                self.telemetry.count(CounterId::AddAddrRetransmits);
+            sf.signal(MptcpOption::AddAddr(advert));
+            self.telemetry.count(if retx {
+                CounterId::AddAddrRetransmits
             } else {
-                self.telemetry.count(CounterId::AddAddrsSent);
-            }
-            self.telemetry.note(
-                now.0,
-                EventKind::PmAdvertise {
-                    addr,
-                    id: u32::from(addr_id),
-                },
-            );
+                CounterId::AddAddrsSent
+            });
+            let id = u32::from(addr_id);
+            self.telemetry
+                .note(now.0, EventKind::PmAdvertise { addr, id });
         }
     }
 
@@ -1298,9 +1061,8 @@ impl MptcpConnection {
             return;
         }
         self.subflows[idx].sock.abort();
-        self.subflows[idx].dead = true;
-        self.events.push_back(ConnEvent::SubflowDown(idx));
-        self.reinject_chunks_of_dead(now);
+        self.bury(idx);
+        self.reinject_chunks_of_dead();
         if self.alive_subflows() == 0 {
             self.abort_with(AbortReason::LastSubflowRemoved, now);
         }
@@ -1312,33 +1074,34 @@ impl MptcpConnection {
         if idx >= self.subflows.len() || self.subflows[idx].dead || !self.subflows[idx].backup {
             return;
         }
-        self.subflows[idx].backup = false;
-        let addr_id = self.subflows[idx].addr_id;
-        self.subflows[idx]
-            .sock
-            .queue_oneshot_options(vec![TcpOption::Mptcp(MptcpOption::MpPrio {
-                backup: false,
-                addr_id: Some(addr_id),
-            })]);
-        self.telemetry.note(
-            now.0,
-            EventKind::PmBackupPromoted {
-                subflow: idx as u32,
-            },
-        );
+        let sf = &mut self.subflows[idx];
+        sf.backup = false;
+        sf.signal(MptcpOption::MpPrio {
+            backup: false,
+            addr_id: Some(sf.addr_id),
+        });
+        let subflow = idx as u32;
+        self.telemetry
+            .note(now.0, EventKind::PmBackupPromoted { subflow });
     }
 
-    /// Live backup-priority subflows outside `except`, in index order
-    /// (the PM's promotion candidates).
-    fn backup_candidates(&self, except: &[usize]) -> Vec<usize> {
-        self.subflows
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| {
-                !except.contains(i) && s.usable() && s.backup && s.path_state != PathState::Failed
-            })
+    /// Indices of the live subflows `wanted` selects, ascending.
+    fn live_subflows_where(&self, wanted: impl Fn(usize, &Subflow) -> bool) -> Vec<usize> {
+        let live = self.subflows.iter().enumerate().filter(|(_, s)| !s.dead);
+        live.filter(|(i, s)| wanted(*i, s))
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Usable backup-priority subflows outside `except` whose path has not
+    /// failed (the PM's promotion candidates).
+    fn backup_candidates(&self, except: &[usize]) -> Vec<usize> {
+        self.live_subflows_where(|i, s| {
+            !except.contains(&i)
+                && s.usable()
+                && s.backup
+                && self.health.state(i) != PathState::Failed
+        })
     }
 
     /// A local address went away (interface down, §3.4 mobility): tell
@@ -1349,13 +1112,7 @@ impl MptcpConnection {
         if matches!(self.state, ConnState::Closed) {
             return;
         }
-        let affected: Vec<usize> = self
-            .subflows
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.dead && s.sock.tuple().src.addr == addr)
-            .map(|(i, _)| i)
-            .collect();
+        let affected = self.live_subflows_where(|_, s| s.sock.tuple().src.addr == addr);
         if self.state != ConnState::Fallback && !affected.is_empty() {
             let mut ids: Vec<u8> = affected.iter().map(|&i| self.subflows[i].addr_id).collect();
             ids.sort_unstable();
@@ -1365,19 +1122,12 @@ impl MptcpConnection {
                 .iter()
                 .position(|s| s.usable() && s.sock.tuple().src.addr != addr);
             if let Some(c) = carrier {
-                self.subflows[c]
-                    .sock
-                    .queue_oneshot_options(vec![TcpOption::Mptcp(MptcpOption::RemoveAddr {
-                        addr_ids: ids.clone(),
-                    })]);
-                for id in ids {
-                    self.telemetry.note(
-                        now.0,
-                        EventKind::RemoveAddr {
-                            id: u32::from(id),
-                            sent: 1,
-                        },
-                    );
+                self.subflows[c].signal(MptcpOption::RemoveAddr {
+                    addr_ids: ids.clone(),
+                });
+                for (id, sent) in ids.into_iter().map(|id| (u32::from(id), 1)) {
+                    self.telemetry
+                        .note(now.0, EventKind::RemoveAddr { id, sent });
                 }
             }
         }
@@ -1386,15 +1136,12 @@ impl MptcpConnection {
         } else {
             self.backup_candidates(&affected)
         };
-        let actions = self.pm.on_event(
-            now,
-            PmEvent::LocalAddrDown {
-                addr,
-                affected,
-                backups,
-            },
-        );
-        self.pm_apply(now, actions);
+        let down = PmEvent::LocalAddrDown {
+            addr,
+            affected,
+            backups,
+        };
+        self.pm_event(now, down);
     }
 
     /// A local address came (back) up: the path manager re-advertises it
@@ -1403,203 +1150,72 @@ impl MptcpConnection {
         if matches!(self.state, ConnState::Closed | ConnState::Fallback) {
             return;
         }
-        let actions = self.pm.on_event(now, PmEvent::LocalAddrUp { addr });
-        self.pm_apply(now, actions);
+        self.pm_event(now, PmEvent::LocalAddrUp { addr });
     }
 
-    fn on_data_ack(&mut self, _now: SimTime, ack: u64) {
-        if ack <= self.snd_una {
-            return;
-        }
-        let ack = ack.min(self.snd_nxt);
-        // Free retained chunks (§3.3.5). A chunk straddling the ack keeps
-        // its unacknowledged tail — a mid-chunk DATA_ACK (content-length-
-        // changing middleboxes cause these) must not discard bytes the
-        // receiver never got.
-        let keys: Vec<u64> = self.sent.range(..ack).map(|(&k, _)| k).collect();
-        for k in keys {
-            if let Some(c) = self.sent.remove(&k) {
-                self.sent_bytes -= c.data.len();
-                let end = k + c.data.len() as u64;
-                if end > ack {
-                    let cut = (ack - k) as usize;
-                    let tail = c.data.slice(cut..);
-                    self.sent_bytes += tail.len();
-                    self.sent.insert(
-                        ack,
-                        SentChunk {
-                            data: tail,
-                            subflow: c.subflow,
-                        },
-                    );
-                }
-            }
-        }
-        self.snd_una = ack;
-        self.data_rto_backoff = 1;
-        self.data_rto_deadline = None; // re-armed on next poll if needed
-        self.reinject.retain(|&d| d >= ack);
-    }
-
-    /// Pull in-order subflow bytes, translate through mappings, and place
-    /// them in the connection-level receive path.
-    ///
-    /// Consecutive mapped pieces are accumulated into `mapped_run` and
-    /// delivered together: a drain of N datagrams then costs one reorder
-    /// walk (via [`OooQueue::insert_batch`]) instead of N.
+    /// Pull in-order subflow bytes, translate them through the mappings
+    /// and hand the mapped pieces to the receiver as one run, so a drain of
+    /// N datagrams costs one reorder walk instead of N.
     fn drain_subflow_stream(&mut self, now: SimTime, idx: usize) {
         loop {
             let piece = self.subflows[idx].sock.read_stream(64 * 1024);
             let Some((off0, bytes)) = piece else { break };
             if self.state == ConnState::Fallback {
-                self.flush_mapped_run(now, idx);
-                self.deliver_raw(bytes);
+                self.rx.flush(now, idx, &mut self.telemetry);
+                self.rx.deliver(bytes);
                 continue;
             }
             let consumed = self.subflows[idx].tracker.consume(off0, bytes);
             for c in consumed {
                 match c {
-                    Consumed::Mapped { dsn, data } => self.mapped_run.push((dsn, data)),
+                    Consumed::Mapped { dsn, data } => self.rx.stage(dsn, data),
                     Consumed::ChecksumFail { dsn, data } => {
-                        self.flush_mapped_run(now, idx);
+                        self.rx.flush(now, idx, &mut self.telemetry);
                         self.on_checksum_fail(now, idx, dsn, data);
                     }
                     Consumed::Unmapped { data } => {
-                        self.flush_mapped_run(now, idx);
+                        self.rx.flush(now, idx, &mut self.telemetry);
                         self.on_unmapped(now, idx, data);
                     }
                 }
             }
         }
-        self.flush_mapped_run(now, idx);
-        self.check_data_fin();
-    }
-
-    /// Deliver the accumulated mapped run, whatever its length: duplicates
-    /// are trimmed against `rcv_nxt`, in-order pieces are delivered and
-    /// pull what they unblock out of the reorder queue, and out-of-order
-    /// pieces are staged in `ooo_pending` and inserted in one
-    /// [`OooQueue::insert_batch`] walk. The staged batch is flushed before
-    /// any in-order piece drains the queue, so `rcv_nxt`, `app_rx` and
-    /// duplicate accounting evolve piece by piece.
-    fn flush_mapped_run(&mut self, now: SimTime, idx: usize) {
-        if self.mapped_run.is_empty() {
-            return;
-        }
-        let mut run = std::mem::take(&mut self.mapped_run);
-        for (dsn, data) in run.drain(..) {
-            let end = dsn + data.len() as u64;
-            if end <= self.rcv_nxt {
-                self.telemetry
-                    .count_n(CounterId::DupDataBytes, data.len() as u64);
-                continue;
-            }
-            let (dsn, data) = if dsn < self.rcv_nxt {
-                let cut = (self.rcv_nxt - dsn) as usize;
-                self.telemetry.count_n(CounterId::DupDataBytes, cut as u64);
-                (self.rcv_nxt, data.slice(cut..))
-            } else {
-                (dsn, data)
-            };
-            if dsn > self.rcv_nxt {
-                self.ooo_pending.push((dsn, data, idx));
-                continue;
-            }
-            // In-order: anything staged so far must land in the queue
-            // first so the pop_ready drain below can see it.
-            self.flush_ooo_pending(now);
-            self.rcv_nxt = dsn + data.len() as u64;
-            self.deliver_raw(data);
-            let mut popped = false;
-            while let Some((d, b)) = self.ooo.pop_ready(self.rcv_nxt) {
-                debug_assert_eq!(d, self.rcv_nxt);
-                self.rcv_nxt = d + b.len() as u64;
-                self.deliver_raw(b);
-                popped = true;
-            }
-            if popped {
-                self.telemetry
-                    .gauge_set(GaugeId::OfoQueueSegs, self.ooo.len() as u64);
-                self.telemetry
-                    .gauge_set(GaugeId::OfoQueueBytes, self.ooo.buffered_bytes() as u64);
-            }
-        }
-        self.flush_ooo_pending(now);
-        self.mapped_run = run; // keep the capacity for the next drain
-    }
-
-    /// One queue walk for the staged out-of-order pieces, then the
-    /// high-water event and gauge updates against the post-insert queue
-    /// state.
-    fn flush_ooo_pending(&mut self, now: SimTime) {
-        if self.ooo_pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.ooo_pending);
-        self.ooo.insert_batch(&mut pending);
-        self.ooo_pending = pending; // drained; keep the capacity
-        let segs = self.ooo.len() as u64;
-        let bytes = self.ooo.buffered_bytes() as u64;
-        if segs > self.telemetry.gauge(GaugeId::OfoQueueSegs).max {
-            self.telemetry
-                .note(now.0, EventKind::ReorderHighWater { segs, bytes });
-        }
-        self.telemetry.gauge_set(GaugeId::OfoQueueSegs, segs);
-        self.telemetry.gauge_set(GaugeId::OfoQueueBytes, bytes);
-    }
-
-    fn deliver_raw(&mut self, data: Bytes) {
-        self.app_rx_bytes += data.len();
-        self.app_rx.push_back(data);
-    }
-
-    fn check_data_fin(&mut self) {
-        if !self.rcv_eof && self.rcv_fin_dsn == Some(self.rcv_nxt) {
-            self.rcv_eof = true;
-            self.rcv_nxt += 1; // the DATA_FIN occupies one sequence number
-        }
+        self.rx.flush(now, idx, &mut self.telemetry);
+        self.rx.check_fin();
     }
 
     fn on_checksum_fail(&mut self, now: SimTime, idx: usize, dsn: u64, data: Bytes) {
-        self.telemetry.note(
-            now.0,
-            EventKind::ChecksumFail {
-                subflow: idx as u32,
-                dsn,
-            },
-        );
+        let subflow = idx as u32;
+        self.telemetry
+            .note(now.0, EventKind::ChecksumFail { subflow, dsn });
         if self.alive_subflows() > 1 {
             // §3.3.6: terminate the offending subflow; the transfer
             // continues on the others after re-injection.
-            self.subflows[idx]
-                .sock
-                .queue_oneshot_options(vec![TcpOption::Mptcp(MptcpOption::MpFail {
-                    dsn: self.rcv_nxt,
-                })]);
+            let dsn = self.rx.rcv_nxt();
+            self.subflows[idx].signal(MptcpOption::MpFail { dsn });
             self.subflows[idx].sock.abort();
-            self.subflows[idx].dead = true;
+            self.bury(idx);
             self.note_subflow_reset(now, idx);
-            self.events.push_back(ConnEvent::SubflowDown(idx));
-            self.reinject_chunks_of_dead(now);
+            self.reinject_chunks_of_dead();
         } else {
             // Only subflow: fall back to regular TCP, letting the
             // middlebox rewrite as it wishes; the modified bytes continue
             // the stream.
             self.enter_fallback(FallbackCause::ChecksumFail, now);
-            self.deliver_raw(data);
+            self.rx.deliver(data);
         }
     }
 
     fn on_unmapped(&mut self, now: SimTime, idx: usize, data: Bytes) {
         if self.state == ConnState::Fallback {
-            self.deliver_raw(data);
+            self.rx.deliver(data);
             return;
         }
         if self.alive_subflows() == 1 && self.subflows[idx].tracker.mappings_received == 0 {
             // Mid-stream option stripping on the only subflow: infinite
             // mapping / fallback (§3.3.6, §4.1).
             self.enter_fallback(FallbackCause::OptionStripped, now);
-            self.deliver_raw(data);
+            self.rx.deliver(data);
         }
         // Otherwise: drop; the subflow has acked these bytes but they are
         // not DATA_ACKed, so the sender re-injects them (§3.3.5).
@@ -1611,30 +1227,18 @@ impl MptcpConnection {
         }
         self.state = ConnState::Fallback;
         self.telemetry.note(now.0, EventKind::Fallback { cause });
-        self.events.push_back(ConnEvent::FellBack);
-        // Stop MPTCP signalling; plain TCP from here. The failure detector
-        // stops with it — clear its timers so they cannot pin `poll_at`.
+        // Stop MPTCP signalling; plain TCP from here, and the failure
+        // detector stops with it.
         for sf in &mut self.subflows {
             sf.sock.set_carry_options(Vec::new());
             sf.sock.set_window_override(None);
-            sf.path_state = PathState::Active;
-            sf.probe_at = None;
-            sf.progress_at = None;
         }
-        self.all_failed_since = None;
-        // Data already handed to subflow 0 is delivered by subflow
-        // reliability; connection-level retransmission state is void.
-        self.sent.clear();
-        self.sent_bytes = 0;
-        self.reinject.clear();
-        self.data_rto_deadline = None;
-        // Unsent pending data continues as plain writes.
-        let pending: Vec<Bytes> = self.pending.drain(..).collect();
-        self.pending_bytes = 0;
-        for p in pending {
+        self.health.clear();
+        // Unsent data continues as plain writes on subflow 0.
+        for p in self.tx.abandon() {
             self.subflows[0].sock.send_chunk(p, Vec::new());
         }
-        if self.data_fin_queued {
+        if self.tx.closing() {
             self.subflows[0].sock.close();
         }
     }
@@ -1643,17 +1247,16 @@ impl MptcpConnection {
         self.subflows.iter().filter(|s| !s.dead).count()
     }
 
-    fn reap_dead(&mut self, now: SimTime) {
+    fn reap_dead(&mut self) {
         let mut any_died = false;
         for i in 0..self.subflows.len() {
             if !self.subflows[i].dead && self.subflows[i].sock.is_error() {
-                self.subflows[i].dead = true;
+                self.bury(i);
                 any_died = true;
-                self.events.push_back(ConnEvent::SubflowDown(i));
             }
         }
         if any_died {
-            self.reinject_chunks_of_dead(now);
+            self.reinject_chunks_of_dead();
             if self.alive_subflows() == 0 {
                 self.state = ConnState::Closed;
             }
@@ -1664,207 +1267,61 @@ impl MptcpConnection {
     /// live ones — the robustness goal: "if a subflow fails, the
     /// connection must continue as long as another subflow has
     /// connectivity".
-    fn reinject_chunks_of_dead(&mut self, _now: SimTime) {
+    fn reinject_chunks_of_dead(&mut self) {
         if self.state == ConnState::Fallback {
             return;
         }
-        let dead: Vec<usize> = self
-            .subflows
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.dead)
-            .map(|(i, _)| i)
-            .collect();
-        for (&dsn, chunk) in &self.sent {
-            if dead.contains(&chunk.subflow) && !self.reinject.contains(&dsn) {
-                self.reinject.push_back(dsn);
-            }
-        }
-        let mut q: Vec<u64> = self.reinject.drain(..).collect();
-        q.sort_unstable();
-        q.dedup();
-        self.reinject = q.into();
-        self.stats.reinjections += self.reinject.len() as u64;
+        let subflows = &self.subflows;
+        self.tx.reinject_where(u64::MAX, |_, sf| subflows[sf].dead);
+        self.stats.reinjections += self.tx.reinject_queued() as u64;
     }
 
     // ------------------------------------------------------------------
     // Path-failure detection and break-before-make recovery.
     // ------------------------------------------------------------------
 
-    /// Queue every retained chunk riding subflow `idx` for re-injection on
-    /// other subflows (break-before-make: the data moves *before* the
-    /// subflow is torn down, so a blackout costs one detection delay, not
-    /// a full TCP death). Returns how many chunks were newly queued.
-    fn reinject_chunks_of(&mut self, idx: usize) -> u64 {
-        let mut added = 0u64;
-        for (&dsn, c) in &self.sent {
-            if c.subflow == idx && !self.reinject.contains(&dsn) {
-                self.reinject.push_back(dsn);
-                added += 1;
-            }
-        }
-        let mut q: Vec<u64> = self.reinject.drain(..).collect();
-        q.sort_unstable();
-        q.dedup();
-        self.reinject = q.into();
-        self.stats.reinjections += added;
-        added
-    }
-
-    /// The failure detector: runs from `tick` on every live connection.
-    ///
-    /// Two signals demote a path — the subflow socket's consecutive-RTO
-    /// count, and a no-DATA_ACK-progress timer (subflow-level bytes_acked
-    /// frozen with data outstanding; catches paths whose ACKs a middlebox
-    /// forges). `Active -> Suspect` at `suspect_after_rtos`,
-    /// `Suspect -> Failed` at `fail_after_rtos` (or a doubly-expired
-    /// progress timer), recovery back to `Active` the moment the socket
-    /// sees a fresh ACK. Demoted paths are probed on a backoff schedule;
-    /// when every live path is Failed past `abort_deadline`, the
-    /// connection aborts with a typed reason instead of hanging.
+    /// Run the failure detector over every subflow and carry out its
+    /// verdicts (see [`PathHealth`] for the rules).
     fn detect_path_failures(&mut self, now: SimTime) {
-        let fd = self.cfg.failure;
         for i in 0..self.subflows.len() {
-            let (rtos, stalled_for) = {
-                let sf = &mut self.subflows[i];
-                if sf.dead || !sf.sock.is_established() {
-                    sf.probe_at = None;
-                    continue;
+            let verdict = self.health.observe(now, i, self.subflows[i].observe());
+            let subflow = i as u32;
+            match verdict.change {
+                Some(Change::Suspect { rtos }) => self
+                    .telemetry
+                    .note(now.0, EventKind::PathSuspect { subflow, rtos }),
+                Some(Change::Fail) => self.on_path_failed(now, i),
+                Some(Change::Recover) => {
+                    self.telemetry
+                        .note(now.0, EventKind::PathRecovered { subflow });
+                    self.pm_event(now, PmEvent::SubflowRecovered { subflow: i });
                 }
-                // Progress bookkeeping: an advancing subflow ack counter
-                // (or an empty pipe) is proof of life.
-                let acked = sf.sock.stats.bytes_acked;
-                let in_flight = sf.sock.bytes_in_flight() > 0;
-                if !in_flight {
-                    sf.progress_bytes = acked;
-                    sf.progress_at = None;
-                } else if acked != sf.progress_bytes || sf.progress_at.is_none() {
-                    sf.progress_bytes = acked;
-                    sf.progress_at = Some(now);
-                }
-                let stalled_for = sf.progress_at.map_or(Duration::ZERO, |t| now.since(t));
-                (sf.sock.consecutive_rtos(), stalled_for)
-            };
-            let stalled = stalled_for >= fd.progress_timeout;
-            let hard_stalled = stalled_for >= fd.progress_timeout * 2;
-            let healthy = rtos == 0 && !stalled;
-            match self.subflows[i].path_state {
-                PathState::Active => {
-                    if rtos >= fd.fail_after_rtos || hard_stalled {
-                        self.fail_path(now, i);
-                    } else if rtos >= fd.suspect_after_rtos || stalled {
-                        self.suspect_path(now, i, rtos);
-                    }
-                }
-                PathState::Suspect => {
-                    if healthy {
-                        self.recover_path(now, i);
-                    } else if rtos >= fd.fail_after_rtos || hard_stalled {
-                        self.fail_path(now, i);
-                    }
-                }
-                PathState::Failed => {
-                    if healthy {
-                        self.recover_path(now, i);
-                    }
-                }
+                None => {}
             }
-            // Re-probe demoted paths: force a retransmit / bare ACK so a
-            // healed path has traffic to answer, with exponential backoff
-            // while it stays silent.
-            let sf = &mut self.subflows[i];
-            if sf.path_state != PathState::Active {
-                if let Some(at) = sf.probe_at {
-                    if at <= now {
-                        sf.sock.probe_path(now);
-                        sf.probes_unanswered += 1;
-                        let backoff = 1u32 << sf.probes_unanswered.min(3);
-                        sf.probe_at = Some(now + fd.probe_interval * backoff);
-                    }
-                }
+            if verdict.probe {
+                self.subflows[i].sock.probe_path(now);
             }
         }
-
-        // All-paths-failed accounting: the abort deadline runs while every
-        // live, established subflow sits in Failed.
-        let mut any_live = false;
-        let mut all_failed = true;
-        for sf in &self.subflows {
-            if sf.dead || !sf.sock.is_established() {
-                continue;
-            }
-            any_live = true;
-            if sf.path_state != PathState::Failed {
-                all_failed = false;
-            }
-        }
-        if any_live && all_failed {
-            let since = *self.all_failed_since.get_or_insert(now);
-            if now.since(since) >= fd.abort_deadline {
-                self.abort_with(AbortReason::AllPathsFailed, now);
-            }
-        } else {
-            self.all_failed_since = None;
+        if self.health.end_round(now) {
+            self.abort_with(AbortReason::AllPathsFailed, now);
         }
     }
 
-    fn suspect_path(&mut self, now: SimTime, idx: usize, rtos: u32) {
-        let sf = &mut self.subflows[idx];
-        sf.path_state = PathState::Suspect;
-        sf.probes_unanswered = 0;
-        sf.probe_at = Some(now + self.cfg.failure.probe_interval);
-        self.telemetry.note(
-            now.0,
-            EventKind::PathSuspect {
-                subflow: idx as u32,
-                rtos,
-            },
-        );
-    }
-
-    fn fail_path(&mut self, now: SimTime, idx: usize) {
-        let reinjected = self.reinject_chunks_of(idx);
-        let sf = &mut self.subflows[idx];
-        sf.path_state = PathState::Failed;
-        if sf.probe_at.is_none() {
-            sf.probes_unanswered = 0;
-            sf.probe_at = Some(now + self.cfg.failure.probe_interval);
-        }
-        self.telemetry.note(
-            now.0,
-            EventKind::PathFailed {
-                subflow: idx as u32,
-                reinjected,
-            },
-        );
-        // Failure feeds the path manager: it may promote a pre-opened
-        // backup so the scheduler's first tier is never empty.
-        let backups = self.backup_candidates(&[idx]);
-        let actions = self.pm.on_event(
-            now,
-            PmEvent::SubflowFailed {
-                subflow: idx,
-                backups,
-            },
-        );
-        self.pm_apply(now, actions);
-    }
-
-    fn recover_path(&mut self, now: SimTime, idx: usize) {
-        let sf = &mut self.subflows[idx];
-        sf.path_state = PathState::Active;
-        sf.probe_at = None;
-        sf.probes_unanswered = 0;
-        self.telemetry.note(
-            now.0,
-            EventKind::PathRecovered {
-                subflow: idx as u32,
-            },
-        );
-        let actions = self
-            .pm
-            .on_event(now, PmEvent::SubflowRecovered { subflow: idx });
-        self.pm_apply(now, actions);
+    /// Break-before-make: the retained chunks riding the failed path move
+    /// to the others *before* the subflow is torn down, so a blackout
+    /// costs one detection delay, not a full TCP death. Failure also feeds
+    /// the path manager, which may promote a pre-opened backup so the
+    /// scheduler's first tier is never empty.
+    fn on_path_failed(&mut self, now: SimTime, idx: usize) {
+        let reinjected = self.tx.reinject_where(u64::MAX, |_, sf| sf == idx);
+        self.stats.reinjections += reinjected;
+        let failed = EventKind::PathFailed {
+            subflow: idx as u32,
+            reinjected,
+        };
+        self.telemetry.note(now.0, failed);
+        let (subflow, backups) = (idx, self.backup_candidates(&[idx]));
+        self.pm_event(now, PmEvent::SubflowFailed { subflow, backups });
     }
 
     // ------------------------------------------------------------------
@@ -1915,41 +1372,17 @@ impl MptcpConnection {
     ///   pending, this returns `Some`; a loop that always sleeps until
     ///   `poll_at` cannot hang a connection that still has work.
     pub fn poll_at(&self, now: SimTime) -> Option<SimTime> {
-        fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        }
-        let mut t = self.data_rto_deadline;
-        if let Some(since) = self.all_failed_since {
-            t = earliest(t, Some(since + self.cfg.failure.abort_deadline));
-        }
+        let mut t = min_deadline(self.tx.rto_deadline(), self.health.deadline(now));
         // ADD_ADDR retransmits are serviced by `tick` only while MPTCP is
         // operational; don't let a stale deadline pin the loop otherwise.
         if matches!(
             self.state,
             ConnState::Established | ConnState::AwaitingConfirm
         ) {
-            t = earliest(t, self.pm.poll_at());
+            t = min_deadline(t, self.pm.poll_at());
         }
-        for sf in &self.subflows {
-            if sf.dead {
-                continue;
-            }
-            t = earliest(t, sf.sock.poll_at(now));
-            t = earliest(t, sf.probe_at);
-            if let Some(p) = sf.progress_at {
-                // Only the two pending detector transitions (demote at one
-                // timeout, hard-fail at two) warrant a wakeup; a deadline
-                // already behind `now` fired on a previous tick and must
-                // not pin the event loop to the past.
-                let demote = p + self.cfg.failure.progress_timeout;
-                let hard_fail = p + self.cfg.failure.progress_timeout * 2;
-                let next = [demote, hard_fail].into_iter().find(|&d| d > now);
-                t = earliest(t, next);
-            }
+        for sf in self.subflows.iter().filter(|sf| !sf.dead) {
+            t = min_deadline(t, sf.sock.poll_at(now));
         }
         t
     }
@@ -1959,15 +1392,13 @@ impl MptcpConnection {
         if matches!(self.state, ConnState::Closed) {
             return;
         }
-        self.reap_dead(now);
+        self.reap_dead();
         // Interval-driven trace sampling (congestion events add their own
         // samples; this keeps the timeline dense even on quiet paths).
         if self.telemetry.sample_due(now.0) {
             self.trace_conn_sample(now);
-            for sf in &mut self.subflows {
-                if !sf.dead {
-                    sf.sock.trace_sample(now);
-                }
+            for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
+                sf.sock.trace_sample(now);
             }
         }
         if self.state == ConnState::Fallback {
@@ -1977,14 +1408,12 @@ impl MptcpConnection {
         // Data-level retransmission timer (§3.3.5: "If a DATA ACK does
         // not arrive, a timer fires and the sender retransmits that
         // data").
-        if let Some(t) = self.data_rto_deadline {
-            if t <= now {
-                self.on_data_rto(now);
-                if self.state == ConnState::Fallback {
-                    // The timeout itself triggered fallback; the data-level
-                    // machinery (including this timer) is now void.
-                    return;
-                }
+        if self.tx.rto_deadline().is_some_and(|t| t <= now) {
+            self.on_data_rto(now);
+            if self.state == ConnState::Fallback {
+                // The timeout itself triggered fallback; the data-level
+                // machinery (including this timer) is now void.
+                return;
             }
         }
 
@@ -1998,22 +1427,22 @@ impl MptcpConnection {
             self.pm_apply(now, pm_actions);
             self.refresh_coupling();
             self.push_data(now);
-            self.maybe_send_data_fin(now);
+            self.maybe_send_data_fin();
         }
 
         self.update_ack_state(now);
 
-        // Arm/disarm the data-level timer.
-        if self.snd_una < self.snd_nxt && self.data_rto_deadline.is_none() {
-            self.data_rto_deadline = Some(now + self.data_rto_interval());
-        } else if self.snd_una >= self.snd_nxt {
-            self.data_rto_deadline = None;
+        // A DATA_ACK stops the data-level timer; start it again while
+        // anything is outstanding.
+        if self.tx.rto_unarmed() {
+            self.tx.arm_rto(now, self.data_rto_base());
         }
     }
 
-    fn data_rto_interval(&self) -> Duration {
-        // Anchor on the healthiest subflow: a path stuck in exponential
-        // RTO backoff must not delay data-level recovery onto live paths.
+    /// The data-level timer's interval before backoff: twice the RTO of
+    /// the healthiest subflow — a path stuck in exponential RTO backoff
+    /// must not delay data-level recovery onto live paths.
+    fn data_rto_base(&self) -> Duration {
         let min_rto = self
             .subflows
             .iter()
@@ -2021,19 +1450,16 @@ impl MptcpConnection {
             .map(|s| s.sock.rto())
             .min()
             .unwrap_or(Duration::from_secs(1));
-        (min_rto * 2) * self.data_rto_backoff
+        min_rto * 2
     }
 
     fn on_data_rto(&mut self, now: SimTime) {
+        let dsn = self.tx.snd_una();
+        let base = self.data_rto_base();
+        self.telemetry.note(now.0, EventKind::DataRto { dsn });
+        let stalled_ns = self.tx.rto_interval(base).as_nanos() as u64;
         self.telemetry
-            .note(now.0, EventKind::DataRto { dsn: self.snd_una });
-        self.telemetry.note(
-            now.0,
-            EventKind::DataAckStall {
-                dsn: self.snd_una,
-                stalled_ns: self.data_rto_interval().as_nanos() as u64,
-            },
-        );
+            .note(now.0, EventKind::DataAckStall { dsn, stalled_ns });
         self.trace_conn_sample(now);
         // Client-side fallback detection (§3.3.6): our DSS options are
         // being stripped somewhere — subflow delivery succeeds but nothing
@@ -2046,8 +1472,7 @@ impl MptcpConnection {
             self.enter_fallback(FallbackCause::DataRtoUnconfirmed, now);
             return;
         }
-        self.data_rto_backoff = (self.data_rto_backoff * 2).min(64);
-        self.data_rto_deadline = Some(now + self.data_rto_interval());
+        self.tx.back_off_rto(now, base);
         // Re-inject the chunk holding up the data-level window, plus every
         // retained chunk whose subflow believes it was delivered (nothing
         // left in flight there). Those bytes were acknowledged at the
@@ -2055,24 +1480,13 @@ impl MptcpConnection {
         // pro-active-ACKing proxy whose segments then died downstream, or
         // of a coalescer that ate the mapping (§3.3.5). One-at-a-time
         // recovery would crawl under the exponential timer backoff.
-        let mut added = 0;
-        for (&dsn, c) in &self.sent {
-            if added >= 128 {
-                break;
-            }
-            let sf_idle = self.subflows[c.subflow].dead
-                || self.subflows[c.subflow].sock.bytes_in_flight() == 0;
-            if (dsn == self.snd_una || sf_idle) && !self.reinject.contains(&dsn) {
-                self.reinject.push_back(dsn);
-                self.stats.reinjections += 1;
-                added += 1;
-            }
-        }
+        let subflows = &self.subflows;
+        self.stats.reinjections += self.tx.reinject_where(128, |chunk, sf| {
+            chunk == dsn || subflows[sf].dead || subflows[sf].sock.bytes_in_flight() == 0
+        });
         // Retransmit a lost DATA_FIN signal.
-        if let Some(f) = self.data_fin_dsn {
-            if self.snd_una >= f {
-                self.send_data_fin_signal();
-            }
+        if self.tx.fin_dsn().is_some_and(|f| dsn >= f) {
+            self.send_data_fin_signal();
         }
     }
 
@@ -2121,209 +1535,124 @@ impl MptcpConnection {
         }
     }
 
-    /// Chunk placement. The connection builds the eligibility-tiered
-    /// path snapshot (Active -> backup -> Suspect, never Failed), asks
-    /// the configured [`Scheduler`] where each chunk goes, and keeps the
-    /// reinjection queue, M1/M2 mechanisms, chunk cutting and stall/pick
-    /// telemetry here — so every scheduler policy inherits them.
+    /// The scheduler's view of the paths it may use, in subflow order. The
+    /// failure detector's verdict gates eligibility: Active paths first,
+    /// backups next, Suspect paths only when nothing else is left, Failed
+    /// paths never (their in-flight chunks were already reinjected).
+    fn eligible_paths(&self) -> Vec<PathSnapshot> {
+        let tier = |(i, sf): (usize, &Subflow)| match self.health.state(i) {
+            _ if !sf.usable() => None,
+            PathState::Active => Some(u8::from(sf.backup)),
+            PathState::Suspect => Some(2),
+            PathState::Failed => None,
+        };
+        let Some(best) = self.subflows.iter().enumerate().filter_map(tier).min() else {
+            return Vec::new();
+        };
+        let in_best = |p: &(usize, &Subflow)| tier(*p) == Some(best);
+        let mut paths = Vec::with_capacity(self.subflows.len());
+        let eligible = self.subflows.iter().enumerate().filter(in_best);
+        paths.extend(eligible.map(|(i, sf)| sf.snapshot(i, best == 2)));
+        paths
+    }
+
+    /// Chunk placement: ask the configured [`Scheduler`] where the next
+    /// chunk goes — a reinjection first, new data after — until it stalls,
+    /// defers, or the window or the application runs dry. The reinjection
+    /// queue, M1/M2 and stall/pick telemetry are here, around the call, so
+    /// every scheduler policy inherits them.
     fn push_data(&mut self, now: SimTime) {
         loop {
-            // The failure detector's verdict gates eligibility: Active
-            // paths first, backups next, Suspect paths only when nothing
-            // else is left, Failed paths never (their in-flight chunks
-            // were already reinjected).
-            let eligible = |sf: &Subflow, state: PathState, backup_ok: bool| {
-                sf.usable() && sf.path_state == state && (backup_ok || !sf.backup)
-            };
-            let mut tier: Vec<usize> = (0..self.subflows.len())
-                .filter(|&i| eligible(&self.subflows[i], PathState::Active, false))
-                .collect();
-            if tier.is_empty() {
-                // Backup subflows only as a last resort.
-                tier = (0..self.subflows.len())
-                    .filter(|&i| eligible(&self.subflows[i], PathState::Active, true))
-                    .collect();
-            }
-            if tier.is_empty() {
-                tier = (0..self.subflows.len())
-                    .filter(|&i| eligible(&self.subflows[i], PathState::Suspect, true))
-                    .collect();
-            }
-
-            // Re-injections are next in line (fixed DSNs); prefer a
-            // subflow other than the one the chunk is already stuck on.
-            let reinject_head = self.reinject.front().copied();
-            let avoid = reinject_head
-                .filter(|&dsn| dsn >= self.snd_una)
-                .and_then(|dsn| self.sent.get(&dsn))
-                .map(|c| c.subflow);
-
-            let paths: Vec<PathSnapshot> = tier
-                .iter()
-                .map(|&i| {
-                    let sf = &self.subflows[i];
-                    PathSnapshot {
-                        id: i,
-                        srtt: sf.srtt_or_default(),
-                        cwnd: sf.sock.cwnd(),
-                        mss: sf.sock.mss(),
-                        headroom: sf.tx_headroom(),
-                        send_space: sf.sock.send_space(),
-                        in_flight: sf.sock.bytes_in_flight(),
-                        backup: sf.backup,
-                        suspect: sf.path_state == PathState::Suspect,
-                    }
-                })
-                .collect();
-            let work_pending = !self.pending.is_empty() || !self.reinject.is_empty();
+            let paths = self.eligible_paths();
+            // Prefer a subflow other than the one a reinjected chunk is
+            // already stuck on.
+            let reinject = self.tx.reinject_head();
+            let work_pending = self.tx.pending_bytes() > 0 || reinject.is_some();
             let decision = if paths.is_empty() {
                 SchedDecision::Stall
             } else {
                 self.sched.pick(&SchedCtx {
                     paths: &paths,
-                    send_window_free: self.snd_right_edge.saturating_sub(self.snd_nxt),
-                    pending_bytes: self.pending_bytes,
-                    is_reinject: reinject_head.is_some(),
-                    avoid,
+                    send_window_free: self.tx.window_room(),
+                    pending_bytes: self.tx.pending_bytes(),
+                    is_reinject: reinject.is_some(),
+                    avoid: reinject.map(|(_, riding)| riding),
                 })
             };
-
+            if decision != SchedDecision::Stall {
+                self.sched_stalled = false;
+            }
             let picks: Vec<usize> = match decision {
                 SchedDecision::Pick(id) => vec![id],
                 SchedDecision::PickAll(ids) => ids,
+                // A deliberate wait for a better path (BLEST): not a stall
+                // — the fast path's ACK clock re-polls us.
                 SchedDecision::Defer => {
-                    // A deliberate wait for a better path (BLEST): not a
-                    // stall — the fast path's ACK clock re-polls us.
-                    self.sched_stalled = false;
                     if work_pending {
                         self.telemetry.count(CounterId::SchedulerDefers);
                     }
                     return;
                 }
+                // Work may be waiting but no subflow can take it. Stall
+                // accounting is per scheduler decision: a redundant or
+                // round-robin placement with only *some* paths blocked
+                // never lands here.
                 SchedDecision::Stall => {
-                    // Work is waiting but no subflow can take it. Stall
-                    // accounting is per scheduler decision: a redundant
-                    // or round-robin placement with only *some* paths
-                    // blocked never lands here.
                     if work_pending {
                         self.telemetry.count(CounterId::SchedulerStalls);
-                        if !self.sched_stalled {
-                            self.sched_stalled = true;
-                            self.telemetry.note(
-                                now.0,
-                                EventKind::SchedulerStall {
-                                    pending_bytes: self.pending_bytes as u64,
-                                    reinject_queued: self.reinject.len() as u64,
-                                },
-                            );
+                        if !std::mem::replace(&mut self.sched_stalled, true) {
+                            let stall = EventKind::SchedulerStall {
+                                pending_bytes: self.tx.pending_bytes() as u64,
+                                reinject_queued: self.tx.reinject_queued() as u64,
+                            };
+                            self.telemetry.note(now.0, stall);
                         }
                     }
                     return;
                 }
             };
-            self.sched_stalled = false;
             debug_assert!(!picks.is_empty(), "scheduler returned an empty pick set");
             let primary = picks[0];
 
-            // Re-injections first (fixed DSNs).
-            if let Some(dsn) = reinject_head {
-                if dsn < self.snd_una || !self.sent.contains_key(&dsn) {
-                    self.reinject.pop_front();
-                    continue;
-                }
-                let chunk_data = self.sent.get(&dsn).unwrap().data.clone();
-                for &id in &picks {
-                    // Redundant copies (non-primary picks) are only
-                    // buffer-gated; skip one the buffer can't take.
-                    if id != primary && self.subflows[id].sock.send_space() < chunk_data.len() {
-                        continue;
-                    }
-                    self.place_chunk(id, dsn, chunk_data.clone(), now);
-                }
-                self.sent.insert(
-                    dsn,
-                    SentChunk {
-                        data: chunk_data,
-                        subflow: primary,
-                    },
-                );
-                self.reinject.pop_front();
-                continue;
-            }
-
-            // Receive-window limited? That's where M1/M2 earn their keep
-            // (§4.2): a subflow has spare cwnd but the shared window is
-            // exhausted by data stuck on a slower path.
-            let rwnd_limited = self.snd_nxt >= self.snd_right_edge && self.snd_una < self.snd_nxt;
-            if rwnd_limited {
+            let (dsn, data) = if let Some(chunk) = self.tx.take_reinject(primary) {
+                chunk
+            } else if self.tx.window_room() == 0 {
+                // Receive-window limited. That's where M1/M2 earn their
+                // keep (§4.2): a subflow has spare cwnd but the shared
+                // window is exhausted by data stuck on a slower path.
                 self.maybe_mechanisms(now, primary);
                 return;
-            }
-            if self.pending.is_empty() {
+            } else if self.tx.pending_bytes() == 0 {
                 return; // application-limited: nothing to do
-            }
-            // Connection-level flow control (§3.3.1/§3.3.2): never send
-            // beyond DATA_ACK + window.
-            let window_room = self.snd_right_edge.saturating_sub(self.snd_nxt);
-            if window_room == 0 {
-                self.maybe_mechanisms(now, primary);
-                return;
-            }
-
-            // Cut a chunk (≤ MSS, ≤ window) from pending data. Chunks are
-            // the mapping granularity: retransmissions re-use identical
-            // boundaries so middleboxes never see inconsistent content.
-            let mss = self.subflows[primary].sock.mss();
-            let take = mss.min(window_room as usize).min(self.pending_bytes);
-            let mut chunk = Vec::with_capacity(take);
-            while chunk.len() < take {
-                let mut front = self.pending.pop_front().unwrap();
-                let need = take - chunk.len();
-                if front.len() <= need {
-                    chunk.extend_from_slice(&front);
-                } else {
-                    chunk.extend_from_slice(&front[..need]);
-                    front = front.slice(need..);
-                    self.pending.push_front(front);
-                }
-            }
-            self.pending_bytes -= take;
-            let data = Bytes::from(chunk);
-            let dsn = self.snd_nxt;
-            self.snd_nxt += take as u64;
+            } else {
+                self.tx
+                    .cut_chunk(self.subflows[primary].sock.mss(), primary)
+            };
             for &id in &picks {
                 // Redundant copies (non-primary picks) are only
                 // buffer-gated; skip one the buffer can't take.
-                if id != primary && self.subflows[id].sock.send_space() < take {
-                    continue;
+                if id == primary || self.subflows[id].sock.send_space() >= data.len() {
+                    self.place_chunk(id, dsn, &data);
                 }
-                self.place_chunk(id, dsn, data.clone(), now);
             }
-            self.sent.insert(
-                dsn,
-                SentChunk {
-                    data,
-                    subflow: primary,
-                },
-            );
-            self.sent_bytes += take;
         }
     }
 
     /// Hand one chunk with its DSS mapping to a subflow.
-    fn place_chunk(&mut self, idx: usize, dsn: u64, data: Bytes, _now: SimTime) {
+    fn place_chunk(&mut self, idx: usize, dsn: u64, data: &Bytes) {
         let sf = &mut self.subflows[idx];
         let ssn = sf.sock.next_tx_offset() as u32;
-        let ck = self
+        let len = data.len() as u16;
+        let checksum = self
             .checksum_on
-            .then(|| checksum::dss_checksum(dsn, ssn, data.len() as u16, &data));
+            .then(|| checksum::dss_checksum(dsn, ssn, len, data));
         let dss = TcpOption::Mptcp(MptcpOption::Dss {
             data_ack: None,
             mapping: Some(DssMapping {
                 dsn,
                 subflow_seq: ssn,
-                len: data.len() as u16,
-                checksum: ck,
+                len,
+                checksum,
             }),
             data_fin: false,
         });
@@ -2335,13 +1664,10 @@ impl MptcpConnection {
 
     /// M1 (opportunistic retransmission) and M2 (penalization), §4.2.
     fn maybe_mechanisms(&mut self, now: SimTime, fast: usize) {
-        if self.snd_una >= self.snd_nxt {
+        // The chunk at the trailing edge of the window, and who has it.
+        let Some(culprit) = self.tx.head_owner() else {
             return; // nothing outstanding
-        }
-        let Some(chunk) = self.sent.get(&self.snd_una) else {
-            return;
         };
-        let culprit = chunk.subflow;
         if culprit == fast {
             return; // the trailing chunk is already on the fast path
         }
@@ -2356,93 +1682,49 @@ impl MptcpConnection {
         }
 
         if self.cfg.mech.opportunistic_retx {
-            let recently = self.last_opp.is_some_and(|(d, t)| {
-                d == self.snd_una && now.since(t) < self.subflows[fast].srtt_or_default()
-            });
-            if !recently {
-                // Resend only the first unacknowledged segment (§4.2 M1).
-                let data = chunk.data.clone();
-                self.place_chunk(fast, self.snd_una, data.clone(), now);
-                self.sent.insert(
-                    self.snd_una,
-                    SentChunk {
-                        data,
-                        subflow: fast,
-                    },
-                );
-                self.last_opp = Some((self.snd_una, now));
-                self.telemetry.note(
-                    now.0,
-                    EventKind::M1Reinject {
-                        dsn: self.snd_una,
-                        from: culprit as u32,
-                        to: fast as u32,
-                    },
-                );
+            // Resend only the first unacknowledged segment (§4.2 M1), at
+            // most once per fast-path RTT.
+            if let Some((dsn, data)) = self.tx.retransmit_head(now, fast, fast_srtt) {
+                self.place_chunk(fast, dsn, &data);
+                let (from, to) = (culprit as u32, fast as u32);
+                self.telemetry
+                    .note(now.0, EventKind::M1Reinject { dsn, from, to });
             }
         }
 
         if self.cfg.mech.penalize {
-            let sf = &mut self.subflows[culprit];
-            // A subflow in loss recovery has already halved its own window.
-            if !sf.dead && !sf.sock.in_loss_recovery() {
-                let srtt = sf.srtt_or_default();
-                let recently = sf.last_penalty.is_some_and(|t| now.since(t) < srtt);
-                if !recently {
-                    // Halve cwnd and set ssthresh to the reduced window.
-                    let before = sf.sock.cwnd();
-                    let half = before / 2;
-                    sf.sock.cc_mut().set_ssthresh(half);
-                    sf.sock.cc_mut().set_cwnd(half);
-                    sf.last_penalty = Some(now);
-                    let after = sf.sock.cwnd();
-                    self.telemetry.note(
-                        now.0,
-                        EventKind::M2Penalize {
-                            subflow: culprit as u32,
-                            before,
-                            after,
-                        },
-                    );
-                    // The penalty is exactly the cwnd discontinuity Fig. 4
-                    // visualizes; pin a subflow sample at the instant.
-                    self.subflows[culprit].sock.trace_sample(now);
-                }
+            if let Some((before, after)) = self.subflows[culprit].penalize(now) {
+                let penalized = EventKind::M2Penalize {
+                    subflow: culprit as u32,
+                    before,
+                    after,
+                };
+                self.telemetry.note(now.0, penalized);
+                // The penalty is exactly the cwnd discontinuity Fig. 4
+                // visualizes; pin a subflow sample at the instant.
+                self.subflows[culprit].sock.trace_sample(now);
             }
         }
     }
 
-    fn maybe_send_data_fin(&mut self, _now: SimTime) {
-        if !self.data_fin_queued || self.data_fin_dsn.is_some() {
-            // Once the DATA_FIN is acked, close the subflows (§3.4: wait
-            // for the DATA_ACK of the DATA_FIN before sending subflow
-            // FINs).
-            if let Some(f) = self.data_fin_dsn {
-                if self.snd_una > f {
-                    for sf in &mut self.subflows {
-                        if !sf.dead {
-                            sf.sock.close();
-                        }
-                    }
-                }
+    /// §3.4: the DATA_FIN goes out once everything before it is DATA_ACKed,
+    /// and the subflow FINs only after the DATA_FIN is.
+    fn maybe_send_data_fin(&mut self) {
+        if self.tx.assign_fin() {
+            self.send_data_fin_signal();
+        } else if self.tx.fin_acked() {
+            for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
+                sf.sock.close();
             }
-            return;
         }
-        if !self.pending.is_empty() || self.snd_una < self.snd_nxt {
-            return; // data still unacknowledged: FIN comes after
-        }
-        let fin_dsn = self.snd_nxt;
-        self.snd_nxt += 1;
-        self.data_fin_dsn = Some(fin_dsn);
-        self.send_data_fin_signal();
     }
 
     fn send_data_fin_signal(&mut self) {
-        let Some(fin_dsn) = self.data_fin_dsn else {
+        let Some(fin_dsn) = self.tx.fin_dsn() else {
             return;
         };
-        let opt = TcpOption::Mptcp(MptcpOption::Dss {
-            data_ack: Some(self.effective_rcv_ack()),
+        let opt = MptcpOption::Dss {
+            data_ack: Some(self.rx.rcv_nxt()),
             mapping: Some(DssMapping {
                 dsn: fin_dsn,
                 subflow_seq: 0,
@@ -2450,16 +1732,10 @@ impl MptcpConnection {
                 checksum: None,
             }),
             data_fin: true,
-        });
-        for sf in &mut self.subflows {
-            if sf.usable() {
-                sf.sock.queue_oneshot_options(vec![opt.clone()]);
-            }
+        };
+        for sf in self.subflows.iter_mut().filter(|sf| sf.usable()) {
+            sf.signal(opt.clone());
         }
-    }
-
-    fn effective_rcv_ack(&self) -> u64 {
-        self.rcv_nxt
     }
 
     /// Refresh window overrides and DATA_ACK carry options on every
@@ -2469,12 +1745,9 @@ impl MptcpConnection {
             return;
         }
         self.maybe_grow_rcvbuf(now);
-        let window = self.rcv_window();
-        let da = self.effective_rcv_ack();
-        for sf in &mut self.subflows {
-            if sf.dead {
-                continue;
-            }
+        let window = self.rx.window();
+        let da = self.rx.rcv_nxt();
+        for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
             sf.sock.set_window_override(Some(window));
             if self.state == ConnState::Established
                 || (self.state == ConnState::AwaitingConfirm && !self.is_client)
@@ -2487,15 +1760,8 @@ impl MptcpConnection {
                 // Client still proving MP_JOIN on this subflow: keep the
                 // join ACK in front.
                 if sf.join == JoinState::ClientEstablished {
-                    if let Some(rk) = self.remote {
-                        let mac = crypto::join_ack_mac(
-                            self.local.key,
-                            rk.key,
-                            sf.nonce_local,
-                            sf.nonce_remote,
-                        );
-                        carry.insert(0, TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
-                    }
+                    let mac = sf.join_ack_mac;
+                    carry.insert(0, TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
                 }
                 sf.sock.set_carry_options(carry);
             }
@@ -2519,24 +1785,14 @@ impl MptcpConnection {
             return;
         }
         let wanted = (2.0 * rate_sum * rtt_max.as_secs_f64()) as usize;
-        let new_rcv = self.rcv_buf_cap.max(wanted.min(self.cfg.recv_buf));
-        let new_snd = self.snd_buf_cap.max(wanted.min(self.cfg.send_buf));
-        let grew = new_rcv > self.rcv_buf_cap || new_snd > self.snd_buf_cap;
-        self.rcv_buf_cap = new_rcv;
-        self.snd_buf_cap = new_snd;
-        if grew {
-            self.telemetry.note(
-                now.0,
-                EventKind::M3Grow {
-                    snd_cap: self.snd_buf_cap as u64,
-                    rcv_cap: self.rcv_buf_cap as u64,
-                },
-            );
+        let grew_rcv = self.rx.grow_to(wanted.min(self.cfg.recv_buf));
+        if self.tx.grow_to(wanted.min(self.cfg.send_buf)) || grew_rcv {
+            let (snd_cap, rcv_cap) = (self.tx.capacity() as u64, self.rx.capacity() as u64);
+            self.telemetry
+                .note(now.0, EventKind::M3Grow { snd_cap, rcv_cap });
             self.trace_conn_sample(now);
-            self.telemetry
-                .gauge_set(GaugeId::SndBufCap, self.snd_buf_cap as u64);
-            self.telemetry
-                .gauge_set(GaugeId::RcvBufCap, self.rcv_buf_cap as u64);
+            self.telemetry.gauge_set(GaugeId::SndBufCap, snd_cap);
+            self.telemetry.gauge_set(GaugeId::RcvBufCap, rcv_cap);
         }
     }
 }

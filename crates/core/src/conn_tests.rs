@@ -15,11 +15,11 @@ use mptcp_telemetry::{CounterId, EventKind, TraceConfig};
 
 use crate::api::{AbortReason, WriteOutcome};
 use crate::config::{FailureDetection, Mechanisms, MptcpConfig};
-use crate::conn::{ConnEvent, MptcpConnection};
+use crate::conn::MptcpConnection;
 use crate::endpoint::MptcpListener;
+use crate::health::PathState;
 use crate::pm::{EndpointFlags, PathManagerCfg, PmEndpoint};
 use crate::sched::SchedulerKind;
-use crate::subflow::PathState;
 use mptcp_tcpstack::CcAlgorithm;
 
 const C1: u32 = 0x0a000001; // client addr 1
@@ -252,6 +252,44 @@ fn duplicate_subflow_not_opened() {
         w.client
             .open_subflow(Endpoint::new(C2, 1001), Endpoint::new(S1, 80), w.now),
         Err(crate::api::SubflowError::DuplicateSubflow)
+    );
+}
+
+#[test]
+fn the_subflow_limit_is_a_constant_both_ends_enforce() {
+    let mut w = setup(MptcpConfig::default());
+    w.run(SimTime::from_millis(100));
+    let remote = Endpoint::new(S1, 80);
+    for k in 1..crate::MAX_SUBFLOWS as u16 {
+        let local = Endpoint::new(C2, 1000 + k);
+        assert!(w.client.open_subflow(local, remote, w.now).is_ok(), "{k}");
+    }
+    assert_eq!(
+        w.client
+            .open_subflow(Endpoint::new(C2, 2000), remote, w.now),
+        Err(crate::api::SubflowError::SubflowLimit)
+    );
+    w.run(w.now + Duration::from_millis(200));
+    let usable = |c: &MptcpConnection| c.subflows().iter().filter(|s| s.usable()).count();
+    assert_eq!(usable(&w.client), crate::MAX_SUBFLOWS);
+    assert_eq!(usable(server_conn(&mut w)), crate::MAX_SUBFLOWS);
+    // A join the client is not limited from sending is refused by the
+    // server: forge one with the right token.
+    let mut syn = client_conn(MptcpConfig::default())
+        .poll(SimTime::ZERO)
+        .expect("a SYN to borrow");
+    syn.tuple = tuple(C2, 3000);
+    let token = server_conn(&mut w).local_token();
+    syn.options = vec![TcpOption::Mptcp(MptcpOption::MpJoinSyn {
+        token,
+        nonce: 7,
+        addr_id: 9,
+        backup: false,
+    })];
+    let now = w.now;
+    assert_eq!(
+        server_conn(&mut w).accept_join(&syn, now),
+        Err(crate::api::JoinError::SubflowLimit)
     );
 }
 
@@ -510,7 +548,7 @@ fn path_blackout_fails_and_recovers() {
         w.client.stats
     );
     assert_eq!(
-        w.client.subflows()[1].path_state,
+        w.client.path_state(1),
         PathState::Active,
         "path promoted back after the blackout"
     );
@@ -614,14 +652,62 @@ fn add_addr_event_surfaces() {
     let client = client_conn(MptcpConfig::default());
     let mut w = Wire::new(client, MptcpListener::new(server_cfg, 22));
     w.run(SimTime::from_millis(200));
-    let evs = w.client.take_events();
+    let t = w.client.telemetry();
+    assert_eq!(t.counter(CounterId::AddAddrsReceived), 1);
     assert!(
-        evs.iter().any(|e| matches!(
-            e,
-            ConnEvent::PeerAddr(a) if a.addr == 0x0a000064 && a.port == Some(80)
+        t.events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::AddAddr {
+                addr: 0x0a000064,
+                sent: 0,
+                ..
+            }
         )),
-        "{evs:?}"
+        "{:?}",
+        t.events
     );
+    // The path manager learned the address and joined toward it.
+    assert_eq!(w.client.path_manager().remotes_accepted(), 1);
+    assert_eq!(w.client.path_manager().subflows_opened(), 1);
+}
+
+#[test]
+fn a_four_tuple_whose_subflow_died_can_be_joined_again() {
+    // §3.4: a NAT binding times out, or an interface goes away and comes
+    // back — the host re-joins from the same address and port. Both ends
+    // still hold the dead subflow on that four-tuple; the new one must
+    // come up beside it, and carry data.
+    let mut w = setup(MptcpConfig::default());
+    w.run(SimTime::from_millis(100));
+    let (local, remote) = (Endpoint::new(C2, 1001), Endpoint::new(S1, 80));
+    let first = w.client.open_subflow(local, remote, w.now).expect("join");
+    w.run(w.now + Duration::from_millis(200));
+    assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 2);
+
+    w.client.subflows_mut()[first.0].sock.abort();
+    w.run(w.now + Duration::from_millis(200));
+    assert!(w.client.subflows()[first.0].dead);
+    assert!(server_conn(&mut w).subflows()[1].dead, "the RST arrived");
+
+    let again = w
+        .client
+        .open_subflow(local, remote, w.now)
+        .expect("re-join");
+    assert_ne!(again, first);
+    w.run(w.now + Duration::from_secs(5));
+    assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 2);
+    let s = server_conn(&mut w);
+    assert_eq!(s.subflows().len(), 3);
+    assert_eq!(s.subflows().iter().filter(|sf| sf.usable()).count(), 2);
+
+    // The new subflow is the preferred path and takes the stream.
+    w.set_delay(C1, S1, Duration::from_millis(50));
+    let data = pattern(100_000);
+    assert_eq!(w.client.write(&data).accepted(), data.len());
+    w.run(w.now + Duration::from_secs(3));
+    assert_eq!(read_all(server_conn(&mut w)), data);
+    let rejoined = &w.client.subflows()[again.0].sock;
+    assert!(rejoined.stats.bytes_acked > 50_000, "{:?}", rejoined.stats);
 }
 
 #[test]

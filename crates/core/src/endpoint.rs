@@ -107,7 +107,7 @@ impl MptcpListener {
         let key = seg.tuple.reversed(); // our local tuple view
 
         // Existing subflow?
-        if let Some(&idx) = self.by_tuple.get(&key) {
+        if let Some(idx) = self.owner(seg) {
             self.conns[idx].handle_segment(now, seg);
             self.wake(idx);
             return Some(idx);
@@ -153,6 +153,16 @@ impl MptcpListener {
         Some(idx)
     }
 
+    /// The connection whose subflow `seg` is for, by four-tuple. A SYN on
+    /// a four-tuple whose subflow has died is not for it: the peer is
+    /// re-joining over the same addresses (§3.4: a NAT binding timed out,
+    /// an interface came back), which is the token demux's to place.
+    fn owner(&self, seg: &TcpSegment) -> Option<usize> {
+        let idx = *self.by_tuple.get(&seg.tuple.reversed())?;
+        let fresh_syn = seg.flags.syn && !seg.flags.ack;
+        (!fresh_syn || self.conns[idx].owns_tuple(seg.tuple)).then_some(idx)
+    }
+
     /// Feed a batch of segments that arrived together (one socket drain).
     ///
     /// Contiguous runs destined for the same existing connection are
@@ -163,7 +173,7 @@ impl MptcpListener {
     pub fn handle_segments(&mut self, now: SimTime, segs: &[TcpSegment], touched: &mut Vec<usize>) {
         let mut i = 0;
         while i < segs.len() {
-            let Some(&idx) = self.by_tuple.get(&segs[i].tuple.reversed()) else {
+            let Some(idx) = self.owner(&segs[i]) else {
                 if let Some(idx) = self.handle_segment(now, &segs[i]) {
                     if !touched.contains(&idx) {
                         touched.push(idx);
@@ -174,7 +184,7 @@ impl MptcpListener {
             };
             // Extend the run while segments keep resolving to `idx`.
             let mut j = i + 1;
-            while j < segs.len() && self.by_tuple.get(&segs[j].tuple.reversed()) == Some(&idx) {
+            while j < segs.len() && self.owner(&segs[j]) == Some(idx) {
                 j += 1;
             }
             self.conns[idx].handle_segments(now, &segs[i..j]);

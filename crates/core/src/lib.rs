@@ -35,28 +35,33 @@ pub mod config;
 pub mod conn;
 pub mod dsn;
 pub mod endpoint;
+pub mod health;
 pub mod mapping;
 pub mod pm;
 pub mod reorder;
+pub mod rx;
 pub mod sched;
 pub mod subflow;
 mod timers;
 pub mod token;
+pub mod tx;
 
 pub use api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
 pub use config::{
     ConfigError, FailureDetection, Mechanisms, MptcpConfig, MptcpConfigBuilder, ReorderAlgo,
 };
-pub use conn::{ConnEvent, ConnState, ConnStats, MptcpConnection};
+pub use conn::{ConnState, ConnStats, MptcpConnection, MAX_SUBFLOWS};
 pub use endpoint::MptcpListener;
+pub use health::{PathHealth, PathState};
 pub use mptcp_tcpstack::{CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpConfig};
 pub use mptcp_telemetry as telemetry;
 pub use pm::{
     EndpointFlags, PathManager, PathManagerCfg, PmAction, PmEndpoint, PmEvent, PmLimits, PmPolicy,
 };
+pub use rx::DataReceiver;
 pub use sched::{PathSnapshot, SchedCtx, SchedDecision, Scheduler, SchedulerKind};
-pub use subflow::PathState;
 pub use token::{KeyPool, KeySet, TokenTable};
+pub use tx::DataSender;
 
 #[cfg(test)]
 mod conn_tests;

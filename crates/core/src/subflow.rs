@@ -1,9 +1,12 @@
 //! One MPTCP subflow: a TCP socket plus MPTCP-specific state.
 
 use mptcp_netsim::{Duration, SimTime};
+use mptcp_packet::{MptcpOption, TcpOption};
 use mptcp_tcpstack::TcpSocket;
 
+use crate::health::PathObs;
 use crate::mapping::MappingTracker;
+use crate::sched::PathSnapshot;
 
 /// MP_JOIN handshake progress for an additional subflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,25 +22,6 @@ pub enum JoinState {
     ServerWait,
     /// Fully authenticated; data may flow.
     Active,
-}
-
-/// Scheduler-visible health of a subflow's path.
-///
-/// Transitions are driven by the tick inside
-/// [`crate::MptcpConnection::poll`]: consecutive subflow RTOs (or a
-/// stalled DATA_ACK progress timer) demote
-/// `Active -> Suspect -> Failed`; an answered reachability probe promotes
-/// straight back to `Active`. Thresholds live in
-/// [`crate::FailureDetection`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PathState {
-    /// Healthy; preferred by the scheduler.
-    Active,
-    /// Failure suspected; scheduled only when no Active subflow has room.
-    Suspect,
-    /// Declared dead: never scheduled, its in-flight DSNs were reinjected
-    /// on survivors (break-before-make); probed for recovery.
-    Failed,
 }
 
 /// A subflow of an MPTCP connection.
@@ -61,17 +45,9 @@ pub struct Subflow {
     pub backup: bool,
     /// Last time mechanism 2 penalized this subflow (at most once per RTT).
     pub last_penalty: Option<SimTime>,
-    /// Path health as seen by the scheduler.
-    pub path_state: PathState,
-    /// `sock.stats().bytes_acked` when progress was last observed.
-    pub(crate) progress_bytes: u64,
-    /// When `progress_bytes` last advanced (or data first went
-    /// outstanding); the no-progress detector measures from here.
-    pub(crate) progress_at: Option<SimTime>,
-    /// Next reachability probe due, while demoted.
-    pub(crate) probe_at: Option<SimTime>,
-    /// Consecutive unanswered probes; exponent for probe backoff.
-    pub(crate) probes_unanswered: u32,
+    /// Client side of a join: the HMAC the third ACK carries, computed
+    /// once when the SYN/ACK verified.
+    pub(crate) join_ack_mac: [u8; 20],
 }
 
 impl Subflow {
@@ -87,11 +63,7 @@ impl Subflow {
             dead: false,
             backup: false,
             last_penalty: None,
-            path_state: PathState::Active,
-            progress_bytes: 0,
-            progress_at: None,
-            probe_at: None,
-            probes_unanswered: 0,
+            join_ack_mac: [0; 20],
         }
     }
 
@@ -113,6 +85,51 @@ impl Subflow {
     /// space in its congestion window", §4.2).
     pub fn tx_headroom(&self) -> usize {
         (self.sock.cwnd() as usize).saturating_sub(self.sock.bytes_queued())
+    }
+
+    /// What the failure detector needs to know, read off the socket.
+    pub(crate) fn observe(&self) -> PathObs {
+        PathObs {
+            live: !self.dead && self.sock.is_established(),
+            rtos: self.sock.consecutive_rtos(),
+            acked: self.sock.stats.bytes_acked,
+            in_flight: self.sock.bytes_in_flight() > 0,
+        }
+    }
+
+    /// What the scheduler needs to know, as subflow `id`.
+    pub(crate) fn snapshot(&self, id: usize, suspect: bool) -> PathSnapshot {
+        PathSnapshot {
+            id,
+            srtt: self.srtt_or_default(),
+            cwnd: self.sock.cwnd(),
+            mss: self.sock.mss(),
+            headroom: self.tx_headroom(),
+            send_space: self.sock.send_space(),
+            in_flight: self.sock.bytes_in_flight(),
+            backup: self.backup,
+            suspect,
+        }
+    }
+
+    /// M2: halve the congestion window (and set ssthresh to it) — at most
+    /// once per RTT, and not while loss recovery has already done as much.
+    /// Returns the window before and after.
+    pub(crate) fn penalize(&mut self, now: SimTime) -> Option<(u32, u32)> {
+        let recently = |t| now.since(t) < self.srtt_or_default();
+        if self.dead || self.sock.in_loss_recovery() || self.last_penalty.is_some_and(recently) {
+            return None;
+        }
+        let before = self.sock.cwnd();
+        self.sock.cc_mut().set_ssthresh(before / 2);
+        self.sock.cc_mut().set_cwnd(before / 2);
+        self.last_penalty = Some(now);
+        Some((before, self.sock.cwnd()))
+    }
+
+    /// Queue one MPTCP signalling option for the next segment to leave.
+    pub(crate) fn signal(&mut self, opt: MptcpOption) {
+        self.sock.queue_oneshot_options(vec![TcpOption::Mptcp(opt)]);
     }
 
     /// Smoothed RTT, or a large default for unsampled subflows.

@@ -116,7 +116,7 @@ pub fn blackout_with(seed: u64, policy: Policy) -> BlackoutOutcome {
         let conn = client.transport.as_mptcp().expect("mptcp client");
         (
             conn.stats.reinjections,
-            conn.subflows()[0].path_state,
+            conn.path_state(0),
             conn.abort_reason(),
             client.transport.telemetry(),
             client.transport.trace_snapshot(),

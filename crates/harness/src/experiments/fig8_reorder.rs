@@ -137,13 +137,8 @@ fn snapshot(sc: &mut Scenario) -> (u64, u64, u64, u64, u64) {
     let server = sc.server();
     let conn = &server.listener.conns[0];
     let pkts: u64 = conn.subflows().iter().map(|s| s.sock.stats.segs_in).sum();
-    (
-        conn.ooo.ops(),
-        conn.ooo.inserts(),
-        conn.ooo.shortcut_hits(),
-        pkts,
-        bytes,
-    )
+    let ooo = conn.reorder_queue();
+    (ooo.ops(), ooo.inserts(), ooo.shortcut_hits(), pkts, bytes)
 }
 
 /// Run the whole figure: all algorithms × {2, 8} subflows + TCP baselines.

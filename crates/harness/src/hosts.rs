@@ -5,7 +5,7 @@
 //! accepts plain-TCP clients via fallback, so one server implementation
 //! serves every baseline — plus a [`ServerApp`].
 
-use mptcp::{ConnEvent, MptcpConfig, MptcpConnection, MptcpListener};
+use mptcp::{MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, Host, Outbox, SimRng, SimTime};
 use mptcp_packet::SeqNum;
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
@@ -157,15 +157,6 @@ impl ClientHost {
         if !self.transport.is_established() {
             return;
         }
-        // Joins are driven by the in-connection path manager (configured
-        // via `MptcpConfig::path_manager`); the host only drains events so
-        // the queue stays bounded.
-        if let Some(conn) = self.transport.as_mptcp() {
-            for ev in conn.take_events() {
-                let _: ConnEvent = ev;
-            }
-        }
-
         match &mut self.app {
             ClientApp::Bulk {
                 total,

@@ -333,7 +333,7 @@ fn path_states(conn: &MptcpConnection) -> String {
         s.push(if sf.dead {
             'x'
         } else {
-            path_state_letter(sf.path_state)
+            path_state_letter(conn.path_state(i))
         });
     }
     if s.is_empty() {
@@ -367,7 +367,7 @@ fn render_conns(ctx: &AdminCtx<'_>) -> String {
             path_states(conn),
             conn_tx_bytes(conn),
             conn.stats.bytes_delivered,
-            conn.ooo.len(),
+            conn.reorder_queue().len(),
             age_secs(ctx, i),
         ));
     }
@@ -388,8 +388,8 @@ fn render_conn_detail(ctx: &AdminCtx<'_>, i: usize) -> String {
         "  rcv_buf {}  rcv_window {}  reorder_segs {}  reorder_bytes {}\n",
         conn.rcv_buf_capacity(),
         conn.rcv_window(),
-        conn.ooo.len(),
-        conn.ooo.buffered_bytes(),
+        conn.reorder_queue().len(),
+        conn.reorder_queue().buffered_bytes(),
     ));
     let s = &conn.stats;
     out.push_str(&format!(
@@ -417,7 +417,7 @@ fn render_conn_detail(ctx: &AdminCtx<'_>, i: usize) -> String {
             t.src.port,
             ip(t.dst.addr),
             t.dst.port,
-            match sf.path_state {
+            match conn.path_state(k) {
                 PathState::Active => "Active",
                 PathState::Suspect => "Suspect",
                 PathState::Failed => "Failed",

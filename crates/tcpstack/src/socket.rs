@@ -15,7 +15,7 @@ use crate::cc::{CongestionControl, Reno};
 use crate::config::{TcpConfig, INIT_CWND_SEGS, WSCALE};
 use crate::recvbuf::RecvQueue;
 use crate::rtt::RttEstimator;
-use crate::sendbuf::{SegmentData, SendQueue};
+use crate::sendbuf::SendQueue;
 use crate::state::TcpState;
 
 /// Plain tallies with no telemetry twin. RTOs, fast retransmits,
@@ -455,15 +455,6 @@ impl TcpSocket {
         } else {
             self.need_ack = true;
         }
-    }
-
-    /// First unacknowledged segment's data, for opportunistic
-    /// retransmission on another subflow (M1).
-    pub fn front_unacked(&self) -> Option<SegmentData> {
-        if self.snd_nxt == self.snd_una {
-            return None;
-        }
-        self.send_q.front_segment(self.effective_mss)
     }
 
     // ------------------------------------------------------------------
@@ -1368,7 +1359,7 @@ impl TcpSocket {
         let mut seg = TcpSegment::new(self.tuple, seq, self.rcv_nxt, TcpFlags::ACK);
         seg.flags.fin = true;
         seg.options = self.base_options(now);
-        Some(()).map(|_| self.finish_segment(seg)).unwrap()
+        self.finish_segment(seg)
     }
 
     fn build_probe(&mut self, now: SimTime) -> Option<TcpSegment> {

@@ -428,12 +428,7 @@ impl Default for Recorder {
 impl Recorder {
     /// A recorder with the default event capacity and tracing off.
     pub fn new() -> Recorder {
-        Recorder::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A recorder retaining at most `capacity` events, tracing off.
-    pub fn with_event_capacity(capacity: usize) -> Recorder {
-        Recorder::traced(capacity, TraceConfig::disabled())
+        Recorder::traced(DEFAULT_EVENT_CAPACITY, TraceConfig::disabled())
     }
 
     /// A recorder retaining at most `event_capacity` events (min 1) whose
@@ -735,7 +730,7 @@ mod tests {
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        let mut r = Recorder::with_event_capacity(3);
+        let mut r = Recorder::traced(3, TraceConfig::disabled());
         for i in 0..5u64 {
             r.event(i, EventKind::DataRto { dsn: i });
         }
