@@ -272,7 +272,7 @@ impl MptcpConnection {
         sock.set_telemetry_tag(self.subflows.len() as u32);
         if self.state != ConnState::Fallback {
             let mss = self.cfg.tcp.mss as u32;
-            sock.set_cc(self.cfg.cc.build(mss, INIT_CWND_SEGS));
+            *sock.cc_mut() = self.cfg.cc.build(mss, INIT_CWND_SEGS);
         }
         let tracker = MappingTracker::new(self.checksum_on);
         self.subflows

@@ -121,8 +121,7 @@ impl Subflow {
             return None;
         }
         let before = self.sock.cwnd();
-        self.sock.cc_mut().set_ssthresh(before / 2);
-        self.sock.cc_mut().set_cwnd(before / 2);
+        self.sock.cc_mut().shrink_to(before / 2);
         self.last_penalty = Some(now);
         Some((before, self.sock.cwnd()))
     }

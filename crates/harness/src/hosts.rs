@@ -218,24 +218,39 @@ impl ClientHost {
             }
         }
     }
+
+    /// Let the application act, then drain the transport — and again for
+    /// as long as the application still makes progress afterwards: what a
+    /// `poll` does inside the transport (falling back to plain TCP on a
+    /// data-level timeout, say) can unblock a write that nothing else
+    /// would ever come back for.
+    fn pump(&mut self, now: SimTime, out: &mut Outbox) {
+        self.drive_app(now);
+        loop {
+            while let Some(s) = self.transport.poll(now) {
+                out.send(s);
+            }
+            let before = (self.app_bytes_sent, self.app_bytes_received);
+            self.drive_app(now);
+            if (self.app_bytes_sent, self.app_bytes_received) == before {
+                break;
+            }
+        }
+    }
 }
 
 impl Host for ClientHost {
     fn handle_segment(&mut self, now: SimTime, seg: TcpSegment, out: &mut Outbox) {
         self.transport.handle_segment(now, &seg);
-        self.drive_app(now);
-        while let Some(s) = self.transport.poll(now) {
-            out.send(s);
-        }
+        self.pump(now, out);
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Outbox) {
+        // The sampler sees what the application has just written.
         self.drive_app(now);
         let mem = self.transport.sender_memory() as f64;
         self.mem_sampler.maybe_sample(now, || mem);
-        while let Some(s) = self.transport.poll(now) {
-            out.send(s);
-        }
+        self.pump(now, out);
     }
 
     fn poll_at(&self, now: SimTime) -> Option<SimTime> {
@@ -252,10 +267,7 @@ impl Host for ClientHost {
         }
         // Flush the REMOVE_ADDR (and any migrated data) immediately so it
         // rides the surviving path in this same simulation instant.
-        self.drive_app(now);
-        while let Some(s) = self.transport.poll(now) {
-            out.send(s);
-        }
+        self.pump(now, out);
     }
 }
 

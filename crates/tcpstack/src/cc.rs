@@ -1,4 +1,5 @@
-//! Congestion control: the pluggable per-subflow algorithm layer.
+//! Congestion control: the per-subflow window and its pluggable increase
+//! rule.
 //!
 //! The paper defers congestion control to \[23\] (Wischik et al., NSDI 2011)
 //! but the evaluation depends on it: MPTCP subflows run a *coupled*
@@ -6,80 +7,33 @@
 //! capacity than a single TCP on its best path. This module provides the
 //! complete policy surface:
 //!
-//! * [`CongestionControl`] — the per-subflow state machine the socket
-//!   drives on ACKs, losses and timeouts.
-//! * [`CcAlgorithm`] — the registry of built-in algorithms
-//!   ([`Reno`], [`Lia`], [`Olia`], [`CoupledCubic`]) used by
-//!   `MptcpConfig::builder().cc(..)`, the `repro --cc` flag and JSON
-//!   reports (via [`FromStr`]/[`Display`](core::fmt::Display)).
+//! * [`Cc`] — the per-subflow window the socket drives on ACKs, losses
+//!   and timeouts. Slow start and the loss response are written once;
+//!   the algorithms differ in their congestion-avoidance increase.
+//! * [`CcAlgorithm`] — the closed set of built-in algorithms (Reno, LIA,
+//!   OLIA, coupled cubic) used by `MptcpConfig::builder().cc(..)`, the
+//!   `repro --cc` flag and JSON reports (via
+//!   [`FromStr`]/[`Display`](core::fmt::Display)).
 //! * [`CoupledState`] — the cross-subflow coupling computation. The
 //!   connection owns one of these, feeds it a [`FlowView`] per usable
 //!   subflow once per RTT-ish, and pushes the resulting per-flow
-//!   [`CoupledSignal`]s down via [`CongestionControl::set_coupled`].
+//!   [`CoupledSignal`]s down via [`Cc::set_coupled`].
 //!
 //! # Contract
 //!
-//! The socket calls exactly one of `on_ack` / `on_dup_ack` /
-//! `on_fast_retransmit` / `on_retransmit_timeout` / `on_recovery_exit`
-//! per congestion event, always with the current virtual time. An
-//! algorithm must keep `cwnd() >= 1 MSS` at all times and must tolerate
-//! `set_cwnd`/`set_ssthresh` being forced between events (mechanism 2
-//! penalization and mechanism 4 bufferbloat capping do this). Coupling is
-//! advisory: `set_coupled` may never be called (single subflow, uncoupled
-//! config) and algorithms must behave like a sane single-path controller
-//! in that case.
+//! The socket calls exactly one of `on_ack` / `on_fast_retransmit` /
+//! `on_retransmit_timeout` / `on_recovery_exit` per congestion event,
+//! always with the current virtual time. `cwnd() >= 1 MSS` holds at all
+//! times, and `set_cwnd`/`set_ssthresh`/`shrink_to` may be forced between
+//! events (mechanism 2 penalization and mechanism 4 bufferbloat capping
+//! do this). Coupling is advisory: `set_coupled` may never be called
+//! (single subflow, uncoupled config) and every rule behaves like a sane
+//! single-path controller in that case.
 
 use core::fmt;
 use core::str::FromStr;
 
 use mptcp_netsim::{Duration, SimTime};
-
-/// Per-flow congestion control state machine, driven by the socket.
-///
-/// All window quantities are in **bytes**. Time is the simulator's
-/// virtual clock; algorithms must not assume wall time.
-pub trait CongestionControl: Send {
-    /// Current congestion window.
-    fn cwnd(&self) -> u32;
-
-    /// Current slow-start threshold.
-    fn ssthresh(&self) -> u32;
-
-    /// A cumulative ACK advanced `snd_una` by `bytes_acked`.
-    /// `rtt` carries the RTT sample of this ACK when one was taken.
-    fn on_ack(&mut self, now: SimTime, bytes_acked: u32, rtt: Option<Duration>);
-
-    /// A duplicate ACK arrived while in fast recovery (window inflation).
-    fn on_dup_ack(&mut self);
-
-    /// Entering fast retransmit; `in_flight` is the outstanding byte count.
-    fn on_fast_retransmit(&mut self, now: SimTime, in_flight: u32);
-
-    /// A retransmission timeout fired.
-    fn on_retransmit_timeout(&mut self, now: SimTime, in_flight: u32);
-
-    /// Fast recovery completed (full ACK received): deflate the window.
-    fn on_recovery_exit(&mut self);
-
-    /// Force the congestion window (mechanism 2 penalization, mechanism 4
-    /// capping).
-    fn set_cwnd(&mut self, bytes: u32);
-
-    /// Force the slow-start threshold.
-    fn set_ssthresh(&mut self, bytes: u32);
-
-    /// Update coupling parameters computed by [`CoupledState`] across the
-    /// connection's subflows. No-op for uncoupled algorithms.
-    fn set_coupled(&mut self, _signal: CoupledSignal) {}
-
-    /// Are we below ssthresh (exponential growth)?
-    fn in_slow_start(&self) -> bool {
-        self.cwnd() < self.ssthresh()
-    }
-
-    /// Algorithm name for reports.
-    fn name(&self) -> &'static str;
-}
 
 /// The registry of built-in congestion-control algorithms.
 ///
@@ -125,14 +79,10 @@ impl CcAlgorithm {
         !matches!(self, CcAlgorithm::Reno)
     }
 
-    /// Instantiate the per-subflow controller.
-    pub fn build(self, mss: u32, init_segs: u32) -> Box<dyn CongestionControl> {
-        match self {
-            CcAlgorithm::Reno => Box::new(Reno::new(mss, init_segs)),
-            CcAlgorithm::Lia => Box::new(Lia::new(mss, init_segs)),
-            CcAlgorithm::Olia => Box::new(Olia::new(mss, init_segs)),
-            CcAlgorithm::CoupledCubic => Box::new(CoupledCubic::new(mss, init_segs)),
-        }
+    /// A per-subflow window of `init_segs * mss` bytes growing by this
+    /// algorithm's rule.
+    pub fn build(self, mss: u32, init_segs: u32) -> Cc {
+        Cc::new(self, mss, init_segs)
     }
 }
 
@@ -160,7 +110,7 @@ impl FromStr for CcAlgorithm {
 }
 
 /// Cross-subflow coupling parameters for one subflow, computed by
-/// [`CoupledState`] and pushed down via [`CongestionControl::set_coupled`].
+/// [`CoupledState`] and pushed down via [`Cc::set_coupled`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoupledSignal {
     /// Aggregate-increase factor. For LIA this is the RFC 6356 connection
@@ -240,34 +190,26 @@ impl CoupledState {
             .iter()
             .map(|f| f64::from(f.cwnd) / f.srtt.as_secs_f64().max(1e-6))
             .sum();
-        match self.algo {
+        // One connection-wide alpha for LIA and cubic; OLIA's are per path.
+        let alpha = match self.algo {
+            // Uncoupled: neutral per-flow signals (not normally pushed).
             CcAlgorithm::Reno => {
-                // Uncoupled: neutral per-flow signals (not normally pushed).
-                for f in flows {
-                    self.signals.push(CoupledSignal::uncoupled(f.cwnd, f.srtt));
-                }
+                let neutral = |f: &FlowView| CoupledSignal::uncoupled(f.cwnd, f.srtt);
+                self.signals.extend(flows.iter().map(neutral));
+                return &self.signals;
             }
-            CcAlgorithm::Lia | CcAlgorithm::CoupledCubic => {
-                let pairs: Vec<(u32, Duration)> = flows.iter().map(|f| (f.cwnd, f.srtt)).collect();
-                let alpha = lia_alpha(&pairs);
-                for f in flows {
-                    self.signals.push(CoupledSignal {
-                        alpha,
-                        total_cwnd: total,
-                        rate_sum,
-                        srtt: f.srtt,
-                    });
-                }
-            }
-            CcAlgorithm::Olia => {
-                for (f, alpha) in flows.iter().zip(olia_alphas(flows)) {
-                    self.signals.push(CoupledSignal {
-                        alpha,
-                        total_cwnd: total,
-                        rate_sum,
-                        srtt: f.srtt,
-                    });
-                }
+            CcAlgorithm::Lia | CcAlgorithm::CoupledCubic => lia_alpha(flows),
+            CcAlgorithm::Olia => 0.0,
+        };
+        self.signals.extend(flows.iter().map(|f| CoupledSignal {
+            alpha,
+            total_cwnd: total,
+            rate_sum,
+            srtt: f.srtt,
+        }));
+        if self.algo == CcAlgorithm::Olia {
+            for (signal, alpha) in self.signals.iter_mut().zip(olia_alphas(flows)) {
+                signal.alpha = alpha;
             }
         }
         &self.signals
@@ -276,483 +218,322 @@ impl CoupledState {
 
 const INIT_SSTHRESH: u32 = u32::MAX / 2;
 
-/// Classic Reno with NewReno recovery hooks.
-pub struct Reno {
-    cwnd: u32,
-    ssthresh: u32,
-    mss: u32,
-    /// Fractional congestion-avoidance accumulator (bytes acked since the
-    /// last full-MSS increase).
-    acked_accum: u32,
-}
+/// Cubic parameters (RFC 8312): multiplicative decrease and the C scaling
+/// constant, with windows measured in MSS for the cubic polynomial.
+const CUBIC_BETA: f64 = 0.7;
+const CUBIC_C: f64 = 0.4;
 
-impl Reno {
-    /// New Reno instance with `init_segs * mss` initial window.
-    pub fn new(mss: u32, init_segs: u32) -> Reno {
-        Reno {
-            cwnd: mss * init_segs,
-            ssthresh: INIT_SSTHRESH,
-            mss,
-            acked_accum: 0,
-        }
-    }
-
-    fn halve(&mut self, in_flight: u32) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-    }
-}
-
-impl CongestionControl for Reno {
-    fn cwnd(&self) -> u32 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> u32 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, _now: SimTime, bytes_acked: u32, _rtt: Option<Duration>) {
-        if self.in_slow_start() {
-            self.cwnd = self
-                .cwnd
-                .saturating_add(bytes_acked.min(self.mss))
-                .min(INIT_SSTHRESH);
-        } else {
-            // cwnd += mss per cwnd bytes acked.
-            self.acked_accum += bytes_acked;
-            if self.acked_accum >= self.cwnd {
-                self.acked_accum -= self.cwnd;
-                self.cwnd = self.cwnd.saturating_add(self.mss).min(INIT_SSTHRESH);
-            }
-        }
-    }
-
-    fn on_dup_ack(&mut self) {
-        // Window inflation during fast recovery.
-        self.cwnd = self.cwnd.saturating_add(self.mss);
-    }
-
-    fn on_fast_retransmit(&mut self, _now: SimTime, in_flight: u32) {
-        self.halve(in_flight);
-        self.cwnd = self.ssthresh + 3 * self.mss;
-    }
-
-    fn on_retransmit_timeout(&mut self, _now: SimTime, in_flight: u32) {
-        self.halve(in_flight);
-        self.cwnd = self.mss;
-        self.acked_accum = 0;
-    }
-
-    fn on_recovery_exit(&mut self) {
-        self.cwnd = self.ssthresh;
-    }
-
-    fn set_cwnd(&mut self, bytes: u32) {
-        self.cwnd = bytes.max(self.mss);
-    }
-
-    fn set_ssthresh(&mut self, bytes: u32) {
-        self.ssthresh = bytes.max(2 * self.mss);
-    }
-
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-}
-
-/// Linked Increases Algorithm (coupled MPTCP congestion control).
+/// One flow's congestion window, driven by the socket.
 ///
-/// Identical to Reno in slow start and on loss; in congestion avoidance the
-/// per-ACK increase is `min(alpha * acked * mss / cwnd_total,
-/// acked * mss / cwnd_i)` so the aggregate is no more aggressive than one
-/// TCP on the best path, while still shifting traffic toward less congested
-/// subflows. The connection recomputes `alpha` (RFC 6356 formula, via
-/// [`CoupledState`]) and calls [`CongestionControl::set_coupled`].
-pub struct Lia {
+/// All window quantities are in **bytes**; time is the simulator's
+/// virtual clock. Slow start, the response to loss, recovery exit and the
+/// floors under forced moves are Reno's for every algorithm and live
+/// here; what an algorithm chooses is its increase rule: how fast the window
+/// grows per acknowledged byte in congestion avoidance (and, for cubic,
+/// how far it backs off).
+pub struct Cc {
     cwnd: u32,
     ssthresh: u32,
     mss: u32,
-    alpha: f64,
-    total_cwnd: u32,
+    /// Congestion-avoidance increase earned but not yet applied: the
+    /// rules grow the window by fractions of a byte per ACK, the window
+    /// moves in whole bytes.
     increase_accum: f64,
+    rule: Rule,
 }
 
-impl Lia {
-    /// New LIA instance.
-    pub fn new(mss: u32, init_segs: u32) -> Lia {
-        Lia {
-            cwnd: mss * init_segs,
-            ssthresh: INIT_SSTHRESH,
-            mss,
-            alpha: 1.0,
-            total_cwnd: mss * init_segs,
-            increase_accum: 0.0,
-        }
-    }
-
-    fn halve(&mut self, in_flight: u32) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-    }
+/// The congestion-avoidance increase of each algorithm, with the state
+/// only it needs.
+enum Rule {
+    /// One MSS per window's worth of acknowledged bytes.
+    Reno {
+        /// Bytes acked since the last full-MSS increase.
+        acked_accum: u32,
+    },
+    /// RFC 6356: `min(alpha * acked * mss / cwnd_total, acked * mss /
+    /// cwnd_i)`, so the aggregate is no more aggressive than one TCP on
+    /// the best path while traffic still shifts toward less congested
+    /// subflows.
+    Lia { alpha: f64, total_cwnd: u32 },
+    /// Khalili et al., CoNEXT 2012: per acked byte `mss * (w/rtt^2) /
+    /// rate_sum^2 + alpha_i * mss / w`, where `rate_sum` is the
+    /// aggregate `sum(w_k/rtt_k)` and `alpha_i` the signed per-path term
+    /// of [`olia_alphas`]. With a single path the first term reduces
+    /// exactly to Reno's `mss/w`.
+    Olia {
+        alpha: f64,
+        rate_sum: f64,
+        srtt: Option<Duration>,
+    },
+    /// The cubic target chase `(target(t) - cwnd) * acked / cwnd` with
+    /// `target(t) = C*(t - K)^3 + w_max` (in MSS), *capped* by LIA's
+    /// coupled increase whenever a coupling signal is live — a bundle of
+    /// cubic subflows still takes no more than one fast TCP at a shared
+    /// bottleneck. Backs off to β = 0.7 and uses fast convergence
+    /// (`w_max` shrinks by `(2-β)/2` on back-to-back losses).
+    Cubic {
+        /// Window at the last loss event (bytes).
+        w_max: f64,
+        /// Epoch start: first CA ack after the last loss.
+        epoch_start: Option<SimTime>,
+        /// Time to reach `w_max` again (secs from epoch start).
+        k: f64,
+        alpha: f64,
+        total_cwnd: u32,
+        coupled: bool,
+    },
 }
 
-impl CongestionControl for Lia {
-    fn cwnd(&self) -> u32 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> u32 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, _now: SimTime, bytes_acked: u32, _rtt: Option<Duration>) {
-        if self.in_slow_start() {
-            self.cwnd = self
-                .cwnd
-                .saturating_add(bytes_acked.min(self.mss))
-                .min(INIT_SSTHRESH);
-            return;
-        }
-        let total = self.total_cwnd.max(self.cwnd).max(1) as f64;
-        let coupled = self.alpha * f64::from(bytes_acked) * f64::from(self.mss) / total;
-        let uncoupled = f64::from(bytes_acked) * f64::from(self.mss) / f64::from(self.cwnd.max(1));
-        self.increase_accum += coupled.min(uncoupled);
-        if self.increase_accum >= 1.0 {
-            let inc = self.increase_accum as u32;
-            self.increase_accum -= f64::from(inc);
-            self.cwnd = self.cwnd.saturating_add(inc).min(INIT_SSTHRESH);
-        }
-    }
-
-    fn on_dup_ack(&mut self) {
-        self.cwnd = self.cwnd.saturating_add(self.mss);
-    }
-
-    fn on_fast_retransmit(&mut self, _now: SimTime, in_flight: u32) {
-        self.halve(in_flight);
-        self.cwnd = self.ssthresh + 3 * self.mss;
-    }
-
-    fn on_retransmit_timeout(&mut self, _now: SimTime, in_flight: u32) {
-        self.halve(in_flight);
-        self.cwnd = self.mss;
-        self.increase_accum = 0.0;
-    }
-
-    fn on_recovery_exit(&mut self) {
-        self.cwnd = self.ssthresh;
-    }
-
-    fn set_cwnd(&mut self, bytes: u32) {
-        self.cwnd = bytes.max(self.mss);
-    }
-
-    fn set_ssthresh(&mut self, bytes: u32) {
-        self.ssthresh = bytes.max(2 * self.mss);
-    }
-
-    fn set_coupled(&mut self, signal: CoupledSignal) {
-        self.alpha = signal.alpha;
-        self.total_cwnd = signal.total_cwnd;
-    }
-
-    fn name(&self) -> &'static str {
-        "lia"
-    }
-}
-
-/// Opportunistic Linked Increases Algorithm (Khalili et al., CoNEXT 2012).
-///
-/// Congestion-avoidance increase per acked byte is
-/// `mss * (w/rtt^2) / rate_sum^2 + alpha_i * mss / w`, where `rate_sum`
-/// is the aggregate `sum(w_k/rtt_k)` and `alpha_i` the per-path signed
-/// term computed by [`olia_alphas`]: paths that look under-used relative
-/// to their quality receive `+1/(n*|collected|)`, the max-window paths
-/// pay `-1/(n*|M|)`, everyone else gets 0. With a single path the first
-/// term reduces exactly to Reno's `mss/w` growth. Slow start and loss
-/// response are Reno's.
-pub struct Olia {
-    cwnd: u32,
-    ssthresh: u32,
-    mss: u32,
-    alpha: f64,
-    rate_sum: f64,
-    srtt: Option<Duration>,
-    increase_accum: f64,
-}
-
-impl Olia {
-    /// New OLIA instance.
-    pub fn new(mss: u32, init_segs: u32) -> Olia {
-        Olia {
-            cwnd: mss * init_segs,
-            ssthresh: INIT_SSTHRESH,
-            mss,
-            alpha: 0.0,
-            rate_sum: 0.0,
-            srtt: None,
-            increase_accum: 0.0,
-        }
-    }
-
-    fn halve(&mut self, in_flight: u32) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-    }
-}
-
-impl CongestionControl for Olia {
-    fn cwnd(&self) -> u32 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> u32 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, _now: SimTime, bytes_acked: u32, rtt: Option<Duration>) {
-        if self.in_slow_start() {
-            self.cwnd = self
-                .cwnd
-                .saturating_add(bytes_acked.min(self.mss))
-                .min(INIT_SSTHRESH);
-            return;
-        }
-        let w = f64::from(self.cwnd.max(1));
-        let mss = f64::from(self.mss);
-        let acked = f64::from(bytes_acked);
-        let rtt_s = self
-            .srtt
-            .or(rtt)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0)
-            .max(1e-6);
-        let inc = if self.rate_sum > 0.0 {
-            // Coupled: OLIA's rate-based first term plus the signed
-            // opportunistic alpha term.
-            let base = mss * (w / (rtt_s * rtt_s)) / (self.rate_sum * self.rate_sum);
-            let opportunistic = self.alpha * mss / w;
-            acked * (base + opportunistic)
-        } else {
-            // No coupling signal yet (single subflow): plain Reno CA.
-            acked * mss / w
+impl Cc {
+    fn new(algo: CcAlgorithm, mss: u32, init_segs: u32) -> Cc {
+        let cwnd = mss * init_segs;
+        let rule = match algo {
+            CcAlgorithm::Reno => Rule::Reno { acked_accum: 0 },
+            CcAlgorithm::Lia => Rule::Lia {
+                alpha: 1.0,
+                total_cwnd: cwnd,
+            },
+            CcAlgorithm::Olia => Rule::Olia {
+                alpha: 0.0,
+                rate_sum: 0.0,
+                srtt: None,
+            },
+            CcAlgorithm::CoupledCubic => Rule::Cubic {
+                w_max: f64::from(cwnd),
+                epoch_start: None,
+                k: 0.0,
+                alpha: 1.0,
+                total_cwnd: 0,
+                coupled: false,
+            },
         };
-        self.increase_accum += inc;
+        Cc {
+            cwnd,
+            ssthresh: INIT_SSTHRESH,
+            mss,
+            increase_accum: 0.0,
+            rule,
+        }
+    }
+
+    /// Current congestion window.
+    pub fn cwnd(&self) -> u32 {
+        self.cwnd
+    }
+
+    /// Current slow-start threshold.
+    pub fn ssthresh(&self) -> u32 {
+        self.ssthresh
+    }
+
+    /// Are we below ssthresh (exponential growth)?
+    pub fn in_slow_start(&self) -> bool {
+        self.cwnd < self.ssthresh
+    }
+
+    /// A cumulative ACK advanced `snd_una` by `bytes_acked`.
+    /// `rtt` carries the RTT sample of this ACK when one was taken.
+    pub fn on_ack(&mut self, now: SimTime, bytes_acked: u32, rtt: Option<Duration>) {
+        if self.in_slow_start() {
+            self.cwnd = self
+                .cwnd
+                .saturating_add(bytes_acked.min(self.mss))
+                .min(INIT_SSTHRESH);
+            return;
+        }
+        self.increase_accum += self.increase(now, bytes_acked, rtt);
         if self.increase_accum >= 1.0 {
             let add = self.increase_accum as u32;
             self.increase_accum -= f64::from(add);
             self.cwnd = self.cwnd.saturating_add(add).min(INIT_SSTHRESH);
         } else if self.increase_accum <= -1.0 {
+            // Only OLIA's signed term ever gets here.
             let sub = (-self.increase_accum) as u32;
             self.increase_accum += f64::from(sub);
             self.cwnd = self.cwnd.saturating_sub(sub).max(self.mss);
         }
     }
 
-    fn on_dup_ack(&mut self) {
-        self.cwnd = self.cwnd.saturating_add(self.mss);
-    }
-
-    fn on_fast_retransmit(&mut self, _now: SimTime, in_flight: u32) {
-        self.halve(in_flight);
-        self.cwnd = self.ssthresh + 3 * self.mss;
-    }
-
-    fn on_retransmit_timeout(&mut self, _now: SimTime, in_flight: u32) {
-        self.halve(in_flight);
-        self.cwnd = self.mss;
-        self.increase_accum = 0.0;
-    }
-
-    fn on_recovery_exit(&mut self) {
-        self.cwnd = self.ssthresh;
-    }
-
-    fn set_cwnd(&mut self, bytes: u32) {
-        self.cwnd = bytes.max(self.mss);
-    }
-
-    fn set_ssthresh(&mut self, bytes: u32) {
-        self.ssthresh = bytes.max(2 * self.mss);
-    }
-
-    fn set_coupled(&mut self, signal: CoupledSignal) {
-        self.alpha = signal.alpha;
-        self.rate_sum = signal.rate_sum;
-        self.srtt = Some(signal.srtt);
-    }
-
-    fn name(&self) -> &'static str {
-        "olia"
-    }
-}
-
-/// Cubic parameters (RFC 8312): multiplicative decrease and the C scaling
-/// constant, with windows measured in MSS for the cubic polynomial.
-const CUBIC_BETA: f64 = 0.7;
-const CUBIC_C: f64 = 0.4;
-
-/// Cubic window growth per subflow, coupled via the LIA aggregate bound.
-///
-/// In congestion avoidance the per-ACK increase is the classic cubic
-/// target chase `(target(t) - cwnd) * acked / cwnd` with
-/// `target(t) = C*(t - K)^3 + w_max` (in MSS), *capped* by LIA's coupled
-/// increase `alpha * acked * mss / total_cwnd` whenever a coupling signal
-/// is live — so a multipath bundle of cubic subflows still takes no more
-/// than one fast TCP at a shared bottleneck, while each subflow keeps
-/// cubic's RTT-fairness and fast-reprobe shape on its own path. Uses
-/// fast convergence (`w_max` shrinks by `(2-beta)/2` on back-to-back
-/// losses). Slow start is Reno's.
-pub struct CoupledCubic {
-    cwnd: u32,
-    ssthresh: u32,
-    mss: u32,
-    /// Window at the last loss event (bytes).
-    w_max: f64,
-    /// Epoch start: first CA ack after the last loss.
-    epoch_start: Option<SimTime>,
-    /// Time to reach `w_max` again (secs from epoch start).
-    k: f64,
-    alpha: f64,
-    total_cwnd: u32,
-    coupled: bool,
-    increase_accum: f64,
-}
-
-impl CoupledCubic {
-    /// New coupled-cubic instance.
-    pub fn new(mss: u32, init_segs: u32) -> CoupledCubic {
-        CoupledCubic {
-            cwnd: mss * init_segs,
-            ssthresh: INIT_SSTHRESH,
-            mss,
-            w_max: f64::from(mss * init_segs),
-            epoch_start: None,
-            k: 0.0,
-            alpha: 1.0,
-            total_cwnd: 0,
-            coupled: false,
-            increase_accum: 0.0,
-        }
-    }
-
-    fn on_loss(&mut self, in_flight: u32) {
-        let w = f64::from(self.cwnd);
-        // Fast convergence: if we crashed below the previous plateau,
-        // release capacity faster for newcomers.
-        self.w_max = if w < self.w_max {
-            w * (2.0 - CUBIC_BETA) / 2.0
-        } else {
-            w
-        };
-        let base = f64::from(in_flight.max(self.mss));
-        self.ssthresh = ((base * CUBIC_BETA) as u32).max(2 * self.mss);
-        self.epoch_start = None;
-        self.increase_accum = 0.0;
-    }
-
-    /// Cubic target window (bytes) at `t` seconds into the epoch.
-    fn target(&self, t: f64) -> f64 {
-        let mss = f64::from(self.mss);
-        let w_max_seg = self.w_max / mss;
-        let d = t - self.k;
-        (CUBIC_C * d * d * d + w_max_seg) * mss
-    }
-}
-
-impl CongestionControl for CoupledCubic {
-    fn cwnd(&self) -> u32 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> u32 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, now: SimTime, bytes_acked: u32, _rtt: Option<Duration>) {
-        if self.in_slow_start() {
-            self.cwnd = self
-                .cwnd
-                .saturating_add(bytes_acked.min(self.mss))
-                .min(INIT_SSTHRESH);
-            return;
-        }
+    /// The rule's congestion-avoidance increase for this ACK, in bytes.
+    fn increase(&mut self, now: SimTime, bytes_acked: u32, rtt: Option<Duration>) -> f64 {
         let mss = f64::from(self.mss);
         let w = f64::from(self.cwnd.max(1));
-        if self.epoch_start.is_none() {
-            self.epoch_start = Some(now);
-            if self.w_max < w {
-                // Already past the old plateau: start a new convex probe
-                // from here.
-                self.w_max = w;
-                self.k = 0.0;
-            } else {
-                self.k = ((self.w_max - w) / mss / CUBIC_C).cbrt();
+        let acked = f64::from(bytes_acked);
+        match &mut self.rule {
+            Rule::Reno { acked_accum } => {
+                *acked_accum += bytes_acked;
+                if *acked_accum < self.cwnd {
+                    return 0.0;
+                }
+                *acked_accum -= self.cwnd;
+                mss
+            }
+            Rule::Lia { alpha, total_cwnd } => {
+                let total = (*total_cwnd).max(self.cwnd).max(1) as f64;
+                let coupled = *alpha * acked * mss / total;
+                let uncoupled = acked * mss / w;
+                coupled.min(uncoupled)
+            }
+            Rule::Olia {
+                alpha,
+                rate_sum,
+                srtt,
+            } => {
+                let rtt_s = srtt
+                    .or(rtt)
+                    .map(|d| d.as_secs_f64())
+                    .unwrap_or(0.0)
+                    .max(1e-6);
+                if *rate_sum > 0.0 {
+                    // Coupled: OLIA's rate-based first term plus the signed
+                    // opportunistic alpha term.
+                    let base = mss * (w / (rtt_s * rtt_s)) / (*rate_sum * *rate_sum);
+                    let opportunistic = *alpha * mss / w;
+                    acked * (base + opportunistic)
+                } else {
+                    // No coupling signal yet (single subflow): plain Reno CA.
+                    acked * mss / w
+                }
+            }
+            Rule::Cubic {
+                w_max,
+                epoch_start,
+                k,
+                alpha,
+                total_cwnd,
+                coupled,
+            } => {
+                let start = *epoch_start.get_or_insert_with(|| {
+                    if *w_max < w {
+                        // Already past the old plateau: start a new convex
+                        // probe from here.
+                        *w_max = w;
+                        *k = 0.0;
+                    } else {
+                        *k = ((*w_max - w) / mss / CUBIC_C).cbrt();
+                    }
+                    now
+                });
+                // Cubic target window (bytes) this far into the epoch.
+                let d = (now - start).as_secs_f64() - *k;
+                let target = (CUBIC_C * d * d * d + *w_max / mss) * mss;
+                let cubic_inc = ((target - w) / w * acked).max(0.0);
+                if *coupled && *total_cwnd > 0 {
+                    let coupled_cap = *alpha * acked * mss / f64::from((*total_cwnd).max(1));
+                    cubic_inc.min(coupled_cap)
+                } else {
+                    cubic_inc
+                }
             }
         }
-        let t = (now - self.epoch_start.unwrap()).as_secs_f64();
-        let cubic_inc = ((self.target(t) - w) / w * f64::from(bytes_acked)).max(0.0);
-        let inc = if self.coupled && self.total_cwnd > 0 {
-            let coupled_cap =
-                self.alpha * f64::from(bytes_acked) * mss / f64::from(self.total_cwnd.max(1));
-            cubic_inc.min(coupled_cap)
-        } else {
-            cubic_inc
+    }
+
+    /// A loss was detected with `in_flight` bytes outstanding: set
+    /// ssthresh to the flight cut by the rule's decrease factor.
+    fn on_loss(&mut self, in_flight: u32) {
+        let cut = match &mut self.rule {
+            Rule::Cubic {
+                w_max, epoch_start, ..
+            } => {
+                let w = f64::from(self.cwnd);
+                // Fast convergence: if we crashed below the previous
+                // plateau, release capacity faster for newcomers.
+                *w_max = if w < *w_max {
+                    w * (2.0 - CUBIC_BETA) / 2.0
+                } else {
+                    w
+                };
+                *epoch_start = None;
+                self.increase_accum = 0.0;
+                (f64::from(in_flight.max(self.mss)) * CUBIC_BETA) as u32
+            }
+            _ => in_flight / 2,
         };
-        self.increase_accum += inc;
-        if self.increase_accum >= 1.0 {
-            let add = self.increase_accum as u32;
-            self.increase_accum -= f64::from(add);
-            self.cwnd = self.cwnd.saturating_add(add).min(INIT_SSTHRESH);
-        }
+        self.ssthresh = cut.max(2 * self.mss);
     }
 
-    fn on_dup_ack(&mut self) {
-        self.cwnd = self.cwnd.saturating_add(self.mss);
-    }
-
-    fn on_fast_retransmit(&mut self, _now: SimTime, in_flight: u32) {
+    /// Entering fast retransmit; `in_flight` is the outstanding byte count.
+    pub fn on_fast_retransmit(&mut self, _now: SimTime, in_flight: u32) {
         self.on_loss(in_flight);
         self.cwnd = self.ssthresh + 3 * self.mss;
     }
 
-    fn on_retransmit_timeout(&mut self, _now: SimTime, in_flight: u32) {
+    /// A retransmission timeout fired.
+    pub fn on_retransmit_timeout(&mut self, _now: SimTime, in_flight: u32) {
         self.on_loss(in_flight);
         self.cwnd = self.mss;
+        self.increase_accum = 0.0;
+        if let Rule::Reno { acked_accum } = &mut self.rule {
+            *acked_accum = 0;
+        }
     }
 
-    fn on_recovery_exit(&mut self) {
+    /// Fast recovery completed (full ACK received): deflate the window.
+    pub fn on_recovery_exit(&mut self) {
         self.cwnd = self.ssthresh;
     }
 
-    fn set_cwnd(&mut self, bytes: u32) {
+    /// Force the congestion window (mechanism 4 capping); never below one
+    /// MSS.
+    pub fn set_cwnd(&mut self, bytes: u32) {
         self.cwnd = bytes.max(self.mss);
     }
 
-    fn set_ssthresh(&mut self, bytes: u32) {
+    /// Force the slow-start threshold; never below two MSS.
+    pub fn set_ssthresh(&mut self, bytes: u32) {
         self.ssthresh = bytes.max(2 * self.mss);
     }
 
-    fn set_coupled(&mut self, signal: CoupledSignal) {
-        self.alpha = signal.alpha;
-        self.total_cwnd = signal.total_cwnd;
-        self.coupled = true;
+    /// Force window and threshold to `bytes`, each above its floor
+    /// (mechanism 2 penalization).
+    pub fn shrink_to(&mut self, bytes: u32) {
+        self.set_ssthresh(bytes);
+        self.set_cwnd(bytes);
     }
 
-    fn name(&self) -> &'static str {
-        "cubic"
+    /// Update coupling parameters computed by [`CoupledState`] across the
+    /// connection's subflows. No-op for Reno.
+    pub fn set_coupled(&mut self, signal: CoupledSignal) {
+        match &mut self.rule {
+            Rule::Reno { .. } => {}
+            Rule::Lia { alpha, total_cwnd } => {
+                *alpha = signal.alpha;
+                *total_cwnd = signal.total_cwnd;
+            }
+            Rule::Olia {
+                alpha,
+                rate_sum,
+                srtt,
+            } => {
+                *alpha = signal.alpha;
+                *rate_sum = signal.rate_sum;
+                *srtt = Some(signal.srtt);
+            }
+            Rule::Cubic {
+                alpha,
+                total_cwnd,
+                coupled,
+                ..
+            } => {
+                *alpha = signal.alpha;
+                *total_cwnd = signal.total_cwnd;
+                *coupled = true;
+            }
+        }
     }
 }
 
 /// Compute the LIA `alpha` coupling factor (RFC 6356 §4).
 ///
-/// `subflows` yields `(cwnd_bytes, srtt)` for each active subflow.
-/// Returns 1.0 when no subflow has an RTT sample yet.
-pub fn lia_alpha(subflows: &[(u32, Duration)]) -> f64 {
+/// `flows` are the active subflows. Returns 1.0 when none has a window
+/// to speak of yet.
+pub fn lia_alpha(flows: &[FlowView]) -> f64 {
     let mut best = 0.0f64;
     let mut denom = 0.0f64;
     let mut total = 0.0f64;
-    for &(cwnd, rtt) in subflows {
-        let rtt_s = rtt.as_secs_f64().max(1e-6);
-        let c = f64::from(cwnd);
+    for f in flows {
+        let rtt_s = f.srtt.as_secs_f64().max(1e-6);
+        let c = f64::from(f.cwnd);
         best = best.max(c / (rtt_s * rtt_s));
         denom += c / rtt_s;
         total += c;
@@ -828,7 +609,7 @@ mod tests {
 
     #[test]
     fn reno_slow_start_doubles_per_rtt() {
-        let mut r = Reno::new(1000, 10);
+        let mut r = CcAlgorithm::Reno.build(1000, 10);
         let start = r.cwnd();
         // Acking a full window in MSS-sized chunks doubles cwnd.
         for _ in 0..10 {
@@ -839,7 +620,7 @@ mod tests {
 
     #[test]
     fn reno_congestion_avoidance_linear() {
-        let mut r = Reno::new(1000, 10);
+        let mut r = CcAlgorithm::Reno.build(1000, 10);
         r.set_ssthresh(5_000);
         r.set_cwnd(10_000); // above ssthresh: CA
         assert!(!r.in_slow_start());
@@ -852,7 +633,7 @@ mod tests {
 
     #[test]
     fn reno_fast_retransmit_halves() {
-        let mut r = Reno::new(1000, 10);
+        let mut r = CcAlgorithm::Reno.build(1000, 10);
         r.set_cwnd(20_000);
         r.on_fast_retransmit(T0, 20_000);
         assert_eq!(r.ssthresh(), 10_000);
@@ -863,7 +644,7 @@ mod tests {
 
     #[test]
     fn reno_rto_collapses_to_one_mss() {
-        let mut r = Reno::new(1000, 10);
+        let mut r = CcAlgorithm::Reno.build(1000, 10);
         r.set_cwnd(20_000);
         r.on_retransmit_timeout(T0, 20_000);
         assert_eq!(r.cwnd(), 1000);
@@ -872,7 +653,7 @@ mod tests {
 
     #[test]
     fn reno_floors() {
-        let mut r = Reno::new(1000, 10);
+        let mut r = CcAlgorithm::Reno.build(1000, 10);
         r.set_cwnd(0);
         assert_eq!(r.cwnd(), 1000);
         r.set_ssthresh(0);
@@ -884,9 +665,9 @@ mod tests {
     #[test]
     fn lia_never_more_aggressive_than_reno() {
         // Single subflow with alpha=1, total=cwnd: LIA == Reno CA rate.
-        let mut lia = Lia::new(1000, 10);
-        let mut reno = Reno::new(1000, 10);
-        for c in [&mut lia as &mut dyn CongestionControl, &mut reno] {
+        let mut lia = CcAlgorithm::Lia.build(1000, 10);
+        let mut reno = CcAlgorithm::Reno.build(1000, 10);
+        for c in [&mut lia, &mut reno] {
             c.set_ssthresh(5_000);
             c.set_cwnd(10_000);
         }
@@ -915,7 +696,7 @@ mod tests {
     #[test]
     fn lia_coupling_slows_growth() {
         // Two equal subflows: alpha=1 against total 2*cwnd halves growth.
-        let mut lia = Lia::new(1000, 10);
+        let mut lia = CcAlgorithm::Lia.build(1000, 10);
         lia.set_ssthresh(5_000);
         lia.set_cwnd(10_000);
         lia.set_coupled(CoupledSignal {
@@ -936,33 +717,27 @@ mod tests {
     fn alpha_equal_paths_is_fraction() {
         // Two identical subflows: alpha = total*best/(denom^2)
         //  = 2c * (c/r^2) / (2c/r)^2 = 1/2.
-        let a = lia_alpha(&[
-            (10_000, Duration::from_millis(100)),
-            (10_000, Duration::from_millis(100)),
-        ]);
+        let a = lia_alpha(&[fv(10_000, 100), fv(10_000, 100)]);
         assert!((a - 0.5).abs() < 1e-9, "alpha = {a}");
     }
 
     #[test]
     fn alpha_single_path_is_one() {
-        let a = lia_alpha(&[(10_000, Duration::from_millis(50))]);
+        let a = lia_alpha(&[fv(10_000, 50)]);
         assert!((a - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn alpha_no_samples_defaults() {
         assert_eq!(lia_alpha(&[]), 1.0);
-        assert_eq!(lia_alpha(&[(0, Duration::from_millis(10))]), 1.0);
+        assert_eq!(lia_alpha(&[fv(0, 10)]), 1.0);
     }
 
     #[test]
     fn alpha_favors_fast_path() {
         // A fast path and a slow path: alpha > the equal-path 0.5 because
         // the best path dominates.
-        let a = lia_alpha(&[
-            (10_000, Duration::from_millis(20)),
-            (10_000, Duration::from_millis(200)),
-        ]);
+        let a = lia_alpha(&[fv(10_000, 20), fv(10_000, 200)]);
         assert!(a > 0.5, "alpha = {a}");
     }
 
@@ -1016,7 +791,7 @@ mod tests {
     fn olia_single_flow_matches_reno_rate() {
         // With rate_sum = w/rtt the OLIA rate term reduces to mss/w: one
         // full window of acks adds ~one MSS, like Reno CA.
-        let mut o = Olia::new(1000, 10);
+        let mut o = CcAlgorithm::Olia.build(1000, 10);
         o.set_ssthresh(5_000);
         o.set_cwnd(10_000);
         let rtt = Duration::from_millis(100);
@@ -1036,7 +811,7 @@ mod tests {
     fn olia_negative_alpha_shrinks_window() {
         // A max-window path with alpha = -0.5 and a dominant rate_sum
         // grows slower than it shrinks: net decrease.
-        let mut o = Olia::new(1000, 10);
+        let mut o = CcAlgorithm::Olia.build(1000, 10);
         o.set_ssthresh(5_000);
         o.set_cwnd(20_000);
         let rtt = Duration::from_millis(100);
@@ -1055,7 +830,7 @@ mod tests {
 
     #[test]
     fn cubic_convex_growth_accelerates_past_plateau() {
-        let mut c = CoupledCubic::new(1000, 10);
+        let mut c = CcAlgorithm::CoupledCubic.build(1000, 10);
         c.set_ssthresh(5_000);
         c.set_cwnd(10_000);
         // Drive acks across virtual time; cubic should pass its plateau
@@ -1077,7 +852,7 @@ mod tests {
 
     #[test]
     fn cubic_loss_sets_plateau_and_concave_approach() {
-        let mut c = CoupledCubic::new(1000, 10);
+        let mut c = CcAlgorithm::CoupledCubic.build(1000, 10);
         c.set_ssthresh(5_000);
         c.set_cwnd(20_000);
         c.on_fast_retransmit(at_ms(0), 20_000);
@@ -1103,8 +878,8 @@ mod tests {
     fn cubic_coupling_caps_increase() {
         // Identical twins, one coupled with a tiny alpha: the coupled one
         // must grow no faster than the LIA cap allows.
-        let mut free = CoupledCubic::new(1000, 10);
-        let mut capped = CoupledCubic::new(1000, 10);
+        let mut free = CcAlgorithm::CoupledCubic.build(1000, 10);
+        let mut capped = CcAlgorithm::CoupledCubic.build(1000, 10);
         for c in [&mut free, &mut capped] {
             c.set_ssthresh(5_000);
             c.set_cwnd(10_000);
@@ -1135,6 +910,37 @@ mod tests {
     }
 
     #[test]
+    fn loss_response_is_renos_but_for_cubics_beta() {
+        for algo in CcAlgorithm::ALL {
+            // (flight, ssthresh) with cwnd 40_000 at the loss: half the
+            // flight — 0.7 of it for cubic — and never under two MSS.
+            let rows = match algo {
+                CcAlgorithm::CoupledCubic => [(20_000, 14_000), (30_001, 21_000), (100, 2_000)],
+                _ => [(20_000, 10_000), (30_001, 15_000), (100, 2_000)],
+            };
+            for (flight, ssthresh) in rows {
+                let mut cc = algo.build(1000, 10);
+                cc.set_cwnd(40_000);
+                cc.on_fast_retransmit(T0, flight);
+                assert_eq!(cc.ssthresh(), ssthresh, "{algo} fast retransmit");
+                assert_eq!(cc.cwnd(), ssthresh + 3_000, "{algo} inflates by 3 MSS");
+                cc.on_recovery_exit();
+                assert_eq!(cc.cwnd(), ssthresh, "{algo} deflates to ssthresh");
+
+                let mut cc = algo.build(1000, 10);
+                cc.set_cwnd(40_000);
+                cc.on_retransmit_timeout(T0, flight);
+                assert_eq!(cc.ssthresh(), ssthresh, "{algo} timeout");
+                assert_eq!(cc.cwnd(), 1000, "{algo} collapses to one MSS");
+                assert!(cc.in_slow_start());
+            }
+            let mut cc = algo.build(1000, 10);
+            cc.shrink_to(0);
+            assert_eq!((cc.cwnd(), cc.ssthresh()), (1000, 2000), "{algo} floors");
+        }
+    }
+
+    #[test]
     fn cc_algorithm_names_round_trip() {
         for algo in CcAlgorithm::ALL {
             let parsed: CcAlgorithm = algo.name().parse().unwrap();
@@ -1152,7 +958,13 @@ mod tests {
     fn cc_algorithm_builds_named_controller() {
         for algo in CcAlgorithm::ALL {
             let cc = algo.build(1460, 10);
-            assert_eq!(cc.name(), algo.name());
+            let built = match cc.rule {
+                Rule::Reno { .. } => CcAlgorithm::Reno,
+                Rule::Lia { .. } => CcAlgorithm::Lia,
+                Rule::Olia { .. } => CcAlgorithm::Olia,
+                Rule::Cubic { .. } => CcAlgorithm::CoupledCubic,
+            };
+            assert_eq!(built, algo);
             assert_eq!(cc.cwnd(), 14_600);
         }
         assert!(!CcAlgorithm::Reno.is_coupled());

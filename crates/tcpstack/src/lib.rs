@@ -3,9 +3,10 @@
 //! This crate is the single-path substrate the NSDI 2012 MPTCP paper builds
 //! on: a complete TCP implementation — the full connection state machine,
 //! reliable transmission with RTO (RFC 6298) and NewReno-style fast
-//! retransmit/recovery, flow control with window scaling, delayed ACKs,
-//! persist-timer zero-window probing, Reno and coupled-LIA congestion
-//! control, and send/receive buffer autotuning.
+//! retransmit/recovery ([`recovery`]), flow control with window scaling,
+//! persist-timer zero-window probing, one congestion window under four
+//! increase rules — Reno, LIA, OLIA, coupled cubic ([`cc`]) — and
+//! send/receive buffer autotuning.
 //!
 //! Design follows the smoltcp idiom: the socket is a pure state machine.
 //! You feed it segments with [`TcpSocket::handle_segment`], drain output
@@ -29,16 +30,14 @@
 
 pub mod cc;
 pub mod config;
+pub mod recovery;
 pub mod recvbuf;
 pub mod rtt;
 pub mod sendbuf;
 pub mod socket;
 pub mod state;
 
-pub use cc::{
-    CcAlgorithm, CongestionControl, CoupledCubic, CoupledSignal, CoupledState, FlowView, Lia, Olia,
-    Reno,
-};
+pub use cc::{Cc, CcAlgorithm, CoupledSignal, CoupledState, FlowView};
 pub use config::{TcpConfig, INIT_CWND_SEGS};
 pub use rtt::RttEstimator;
 pub use socket::{SocketStats, TcpSocket};

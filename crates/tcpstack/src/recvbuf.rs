@@ -41,11 +41,6 @@ impl RecvQueue {
         }
     }
 
-    /// Offset of the next expected in-order byte.
-    pub fn next_offset(&self) -> u64 {
-        self.next_offset
-    }
-
     /// Bytes buffered (assembled unread + out-of-order).
     pub fn buffered(&self) -> usize {
         self.assembled_bytes + self.ooo_bytes

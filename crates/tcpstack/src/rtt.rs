@@ -50,11 +50,6 @@ impl RttEstimator {
         self.srtt
     }
 
-    /// RTT variance estimate.
-    pub fn rttvar(&self) -> Duration {
-        self.rttvar
-    }
-
     /// Minimum RTT observed (base RTT / propagation estimate).
     pub fn min_rtt(&self) -> Option<Duration> {
         self.min_rtt
@@ -87,7 +82,7 @@ mod tests {
         assert_eq!(e.rto(), Duration::from_secs(1));
         e.on_sample(Duration::from_millis(100));
         assert_eq!(e.srtt(), Some(Duration::from_millis(100)));
-        assert_eq!(e.rttvar(), Duration::from_millis(50));
+        assert_eq!(e.rttvar, Duration::from_millis(50));
         // RTO = srtt + 4*rttvar = 100 + 200 = 300ms.
         assert_eq!(e.rto(), Duration::from_millis(300));
     }
@@ -125,7 +120,7 @@ mod tests {
         let mut e = est();
         e.on_sample(Duration::from_millis(100));
         e.on_sample(Duration::from_millis(300));
-        assert!(e.rttvar() > Duration::from_millis(50));
+        assert!(e.rttvar > Duration::from_millis(50));
         assert!(e.rto() > Duration::from_millis(300));
     }
 }

@@ -73,11 +73,6 @@ impl SendQueue {
         self.end
     }
 
-    /// Lowest unacknowledged sequence number.
-    pub fn una_seq(&self) -> SeqNum {
-        self.una
-    }
-
     /// Enqueue a chunk; returns the sequence number it was assigned.
     pub fn enqueue(&mut self, payload: Bytes, options: Vec<TcpOption>) -> SeqNum {
         let seq = self.end;
@@ -159,13 +154,6 @@ impl SendQueue {
     pub fn segment_len_at(&self, from: SeqNum, max_len: usize) -> Option<usize> {
         let (chunk, off) = self.locate(from)?;
         Some((chunk.payload.len() - off).min(max_len))
-    }
-
-    /// The first unacknowledged segment (up to `max_len` bytes): what the
-    /// paper's opportunistic retransmission resends on another subflow
-    /// ("only considers the first unacknowledged segment", §4.2 M1).
-    pub fn front_segment(&self, max_len: usize) -> Option<SegmentData> {
-        self.segment_at(self.una, max_len)
     }
 
     /// True when `seq` still has unsent-or-unacked data after it.
@@ -258,17 +246,7 @@ mod tests {
         s.enqueue(Bytes::from_static(b"abc"), vec![]);
         assert_eq!(s.ack_to(SeqNum(999)), 0); // old ack ignored
         assert_eq!(s.ack_to(SeqNum(2000)), 3); // clamped to end
-        assert_eq!(s.una_seq(), SeqNum(1003));
-    }
-
-    #[test]
-    fn front_segment_is_una() {
-        let mut s = q();
-        s.enqueue(Bytes::from_static(b"abcdef"), vec![]);
-        s.ack_to(SeqNum(1002));
-        let f = s.front_segment(2).unwrap();
-        assert_eq!(f.seq, SeqNum(1002));
-        assert_eq!(&f.payload[..], b"cd");
+        assert_eq!(s.una, SeqNum(1003));
     }
 
     /// The scan `segment_at` used before the binary search; kept here as
@@ -306,7 +284,7 @@ mod tests {
             }
             // A partial ACK leaves a trimmed front chunk.
             let buffered = s.buffered() as u64;
-            s.ack_to(s.una_seq() + rng.range(0, buffered + 1) as u32);
+            s.ack_to(s.una + rng.range(0, buffered + 1) as u32);
 
             // Every chunk edge and its neighbours, `una`, `end`, beyond
             // both, plus random interior points.
@@ -341,8 +319,8 @@ mod tests {
         let mut s = q();
         s.enqueue(Bytes::from_static(b"ab"), vec![]);
         assert!(s.segment_at(SeqNum(1002), 10).is_none());
-        assert!(s.front_segment(10).is_some());
+        assert!(s.segment_at(s.una, 10).is_some());
         s.ack_to(SeqNum(1002));
-        assert!(s.front_segment(10).is_none());
+        assert!(s.segment_at(s.una, 10).is_none());
     }
 }

@@ -7,12 +7,14 @@
 //! [`TcpSocket::poll_at`] (timer deadline).
 
 use bytes::Bytes;
+use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::{FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use mptcp_telemetry::{CounterId, EventKind, Recorder, TraceRecord, DEFAULT_EVENT_CAPACITY};
 
-use crate::cc::{CongestionControl, Reno};
+use crate::cc::{Cc, CcAlgorithm};
 use crate::config::{TcpConfig, INIT_CWND_SEGS, WSCALE};
+use crate::recovery::{AckResponse, Recovery, TimerAction};
 use crate::recvbuf::RecvQueue;
 use crate::rtt::RttEstimator;
 use crate::sendbuf::SendQueue;
@@ -23,17 +25,16 @@ use crate::state::TcpState;
 /// socket's [`Recorder`] (`CounterId::Tcp*`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SocketStats {
-    /// Segments emitted.
-    pub segs_out: u64,
     /// Segments processed.
     pub segs_in: u64,
     /// Payload bytes emitted (including retransmissions).
     pub bytes_out: u64,
     /// Payload bytes cumulatively acknowledged.
     pub bytes_acked: u64,
-    /// SYN retransmissions.
-    pub syn_retransmits: u64,
 }
+
+/// How long a socket lingers in TIME_WAIT to absorb stray segments.
+const TIME_WAIT: Duration = Duration::from_secs(8);
 
 /// A single TCP connection endpoint.
 pub struct TcpSocket {
@@ -55,37 +56,23 @@ pub struct TcpSocket {
     sbuf_cap: usize,
 
     rtt: RttEstimator,
-    cc: Box<dyn CongestionControl>,
+    cc: Cc,
     effective_mss: usize,
 
-    // Timers.
-    rto_deadline: Option<SimTime>,
-    rto_backoff: u32,
-    consecutive_rtos: u32,
-    persist_deadline: Option<SimTime>,
-    persist_backoff: u32,
+    /// Loss recovery, the retransmission timer and the persist timer.
+    recovery: Recovery,
     timewait_deadline: Option<SimTime>,
     /// Last time the bufferbloat cap (M4) was applied.
     last_cap_at: Option<SimTime>,
 
-    // Recovery.
-    dup_acks: u32,
-    in_recovery: bool,
-    recover: SeqNum,
-    pending_retransmit: Option<SeqNum>,
-    /// Post-RTO go-back-N: retransmit [snd_una, recover) paced by cwnd.
-    rto_recovery: bool,
-    /// Next sequence to retransmit during RTO recovery.
-    retx_nxt: SeqNum,
-
     // Output intents.
-    syn_needs_send: bool,
-    synack_needs_send: bool,
+    /// The SYN (or, in `SynReceived`, the SYN/ACK) must be (re)sent.
+    syn_due: bool,
     need_ack: bool,
     probe_pending: bool,
     rst_pending: bool,
     fin_queued: bool,
-    fin_sent: bool,
+    /// Sequence number our FIN went out with, once it has.
     fin_seq: Option<SeqNum>,
     fin_received: bool,
 
@@ -132,7 +119,7 @@ impl TcpSocket {
     ) -> TcpSocket {
         let mut s = TcpSocket::common(cfg, tuple, iss, now);
         s.state = TcpState::SynSent;
-        s.syn_needs_send = true;
+        s.syn_due = true;
         s.syn_options = syn_options;
         s
     }
@@ -148,31 +135,25 @@ impl TcpSocket {
     ) -> TcpSocket {
         let mut s = TcpSocket::common(cfg, syn.tuple.reversed(), iss, now);
         s.state = TcpState::SynReceived;
-        s.synack_needs_send = true;
+        s.syn_due = true;
         s.syn_options = syn_options;
-        s.irs = syn.seq;
-        s.rcv_nxt = syn.seq + 1;
         s.snd_wnd = syn.window;
         s.wl1 = syn.seq;
-        s.wl2 = SeqNum(0);
-        s.absorb_syn_options(syn);
-        s.harvest_mptcp(syn);
+        s.absorb_syn(syn);
         s.stats.segs_in += 1;
         s
     }
 
     fn common(cfg: TcpConfig, tuple: FourTuple, iss: SeqNum, now: SimTime) -> TcpSocket {
         let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
-        let cc = Box::new(Reno::new(cfg.mss as u32, INIT_CWND_SEGS));
-        let rbuf = if cfg.autotune {
-            (16 * cfg.mss).min(cfg.recv_buf)
-        } else {
-            cfg.recv_buf
-        };
-        let sbuf = if cfg.autotune {
-            (16 * cfg.mss).min(cfg.send_buf)
-        } else {
-            cfg.send_buf
+        let cc = CcAlgorithm::Reno.build(cfg.mss as u32, INIT_CWND_SEGS);
+        // Autotuned buffers start small and grow on demand.
+        let start = |max: usize| {
+            if cfg.autotune {
+                max.min(16 * cfg.mss)
+            } else {
+                max
+            }
         };
         TcpSocket {
             effective_mss: cfg.mss,
@@ -187,30 +168,18 @@ impl TcpSocket {
             wl2: SeqNum(0),
             rcv_nxt: SeqNum(0),
             send_q: SendQueue::new(iss + 1),
-            recv_q: RecvQueue::new(rbuf),
-            sbuf_cap: sbuf,
+            recv_q: RecvQueue::new(start(cfg.recv_buf)),
+            sbuf_cap: start(cfg.send_buf),
             rtt,
             cc,
-            rto_deadline: None,
-            rto_backoff: 1,
-            consecutive_rtos: 0,
-            persist_deadline: None,
-            persist_backoff: 1,
+            recovery: Recovery::new(iss, cfg.max_rto),
             timewait_deadline: None,
             last_cap_at: None,
-            dup_acks: 0,
-            in_recovery: false,
-            recover: iss,
-            pending_retransmit: None,
-            rto_recovery: false,
-            retx_nxt: iss,
-            syn_needs_send: false,
-            synack_needs_send: false,
+            syn_due: false,
             need_ack: false,
             probe_pending: false,
             rst_pending: false,
             fin_queued: false,
-            fin_sent: false,
             fin_seq: None,
             fin_received: false,
             ts_recent: 0,
@@ -280,38 +249,22 @@ impl TcpSocket {
         self.error
     }
 
-    /// Initial send sequence number.
-    pub fn iss(&self) -> SeqNum {
-        self.iss
-    }
-
-    /// Initial receive sequence number.
-    pub fn irs(&self) -> SeqNum {
-        self.irs
-    }
-
     /// Smoothed RTT.
     pub fn srtt(&self) -> Option<Duration> {
         self.rtt.srtt()
     }
 
-    /// Base (minimum observed) RTT.
-    pub fn base_rtt(&self) -> Option<Duration> {
-        self.rtt.min_rtt()
-    }
-
-    /// Current retransmission timeout. The exponential backoff multiplier
-    /// is applied after the estimator's clamp, so cap the product too —
-    /// otherwise a dead path's RTO walks out to `max_rto * 512`.
+    /// Current retransmission timeout: the estimator's, backed off, capped
+    /// at `max_rto`.
     pub fn rto(&self) -> Duration {
-        (self.rtt.rto() * self.rto_backoff).min(self.cfg.max_rto)
+        self.recovery.timeout(self.rtt.rto())
     }
 
     /// Consecutive RTO fires without an intervening new ACK. Path-failure
     /// detection at the MPTCP layer reads this to demote a subflow before
     /// the socket itself gives up.
     pub fn consecutive_rtos(&self) -> u32 {
-        self.consecutive_rtos
+        self.recovery.consecutive_rtos()
     }
 
     /// Congestion window in bytes.
@@ -319,20 +272,15 @@ impl TcpSocket {
         self.cc.cwnd()
     }
 
-    /// Mutable access to the congestion controller (penalization, capping,
-    /// algorithm swaps).
-    pub fn cc_mut(&mut self) -> &mut dyn CongestionControl {
-        &mut *self.cc
-    }
-
-    /// Replace the congestion control algorithm (e.g. install [`crate::Lia`]).
-    pub fn set_cc(&mut self, cc: Box<dyn CongestionControl>) {
-        self.cc = cc;
+    /// The congestion window, Reno's unless replaced: penalization,
+    /// coupling, and `*sock.cc_mut() = algo.build(..)` to swap algorithms.
+    pub fn cc_mut(&mut self) -> &mut Cc {
+        &mut self.cc
     }
 
     /// Is the socket currently in fast or RTO loss recovery?
     pub fn in_loss_recovery(&self) -> bool {
-        self.in_recovery || self.rto_recovery
+        self.recovery.in_loss_recovery()
     }
 
     /// Bytes in flight (sent, not yet cumulatively acked).
@@ -365,11 +313,6 @@ impl TcpSocket {
         self.sbuf_cap
     }
 
-    /// Current receive buffer capacity (autotuned).
-    pub fn recv_capacity(&self) -> usize {
-        self.recv_q.capacity()
-    }
-
     /// Bytes held in the receive buffer (for memory accounting).
     pub fn recv_buffered(&self) -> usize {
         self.recv_q.buffered()
@@ -382,10 +325,7 @@ impl TcpSocket {
 
     /// Has our FIN been sent and acknowledged?
     pub fn fin_acked(&self) -> bool {
-        match self.fin_seq {
-            Some(fs) => self.snd_una.after(fs),
-            None => false,
-        }
+        self.fin_seq.is_some_and(|fs| self.snd_una.after(fs))
     }
 
     /// 1-based relative offset the next enqueued byte will get on this
@@ -422,11 +362,6 @@ impl TcpSocket {
         self.need_ack = true;
     }
 
-    /// Are one-shot options still waiting for a carrier segment?
-    pub fn oneshot_pending(&self) -> bool {
-        !self.oneshot_options.is_empty()
-    }
-
     /// Override the advertised receive window (MPTCP shared buffer pool).
     pub fn set_window_override(&mut self, window: Option<u32>) {
         self.window_override = window;
@@ -448,10 +383,8 @@ impl TcpSocket {
             return;
         }
         if self.snd_una.before(self.snd_nxt) {
-            self.pending_retransmit = Some(self.snd_una);
-            if self.rto_deadline.is_none() {
-                self.arm_rto(now);
-            }
+            self.recovery.retransmit_now(self.snd_una);
+            self.recovery.ensure_armed(now, self.rtt.rto());
         } else {
             self.need_ack = true;
         }
@@ -466,10 +399,7 @@ impl TcpSocket {
     /// Returns `false` (and enqueues nothing) if the send buffer lacks
     /// space or the state forbids sending.
     pub fn send_chunk(&mut self, payload: Bytes, options: Vec<TcpOption>) -> bool {
-        if !self.state.can_send() && self.state != TcpState::SynSent {
-            return false;
-        }
-        if self.fin_queued || payload.len() > self.send_space() {
+        if self.send_closed() || payload.len() > self.send_space() {
             return false;
         }
         self.maybe_grow_sbuf(payload.len());
@@ -488,15 +418,11 @@ impl TcpSocket {
 
     /// Enqueue plain payload (TCP application write). Returns bytes taken.
     pub fn send(&mut self, payload: &[u8]) -> usize {
-        if self.send_closed() {
+        let take = payload.len().min(self.send_space());
+        if take == 0 || self.send_closed() {
             return 0;
         }
-        let take = payload.len().min(self.send_space());
-        if take > 0 {
-            self.maybe_grow_sbuf(take);
-            self.send_q
-                .enqueue(Bytes::copy_from_slice(&payload[..take]), Vec::new());
-        }
+        self.send_chunk(Bytes::copy_from_slice(&payload[..take]), Vec::new());
         take
     }
 
@@ -526,14 +452,11 @@ impl TcpSocket {
         if self.state.is_synchronized() || self.state == TcpState::SynReceived {
             self.rst_pending = true;
         }
-        self.state = TcpState::Closed;
-        self.error = true;
-        self.clear_timers();
+        self.enter_error();
     }
 
     fn clear_timers(&mut self) {
-        self.rto_deadline = None;
-        self.persist_deadline = None;
+        self.recovery.stop();
         self.timewait_deadline = None;
     }
 
@@ -545,7 +468,7 @@ impl TcpSocket {
     pub fn handle_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         self.stats.segs_in += 1;
         match self.state {
-            TcpState::Closed | TcpState::Listen => {}
+            TcpState::Closed => {}
             TcpState::SynSent => self.handle_syn_sent(now, seg),
             _ => self.handle_synchronized(now, seg),
         }
@@ -562,29 +485,27 @@ impl TcpSocket {
             if seg.ack != self.iss + 1 {
                 return; // bogus ack; a real stack would RST
             }
-            self.irs = seg.seq;
-            self.rcv_nxt = seg.seq + 1;
-            self.snd_una = seg.ack;
-            self.snd_wnd = seg.window;
-            self.wl1 = seg.seq;
-            self.wl2 = seg.ack;
-            self.absorb_syn_options(seg);
-            self.harvest_mptcp(seg);
-            self.sample_rtt_from_ts(now, seg);
-            self.state = TcpState::Established;
-            self.rto_deadline = None;
-            self.rto_backoff = 1;
-            self.consecutive_rtos = 0;
+            self.absorb_syn(seg);
+            self.establish(now, seg);
             self.need_ack = true;
         } else if seg.flags.syn {
             // Simultaneous open.
-            self.irs = seg.seq;
-            self.rcv_nxt = seg.seq + 1;
-            self.absorb_syn_options(seg);
-            self.harvest_mptcp(seg);
+            self.absorb_syn(seg);
             self.state = TcpState::SynReceived;
-            self.synack_needs_send = true;
+            self.syn_due = true;
         }
+    }
+
+    /// The handshake's last segment for this end arrived: `seg`
+    /// acknowledges our SYN.
+    fn establish(&mut self, now: SimTime, seg: &TcpSegment) {
+        self.state = TcpState::Established;
+        self.snd_una = seg.ack;
+        self.snd_wnd = seg.window;
+        self.wl1 = seg.seq;
+        self.wl2 = seg.ack;
+        self.recovery.on_established();
+        self.sample_rtt_from_ts(now, seg);
     }
 
     fn handle_synchronized(&mut self, now: SimTime, seg: &TcpSegment) {
@@ -598,7 +519,7 @@ impl TcpSocket {
         if seg.flags.syn {
             // Duplicate SYN (our SYN/ACK was lost): re-ack.
             if seg.seq == self.irs {
-                self.synack_needs_send = self.state == TcpState::SynReceived;
+                self.syn_due = self.state == TcpState::SynReceived;
                 self.need_ack = true;
             }
             if self.state == TcpState::SynReceived {
@@ -620,17 +541,13 @@ impl TcpSocket {
         }
 
         if seg.flags.fin {
-            self.process_fin(seg);
+            self.process_fin(now, seg);
         }
 
         // Timestamp echo bookkeeping.
-        if let Some(TcpOption::Timestamps { val, .. }) = seg
-            .options
-            .iter()
-            .find(|o| matches!(o, TcpOption::Timestamps { .. }))
-        {
+        if let Some((val, _)) = timestamps_of(seg) {
             if seg.seq.before_eq(self.rcv_nxt) {
-                self.ts_recent = *val;
+                self.ts_recent = val;
             }
         }
     }
@@ -647,23 +564,13 @@ impl TcpSocket {
 
         // SYN/ACK completion on the passive side.
         if self.state == TcpState::SynReceived {
-            if ack == self.iss + 1 {
-                self.state = TcpState::Established;
-                self.snd_una = ack;
-                self.snd_wnd = seg.window;
-                self.wl1 = seg.seq;
-                self.wl2 = seg.ack;
-                self.rto_deadline = None;
-                self.rto_backoff = 1;
-                self.consecutive_rtos = 0;
-                self.sample_rtt_from_ts(now, seg);
-            }
-            if !self.state.is_synchronized() {
+            if ack != self.iss + 1 {
                 return;
             }
+            self.establish(now, seg);
         }
 
-        if ack.after(self.snd_nxt_with_fin()) {
+        if ack.after(self.snd_nxt) {
             // Acks data we never sent; ignore (a defensive stack ACKs).
             self.need_ack = true;
             return;
@@ -679,45 +586,30 @@ impl TcpSocket {
         if ack.after(self.snd_una) {
             let mut newly = ack - self.snd_una;
             // A FIN occupies sequence space but is not buffer data.
-            if let Some(fs) = self.fin_seq {
-                if ack.after(fs) {
-                    newly = newly.saturating_sub(1);
-                }
+            if self.fin_seq.is_some_and(|fs| ack.after(fs)) {
+                newly = newly.saturating_sub(1);
             }
             self.send_q.ack_to(ack);
             self.snd_una = ack;
             self.stats.bytes_acked += u64::from(newly);
             let rtt_sample = self.sample_rtt_from_ts(now, seg);
-            self.rto_backoff = 1;
-            self.consecutive_rtos = 0;
-            self.dup_acks = 0;
 
-            if self.rto_recovery {
-                self.retx_nxt = self.retx_nxt.max(self.snd_una);
-                if ack.after_eq(self.recover) {
-                    self.rto_recovery = false;
-                }
-                self.cc.on_ack(now, newly, rtt_sample);
-            } else if self.in_recovery {
-                if ack.after_eq(self.recover) {
-                    self.in_recovery = false;
-                    self.cc.on_recovery_exit();
-                } else {
-                    // NewReno partial ACK: retransmit the next hole. The
-                    // send window during recovery is computed from
-                    // ssthresh + dup_acks (see `effective_cwnd`), so the
-                    // reset of `dup_acks` above deflates it automatically.
-                    self.pending_retransmit = Some(self.snd_una);
-                }
-            } else {
+            match self
+                .recovery
+                .on_new_ack(now, ack, self.snd_nxt, self.rtt.rto())
+            {
+                AckResponse::Grow => self.cc.on_ack(now, newly, rtt_sample),
                 // Congestion-window validation: only grow when the flow
                 // was actually cwnd-limited, else an application- or
                 // receive-window-limited flow inflates cwnd without bound
                 // (catastrophic on bufferbloated paths).
-                let cwnd_limited = flight_before + 2 * self.effective_mss as u32 >= self.cc.cwnd();
-                if cwnd_limited {
-                    self.cc.on_ack(now, newly, rtt_sample);
+                AckResponse::GrowIfCwndLimited => {
+                    if flight_before + 2 * self.effective_mss as u32 >= self.cc.cwnd() {
+                        self.cc.on_ack(now, newly, rtt_sample);
+                    }
                 }
+                AckResponse::ExitRecovery => self.cc.on_recovery_exit(),
+                AckResponse::PartialAck => {}
             }
 
             // M4 / FreeBSD inflight: cap cwnd when the path is bufferbloated.
@@ -728,12 +620,6 @@ impl TcpSocket {
             // Trace the post-ACK congestion state (ACKs that advance
             // snd_una are the congestion-control events of interest).
             self.trace_sample(now);
-
-            if self.snd_una == self.snd_nxt_with_fin() {
-                self.rto_deadline = None;
-            } else {
-                self.rto_deadline = Some(now + self.rto());
-            }
 
             // FIN acknowledged?
             if self.fin_acked() {
@@ -759,42 +645,26 @@ impl TcpSocket {
             && (!window_changed
                 || seg.options.iter().any(|o| matches!(o, TcpOption::Sack(_))))
             && self.snd_nxt.after(self.snd_una)
+            && self.recovery.on_dup_ack(self.snd_una, self.snd_nxt)
         {
-            // Duplicate ACK.
-            self.dup_acks += 1;
-            if self.dup_acks == 3 && !self.in_recovery {
-                self.in_recovery = true;
-                self.recover = self.snd_nxt;
-                // Clamp the flight estimate to cwnd: data sent beyond the
-                // (since-collapsed) window is mostly sitting in drop-tail
-                // queues or lost, and must not inflate ssthresh.
-                self.cc
-                    .on_fast_retransmit(now, self.bytes_in_flight().min(self.cc.cwnd()));
-                self.pending_retransmit = Some(self.snd_una);
-                self.telemetry.note(
-                    now.0,
-                    EventKind::TcpFastRetransmit {
-                        subflow: self.telemetry_tag,
-                        seq: self.snd_una.0,
-                    },
-                );
-                self.trace_sample(now);
-            }
-            // Window inflation during recovery is handled by
-            // `effective_cwnd` (pipe conservation: each duplicate ACK
-            // means one segment left the network).
+            // Fast retransmit. Clamp the flight estimate to cwnd: data
+            // sent beyond the (since-collapsed) window is mostly sitting
+            // in drop-tail queues or lost, and must not inflate ssthresh.
+            self.cc
+                .on_fast_retransmit(now, self.bytes_in_flight().min(self.cc.cwnd()));
+            self.telemetry.note(
+                now.0,
+                EventKind::TcpFastRetransmit {
+                    subflow: self.telemetry_tag,
+                    seq: self.snd_una.0,
+                },
+            );
+            self.trace_sample(now);
         }
 
         // Zero-window handling: arm/disarm the persist timer.
-        if self.snd_wnd == 0 && self.send_q.has_data_at(self.snd_nxt) {
-            if self.persist_deadline.is_none() {
-                self.persist_backoff = 1;
-                self.persist_deadline = Some(now + self.persist_interval());
-            }
-        } else {
-            self.persist_deadline = None;
-            self.persist_backoff = 1;
-        }
+        let blocked = self.snd_wnd == 0 && self.send_q.has_data_at(self.snd_nxt);
+        self.recovery.on_peer_window(now, self.rtt.rto(), blocked);
     }
 
     fn apply_bufferbloat_cap(&mut self, now: SimTime) {
@@ -822,10 +692,6 @@ impl TcpSocket {
                 );
             }
         }
-    }
-
-    fn snd_nxt_with_fin(&self) -> SeqNum {
-        self.snd_nxt
     }
 
     fn process_payload(&mut self, seg: &TcpSegment) {
@@ -885,43 +751,27 @@ impl TcpSocket {
         }
     }
 
-    fn process_fin(&mut self, seg: &TcpSegment) {
+    fn process_fin(&mut self, now: SimTime, seg: &TcpSegment) {
         let fin_seq = seg.seq + seg.payload.len() as u32;
-        if fin_seq != self.rcv_nxt {
-            // FIN beyond a hole: ack what we have; peer retransmits.
-            self.need_ack = true;
-            return;
-        }
-        if self.fin_received {
-            self.need_ack = true;
+        self.need_ack = true;
+        // A FIN beyond a hole (ack what we have; the peer retransmits), or
+        // one seen before.
+        if fin_seq != self.rcv_nxt || self.fin_received {
             return;
         }
         self.fin_received = true;
         self.rcv_nxt += 1;
-        self.need_ack = true;
         match self.state {
             TcpState::Established => self.state = TcpState::CloseWait,
-            TcpState::FinWait1 => {
-                if self.fin_acked() {
-                    self.enter_timewait_pending();
-                } else {
-                    self.state = TcpState::Closing;
-                }
-            }
-            TcpState::FinWait2 => self.enter_timewait_pending(),
+            TcpState::FinWait1 if !self.fin_acked() => self.state = TcpState::Closing,
+            TcpState::FinWait1 | TcpState::FinWait2 => self.enter_timewait(now),
             _ => {}
         }
     }
 
-    fn enter_timewait_pending(&mut self) {
-        // The actual timer is armed at the next poll (we need `now`).
-        self.state = TcpState::TimeWait;
-        self.timewait_deadline = None;
-    }
-
     fn enter_timewait(&mut self, now: SimTime) {
         self.state = TcpState::TimeWait;
-        self.timewait_deadline = Some(now + Duration::from_secs(8));
+        self.timewait_deadline = Some(now + TIME_WAIT);
     }
 
     fn enter_error(&mut self) {
@@ -930,25 +780,25 @@ impl TcpSocket {
         self.clear_timers();
     }
 
-    fn absorb_syn_options(&mut self, seg: &TcpSegment) {
-        for o in &seg.options {
+    /// The peer's SYN (or SYN/ACK): its sequence number, MSS and
+    /// MPTCP options.
+    fn absorb_syn(&mut self, syn: &TcpSegment) {
+        self.irs = syn.seq;
+        self.rcv_nxt = syn.seq + 1;
+        for o in &syn.options {
             if let TcpOption::Mss(m) = o {
                 self.effective_mss = self.effective_mss.min(*m as usize);
             }
         }
+        self.harvest_mptcp(syn);
     }
 
     fn harvest_mptcp(&mut self, seg: &TcpSegment) {
-        for m in seg.mptcp_options() {
-            self.rx_mptcp.push(m.clone());
-        }
+        self.rx_mptcp.extend(seg.mptcp_options().cloned());
     }
 
     fn sample_rtt_from_ts(&mut self, now: SimTime, seg: &TcpSegment) -> Option<Duration> {
-        let ecr = seg.options.iter().find_map(|o| match o {
-            TcpOption::Timestamps { ecr, .. } if *ecr != 0 => Some(*ecr),
-            _ => None,
-        })?;
+        let (_, ecr) = timestamps_of(seg).filter(|&(_, ecr)| ecr != 0)?;
         let now_us = self.ts_now(now);
         let delta = now_us.wrapping_sub(ecr);
         // Reject absurd samples (clock skew after wrap).
@@ -973,51 +823,33 @@ impl TcpSocket {
         if self.has_immediate_output() {
             return Some(SimTime::ZERO); // poll me right now
         }
-        let mut t = self.rto_deadline;
-        t = opt_min(t, self.persist_deadline);
-        t = opt_min(t, self.timewait_deadline);
-        t
+        min_deadline(self.recovery.poll_at(), self.timewait_deadline)
     }
 
     fn has_immediate_output(&self) -> bool {
         // A closed socket emits nothing but a pending RST; stale intents
         // (need_ack set just before an error) must not promise output.
-        if self.state == TcpState::Closed || self.state == TcpState::Listen {
+        if self.state == TcpState::Closed {
             return self.rst_pending;
         }
         self.rst_pending
-            || self.syn_needs_send
-            || self.synack_needs_send
+            || self.syn_due
             || self.need_ack
             || self.probe_pending
-            || self.pending_retransmit.is_some()
-            || self.can_rto_retransmit()
+            || self.recovery.has_retransmit(self.snd_una, self.cc.cwnd())
             || self.can_send_new()
             || self.can_send_fin()
     }
 
-    fn can_rto_retransmit(&self) -> bool {
-        self.rto_recovery
-            && self.retx_nxt.before(self.recover)
-            && (self.retx_nxt.max(self.snd_una) - self.snd_una) < self.cc.cwnd()
-    }
-
-    /// Send window: cwnd normally; during fast recovery, pipe
-    /// conservation — ssthresh plus one MSS per duplicate ACK (each
-    /// dupack signals a segment that left the network).
-    fn effective_cwnd(&self) -> u32 {
-        if self.in_recovery {
-            self.cc
-                .ssthresh()
-                .saturating_add(self.dup_acks * self.effective_mss as u32)
-        } else {
-            self.cc.cwnd()
-        }
-    }
-
-    /// Usable send window: `min(cwnd, peer window) − bytes in flight`.
+    /// Usable send window: `min(cwnd, peer window) − bytes in flight`,
+    /// with `cwnd` as loss recovery sees it.
     fn usable_window(&self) -> u32 {
-        self.effective_cwnd()
+        self.recovery
+            .send_window(
+                self.cc.cwnd(),
+                self.cc.ssthresh(),
+                self.effective_mss as u32,
+            )
             .min(self.snd_wnd)
             .saturating_sub(self.bytes_in_flight())
     }
@@ -1053,7 +885,7 @@ impl TcpSocket {
 
     fn can_send_fin(&self) -> bool {
         self.fin_queued
-            && !self.fin_sent
+            && self.fin_seq.is_none()
             && self.state.is_synchronized()
             && !self.send_q.has_data_at(self.snd_nxt)
     }
@@ -1067,157 +899,86 @@ impl TcpSocket {
             self.rst_pending = false;
             let mut seg = TcpSegment::new(self.tuple, self.snd_nxt, self.rcv_nxt, TcpFlags::RST);
             seg.flags.ack = self.irs != SeqNum(0) || self.rcv_nxt != SeqNum(0);
-            self.stats.segs_out += 1;
             return Some(seg);
         }
 
         match self.state {
-            TcpState::Closed | TcpState::Listen => None,
-            TcpState::SynSent => {
-                if self.syn_needs_send {
-                    self.syn_needs_send = false;
-                    self.arm_rto(now);
-                    Some(self.build_syn(now, false))
-                } else {
-                    None
-                }
-            }
-            TcpState::SynReceived => {
-                if self.synack_needs_send {
-                    self.synack_needs_send = false;
-                    self.arm_rto(now);
-                    Some(self.build_syn(now, true))
-                } else {
-                    None
-                }
-            }
-            TcpState::TimeWait => {
-                if self.timewait_deadline.is_none() {
-                    self.timewait_deadline = Some(now + Duration::from_secs(8));
-                }
-                self.poll_transfer(now)
-            }
+            TcpState::Closed => None,
+            TcpState::SynSent if self.syn_due => Some(self.build_syn(now, TcpFlags::SYN)),
+            TcpState::SynReceived if self.syn_due => Some(self.build_syn(now, TcpFlags::SYN_ACK)),
+            TcpState::SynSent | TcpState::SynReceived => None,
             _ => self.poll_transfer(now),
         }
     }
 
     fn process_timers(&mut self, now: SimTime) {
-        if let Some(t) = self.timewait_deadline {
-            if t <= now {
-                self.state = TcpState::Closed;
-                self.clear_timers();
-                return;
-            }
+        if self.timewait_deadline.is_some_and(|t| t <= now) {
+            self.state = TcpState::Closed;
+            self.clear_timers();
+            return;
         }
-        if let Some(t) = self.persist_deadline {
-            if t <= now {
-                self.probe_pending = true;
-                self.persist_backoff = (self.persist_backoff * 2).min(64);
-                self.persist_deadline = Some(now + self.persist_interval());
-            }
+        if self.recovery.persist_due(now, self.rtt.rto()) {
+            self.probe_pending = true;
         }
-        if let Some(t) = self.rto_deadline {
-            if t <= now {
-                self.on_rto(now);
-            }
+        if self.recovery.deadline().is_some_and(|t| t <= now) {
+            self.on_rto(now);
         }
-    }
-
-    fn persist_interval(&self) -> Duration {
-        (self.rtt.rto() * self.persist_backoff).min(Duration::from_secs(60))
     }
 
     fn on_rto(&mut self, now: SimTime) {
-        self.consecutive_rtos += 1;
         self.telemetry.note(
             now.0,
             EventKind::TcpRto {
                 subflow: self.telemetry_tag,
-                backoff: self.rto_backoff,
+                backoff: self.recovery.backoff(),
             },
         );
         self.trace_sample(now);
-        if self.consecutive_rtos > 15 {
-            self.enter_error();
-            return;
-        }
-        self.rto_backoff = (self.rto_backoff * 2).min(512);
-        match self.state {
-            TcpState::SynSent => {
-                self.stats.syn_retransmits += 1;
-                // §3.1: retry without the extension option in case a
-                // middlebox is silently dropping option-bearing SYNs.
-                self.syn_options.clear();
-                self.syn_needs_send = true;
-            }
-            TcpState::SynReceived => {
-                self.synack_needs_send = true;
-            }
-            _ => {
-                if self.snd_una.before(self.snd_nxt_with_fin()) || self.fin_sent {
-                    self.cc
-                        .on_retransmit_timeout(now, self.bytes_in_flight().min(self.cc.cwnd()));
-                    self.in_recovery = false;
-                    self.dup_acks = 0;
-                    // Go-back-N: retransmit the whole outstanding window,
-                    // paced by the (collapsed) congestion window, instead
-                    // of one segment per timeout.
-                    self.rto_recovery = true;
-                    self.recover = self.snd_nxt;
-                    self.retx_nxt = self.snd_una;
-                    self.pending_retransmit = None;
+        let handshake = matches!(self.state, TcpState::SynSent | TcpState::SynReceived);
+        let outstanding = self.snd_una.before(self.snd_nxt) || self.fin_seq.is_some();
+        let flight = (!handshake && outstanding).then_some((self.snd_una, self.snd_nxt));
+        match self.recovery.on_timer(now, self.rtt.rto(), flight) {
+            TimerAction::GiveUp => self.enter_error(),
+            TimerAction::Retry => match self.state {
+                TcpState::SynSent => {
+                    // §3.1: retry without the extension option in case a
+                    // middlebox is silently dropping option-bearing SYNs.
+                    self.syn_options.clear();
+                    self.syn_due = true;
                 }
-            }
+                TcpState::SynReceived => self.syn_due = true,
+                _ if flight.is_some() => self
+                    .cc
+                    .on_retransmit_timeout(now, self.bytes_in_flight().min(self.cc.cwnd())),
+                _ => {}
+            },
         }
-        self.rto_deadline = Some(now + self.rto());
-    }
-
-    fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = Some(now + self.rto());
     }
 
     fn poll_transfer(&mut self, now: SimTime) -> Option<TcpSegment> {
-        // 1. Retransmission.
-        if let Some(seq) = self.pending_retransmit.take() {
-            if let Some(seg) = self.build_data_segment(now, seq, true) {
-                return Some(seg);
-            }
-            // FIN-only retransmission.
-            if self.fin_sent && self.fin_seq == Some(seq) {
-                return Some(self.build_fin(now, seq));
-            }
-        }
-
-        // 1b. Post-RTO go-back-N retransmission, paced by cwnd.
-        if self.rto_recovery {
-            if self.snd_una.after_eq(self.recover) {
-                self.rto_recovery = false;
-            } else if self.can_rto_retransmit() {
-                let seq = self.retx_nxt.max(self.snd_una);
-                if let Some(seg) = self.build_data_segment(now, seq, true) {
-                    self.retx_nxt = seg.seq_end();
-                    if self.rto_deadline.is_none() {
-                        self.arm_rto(now);
-                    }
-                    return Some(seg);
-                }
-                if self.fin_sent && self.fin_seq == Some(seq) {
-                    self.retx_nxt = seq + 1;
-                    return Some(self.build_fin(now, seq));
-                }
-                self.rto_recovery = false;
-            }
+        // 1. Retransmission: the hole an ACK or a probe named, then the
+        // post-RTO go-back-N walk, paced by cwnd.
+        while let Some(rtx) = self.recovery.next_retransmit(self.snd_una, self.cc.cwnd()) {
+            let seq = rtx.seq;
+            let seg = match self.data_segment(now, seq, self.effective_mss, true) {
+                // FIN-only retransmission.
+                None if self.fin_seq == Some(seq) => Some(self.fin_segment(now, seq)),
+                seg => seg,
+            };
+            let Some(seg) = seg else {
+                self.recovery.nothing_at(rtx);
+                continue;
+            };
+            self.recovery.retransmitted(rtx, seg.seq_end());
+            return Some(seg);
         }
 
         // 2. New data.
         if self.can_send_new() {
             let room = self.usable_window() as usize;
-            let seq = self.snd_nxt;
-            if let Some(seg) = self.build_data_segment_limited(now, seq, room, false) {
+            if let Some(seg) = self.data_segment(now, self.snd_nxt, room, false) {
                 self.snd_nxt = seg.seq_end();
-                if self.rto_deadline.is_none() {
-                    self.arm_rto(now);
-                }
+                self.recovery.ensure_armed(now, self.rtt.rto());
                 return Some(seg);
             }
         }
@@ -1225,7 +986,6 @@ impl TcpSocket {
         // 3. FIN.
         if self.can_send_fin() {
             let seq = self.snd_nxt;
-            self.fin_sent = true;
             self.fin_seq = Some(seq);
             self.snd_nxt = seq + 1;
             match self.state {
@@ -1233,63 +993,135 @@ impl TcpSocket {
                 TcpState::CloseWait => self.state = TcpState::LastAck,
                 _ => {}
             }
-            if self.rto_deadline.is_none() {
-                self.arm_rto(now);
-            }
-            return Some(self.build_fin(now, seq));
+            self.recovery.ensure_armed(now, self.rtt.rto());
+            return Some(self.fin_segment(now, seq));
         }
 
-        // 4. Zero-window probe.
+        // 4. Zero-window probe: one byte from snd_una to elicit a window
+        // update. Carried options go before the chunk's here.
         if self.probe_pending {
             self.probe_pending = false;
             self.telemetry.count(CounterId::TcpZeroWindowProbes);
-            if let Some(seg) = self.build_probe(now) {
-                return Some(seg);
+            if let Some(data) = self.send_q.segment_at(self.snd_una, 1) {
+                return Some(self.emit(
+                    now,
+                    data.seq,
+                    TcpFlags::ACK,
+                    data.payload,
+                    data.options,
+                    true,
+                ));
             }
         }
 
         // 5. Window update: the right edge moved substantially while we had
         // nothing else to say (the classic SWS-avoidance threshold: two
         // segments or half the buffer, whichever is smaller).
-        if self.state.is_synchronized() {
-            let right = self.rcv_nxt + self.adv_window();
-            let threshold = (2 * self.effective_mss)
-                .min(self.recv_q.capacity() / 2)
-                .max(1) as u32;
-            if right.after_eq(self.last_adv_right_edge + threshold) {
-                self.need_ack = true;
-            }
+        let right = self.rcv_nxt + self.adv_window();
+        let threshold = (2 * self.effective_mss)
+            .min(self.recv_q.capacity() / 2)
+            .max(1) as u32;
+        if right.after_eq(self.last_adv_right_edge + threshold) {
+            self.need_ack = true;
         }
 
-        // 6. Pure ACK.
-        if self.need_ack && self.state.is_synchronized() {
-            return Some(self.build_ack(now));
+        // 6. Pure ACK, SACKing the first out-of-order block so the peer
+        // sees reordering.
+        if !self.need_ack {
+            return None;
         }
-        self.need_ack = false;
-        None
+        let first_data = self.irs + 1;
+        let sack = self.recv_q.first_sack_block().map(|(start, end)| {
+            TcpOption::Sack(vec![(
+                (first_data + start as u32).0,
+                (first_data + end as u32).0,
+            )])
+        });
+        let sack = sack.into_iter().collect();
+        Some(self.emit(now, self.snd_nxt, TcpFlags::ACK, Bytes::new(), sack, true))
     }
 
     fn adv_window(&self) -> u32 {
         self.window_override.unwrap_or_else(|| self.recv_q.window())
     }
 
-    fn ts_option(&self, now: SimTime) -> Vec<TcpOption> {
-        vec![TcpOption::Timestamps {
+    fn timestamps(&self, now: SimTime, ecr: u32) -> TcpOption {
+        TcpOption::Timestamps {
             val: self.ts_now(now),
-            ecr: self.ts_recent,
-        }]
+            ecr,
+        }
     }
 
-    fn base_options(&mut self, now: SimTime) -> Vec<TcpOption> {
-        let mut opts = self.ts_option(now);
-        opts.extend(self.carry_options.iter().cloned());
-        opts
+    fn build_syn(&mut self, now: SimTime, flags: TcpFlags) -> TcpSegment {
+        self.syn_due = false;
+        self.recovery.arm(now, self.rtt.rto());
+        // The SYN occupies one sequence number.
+        self.snd_nxt = self.iss + 1;
+        let mut seg = TcpSegment::new(self.tuple, self.iss, self.rcv_nxt, flags);
+        seg.options.push(TcpOption::Mss(self.cfg.mss as u16));
+        seg.options.push(TcpOption::WindowScale(WSCALE));
+        seg.options.push(TcpOption::SackPermitted);
+        let ecr = if flags.ack { self.ts_recent } else { 0 };
+        seg.options.push(self.timestamps(now, ecr));
+        seg.options.extend(self.syn_options.iter().cloned());
+        seg.window = self.adv_window();
+        seg
     }
 
-    fn finish_segment(&mut self, mut seg: TcpSegment) -> TcpSegment {
-        if self.state.is_synchronized() || self.state == TcpState::SynReceived {
-            seg.flags.ack = true;
-            seg.ack = self.rcv_nxt;
+    /// Up to `max_len` bytes of queued data from `seq` (never more than
+    /// the MSS, never across a chunk), as a segment with its chunk's
+    /// options; `None` when nothing is queued there.
+    fn data_segment(
+        &mut self,
+        now: SimTime,
+        seq: SeqNum,
+        max_len: usize,
+        retx: bool,
+    ) -> Option<TcpSegment> {
+        let max = self.effective_mss.min(max_len.max(1));
+        let data = self.send_q.segment_at(seq, max)?;
+        if retx {
+            self.telemetry.count(CounterId::TcpRetransmittedSegs);
+        }
+        self.stats.bytes_out += data.payload.len() as u64;
+        let flags = TcpFlags {
+            psh: true,
+            ..TcpFlags::ACK
+        };
+        Some(self.emit(now, data.seq, flags, data.payload, data.options, false))
+    }
+
+    fn fin_segment(&mut self, now: SimTime, seq: SeqNum) -> TcpSegment {
+        let flags = TcpFlags {
+            fin: true,
+            ..TcpFlags::ACK
+        };
+        self.emit(now, seq, flags, Bytes::new(), Vec::new(), true)
+    }
+
+    /// Build any segment of a synchronized connection: acknowledging
+    /// `rcv_nxt`, advertising the current window, carrying timestamps,
+    /// `options` (a chunk's, or an ACK's SACK block) and the carried
+    /// options — those first when `carried_first` — and whatever
+    /// one-shot options are waiting.
+    fn emit(
+        &mut self,
+        now: SimTime,
+        seq: SeqNum,
+        flags: TcpFlags,
+        payload: Bytes,
+        options: Vec<TcpOption>,
+        carried_first: bool,
+    ) -> TcpSegment {
+        let mut seg = TcpSegment::new(self.tuple, seq, self.rcv_nxt, flags);
+        seg.payload = payload;
+        seg.options.push(self.timestamps(now, self.ts_recent));
+        if carried_first {
+            seg.options.extend(self.carry_options.iter().cloned());
+            seg.options.extend(options);
+        } else {
+            seg.options.extend(options);
+            seg.options.extend(self.carry_options.iter().cloned());
         }
         seg.options.append(&mut self.oneshot_options);
         // Option-space discipline: options are ordered by importance
@@ -1303,96 +1135,16 @@ impl TcpSocket {
         seg.window = self.adv_window();
         self.last_adv_right_edge = self.rcv_nxt + seg.window;
         self.need_ack = false;
-        self.stats.segs_out += 1;
         seg
-    }
-
-    fn build_syn(&mut self, now: SimTime, is_synack: bool) -> TcpSegment {
-        let flags = if is_synack {
-            TcpFlags::SYN_ACK
-        } else {
-            TcpFlags::SYN
-        };
-        // The SYN occupies one sequence number.
-        self.snd_nxt = self.iss + 1;
-        let mut seg = TcpSegment::new(self.tuple, self.iss, self.rcv_nxt, flags);
-        seg.options.push(TcpOption::Mss(self.cfg.mss as u16));
-        seg.options.push(TcpOption::WindowScale(WSCALE));
-        seg.options.push(TcpOption::SackPermitted);
-        seg.options.push(TcpOption::Timestamps {
-            val: self.ts_now(now),
-            ecr: if is_synack { self.ts_recent } else { 0 },
-        });
-        seg.options.extend(self.syn_options.iter().cloned());
-        seg.window = self.adv_window();
-        self.stats.segs_out += 1;
-        seg
-    }
-
-    fn build_data_segment(&mut self, now: SimTime, seq: SeqNum, retx: bool) -> Option<TcpSegment> {
-        self.build_data_segment_limited(now, seq, self.effective_mss, retx)
-    }
-
-    fn build_data_segment_limited(
-        &mut self,
-        now: SimTime,
-        seq: SeqNum,
-        room: usize,
-        retx: bool,
-    ) -> Option<TcpSegment> {
-        let max = self.effective_mss.min(room.max(1));
-        let data = self.send_q.segment_at(seq, max)?;
-        let mut seg = TcpSegment::new(self.tuple, data.seq, self.rcv_nxt, TcpFlags::ACK);
-        seg.payload = data.payload;
-        seg.flags.psh = true;
-        seg.options = self.ts_option(now);
-        seg.options.extend(data.options);
-        seg.options.extend(self.carry_options.iter().cloned());
-        if retx {
-            self.telemetry.count(CounterId::TcpRetransmittedSegs);
-        }
-        self.stats.bytes_out += seg.payload.len() as u64;
-        Some(self.finish_segment(seg))
-    }
-
-    fn build_fin(&mut self, now: SimTime, seq: SeqNum) -> TcpSegment {
-        let mut seg = TcpSegment::new(self.tuple, seq, self.rcv_nxt, TcpFlags::ACK);
-        seg.flags.fin = true;
-        seg.options = self.base_options(now);
-        self.finish_segment(seg)
-    }
-
-    fn build_probe(&mut self, now: SimTime) -> Option<TcpSegment> {
-        // Send one byte from snd_una to elicit a window update.
-        let data = self.send_q.segment_at(self.snd_una, 1)?;
-        let mut seg = TcpSegment::new(self.tuple, data.seq, self.rcv_nxt, TcpFlags::ACK);
-        seg.payload = data.payload;
-        seg.options = self.base_options(now);
-        seg.options.extend(data.options);
-        Some(self.finish_segment(seg))
-    }
-
-    fn build_ack(&mut self, now: SimTime) -> TcpSegment {
-        let mut seg = TcpSegment::new(self.tuple, self.snd_nxt, self.rcv_nxt, TcpFlags::ACK);
-        seg.options = self.base_options(now);
-        // SACK the first out-of-order block so the peer sees reordering.
-        if let Some((start, end)) = self.recv_q.first_sack_block() {
-            let first_data = self.irs + 1;
-            seg.options.push(TcpOption::Sack(vec![(
-                (first_data + start as u32).0,
-                (first_data + end as u32).0,
-            )]));
-        }
-        self.finish_segment(seg)
     }
 }
 
-fn opt_min(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
+/// The `(val, ecr)` of the segment's timestamps option.
+fn timestamps_of(seg: &TcpSegment) -> Option<(u32, u32)> {
+    seg.options.iter().find_map(|o| match *o {
+        TcpOption::Timestamps { val, ecr } => Some((val, ecr)),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -1452,8 +1204,8 @@ mod tests {
     #[test]
     fn three_way_handshake() {
         let (c, s) = established_pair();
-        assert_eq!(c.irs(), SeqNum(9000));
-        assert_eq!(s.irs(), SeqNum(1000));
+        assert_eq!(c.irs, SeqNum(9000));
+        assert_eq!(s.irs, SeqNum(1000));
     }
 
     #[test]
@@ -1831,7 +1583,7 @@ mod tests {
         let syn2 = c.poll(t).expect("SYN retransmission");
         assert!(syn2.flags.syn);
         assert!(syn2.mptcp_option().is_none());
-        assert_eq!(c.stats.syn_retransmits, 1);
+        assert_eq!(c.telemetry.counter(CounterId::TcpRtos), 1);
     }
 
     #[test]
@@ -1945,7 +1697,7 @@ mod tests {
         let syn = c.poll(now).unwrap();
         let mut s = TcpSocket::accept(cfg, &syn, SeqNum(500), now, vec![]);
         pump(now, &mut c, &mut s);
-        let initial_r = s.recv_capacity();
+        let initial_r = s.recv_q.capacity();
         let initial_s = c.send_capacity();
         c.send(&vec![1u8; 400_000]);
         assert!(c.send_capacity() > initial_s, "send buffer autotuned up");
@@ -1953,7 +1705,7 @@ mod tests {
             pump(SimTime::from_millis(1), &mut c, &mut s);
         }
         // Receiver app never reads: buffer pressure grows capacity.
-        assert!(s.recv_capacity() >= initial_r);
+        assert!(s.recv_q.capacity() >= initial_r);
         assert!(s.recv_buffered() > 0);
     }
 

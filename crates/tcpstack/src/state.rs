@@ -5,12 +5,10 @@
 pub enum TcpState {
     /// No connection.
     Closed,
-    /// Passive open; waiting for a SYN (used transiently — listeners in
-    /// this codebase accept directly into `SynReceived`).
-    Listen,
     /// Active open; SYN sent.
     SynSent,
-    /// SYN received; SYN/ACK sent.
+    /// SYN received; SYN/ACK sent (a passive opener starts here: sockets
+    /// are created from the SYN, there is no listening state).
     SynReceived,
     /// Data transfer.
     Established,
@@ -46,7 +44,7 @@ impl TcpState {
     pub fn is_synchronized(self) -> bool {
         !matches!(
             self,
-            TcpState::Closed | TcpState::Listen | TcpState::SynSent | TcpState::SynReceived
+            TcpState::Closed | TcpState::SynSent | TcpState::SynReceived
         )
     }
 
