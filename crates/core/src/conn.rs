@@ -21,7 +21,9 @@ use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{
     checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
-use mptcp_tcpstack::{CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS};
+use mptcp_tcpstack::{
+    CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS,
+};
 use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
     TraceSnapshot, DEFAULT_EVENT_CAPACITY,
@@ -152,9 +154,18 @@ pub struct MptcpConnection {
     /// stall span; any non-stall decision clears it.
     sched_stalled: bool,
     poll_cursor: usize,
+    /// When `tick` last ran, while nothing it reads has changed since;
+    /// `None` is dirty (DESIGN.md §15.2 lists what dirties).
+    ticked_at: Option<SimTime>,
     /// Scratch: subflows fed by the current `handle_segments` batch whose
     /// post-input pipeline is still owed. Empty between calls.
     touched: Vec<usize>,
+    /// Scratch, likewise: a socket's harvested options while they are
+    /// processed, the scheduler's view of the eligible paths, and the
+    /// flows the congestion coupling is computed over.
+    rx_opts: Vec<MptcpOption>,
+    paths: Vec<PathSnapshot>,
+    flows: Vec<FlowView>,
 }
 
 impl MptcpConnection {
@@ -218,7 +229,7 @@ impl MptcpConnection {
         let mut sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, syn_opts);
         // The SYN's MP_CAPABLE was consumed here; don't let the harvested
         // copy masquerade as third-ACK confirmation.
-        let _ = sock.take_rx_mptcp();
+        sock.take_rx_mptcp(&mut Vec::new());
         let mut conn = MptcpConnection::common(cfg, false, local, rng);
         conn.set_remote_key(peer_key);
         conn.push_subflow(sock, JoinState::Initial, 0);
@@ -259,7 +270,11 @@ impl MptcpConnection {
             // Sized here, not on first use: one small allocation per
             // connection made mid-transfer lands between payload buffers
             // and costs `sim_http` 16 % peak RSS in heap fragmentation.
+            ticked_at: None,
             touched: Vec::with_capacity(4),
+            rx_opts: Vec::with_capacity(4),
+            paths: Vec::with_capacity(4),
+            flows: Vec::with_capacity(4),
             cfg,
         }
     }
@@ -360,6 +375,7 @@ impl MptcpConnection {
 
     /// Mutable subflow access (test harness fault injection).
     pub fn subflows_mut(&mut self) -> &mut [Subflow] {
+        self.ticked_at = None;
         &mut self.subflows
     }
 
@@ -460,6 +476,7 @@ impl MptcpConnection {
     /// Write application data; the outcome says how many bytes were
     /// accepted and via which path (connection send buffer permitting).
     pub fn write(&mut self, data: &[u8]) -> WriteOutcome {
+        self.ticked_at = None;
         if self.tx.closing() || self.state == ConnState::Closed {
             return WriteOutcome::Closed;
         }
@@ -478,6 +495,7 @@ impl MptcpConnection {
 
     /// Read in-order application data.
     pub fn read(&mut self, max: usize) -> ReadOutcome {
+        self.ticked_at = None; // it moves the shared window
         match self.rx.read(max) {
             Some(out) => {
                 self.stats.bytes_delivered += out.len() as u64;
@@ -491,6 +509,7 @@ impl MptcpConnection {
 
     /// Close the sending direction (DATA_FIN, §3.4).
     pub fn close(&mut self) {
+        self.ticked_at = None;
         if self.state == ConnState::Fallback {
             self.subflows[0].sock.close();
         } else {
@@ -500,6 +519,7 @@ impl MptcpConnection {
 
     /// Abort everything.
     pub fn abort(&mut self) {
+        self.ticked_at = None;
         for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
             sf.sock.abort();
         }
@@ -548,6 +568,7 @@ impl MptcpConnection {
         backup: bool,
         now: SimTime,
     ) -> Result<SubflowId, SubflowError> {
+        self.ticked_at = None;
         if self.state != ConnState::Established && self.state != ConnState::AwaitingConfirm {
             return Err(SubflowError::WrongState);
         }
@@ -589,6 +610,7 @@ impl MptcpConnection {
     /// Accept an MP_JOIN SYN addressed to this connection (the endpoint
     /// demuxed it via the token). The error says why validation failed.
     pub fn accept_join(&mut self, syn: &TcpSegment, now: SimTime) -> Result<(), JoinError> {
+        self.ticked_at = None;
         if matches!(self.state, ConnState::Fallback | ConnState::Closed) {
             self.reject_join(now, 0);
             return Err(JoinError::WrongState);
@@ -625,7 +647,7 @@ impl MptcpConnection {
         })];
         let isn = SeqNum(self.rng.next_u32());
         let mut sock = TcpSocket::accept(self.cfg.tcp.clone(), syn, isn, now, syn_opts);
-        let _ = sock.take_rx_mptcp(); // MP_JOIN SYN consumed above
+        sock.take_rx_mptcp(&mut Vec::new()); // MP_JOIN SYN consumed above
         let sf = self.push_subflow(sock, JoinState::ServerWait, addr_id);
         sf.nonce_local = nonce_local;
         sf.nonce_remote = nonce;
@@ -682,6 +704,7 @@ impl MptcpConnection {
     /// confirmation, fallback) it runs after each segment, because those
     /// decisions depend on which segment came first.
     pub fn handle_segments(&mut self, now: SimTime, segs: &[TcpSegment]) {
+        self.ticked_at = None;
         for seg in segs {
             let Some(idx) = self.subflow_for(seg.tuple) else {
                 continue;
@@ -771,12 +794,13 @@ impl MptcpConnection {
         }
         if self.is_client {
             // Look for the server's MP_CAPABLE in the harvested options.
-            let server_key = sf.sock.take_rx_mptcp().iter().rev().find_map(|o| match o {
+            sf.sock.take_rx_mptcp(&mut self.rx_opts);
+            let server_key = self.rx_opts.drain(..).rev().find_map(|o| match o {
                 MptcpOption::MpCapable {
                     sender_key,
                     checksum_required,
                     ..
-                } => Some((*sender_key, *checksum_required)),
+                } => Some((sender_key, checksum_required)),
                 _ => None,
             });
             let Some((key, ck)) = server_key else {
@@ -803,11 +827,12 @@ impl MptcpConnection {
         if matches!(self.state, ConnState::Handshake | ConnState::Closed) {
             return;
         }
-        let opts = self.subflows[idx].sock.take_rx_mptcp();
+        let mut opts = std::mem::take(&mut self.rx_opts);
+        self.subflows[idx].sock.take_rx_mptcp(&mut opts);
         if self.state == ConnState::Fallback {
-            return; // ignore MPTCP signalling once fallen back
+            opts.clear(); // ignore MPTCP signalling once fallen back
         }
-        for o in opts {
+        for o in opts.drain(..) {
             match o {
                 MptcpOption::MpCapable { sender_key, .. } => {
                     // Server learning the client still speaks MPTCP
@@ -905,6 +930,7 @@ impl MptcpConnection {
                 MptcpOption::MpPrio { backup, .. } => self.subflows[idx].backup = backup,
             }
         }
+        self.rx_opts = opts; // drained; keep the capacity
     }
 
     fn handle_join_synack(&mut self, now: SimTime, idx: usize, mac: u64, nonce_remote: u32) {
@@ -1109,6 +1135,7 @@ impl MptcpConnection {
     /// subflows riding it, and let the path manager migrate (promote a
     /// pre-opened backup).
     pub fn local_addr_down(&mut self, addr: u32, now: SimTime) {
+        self.ticked_at = None;
         if matches!(self.state, ConnState::Closed) {
             return;
         }
@@ -1147,6 +1174,7 @@ impl MptcpConnection {
     /// A local address came (back) up: the path manager re-advertises it
     /// if it is a signal endpoint.
     pub fn local_addr_up(&mut self, addr: u32, now: SimTime) {
+        self.ticked_at = None;
         if matches!(self.state, ConnState::Closed | ConnState::Fallback) {
             return;
         }
@@ -1159,14 +1187,19 @@ impl MptcpConnection {
     fn drain_subflow_stream(&mut self, now: SimTime, idx: usize) {
         loop {
             let piece = self.subflows[idx].sock.read_stream(64 * 1024);
-            let Some((off0, bytes)) = piece else { break };
+            let Some((mut off, mut bytes)) = piece else {
+                break;
+            };
             if self.state == ConnState::Fallback {
                 self.rx.flush(now, idx, &mut self.telemetry);
                 self.rx.deliver(bytes);
                 continue;
             }
-            let consumed = self.subflows[idx].tracker.consume(off0, bytes);
-            for c in consumed {
+            loop {
+                let tracker = &mut self.subflows[idx].tracker;
+                let Some(c) = tracker.consume_next(&mut off, &mut bytes) else {
+                    break;
+                };
                 match c {
                     Consumed::Mapped { dsn, data } => self.rx.stage(dsn, data),
                     Consumed::ChecksumFail { dsn, data } => {
@@ -1236,7 +1269,7 @@ impl MptcpConnection {
         self.health.clear();
         // Unsent data continues as plain writes on subflow 0.
         for p in self.tx.abandon() {
-            self.subflows[0].sock.send_chunk(p, Vec::new());
+            self.subflows[0].sock.send_chunk(p, None);
         }
         if self.tx.closing() {
             self.subflows[0].sock.close();
@@ -1330,21 +1363,38 @@ impl MptcpConnection {
 
     /// Emit at most one segment; call until `None`.
     ///
-    /// Each call ticks the connection at `now` first, which is where
-    /// timers fire. Ticks are idempotent at a fixed `now`: a timer that
-    /// fires re-arms strictly after `now`, so draining `poll` in a loop
-    /// never double-fires anything. See [`MptcpConnection::poll_at`] for
-    /// the full contract an event loop may rely on.
+    /// The connection is ticked at `now` first, which is where timers
+    /// fire and data is scheduled — unless it was ticked at this `now`
+    /// already and nothing a tick reads has changed since: a drain costs
+    /// one tick, not one per segment. What dirties it is every `&mut self`
+    /// method here and a subflow socket whose own `poll` fired a timer,
+    /// ended a loss recovery or put its first byte in flight
+    /// ([`TcpSocket::take_poll_changed`]); the next `poll` then ticks
+    /// again, inside the same drain. So polling a clean connection again
+    /// at the same `now` emits nothing and changes nothing — not
+    /// `poll_at`, not a counter, not the trace — and since a timer that
+    /// fires re-arms strictly after `now`, no drain double-fires one. See
+    /// [`MptcpConnection::poll_at`] for the contract an event loop may
+    /// rely on.
     pub fn poll(&mut self, now: SimTime) -> Option<TcpSegment> {
-        self.tick(now);
+        if self.ticked_at != Some(now) {
+            // Marked first: what the tick itself dirties (M2 halving a
+            // window the coupling was just computed from) is owed another.
+            self.ticked_at = Some(now);
+            self.tick(now);
+        }
         let n = self.subflows.len();
         for k in 0..n {
             let i = (self.poll_cursor + k) % n;
             // Dead subflows are still polled: an aborted socket must get
             // to emit its RST so the peer tears down and re-injects.
-            if let Some(seg) = self.subflows[i].sock.poll(now) {
+            let seg = self.subflows[i].sock.poll(now);
+            if self.subflows[i].sock.take_poll_changed() {
+                self.ticked_at = None;
+            }
+            if seg.is_some() {
                 self.poll_cursor = i;
-                return Some(seg);
+                return seg;
             }
         }
         None
@@ -1371,6 +1421,9 @@ impl MptcpConnection {
     /// * **No stalls.** While a retransmission or detector transition is
     ///   pending, this returns `Some`; a loop that always sleeps until
     ///   `poll_at` cannot hang a connection that still has work.
+    /// * **Idle polls change nothing.** `poll` on a clean connection at
+    ///   the `now` it was last ticked at does not tick, so it cannot move
+    ///   what this returns.
     pub fn poll_at(&self, now: SimTime) -> Option<SimTime> {
         let mut t = min_deadline(self.tx.rto_deadline(), self.health.deadline(now));
         // ADD_ADDR retransmits are serviced by `tick` only while MPTCP is
@@ -1500,38 +1553,33 @@ impl MptcpConnection {
         }
         // Only subflows with an RTT sample shape the computation (matching
         // the original LIA alpha computation).
-        let members: Vec<usize> = (0..self.subflows.len())
-            .filter(|&i| self.subflows[i].usable() && self.subflows[i].sock.srtt().is_some())
-            .collect();
-        if members.is_empty() {
+        let sampled = |sf: &Subflow| sf.usable() && sf.sock.srtt().is_some();
+        self.flows.clear();
+        for sf in self.subflows.iter().filter(|sf| sampled(sf)) {
+            self.flows.push(FlowView {
+                cwnd: sf.sock.cwnd(),
+                srtt: sf.sock.srtt().expect("filtered above"),
+            });
+        }
+        if self.flows.is_empty() {
             return;
         }
-        let flows: Vec<FlowView> = members
-            .iter()
-            .map(|&i| FlowView {
-                cwnd: self.subflows[i].sock.cwnd(),
-                srtt: self.subflows[i].sock.srtt().expect("filtered above"),
-            })
-            .collect();
-        let signals = self.coupled.recompute(&flows).to_vec();
-        for (&i, &sig) in members.iter().zip(&signals) {
-            self.subflows[i].sock.cc_mut().set_coupled(sig);
+        let olia = self.coupled.algo() == CcAlgorithm::Olia;
+        let signals = self.coupled.recompute(&self.flows);
+        let members = self.subflows.iter_mut().filter(|sf| sampled(sf));
+        for (sf, &sig) in members.zip(signals) {
+            sf.sock.cc_mut().set_coupled(sig);
         }
         // Usable subflows still waiting for a first RTT sample see the
         // aggregate (alpha/total) view too, as the inlined computation
         // did — with a neutral per-path term for per-path algorithms.
-        let shared = mptcp_tcpstack::CoupledSignal {
-            alpha: if self.coupled.algo() == mptcp_tcpstack::CcAlgorithm::Olia {
-                0.0
-            } else {
-                signals[0].alpha
-            },
+        let shared = CoupledSignal {
+            alpha: if olia { 0.0 } else { signals[0].alpha },
             ..signals[0]
         };
-        for i in 0..self.subflows.len() {
-            if self.subflows[i].usable() && !members.contains(&i) {
-                self.subflows[i].sock.cc_mut().set_coupled(shared);
-            }
+        let unsampled = |sf: &&mut Subflow| sf.usable() && sf.sock.srtt().is_none();
+        for sf in self.subflows.iter_mut().filter(unsampled) {
+            sf.sock.cc_mut().set_coupled(shared);
         }
     }
 
@@ -1539,21 +1587,20 @@ impl MptcpConnection {
     /// failure detector's verdict gates eligibility: Active paths first,
     /// backups next, Suspect paths only when nothing else is left, Failed
     /// paths never (their in-flight chunks were already reinjected).
-    fn eligible_paths(&self) -> Vec<PathSnapshot> {
-        let tier = |(i, sf): (usize, &Subflow)| match self.health.state(i) {
+    fn eligible_paths(subflows: &[Subflow], health: &PathHealth, paths: &mut Vec<PathSnapshot>) {
+        let tier = |(i, sf): (usize, &Subflow)| match health.state(i) {
             _ if !sf.usable() => None,
             PathState::Active => Some(u8::from(sf.backup)),
             PathState::Suspect => Some(2),
             PathState::Failed => None,
         };
-        let Some(best) = self.subflows.iter().enumerate().filter_map(tier).min() else {
-            return Vec::new();
+        paths.clear();
+        let Some(best) = subflows.iter().enumerate().filter_map(tier).min() else {
+            return;
         };
         let in_best = |p: &(usize, &Subflow)| tier(*p) == Some(best);
-        let mut paths = Vec::with_capacity(self.subflows.len());
-        let eligible = self.subflows.iter().enumerate().filter(in_best);
+        let eligible = subflows.iter().enumerate().filter(in_best);
         paths.extend(eligible.map(|(i, sf)| sf.snapshot(i, best == 2)));
-        paths
     }
 
     /// Chunk placement: ask the configured [`Scheduler`] where the next
@@ -1563,16 +1610,16 @@ impl MptcpConnection {
     /// every scheduler policy inherits them.
     fn push_data(&mut self, now: SimTime) {
         loop {
-            let paths = self.eligible_paths();
+            Self::eligible_paths(&self.subflows, &self.health, &mut self.paths);
             // Prefer a subflow other than the one a reinjected chunk is
             // already stuck on.
             let reinject = self.tx.reinject_head();
             let work_pending = self.tx.pending_bytes() > 0 || reinject.is_some();
-            let decision = if paths.is_empty() {
+            let decision = if self.paths.is_empty() {
                 SchedDecision::Stall
             } else {
                 self.sched.pick(&SchedCtx {
-                    paths: &paths,
+                    paths: &self.paths,
                     send_window_free: self.tx.window_room(),
                     pending_bytes: self.tx.pending_bytes(),
                     is_reinject: reinject.is_some(),
@@ -1582,9 +1629,10 @@ impl MptcpConnection {
             if decision != SchedDecision::Stall {
                 self.sched_stalled = false;
             }
-            let picks: Vec<usize> = match decision {
-                SchedDecision::Pick(id) => vec![id],
-                SchedDecision::PickAll(ids) => ids,
+            // `picks`: a redundant decision's whole set, primary first.
+            let (primary, picks) = match decision {
+                SchedDecision::Pick(id) => (id, Vec::new()),
+                SchedDecision::PickAll(ids) => (ids[0], ids),
                 // A deliberate wait for a better path (BLEST): not a stall
                 // — the fast path's ACK clock re-polls us.
                 SchedDecision::Defer => {
@@ -1611,8 +1659,6 @@ impl MptcpConnection {
                     return;
                 }
             };
-            debug_assert!(!picks.is_empty(), "scheduler returned an empty pick set");
-            let primary = picks[0];
 
             let (dsn, data) = if let Some(chunk) = self.tx.take_reinject(primary) {
                 chunk
@@ -1628,10 +1674,11 @@ impl MptcpConnection {
                 self.tx
                     .cut_chunk(self.subflows[primary].sock.mss(), primary)
             };
-            for &id in &picks {
-                // Redundant copies (non-primary picks) are only
-                // buffer-gated; skip one the buffer can't take.
-                if id == primary || self.subflows[id].sock.send_space() >= data.len() {
+            self.place_chunk(primary, dsn, &data);
+            for &id in picks.iter().skip(1) {
+                // Redundant copies are only buffer-gated; skip one the
+                // buffer can't take.
+                if self.subflows[id].sock.send_space() >= data.len() {
                     self.place_chunk(id, dsn, &data);
                 }
             }
@@ -1656,7 +1703,7 @@ impl MptcpConnection {
             }),
             data_fin: false,
         });
-        let ok = sf.sock.send_chunk(data.clone(), vec![dss]);
+        let ok = sf.sock.send_chunk(data.clone(), Some(dss));
         debug_assert!(ok, "subflow send buffer unexpectedly full");
         self.stats.bytes_scheduled += data.len() as u64;
         self.telemetry.count(CounterId::SchedulerPicks);
@@ -1694,6 +1741,8 @@ impl MptcpConnection {
 
         if self.cfg.mech.penalize {
             if let Some((before, after)) = self.subflows[culprit].penalize(now) {
+                // The coupling this tick computed predates the halving.
+                self.ticked_at = None;
                 let penalized = EventKind::M2Penalize {
                     subflow: culprit as u32,
                     before,
@@ -1752,18 +1801,20 @@ impl MptcpConnection {
             if self.state == ConnState::Established
                 || (self.state == ConnState::AwaitingConfirm && !self.is_client)
             {
-                let mut carry = vec![TcpOption::Mptcp(MptcpOption::Dss {
+                // Rewritten in the buffer the socket already holds. A
+                // client still proving MP_JOIN on this subflow keeps the
+                // join ACK in front.
+                let carry = sf.sock.carry_options_mut();
+                carry.clear();
+                if sf.join == JoinState::ClientEstablished {
+                    let mac = sf.join_ack_mac;
+                    carry.push(TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
+                }
+                carry.push(TcpOption::Mptcp(MptcpOption::Dss {
                     data_ack: Some(da),
                     mapping: None,
                     data_fin: false,
-                })];
-                // Client still proving MP_JOIN on this subflow: keep the
-                // join ACK in front.
-                if sf.join == JoinState::ClientEstablished {
-                    let mac = sf.join_ack_mac;
-                    carry.insert(0, TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
-                }
-                sf.sock.set_carry_options(carry);
+                }));
             }
         }
     }

@@ -8,7 +8,7 @@
 //! middlebox ate the option) are counted and dropped — the sender
 //! retransmits them at the data level (§3.3.5).
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use mptcp_packet::checksum;
@@ -16,9 +16,9 @@ use mptcp_packet::DssMapping;
 
 /// A mapping being filled in by arriving subflow bytes.
 struct MapEntry {
+    /// 0-based subflow stream offset of its first byte.
+    start0: u64,
     dsn: u64,
-    /// 1-based subflow sequence for the pseudo-header.
-    ssn1: u64,
     len: u32,
     checksum: Option<u16>,
     /// Bytes of the mapping consumed so far.
@@ -28,13 +28,14 @@ struct MapEntry {
     /// Carry byte when consumption split at an odd offset.
     odd: Option<u8>,
     /// Pieces held back until the checksum verdict: a modified segment
-    /// must be *rejected*, never partially delivered (§3.3.6).
+    /// must be *rejected*, never partially delivered (§3.3.6). Used only
+    /// when the mapping arrives in more than one piece.
     held: Vec<Bytes>,
 }
 
 impl MapEntry {
-    fn end0(&self, start0: u64) -> u64 {
-        start0 + u64::from(self.len)
+    fn end0(&self) -> u64 {
+        self.start0 + u64::from(self.len)
     }
 }
 
@@ -65,8 +66,10 @@ pub enum Consumed {
 
 /// Per-subflow mapping state.
 pub struct MappingTracker {
-    /// Mappings keyed by 0-based subflow stream offset.
-    maps: BTreeMap<u64, MapEntry>,
+    /// Mappings awaiting data, sorted by stream offset. They arrive and
+    /// complete in stream order but for reordering and retransmission, so
+    /// a deque searched by bisection does a map's job without its nodes.
+    maps: VecDeque<MapEntry>,
     /// Verify checksums.
     pub verify_checksums: bool,
     /// Total unmapped bytes seen (fallback heuristics).
@@ -81,7 +84,7 @@ impl MappingTracker {
     /// New tracker.
     pub fn new(verify_checksums: bool) -> MappingTracker {
         MappingTracker {
-            maps: BTreeMap::new(),
+            maps: VecDeque::new(),
             verify_checksums,
             unmapped_total: 0,
             checksum_failures: 0,
@@ -96,25 +99,22 @@ impl MappingTracker {
         if m.len == 0 {
             return; // DATA_FIN-only signal, no byte mapping
         }
-        let start0 = u64::from(m.subflow_seq).saturating_sub(1);
-        if let Some(existing) = self.maps.get(&start0) {
-            if existing.dsn == m.dsn && existing.len == u32::from(m.len) {
-                return; // duplicate
-            }
+        let entry = MapEntry {
+            start0: u64::from(m.subflow_seq).saturating_sub(1),
+            dsn: m.dsn,
+            len: u32::from(m.len),
+            checksum: m.checksum,
+            consumed: 0,
+            acc: 0,
+            odd: None,
+            held: Vec::new(),
+        };
+        let at = self.maps.partition_point(|e| e.start0 < entry.start0);
+        match self.maps.get_mut(at).filter(|e| e.start0 == entry.start0) {
+            Some(e) if e.dsn == entry.dsn && e.len == entry.len => {} // duplicate
+            Some(e) => *e = entry,
+            None => self.maps.insert(at, entry),
         }
-        self.maps.insert(
-            start0,
-            MapEntry {
-                dsn: m.dsn,
-                ssn1: start0 + 1,
-                len: u32::from(m.len),
-                checksum: m.checksum,
-                consumed: 0,
-                acc: 0,
-                odd: None,
-                held: Vec::new(),
-            },
-        );
     }
 
     /// Number of mappings awaiting data.
@@ -122,130 +122,109 @@ impl MappingTracker {
         self.maps.len()
     }
 
-    /// Consume in-order subflow bytes starting at 0-based `offset`,
-    /// translating them to data-level pieces.
-    pub fn consume(&mut self, mut offset: u64, data: Bytes) -> Vec<Consumed> {
-        let mut out = Vec::new();
-        let mut data = data;
+    /// Translate the front of `data` — in-order subflow bytes starting at
+    /// 0-based `offset` — into the next data-level piece, advancing both
+    /// past what it took. `None` once `data` is used up; pieces of a
+    /// checksummed mapping held for the verdict produce nothing until the
+    /// last one arrives.
+    ///
+    /// A piece that is the whole of its mapping — the only case on a path
+    /// no middlebox re-segments — is summed, verified and handed through
+    /// as it is.
+    pub fn consume_next(&mut self, offset: &mut u64, data: &mut Bytes) -> Option<Consumed> {
         while !data.is_empty() {
-            // Find the mapping covering `offset`.
-            let covering = self
-                .maps
-                .range(..=offset)
-                .next_back()
-                .filter(|(&s, e)| offset < e.end0(s))
-                .map(|(&s, _)| s);
-
-            match covering {
-                Some(start0) => {
-                    let verifying = self.verify_checksums;
-                    let entry = self.maps.get_mut(&start0).unwrap();
-                    let end0 = start0 + u64::from(entry.len);
-                    let take = (end0 - offset).min(data.len() as u64) as usize;
-                    let piece = data.slice(..take);
-                    data = data.slice(take..);
-                    let piece_dsn = entry.dsn + (offset - start0);
-                    let hold = verifying && entry.checksum.is_some();
-
-                    // Incremental checksum over the mapping's payload.
-                    if entry.checksum.is_some() {
-                        accumulate(&mut entry.acc, &mut entry.odd, &piece);
-                    }
-                    entry.consumed += take as u32;
-                    let complete = entry.consumed >= entry.len;
-
-                    if hold {
-                        // Hold back until the whole mapping verifies: a
-                        // modified segment is rejected, never partially
-                        // delivered.
-                        entry.held.push(piece);
-                        if complete {
-                            let entry = self.maps.remove(&start0).unwrap();
-                            let mut merged = Vec::with_capacity(entry.len as usize);
-                            for h in &entry.held {
-                                merged.extend_from_slice(h);
-                            }
-                            let merged = Bytes::from(merged);
-                            let got = finalize(
-                                entry.acc,
-                                entry.odd,
-                                entry.dsn,
-                                entry.ssn1 as u32,
-                                entry.len as u16,
-                            );
-                            if entry.checksum == Some(got) {
-                                out.push(Consumed::Mapped {
-                                    dsn: entry.dsn,
-                                    data: merged,
-                                });
-                            } else {
-                                self.checksum_failures += 1;
-                                out.push(Consumed::ChecksumFail {
-                                    dsn: entry.dsn,
-                                    data: merged,
-                                });
-                            }
-                        }
-                        offset += take as u64;
-                        continue;
-                    }
-
-                    if complete {
-                        self.maps.remove(&start0);
-                    }
-                    out.push(Consumed::Mapped {
-                        dsn: piece_dsn,
-                        data: piece,
-                    });
-                    offset += take as u64;
-                }
-                None => {
-                    // No covering mapping: unmapped until the next mapping
-                    // starts (or the end of this data).
-                    let next_start = self
-                        .maps
-                        .range(offset..)
-                        .next()
-                        .map(|(&s, _)| s)
-                        .unwrap_or(u64::MAX);
-                    let take = (next_start - offset).min(data.len() as u64) as usize;
-                    let piece = data.slice(..take);
-                    data = data.slice(take..);
-                    self.unmapped_total += take as u64;
-                    out.push(Consumed::Unmapped { data: piece });
-                    offset += take as u64;
-                }
+            // The mapping covering `offset`: the last one starting at or
+            // before it, if it reaches that far.
+            let after = self.maps.partition_point(|e| e.start0 <= *offset);
+            let covering = after
+                .checked_sub(1)
+                .filter(|&i| *offset < self.maps[i].end0());
+            let Some(at) = covering else {
+                // Unmapped until the next mapping starts (or `data` ends).
+                let gap = self.maps.get(after).map(|e| (e.start0 - *offset) as usize);
+                let piece = split_front(data, gap.unwrap_or(usize::MAX));
+                *offset += piece.len() as u64;
+                self.unmapped_total += piece.len() as u64;
+                return Some(Consumed::Unmapped { data: piece });
+            };
+            let entry = &mut self.maps[at];
+            let piece = split_front(data, (entry.end0() - *offset) as usize);
+            let piece_dsn = entry.dsn + (*offset - entry.start0);
+            *offset += piece.len() as u64;
+            if entry.checksum.is_some() {
+                accumulate(&mut entry.acc, &mut entry.odd, &piece);
             }
+            entry.consumed += piece.len() as u32;
+            let complete = entry.consumed >= entry.len;
+            let verdict_due = self.verify_checksums && entry.checksum.is_some();
+            if !verdict_due {
+                if complete {
+                    self.maps.remove(at);
+                }
+                return Some(Consumed::Mapped {
+                    dsn: piece_dsn,
+                    data: piece,
+                });
+            }
+            if !complete {
+                entry.held.push(piece);
+                continue;
+            }
+            let entry = self.maps.remove(at).expect("index just used");
+            // Verified whole or rejected whole: never partially delivered.
+            let data = if entry.held.is_empty() {
+                piece
+            } else {
+                let mut merged = Vec::with_capacity(entry.len as usize);
+                for h in entry.held.iter().chain([&piece]) {
+                    merged.extend_from_slice(h);
+                }
+                Bytes::from(merged)
+            };
+            let dsn = entry.dsn;
+            return Some(if entry.checksum == Some(finalize(&entry)) {
+                Consumed::Mapped { dsn, data }
+            } else {
+                self.checksum_failures += 1;
+                Consumed::ChecksumFail { dsn, data }
+            });
         }
-        out
+        None
     }
 }
 
-fn accumulate(acc: &mut u32, odd: &mut Option<u8>, piece: &[u8]) {
-    let mut buf;
-    let bytes: &[u8] = match odd.take() {
-        Some(carry) => {
-            buf = Vec::with_capacity(piece.len() + 1);
-            buf.push(carry);
-            buf.extend_from_slice(piece);
-            &buf
-        }
-        None => piece,
-    };
-    let pairs = bytes.len() / 2 * 2;
-    *acc = checksum::ones_complement_add(*acc, &bytes[..pairs]);
-    if bytes.len() % 2 == 1 {
-        *odd = Some(bytes[bytes.len() - 1]);
+/// Split up to `max` bytes off the front of `data`, as a view of it.
+pub(crate) fn split_front(data: &mut Bytes, max: usize) -> Bytes {
+    let take = max.min(data.len());
+    let piece = data.slice(..take);
+    *data = data.slice(take..);
+    piece
+}
+
+/// Add `piece` to a payload sum whose previous piece may have ended on
+/// an odd byte (`odd`): that byte and the first one here make one word.
+fn accumulate(acc: &mut u32, odd: &mut Option<u8>, mut piece: &[u8]) {
+    if let (Some(carry), Some((&first, rest))) = (*odd, piece.split_first()) {
+        *acc = checksum::add_u16(*acc, u16::from_be_bytes([carry, first]));
+        *odd = None;
+        piece = rest;
+    }
+    let (pairs, last) = piece.split_at(piece.len() / 2 * 2);
+    *acc = checksum::ones_complement_add(*acc, pairs);
+    if let [last] = last {
+        *odd = Some(*last);
     }
 }
 
-fn finalize(mut acc: u32, odd: Option<u8>, dsn: u64, ssn1: u32, len: u16) -> u16 {
-    if let Some(b) = odd {
+/// The DSS checksum of a fully consumed mapping.
+fn finalize(e: &MapEntry) -> u16 {
+    let mut acc = e.acc;
+    if let Some(b) = e.odd {
         acc = checksum::ones_complement_add(acc, &[b]);
     }
-    acc = checksum::add_u64(acc, dsn);
-    acc = checksum::add_u32(acc, ssn1);
-    acc = checksum::add_u16(acc, len);
+    acc = checksum::add_u64(acc, e.dsn);
+    acc = checksum::add_u32(acc, (e.start0 + 1) as u32);
+    acc = checksum::add_u16(acc, e.len as u16);
     checksum::fold(acc)
 }
 
@@ -253,6 +232,11 @@ fn finalize(mut acc: u32, odd: Option<u8>, dsn: u64, ssn1: u32, len: u16) -> u16
 mod tests {
     use super::*;
     use mptcp_packet::checksum::dss_checksum;
+
+    /// Every piece `data` (subflow bytes from `offset`) translates to.
+    fn consume(t: &mut MappingTracker, mut offset: u64, mut data: Bytes) -> Vec<Consumed> {
+        std::iter::from_fn(|| t.consume_next(&mut offset, &mut data)).collect()
+    }
 
     fn mapping(dsn: u64, ssn1: u32, payload: &[u8], with_cksum: bool) -> DssMapping {
         DssMapping {
@@ -268,7 +252,7 @@ mod tests {
         let mut t = MappingTracker::new(true);
         let payload = b"hello multipath";
         t.add(&mapping(1000, 1, payload, true));
-        let out = t.consume(0, Bytes::from_static(payload));
+        let out = consume(&mut t, 0, Bytes::from_static(payload));
         assert_eq!(out.len(), 1);
         match &out[0] {
             Consumed::Mapped { dsn, data } => {
@@ -295,7 +279,7 @@ mod tests {
             (3, &payload[3..8]),
             (8, &payload[8..]),
         ] {
-            let out = t.consume(off, Bytes::copy_from_slice(chunk));
+            let out = consume(&mut t, off, Bytes::copy_from_slice(chunk));
             if off + (chunk.len() as u64) < payload.len() as u64 {
                 assert!(out.is_empty(), "held until the checksum verdict");
             }
@@ -318,7 +302,7 @@ mod tests {
         let original = b"PORT 10.0.0.1";
         let modified = b"PORT 99.9.9.9"; // same length, different bytes
         t.add(&mapping(0, 1, original, true));
-        let out = t.consume(0, Bytes::from_static(modified));
+        let out = consume(&mut t, 0, Bytes::from_static(modified));
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Consumed::ChecksumFail { dsn: 0, .. }));
         assert_eq!(t.checksum_failures, 1);
@@ -329,7 +313,7 @@ mod tests {
         let mut t = MappingTracker::new(false);
         let original = b"data";
         t.add(&mapping(0, 1, original, true));
-        let out = t.consume(0, Bytes::from_static(b"XXXX"));
+        let out = consume(&mut t, 0, Bytes::from_static(b"XXXX"));
         assert!(matches!(out[0], Consumed::Mapped { .. }));
         assert_eq!(t.checksum_failures, 0);
     }
@@ -340,7 +324,7 @@ mod tests {
         // with no covering mapping.
         let mut t = MappingTracker::new(false);
         t.add(&mapping(100, 1, b"aaaa", false));
-        let out = t.consume(0, Bytes::from_static(b"aaaabbbb"));
+        let out = consume(&mut t, 0, Bytes::from_static(b"aaaabbbb"));
         assert_eq!(out.len(), 2);
         assert!(matches!(&out[0], Consumed::Mapped { dsn: 100, .. }));
         match &out[1] {
@@ -355,7 +339,7 @@ mod tests {
         let mut t = MappingTracker::new(false);
         // Mapping covers offsets 4..8 only (ssn1 = 5).
         t.add(&mapping(100, 5, b"bbbb", false));
-        let out = t.consume(0, Bytes::from_static(b"aaaabbbb"));
+        let out = consume(&mut t, 0, Bytes::from_static(b"aaaabbbb"));
         assert_eq!(out.len(), 2);
         assert!(matches!(&out[0], Consumed::Unmapped { .. }));
         assert!(matches!(&out[1], Consumed::Mapped { dsn: 100, .. }));
@@ -379,7 +363,7 @@ mod tests {
         // subflow stream (batching from different connection positions).
         t.add(&mapping(2000, 1, b"late", true));
         t.add(&mapping(1000, 5, b"early", true));
-        let out = t.consume(0, Bytes::from_static(b"lateearly"));
+        let out = consume(&mut t, 0, Bytes::from_static(b"lateearly"));
         assert_eq!(out.len(), 2);
         match (&out[0], &out[1]) {
             (Consumed::Mapped { dsn: a, .. }, Consumed::Mapped { dsn: b, .. }) => {

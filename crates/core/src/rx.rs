@@ -14,6 +14,7 @@ use mptcp_netsim::SimTime;
 use mptcp_telemetry::{CounterId, EventKind, GaugeId, Recorder};
 
 use crate::config::ReorderAlgo;
+use crate::mapping::split_front;
 use crate::reorder::{make_queue, OooQueue};
 
 /// Receive side of one connection's data sequence space.
@@ -110,9 +111,7 @@ impl DataReceiver {
         let out = if front.len() <= max {
             self.app_rx.pop_front()?
         } else {
-            let head = front.slice(..max);
-            *front = front.slice(max..);
-            head
+            split_front(front, max)
         };
         self.app_rx_bytes -= out.len();
         Some(out)

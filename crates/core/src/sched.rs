@@ -186,25 +186,16 @@ impl FromStr for SchedulerKind {
     }
 }
 
-/// Stable lowest-RTT-first ordering of the snapshot (index order breaks
-/// ties, matching the paper's original inlined loop).
-fn by_srtt(paths: &[PathSnapshot]) -> Vec<&PathSnapshot> {
-    let mut order: Vec<&PathSnapshot> = paths.iter().collect();
-    order.sort_by_key(|p| p.srtt);
-    order
-}
-
-/// First path with room in `order`, preferring one that isn't `avoid`.
-fn first_with_room<'a>(
-    order: &[&'a PathSnapshot],
-    avoid: Option<usize>,
-) -> Option<&'a PathSnapshot> {
-    if let Some(avoid) = avoid {
-        if let Some(p) = order.iter().find(|p| p.has_room() && p.id != avoid) {
-            return Some(p);
-        }
-    }
-    order.iter().find(|p| p.has_room()).copied()
+/// The lowest-RTT path with room, preferring one that isn't `avoid`
+/// (index order breaks ties, matching the paper's original inlined loop).
+fn fastest_with_room(paths: &[PathSnapshot], avoid: Option<usize>) -> Option<&PathSnapshot> {
+    let fastest = |skip: Option<usize>| {
+        let open = paths.iter().filter(|p| p.has_room() && Some(p.id) != skip);
+        open.min_by_key(|p| p.srtt)
+    };
+    avoid
+        .and_then(|stuck| fastest(Some(stuck)))
+        .or_else(|| fastest(None))
 }
 
 /// Lowest-RTT-first: the paper's §4.2 scheduler, byte-identical to the
@@ -213,7 +204,7 @@ pub struct MinRtt;
 
 impl Scheduler for MinRtt {
     fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        match first_with_room(&by_srtt(ctx.paths), ctx.avoid) {
+        match fastest_with_room(ctx.paths, ctx.avoid) {
             Some(p) => SchedDecision::Pick(p.id),
             None => SchedDecision::Stall,
         }
@@ -302,24 +293,20 @@ pub struct Redundant;
 
 impl Scheduler for Redundant {
     fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        let order = by_srtt(ctx.paths);
-        let Some(primary) = first_with_room(&order, ctx.avoid) else {
+        let Some(primary) = fastest_with_room(ctx.paths, ctx.avoid) else {
             return SchedDecision::Stall;
         };
-        let mut targets = vec![primary.id];
         // Re-duplicating onto `avoid` (the path a reinjected chunk is
         // already stuck on) helps nobody: a copy is already there.
-        targets.extend(
-            order
-                .iter()
-                .filter(|p| p.id != primary.id && p.send_space > 0 && ctx.avoid != Some(p.id))
-                .map(|p| p.id),
-        );
-        if targets.len() == 1 {
-            SchedDecision::Pick(targets[0])
-        } else {
-            SchedDecision::PickAll(targets)
+        let takes_copy =
+            |p: &&PathSnapshot| p.id != primary.id && p.send_space > 0 && ctx.avoid != Some(p.id);
+        let mut copies: Vec<&PathSnapshot> = ctx.paths.iter().filter(takes_copy).collect();
+        if copies.is_empty() {
+            return SchedDecision::Pick(primary.id);
         }
+        copies.sort_by_key(|p| p.srtt);
+        let targets = std::iter::once(primary).chain(copies).map(|p| p.id);
+        SchedDecision::PickAll(targets.collect())
     }
 
     fn name(&self) -> &'static str {
@@ -357,11 +344,14 @@ impl Default for Blest {
 
 impl Scheduler for Blest {
     fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        let order = by_srtt(ctx.paths);
-        let Some(candidate) = first_with_room(&order, ctx.avoid) else {
+        let Some(candidate) = fastest_with_room(ctx.paths, ctx.avoid) else {
             return SchedDecision::Stall;
         };
-        let fastest = order[0];
+        let fastest = ctx
+            .paths
+            .iter()
+            .min_by_key(|p| p.srtt)
+            .expect("never empty");
         if candidate.id == fastest.id || ctx.is_reinject {
             return SchedDecision::Pick(candidate.id);
         }

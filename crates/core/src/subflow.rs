@@ -128,7 +128,7 @@ impl Subflow {
 
     /// Queue one MPTCP signalling option for the next segment to leave.
     pub(crate) fn signal(&mut self, opt: MptcpOption) {
-        self.sock.queue_oneshot_options(vec![TcpOption::Mptcp(opt)]);
+        self.sock.queue_oneshot_options([TcpOption::Mptcp(opt)]);
     }
 
     /// Smoothed RTT, or a large default for unsampled subflows.
@@ -179,7 +179,7 @@ mod tests {
         let before = sf.tx_headroom();
         assert!(before > 0);
         sf.sock
-            .send_chunk(bytes::Bytes::from_static(&[0; 1000]), vec![]);
+            .send_chunk(bytes::Bytes::from_static(&[0; 1000]), None);
         assert_eq!(sf.tx_headroom(), before - 1000);
     }
 }

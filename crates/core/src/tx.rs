@@ -11,15 +11,18 @@
 //! against each chunk.
 
 use std::collections::vec_deque::Drain;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use mptcp_netsim::{Duration, SimTime};
 
 use crate::dsn::infer_full_dsn;
+use crate::mapping::split_front;
 
 /// A chunk handed to a subflow, retained until DATA_ACKed.
 struct SentChunk {
+    /// Data sequence number of its first byte.
+    dsn: u64,
     data: Bytes,
     /// The subflow that carries it (its latest copy).
     subflow: usize,
@@ -37,8 +40,10 @@ pub struct DataSender {
     /// Application data not yet mapped onto a subflow.
     pending: VecDeque<Bytes>,
     pending_bytes: usize,
-    /// Chunks on subflows awaiting DATA_ACK, by DSN.
-    sent: BTreeMap<u64, SentChunk>,
+    /// Chunks on subflows awaiting DATA_ACK: contiguous from `snd_una`, in
+    /// DSN order (cut at the back, acknowledged off the front), so a deque
+    /// searched by bisection does what a map would without its nodes.
+    sent: VecDeque<SentChunk>,
     sent_bytes: usize,
     /// DSNs of retained chunks to send again (subflow death, path failure,
     /// data-level timeout, a redundant join), lowest first: the chunk
@@ -67,7 +72,7 @@ impl DataSender {
             right_edge: start,
             pending: VecDeque::new(),
             pending_bytes: 0,
-            sent: BTreeMap::new(),
+            sent: VecDeque::new(),
             sent_bytes: 0,
             reinject: BTreeSet::new(),
             buf_cap,
@@ -163,52 +168,71 @@ impl DataSender {
         if ack <= self.snd_una {
             return;
         }
-        while let Some(first) = self.sent.first_entry().filter(|e| *e.key() < ack) {
-            let (dsn, mut chunk) = first.remove_entry();
-            self.sent_bytes -= chunk.data.len();
-            if dsn + chunk.data.len() as u64 > ack {
-                chunk.data = chunk.data.slice((ack - dsn) as usize..);
-                self.sent_bytes += chunk.data.len();
-                self.sent.insert(ack, chunk);
+        while let Some(first) = self.sent.front_mut().filter(|c| c.dsn < ack) {
+            let covered = ((ack - first.dsn) as usize).min(first.data.len());
+            self.sent_bytes -= covered;
+            if covered < first.data.len() {
+                first.data = first.data.slice(covered..);
+                first.dsn = ack;
+            } else {
+                self.sent.pop_front();
             }
         }
         while self.reinject.first().is_some_and(|&dsn| dsn < ack) {
             self.reinject.pop_first();
+        }
+        if self.sent.is_empty() && self.pending.is_empty() {
+            // Everything written is delivered: an idle connection keeps no
+            // deque sized for its last burst (a server holds thousands).
+            self.sent = VecDeque::new();
         }
         self.snd_una = ack;
         self.rto_backoff = 1;
         self.rto_deadline = None; // re-armed on the next tick if needed
     }
 
+    /// Up to `max` bytes off the oldest pending write, as a view of it.
+    fn pop_pending(&mut self, max: usize) -> Bytes {
+        let front = self.pending.front_mut().expect("pending_bytes > 0");
+        if front.len() > max {
+            return split_front(front, max);
+        }
+        self.pending.pop_front().expect("front exists")
+    }
+
     /// Cut the next chunk of new data — at most `mss`, the window room and
     /// what is pending — and record it as riding `subflow`. Chunks are the
     /// mapping granularity: every later copy re-uses these boundaries, so
-    /// a middlebox never sees inconsistent content.
+    /// a middlebox never sees inconsistent content. A chunk inside one
+    /// application write is a view of that write; only one that straddles
+    /// two is copied together.
     pub fn cut_chunk(&mut self, mss: usize, subflow: usize) -> (u64, Bytes) {
         let take = mss.min(self.window_room() as usize).min(self.pending_bytes);
-        let mut chunk = Vec::with_capacity(take);
-        while chunk.len() < take {
-            let front = self.pending.front_mut().expect("pending_bytes > 0");
-            let need = take - chunk.len();
-            if front.len() <= need {
-                chunk.extend_from_slice(front);
-                self.pending.pop_front();
-            } else {
-                chunk.extend_from_slice(&front[..need]);
-                *front = front.slice(need..);
+        let mut data = self.pop_pending(take);
+        if data.len() < take {
+            let mut joined = Vec::with_capacity(take);
+            joined.extend_from_slice(&data);
+            while joined.len() < take {
+                joined.extend_from_slice(&self.pop_pending(take - joined.len()));
             }
+            data = Bytes::from(joined);
         }
         self.pending_bytes -= take;
-        let data = Bytes::from(chunk);
         let dsn = self.snd_nxt;
         self.snd_nxt += take as u64;
         self.sent_bytes += take;
-        let chunk = SentChunk {
+        self.sent.push_back(SentChunk {
+            dsn,
             data: data.clone(),
             subflow,
-        };
-        self.sent.insert(dsn, chunk);
+        });
         (dsn, data)
+    }
+
+    /// Where in `sent` the chunk that starts at `dsn` is.
+    fn sent_at(&self, dsn: u64) -> Option<usize> {
+        let at = self.sent.partition_point(|c| c.dsn < dsn);
+        (self.sent.get(at)?.dsn == dsn).then_some(at)
     }
 
     /// Queue for another trip every retained chunk `wanted(dsn, subflow)`
@@ -220,11 +244,11 @@ impl DataSender {
         mut wanted: impl FnMut(u64, usize) -> bool,
     ) -> u64 {
         let mut added = 0;
-        for (&dsn, chunk) in &self.sent {
+        for chunk in &self.sent {
             if added >= limit {
                 break;
             }
-            if wanted(dsn, chunk.subflow) && self.reinject.insert(dsn) {
+            if wanted(chunk.dsn, chunk.subflow) && self.reinject.insert(chunk.dsn) {
                 added += 1;
             }
         }
@@ -235,13 +259,14 @@ impl DataSender {
     /// stuck on (the one to avoid).
     pub fn reinject_head(&self) -> Option<(u64, usize)> {
         let dsn = *self.reinject.first()?;
-        Some((dsn, self.sent[&dsn].subflow))
+        Some((dsn, self.sent[self.sent_at(dsn)?].subflow))
     }
 
     /// Take the head of the reinjection queue, now riding `subflow`.
     pub fn take_reinject(&mut self, subflow: usize) -> Option<(u64, Bytes)> {
         let dsn = self.reinject.pop_first()?;
-        let chunk = self.sent.get_mut(&dsn).expect("queued chunks are retained");
+        let at = self.sent_at(dsn).expect("queued chunks are retained");
+        let chunk = &mut self.sent[at];
         chunk.subflow = subflow;
         Some((dsn, chunk.data.clone()))
     }
@@ -250,7 +275,8 @@ impl DataSender {
     /// M1/M2's culprit when the window is shut. `None` with nothing
     /// outstanding.
     pub fn head_owner(&self) -> Option<usize> {
-        self.sent.get(&self.snd_una).map(|c| c.subflow)
+        // Retained chunks are contiguous from `snd_una`: the head is in front.
+        self.sent.front().map(|c| c.subflow)
     }
 
     /// M1: hand out the head-of-window chunk for an opportunistic copy on
@@ -269,10 +295,12 @@ impl DataSender {
         {
             return None;
         }
-        let chunk = self.sent.get_mut(&dsn)?;
+        let chunk = self.sent.front_mut()?;
+        debug_assert_eq!(chunk.dsn, dsn, "retained chunks start at snd_una");
         chunk.subflow = subflow;
+        let data = chunk.data.clone();
         self.last_opp = Some((dsn, now));
-        Some((dsn, chunk.data.clone()))
+        Some((dsn, data))
     }
 
     /// The application closed its sending direction.

@@ -22,8 +22,8 @@ use mptcp::{MptcpConfig, MptcpConnection, MptcpListener, ReadOutcome, WriteOutco
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
 
-const MAX_ALLOCS_PER_SEG: f64 = 22.0;
-const MAX_BYTES_PER_PAYLOAD_BYTE: f64 = 6.5;
+const MAX_ALLOCS_PER_SEG: f64 = 1.1;
+const MAX_BYTES_PER_PAYLOAD_BYTE: f64 = 1.25;
 
 struct Counting;
 

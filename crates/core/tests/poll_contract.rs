@@ -244,3 +244,178 @@ fn late_ticks_fire_elapsed_timers_exactly_once() {
         assert!(t > now);
     }
 }
+
+// ---------------------------------------------------------------------
+// `tick` runs when something it reads has changed, not on every `poll`.
+// ---------------------------------------------------------------------
+
+/// A client on two paths and the listener it talks to, both subflows up.
+fn two_path_pair(cfg: MptcpConfig, now: SimTime) -> (MptcpConnection, MptcpListener) {
+    let path = |net: u32, port| FourTuple {
+        src: Endpoint::new(net | 2, port),
+        dst: Endpoint::new(net | 1, 80),
+    };
+    let first = path(0x0a00_0100, 4000);
+    let mut client = MptcpConnection::client(cfg.clone(), first, now, SimRng::new(1));
+    let mut listener = MptcpListener::new(cfg, 2);
+    pump(&mut client, &mut listener, now);
+    let second = path(0x0a00_0200, 4001);
+    client
+        .open_subflow(second.src, second.dst, now)
+        .expect("open_subflow");
+    pump(&mut client, &mut listener, now);
+    let usable = |c: &MptcpConnection| c.subflows().iter().filter(|s| s.usable()).count();
+    assert_eq!((usable(&client), usable(&listener.conns[0])), (2, 2));
+    (client, listener)
+}
+
+/// Everything a connection reports about itself, as text.
+fn observed(conn: &MptcpConnection, now: SimTime) -> (Option<SimTime>, String, String) {
+    let trace = mptcp::telemetry::TraceWriter::to_jsonl(&conn.trace_snapshot());
+    (conn.poll_at(now), conn.telemetry().to_json(), trace)
+}
+
+#[test]
+fn polling_a_dry_connection_again_at_the_same_instant_changes_nothing() {
+    let cfg = lax_cfg().with_trace(mptcp::telemetry::TraceConfig::enabled());
+    let now = SimTime::from_millis(1);
+    let (mut client, _listener) = two_path_pair(cfg, now);
+    // More than two initial windows: data stays pending behind full
+    // congestion windows, which is when a tick calls the scheduler and
+    // counts a stall.
+    assert_eq!(client.write(&[7u8; 64 * 1024]).accepted(), 64 * 1024);
+    assert!(!drain(&mut client, now).is_empty());
+    let stalls = client.telemetry().counter(CounterId::SchedulerStalls);
+    assert!(stalls > 0, "work is pending and no path has room");
+
+    let before = observed(&client, now);
+    for _ in 0..3 {
+        assert!(client.poll(now).is_none(), "a dry connection emitted");
+    }
+    assert!(before == observed(&client, now), "an idle poll left a mark");
+
+    // Time moving on is a reason to tick; the same instant again is not.
+    let later = now + Duration::from_micros(10);
+    assert!(client.poll(later).is_none());
+    let ticked = client.telemetry().counter(CounterId::SchedulerStalls);
+    assert_eq!(ticked, stalls + 1, "one tick, one scheduler call");
+    assert!(client.poll(later).is_none());
+    assert_eq!(
+        client.telemetry().counter(CounterId::SchedulerStalls),
+        ticked
+    );
+}
+
+#[test]
+fn a_subflow_timer_firing_inside_a_drain_reaches_the_data_level_in_that_drain() {
+    // Demote on the first RTO, fail on the second: the verdicts, the
+    // reinjections they cause and the data-level timer (twice the
+    // healthiest subflow's RTO) all hang on what `sock.poll` did a moment
+    // ago, inside the same drain.
+    let cfg = MptcpConfig::builder()
+        .failure_detection(FailureDetection {
+            suspect_after_rtos: 1,
+            fail_after_rtos: 2,
+            ..FailureDetection::default()
+        })
+        .build()
+        .expect("valid config");
+    let start = SimTime::from_millis(1);
+    // Twins fed alike. `gated` is polled as is; `every` is dirtied before
+    // each poll, so it ticks on every one, which is what `poll` used to do.
+    let (mut gated, _l1) = two_path_pair(cfg.clone(), start);
+    let (mut every, _l2) = two_path_pair(cfg, start);
+    for c in [&mut gated, &mut every] {
+        assert_eq!(c.write(&[3u8; 40 * 1024]).accepted(), 40 * 1024);
+    }
+    let mut now = start;
+    let mut verdicts = Vec::new();
+    // Everything either sends from here on is lost. Walk the deadlines.
+    for wakeup in 0..40 {
+        let out = drain(&mut gated, now);
+        let mut reference = Vec::new();
+        loop {
+            every.subflows_mut();
+            match every.poll(now) {
+                Some(seg) => reference.push(seg),
+                None => break,
+            }
+        }
+        assert!(
+            out == reference,
+            "wakeup {wakeup} at {now:?}: segments differ"
+        );
+        assert_eq!(
+            gated.poll_at(now),
+            every.poll_at(now),
+            "wakeup {wakeup} at {now:?}"
+        );
+        // `SchedulerStalls` counts scheduler calls, which is the one thing
+        // the twins differ in by construction; every other counter and
+        // every event must agree.
+        let (g, e) = (gated.telemetry(), every.telemetry());
+        for id in CounterId::ALL {
+            if id != CounterId::SchedulerStalls {
+                assert_eq!(g.counter(id), e.counter(id), "wakeup {wakeup}: {id:?}");
+            }
+        }
+        assert!(g.events == e.events, "wakeup {wakeup} at {now:?}: events");
+        let states = [gated.path_state(0), gated.path_state(1)];
+        assert_eq!(states, [every.path_state(0), every.path_state(1)]);
+        if verdicts.last() != Some(&states) {
+            verdicts.push(states);
+        }
+        match gated.poll_at(now) {
+            Some(t) => now = t,
+            None => break,
+        }
+    }
+    use mptcp::PathState::{Active, Failed, Suspect};
+    assert!(
+        verdicts.contains(&[Suspect, Suspect]) || verdicts.contains(&[Suspect, Active]),
+        "no path was ever suspected: {verdicts:?}"
+    );
+    assert!(verdicts.iter().any(|v| v.contains(&Failed)), "{verdicts:?}");
+    assert!(data_rtos(&gated) >= 1, "the data-level timer never fired");
+    let t = gated.telemetry();
+    assert!(t.counter(CounterId::PathSuspects) >= 1 && t.counter(CounterId::TcpRtos) >= 2);
+}
+
+#[test]
+fn a_read_that_reopens_a_shut_window_is_advertised_at_the_same_instant() {
+    const BUF: usize = 16 * 1024;
+    let cfg = MptcpConfig::builder()
+        .recv_buf(BUF)
+        .build()
+        .expect("valid config");
+    let mut now = SimTime::from_millis(1);
+    let (mut client, mut listener) = two_path_pair(cfg, now);
+    // The application at the server does not read: the shared window shuts.
+    let mut written = 0;
+    for _ in 0..200 {
+        written += client.write(&[9u8; 4096]).accepted();
+        pump(&mut client, &mut listener, now);
+        if listener.conns[0].rcv_window() == 0 {
+            break;
+        }
+        now += Duration::from_millis(1);
+    }
+    assert!(written >= BUF);
+    assert_eq!(listener.conns[0].rcv_window(), 0, "window never shut");
+    let mut out = Vec::new();
+    listener.poll(now, &mut out);
+    assert!(out.is_empty(), "the server is polled dry");
+
+    // One read empties the buffer. The window update must not wait for
+    // the clock to move or a segment to arrive.
+    let server = listener.conn_mut(0);
+    let mut freed = 0;
+    while let Some(data) = server.read(usize::MAX).into_data() {
+        freed += data.len();
+    }
+    assert!(freed >= BUF / 2);
+    let update = server
+        .poll(now)
+        .expect("no window update at the instant of the read");
+    assert!(update.payload.is_empty() && update.window as usize >= freed);
+}

@@ -67,7 +67,7 @@ const FIG9_TABLE: &str = concat!(
     "  m1_reinjections         25\n",
     "  m2_penalizations        6\n",
     "  scheduler_picks         9060\n",
-    "  scheduler_stalls        36010\n",
+    "  scheduler_stalls        27041\n",
     "  add_addrs_received      1\n",
     "  pm_subflows_opened      1\n",
     "  tcp_fast_retransmits    12\n",
@@ -80,7 +80,7 @@ const FIG9_TABLE: &str = concat!(
 
 const FALLBACK_TABLE: &str = concat!(
     "  scheduler_picks     137\n",
-    "  scheduler_stalls    336\n",
+    "  scheduler_stalls    137\n",
     "  data_rtos           1\n",
     "  data_ack_stalls     1\n",
     "  fallbacks           1\n",
@@ -95,7 +95,7 @@ const BLACKOUT_TABLE: &str = concat!(
     "  m1_reinjections         181\n",
     "  m2_penalizations        4\n",
     "  scheduler_picks         6164\n",
-    "  scheduler_stalls        22393\n",
+    "  scheduler_stalls        16680\n",
     "  data_rtos               2\n",
     "  data_ack_stalls         2\n",
     "  add_addrs_received      1\n",
@@ -119,12 +119,12 @@ fn fig9_trace_artifacts_are_pinned() {
         "fig9",
         &trace_rows(&art),
         &[
-            ("report.json", 4502, 0x46d24955b56acc03),
-            ("report_lines.json", 4506, 0x043f493f19bb3c9f),
+            ("report.json", 4502, 0xf8836b02a6afb8ff),
+            ("report_lines.json", 4506, 0xe7ce76b8ce48b27b),
             ("trace.jsonl", 3851126, 0xbaed3d14e49b44bd),
             ("trace.csv", 2197796, 0x5382c736754307b1),
             ("pcap.jsonl", 5075358, 0x8d5f6043f59f1341),
-            ("table.txt", 361, 0x69a30f358cec540a),
+            ("table.txt", 361, 0xd829cb7e5c59de8e),
         ],
     );
     assert_eq!(art.run.bulk.telemetry.render_table(), FIG9_TABLE);
@@ -137,12 +137,12 @@ fn fallback_trace_artifacts_are_pinned() {
         "fallback",
         &trace_rows(&art),
         &[
-            ("report.json", 941, 0xdf9a9a86c4e6bce5),
-            ("report_lines.json", 945, 0xe41083bfe579b41f),
+            ("report.json", 941, 0x66b93f32b5fcd26c),
+            ("report_lines.json", 945, 0x37b59ffff955aef6),
             ("trace.jsonl", 39753, 0xe4645765eb70e6fa),
             ("trace.csv", 22370, 0xf2459d7b2ef0460c),
             ("pcap.jsonl", 67685, 0x8c0d9b10e66635d3),
-            ("table.txt", 273, 0xf0c5a44c29966d16),
+            ("table.txt", 273, 0x8043df001256de9f),
         ],
     );
     assert_eq!(art.run.bulk.telemetry.render_table(), FALLBACK_TABLE);
@@ -168,11 +168,11 @@ fn chaos_blackout_artifacts_are_pinned() {
         "chaos blackout",
         &rows,
         &[
-            ("report.json", 17601, 0x13a2c8502d8d3e8f),
+            ("report.json", 17601, 0x93ddfb071a008c11),
             ("trace.jsonl", 2194196, 0xe065659877daf664),
             ("trace.csv", 1258896, 0xb6bf7e1977b8dbc3),
             ("faults.json", 150, 0xd0ab9ee28e6d38ef),
-            ("table.txt", 530, 0x4c2f96fb5cf1184c),
+            ("table.txt", 530, 0x315e3103abc7f3ce),
         ],
     );
     assert_eq!(b.telemetry.render_table(), BLACKOUT_TABLE);

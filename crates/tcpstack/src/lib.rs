@@ -17,8 +17,8 @@
 //! Three extension points exist purely for MPTCP (§4 of the paper):
 //!
 //! * **Chunked sends** ([`TcpSocket::send_chunk`]): payload enqueued with
-//!   per-chunk TCP options. Segments never span chunk boundaries, and
-//!   retransmissions re-attach the chunk's options — the paper's
+//!   its one TCP option. Segments never span chunk boundaries, and
+//!   retransmissions re-attach the chunk's option — the paper's
 //!   requirement that data sequence mappings be "retransmitted
 //!   consistently" (§3.3.3).
 //! * **Carried options** ([`TcpSocket::set_carry_options`]): options (the

@@ -1,8 +1,8 @@
 //! The chunked send queue.
 //!
-//! Data is enqueued as *chunks*: a payload plus the TCP options that must
-//! accompany it on the wire. For plain TCP the options are empty and
-//! adjacent chunks merge; for MPTCP each chunk carries its DSS mapping.
+//! Data is enqueued as *chunks*: a payload plus the TCP option that must
+//! accompany it on the wire. For plain TCP there is none and adjacent
+//! chunks merge; for MPTCP each chunk carries its DSS mapping.
 //! Two invariants make MPTCP's middlebox story work (§3.3.3–3.3.5):
 //!
 //! 1. A segment never spans two chunks that carry options, so a mapping is
@@ -21,7 +21,7 @@ struct Chunk {
     /// Sequence number of the first payload byte.
     seq: SeqNum,
     payload: Bytes,
-    options: Vec<TcpOption>,
+    option: Option<TcpOption>,
 }
 
 impl Chunk {
@@ -37,8 +37,8 @@ pub struct SegmentData {
     pub seq: SeqNum,
     /// Payload slice (zero-copy).
     pub payload: Bytes,
-    /// Options of the chunk this segment was cut from.
-    pub options: Vec<TcpOption>,
+    /// Option of the chunk this segment was cut from.
+    pub option: Option<TcpOption>,
 }
 
 /// The send queue: a run of chunks covering `[una, end)` sequence space.
@@ -74,14 +74,14 @@ impl SendQueue {
     }
 
     /// Enqueue a chunk; returns the sequence number it was assigned.
-    pub fn enqueue(&mut self, payload: Bytes, options: Vec<TcpOption>) -> SeqNum {
+    pub fn enqueue(&mut self, payload: Bytes, option: Option<TcpOption>) -> SeqNum {
         let seq = self.end;
         self.end += payload.len() as u32;
         // Merge option-less data into the previous option-less chunk so bulk
         // TCP traffic produces full-MSS segments.
-        if options.is_empty() {
+        if option.is_none() {
             if let Some(last) = self.chunks.back_mut() {
-                if last.options.is_empty() && last.payload.len() + payload.len() <= self.max_merge {
+                if last.option.is_none() && last.payload.len() + payload.len() <= self.max_merge {
                     let mut merged = Vec::with_capacity(last.payload.len() + payload.len());
                     merged.extend_from_slice(&last.payload);
                     merged.extend_from_slice(&payload);
@@ -93,7 +93,7 @@ impl SendQueue {
         self.chunks.push_back(Chunk {
             seq,
             payload,
-            options,
+            option,
         });
         seq
     }
@@ -113,7 +113,7 @@ impl SendQueue {
                 break;
             }
         }
-        // Trim a partially-acked front chunk. Its options stay attached to
+        // Trim a partially-acked front chunk. Its option stays attached to
         // the remainder: a duplicate DSS mapping is harmless (§3.3.4).
         if let Some(front) = self.chunks.front_mut() {
             if front.seq.before(ack) {
@@ -145,7 +145,7 @@ impl SendQueue {
         Some(SegmentData {
             seq: from,
             payload: chunk.payload.slice(off..off + take),
-            options: chunk.options.clone(),
+            option: chunk.option.clone(),
         })
     }
 
@@ -170,15 +170,15 @@ mod tests {
         SendQueue::new(SeqNum(1000))
     }
 
-    fn opt() -> Vec<TcpOption> {
-        vec![TcpOption::WindowScale(1)]
+    fn opt() -> Option<TcpOption> {
+        Some(TcpOption::WindowScale(1))
     }
 
     #[test]
     fn enqueue_assigns_sequence() {
         let mut s = q();
-        assert_eq!(s.enqueue(Bytes::from_static(b"abc"), vec![]), SeqNum(1000));
-        assert_eq!(s.enqueue(Bytes::from_static(b"defg"), vec![]), SeqNum(1003));
+        assert_eq!(s.enqueue(Bytes::from_static(b"abc"), None), SeqNum(1000));
+        assert_eq!(s.enqueue(Bytes::from_static(b"defg"), None), SeqNum(1003));
         assert_eq!(s.buffered(), 7);
         assert_eq!(s.end_seq(), SeqNum(1007));
     }
@@ -186,8 +186,8 @@ mod tests {
     #[test]
     fn plain_chunks_merge() {
         let mut s = q();
-        s.enqueue(Bytes::from_static(b"aaa"), vec![]);
-        s.enqueue(Bytes::from_static(b"bbb"), vec![]);
+        s.enqueue(Bytes::from_static(b"aaa"), None);
+        s.enqueue(Bytes::from_static(b"bbb"), None);
         // One merged chunk: a segment can span both writes.
         let seg = s.segment_at(SeqNum(1000), 100).unwrap();
         assert_eq!(&seg.payload[..], b"aaabbb");
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn segment_respects_mss() {
         let mut s = q();
-        s.enqueue(Bytes::from(vec![0u8; 5000]), vec![]);
+        s.enqueue(Bytes::from(vec![0u8; 5000]), None);
         let seg = s.segment_at(SeqNum(1000), 1460).unwrap();
         assert_eq!(seg.payload.len(), 1460);
         let seg = s.segment_at(SeqNum(1000 + 4000), 1460).unwrap();
@@ -221,8 +221,8 @@ mod tests {
         s.enqueue(Bytes::from(vec![1u8; 3000]), opt());
         let a = s.segment_at(SeqNum(1000), 1460).unwrap();
         let b = s.segment_at(SeqNum(2460), 1460).unwrap();
-        assert_eq!(a.options, opt());
-        assert_eq!(b.options, opt());
+        assert_eq!(a.option, opt());
+        assert_eq!(b.option, opt());
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         // Partial chunk trimmed but options retained for the remainder.
         let seg = s.segment_at(SeqNum(1003), 100).unwrap();
         assert_eq!(&seg.payload[..], b"lo");
-        assert_eq!(seg.options, opt());
+        assert_eq!(seg.option, opt());
         assert_eq!(s.ack_to(SeqNum(1010)), 7);
         assert_eq!(s.buffered(), 0);
     }
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn stale_and_overshooting_acks() {
         let mut s = q();
-        s.enqueue(Bytes::from_static(b"abc"), vec![]);
+        s.enqueue(Bytes::from_static(b"abc"), None);
         assert_eq!(s.ack_to(SeqNum(999)), 0); // old ack ignored
         assert_eq!(s.ack_to(SeqNum(2000)), 3); // clamped to end
         assert_eq!(s.una, SeqNum(1003));
@@ -251,7 +251,7 @@ mod tests {
 
     /// The scan `segment_at` used before the binary search; kept here as
     /// the reference it is compared against.
-    fn linear_segment_at(s: &SendQueue, from: SeqNum, max_len: usize) -> Option<(Bytes, usize)> {
+    fn linear_segment_at(s: &SendQueue, from: SeqNum, max_len: usize) -> Option<(Bytes, bool)> {
         if !from.in_window(s.una, s.end - s.una) {
             return None;
         }
@@ -261,7 +261,7 @@ mod tests {
             .find(|c| from.after_eq(c.seq) && from.before(c.end()))?;
         let off = (from - chunk.seq) as usize;
         let take = (chunk.payload.len() - off).min(max_len);
-        Some((chunk.payload.slice(off..off + take), chunk.options.len()))
+        Some((chunk.payload.slice(off..off + take), chunk.option.is_some()))
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
             for _ in 0..rng.range(0, 40) {
                 let len = rng.range(1, 3000) as usize;
                 byte = byte.wrapping_add(1);
-                let options = if rng.chance(0.7) { opt() } else { vec![] };
+                let options = if rng.chance(0.7) { opt() } else { None };
                 s.enqueue(Bytes::from(vec![byte; len]), options);
             }
             // A partial ACK leaves a trimmed front chunk.
@@ -301,7 +301,7 @@ mod tests {
                 let got = s.segment_at(from, max_len);
                 assert_eq!(
                     got.as_ref()
-                        .map(|d| (d.seq, d.payload.clone(), d.options.len())),
+                        .map(|d| (d.seq, d.payload.clone(), d.option.is_some())),
                     want.clone().map(|(p, o)| (from, p, o)),
                     "round {round}, from {from:?}, max_len {max_len}"
                 );
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn segment_past_end_is_none() {
         let mut s = q();
-        s.enqueue(Bytes::from_static(b"ab"), vec![]);
+        s.enqueue(Bytes::from_static(b"ab"), None);
         assert!(s.segment_at(SeqNum(1002), 10).is_none());
         assert!(s.segment_at(s.una, 10).is_some());
         s.ack_to(SeqNum(1002));

@@ -95,6 +95,8 @@ pub struct TcpSocket {
 
     /// Set when the connection was reset or timed out.
     error: bool,
+    /// See [`TcpSocket::take_poll_changed`].
+    poll_changed: bool,
     /// Counters.
     pub stats: SocketStats,
     /// Structured telemetry: counters, a bounded event ring and — when
@@ -191,6 +193,7 @@ impl TcpSocket {
             window_override: None,
             rx_mptcp: Vec::new(),
             error: false,
+            poll_changed: false,
             stats: SocketStats::default(),
             telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
             telemetry_tag: 0,
@@ -334,9 +337,19 @@ impl TcpSocket {
         u64::from(self.send_q.end_seq() - self.iss)
     }
 
-    /// Drain MPTCP options harvested from incoming segments.
-    pub fn take_rx_mptcp(&mut self) -> Vec<MptcpOption> {
-        std::mem::take(&mut self.rx_mptcp)
+    /// Move the MPTCP options harvested from incoming segments, in arrival
+    /// order, onto the end of `into`. Both buffers keep their capacity.
+    pub fn take_rx_mptcp(&mut self, into: &mut Vec<MptcpOption>) {
+        into.append(&mut self.rx_mptcp);
+    }
+
+    /// Did a [`poll`](TcpSocket::poll) since the last call fire a timer,
+    /// end a go-back-N walk or put the first byte in flight — move, that
+    /// is, any of `cwnd`, `rto`, `consecutive_rtos`, `in_loss_recovery`,
+    /// `is_error`, `state` or `bytes_in_flight() > 0`? An MPTCP connection
+    /// re-runs its own periodic work when so, instead of on every poll.
+    pub fn take_poll_changed(&mut self) -> bool {
+        std::mem::take(&mut self.poll_changed)
     }
 
     /// Read in-order payload with its 0-based stream offset.
@@ -354,10 +367,16 @@ impl TcpSocket {
         self.carry_options = opts;
     }
 
+    /// The options attached to every outgoing segment, to rewrite in place
+    /// (the DATA_ACK moves with every delivery; its buffer need not).
+    pub fn carry_options_mut(&mut self) -> &mut Vec<TcpOption> {
+        &mut self.carry_options
+    }
+
     /// Queue options to ride on the *next* outgoing segment only
     /// (ADD_ADDR, REMOVE_ADDR, DATA_FIN, MP_FAIL). Also schedules a pure
     /// ACK so they go out promptly even with no data pending.
-    pub fn queue_oneshot_options(&mut self, opts: Vec<TcpOption>) {
+    pub fn queue_oneshot_options(&mut self, opts: impl IntoIterator<Item = TcpOption>) {
         self.oneshot_options.extend(opts);
         self.need_ack = true;
     }
@@ -394,16 +413,28 @@ impl TcpSocket {
     // Application API.
     // ------------------------------------------------------------------
 
-    /// Enqueue payload with per-chunk options (the MPTCP mapping path).
+    /// Enqueue payload with the option every segment cut from it carries
+    /// (the MPTCP mapping path): `None`, `Some(option)` or a one-element
+    /// `Vec`; a second option panics.
     ///
     /// Returns `false` (and enqueues nothing) if the send buffer lacks
     /// space or the state forbids sending.
-    pub fn send_chunk(&mut self, payload: Bytes, options: Vec<TcpOption>) -> bool {
+    pub fn send_chunk(
+        &mut self,
+        payload: Bytes,
+        option: impl IntoIterator<Item = TcpOption>,
+    ) -> bool {
         if self.send_closed() || payload.len() > self.send_space() {
             return false;
         }
+        let mut option = option.into_iter();
+        let first = option.next();
+        assert!(
+            option.next().is_none(),
+            "a chunk carries at most one option"
+        );
         self.maybe_grow_sbuf(payload.len());
-        self.send_q.enqueue(payload, options);
+        self.send_q.enqueue(payload, first);
         true
     }
 
@@ -422,7 +453,7 @@ impl TcpSocket {
         if take == 0 || self.send_closed() {
             return 0;
         }
-        self.send_chunk(Bytes::copy_from_slice(&payload[..take]), Vec::new());
+        self.send_chunk(Bytes::copy_from_slice(&payload[..take]), None);
         take
     }
 
@@ -914,6 +945,7 @@ impl TcpSocket {
     fn process_timers(&mut self, now: SimTime) {
         if self.timewait_deadline.is_some_and(|t| t <= now) {
             self.state = TcpState::Closed;
+            self.poll_changed = true;
             self.clear_timers();
             return;
         }
@@ -926,6 +958,7 @@ impl TcpSocket {
     }
 
     fn on_rto(&mut self, now: SimTime) {
+        self.poll_changed = true;
         self.telemetry.note(
             now.0,
             EventKind::TcpRto {
@@ -967,6 +1000,7 @@ impl TcpSocket {
             };
             let Some(seg) = seg else {
                 self.recovery.nothing_at(rtx);
+                self.poll_changed = true;
                 continue;
             };
             self.recovery.retransmitted(rtx, seg.seq_end());
@@ -977,6 +1011,7 @@ impl TcpSocket {
         if self.can_send_new() {
             let room = self.usable_window() as usize;
             if let Some(seg) = self.data_segment(now, self.snd_nxt, room, false) {
+                self.poll_changed |= self.snd_nxt == self.snd_una;
                 self.snd_nxt = seg.seq_end();
                 self.recovery.ensure_armed(now, self.rtt.rto());
                 return Some(seg);
@@ -986,6 +1021,7 @@ impl TcpSocket {
         // 3. FIN.
         if self.can_send_fin() {
             let seq = self.snd_nxt;
+            self.poll_changed |= seq == self.snd_una;
             self.fin_seq = Some(seq);
             self.snd_nxt = seq + 1;
             match self.state {
@@ -1008,7 +1044,7 @@ impl TcpSocket {
                     data.seq,
                     TcpFlags::ACK,
                     data.payload,
-                    data.options,
+                    data.option,
                     true,
                 ));
             }
@@ -1037,7 +1073,6 @@ impl TcpSocket {
                 (first_data + end as u32).0,
             )])
         });
-        let sack = sack.into_iter().collect();
         Some(self.emit(now, self.snd_nxt, TcpFlags::ACK, Bytes::new(), sack, true))
     }
 
@@ -1088,7 +1123,7 @@ impl TcpSocket {
             psh: true,
             ..TcpFlags::ACK
         };
-        Some(self.emit(now, data.seq, flags, data.payload, data.options, false))
+        Some(self.emit(now, data.seq, flags, data.payload, data.option, false))
     }
 
     fn fin_segment(&mut self, now: SimTime, seq: SeqNum) -> TcpSegment {
@@ -1096,31 +1131,34 @@ impl TcpSocket {
             fin: true,
             ..TcpFlags::ACK
         };
-        self.emit(now, seq, flags, Bytes::new(), Vec::new(), true)
+        self.emit(now, seq, flags, Bytes::new(), None, true)
     }
 
     /// Build any segment of a synchronized connection: acknowledging
     /// `rcv_nxt`, advertising the current window, carrying timestamps,
-    /// `options` (a chunk's, or an ACK's SACK block) and the carried
+    /// `option` (a chunk's, or an ACK's SACK block) and the carried
     /// options — those first when `carried_first` — and whatever
-    /// one-shot options are waiting.
+    /// one-shot options are waiting. The option list is the segment's one
+    /// allocation, made at its final size.
     fn emit(
         &mut self,
         now: SimTime,
         seq: SeqNum,
         flags: TcpFlags,
         payload: Bytes,
-        options: Vec<TcpOption>,
+        option: Option<TcpOption>,
         carried_first: bool,
     ) -> TcpSegment {
         let mut seg = TcpSegment::new(self.tuple, seq, self.rcv_nxt, flags);
         seg.payload = payload;
+        seg.options
+            .reserve_exact(2 + self.carry_options.len() + self.oneshot_options.len());
         seg.options.push(self.timestamps(now, self.ts_recent));
         if carried_first {
             seg.options.extend(self.carry_options.iter().cloned());
-            seg.options.extend(options);
+            seg.options.extend(option);
         } else {
-            seg.options.extend(options);
+            seg.options.extend(option);
             seg.options.extend(self.carry_options.iter().cloned());
         }
         seg.options.append(&mut self.oneshot_options);
@@ -1724,7 +1762,8 @@ mod tests {
         s.handle_segment(now, &seg);
         let ack = s.poll(now).unwrap();
         c.handle_segment(now, &ack);
-        let opts = c.take_rx_mptcp();
+        let mut opts = Vec::new();
+        c.take_rx_mptcp(&mut opts);
         assert_eq!(opts.len(), 1);
         assert!(matches!(
             opts[0],
@@ -1733,7 +1772,8 @@ mod tests {
                 ..
             }
         ));
-        assert!(c.take_rx_mptcp().is_empty(), "drained");
+        c.take_rx_mptcp(&mut opts);
+        assert_eq!(opts.len(), 1, "drained");
     }
 
     #[test]

@@ -114,8 +114,11 @@ registry! {
         M4CwndCaps = "m4_cwnd_caps", "M4 subflow cwnd caps applied to bound bufferbloat";
         // -- core::conn: data-level machinery ----------------------------------
         SchedulerPicks = "scheduler_picks", "segments handed to a subflow by the scheduler";
-        /// (No subflow had cwnd/rwnd room.)
-        SchedulerStalls = "scheduler_stalls", "times the scheduler found every subflow blocked";
+        /// (One per tick — an input batch, a timer, an application call —
+        /// that had data to place and no eligible subflow with room; not
+        /// one per `poll`.)
+        SchedulerStalls = "scheduler_stalls",
+            "scheduler runs that found data waiting and every subflow blocked";
         SchedulerDefers = "scheduler_defers",
             "times the scheduler waited for a faster path (BLEST)";
         DataRtos = "data_rtos", "data-level retransmission timeouts";
