@@ -381,6 +381,152 @@ mod tests {
         assert_ne!(x, z);
     }
 
+    /// The stream's definition, one byte at a time: the oracle every
+    /// faster `fill` is held to.
+    struct ByteAtATime {
+        state: u64,
+        word: [u8; 8],
+        pos: usize,
+    }
+
+    impl ByteAtATime {
+        fn new(seed: u64) -> ByteAtATime {
+            ByteAtATime {
+                state: if seed == 0 { 0x9e3779b97f4a7c15 } else { seed },
+                word: [0; 8],
+                pos: 8,
+            }
+        }
+
+        fn next(&mut self) -> u8 {
+            if self.pos == 8 {
+                let mut x = self.state;
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                self.state = x;
+                self.word = x.wrapping_mul(0x2545f4914f6cdd1d).to_le_bytes();
+                self.pos = 0;
+            }
+            self.pos += 1;
+            self.word[self.pos - 1]
+        }
+
+        fn take(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| self.next()).collect()
+        }
+    }
+
+    #[test]
+    fn keystream_known_answer() {
+        let mut first = [0u8; 64];
+        Keystream::new(7).fill(&mut first);
+        let hex: String = first.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "ae2e8d727faffbd1aea69d62776ca4ed22d36bc76a9ddf162e72763595788d1b\
+             112c2b3f8d94e15f74524fbbee1c43682b8805c6f18f56da44555c7ef860b32b"
+        );
+        assert_eq!(first.to_vec(), ByteAtATime::new(7).take(64));
+
+        // What `repro fetch --size 1048576 --seed 1` prints as `checksum`.
+        let mut body = vec![0u8; 1 << 20];
+        Keystream::new(1).fill(&mut body);
+        let mut h = Fnv1a::new();
+        h.update(&body);
+        assert_eq!(h.digest(), 0xb98a6cb47ca1d881);
+        // The zero seed is remapped, not a stuck stream.
+        let mut z = [0u8; 16];
+        Keystream::new(0).fill(&mut z);
+        assert_eq!(z.to_vec(), ByteAtATime::new(0).take(16));
+    }
+
+    /// Wherever two fills split the stream — inside a generator word, on
+    /// its edge, or with nothing on one side — the bytes are those of one
+    /// fill over the same range.
+    #[test]
+    fn keystream_ignores_fill_granularity() {
+        for head in 0..=9 {
+            for len in 0..=41 {
+                let want = ByteAtATime::new(7).take(head + len + 19);
+                let mut got = vec![0u8; want.len()];
+                let mut ks = Keystream::new(7);
+                let (a, rest) = got.split_at_mut(head);
+                let (b, c) = rest.split_at_mut(len);
+                ks.fill(a);
+                ks.fill(b);
+                ks.fill(c);
+                assert_eq!(got, want, "fill({head}), fill({len}), fill(19)");
+            }
+        }
+    }
+
+    /// Feed `reads` of the seed-5 keystream to a `FetchClient` with the
+    /// byte at `corrupt` flipped (and a second one further on, which must
+    /// not be the one reported).
+    fn verify_with_corruption(reads: &[usize], corrupt: usize) -> FetchClient {
+        let total: usize = reads.iter().sum();
+        let mut body = ByteAtATime::new(5).take(total);
+        let mut clean = Fnv1a::new();
+        clean.update(&body);
+        body[corrupt] ^= 0x01;
+        if corrupt + 3 < total {
+            body[corrupt + 3] ^= 0x80;
+        }
+        let mut client = FetchClient::new(total as u64, 5);
+        let mut off = 0;
+        for &n in reads {
+            client.verify(&body[off..off + n]);
+            off += n;
+        }
+        assert_eq!(client.received(), total as u64);
+        assert_ne!(
+            client.checksum(),
+            clean.digest(),
+            "digest is of what arrived"
+        );
+        client
+    }
+
+    #[test]
+    fn verify_pins_the_first_mismatching_offset() {
+        // One read longer than the 64 KiB scratch: `verify` walks it in
+        // chunks, and the offset must not care where a chunk ends.
+        let long = [2 * CHUNK + 4097];
+        for at in [0, CHUNK - 1, CHUNK, 2 * CHUNK + 4096] {
+            let c = verify_with_corruption(&long, at);
+            assert_eq!(c.mismatch_at(), Some(at as u64));
+            assert!(!c.ok());
+        }
+        // After an odd-length read the keystream is mid-word and the
+        // offset is relative to the whole body, not to the read.
+        for at in [776, 777, 778, 777 + CHUNK - 1, 777 + CHUNK] {
+            let c = verify_with_corruption(&[777, CHUNK + 13, 1], at);
+            assert_eq!(c.mismatch_at(), Some(at as u64));
+        }
+        assert_eq!(
+            verify_with_corruption(&[777, CHUNK + 13, 1], 777 + CHUNK + 13).mismatch_at(),
+            Some((777 + CHUNK + 13) as u64),
+            "the last byte of the last read"
+        );
+    }
+
+    #[test]
+    fn verify_accepts_the_clean_stream_at_any_read_size() {
+        let body = ByteAtATime::new(9).take(3 * CHUNK + 5);
+        let mut whole = Fnv1a::new();
+        whole.update(&body);
+        for read in [1usize, 7, 8, 1460, CHUNK, CHUNK + 1] {
+            let mut client = FetchClient::new(body.len() as u64, 9);
+            for piece in body.chunks(read) {
+                client.verify(piece);
+            }
+            assert_eq!(client.mismatch_at(), None, "read size {read}");
+            assert_eq!(client.received(), body.len() as u64);
+            assert_eq!(client.checksum(), whole.digest());
+        }
+    }
+
     #[test]
     fn fnv1a_known_vector() {
         // FNV-1a 64 of "a" is 0xaf63dc4c8601ec8c.
