@@ -324,6 +324,10 @@ impl DataSender {
         if due {
             self.fin_dsn = Some(self.snd_nxt);
             self.snd_nxt += 1;
+            // Closed: nothing is written again, and a listener keeps the
+            // connection object long after. `on_data_ack` gave back `sent`;
+            // this is the write queue's room for its fullest moment.
+            self.pending = VecDeque::new();
         }
         due
     }

@@ -22,12 +22,13 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 
 use mptcp::{ConnState, MptcpConnection, MptcpListener, PathState};
 use mptcp_netsim::SimTime;
 use mptcp_telemetry::{CounterId, GaugeId, TelemetrySnapshot};
 
-use crate::paths::PathSet;
+use crate::paths::{PathSet, POLLIN, POLLOUT};
 use crate::profile::{LoopProfiler, Phase};
 use crate::server::Slot;
 use crate::stats::RuntimeStats;
@@ -203,6 +204,19 @@ impl AdminServer {
             c.pump_write();
         }
         self.clients.retain(|c| !c.dead);
+    }
+
+    /// What must end the loop's readiness wait for [`poll`](Self::poll) to
+    /// have work: a connection attempt, a client's next bytes, room for a
+    /// response the kernel would not take whole. A client that is only
+    /// owed its last bytes is not read again, so its EOF wakes nobody.
+    pub(crate) fn interest(&self) -> impl Iterator<Item = (RawFd, i16)> + '_ {
+        let clients = self.clients.iter().map(|c| {
+            let read = if c.close_after_flush { 0 } else { POLLIN };
+            let write = if c.wpos < c.wbuf.len() { POLLOUT } else { 0 };
+            (c.stream.as_raw_fd(), read | write)
+        });
+        std::iter::once((self.listener.as_raw_fd(), POLLIN)).chain(clients)
     }
 
     /// Connected admin clients (for tests and health output).

@@ -90,9 +90,11 @@ impl<A: ConnApp> ClientRuntime<A> {
         self.joined = true;
     }
 
-    /// Sleep to the next deadline, capped at [`LoopConfig::idle_sleep`].
+    /// Block until a path socket has a datagram (or, with egress the kernel
+    /// refused still queued, room for one) or the connection's next deadline
+    /// is due; at most [`LoopConfig::max_wait`].
     pub fn idle_wait(&mut self) {
-        self.core.idle_wait();
+        self.core.idle_wait(std::iter::empty());
     }
 
     /// [`step`](Self::step), then [`idle_wait`](Self::idle_wait) if nothing moved.

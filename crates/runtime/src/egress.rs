@@ -56,6 +56,19 @@ impl Egress {
         self.q.is_empty()
     }
 
+    /// The path the oldest queued datagram waits for: where the last
+    /// [`flush`](Self::flush) stopped, if it left anything behind.
+    pub fn blocked_on(&self) -> Option<usize> {
+        self.q.front().map(|p| p.path)
+    }
+
+    /// Give back the queue's storage (it holds `cap` entries from the
+    /// start). For a connection that has finished: the few segments its
+    /// sockets still emit on the way through TIME_WAIT regrow a small one.
+    pub fn release(&mut self) {
+        self.q.shrink_to_fit();
+    }
+
     /// Enqueue one framed datagram. Callers must check [`Egress::has_room`]
     /// first; pushing into a full queue is a logic error upstream (the loop
     /// should have stopped polling the connection).

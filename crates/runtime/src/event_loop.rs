@@ -4,10 +4,11 @@
 //! touches, not in how it moves datagrams. That part lives here once:
 //! account for a late wake-up, drain every path into one ingress batch,
 //! drive a connection and pump it into its bounded egress queue, flush,
-//! sleep to the next deadline.
+//! block until a socket is ready or the next deadline is due.
 
 use std::io;
 use std::net::SocketAddr;
+use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
 
 use mptcp::MptcpConnection;
@@ -17,7 +18,7 @@ use mptcp_telemetry::CounterId;
 
 use crate::clock::WallClock;
 use crate::egress::Egress;
-use crate::paths::PathSet;
+use crate::paths::{PathSet, Wake};
 use crate::profile::{lap_into, LoopProfiler, Phase};
 use crate::proto::ConnApp;
 use crate::stats::RuntimeStats;
@@ -86,6 +87,9 @@ impl EventLoop {
     /// against the deadline the last iteration promised.
     pub(crate) fn begin(&mut self) -> SimTime {
         (self.acc, self.moved, self.tx) = ([0; 3], 0, 0);
+        for i in 0..self.paths.len() {
+            self.paths.watch_writable(i, false);
+        }
         let now = self.clock.now();
         self.stats.rec.count(CounterId::RtLoopIterations);
         if let Some(d) = self.promised.take() {
@@ -157,7 +161,17 @@ impl EventLoop {
         self.moved += self.pump(conn, egress, now);
         lap_into(&mut t, &mut self.acc[1]);
         self.tx += egress.flush(&mut self.paths, &mut self.stats);
+        self.watch_backlog(egress);
         lap_into(&mut t, &mut self.acc[2]);
+    }
+
+    /// A flush that left datagrams behind stopped at a path whose kernel
+    /// buffer is full: the wait that follows this iteration ends when that
+    /// path takes datagrams again, not at the next timer.
+    fn watch_backlog(&mut self, egress: &Egress) {
+        if let Some(path) = egress.blocked_on() {
+            self.paths.watch_writable(path, true);
+        }
     }
 
     /// Finish an iteration; the next wake-up is due by `promised`. Returns
@@ -174,23 +188,23 @@ impl EventLoop {
         self.moved + self.tx > 0
     }
 
-    /// Sleep until the promised deadline, capped at `idle_sleep` so
-    /// arriving datagrams are noticed promptly. (A std-only loop has no
-    /// multi-socket readiness syscall, so bounded polling stands in for
-    /// epoll; the cap bounds added ingress latency.)
-    pub(crate) fn idle_wait(&mut self) {
+    /// Block until a path socket is readable, a path with queued egress is
+    /// writable, one of the owner's `extra` descriptors is ready, or the
+    /// promised deadline is due — and never longer than `max_wait`, so the
+    /// caller's own loop gets its turn. A deadline already past returns
+    /// without a system call.
+    pub(crate) fn idle_wait(&mut self, extra: impl Iterator<Item = (RawFd, i16)>) -> Wake {
         let now = self.clock.now();
-        let cap = self.cfg.idle_sleep;
-        let sleep = match self.promised {
-            Some(d) if d <= now => return,
-            Some(d) => Duration::from_nanos(d.0 - now.0).min(cap),
-            None => cap,
-        };
-        if !sleep.is_zero() {
-            let t = self.profiler.start();
-            std::thread::sleep(sleep);
-            self.profiler.lap(t, Phase::Idle);
+        let left = self
+            .promised
+            .map(|d| Duration::from_nanos(d.0.saturating_sub(now.0)));
+        if left == Some(Duration::ZERO) {
+            return Wake::Deadline;
         }
+        let t = self.profiler.start();
+        let wake = self.paths.wait(extra, left, self.cfg.max_wait);
+        self.profiler.lap(t, Phase::Idle);
+        wake
     }
 }
 
@@ -261,12 +275,96 @@ mod tests {
                 server.pump(peer, &mut wide, now);
             }
             if wide.flush(&mut server.paths, &mut server.stats) == 0 {
-                server.idle_wait();
+                server.idle_wait(std::iter::empty());
             }
         }
         assert!(got == data, "every byte arrived, in order");
         let backpressure = |l: &EventLoop| l.stats.rec.counter(CounterId::RtEgressBackpressure);
         assert!(backpressure(&client) > 0, "full queue counted");
         assert_eq!(backpressure(&server), 0, "roomy queue never counted");
+    }
+
+    /// A loop that would block for ten seconds if nothing woke it, and
+    /// times its waits.
+    fn patient() -> EventLoop {
+        let cfg = LoopConfig {
+            max_wait: Duration::from_secs(10),
+            profile: true,
+        };
+        EventLoop::bind(&loopback(), cfg).unwrap()
+    }
+
+    fn waits(l: &EventLoop) -> u64 {
+        l.profiler.hist(Phase::Idle).unwrap().samples()
+    }
+
+    /// What a flush that met `Busy` leaves queued ends the wait as soon as
+    /// the path takes datagrams again — not at the next timer, not at the
+    /// cap — and the flush after it goes through.
+    #[test]
+    fn a_backlogged_queue_is_flushed_on_the_writable_wakeup() {
+        let mut client = patient();
+        let sink = patient();
+        let peer = sink.paths.local_addr(0).unwrap();
+        let mut egress = Egress::new(EGRESS_CAP);
+        let mut frame = client.pool.checkout();
+        frame.extend_from_slice(b"left behind");
+        egress.push(0, peer, frame);
+
+        client.begin();
+        client.watch_backlog(&egress);
+        client.end(None);
+        assert_eq!(client.idle_wait(std::iter::empty()), Wake::Writable);
+        assert_eq!(egress.flush(&mut client.paths, &mut client.stats), 1);
+
+        // The interest lasts one iteration: with the queue empty, the same
+        // loop waits for its deadline again.
+        let now = client.begin();
+        client.watch_backlog(&egress);
+        client.end(Some(SimTime(now.0 + 5_000_000)));
+        assert_eq!(client.idle_wait(std::iter::empty()), Wake::Deadline);
+    }
+
+    #[test]
+    fn idle_wait_says_what_ended_it() {
+        // Readiness is level-triggered: a datagram that arrived before the
+        // call ends it at once, whatever the cap.
+        let mut l = patient();
+        let sender = std::net::UdpSocket::bind(loopback()[0]).unwrap();
+        sender
+            .send_to(b"x", l.paths.local_addr(0).unwrap())
+            .unwrap();
+        l.begin();
+        l.end(None);
+        assert_eq!(l.idle_wait(std::iter::empty()), Wake::Readable);
+        l.begin();
+        l.drain();
+        assert_eq!(l.stats.rec.counter(CounterId::RtDecodeErrors), 1);
+
+        // Nothing to read and a timer 5 ms out: the timer ends it.
+        let now = l.begin();
+        l.end(Some(SimTime(now.0 + 5_000_000)));
+        assert_eq!(l.idle_wait(std::iter::empty()), Wake::Deadline);
+        assert!(l.clock.now().0 >= now.0 + 5_000_000, "not before it is due");
+        assert_eq!(waits(&l), 2);
+
+        // A deadline already due (or the core's "poll me now" sentinel)
+        // returns without blocking: no wait is timed.
+        for due in [now, SimTime::ZERO] {
+            l.begin();
+            l.end(Some(due));
+            assert_eq!(l.idle_wait(std::iter::empty()), Wake::Deadline);
+        }
+        assert_eq!(waits(&l), 2);
+
+        // No timer at all: the cap hands control back.
+        let cfg = LoopConfig {
+            max_wait: Duration::from_millis(5),
+            profile: false,
+        };
+        let mut short = EventLoop::bind(&loopback(), cfg).unwrap();
+        short.begin();
+        short.end(None);
+        assert_eq!(short.idle_wait(std::iter::empty()), Wake::Cap);
     }
 }

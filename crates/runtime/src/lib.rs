@@ -23,12 +23,12 @@
 //! - `event_loop` (crate-private): the one loop core — clock, paths,
 //!   pool, stats and profiler, and the steps every iteration shares
 //!   (late-tick accounting, path drain, drive → poll → encode → egress →
-//!   flush per connection, idle wait).
+//!   flush per connection, the readiness wait between iterations).
 //! - [`client`] / [`server`]: what differs on top of that core — one
 //!   connection and its pending joins, or a listener with a per-connection
 //!   slot table. Which connections an iteration services is the
 //!   listener's own ready set (woken ∪ expired `poll_at` deadlines), so a
-//!   server full of idle connections sleeps instead of scanning.
+//!   server full of idle connections blocks instead of scanning.
 //! - [`proto`]: the verifiable fetch protocol (`MPFETCH <size> <seed>`)
 //!   used by the demo binaries, the smoke test, and the benchmark.
 //! - [`admin`] / [`profile`] / [`stats`]: the introspection socket, the
@@ -62,10 +62,11 @@ pub use stats::RuntimeStats;
 /// Event-loop tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct LoopConfig {
-    /// Idle sleep cap: the longest the loop sleeps regardless of protocol
-    /// deadlines, bounding how stale ingress can get (std has no
-    /// multi-socket readiness wait).
-    pub idle_sleep: Duration,
+    /// The longest `idle_wait` blocks when no socket becomes ready and no
+    /// protocol deadline is due: how long a caller's own loop goes without
+    /// regaining control (a stop flag, a timeout, `run`'s linger). It adds
+    /// no latency to ingress — an arriving datagram ends the wait.
+    pub max_wait: Duration,
     /// Collect loop-phase timing histograms (see [`profile::LoopProfiler`]).
     /// Off by default: disabled profiling reads no clocks and allocates
     /// nothing.
@@ -75,7 +76,7 @@ pub struct LoopConfig {
 impl Default for LoopConfig {
     fn default() -> Self {
         LoopConfig {
-            idle_sleep: Duration::from_micros(500),
+            max_wait: Duration::from_millis(20),
             profile: false,
         }
     }

@@ -12,10 +12,17 @@
 //! when it opens subflows (it chooses the virtual tuples); the server
 //! learns everything, so it needs no prior knowledge of client addresses
 //! and transparently follows a peer whose real address changes.
+//!
+//! The set also owns the loop's one blocking call, `PathSet::wait`:
+//! `ppoll(2)`, declared here rather than taken from a crate. It is Linux's,
+//! so that is where this crate builds.
 
 use std::collections::HashMap;
+use std::ffi::{c_int, c_long, c_ulong, c_void};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
+use std::time::Duration;
 
 use mptcp_packet::{BufPool, FourTuple, TcpSegment};
 use mptcp_telemetry::CounterId;
@@ -51,9 +58,54 @@ pub enum SendOutcome {
     Busy,
 }
 
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: i16,
+    revents: i16,
+}
+
+pub(crate) const POLLIN: i16 = 0x1;
+pub(crate) const POLLOUT: i16 = 0x4;
+
+/// `struct timespec` as `ppoll` takes it on Linux: two `long`s.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+extern "C" {
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+/// Why [`PathSet::wait`] returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Wake {
+    /// A socket has something to read: a datagram, an admin request or
+    /// connection attempt, or an error the next read will collect.
+    Readable,
+    /// A path with queued egress accepts datagrams again.
+    Writable,
+    /// The protocol's next timer is due.
+    Deadline,
+    /// The cap ran out or a signal arrived: the caller's loop gets its turn.
+    Cap,
+}
+
 /// The set of real sockets plus the virtual-tuple route table.
 pub struct PathSet {
     paths: Vec<PathSock>,
+    /// What [`wait`](Self::wait) hands the kernel: one entry per path,
+    /// built at bind, then the caller's own for the length of one call.
+    /// Kept, so a wait allocates nothing.
+    fds: Vec<PollFd>,
     routes: HashMap<FourTuple, Route>,
     buf: Vec<u8>,
     /// Recycled datagram buffers, shared with the egress side via
@@ -74,7 +126,9 @@ impl PathSet {
                 blocked: false,
             });
         }
+        let fds = paths.iter().map(|p| pollfd(p.sock.as_raw_fd(), POLLIN));
         Ok(PathSet {
+            fds: fds.collect(),
             paths,
             routes: HashMap::new(),
             buf: vec![0u8; 65536],
@@ -189,6 +243,70 @@ impl PathSet {
             // machinery recovers or the failure detector takes the path.
             Err(_) => SendOutcome::Dropped,
         }
+    }
+
+    /// Whether [`wait`](Self::wait) also ends when path `i` is writable:
+    /// on while a flush that met [`SendOutcome::Busy`] there has left
+    /// datagrams queued.
+    pub(crate) fn watch_writable(&mut self, i: usize, on: bool) {
+        let events = &mut self.fds[i].events;
+        *events = if on { *events | POLLOUT } else { POLLIN };
+    }
+
+    /// Block until a path socket is readable, a watched path is writable,
+    /// an `extra` descriptor is ready for the events beside it, or the
+    /// shorter of `deadline` (time left to the protocol's next timer) and
+    /// `cap` runs out. Level-triggered: what arrived before the call ends
+    /// it at once.
+    pub(crate) fn wait(
+        &mut self,
+        extra: impl Iterator<Item = (RawFd, i16)>,
+        deadline: Option<Duration>,
+        cap: Duration,
+    ) -> Wake {
+        let (timeout, expiry) = match deadline {
+            Some(d) if d <= cap => (d, Wake::Deadline),
+            _ => (cap, Wake::Cap),
+        };
+        // Nanoseconds, where poll(2)'s milliseconds would spin through a
+        // sub-millisecond deadline or overshoot it.
+        let ts = Timespec {
+            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        self.fds.truncate(self.paths.len());
+        self.fds
+            .extend(extra.map(|(fd, events)| pollfd(fd, events)));
+        // SAFETY: pointer and length are those of `self.fds`, whose
+        // elements have `struct pollfd`'s layout and which this exclusive
+        // borrow keeps alive and unaliased for the call; the kernel writes
+        // only their `revents`. `ts` is a valid `timespec`, only read; a
+        // null mask leaves signals as they are. A descriptor closed since
+        // it was listed is not an error: it reads back POLLNVAL.
+        let ready = unsafe {
+            ppoll(
+                self.fds.as_mut_ptr(),
+                self.fds.len() as c_ulong,
+                &ts,
+                std::ptr::null(),
+            )
+        };
+        match ready {
+            0 => expiry,
+            // EINTR, or an error (ENOMEM) with no better answer.
+            n if n < 0 => Wake::Cap,
+            // Errors and hang-ups count: the read they provoke collects them.
+            _ if self.fds.iter().any(|f| f.revents & !POLLOUT != 0) => Wake::Readable,
+            _ => Wake::Writable,
+        }
+    }
+}
+
+fn pollfd(fd: RawFd, events: i16) -> PollFd {
+    PollFd {
+        fd,
+        events,
+        revents: 0,
     }
 }
 

@@ -32,7 +32,7 @@ registry! {
         PollEncode = "poll_encode";
         /// Pushing queued frames to the kernel.
         Flush = "flush";
-        /// Sleeping in `idle_wait` between iterations.
+        /// Blocked in `idle_wait` between iterations.
         Idle = "idle";
     }
 }
@@ -87,7 +87,7 @@ impl LoopProfiler {
     }
 
     /// Record `ns` of `phase` time directly (used for accumulated
-    /// per-connection sections and idle sleeps).
+    /// per-connection sections).
     pub fn record(&mut self, phase: Phase, ns: u64) {
         if let Some(h) = self.hists.as_mut() {
             h[phase as usize].record(ns);

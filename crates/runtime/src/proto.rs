@@ -37,8 +37,10 @@ pub trait ConnApp {
 /// both ends can reproduce.
 pub struct Keystream {
     state: u64,
-    buf: [u8; 8],
-    pos: usize,
+    /// The bytes of the last step a fill ended inside of, and how many of
+    /// them are still owed to the next fill.
+    word: [u8; 8],
+    left: usize,
 }
 
 impl Keystream {
@@ -46,8 +48,8 @@ impl Keystream {
     pub fn new(seed: u64) -> Keystream {
         Keystream {
             state: if seed == 0 { 0x9e3779b97f4a7c15 } else { seed },
-            buf: [0; 8],
-            pos: 8,
+            word: [0; 8],
+            left: 0,
         }
     }
 
@@ -62,13 +64,19 @@ impl Keystream {
 
     /// Fill `out` with the next keystream bytes.
     pub fn fill(&mut self, out: &mut [u8]) {
-        for b in out.iter_mut() {
-            if self.pos == 8 {
-                self.buf = self.step().to_le_bytes();
-                self.pos = 0;
-            }
-            *b = self.buf[self.pos];
-            self.pos += 1;
+        let owed = self.left.min(out.len());
+        let (head, rest) = out.split_at_mut(owed);
+        head.copy_from_slice(&self.word[8 - self.left..][..owed]);
+        self.left -= owed;
+        let mut words = rest.chunks_exact_mut(8);
+        for w in &mut words {
+            w.copy_from_slice(&self.step().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
+            self.word = self.step().to_le_bytes();
+            tail.copy_from_slice(&self.word[..tail.len()]);
+            self.left = 8 - tail.len();
         }
     }
 }
@@ -172,10 +180,10 @@ impl FetchClient {
         while off < data.len() {
             let n = (data.len() - off).min(self.scratch.len());
             self.expect.fill(&mut self.scratch[..n]);
-            if self.mismatch_at.is_none() {
-                if let Some(i) = (0..n).find(|&i| data[off + i] != self.scratch[i]) {
-                    self.mismatch_at = Some(self.received + (off + i) as u64);
-                }
+            let (got, want) = (&data[off..off + n], &self.scratch[..n]);
+            if self.mismatch_at.is_none() && got != want {
+                let i = got.iter().zip(want).position(|(g, w)| g != w);
+                self.mismatch_at = i.map(|i| self.received + (off + i) as u64);
             }
             off += n;
         }

@@ -18,6 +18,7 @@ use mptcp_netsim::SimTime;
 use crate::admin::{AdminCtx, AdminServer};
 use crate::egress::Egress;
 use crate::event_loop::{close_done, EventLoop, EGRESS_CAP};
+use crate::paths::Wake;
 use crate::profile::{LoopProfiler, Phase};
 use crate::proto::ConnApp;
 use crate::stats::RuntimeStats;
@@ -116,6 +117,7 @@ impl ServerRuntime {
                 .service(conn, slot.app.as_mut(), &mut slot.egress, now);
             if !slot.reaped && slot.app.finished() && close_done(conn, &slot.egress) {
                 slot.reaped = true;
+                slot.egress.release();
                 self.served += 1;
             }
             self.listener.settle(idx, now);
@@ -142,9 +144,16 @@ impl ServerRuntime {
         moved || backlogged
     }
 
-    /// Sleep to the next deadline, capped at [`LoopConfig::idle_sleep`].
+    /// Block until a path socket has a datagram, the admin socket has a
+    /// connection attempt or a request, or the listener's next deadline is
+    /// due; at most [`LoopConfig::max_wait`].
     pub fn idle_wait(&mut self) {
-        self.core.idle_wait();
+        self.wait();
+    }
+
+    fn wait(&mut self) -> Wake {
+        let admin = self.admin.iter().flat_map(AdminServer::interest);
+        self.core.idle_wait(admin)
     }
 
     /// [`step`](Self::step), then [`idle_wait`](Self::idle_wait) if nothing moved.
@@ -189,5 +198,40 @@ impl ServerRuntime {
     /// Loop-phase timing histograms (inert unless `cfg.profile`).
     pub fn profiler(&self) -> &LoopProfiler {
         &self.core.profiler
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::FetchServer;
+    use mptcp_telemetry::CounterId;
+
+    /// The admin plane is polled from the same loop, so the loop's wait
+    /// must end for it: a connection attempt wakes an otherwise idle
+    /// server, and so does the request that follows.
+    #[test]
+    fn an_admin_connection_attempt_wakes_a_waiting_server() {
+        use std::io::Write;
+        let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let cfg = LoopConfig {
+            max_wait: Duration::from_secs(10),
+            ..LoopConfig::default()
+        };
+        let factory: AppFactory = Box::new(|| Box::new(FetchServer::new()));
+        let mut server = ServerRuntime::bind(MptcpConfig::default(), 1, &[any], factory, cfg)
+            .expect("bind loopback");
+        let admin = server.enable_admin(any).unwrap();
+
+        // The kernel completes the handshake into the accept queue, so the
+        // listener is readable before the server has looked.
+        let mut scraper = std::net::TcpStream::connect(admin).unwrap();
+        assert_eq!(server.wait(), Wake::Readable);
+        assert!(!server.step(), "accepting moves no datagram");
+
+        scraper.write_all(b"health\n").unwrap();
+        assert_eq!(server.wait(), Wake::Readable);
+        server.step();
+        assert_eq!(server.stats().rec.counter(CounterId::RtAdminRequests), 1);
     }
 }

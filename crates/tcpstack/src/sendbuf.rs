@@ -125,6 +125,16 @@ impl SendQueue {
         freed
     }
 
+    /// The socket closed its sending direction. A queue empty by then (an
+    /// MPTCP subflow's: it is closed once its last byte is DATA_ACKed) stays
+    /// empty, while a listener keeps the socket object long after: give
+    /// back the chunk list's room for the largest window it ever held.
+    pub fn release_if_empty(&mut self) {
+        if self.chunks.is_empty() {
+            self.chunks.shrink_to_fit();
+        }
+    }
+
     /// The chunk holding `from` and the offset of `from` inside it. Chunks
     /// are contiguous and sorted by sequence number, so this is a binary
     /// search; `None` when `from` is outside `[una, end)`.

@@ -475,6 +475,7 @@ impl TcpSocket {
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynReceived
         ) {
             self.fin_queued = true;
+            self.send_q.release_if_empty();
         }
     }
 
