@@ -8,7 +8,7 @@ use mptcp::{MptcpConfig, MptcpConnection, SubflowError};
 use mptcp_netsim::{SimRng, SimTime};
 
 use crate::egress::Egress;
-use crate::event_loop::{close_done, EventLoop, EGRESS_CAP};
+use crate::event_loop::{close_done, EventLoop, EGRESS_CAP, WAKE_HOLD};
 use crate::profile::{LoopProfiler, Phase};
 use crate::proto::ConnApp;
 use crate::stats::RuntimeStats;
@@ -92,9 +92,10 @@ impl<A: ConnApp> ClientRuntime<A> {
 
     /// Block until a path socket has a datagram (or, with egress the kernel
     /// refused still queued, room for one) or the connection's next deadline
-    /// is due; at most [`LoopConfig::max_wait`].
+    /// is due; at most [`LoopConfig::max_wait`], and at least the loop's
+    /// 250 µs interrupt moderation unless the deadline is nearer.
     pub fn idle_wait(&mut self) {
-        self.core.idle_wait(std::iter::empty());
+        self.core.idle_wait(std::iter::empty(), WAKE_HOLD);
     }
 
     /// [`step`](Self::step), then [`idle_wait`](Self::idle_wait) if nothing moved.

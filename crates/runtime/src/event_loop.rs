@@ -31,6 +31,16 @@ pub(crate) const EGRESS_CAP: usize = 256;
 /// Datagrams drained per path per iteration before other work runs.
 const RECV_BATCH: usize = 64;
 
+/// What both runtimes' waits sleep through before they look at a socket:
+/// the loop's interrupt moderation, there for steadiness rather than speed.
+/// A peer that answers within microseconds wakes a thread whose processor
+/// has only just halted, and what that costs depends on where the scheduler
+/// put the two threads and on the rest of the machine; held off, the wait
+/// is ended by a timer and what the peer sent meanwhile is there when the
+/// loop looks. The price is this much latency, plus the kernel's timer
+/// slack, on every round trip that finds the loop idle (DESIGN.md §10).
+pub(crate) const WAKE_HOLD: Duration = Duration::from_micros(250);
+
 /// Clock, sockets, buffers and instrumentation of one event loop, plus the
 /// totals of the iteration in progress.
 pub(crate) struct EventLoop {
@@ -190,10 +200,15 @@ impl EventLoop {
 
     /// Block until a path socket is readable, a path with queued egress is
     /// writable, one of the owner's `extra` descriptors is ready, or the
-    /// promised deadline is due — and never longer than `max_wait`, so the
-    /// caller's own loop gets its turn. A deadline already past returns
-    /// without a system call.
-    pub(crate) fn idle_wait(&mut self, extra: impl Iterator<Item = (RawFd, i16)>) -> Wake {
+    /// promised deadline is due — never longer than `max_wait`, so the
+    /// caller's own loop gets its turn, and never shorter than `hold`
+    /// unless the deadline is. A deadline already past returns without a
+    /// system call.
+    pub(crate) fn idle_wait(
+        &mut self,
+        extra: impl Iterator<Item = (RawFd, i16)>,
+        hold: Duration,
+    ) -> Wake {
         let now = self.clock.now();
         let left = self
             .promised
@@ -202,7 +217,7 @@ impl EventLoop {
             return Wake::Deadline;
         }
         let t = self.profiler.start();
-        let wake = self.paths.wait(extra, left, self.cfg.max_wait);
+        let wake = self.paths.wait(extra, hold, left, self.cfg.max_wait);
         self.profiler.lap(t, Phase::Idle);
         wake
     }
@@ -275,7 +290,7 @@ mod tests {
                 server.pump(peer, &mut wide, now);
             }
             if wide.flush(&mut server.paths, &mut server.stats) == 0 {
-                server.idle_wait(std::iter::empty());
+                unheld(&mut server);
             }
         }
         assert!(got == data, "every byte arrived, in order");
@@ -292,6 +307,11 @@ mod tests {
             profile: true,
         };
         EventLoop::bind(&loopback(), cfg).unwrap()
+    }
+
+    /// A wait with no hold: what ends it is all these tests ask.
+    fn unheld(l: &mut EventLoop) -> Wake {
+        l.idle_wait(std::iter::empty(), Duration::ZERO)
     }
 
     fn waits(l: &EventLoop) -> u64 {
@@ -314,7 +334,7 @@ mod tests {
         client.begin();
         client.watch_backlog(&egress);
         client.end(None);
-        assert_eq!(client.idle_wait(std::iter::empty()), Wake::Writable);
+        assert_eq!(unheld(&mut client), Wake::Writable);
         assert_eq!(egress.flush(&mut client.paths, &mut client.stats), 1);
 
         // The interest lasts one iteration: with the queue empty, the same
@@ -322,7 +342,31 @@ mod tests {
         let now = client.begin();
         client.watch_backlog(&egress);
         client.end(Some(SimTime(now.0 + 5_000_000)));
-        assert_eq!(client.idle_wait(std::iter::empty()), Wake::Deadline);
+        assert_eq!(unheld(&mut client), Wake::Deadline);
+    }
+
+    /// A hold is slept through even with a datagram already queued — what
+    /// else the peer sends gets that long to arrive — and is part of the
+    /// timeout, not added to it: a nearer deadline cuts it short.
+    #[test]
+    fn a_hold_comes_first_and_counts_against_the_deadline() {
+        const HOLD: Duration = Duration::from_millis(2);
+        let mut l = patient();
+        let sender = std::net::UdpSocket::bind(loopback()[0]).unwrap();
+        sender
+            .send_to(b"x", l.paths.local_addr(0).unwrap())
+            .unwrap();
+        let before = l.begin();
+        l.end(None);
+        assert_eq!(l.idle_wait(std::iter::empty(), HOLD), Wake::Readable);
+        let waited = Duration::from_nanos(l.clock.now().0 - before.0);
+        assert!(waited >= HOLD, "{waited:?}");
+
+        let now = l.begin();
+        l.drain();
+        l.end(Some(SimTime(now.0 + 1_000_000)));
+        let forever = Duration::from_secs(3600);
+        assert_eq!(l.idle_wait(std::iter::empty(), forever), Wake::Deadline);
     }
 
     #[test]
@@ -336,7 +380,7 @@ mod tests {
             .unwrap();
         l.begin();
         l.end(None);
-        assert_eq!(l.idle_wait(std::iter::empty()), Wake::Readable);
+        assert_eq!(unheld(&mut l), Wake::Readable);
         l.begin();
         l.drain();
         assert_eq!(l.stats.rec.counter(CounterId::RtDecodeErrors), 1);
@@ -344,7 +388,7 @@ mod tests {
         // Nothing to read and a timer 5 ms out: the timer ends it.
         let now = l.begin();
         l.end(Some(SimTime(now.0 + 5_000_000)));
-        assert_eq!(l.idle_wait(std::iter::empty()), Wake::Deadline);
+        assert_eq!(unheld(&mut l), Wake::Deadline);
         assert!(l.clock.now().0 >= now.0 + 5_000_000, "not before it is due");
         assert_eq!(waits(&l), 2);
 
@@ -353,7 +397,7 @@ mod tests {
         for due in [now, SimTime::ZERO] {
             l.begin();
             l.end(Some(due));
-            assert_eq!(l.idle_wait(std::iter::empty()), Wake::Deadline);
+            assert_eq!(unheld(&mut l), Wake::Deadline);
         }
         assert_eq!(waits(&l), 2);
 
@@ -365,6 +409,6 @@ mod tests {
         let mut short = EventLoop::bind(&loopback(), cfg).unwrap();
         short.begin();
         short.end(None);
-        assert_eq!(short.idle_wait(std::iter::empty()), Wake::Cap);
+        assert_eq!(unheld(&mut short), Wake::Cap);
     }
 }

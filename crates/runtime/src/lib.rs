@@ -65,7 +65,8 @@ pub struct LoopConfig {
     /// The longest `idle_wait` blocks when no socket becomes ready and no
     /// protocol deadline is due: how long a caller's own loop goes without
     /// regaining control (a stop flag, a timeout, `run`'s linger). It adds
-    /// no latency to ingress — an arriving datagram ends the wait.
+    /// no latency to ingress — an arriving datagram ends the wait, once the
+    /// loop's fixed 250 µs interrupt-moderation hold is over.
     pub max_wait: Duration,
     /// Collect loop-phase timing histograms (see [`profile::LoopProfiler`]).
     /// Off by default: disabled profiling reads no clocks and allocates

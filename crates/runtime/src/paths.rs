@@ -253,14 +253,17 @@ impl PathSet {
         *events = if on { *events | POLLOUT } else { POLLIN };
     }
 
-    /// Block until a path socket is readable, a watched path is writable,
-    /// an `extra` descriptor is ready for the events beside it, or the
-    /// shorter of `deadline` (time left to the protocol's next timer) and
-    /// `cap` runs out. Level-triggered: what arrived before the call ends
-    /// it at once.
+    /// Sleep through `hold` (the loop's interrupt moderation), then block
+    /// until a path socket is readable, a watched path is writable, an
+    /// `extra` descriptor is ready for the events beside it, or the shorter
+    /// of `deadline` (time left to the protocol's next timer) and `cap` runs
+    /// out; the hold is part of that time, not added to it. Level-triggered:
+    /// what arrived before the call, or during the hold, ends it as soon as
+    /// the hold is over.
     pub(crate) fn wait(
         &mut self,
         extra: impl Iterator<Item = (RawFd, i16)>,
+        hold: Duration,
         deadline: Option<Duration>,
         cap: Duration,
     ) -> Wake {
@@ -268,29 +271,40 @@ impl PathSet {
             Some(d) if d <= cap => (d, Wake::Deadline),
             _ => (cap, Wake::Cap),
         };
-        // Nanoseconds, where poll(2)'s milliseconds would spin through a
-        // sub-millisecond deadline or overshoot it.
-        let ts = Timespec {
-            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
-            tv_nsec: timeout.subsec_nanos() as c_long,
-        };
+        let hold = hold.min(timeout);
         self.fds.truncate(self.paths.len());
         self.fds
             .extend(extra.map(|(fd, events)| pollfd(fd, events)));
-        // SAFETY: pointer and length are those of `self.fds`, whose
-        // elements have `struct pollfd`'s layout and which this exclusive
-        // borrow keeps alive and unaliased for the call; the kernel writes
-        // only their `revents`. `ts` is a valid `timespec`, only read; a
-        // null mask leaves signals as they are. A descriptor closed since
-        // it was listed is not an error: it reads back POLLNVAL.
-        let ready = unsafe {
-            ppoll(
-                self.fds.as_mut_ptr(),
-                self.fds.len() as c_ulong,
-                &ts,
-                std::ptr::null(),
-            )
-        };
+        // The hold is the same call over no descriptor at all.
+        let stages = [(0, hold), (self.fds.len(), timeout - hold)];
+        let mut ready = 0;
+        for (nfds, span) in stages.into_iter().skip(usize::from(hold.is_zero())) {
+            // Nanoseconds, where poll(2)'s milliseconds would spin through
+            // a sub-millisecond deadline or overshoot it.
+            let ts = Timespec {
+                tv_sec: c_long::try_from(span.as_secs()).unwrap_or(c_long::MAX),
+                tv_nsec: span.subsec_nanos() as c_long,
+            };
+            // SAFETY: pointer and length are those of `self.fds` (or a
+            // length of zero, and then no element is touched), whose
+            // elements have `struct pollfd`'s layout and which this
+            // exclusive borrow keeps alive and unaliased for the call; the
+            // kernel writes only their `revents`. `ts` is a valid
+            // `timespec`, only read; a null mask leaves signals as they
+            // are. A descriptor closed since it was listed is not an
+            // error: it reads back POLLNVAL.
+            ready = unsafe {
+                ppoll(
+                    self.fds.as_mut_ptr(),
+                    nfds as c_ulong,
+                    &ts,
+                    std::ptr::null(),
+                )
+            };
+            if ready < 0 {
+                break;
+            }
+        }
         match ready {
             0 => expiry,
             // EINTR, or an error (ENOMEM) with no better answer.

@@ -17,7 +17,7 @@ use mptcp_netsim::SimTime;
 
 use crate::admin::{AdminCtx, AdminServer};
 use crate::egress::Egress;
-use crate::event_loop::{close_done, EventLoop, EGRESS_CAP};
+use crate::event_loop::{close_done, EventLoop, EGRESS_CAP, WAKE_HOLD};
 use crate::paths::Wake;
 use crate::profile::{LoopProfiler, Phase};
 use crate::proto::ConnApp;
@@ -146,14 +146,15 @@ impl ServerRuntime {
 
     /// Block until a path socket has a datagram, the admin socket has a
     /// connection attempt or a request, or the listener's next deadline is
-    /// due; at most [`LoopConfig::max_wait`].
+    /// due; at most [`LoopConfig::max_wait`], and at least the loop's 250 µs
+    /// interrupt moderation unless the deadline is nearer.
     pub fn idle_wait(&mut self) {
         self.wait();
     }
 
     fn wait(&mut self) -> Wake {
         let admin = self.admin.iter().flat_map(AdminServer::interest);
-        self.core.idle_wait(admin)
+        self.core.idle_wait(admin, WAKE_HOLD)
     }
 
     /// [`step`](Self::step), then [`idle_wait`](Self::idle_wait) if nothing moved.
