@@ -25,13 +25,14 @@ use mptcp_tcpstack::{
     CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS,
 };
 use mptcp_telemetry::{
-    CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
-    TraceSnapshot, DEFAULT_EVENT_CAPACITY,
+    CounterId, EventKind, GaugeId, Recorder, TelemetrySnapshot, TraceRecord, TraceSnapshot,
+    DEFAULT_EVENT_CAPACITY,
 };
 
 use crate::api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
 use crate::config::{MptcpConfig, AUTOTUNE_START};
 use crate::health::{Change, PathHealth, PathState};
+use crate::life::{Action, Input, Life};
 use crate::mapping::{Consumed, MappingTracker};
 use crate::pm::{PathManager, PmAction, PmEvent};
 use crate::reorder::OooQueue;
@@ -99,8 +100,8 @@ fn mp_capable(
 /// One end of a Multipath TCP connection.
 pub struct MptcpConnection {
     cfg: MptcpConfig,
-    is_client: bool,
-    state: ConnState,
+    /// Handshake, confirmation, fallback and close, with what each owns.
+    life: Life,
     rng: SimRng,
 
     local: KeySet,
@@ -129,14 +130,6 @@ pub struct MptcpConnection {
     /// The failure detector: per-path verdicts and every timer behind them.
     health: PathHealth,
 
-    // Fallback bookkeeping.
-    confirmed: bool,
-    /// Consecutive option-less non-SYN segments on the initial subflow
-    /// while MPTCP is unconfirmed.
-    plain_rx_streak: u32,
-
-    /// Why the connection was aborted, if it was.
-    abort_reason: Option<AbortReason>,
     /// Measurement counters.
     pub stats: ConnStats,
     /// Fine-grained mechanism telemetry (merged with per-subflow and
@@ -185,7 +178,8 @@ impl MptcpConnection {
         let syn_opts = mp_capable(cfg.checksum, local.key, None);
         let isn = SeqNum(rng.next_u32());
         let sock = TcpSocket::client(cfg.tcp.clone(), tuple, isn, now, syn_opts);
-        let mut conn = MptcpConnection::common(cfg, true, local, rng);
+        let opening = Life::Handshake { client: true };
+        let mut conn = MptcpConnection::common(cfg, opening, local, rng);
         conn.push_subflow(sock, JoinState::Initial, 0);
         conn
     }
@@ -215,8 +209,7 @@ impl MptcpConnection {
             let local = KeySet::from_key(rng.next_u64());
             let isn = SeqNum(rng.next_u32());
             let sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, vec![]);
-            let mut conn = MptcpConnection::common(cfg, false, local, rng);
-            conn.state = ConnState::Fallback;
+            let mut conn = MptcpConnection::common(cfg, Life::Fallback(None), local, rng);
             conn.checksum_on = false;
             conn.push_subflow(sock, JoinState::Initial, 0);
             return conn;
@@ -230,13 +223,14 @@ impl MptcpConnection {
         // The SYN's MP_CAPABLE was consumed here; don't let the harvested
         // copy masquerade as third-ACK confirmation.
         sock.take_rx_mptcp(&mut Vec::new());
-        let mut conn = MptcpConnection::common(cfg, false, local, rng);
+        let opening = Life::Handshake { client: false };
+        let mut conn = MptcpConnection::common(cfg, opening, local, rng);
         conn.set_remote_key(peer_key);
         conn.push_subflow(sock, JoinState::Initial, 0);
         conn
     }
 
-    fn common(cfg: MptcpConfig, is_client: bool, local: KeySet, rng: SimRng) -> MptcpConnection {
+    fn common(cfg: MptcpConfig, life: Life, local: KeySet, rng: SimRng) -> MptcpConnection {
         // M3 starts both buffers small and grows them toward their caps.
         let start = if cfg.mech.autotune {
             AUTOTUNE_START
@@ -244,8 +238,7 @@ impl MptcpConnection {
             usize::MAX
         };
         MptcpConnection {
-            is_client,
-            state: ConnState::Handshake,
+            life,
             rng,
             local,
             remote: None,
@@ -258,9 +251,6 @@ impl MptcpConnection {
             tx: DataSender::new(local.idsn.wrapping_add(1), cfg.send_buf.min(start)),
             rx: DataReceiver::new(cfg.reorder, cfg.recv_buf.min(start)),
             health: PathHealth::new(cfg.failure),
-            confirmed: false,
-            plain_rx_streak: 0,
-            abort_reason: None,
             stats: ConnStats::default(),
             telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
             sched: cfg.scheduler.build(),
@@ -285,7 +275,7 @@ impl MptcpConnection {
     /// is plain TCP from the start.
     fn push_subflow(&mut self, mut sock: TcpSocket, join: JoinState, addr_id: u8) -> &mut Subflow {
         sock.set_telemetry_tag(self.subflows.len() as u32);
-        if self.state != ConnState::Fallback {
+        if !self.is_fallback() {
             let mss = self.cfg.tcp.mss as u32;
             *sock.cc_mut() = self.cfg.cc.build(mss, INIT_CWND_SEGS);
         }
@@ -314,7 +304,7 @@ impl MptcpConnection {
 
     /// Connection state.
     pub fn state(&self) -> ConnState {
-        self.state
+        self.life.state()
     }
 
     /// Our token (what MP_JOIN SYNs toward us must carry).
@@ -324,26 +314,26 @@ impl MptcpConnection {
 
     /// Is the connection usable for data?
     pub fn is_established(&self) -> bool {
-        matches!(
-            self.state,
-            ConnState::Established | ConnState::AwaitingConfirm | ConnState::Fallback
-        ) && self.subflows.iter().any(|s| s.usable())
+        (self.life.running() || self.is_fallback()) && self.subflows.iter().any(|s| s.usable())
     }
 
     /// Did we fall back to regular TCP?
     pub fn is_fallback(&self) -> bool {
-        self.state == ConnState::Fallback
+        matches!(self.life, Life::Fallback(_))
     }
 
     /// Why the connection aborted, if it did (`None` for a clean close or
     /// a still-live connection).
     pub fn abort_reason(&self) -> Option<AbortReason> {
-        self.abort_reason
+        match self.life {
+            Life::Closed(reason) => reason,
+            _ => None,
+        }
     }
 
     /// Stream EOF reached and drained?
     pub fn at_eof(&self) -> bool {
-        let fin = if self.state == ConnState::Fallback {
+        let fin = if self.is_fallback() {
             self.subflows.first().is_some_and(|s| s.sock.stream_fin())
         } else {
             self.rx.eof()
@@ -353,9 +343,10 @@ impl MptcpConnection {
 
     /// Has our DATA_FIN (or fallback FIN) been acknowledged?
     pub fn send_closed(&self) -> bool {
-        match self.state {
-            ConnState::Fallback => self.subflows.first().is_some_and(|s| s.sock.fin_acked()),
-            _ => self.tx.fin_acked(),
+        if self.is_fallback() {
+            self.subflows.first().is_some_and(|s| s.sock.fin_acked())
+        } else {
+            self.tx.fin_acked()
         }
     }
 
@@ -477,10 +468,10 @@ impl MptcpConnection {
     /// accepted and via which path (connection send buffer permitting).
     pub fn write(&mut self, data: &[u8]) -> WriteOutcome {
         self.ticked_at = None;
-        if self.tx.closing() || self.state == ConnState::Closed {
+        if self.tx.closing() || matches!(self.life, Life::Closed(_)) {
             return WriteOutcome::Closed;
         }
-        if self.state == ConnState::Fallback {
+        if self.is_fallback() {
             let n = self.subflows[0].sock.send(data);
             self.stats.bytes_written += n as u64;
             return WriteOutcome::FellBack(n);
@@ -502,7 +493,7 @@ impl MptcpConnection {
                 ReadOutcome::Data(out)
             }
             None if self.at_eof() => ReadOutcome::Eof,
-            None if self.state == ConnState::Closed => ReadOutcome::Closed,
+            None if matches!(self.life, Life::Closed(_)) => ReadOutcome::Closed,
             None => ReadOutcome::WouldBlock,
         }
     }
@@ -510,36 +501,77 @@ impl MptcpConnection {
     /// Close the sending direction (DATA_FIN, §3.4).
     pub fn close(&mut self) {
         self.ticked_at = None;
-        if self.state == ConnState::Fallback {
-            self.subflows[0].sock.close();
-        } else {
+        if !self.feed(SimTime::ZERO, 0, Input::Close) {
             self.tx.close();
         }
     }
 
-    /// Abort everything.
-    pub fn abort(&mut self) {
-        self.ticked_at = None;
-        for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
-            sf.sock.abort();
-        }
-        // `tick` no longer runs once Closed; a timer left armed here would
-        // report a forever-past deadline from `poll_at`.
-        self.health.clear();
-        self.tx.stop_rto();
-        self.state = ConnState::Closed;
-    }
-
-    /// Abort with a recorded [`AbortReason`], surfaced via
+    /// Abort everything, with a recorded [`AbortReason`], surfaced via
     /// [`MptcpConnection::abort_reason`], telemetry, and the trace.
     pub fn abort_with(&mut self, reason: AbortReason, now: SimTime) {
-        if self.state == ConnState::Closed {
-            return;
+        self.ticked_at = None;
+        self.feed(now, 0, Input::Abort(reason));
+    }
+
+    /// Feed the lifecycle `input`, which concerns subflow `idx`, and carry
+    /// out what it decides; `true` when that was anything.
+    fn feed(&mut self, now: SimTime, idx: usize, input: Input) -> bool {
+        let Some(action) = self.life.on(input) else {
+            return false;
+        };
+        match action {
+            Action::Confirm => {
+                let FourTuple {
+                    src: local,
+                    dst: remote,
+                } = self.subflows[0].sock.tuple();
+                self.pm_event(now, PmEvent::Established { local, remote });
+            }
+            Action::FallBack(cause) => {
+                self.telemetry.note(now.0, EventKind::Fallback { cause });
+                // Stop MPTCP signalling; plain TCP from here, and the
+                // failure detector stops with it.
+                for sf in &mut self.subflows {
+                    sf.sock.set_carry_options(Vec::new());
+                    sf.sock.set_window_override(None);
+                }
+                self.health.clear();
+                // Unsent data continues as plain writes on subflow 0.
+                for p in self.tx.abandon() {
+                    self.subflows[0].sock.send_chunk(p, None);
+                }
+                if self.tx.closing() {
+                    self.subflows[0].sock.close();
+                }
+            }
+            Action::Abort(reason) => {
+                let code = reason.code();
+                self.telemetry.note(now.0, EventKind::ConnAborted { code });
+                for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
+                    sf.sock.abort();
+                }
+                // `tick` no longer runs once Closed; a timer left armed
+                // here would report a forever-past deadline from `poll_at`.
+                self.health.clear();
+                self.tx.stop_rto();
+            }
+            // §3.3.6: the offending subflow goes; the transfer continues on
+            // the others after re-injection.
+            Action::ResetSubflow => {
+                let dsn = self.rx.rcv_nxt();
+                self.subflows[idx].signal(MptcpOption::MpFail { dsn });
+                self.subflows[idx].sock.abort();
+                self.bury(idx);
+                self.note_subflow_reset(now, idx);
+                self.reinject_chunks_of_dead();
+            }
+            Action::CloseSubflows => {
+                for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
+                    sf.sock.close();
+                }
+            }
         }
-        self.abort_reason.get_or_insert(reason);
-        let code = reason.code();
-        self.telemetry.note(now.0, EventKind::ConnAborted { code });
-        self.abort();
+        true
     }
 
     // ------------------------------------------------------------------
@@ -569,7 +601,7 @@ impl MptcpConnection {
         now: SimTime,
     ) -> Result<SubflowId, SubflowError> {
         self.ticked_at = None;
-        if self.state != ConnState::Established && self.state != ConnState::AwaitingConfirm {
+        if !self.life.running() {
             return Err(SubflowError::WrongState);
         }
         let Some(rk) = self.remote else {
@@ -611,7 +643,7 @@ impl MptcpConnection {
     /// demuxed it via the token). The error says why validation failed.
     pub fn accept_join(&mut self, syn: &TcpSegment, now: SimTime) -> Result<(), JoinError> {
         self.ticked_at = None;
-        if matches!(self.state, ConnState::Fallback | ConnState::Closed) {
+        if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
             self.reject_join(now, 0);
             return Err(JoinError::WrongState);
         }
@@ -720,17 +752,18 @@ impl MptcpConnection {
             // data-level edge). (`snd_una` advances in `after_input`, so
             // mid-batch it may lag; the truncated ack only mis-expands on a
             // drift of ≥ 2^31 bytes — impossible within one drain.)
-            if self.state != ConnState::Fallback && seg.flags.ack {
+            if !matches!(self.life, Life::Fallback(_) | Life::Closed(_)) && seg.flags.ack {
                 let dss_ack = seg.mptcp_options().find_map(|m| match m {
                     MptcpOption::Dss {
                         data_ack: Some(a), ..
                     } => Some(*a),
                     _ => None,
                 });
-                self.tx.on_window(dss_ack, !self.confirmed, seg.window);
+                let confirmed = self.life == Life::Established;
+                self.tx.on_window(dss_ack, !confirmed, seg.window);
             }
 
-            if self.state == ConnState::Established && self.confirmed {
+            if self.life == Life::Established {
                 if !self.touched.contains(&idx) {
                     self.touched.push(idx);
                 }
@@ -738,31 +771,13 @@ impl MptcpConnection {
             }
             self.after_input(now, idx);
 
-            // Handshake confirmation / fallback decision (§3.1): "If the
-            // first non-SYN packet received by the server does not contain an
-            // MPTCP option, the server must assume the path is not
-            // MPTCP-capable" — applied symmetrically on both sides, but
-            // hardened to a short streak so a single proxy-forged option-less
-            // ACK cannot trigger a spurious fallback (a real option-stripping
-            // path strips *every* segment).
-            // The active opener cannot use this rule: a pro-active-acking
-            // proxy forges option-less ACKs that always arrive *before* the
-            // peer's genuine option-bearing segments. The client instead falls
-            // back on timer evidence (see `on_data_rto`): data repeatedly
-            // unacknowledged at the data level with no MPTCP option ever seen.
-            if !seg.flags.syn && idx == 0 && !self.confirmed && !self.is_client {
-                if seg.options.iter().any(|o| o.is_mptcp()) {
-                    self.plain_rx_streak = 0;
-                } else if matches!(
-                    self.state,
-                    ConnState::AwaitingConfirm | ConnState::Established
-                ) && self.subflows[0].sock.is_established()
-                {
-                    self.plain_rx_streak += 1;
-                    if self.plain_rx_streak >= 3 {
-                        self.enter_fallback(FallbackCause::OptionStripped, now);
-                    }
-                }
+            // §3.1: "If the first non-SYN packet received by the server
+            // does not contain an MPTCP option, the server must assume the
+            // path is not MPTCP-capable" — hardened to a short streak (see
+            // `Life`).
+            let mptcp = seg.options.iter().any(|o| o.is_mptcp());
+            if !seg.flags.syn && idx == 0 && (mptcp || self.subflows[0].sock.is_established()) {
+                self.feed(now, 0, Input::Segment { mptcp });
             }
         }
         let mut touched = std::mem::take(&mut self.touched);
@@ -780,56 +795,61 @@ impl MptcpConnection {
         self.update_ack_state(now);
     }
 
-    /// Client-side establishment of the first subflow.
+    /// Establishment of the first subflow: a client reads the server's
+    /// key off the SYN/ACK; a server stays unconfirmed until the first
+    /// non-SYN segment proves the client received its key.
     fn process_handshake(&mut self, now: SimTime, idx: usize) {
-        if self.state != ConnState::Handshake {
+        let Life::Handshake { client } = self.life else {
             return;
-        }
+        };
         let sf = &mut self.subflows[idx];
         if !sf.sock.is_established() {
             if sf.sock.is_error() {
-                self.state = ConnState::Closed;
+                self.feed(now, idx, Input::HandshakeFailed);
             }
             return;
         }
-        if self.is_client {
-            // Look for the server's MP_CAPABLE in the harvested options.
-            sf.sock.take_rx_mptcp(&mut self.rx_opts);
-            let server_key = self.rx_opts.drain(..).rev().find_map(|o| match o {
-                MptcpOption::MpCapable {
-                    sender_key,
-                    checksum_required,
-                    ..
-                } => Some((sender_key, checksum_required)),
-                _ => None,
-            });
-            let Some((key, ck)) = server_key else {
-                // SYN/ACK without MP_CAPABLE: fall back (§3.1).
-                return self.enter_fallback(FallbackCause::OptionStripped, now);
-            };
-            self.set_remote_key(key);
-            self.checksum_on |= ck;
-            self.state = ConnState::AwaitingConfirm;
-            // Third ACK (and every segment until confirmed) carries
-            // MP_CAPABLE with both keys (§3.1).
-            let carry = mp_capable(self.checksum_on, self.local.key, Some(key));
-            self.subflows[idx].sock.set_carry_options(carry);
-            self.subflows[idx].sock.request_ack();
-        } else {
-            // Server: established; stay unconfirmed until the first
-            // non-SYN segment proves the client received our key.
-            self.state = ConnState::AwaitingConfirm;
+        if !client {
+            self.feed(now, idx, Input::Synchronized { mp_capable: true });
+            return;
         }
+        sf.sock.take_rx_mptcp(&mut self.rx_opts);
+        let server_key = self.rx_opts.drain(..).rev().find_map(|o| match o {
+            MptcpOption::MpCapable {
+                sender_key,
+                checksum_required,
+                ..
+            } => Some((sender_key, checksum_required)),
+            _ => None,
+        });
+        let capable = server_key.is_some();
+        self.feed(
+            now,
+            idx,
+            Input::Synchronized {
+                mp_capable: capable,
+            },
+        );
+        let Some((key, ck)) = server_key else {
+            return;
+        };
+        self.set_remote_key(key);
+        self.checksum_on |= ck;
+        // Third ACK (and every segment until confirmed) carries
+        // MP_CAPABLE with both keys (§3.1).
+        let carry = mp_capable(self.checksum_on, self.local.key, Some(key));
+        self.subflows[idx].sock.set_carry_options(carry);
+        self.subflows[idx].sock.request_ack();
     }
 
     /// Process harvested MPTCP options on an established connection.
     fn process_rx_options(&mut self, now: SimTime, idx: usize) {
-        if matches!(self.state, ConnState::Handshake | ConnState::Closed) {
+        if matches!(self.life, Life::Handshake { .. } | Life::Closed(_)) {
             return;
         }
         let mut opts = std::mem::take(&mut self.rx_opts);
         self.subflows[idx].sock.take_rx_mptcp(&mut opts);
-        if self.state == ConnState::Fallback {
+        if self.is_fallback() {
             opts.clear(); // ignore MPTCP signalling once fallen back
         }
         for o in opts.drain(..) {
@@ -840,14 +860,14 @@ impl MptcpConnection {
                     if self.remote.is_none() {
                         self.set_remote_key(sender_key);
                     }
-                    self.confirm_established(now);
+                    self.feed(now, idx, Input::MptcpSeen);
                 }
                 MptcpOption::Dss {
                     data_ack,
                     mapping,
                     data_fin,
                 } => {
-                    self.confirm_established(now);
+                    self.feed(now, idx, Input::MptcpSeen);
                     // The server only speaks DSS on a join subflow after
                     // validating the client's HMAC: stop carrying it.
                     if self.subflows[idx].join == JoinState::ClientEstablished {
@@ -922,11 +942,12 @@ impl MptcpConnection {
                 // Handled at accept_join; a duplicate SYN's option.
                 MptcpOption::MpJoinSyn { .. } => {}
                 MptcpOption::MpFail { .. } => {
-                    if self.alive_subflows() <= 1 {
-                        self.enter_fallback(FallbackCause::MpFail, now);
-                    }
+                    let live = self.alive_subflows();
+                    self.feed(now, idx, Input::MpFail { live });
                 }
-                MptcpOption::FastClose { .. } => self.abort_with(AbortReason::PeerFastClose, now),
+                MptcpOption::FastClose { .. } => {
+                    self.feed(now, idx, Input::Abort(AbortReason::PeerFastClose));
+                }
                 MptcpOption::MpPrio { backup, .. } => self.subflows[idx].backup = backup,
             }
         }
@@ -1007,21 +1028,6 @@ impl MptcpConnection {
         &self.pm
     }
 
-    /// MPTCP confirmed on this connection; on the first confirmation the
-    /// path manager learns the primary endpoints and starts advertising
-    /// and pairing.
-    fn confirm_established(&mut self, now: SimTime) {
-        self.confirmed = true;
-        if self.state == ConnState::AwaitingConfirm {
-            self.state = ConnState::Established;
-            let FourTuple {
-                src: local,
-                dst: remote,
-            } = self.subflows[0].sock.tuple();
-            self.pm_event(now, PmEvent::Established { local, remote });
-        }
-    }
-
     /// Tell the path manager what happened and execute what it decides.
     fn pm_event(&mut self, now: SimTime, ev: PmEvent) {
         let actions = self.pm.on_event(now, ev);
@@ -1090,7 +1096,7 @@ impl MptcpConnection {
         self.bury(idx);
         self.reinject_chunks_of_dead();
         if self.alive_subflows() == 0 {
-            self.abort_with(AbortReason::LastSubflowRemoved, now);
+            self.feed(now, idx, Input::Abort(AbortReason::LastSubflowRemoved));
         }
     }
 
@@ -1136,11 +1142,11 @@ impl MptcpConnection {
     /// pre-opened backup).
     pub fn local_addr_down(&mut self, addr: u32, now: SimTime) {
         self.ticked_at = None;
-        if matches!(self.state, ConnState::Closed) {
+        if matches!(self.life, Life::Closed(_)) {
             return;
         }
         let affected = self.live_subflows_where(|_, s| s.sock.tuple().src.addr == addr);
-        if self.state != ConnState::Fallback && !affected.is_empty() {
+        if !matches!(self.life, Life::Fallback(_) | Life::Closed(_)) && !affected.is_empty() {
             let mut ids: Vec<u8> = affected.iter().map(|&i| self.subflows[i].addr_id).collect();
             ids.sort_unstable();
             ids.dedup();
@@ -1175,7 +1181,7 @@ impl MptcpConnection {
     /// if it is a signal endpoint.
     pub fn local_addr_up(&mut self, addr: u32, now: SimTime) {
         self.ticked_at = None;
-        if matches!(self.state, ConnState::Closed | ConnState::Fallback) {
+        if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
             return;
         }
         self.pm_event(now, PmEvent::LocalAddrUp { addr });
@@ -1190,7 +1196,7 @@ impl MptcpConnection {
             let Some((mut off, mut bytes)) = piece else {
                 break;
             };
-            if self.state == ConnState::Fallback {
+            if self.is_fallback() {
                 self.rx.flush(now, idx, &mut self.telemetry);
                 self.rx.deliver(bytes);
                 continue;
@@ -1221,58 +1227,25 @@ impl MptcpConnection {
         let subflow = idx as u32;
         self.telemetry
             .note(now.0, EventKind::ChecksumFail { subflow, dsn });
-        if self.alive_subflows() > 1 {
-            // §3.3.6: terminate the offending subflow; the transfer
-            // continues on the others after re-injection.
-            let dsn = self.rx.rcv_nxt();
-            self.subflows[idx].signal(MptcpOption::MpFail { dsn });
-            self.subflows[idx].sock.abort();
-            self.bury(idx);
-            self.note_subflow_reset(now, idx);
-            self.reinject_chunks_of_dead();
-        } else {
-            // Only subflow: fall back to regular TCP, letting the
-            // middlebox rewrite as it wishes; the modified bytes continue
-            // the stream.
-            self.enter_fallback(FallbackCause::ChecksumFail, now);
+        let live = self.alive_subflows();
+        self.feed(now, idx, Input::ChecksumFail { live });
+        // On the only subflow, fall back to regular TCP, letting the
+        // middlebox rewrite as it wishes; the modified bytes continue the
+        // stream.
+        if self.is_fallback() {
             self.rx.deliver(data);
         }
     }
 
+    /// Mid-stream option stripping on the only subflow is an infinite
+    /// mapping: fall back (§3.3.6, §4.1). Otherwise drop: the subflow has
+    /// acked these bytes but they are not DATA_ACKed, so the sender
+    /// re-injects them (§3.3.5).
     fn on_unmapped(&mut self, now: SimTime, idx: usize, data: Bytes) {
-        if self.state == ConnState::Fallback {
+        let lone = self.alive_subflows() == 1 && self.subflows[idx].tracker.mappings_received == 0;
+        self.feed(now, idx, Input::Unmapped { lone });
+        if self.is_fallback() {
             self.rx.deliver(data);
-            return;
-        }
-        if self.alive_subflows() == 1 && self.subflows[idx].tracker.mappings_received == 0 {
-            // Mid-stream option stripping on the only subflow: infinite
-            // mapping / fallback (§3.3.6, §4.1).
-            self.enter_fallback(FallbackCause::OptionStripped, now);
-            self.rx.deliver(data);
-        }
-        // Otherwise: drop; the subflow has acked these bytes but they are
-        // not DATA_ACKed, so the sender re-injects them (§3.3.5).
-    }
-
-    fn enter_fallback(&mut self, cause: FallbackCause, now: SimTime) {
-        if self.state == ConnState::Fallback {
-            return;
-        }
-        self.state = ConnState::Fallback;
-        self.telemetry.note(now.0, EventKind::Fallback { cause });
-        // Stop MPTCP signalling; plain TCP from here, and the failure
-        // detector stops with it.
-        for sf in &mut self.subflows {
-            sf.sock.set_carry_options(Vec::new());
-            sf.sock.set_window_override(None);
-        }
-        self.health.clear();
-        // Unsent data continues as plain writes on subflow 0.
-        for p in self.tx.abandon() {
-            self.subflows[0].sock.send_chunk(p, None);
-        }
-        if self.tx.closing() {
-            self.subflows[0].sock.close();
         }
     }
 
@@ -1291,7 +1264,7 @@ impl MptcpConnection {
         if any_died {
             self.reinject_chunks_of_dead();
             if self.alive_subflows() == 0 {
-                self.state = ConnState::Closed;
+                self.feed(SimTime::ZERO, 0, Input::SubflowsDead);
             }
         }
     }
@@ -1301,7 +1274,7 @@ impl MptcpConnection {
     /// connection must continue as long as another subflow has
     /// connectivity".
     fn reinject_chunks_of_dead(&mut self) {
-        if self.state == ConnState::Fallback {
+        if self.is_fallback() {
             return;
         }
         let subflows = &self.subflows;
@@ -1336,7 +1309,7 @@ impl MptcpConnection {
             }
         }
         if self.health.end_round(now) {
-            self.abort_with(AbortReason::AllPathsFailed, now);
+            self.feed(now, 0, Input::Abort(AbortReason::AllPathsFailed));
         }
     }
 
@@ -1428,10 +1401,7 @@ impl MptcpConnection {
         let mut t = min_deadline(self.tx.rto_deadline(), self.health.deadline(now));
         // ADD_ADDR retransmits are serviced by `tick` only while MPTCP is
         // operational; don't let a stale deadline pin the loop otherwise.
-        if matches!(
-            self.state,
-            ConnState::Established | ConnState::AwaitingConfirm
-        ) {
+        if self.life.running() {
             t = min_deadline(t, self.pm.poll_at());
         }
         for sf in self.subflows.iter().filter(|sf| !sf.dead) {
@@ -1442,7 +1412,7 @@ impl MptcpConnection {
 
     /// Periodic work: timers, scheduling, window/ack refresh.
     fn tick(&mut self, now: SimTime) {
-        if matches!(self.state, ConnState::Closed) {
+        if matches!(self.life, Life::Closed(_)) {
             return;
         }
         self.reap_dead();
@@ -1454,7 +1424,7 @@ impl MptcpConnection {
                 sf.sock.trace_sample(now);
             }
         }
-        if self.state == ConnState::Fallback {
+        if self.is_fallback() {
             return;
         }
 
@@ -1463,16 +1433,16 @@ impl MptcpConnection {
         // data").
         if self.tx.rto_deadline().is_some_and(|t| t <= now) {
             self.on_data_rto(now);
-            if self.state == ConnState::Fallback {
+            if self.is_fallback() {
                 // The timeout itself triggered fallback; the data-level
                 // machinery (including this timer) is now void.
                 return;
             }
         }
 
-        if self.state == ConnState::Established || self.state == ConnState::AwaitingConfirm {
+        if self.life.running() {
             self.detect_path_failures(now);
-            if self.state == ConnState::Closed {
+            if matches!(self.life, Life::Closed(_)) {
                 return; // abort deadline expired with every path Failed
             }
             // Service the path manager's ADD_ADDR retransmit schedule.
@@ -1480,7 +1450,7 @@ impl MptcpConnection {
             self.pm_apply(now, pm_actions);
             self.refresh_coupling();
             self.push_data(now);
-            self.maybe_send_data_fin();
+            self.maybe_send_data_fin(now);
         }
 
         self.update_ack_state(now);
@@ -1517,12 +1487,11 @@ impl MptcpConnection {
         // Client-side fallback detection (§3.3.6): our DSS options are
         // being stripped somewhere — subflow delivery succeeds but nothing
         // is ever DATA_ACKed and no MPTCP option has arrived since the
-        // handshake. Continue as plain TCP on the lone subflow.
-        // Deciding on the first timer expiry also prevents re-injecting
-        // onto the lone subflow, which would duplicate bytes in the raw
-        // stream a fallen-back peer is reading.
-        if self.is_client && !self.confirmed && self.alive_subflows() == 1 {
-            self.enter_fallback(FallbackCause::DataRtoUnconfirmed, now);
+        // handshake. Deciding on the first timer expiry also prevents
+        // re-injecting onto the lone subflow, which would duplicate bytes
+        // in the raw stream a fallen-back peer is reading.
+        let live = self.alive_subflows();
+        if self.feed(now, 0, Input::DataRto { live }) {
             return;
         }
         self.tx.back_off_rto(now, base);
@@ -1758,13 +1727,11 @@ impl MptcpConnection {
 
     /// §3.4: the DATA_FIN goes out once everything before it is DATA_ACKed,
     /// and the subflow FINs only after the DATA_FIN is.
-    fn maybe_send_data_fin(&mut self) {
+    fn maybe_send_data_fin(&mut self, now: SimTime) {
         if self.tx.assign_fin() {
             self.send_data_fin_signal();
         } else if self.tx.fin_acked() {
-            for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
-                sf.sock.close();
-            }
+            self.feed(now, 0, Input::DataFinAcked);
         }
     }
 
@@ -1790,7 +1757,7 @@ impl MptcpConnection {
     /// Refresh window overrides and DATA_ACK carry options on every
     /// subflow (§3.3.1: one shared pool; §3.3.2: explicit DATA_ACK).
     fn update_ack_state(&mut self, now: SimTime) {
-        if self.state == ConnState::Fallback || self.state == ConnState::Closed {
+        if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
             return;
         }
         self.maybe_grow_rcvbuf(now);
@@ -1798,9 +1765,12 @@ impl MptcpConnection {
         let da = self.rx.rcv_nxt();
         for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
             sf.sock.set_window_override(Some(window));
-            if self.state == ConnState::Established
-                || (self.state == ConnState::AwaitingConfirm && !self.is_client)
-            {
+            // A server carries the DATA_ACK from the start; a client's
+            // MP_CAPABLE is its proof until MPTCP is confirmed.
+            if matches!(
+                self.life,
+                Life::Established | Life::ServerUnconfirmed { .. }
+            ) {
                 // Rewritten in the buffer the socket already holds. A
                 // client still proving MP_JOIN on this subflow keeps the
                 // join ACK in front.

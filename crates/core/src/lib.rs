@@ -36,6 +36,7 @@ pub mod conn;
 pub mod dsn;
 pub mod endpoint;
 pub mod health;
+mod life;
 pub mod mapping;
 pub mod pm;
 pub mod reorder;

@@ -18,7 +18,7 @@ use crate::recovery::{AckResponse, Recovery, TimerAction};
 use crate::recvbuf::RecvQueue;
 use crate::rtt::RttEstimator;
 use crate::sendbuf::SendQueue;
-use crate::state::TcpState;
+use crate::state::{End, Input, Life, TcpState};
 
 /// Plain tallies with no telemetry twin. RTOs, fast retransmits,
 /// retransmitted segments and zero-window probes are counted once, in the
@@ -33,13 +33,12 @@ pub struct SocketStats {
     pub bytes_acked: u64,
 }
 
-/// How long a socket lingers in TIME_WAIT to absorb stray segments.
-const TIME_WAIT: Duration = Duration::from_secs(8);
-
 /// A single TCP connection endpoint.
 pub struct TcpSocket {
     cfg: TcpConfig,
-    state: TcpState,
+    /// The state, with what it owns: a SYN owed, a close waiting for its
+    /// FIN, TIME_WAIT's deadline, an error and the RST an abort owes.
+    life: Life,
     tuple: FourTuple,
 
     iss: SeqNum,
@@ -61,20 +60,12 @@ pub struct TcpSocket {
 
     /// Loss recovery, the retransmission timer and the persist timer.
     recovery: Recovery,
-    timewait_deadline: Option<SimTime>,
     /// Last time the bufferbloat cap (M4) was applied.
     last_cap_at: Option<SimTime>,
 
     // Output intents.
-    /// The SYN (or, in `SynReceived`, the SYN/ACK) must be (re)sent.
-    syn_due: bool,
     need_ack: bool,
     probe_pending: bool,
-    rst_pending: bool,
-    fin_queued: bool,
-    /// Sequence number our FIN went out with, once it has.
-    fin_seq: Option<SeqNum>,
-    fin_received: bool,
 
     // Timestamps (RFC 1323) for RTT sampling.
     ts_recent: u32,
@@ -93,8 +84,6 @@ pub struct TcpSocket {
     /// MPTCP options harvested from every incoming segment, in order.
     rx_mptcp: Vec<MptcpOption>,
 
-    /// Set when the connection was reset or timed out.
-    error: bool,
     /// See [`TcpSocket::take_poll_changed`].
     poll_changed: bool,
     /// Counters.
@@ -119,11 +108,11 @@ impl TcpSocket {
         now: SimTime,
         syn_options: Vec<TcpOption>,
     ) -> TcpSocket {
-        let mut s = TcpSocket::common(cfg, tuple, iss, now);
-        s.state = TcpState::SynSent;
-        s.syn_due = true;
-        s.syn_options = syn_options;
-        s
+        let opening = Life::SynSent {
+            syn: true,
+            fin: false,
+        };
+        TcpSocket::common(cfg, tuple, iss, now, opening, syn_options)
     }
 
     /// Create a passive opener directly from a received SYN. The first
@@ -135,10 +124,11 @@ impl TcpSocket {
         now: SimTime,
         syn_options: Vec<TcpOption>,
     ) -> TcpSocket {
-        let mut s = TcpSocket::common(cfg, syn.tuple.reversed(), iss, now);
-        s.state = TcpState::SynReceived;
-        s.syn_due = true;
-        s.syn_options = syn_options;
+        let opening = Life::SynReceived {
+            syn: true,
+            fin: false,
+        };
+        let mut s = TcpSocket::common(cfg, syn.tuple.reversed(), iss, now, opening, syn_options);
         s.snd_wnd = syn.window;
         s.wl1 = syn.seq;
         s.absorb_syn(syn);
@@ -146,7 +136,14 @@ impl TcpSocket {
         s
     }
 
-    fn common(cfg: TcpConfig, tuple: FourTuple, iss: SeqNum, now: SimTime) -> TcpSocket {
+    fn common(
+        cfg: TcpConfig,
+        tuple: FourTuple,
+        iss: SeqNum,
+        now: SimTime,
+        life: Life,
+        syn_options: Vec<TcpOption>,
+    ) -> TcpSocket {
         let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
         let cc = CcAlgorithm::Reno.build(cfg.mss as u32, INIT_CWND_SEGS);
         // Autotuned buffers start small and grow on demand.
@@ -159,7 +156,7 @@ impl TcpSocket {
         };
         TcpSocket {
             effective_mss: cfg.mss,
-            state: TcpState::Closed,
+            life,
             tuple,
             iss,
             irs: SeqNum(0),
@@ -175,24 +172,17 @@ impl TcpSocket {
             rtt,
             cc,
             recovery: Recovery::new(iss, cfg.max_rto),
-            timewait_deadline: None,
             last_cap_at: None,
-            syn_due: false,
             need_ack: false,
             probe_pending: false,
-            rst_pending: false,
-            fin_queued: false,
-            fin_seq: None,
-            fin_received: false,
             ts_recent: 0,
             epoch: now,
             last_adv_right_edge: SeqNum(0),
-            syn_options: Vec::new(),
+            syn_options,
             carry_options: Vec::new(),
             oneshot_options: Vec::new(),
             window_override: None,
             rx_mptcp: Vec::new(),
-            error: false,
             poll_changed: false,
             stats: SocketStats::default(),
             telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
@@ -234,7 +224,7 @@ impl TcpSocket {
 
     /// Connection state.
     pub fn state(&self) -> TcpState {
-        self.state
+        self.life.state()
     }
 
     /// The socket's four-tuple (local = src).
@@ -244,12 +234,12 @@ impl TcpSocket {
 
     /// Has the handshake completed?
     pub fn is_established(&self) -> bool {
-        self.state.is_synchronized() && !self.error
+        self.state().is_synchronized()
     }
 
     /// Did the connection fail (RST or persistent timeout)?
     pub fn is_error(&self) -> bool {
-        self.error
+        matches!(self.life, Life::Closed(End::Failed | End::RstDue))
     }
 
     /// Smoothed RTT.
@@ -323,12 +313,20 @@ impl TcpSocket {
 
     /// Has the peer's FIN been received (stream EOF)?
     pub fn stream_fin(&self) -> bool {
-        self.fin_received
+        self.life.peer_fin()
     }
 
     /// Has our FIN been sent and acknowledged?
     pub fn fin_acked(&self) -> bool {
-        self.fin_seq.is_some_and(|fs| self.snd_una.after(fs))
+        self.fin_seq().is_some_and(|fs| self.snd_una.after(fs))
+    }
+
+    /// The sequence number our FIN went out with, once it has. Nothing is
+    /// queued after a close, so the FIN follows the last queued byte, and
+    /// it is the only thing that takes `snd_nxt` past the queue's end.
+    fn fin_seq(&self) -> Option<SeqNum> {
+        let end = self.send_q.end_seq();
+        self.snd_nxt.after(end).then_some(end)
     }
 
     /// 1-based relative offset the next enqueued byte will get on this
@@ -398,7 +396,7 @@ impl TcpSocket {
     /// a pure ACK when nothing is outstanding. Used by MPTCP path-failure
     /// recovery to re-test Suspect/Failed subflows.
     pub fn probe_path(&mut self, now: SimTime) {
-        if !self.state.is_synchronized() || self.error {
+        if !self.is_established() {
             return;
         }
         if self.snd_una.before(self.snd_nxt) {
@@ -444,7 +442,7 @@ impl TcpSocket {
     /// lack of buffer space (retry later) from one that will return 0
     /// forever.
     pub fn send_closed(&self) -> bool {
-        (!self.state.can_send() && self.state != TcpState::SynSent) || self.fin_queued
+        self.life.send_closed()
     }
 
     /// Enqueue plain payload (TCP application write). Returns bytes taken.
@@ -470,26 +468,27 @@ impl TcpSocket {
 
     /// Close the send direction: a FIN goes out once the queue drains.
     pub fn close(&mut self) {
-        if matches!(
-            self.state,
-            TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynReceived
-        ) {
-            self.fin_queued = true;
+        if self.feed(Input::Close, SimTime::ZERO) {
             self.send_q.release_if_empty();
         }
     }
 
     /// Abort: emit RST and drop to `Closed`.
     pub fn abort(&mut self) {
-        if self.state.is_synchronized() || self.state == TcpState::SynReceived {
-            self.rst_pending = true;
-        }
-        self.enter_error();
+        self.feed(Input::Abort, SimTime::ZERO);
     }
 
-    fn clear_timers(&mut self) {
-        self.recovery.stop();
-        self.timewait_deadline = None;
+    /// Feed the lifecycle `input` at `now`; `true` when it moved. A socket
+    /// that closes keeps no timer.
+    fn feed(&mut self, input: Input, now: SimTime) -> bool {
+        let Some(next) = self.life.on(input, now) else {
+            return false;
+        };
+        if next.state() == TcpState::Closed {
+            self.recovery.stop();
+        }
+        self.life = next;
+        true
     }
 
     // ------------------------------------------------------------------
@@ -499,9 +498,9 @@ impl TcpSocket {
     /// Process an incoming segment addressed to this socket.
     pub fn handle_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         self.stats.segs_in += 1;
-        match self.state {
-            TcpState::Closed => {}
-            TcpState::SynSent => self.handle_syn_sent(now, seg),
+        match self.life {
+            Life::Closed(_) => {}
+            Life::SynSent { .. } => self.handle_syn_sent(now, seg),
             _ => self.handle_synchronized(now, seg),
         }
     }
@@ -509,7 +508,7 @@ impl TcpSocket {
     fn handle_syn_sent(&mut self, now: SimTime, seg: &TcpSegment) {
         if seg.flags.rst {
             if seg.flags.ack && seg.ack == self.iss + 1 {
-                self.enter_error();
+                self.feed(Input::Failed, now);
             }
             return;
         }
@@ -523,15 +522,14 @@ impl TcpSocket {
         } else if seg.flags.syn {
             // Simultaneous open.
             self.absorb_syn(seg);
-            self.state = TcpState::SynReceived;
-            self.syn_due = true;
+            self.feed(Input::PeerSyn, now);
         }
     }
 
     /// The handshake's last segment for this end arrived: `seg`
     /// acknowledges our SYN.
     fn establish(&mut self, now: SimTime, seg: &TcpSegment) {
-        self.state = TcpState::Established;
+        self.feed(Input::SynAcked, now);
         self.snd_una = seg.ack;
         self.snd_wnd = seg.window;
         self.wl1 = seg.seq;
@@ -544,17 +542,17 @@ impl TcpSocket {
         if seg.flags.rst {
             // Accept an in-window RST.
             if self.seq_acceptable(seg) {
-                self.enter_error();
+                self.feed(Input::Failed, now);
             }
             return;
         }
         if seg.flags.syn {
             // Duplicate SYN (our SYN/ACK was lost): re-ack.
             if seg.seq == self.irs {
-                self.syn_due = self.state == TcpState::SynReceived;
+                self.feed(Input::PeerSyn, now);
                 self.need_ack = true;
             }
-            if self.state == TcpState::SynReceived {
+            if self.state() == TcpState::SynReceived {
                 return;
             }
         }
@@ -595,7 +593,7 @@ impl TcpSocket {
         let window_changed = seg.window != self.snd_wnd;
 
         // SYN/ACK completion on the passive side.
-        if self.state == TcpState::SynReceived {
+        if self.state() == TcpState::SynReceived {
             if ack != self.iss + 1 {
                 return;
             }
@@ -618,7 +616,7 @@ impl TcpSocket {
         if ack.after(self.snd_una) {
             let mut newly = ack - self.snd_una;
             // A FIN occupies sequence space but is not buffer data.
-            if self.fin_seq.is_some_and(|fs| ack.after(fs)) {
+            if self.fin_seq().is_some_and(|fs| ack.after(fs)) {
                 newly = newly.saturating_sub(1);
             }
             self.send_q.ack_to(ack);
@@ -653,17 +651,8 @@ impl TcpSocket {
             // snd_una are the congestion-control events of interest).
             self.trace_sample(now);
 
-            // FIN acknowledged?
             if self.fin_acked() {
-                match self.state {
-                    TcpState::FinWait1 => self.state = TcpState::FinWait2,
-                    TcpState::Closing => self.enter_timewait(now),
-                    TcpState::LastAck => {
-                        self.state = TcpState::Closed;
-                        self.clear_timers();
-                    }
-                    _ => {}
-                }
+                self.feed(Input::FinAcked, now);
             }
         } else if ack == self.snd_una
             && seg.payload.is_empty()
@@ -727,7 +716,7 @@ impl TcpSocket {
     }
 
     fn process_payload(&mut self, seg: &TcpSegment) {
-        if !self.state.can_receive() {
+        if !self.state().can_receive() {
             self.need_ack = true;
             return;
         }
@@ -788,28 +777,9 @@ impl TcpSocket {
         self.need_ack = true;
         // A FIN beyond a hole (ack what we have; the peer retransmits), or
         // one seen before.
-        if fin_seq != self.rcv_nxt || self.fin_received {
-            return;
+        if fin_seq == self.rcv_nxt && self.feed(Input::PeerFin, now) {
+            self.rcv_nxt += 1;
         }
-        self.fin_received = true;
-        self.rcv_nxt += 1;
-        match self.state {
-            TcpState::Established => self.state = TcpState::CloseWait,
-            TcpState::FinWait1 if !self.fin_acked() => self.state = TcpState::Closing,
-            TcpState::FinWait1 | TcpState::FinWait2 => self.enter_timewait(now),
-            _ => {}
-        }
-    }
-
-    fn enter_timewait(&mut self, now: SimTime) {
-        self.state = TcpState::TimeWait;
-        self.timewait_deadline = Some(now + TIME_WAIT);
-    }
-
-    fn enter_error(&mut self) {
-        self.state = TcpState::Closed;
-        self.error = true;
-        self.clear_timers();
     }
 
     /// The peer's SYN (or SYN/ACK): its sequence number, MSS and
@@ -855,18 +825,22 @@ impl TcpSocket {
         if self.has_immediate_output() {
             return Some(SimTime::ZERO); // poll me right now
         }
-        min_deadline(self.recovery.poll_at(), self.timewait_deadline)
+        let time_wait = match self.life {
+            Life::TimeWait { until } => Some(until),
+            _ => None,
+        };
+        min_deadline(self.recovery.poll_at(), time_wait)
     }
 
     fn has_immediate_output(&self) -> bool {
         // A closed socket emits nothing but a pending RST; stale intents
         // (need_ack set just before an error) must not promise output.
-        if self.state == TcpState::Closed {
-            return self.rst_pending;
+        match self.life {
+            Life::Closed(end) => return end == End::RstDue,
+            Life::SynSent { syn: true, .. } | Life::SynReceived { syn: true, .. } => return true,
+            _ => {}
         }
-        self.rst_pending
-            || self.syn_due
-            || self.need_ack
+        self.need_ack
             || self.probe_pending
             || self.recovery.has_retransmit(self.snd_una, self.cc.cwnd())
             || self.can_send_new()
@@ -897,7 +871,7 @@ impl TcpSocket {
     /// pays a full header. With nothing in flight no ACK is coming, so
     /// whatever fits goes (a peer window under one MSS, a post-RTO cwnd).
     fn can_send_new(&self) -> bool {
-        if !self.state.is_synchronized() || self.error {
+        if !self.is_established() {
             return false;
         }
         let usable = self.usable_window() as usize;
@@ -916,38 +890,35 @@ impl TcpSocket {
     }
 
     fn can_send_fin(&self) -> bool {
-        self.fin_queued
-            && self.fin_seq.is_none()
-            && self.state.is_synchronized()
-            && !self.send_q.has_data_at(self.snd_nxt)
+        matches!(
+            self.life,
+            Life::Established { fin: true } | Life::CloseWait { fin: true }
+        ) && !self.send_q.has_data_at(self.snd_nxt)
     }
 
     /// Process timers, then emit at most one segment. Call repeatedly
     /// until `None`.
     pub fn poll(&mut self, now: SimTime) -> Option<TcpSegment> {
         self.process_timers(now);
-
-        if self.rst_pending {
-            self.rst_pending = false;
-            let mut seg = TcpSegment::new(self.tuple, self.snd_nxt, self.rcv_nxt, TcpFlags::RST);
-            seg.flags.ack = self.irs != SeqNum(0) || self.rcv_nxt != SeqNum(0);
-            return Some(seg);
-        }
-
-        match self.state {
-            TcpState::Closed => None,
-            TcpState::SynSent if self.syn_due => Some(self.build_syn(now, TcpFlags::SYN)),
-            TcpState::SynReceived if self.syn_due => Some(self.build_syn(now, TcpFlags::SYN_ACK)),
-            TcpState::SynSent | TcpState::SynReceived => None,
+        match self.life {
+            Life::Closed(End::RstDue) => {
+                self.feed(Input::RstOut, now);
+                let mut seg =
+                    TcpSegment::new(self.tuple, self.snd_nxt, self.rcv_nxt, TcpFlags::RST);
+                seg.flags.ack = self.irs != SeqNum(0) || self.rcv_nxt != SeqNum(0);
+                Some(seg)
+            }
+            Life::Closed(_) => None,
+            Life::SynSent { syn: true, .. } => Some(self.build_syn(now, TcpFlags::SYN)),
+            Life::SynReceived { syn: true, .. } => Some(self.build_syn(now, TcpFlags::SYN_ACK)),
+            Life::SynSent { .. } | Life::SynReceived { .. } => None,
             _ => self.poll_transfer(now),
         }
     }
 
     fn process_timers(&mut self, now: SimTime) {
-        if self.timewait_deadline.is_some_and(|t| t <= now) {
-            self.state = TcpState::Closed;
+        if self.feed(Input::Tick, now) {
             self.poll_changed = true;
-            self.clear_timers();
             return;
         }
         if self.recovery.persist_due(now, self.rtt.rto()) {
@@ -968,24 +939,25 @@ impl TcpSocket {
             },
         );
         self.trace_sample(now);
-        let handshake = matches!(self.state, TcpState::SynSent | TcpState::SynReceived);
-        let outstanding = self.snd_una.before(self.snd_nxt) || self.fin_seq.is_some();
+        let handshake = !self.is_established();
+        let outstanding = self.snd_una.before(self.snd_nxt) || self.fin_seq().is_some();
         let flight = (!handshake && outstanding).then_some((self.snd_una, self.snd_nxt));
         match self.recovery.on_timer(now, self.rtt.rto(), flight) {
-            TimerAction::GiveUp => self.enter_error(),
-            TimerAction::Retry => match self.state {
-                TcpState::SynSent => {
-                    // §3.1: retry without the extension option in case a
-                    // middlebox is silently dropping option-bearing SYNs.
+            TimerAction::GiveUp => {
+                self.feed(Input::Failed, now);
+            }
+            TimerAction::Retry if handshake => {
+                // §3.1: retry without the extension option in case a
+                // middlebox is silently dropping option-bearing SYNs.
+                if self.state() == TcpState::SynSent {
                     self.syn_options.clear();
-                    self.syn_due = true;
                 }
-                TcpState::SynReceived => self.syn_due = true,
-                _ if flight.is_some() => self
-                    .cc
-                    .on_retransmit_timeout(now, self.bytes_in_flight().min(self.cc.cwnd())),
-                _ => {}
-            },
+                self.feed(Input::SynTimeout, now);
+            }
+            TimerAction::Retry if flight.is_some() => self
+                .cc
+                .on_retransmit_timeout(now, self.bytes_in_flight().min(self.cc.cwnd())),
+            TimerAction::Retry => {}
         }
     }
 
@@ -996,7 +968,7 @@ impl TcpSocket {
             let seq = rtx.seq;
             let seg = match self.data_segment(now, seq, self.effective_mss, true) {
                 // FIN-only retransmission.
-                None if self.fin_seq == Some(seq) => Some(self.fin_segment(now, seq)),
+                None if self.fin_seq() == Some(seq) => Some(self.fin_segment(now, seq)),
                 seg => seg,
             };
             let Some(seg) = seg else {
@@ -1023,13 +995,8 @@ impl TcpSocket {
         if self.can_send_fin() {
             let seq = self.snd_nxt;
             self.poll_changed |= seq == self.snd_una;
-            self.fin_seq = Some(seq);
             self.snd_nxt = seq + 1;
-            match self.state {
-                TcpState::Established => self.state = TcpState::FinWait1,
-                TcpState::CloseWait => self.state = TcpState::LastAck,
-                _ => {}
-            }
+            self.feed(Input::FinOut, now);
             self.recovery.ensure_armed(now, self.rtt.rto());
             return Some(self.fin_segment(now, seq));
         }
@@ -1089,7 +1056,7 @@ impl TcpSocket {
     }
 
     fn build_syn(&mut self, now: SimTime, flags: TcpFlags) -> TcpSegment {
-        self.syn_due = false;
+        self.feed(Input::SynOut, now);
         self.recovery.arm(now, self.rtt.rto());
         // The SYN occupies one sequence number.
         self.snd_nxt = self.iss + 1;

@@ -1,4 +1,16 @@
-//! The TCP connection state machine states (RFC 793).
+//! The TCP connection state machine (RFC 9293).
+//!
+//! [`TcpState`] is the public view. The socket keeps a `Life`: the state
+//! with what each state owns — a SYN owed while opening, the
+//! application's close while the FIN waits behind queued data, TIME_WAIT's
+//! deadline, how a closed end ended. It feeds it what happened as an
+//! `Input` and reads the state back; the machine holds no sequence number
+//! and builds no segment.
+
+use mptcp_netsim::{Duration, SimTime};
+
+/// How long a socket lingers in TIME_WAIT to absorb stray segments.
+const TIME_WAIT: Duration = Duration::from_secs(8);
 
 /// TCP connection states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,11 +39,6 @@ pub enum TcpState {
 }
 
 impl TcpState {
-    /// May the application still enqueue data for sending?
-    pub fn can_send(self) -> bool {
-        matches!(self, TcpState::Established | TcpState::CloseWait)
-    }
-
     /// May data still arrive from the peer?
     pub fn can_receive(self) -> bool {
         matches!(
@@ -47,10 +54,126 @@ impl TcpState {
             TcpState::Closed | TcpState::SynSent | TcpState::SynReceived
         )
     }
+}
 
-    /// Has the connection fully terminated?
-    pub fn is_closed(self) -> bool {
-        matches!(self, TcpState::Closed | TcpState::TimeWait)
+/// A [`TcpState`] with what it owns: `syn` while the SYN (SYN/ACK) is
+/// owed, `fin` from the application's close until the FIN is out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Life {
+    SynSent { syn: bool, fin: bool },
+    SynReceived { syn: bool, fin: bool },
+    Established { fin: bool },
+    CloseWait { fin: bool },
+    FinWait1,
+    FinWait2,
+    Closing,
+    LastAck,
+    TimeWait { until: SimTime },
+    Closed(End),
+}
+
+/// How a connection end closed: both FINs exchanged, or reset, timed out
+/// or aborted — with the abort's RST still owed to the peer, or not.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum End {
+    Clean,
+    Failed,
+    RstDue,
+}
+
+/// What happened to a connection end: the SYN (SYN/ACK) went out or its
+/// timer fired; the peer's SYN arrived (a simultaneous open, or a
+/// retransmission in SYN_RECEIVED); our SYN or FIN was acknowledged; the
+/// application closed; our FIN went out; the peer's FIN arrived in order;
+/// an acceptable RST or the timer giving up; the application aborted; the
+/// abort's RST went out; the clock reached the instant fed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Input {
+    SynOut,
+    SynTimeout,
+    PeerSyn,
+    SynAcked,
+    Close,
+    FinOut,
+    FinAcked,
+    PeerFin,
+    Failed,
+    Abort,
+    RstOut,
+    Tick,
+}
+
+impl Life {
+    /// The state after `input` at `now`; `None` when it changes nothing.
+    pub(crate) fn on(self, input: Input, now: SimTime) -> Option<Life> {
+        use Input::*;
+        use Life::*;
+        Some(match (self, input) {
+            (Closed(End::RstDue), RstOut) | (Closed(End::Clean), Abort) => Closed(End::Failed),
+            (Closed(_), _) => return None,
+            (_, Failed) | (SynSent { .. }, Abort) => Closed(End::Failed),
+            // An RST goes to a peer that knows of the connection.
+            (_, Abort) => Closed(End::RstDue),
+            (SynSent { fin, .. }, SynOut | SynTimeout) => SynSent {
+                syn: input == SynTimeout,
+                fin,
+            },
+            (SynReceived { fin, .. }, SynOut | SynTimeout | PeerSyn) => SynReceived {
+                syn: input != SynOut,
+                fin,
+            },
+            (SynSent { fin, .. }, PeerSyn) => SynReceived { syn: true, fin },
+            (SynSent { fin, .. } | SynReceived { fin, .. }, SynAcked) => Established { fin },
+            (SynSent { syn, .. }, Close) => SynSent { syn, fin: true },
+            (SynReceived { syn, .. }, Close) => SynReceived { syn, fin: true },
+            (Established { .. }, Close) => Established { fin: true },
+            (CloseWait { .. }, Close) => CloseWait { fin: true },
+            (Established { fin: true }, FinOut) => FinWait1,
+            (CloseWait { fin: true }, FinOut) => LastAck,
+            (Established { fin }, PeerFin) => CloseWait { fin },
+            (FinWait1, FinAcked) => FinWait2,
+            (FinWait1, PeerFin) => Closing,
+            (FinWait2, PeerFin) | (Closing, FinAcked) => TimeWait {
+                until: now + TIME_WAIT,
+            },
+            (LastAck, FinAcked) => Closed(End::Clean),
+            (TimeWait { until }, Tick) if until <= now => Closed(End::Clean),
+            _ => return None,
+        })
+    }
+
+    /// The public view.
+    pub(crate) fn state(self) -> TcpState {
+        match self {
+            Life::SynSent { .. } => TcpState::SynSent,
+            Life::SynReceived { .. } => TcpState::SynReceived,
+            Life::Established { .. } => TcpState::Established,
+            Life::CloseWait { .. } => TcpState::CloseWait,
+            Life::FinWait1 => TcpState::FinWait1,
+            Life::FinWait2 => TcpState::FinWait2,
+            Life::Closing => TcpState::Closing,
+            Life::LastAck => TcpState::LastAck,
+            Life::TimeWait { .. } => TcpState::TimeWait,
+            Life::Closed(_) => TcpState::Closed,
+        }
+    }
+
+    /// Will the application's writes be refused from now on? Only an
+    /// active opener and a synchronized end before its close take data.
+    pub(crate) fn send_closed(self) -> bool {
+        match self {
+            Life::SynSent { fin, .. } | Life::Established { fin } | Life::CloseWait { fin } => fin,
+            _ => true,
+        }
+    }
+
+    /// Has the peer's FIN arrived? A failed end's stream ended by error.
+    pub(crate) fn peer_fin(self) -> bool {
+        use Life::*;
+        matches!(
+            self,
+            CloseWait { .. } | Closing | LastAck | TimeWait { .. } | Closed(End::Clean)
+        )
     }
 }
 
@@ -58,16 +181,124 @@ impl TcpState {
 mod tests {
     use super::*;
 
+    const NOW: SimTime = SimTime::ZERO;
+
+    /// Every state, with each value of its data the socket can reach.
+    fn states() -> Vec<Life> {
+        use Life::*;
+        let mut all = Vec::new();
+        for (syn, fin) in [(true, false), (false, false), (true, true), (false, true)] {
+            all.push(SynSent { syn, fin });
+        }
+        for (syn, fin) in [(true, false), (false, false), (true, true), (false, true)] {
+            all.push(SynReceived { syn, fin });
+        }
+        for fin in [false, true] {
+            all.push(Established { fin });
+        }
+        for fin in [false, true] {
+            all.push(CloseWait { fin });
+        }
+        all.extend([FinWait1, FinWait2, Closing, LastAck]);
+        all.push(TimeWait { until: NOW });
+        all.push(TimeWait {
+            until: NOW + Duration::from_nanos(1),
+        });
+        all.extend([End::Clean, End::Failed, End::RstDue].map(Closed));
+        all
+    }
+
+    const INPUTS: [Input; 12] = [
+        Input::SynOut,
+        Input::SynTimeout,
+        Input::PeerSyn,
+        Input::SynAcked,
+        Input::Close,
+        Input::FinOut,
+        Input::FinAcked,
+        Input::PeerFin,
+        Input::Failed,
+        Input::Abort,
+        Input::RstOut,
+        Input::Tick,
+    ];
+
+    fn name(l: Life) -> String {
+        let flag = |on: bool, s: &'static str| if on { s } else { "" };
+        match l {
+            Life::SynSent { syn, fin } => format!("SS{}{}", flag(syn, "+syn"), flag(fin, "+fin")),
+            Life::SynReceived { syn, fin } => {
+                format!("SR{}{}", flag(syn, "+syn"), flag(fin, "+fin"))
+            }
+            Life::Established { fin } => format!("ES{}", flag(fin, "+fin")),
+            Life::CloseWait { fin } => format!("CW{}", flag(fin, "+fin")),
+            Life::FinWait1 => "FW1".into(),
+            Life::FinWait2 => "FW2".into(),
+            Life::Closing => "CLG".into(),
+            Life::LastAck => "LA".into(),
+            Life::TimeWait { until } if until == NOW + TIME_WAIT => "TW+8s".into(),
+            Life::TimeWait { until } => format!("TW@{}", until.0),
+            Life::Closed(end) => format!("CL.{end:?}"),
+        }
+    }
+
+    /// The whole table, one row per state, `-` where an input changes
+    /// nothing. Columns: SynOut, SynTimeout, PeerSyn, SynAcked, Close,
+    /// FinOut, FinAcked, PeerFin, Failed, Abort, RstOut, Tick.
+    #[test]
+    fn transition_table() {
+        let want = "\
+SS+syn: SS SS+syn SR+syn ES SS+syn+fin - - - CL.Failed CL.Failed - -
+SS: SS SS+syn SR+syn ES SS+fin - - - CL.Failed CL.Failed - -
+SS+syn+fin: SS+fin SS+syn+fin SR+syn+fin ES+fin SS+syn+fin - - - CL.Failed CL.Failed - -
+SS+fin: SS+fin SS+syn+fin SR+syn+fin ES+fin SS+fin - - - CL.Failed CL.Failed - -
+SR+syn: SR SR+syn SR+syn ES SR+syn+fin - - - CL.Failed CL.RstDue - -
+SR: SR SR+syn SR+syn ES SR+fin - - - CL.Failed CL.RstDue - -
+SR+syn+fin: SR+fin SR+syn+fin SR+syn+fin ES+fin SR+syn+fin - - - CL.Failed CL.RstDue - -
+SR+fin: SR+fin SR+syn+fin SR+syn+fin ES+fin SR+fin - - - CL.Failed CL.RstDue - -
+ES: - - - - ES+fin - - CW CL.Failed CL.RstDue - -
+ES+fin: - - - - ES+fin FW1 - CW+fin CL.Failed CL.RstDue - -
+CW: - - - - CW+fin - - - CL.Failed CL.RstDue - -
+CW+fin: - - - - CW+fin LA - - CL.Failed CL.RstDue - -
+FW1: - - - - - - FW2 CLG CL.Failed CL.RstDue - -
+FW2: - - - - - - - TW+8s CL.Failed CL.RstDue - -
+CLG: - - - - - - TW+8s - CL.Failed CL.RstDue - -
+LA: - - - - - - CL.Clean - CL.Failed CL.RstDue - -
+TW@0: - - - - - - - - CL.Failed CL.RstDue - CL.Clean
+TW@1: - - - - - - - - CL.Failed CL.RstDue - -
+CL.Clean: - - - - - - - - - CL.Failed - -
+CL.Failed: - - - - - - - - - - - -
+CL.RstDue: - - - - - - - - - - CL.Failed -
+";
+        let got: String = states()
+            .into_iter()
+            .map(|s| {
+                let cells: Vec<String> = INPUTS
+                    .iter()
+                    .map(|&i| s.on(i, NOW).map_or("-".into(), name))
+                    .collect();
+                format!("{}: {}\n", name(s), cells.join(" "))
+            })
+            .collect();
+        assert_eq!(got, want, "actual table:\n{got}");
+    }
+
     #[test]
     fn predicates() {
-        assert!(TcpState::Established.can_send());
-        assert!(TcpState::CloseWait.can_send());
-        assert!(!TcpState::FinWait1.can_send());
         assert!(TcpState::FinWait2.can_receive());
         assert!(!TcpState::CloseWait.can_receive());
         assert!(TcpState::Established.is_synchronized());
         assert!(!TcpState::SynSent.is_synchronized());
-        assert!(TcpState::TimeWait.is_closed());
-        assert!(!TcpState::LastAck.is_closed());
+        for s in states() {
+            let st = s.state();
+            // Writes are taken only in SYN_SENT and before a close.
+            if !s.send_closed() {
+                assert!(matches!(
+                    st,
+                    TcpState::SynSent | TcpState::Established | TcpState::CloseWait
+                ));
+            }
+            assert!(!s.peer_fin() || st.is_synchronized() || s == Life::Closed(End::Clean));
+        }
     }
 }
