@@ -33,6 +33,18 @@ pub struct SocketStats {
     pub bytes_acked: u64,
 }
 
+/// What a poll sends.
+#[derive(Clone, Copy)]
+enum Out {
+    Rst,
+    Syn(TcpFlags),
+    Retransmit,
+    NewData,
+    Fin,
+    Probe,
+    Ack,
+}
+
 /// A single TCP connection endpoint.
 pub struct TcpSocket {
     cfg: TcpConfig,
@@ -820,9 +832,10 @@ impl TcpSocket {
     // Output.
     // ------------------------------------------------------------------
 
-    /// Next instant this socket needs a poll (earliest timer).
+    /// Next instant this socket needs a poll: now when it has a segment to
+    /// give, else its earliest timer.
     pub fn poll_at(&self, _now: SimTime) -> Option<SimTime> {
-        if self.has_immediate_output() {
+        if self.next_out().is_some() {
             return Some(SimTime::ZERO); // poll me right now
         }
         let time_wait = match self.life {
@@ -832,19 +845,43 @@ impl TcpSocket {
         min_deadline(self.recovery.poll_at(), time_wait)
     }
 
-    fn has_immediate_output(&self) -> bool {
-        // A closed socket emits nothing but a pending RST; stale intents
-        // (need_ack set just before an error) must not promise output.
+    /// What `poll` sends next: the one decision `poll` acts on and
+    /// `poll_at` reads. A closed socket owes nothing but an abort's RST, an
+    /// opening one nothing but its SYN (an ACK a duplicate SYN asked for
+    /// waits for the handshake).
+    fn next_out(&self) -> Option<Out> {
         match self.life {
-            Life::Closed(end) => return end == End::RstDue,
-            Life::SynSent { syn: true, .. } | Life::SynReceived { syn: true, .. } => return true,
+            Life::Closed(end) => return (end == End::RstDue).then_some(Out::Rst),
+            Life::SynSent { syn, .. } => return syn.then_some(Out::Syn(TcpFlags::SYN)),
+            Life::SynReceived { syn, .. } => return syn.then_some(Out::Syn(TcpFlags::SYN_ACK)),
             _ => {}
         }
-        self.need_ack
-            || self.probe_pending
-            || self.recovery.has_retransmit(self.snd_una, self.cc.cwnd())
-            || self.can_send_new()
-            || self.can_send_fin()
+        let fin_queued = matches!(
+            self.life,
+            Life::Established { fin: true } | Life::CloseWait { fin: true }
+        );
+        if self.recovery.has_retransmit(self.snd_una, self.cc.cwnd()) {
+            Some(Out::Retransmit)
+        } else if self.can_send_new() {
+            Some(Out::NewData)
+        } else if fin_queued && !self.send_q.has_data_at(self.snd_nxt) {
+            Some(Out::Fin)
+        } else if self.probe_pending {
+            Some(Out::Probe)
+        } else {
+            (self.need_ack || self.window_moved()).then_some(Out::Ack)
+        }
+    }
+
+    /// Has the right edge moved substantially since it was last
+    /// advertised? The classic SWS-avoidance threshold: two segments or
+    /// half the buffer, whichever is smaller.
+    fn window_moved(&self) -> bool {
+        let right = self.rcv_nxt + self.adv_window();
+        let threshold = (2 * self.effective_mss)
+            .min(self.recv_q.capacity() / 2)
+            .max(1) as u32;
+        right.after_eq(self.last_adv_right_edge + threshold)
     }
 
     /// Usable send window: `min(cwnd, peer window) − bytes in flight`,
@@ -860,8 +897,7 @@ impl TcpSocket {
             .saturating_sub(self.bytes_in_flight())
     }
 
-    /// May new data go out now? The one predicate `poll`, and through
-    /// `has_immediate_output` also `poll_at`, decide on.
+    /// May new data go out now?
     ///
     /// Sender-side silly-window avoidance (RFC 1122 §4.2.3.4, RFC 9293
     /// §3.8.6.2.1): the segment that would be built at `snd_nxt` — a full
@@ -871,9 +907,6 @@ impl TcpSocket {
     /// pays a full header. With nothing in flight no ACK is coming, so
     /// whatever fits goes (a peer window under one MSS, a post-RTO cwnd).
     fn can_send_new(&self) -> bool {
-        if !self.is_established() {
-            return false;
-        }
         let usable = self.usable_window() as usize;
         if usable == 0 || !self.send_q.has_data_at(self.snd_nxt) {
             return false;
@@ -889,30 +922,86 @@ impl TcpSocket {
                 .is_some_and(|want| usable >= want)
     }
 
-    fn can_send_fin(&self) -> bool {
-        matches!(
-            self.life,
-            Life::Established { fin: true } | Life::CloseWait { fin: true }
-        ) && !self.send_q.has_data_at(self.snd_nxt)
-    }
-
     /// Process timers, then emit at most one segment. Call repeatedly
     /// until `None`.
     pub fn poll(&mut self, now: SimTime) -> Option<TcpSegment> {
         self.process_timers(now);
-        match self.life {
-            Life::Closed(End::RstDue) => {
-                self.feed(Input::RstOut, now);
-                let mut seg =
-                    TcpSegment::new(self.tuple, self.snd_nxt, self.rcv_nxt, TcpFlags::RST);
-                seg.flags.ack = self.irs != SeqNum(0) || self.rcv_nxt != SeqNum(0);
-                Some(seg)
-            }
-            Life::Closed(_) => None,
-            Life::SynSent { syn: true, .. } => Some(self.build_syn(now, TcpFlags::SYN)),
-            Life::SynReceived { syn: true, .. } => Some(self.build_syn(now, TcpFlags::SYN_ACK)),
-            Life::SynSent { .. } | Life::SynReceived { .. } => None,
-            _ => self.poll_transfer(now),
+        loop {
+            return Some(match self.next_out()? {
+                Out::Rst => {
+                    self.feed(Input::RstOut, now);
+                    let mut seg =
+                        TcpSegment::new(self.tuple, self.snd_nxt, self.rcv_nxt, TcpFlags::RST);
+                    seg.flags.ack = self.irs != SeqNum(0) || self.rcv_nxt != SeqNum(0);
+                    seg
+                }
+                Out::Syn(flags) => self.build_syn(now, flags),
+                // The hole an ACK or a probe named, then the post-RTO
+                // go-back-N walk, paced by cwnd.
+                Out::Retransmit => {
+                    let rtx = self
+                        .recovery
+                        .next_retransmit(self.snd_una, self.cc.cwnd())?;
+                    let seq = rtx.seq;
+                    let seg = match self.data_segment(now, seq, self.effective_mss, true) {
+                        // FIN-only retransmission.
+                        None if self.fin_seq() == Some(seq) => Some(self.fin_segment(now, seq)),
+                        seg => seg,
+                    };
+                    let Some(seg) = seg else {
+                        self.recovery.nothing_at(rtx);
+                        self.poll_changed = true;
+                        continue;
+                    };
+                    self.recovery.retransmitted(rtx, seg.seq_end());
+                    seg
+                }
+                Out::NewData => {
+                    let room = self.usable_window() as usize;
+                    let seg = self.data_segment(now, self.snd_nxt, room, false)?;
+                    self.poll_changed |= self.snd_nxt == self.snd_una;
+                    self.snd_nxt = seg.seq_end();
+                    self.recovery.ensure_armed(now, self.rtt.rto());
+                    seg
+                }
+                Out::Fin => {
+                    let seq = self.snd_nxt;
+                    self.poll_changed |= seq == self.snd_una;
+                    self.snd_nxt = seq + 1;
+                    self.feed(Input::FinOut, now);
+                    self.recovery.ensure_armed(now, self.rtt.rto());
+                    self.fin_segment(now, seq)
+                }
+                // Zero-window probe: one byte from snd_una to elicit a
+                // window update. Carried options go before the chunk's here.
+                Out::Probe => {
+                    self.probe_pending = false;
+                    self.telemetry.count(CounterId::TcpZeroWindowProbes);
+                    let Some(data) = self.send_q.segment_at(self.snd_una, 1) else {
+                        continue;
+                    };
+                    self.emit(
+                        now,
+                        data.seq,
+                        TcpFlags::ACK,
+                        data.payload,
+                        data.option,
+                        true,
+                    )
+                }
+                // A pure ACK, SACKing the first out-of-order block so the
+                // peer sees reordering.
+                Out::Ack => {
+                    let first_data = self.irs + 1;
+                    let sack = self.recv_q.first_sack_block().map(|(start, end)| {
+                        TcpOption::Sack(vec![(
+                            (first_data + start as u32).0,
+                            (first_data + end as u32).0,
+                        )])
+                    });
+                    self.emit(now, self.snd_nxt, TcpFlags::ACK, Bytes::new(), sack, true)
+                }
+            });
         }
     }
 
@@ -959,89 +1048,6 @@ impl TcpSocket {
                 .on_retransmit_timeout(now, self.bytes_in_flight().min(self.cc.cwnd())),
             TimerAction::Retry => {}
         }
-    }
-
-    fn poll_transfer(&mut self, now: SimTime) -> Option<TcpSegment> {
-        // 1. Retransmission: the hole an ACK or a probe named, then the
-        // post-RTO go-back-N walk, paced by cwnd.
-        while let Some(rtx) = self.recovery.next_retransmit(self.snd_una, self.cc.cwnd()) {
-            let seq = rtx.seq;
-            let seg = match self.data_segment(now, seq, self.effective_mss, true) {
-                // FIN-only retransmission.
-                None if self.fin_seq() == Some(seq) => Some(self.fin_segment(now, seq)),
-                seg => seg,
-            };
-            let Some(seg) = seg else {
-                self.recovery.nothing_at(rtx);
-                self.poll_changed = true;
-                continue;
-            };
-            self.recovery.retransmitted(rtx, seg.seq_end());
-            return Some(seg);
-        }
-
-        // 2. New data.
-        if self.can_send_new() {
-            let room = self.usable_window() as usize;
-            if let Some(seg) = self.data_segment(now, self.snd_nxt, room, false) {
-                self.poll_changed |= self.snd_nxt == self.snd_una;
-                self.snd_nxt = seg.seq_end();
-                self.recovery.ensure_armed(now, self.rtt.rto());
-                return Some(seg);
-            }
-        }
-
-        // 3. FIN.
-        if self.can_send_fin() {
-            let seq = self.snd_nxt;
-            self.poll_changed |= seq == self.snd_una;
-            self.snd_nxt = seq + 1;
-            self.feed(Input::FinOut, now);
-            self.recovery.ensure_armed(now, self.rtt.rto());
-            return Some(self.fin_segment(now, seq));
-        }
-
-        // 4. Zero-window probe: one byte from snd_una to elicit a window
-        // update. Carried options go before the chunk's here.
-        if self.probe_pending {
-            self.probe_pending = false;
-            self.telemetry.count(CounterId::TcpZeroWindowProbes);
-            if let Some(data) = self.send_q.segment_at(self.snd_una, 1) {
-                return Some(self.emit(
-                    now,
-                    data.seq,
-                    TcpFlags::ACK,
-                    data.payload,
-                    data.option,
-                    true,
-                ));
-            }
-        }
-
-        // 5. Window update: the right edge moved substantially while we had
-        // nothing else to say (the classic SWS-avoidance threshold: two
-        // segments or half the buffer, whichever is smaller).
-        let right = self.rcv_nxt + self.adv_window();
-        let threshold = (2 * self.effective_mss)
-            .min(self.recv_q.capacity() / 2)
-            .max(1) as u32;
-        if right.after_eq(self.last_adv_right_edge + threshold) {
-            self.need_ack = true;
-        }
-
-        // 6. Pure ACK, SACKing the first out-of-order block so the peer
-        // sees reordering.
-        if !self.need_ack {
-            return None;
-        }
-        let first_data = self.irs + 1;
-        let sack = self.recv_q.first_sack_block().map(|(start, end)| {
-            TcpOption::Sack(vec![(
-                (first_data + start as u32).0,
-                (first_data + end as u32).0,
-            )])
-        });
-        Some(self.emit(now, self.snd_nxt, TcpFlags::ACK, Bytes::new(), sack, true))
     }
 
     fn adv_window(&self) -> u32 {
