@@ -574,6 +574,12 @@ impl TcpSocket {
         // is position-independent (§3.3.4).
         self.harvest_mptcp(seg);
 
+        // A segment that carries nothing at an old sequence number (a
+        // zero-window probe) is answered with an ACK (RFC 9293 §3.10.7.4).
+        if seg.payload.is_empty() && !seg.flags.fin && seg.seq.before(self.rcv_nxt) {
+            self.need_ack = true;
+        }
+
         if seg.flags.ack {
             self.process_ack(now, seg);
         }
@@ -972,22 +978,14 @@ impl TcpSocket {
                     self.recovery.ensure_armed(now, self.rtt.rto());
                     self.fin_segment(now, seq)
                 }
-                // Zero-window probe: one byte from snd_una to elicit a
-                // window update. Carried options go before the chunk's here.
+                // Zero-window probe: nothing, at a sequence number the peer
+                // has acknowledged, which it answers with an ACK carrying its
+                // window (Linux's tcp_xmit_probe_skb).
                 Out::Probe => {
                     self.probe_pending = false;
                     self.telemetry.count(CounterId::TcpZeroWindowProbes);
-                    let Some(data) = self.send_q.segment_at(self.snd_una, 1) else {
-                        continue;
-                    };
-                    self.emit(
-                        now,
-                        data.seq,
-                        TcpFlags::ACK,
-                        data.payload,
-                        data.option,
-                        true,
-                    )
+                    let seq = self.snd_una - 1;
+                    self.emit(now, seq, TcpFlags::ACK, Bytes::new(), None, true)
                 }
                 // A pure ACK, SACKing the first out-of-order block so the
                 // peer sees reordering.

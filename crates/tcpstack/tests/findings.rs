@@ -150,7 +150,6 @@ fn finding_8_poll_at_agrees_with_poll() {
 /// the persist timer's probe must find the open window, and the transfer
 /// must complete.
 #[test]
-#[should_panic(expected = "finding 7")]
 fn finding_7_a_persist_probe_reopens_the_window_after_a_lost_update() {
     let server_cfg = TcpConfig {
         recv_buf: 4_000,

@@ -562,8 +562,8 @@ fn dead_peer_gives_up_is_pinned() {
 /// An 8 KB receive buffer whose reader sleeps for three seconds: the
 /// window closes, the persist timer probes with its own backoff, and the
 /// window update that follows the first read reopens it. The client
-/// sends mapped chunks with a DATA_ACK carried on everything, so the
-/// probe's option order is on record.
+/// sends mapped chunks with a DATA_ACK carried on everything; a probe
+/// carries no byte, so it carries the DATA_ACK and no mapping.
 #[test]
 fn zero_window_persist_and_reopen_is_pinned() {
     let server_cfg = TcpConfig {
@@ -598,7 +598,7 @@ fn zero_window_persist_and_reopen_is_pinned() {
     assert!(got == data, "stream arrived byte-exact");
     assert!(w.c.telemetry.counter(CounterId::TcpZeroWindowProbes) >= 3);
     assert_eq!(w.c.telemetry.counter(CounterId::TcpRtos), 0);
-    w.assert_pinned(65, 18426673792208115228, [0, 0, 0, 3, 0], [0, 0, 0, 0, 0]);
+    w.assert_pinned(65, 14869374160502564291, [0, 0, 0, 3, 0], [0, 0, 0, 0, 0]);
 }
 
 /// The SYN is lost twice (the retry drops MP_CAPABLE, §3.1) and the
