@@ -1763,14 +1763,10 @@ impl MptcpConnection {
         self.maybe_grow_rcvbuf(now);
         let window = self.rx.window();
         let da = self.rx.rcv_nxt();
+        let data_ack = self.life.carries_data_ack(self.tx.fin_dsn().is_some());
         for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
             sf.sock.set_window_override(Some(window));
-            // A server carries the DATA_ACK from the start; a client's
-            // MP_CAPABLE is its proof until MPTCP is confirmed.
-            if matches!(
-                self.life,
-                Life::Established | Life::ServerUnconfirmed { .. }
-            ) {
+            if data_ack {
                 // Rewritten in the buffer the socket already holds. A
                 // client still proving MP_JOIN on this subflow keeps the
                 // join ACK in front.

@@ -139,6 +139,19 @@ impl Life {
         }
     }
 
+    /// Do the subflows carry the DATA_ACK on every segment, given whether
+    /// our DATA_FIN is out? A server's do from the start. A client carries
+    /// MP_CAPABLE with both keys as its proof until MPTCP is confirmed —
+    /// unless its DATA_FIN is out: the server confirms on that DSS as on
+    /// any other, and beside MP_CAPABLE it would not fit the option space.
+    pub(crate) fn carries_data_ack(self, fin_out: bool) -> bool {
+        match self {
+            Life::Established | Life::ServerUnconfirmed { .. } => true,
+            Life::ClientUnconfirmed => fin_out,
+            _ => false,
+        }
+    }
+
     /// MPTCP negotiated, neither fallen back nor closed.
     pub(crate) fn running(self) -> bool {
         matches!(
@@ -217,18 +230,19 @@ mod tests {
 
     /// The whole table: per stage, one cell per input in the order of
     /// `inputs()`, `-` where nothing changes, else the next stage and the
-    /// action after a `!`.
+    /// action after a `!`; then whether the subflows carry the DATA_ACK
+    /// before and after our DATA_FIN is out.
     #[test]
     fn transition_table() {
         let want = "\
-HS(c): UC(c) FB(option_stripped)!fallback CL - - - - - - - - - - - CL(2)!abort(2) CL - -
-HS(s): UC(s0) UC(s0) CL - - - - - - - - - - - CL(2)!abort(2) CL - -
-UC(c): - - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(c)!close
-UC(s0): - - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(s0)!close
-UC(s2): - - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(s2)!close
-ES: - - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - ES!close
-FB: - - - - - - - - - - - - - - CL(2)!abort(2) CL FB!close -
-CL: - - - - - - - - - - - - - - - - - -
+HS(c): UC(c) FB(option_stripped)!fallback CL - - - - - - - - - - - CL(2)!abort(2) CL - - | [0, 0]
+HS(s): UC(s0) UC(s0) CL - - - - - - - - - - - CL(2)!abort(2) CL - - | [0, 0]
+UC(c): - - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(c)!close | [0, 1]
+UC(s0): - - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(s0)!close | [1, 1]
+UC(s2): - - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(s2)!close | [1, 1]
+ES: - - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - ES!close | [1, 1]
+FB: - - - - - - - - - - - - - - CL(2)!abort(2) CL FB!close - | [0, 0]
+CL: - - - - - - - - - - - - - - - - - - | [0, 0]
 ";
         let mut got = String::new();
         for stage in stages() {
@@ -243,7 +257,8 @@ CL: - - - - - - - - - - - - - - - - - -
                     }
                 })
                 .collect();
-            got += &format!("{}: {}\n", name(stage), cells.join(" "));
+            let carry = [false, true].map(|fin_out| u8::from(stage.carries_data_ack(fin_out)));
+            got += &format!("{}: {} | {carry:?}\n", name(stage), cells.join(" "));
         }
         assert_eq!(got, want, "actual table:\n{got}");
     }
