@@ -112,6 +112,10 @@ pub enum AbortReason {
     LastSubflowRemoved,
     /// The peer sent MP_FASTCLOSE (code 2).
     PeerFastClose,
+    /// The initial subflow's handshake was refused or timed out (code 3).
+    HandshakeFailed,
+    /// Every subflow was reset or timed out (code 4).
+    AllSubflowsDied,
 }
 
 impl AbortReason {
@@ -121,6 +125,8 @@ impl AbortReason {
             AbortReason::AllPathsFailed => 0,
             AbortReason::LastSubflowRemoved => 1,
             AbortReason::PeerFastClose => 2,
+            AbortReason::HandshakeFailed => 3,
+            AbortReason::AllSubflowsDied => 4,
         }
     }
 }
@@ -131,6 +137,8 @@ impl fmt::Display for AbortReason {
             AbortReason::AllPathsFailed => "all paths failed past the abort deadline",
             AbortReason::LastSubflowRemoved => "address removal killed the last live subflow",
             AbortReason::PeerFastClose => "peer sent MP_FASTCLOSE",
+            AbortReason::HandshakeFailed => "the handshake was refused or timed out",
+            AbortReason::AllSubflowsDied => "every subflow was reset or timed out",
         };
         f.write_str(msg)
     }
@@ -146,10 +154,6 @@ pub enum JoinError {
     /// The token does not identify this connection (or our peer key is
     /// not yet known, so no join can be validated).
     UnknownToken,
-    /// The HMAC in the join handshake did not verify. (The SYN itself
-    /// carries no HMAC — this is reported by the later handshake steps and
-    /// surfaces in telemetry as `JoinsRejected`.)
-    BadHmac,
     /// [`crate::MAX_SUBFLOWS`] live subflows already.
     SubflowLimit,
     /// The connection cannot accept joins (fallen back or closed).
@@ -161,7 +165,6 @@ impl fmt::Display for JoinError {
         let msg = match self {
             JoinError::NoJoinOption => "SYN carried no MP_JOIN option",
             JoinError::UnknownToken => "token does not match this connection",
-            JoinError::BadHmac => "join HMAC failed verification",
             JoinError::SubflowLimit => "subflow limit reached",
             JoinError::WrongState => "connection state does not accept joins",
         };

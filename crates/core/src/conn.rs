@@ -326,7 +326,7 @@ impl MptcpConnection {
     /// a still-live connection).
     pub fn abort_reason(&self) -> Option<AbortReason> {
         match self.life {
-            Life::Closed(reason) => reason,
+            Life::Closed(reason) => Some(reason),
             _ => None,
         }
     }
@@ -791,7 +791,7 @@ impl MptcpConnection {
         self.process_handshake(now, idx);
         self.process_rx_options(now, idx);
         self.drain_subflow_stream(now, idx);
-        self.reap_dead();
+        self.reap_dead(now);
         self.update_ack_state(now);
     }
 
@@ -805,7 +805,7 @@ impl MptcpConnection {
         let sf = &mut self.subflows[idx];
         if !sf.sock.is_established() {
             if sf.sock.is_error() {
-                self.feed(now, idx, Input::HandshakeFailed);
+                self.feed(now, idx, Input::Abort(AbortReason::HandshakeFailed));
             }
             return;
         }
@@ -1253,7 +1253,7 @@ impl MptcpConnection {
         self.subflows.iter().filter(|s| !s.dead).count()
     }
 
-    fn reap_dead(&mut self) {
+    fn reap_dead(&mut self, now: SimTime) {
         let mut any_died = false;
         for i in 0..self.subflows.len() {
             if !self.subflows[i].dead && self.subflows[i].sock.is_error() {
@@ -1264,7 +1264,7 @@ impl MptcpConnection {
         if any_died {
             self.reinject_chunks_of_dead();
             if self.alive_subflows() == 0 {
-                self.feed(SimTime::ZERO, 0, Input::SubflowsDead);
+                self.feed(now, 0, Input::Abort(AbortReason::AllSubflowsDied));
             }
         }
     }
@@ -1415,7 +1415,7 @@ impl MptcpConnection {
         if matches!(self.life, Life::Closed(_)) {
             return;
         }
-        self.reap_dead();
+        self.reap_dead(now);
         // Interval-driven trace sampling (congestion events add their own
         // samples; this keeps the timeline dense even on quiet paths).
         if self.telemetry.sample_due(now.0) {

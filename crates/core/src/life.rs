@@ -17,7 +17,7 @@ use crate::conn::ConnState;
 /// both keys until a segment from the server proves MPTCP works both ways;
 /// a server counts option-less segments in a row on the initial subflow
 /// until one carries an MPTCP option. `Fallback(None)`: MPTCP was never
-/// offered.
+/// offered. Every way into `Closed` has a reason.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Life {
     Handshake { client: bool },
@@ -25,20 +25,19 @@ pub(crate) enum Life {
     ServerUnconfirmed { plain_streak: u32 },
     Established,
     Fallback(Option<FallbackCause>),
-    Closed(Option<AbortReason>),
+    Closed(AbortReason),
 }
 
 /// What happened to a connection: the initial subflow's handshake
-/// finished (`mp_capable`: a client's SYN/ACK carried MP_CAPABLE) or
-/// failed; a non-SYN segment on the established initial subflow; a DSS or
+/// finished (`mp_capable`: a client's SYN/ACK carried MP_CAPABLE); a
+/// non-SYN segment on the established initial subflow; a DSS or
 /// MP_CAPABLE; the data-level timer, a failed checksum or MP_FAIL with
 /// `live` subflows; bytes outside any mapping (`lone`: on the only live
-/// subflow, which never had one); a reason to abort; every subflow dead;
-/// the application's close; our DATA_FIN acknowledged.
+/// subflow, which never had one); a reason to abort; the application's
+/// close; our DATA_FIN acknowledged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Input {
     Synchronized { mp_capable: bool },
-    HandshakeFailed,
     Segment { mptcp: bool },
     MptcpSeen,
     DataRto { live: usize },
@@ -46,7 +45,6 @@ pub(crate) enum Input {
     Unmapped { lone: bool },
     MpFail { live: usize },
     Abort(AbortReason),
-    SubflowsDead,
     Close,
     DataFinAcked,
 }
@@ -72,8 +70,7 @@ impl Life {
         let running = self.running();
         let (next, action) = match (*self, input) {
             (Closed(_), _) => return None,
-            (_, Abort(reason)) => (Closed(Some(reason)), Some(Action::Abort(reason))),
-            (_, SubflowsDead) | (Handshake { .. }, HandshakeFailed) => (Closed(None), None),
+            (_, Abort(reason)) => (Closed(reason), Some(Action::Abort(reason))),
             (Handshake { client: true }, Synchronized { mp_capable: true }) => {
                 (ClientUnconfirmed, None)
             }
@@ -176,7 +173,7 @@ mod tests {
             ServerUnconfirmed { plain_streak: 2 },
             Established,
             Fallback(None),
-            Closed(None),
+            Closed(AbortReason::AllPathsFailed),
         ]
     }
 
@@ -185,7 +182,6 @@ mod tests {
         vec![
             Synchronized { mp_capable: true },
             Synchronized { mp_capable: false },
-            HandshakeFailed,
             Segment { mptcp: true },
             Segment { mptcp: false },
             MptcpSeen,
@@ -198,7 +194,6 @@ mod tests {
             MpFail { live: 1 },
             MpFail { live: 2 },
             Abort(AbortReason::PeerFastClose),
-            SubflowsDead,
             Close,
             DataFinAcked,
         ]
@@ -213,8 +208,7 @@ mod tests {
             Life::Established => "ES".into(),
             Life::Fallback(None) => "FB".into(),
             Life::Fallback(Some(c)) => format!("FB({})", c.name()),
-            Life::Closed(None) => "CL".into(),
-            Life::Closed(Some(r)) => format!("CL({})", r.code()),
+            Life::Closed(r) => format!("CL({})", r.code()),
         }
     }
 
@@ -235,14 +229,14 @@ mod tests {
     #[test]
     fn transition_table() {
         let want = "\
-HS(c): UC(c) FB(option_stripped)!fallback CL - - - - - - - - - - - CL(2)!abort(2) CL - - | [0, 0]
-HS(s): UC(s0) UC(s0) CL - - - - - - - - - - - CL(2)!abort(2) CL - - | [0, 0]
-UC(c): - - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(c)!close | [0, 1]
-UC(s0): - - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(s0)!close | [1, 1]
-UC(s2): - - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - UC(s2)!close | [1, 1]
-ES: - - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) CL - ES!close | [1, 1]
-FB: - - - - - - - - - - - - - - CL(2)!abort(2) CL FB!close - | [0, 0]
-CL: - - - - - - - - - - - - - - - - - - | [0, 0]
+HS(c): UC(c) FB(option_stripped)!fallback - - - - - - - - - - - CL(2)!abort(2) - - | [0, 0]
+HS(s): UC(s0) UC(s0) - - - - - - - - - - - CL(2)!abort(2) - - | [0, 0]
+UC(c): - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(c)!close | [0, 1]
+UC(s0): - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s0)!close | [1, 1]
+UC(s2): - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s2)!close | [1, 1]
+ES: - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - ES!close | [1, 1]
+FB: - - - - - - - - - - - - - CL(2)!abort(2) FB!close - | [0, 0]
+CL(0): - - - - - - - - - - - - - - - - | [0, 0]
 ";
         let mut got = String::new();
         for stage in stages() {

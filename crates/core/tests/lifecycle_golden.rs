@@ -548,7 +548,7 @@ fn fastclose_aborts() {
             "15.000 c AwaitingConfirm [Established] | s Established [Established]",
             "20.000 c Established [Established] | s Established [Established]",
             "300.000 c Closed abort:PeerFastClose [Closed] | s Established [Established]",
-            "305.000 c Closed abort:PeerFastClose [Closed] | s Closed [Closed]",
+            "305.000 c Closed abort:PeerFastClose [Closed] | s Closed abort:AllSubflowsDied [Closed]",
         ],
         (&[], &[]),
     );
@@ -604,7 +604,7 @@ fn last_subflow_removed_aborts() {
             "15.000 c AwaitingConfirm [Established] | s Established [Established]",
             "20.000 c Established [Established] | s Established [Established]",
             "300.000 c Closed abort:LastSubflowRemoved [Closed] | s Established [Established]",
-            "305.000 c Closed abort:LastSubflowRemoved [Closed] | s Closed [Closed]",
+            "305.000 c Closed abort:LastSubflowRemoved [Closed] | s Closed abort:AllSubflowsDied [Closed]",
         ],
         (&[], &[]),
     );
@@ -643,7 +643,7 @@ fn resets_in_and_out_of_window() {
             "110.000 c Established [Established, Established] | s Established [Established, SynReceived]",
             "115.000 c Established [Established, Established] | s Established [Established, Established]",
             "700.000 c Established [Established, Closed] | s Established [Established, Established]",
-            "900.000 c Closed [Closed, Closed] | s Established [Established, Established]",
+            "900.000 c Closed abort:AllSubflowsDied [Closed, Closed] | s Established [Established, Established]",
         ],
         (&[], &[]),
     );
@@ -666,7 +666,7 @@ fn refused_handshake() {
         &[
             "0.000 c Handshake [SynSent] | s -",
             "5.000 c Handshake [SynSent] | s Handshake [SynReceived]",
-            "10.000 c Closed [Closed] | s Handshake [SynReceived]",
+            "10.000 c Closed abort:HandshakeFailed [Closed] | s Handshake [SynReceived]",
         ],
         (&[], &[]),
     );

@@ -111,10 +111,11 @@ impl<A: ConnApp> ClientRuntime<A> {
     pub fn run(&mut self, timeout: Duration) -> Result<(), RuntimeError> {
         let hard = Instant::now() + timeout;
         while !self.app.finished() {
+            self.turn();
+            // Checked after the turn: an abort also ends the app's work.
             if let Some(reason) = self.conn.abort_reason() {
                 return Err(RuntimeError::Aborted(reason));
             }
-            self.turn();
             if Instant::now() > hard {
                 return Err(RuntimeError::Timeout);
             }

@@ -6,12 +6,17 @@
 //! real sockets, across two paths at once, and survive losing one of them
 //! mid-transfer.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, UdpSocket};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mptcp::{FailureDetection, MptcpConfig, TcpConfig};
-use mptcp_runtime::{ClientRuntime, ConnApp, FetchClient, FetchServer, LoopConfig, ServerRuntime};
+use bytes::Bytes;
+use mptcp::{AbortReason, FailureDetection, MptcpConfig, TcpConfig};
+use mptcp_packet::{SeqNum, TcpFlags, TcpSegment};
+use mptcp_runtime::wire::{decode_datagram_view, encode_datagram_into};
+use mptcp_runtime::{
+    ClientRuntime, ConnApp, FetchClient, FetchServer, LoopConfig, RuntimeError, ServerRuntime,
+};
 use mptcp_telemetry::CounterId;
 
 const SEED: u64 = 20120425;
@@ -224,5 +229,53 @@ fn transfer_survives_mid_stream_path_blackout() {
     assert!(
         report.reinjections > 0,
         "in-flight data from the dead path must have been reinjected"
+    );
+}
+
+/// A client whose every subflow dies gets a typed abort from `run` at once,
+/// not a timeout after waiting its budget out. The peer here is a bare UDP
+/// socket that answers the SYN with an RST acknowledging it: the only
+/// subflow is refused, so the handshake fails.
+#[test]
+fn a_client_whose_subflows_all_die_aborts_instead_of_timing_out() {
+    let refuser = UdpSocket::bind("127.0.0.1:0").expect("bind the refusing peer");
+    let addr = refuser.local_addr().unwrap();
+    let peer = thread::spawn(move || {
+        refuser
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = vec![0u8; 2048];
+        let (n, from) = refuser.recv_from(&mut buf).expect("the SYN");
+        let syn = decode_datagram_view(&Bytes::copy_from_slice(&buf[..n])).expect("a segment");
+        assert!(syn.flags.syn && !syn.flags.ack);
+        let mut rst = TcpSegment::new(syn.tuple.reversed(), SeqNum(0), syn.seq + 1, TcpFlags::RST);
+        rst.flags.ack = true;
+        let mut out = Vec::new();
+        encode_datagram_into(&rst, &mut out);
+        refuser.send_to(&out, from).unwrap();
+    });
+    let mut client = ClientRuntime::connect(
+        MptcpConfig::default(),
+        SEED,
+        &loopback(1),
+        &[addr],
+        FetchClient::new(1 << 16, SEED),
+        LoopConfig::default(),
+    )
+    .expect("bind client path");
+    let started = Instant::now();
+    let outcome = client.run(Duration::from_secs(5));
+    peer.join().expect("peer thread");
+    assert!(
+        matches!(
+            outcome,
+            Err(RuntimeError::Aborted(AbortReason::HandshakeFailed))
+        ),
+        "{outcome:?}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        started.elapsed()
     );
 }

@@ -244,9 +244,6 @@ registry! {
         ChecksumFail = "checksum_fail";
         /// MPTCP options were stripped by a middlebox (SYN or data path).
         OptionStripped = "option_stripped";
-        /// Data arrived with no covering DSS mapping: payload was altered
-        /// or re-segmented in a way the mappings cannot describe.
-        PayloadMutation = "payload_mutation";
         /// The data-level RTO fired with the mapping never confirmed; the
         /// path is presumed MPTCP-hostile.
         DataRtoUnconfirmed = "data_rto_unconfirmed";

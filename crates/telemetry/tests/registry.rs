@@ -113,7 +113,6 @@ fn fallback_cause_names_are_pinned() {
     let names = [
         FallbackCause::ChecksumFail,
         FallbackCause::OptionStripped,
-        FallbackCause::PayloadMutation,
         FallbackCause::DataRtoUnconfirmed,
         FallbackCause::MpFail,
     ]
@@ -123,7 +122,6 @@ fn fallback_cause_names_are_pinned() {
         [
             "checksum_fail",
             "option_stripped",
-            "payload_mutation",
             "data_rto_unconfirmed",
             "mp_fail",
         ]
