@@ -565,9 +565,12 @@ impl MptcpConnection {
                 self.note_subflow_reset(now, idx);
                 self.reinject_chunks_of_dead();
             }
-            Action::CloseSubflows => {
+            Action::CloseSubflows { orphan } => {
                 for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
                     sf.sock.close();
+                    if orphan {
+                        sf.sock.orphan();
+                    }
                 }
             }
         }
@@ -1731,7 +1734,8 @@ impl MptcpConnection {
         if self.tx.assign_fin() {
             self.send_data_fin_signal();
         } else if self.tx.fin_acked() {
-            self.feed(now, 0, Input::DataFinAcked);
+            let both = self.rx.eof();
+            self.feed(now, 0, Input::DataFinAcked { both });
         }
     }
 

@@ -34,7 +34,7 @@ pub(crate) enum Life {
 /// MP_CAPABLE; the data-level timer, a failed checksum or MP_FAIL with
 /// `live` subflows; bytes outside any mapping (`lone`: on the only live
 /// subflow, which never had one); a reason to abort; the application's
-/// close; our DATA_FIN acknowledged.
+/// close; our DATA_FIN acknowledged (`both`: the peer's is in too).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Input {
     Synchronized { mp_capable: bool },
@@ -46,20 +46,23 @@ pub(crate) enum Input {
     MpFail { live: usize },
     Abort(AbortReason),
     Close,
-    DataFinAcked,
+    DataFinAcked { both: bool },
 }
 
 /// What the connection does about an input: start the path manager once
 /// MPTCP is confirmed, fall back, reset every subflow, reset the one the
 /// input came from, or close the subflows (after the acknowledged
-/// DATA_FIN, or as the close itself in fallback).
+/// DATA_FIN, or as the close itself in fallback). Once both DATA_FINs are
+/// acknowledged the connection is closed (RFC 8684 §3.3.3): the subflows
+/// are `orphan`ed, their FINs retried only briefly into a peer that may
+/// have left. A fallback's FIN is the close itself and keeps its retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Action {
     Confirm,
     FallBack(FallbackCause),
     Abort(AbortReason),
     ResetSubflow,
-    CloseSubflows,
+    CloseSubflows { orphan: bool },
 }
 
 impl Life {
@@ -112,8 +115,10 @@ impl Life {
             (_, MpFail { live }) if running && live <= 1 => {
                 return self.fall_back(FallbackCause::MpFail)
             }
-            (Fallback(_), Close) => (*self, Some(Action::CloseSubflows)),
-            (_, DataFinAcked) if running => (*self, Some(Action::CloseSubflows)),
+            (Fallback(_), Close) => (*self, Some(Action::CloseSubflows { orphan: false })),
+            (_, DataFinAcked { both }) if running => {
+                (*self, Some(Action::CloseSubflows { orphan: both }))
+            }
             _ => return None,
         };
         *self = next;
@@ -195,7 +200,8 @@ mod tests {
             MpFail { live: 2 },
             Abort(AbortReason::PeerFastClose),
             Close,
-            DataFinAcked,
+            DataFinAcked { both: false },
+            DataFinAcked { both: true },
         ]
     }
 
@@ -218,7 +224,8 @@ mod tests {
             Action::FallBack(_) => "fallback".into(),
             Action::Abort(r) => format!("abort({})", r.code()),
             Action::ResetSubflow => "reset".into(),
-            Action::CloseSubflows => "close".into(),
+            Action::CloseSubflows { orphan: false } => "close".into(),
+            Action::CloseSubflows { orphan: true } => "orphan".into(),
         }
     }
 
@@ -229,14 +236,14 @@ mod tests {
     #[test]
     fn transition_table() {
         let want = "\
-HS(c): UC(c) FB(option_stripped)!fallback - - - - - - - - - - - CL(2)!abort(2) - - | [0, 0]
-HS(s): UC(s0) UC(s0) - - - - - - - - - - - CL(2)!abort(2) - - | [0, 0]
-UC(c): - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(c)!close | [0, 1]
-UC(s0): - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s0)!close | [1, 1]
-UC(s2): - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s2)!close | [1, 1]
-ES: - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - ES!close | [1, 1]
-FB: - - - - - - - - - - - - - CL(2)!abort(2) FB!close - | [0, 0]
-CL(0): - - - - - - - - - - - - - - - - | [0, 0]
+HS(c): UC(c) FB(option_stripped)!fallback - - - - - - - - - - - CL(2)!abort(2) - - - | [0, 0]
+HS(s): UC(s0) UC(s0) - - - - - - - - - - - CL(2)!abort(2) - - - | [0, 0]
+UC(c): - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(c)!close UC(c)!orphan | [0, 1]
+UC(s0): - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s0)!close UC(s0)!orphan | [1, 1]
+UC(s2): - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s2)!close UC(s2)!orphan | [1, 1]
+ES: - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - ES!close ES!orphan | [1, 1]
+FB: - - - - - - - - - - - - - CL(2)!abort(2) FB!close - - | [0, 0]
+CL(0): - - - - - - - - - - - - - - - - - | [0, 0]
 ";
         let mut got = String::new();
         for stage in stages() {

@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use mptcp::telemetry::FallbackCause;
+use mptcp::telemetry::{CounterId, FallbackCause};
 use mptcp::{FailureDetection, MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
@@ -358,6 +358,71 @@ fn crossing_data_fins() {
             "8615.000 c Established [Closed] | s Established [Closed]",
         ],
         (&[], &[]),
+    );
+}
+
+/// Both DATA_FINs are acknowledged, then every FIN the server sends is
+/// lost, as when the client has left. The connection is closed at the data
+/// level, so the server's subflow sends its FIN at most twice more, and
+/// closes without error instead of retrying into a closed port.
+#[test]
+fn orphaned_fin_is_abandoned_after_two_retries() {
+    let mut w = Wire::new(MptcpConfig::default());
+    w.run(ms(100), &mut idle);
+    w.client.write(&[7; 3_000]);
+    w.client.close();
+    w.script = Box::new(|_, seg| !(seg.flags.fin && seg.tuple.src.addr == S1));
+    w.run(ms(20_000), &mut serve);
+    let server = &w.server.conns[0];
+    let sock = &server.subflows()[0].sock;
+    assert_eq!(sock.telemetry.counter(CounterId::TcpRtos), 3);
+    assert!(!sock.is_error() && server.abort_reason().is_none());
+    w.assert_pinned(
+        &[
+            "0.000 c Handshake [SynSent] | s -",
+            "5.000 c Handshake [SynSent] | s Handshake [SynReceived]",
+            "10.000 c AwaitingConfirm [Established] | s Handshake [SynReceived]",
+            "15.000 c AwaitingConfirm [Established] | s Established [Established]",
+            "20.000 c Established [Established] | s Established [Established]",
+            "120.000 c Established [FinWait1] | s Established [Established]",
+            "125.000 c Established [FinWait1] | s Established [LastAck]",
+            "330.000 c Established [FinWait2] | s Established [LastAck]",
+            "7125.000 c Established [FinWait2] | s Established [Closed]",
+        ],
+        (&[], &[]),
+    );
+}
+
+/// After fallback a FIN is the data-level close itself: lost the same
+/// way, it keeps every retry the socket allows.
+#[test]
+fn fallback_fin_keeps_its_retries() {
+    let mut w = Wire::new(MptcpConfig::default());
+    w.script = Box::new(|_, seg| {
+        if seg.flags.syn && seg.flags.ack {
+            strip_mptcp(seg);
+        }
+        !(seg.flags.fin && seg.tuple.src.addr == S1)
+    });
+    w.run(ms(100), &mut idle);
+    w.client.write(&[7; 3_000]);
+    w.client.close();
+    w.run(ms(20_000), &mut serve);
+    let sock = &w.server.conns[0].subflows()[0].sock;
+    assert_eq!(sock.telemetry.counter(CounterId::TcpRtos), 4);
+    w.assert_pinned(
+        &[
+            "0.000 c Handshake [SynSent] | s -",
+            "5.000 c Handshake [SynSent] | s Handshake [SynReceived]",
+            "10.000 c Fallback fallback [Established] | s Handshake [SynReceived]",
+            "15.000 c Fallback fallback [Established] | s AwaitingConfirm [Established]",
+            "100.000 c Fallback fallback [FinWait1] | s AwaitingConfirm [Established]",
+            "105.000 c Fallback fallback [FinWait1] | s Fallback fallback [LastAck]",
+        ],
+        (
+            &[FallbackCause::OptionStripped],
+            &[FallbackCause::OptionStripped],
+        ),
     );
 }
 

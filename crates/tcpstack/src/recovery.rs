@@ -19,6 +19,8 @@ use mptcp_packet::SeqNum;
 const DUP_ACK_THRESHOLD: u32 = 3;
 /// The timer may fire this many times in a row; the next firing gives up.
 const MAX_CONSECUTIVE_RTOS: u32 = 15;
+/// The same for an orphaned connection, whose next firing abandons it.
+const ORPHAN_RETRIES: u32 = 2;
 /// Cap on the backoff multiplier (the product is capped by `max_rto` too).
 const MAX_BACKOFF: u32 = 512;
 /// Caps on the persist timer's multiplier and on its interval.
@@ -59,6 +61,8 @@ pub enum TimerAction {
     Retry,
     /// Too many firings in a row: the peer is gone.
     GiveUp,
+    /// An orphaned connection's retries are spent: close it quietly.
+    Abandon,
 }
 
 /// Loss-recovery and timer state of one connection's sending side.
@@ -83,6 +87,8 @@ pub struct Recovery {
     /// queued data, with a backoff of its own.
     persist_deadline: Option<SimTime>,
     persist_backoff: u32,
+    /// See [`Recovery::orphan`].
+    orphaned: bool,
 }
 
 impl Recovery {
@@ -102,6 +108,7 @@ impl Recovery {
             consecutive_rtos: 0,
             persist_deadline: None,
             persist_backoff: 1,
+            orphaned: false,
         }
     }
 
@@ -155,6 +162,13 @@ impl Recovery {
         self.persist_deadline = None;
     }
 
+    /// Nothing needs the connection's close any more: what is outstanding
+    /// goes out at most twice again, then the timer abandons the
+    /// connection.
+    pub fn orphan(&mut self) {
+        self.orphaned = true;
+    }
+
     /// The handshake completed: the SYN's timer and its backoff are done.
     pub fn on_established(&mut self) {
         self.deadline = None;
@@ -173,6 +187,10 @@ impl Recovery {
         flight: Option<(SeqNum, SeqNum)>,
     ) -> TimerAction {
         self.consecutive_rtos += 1;
+        if self.orphaned && self.consecutive_rtos > ORPHAN_RETRIES {
+            self.deadline = None;
+            return TimerAction::Abandon;
+        }
         if self.consecutive_rtos > MAX_CONSECUTIVE_RTOS {
             self.deadline = None;
             return TimerAction::GiveUp;
@@ -553,6 +571,17 @@ mod tests {
             assert_eq!(r.consecutive_rtos(), n);
         }
         assert_eq!(r.on_timer(T0, BASE, None), TimerAction::GiveUp);
+        assert_eq!(r.deadline(), None);
+    }
+
+    #[test]
+    fn an_orphan_is_abandoned_after_two_retries() {
+        let mut r = machine();
+        r.arm(T0, BASE);
+        r.on_timer(T0, BASE, None);
+        r.orphan();
+        assert_eq!(r.on_timer(T0, BASE, None), TimerAction::Retry);
+        assert_eq!(r.on_timer(T0, BASE, None), TimerAction::Abandon);
         assert_eq!(r.deadline(), None);
     }
 

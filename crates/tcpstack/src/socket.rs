@@ -402,6 +402,14 @@ impl TcpSocket {
         self.need_ack = true;
     }
 
+    /// Nothing above needs this connection's close any more (MPTCP: both
+    /// DATA_FINs are acknowledged, RFC 8684 §3.3.3). A FIN still
+    /// unacknowledged goes out at most twice more, then the socket closes
+    /// without error instead of retrying into a peer that has left.
+    pub fn orphan(&mut self) {
+        self.recovery.orphan();
+    }
+
     /// Probe a possibly-dead path right now instead of waiting for the
     /// backed-off RTO: schedule an immediate retransmission of the first
     /// unacked segment (which elicits an ACK if the path works again), or
@@ -1032,6 +1040,9 @@ impl TcpSocket {
         match self.recovery.on_timer(now, self.rtt.rto(), flight) {
             TimerAction::GiveUp => {
                 self.feed(Input::Failed, now);
+            }
+            TimerAction::Abandon => {
+                self.feed(Input::Abandon, now);
             }
             TimerAction::Retry if handshake => {
                 // §3.1: retry without the extension option in case a

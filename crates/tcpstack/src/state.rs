@@ -72,8 +72,9 @@ pub(crate) enum Life {
     Closed(End),
 }
 
-/// How a connection end closed: both FINs exchanged, or reset, timed out
-/// or aborted — with the abort's RST still owed to the peer, or not.
+/// How a connection end closed: cleanly (both FINs exchanged, or
+/// abandoned once orphaned), or reset, timed out or aborted — with the
+/// abort's RST still owed to the peer, or not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum End {
     Clean,
@@ -86,7 +87,8 @@ pub(crate) enum End {
 /// retransmission in SYN_RECEIVED); our SYN or FIN was acknowledged; the
 /// application closed; our FIN went out; the peer's FIN arrived in order;
 /// an acceptable RST or the timer giving up; the application aborted; the
-/// abort's RST went out; the clock reached the instant fed.
+/// abort's RST went out; an orphan's retries ran out; the clock reached
+/// the instant fed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Input {
     SynOut,
@@ -100,6 +102,7 @@ pub(crate) enum Input {
     Failed,
     Abort,
     RstOut,
+    Abandon,
     Tick,
 }
 
@@ -112,6 +115,7 @@ impl Life {
             (Closed(End::RstDue), RstOut) | (Closed(End::Clean), Abort) => Closed(End::Failed),
             (Closed(_), _) => return None,
             (_, Failed) | (SynSent { .. }, Abort) => Closed(End::Failed),
+            (_, Abandon) => Closed(End::Clean),
             // An RST goes to a peer that knows of the connection.
             (_, Abort) => Closed(End::RstDue),
             (SynSent { fin, .. }, SynOut | SynTimeout) => SynSent {
@@ -208,7 +212,7 @@ mod tests {
         all
     }
 
-    const INPUTS: [Input; 12] = [
+    const INPUTS: [Input; 13] = [
         Input::SynOut,
         Input::SynTimeout,
         Input::PeerSyn,
@@ -220,6 +224,7 @@ mod tests {
         Input::Failed,
         Input::Abort,
         Input::RstOut,
+        Input::Abandon,
         Input::Tick,
     ];
 
@@ -244,31 +249,31 @@ mod tests {
 
     /// The whole table, one row per state, `-` where an input changes
     /// nothing. Columns: SynOut, SynTimeout, PeerSyn, SynAcked, Close,
-    /// FinOut, FinAcked, PeerFin, Failed, Abort, RstOut, Tick.
+    /// FinOut, FinAcked, PeerFin, Failed, Abort, RstOut, Abandon, Tick.
     #[test]
     fn transition_table() {
         let want = "\
-SS+syn: SS SS+syn SR+syn ES SS+syn+fin - - - CL.Failed CL.Failed - -
-SS: SS SS+syn SR+syn ES SS+fin - - - CL.Failed CL.Failed - -
-SS+syn+fin: SS+fin SS+syn+fin SR+syn+fin ES+fin SS+syn+fin - - - CL.Failed CL.Failed - -
-SS+fin: SS+fin SS+syn+fin SR+syn+fin ES+fin SS+fin - - - CL.Failed CL.Failed - -
-SR+syn: SR SR+syn SR+syn ES SR+syn+fin - - - CL.Failed CL.RstDue - -
-SR: SR SR+syn SR+syn ES SR+fin - - - CL.Failed CL.RstDue - -
-SR+syn+fin: SR+fin SR+syn+fin SR+syn+fin ES+fin SR+syn+fin - - - CL.Failed CL.RstDue - -
-SR+fin: SR+fin SR+syn+fin SR+syn+fin ES+fin SR+fin - - - CL.Failed CL.RstDue - -
-ES: - - - - ES+fin - - CW CL.Failed CL.RstDue - -
-ES+fin: - - - - ES+fin FW1 - CW+fin CL.Failed CL.RstDue - -
-CW: - - - - CW+fin - - - CL.Failed CL.RstDue - -
-CW+fin: - - - - CW+fin LA - - CL.Failed CL.RstDue - -
-FW1: - - - - - - FW2 CLG CL.Failed CL.RstDue - -
-FW2: - - - - - - - TW+8s CL.Failed CL.RstDue - -
-CLG: - - - - - - TW+8s - CL.Failed CL.RstDue - -
-LA: - - - - - - CL.Clean - CL.Failed CL.RstDue - -
-TW@0: - - - - - - - - CL.Failed CL.RstDue - CL.Clean
-TW@1: - - - - - - - - CL.Failed CL.RstDue - -
-CL.Clean: - - - - - - - - - CL.Failed - -
-CL.Failed: - - - - - - - - - - - -
-CL.RstDue: - - - - - - - - - - CL.Failed -
+SS+syn: SS SS+syn SR+syn ES SS+syn+fin - - - CL.Failed CL.Failed - CL.Clean -
+SS: SS SS+syn SR+syn ES SS+fin - - - CL.Failed CL.Failed - CL.Clean -
+SS+syn+fin: SS+fin SS+syn+fin SR+syn+fin ES+fin SS+syn+fin - - - CL.Failed CL.Failed - CL.Clean -
+SS+fin: SS+fin SS+syn+fin SR+syn+fin ES+fin SS+fin - - - CL.Failed CL.Failed - CL.Clean -
+SR+syn: SR SR+syn SR+syn ES SR+syn+fin - - - CL.Failed CL.RstDue - CL.Clean -
+SR: SR SR+syn SR+syn ES SR+fin - - - CL.Failed CL.RstDue - CL.Clean -
+SR+syn+fin: SR+fin SR+syn+fin SR+syn+fin ES+fin SR+syn+fin - - - CL.Failed CL.RstDue - CL.Clean -
+SR+fin: SR+fin SR+syn+fin SR+syn+fin ES+fin SR+fin - - - CL.Failed CL.RstDue - CL.Clean -
+ES: - - - - ES+fin - - CW CL.Failed CL.RstDue - CL.Clean -
+ES+fin: - - - - ES+fin FW1 - CW+fin CL.Failed CL.RstDue - CL.Clean -
+CW: - - - - CW+fin - - - CL.Failed CL.RstDue - CL.Clean -
+CW+fin: - - - - CW+fin LA - - CL.Failed CL.RstDue - CL.Clean -
+FW1: - - - - - - FW2 CLG CL.Failed CL.RstDue - CL.Clean -
+FW2: - - - - - - - TW+8s CL.Failed CL.RstDue - CL.Clean -
+CLG: - - - - - - TW+8s - CL.Failed CL.RstDue - CL.Clean -
+LA: - - - - - - CL.Clean - CL.Failed CL.RstDue - CL.Clean -
+TW@0: - - - - - - - - CL.Failed CL.RstDue - CL.Clean CL.Clean
+TW@1: - - - - - - - - CL.Failed CL.RstDue - CL.Clean -
+CL.Clean: - - - - - - - - - CL.Failed - - -
+CL.Failed: - - - - - - - - - - - - -
+CL.RstDue: - - - - - - - - - - CL.Failed - -
 ";
         let got: String = states()
             .into_iter()
