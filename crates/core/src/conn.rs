@@ -813,7 +813,7 @@ impl MptcpConnection {
             return;
         }
         if !client {
-            self.feed(now, idx, Input::Synchronized { mp_capable: true });
+            self.feed(now, idx, Input::Synchronized { capable: true });
             return;
         }
         sf.sock.take_rx_mptcp(&mut self.rx_opts);
@@ -826,13 +826,7 @@ impl MptcpConnection {
             _ => None,
         });
         let capable = server_key.is_some();
-        self.feed(
-            now,
-            idx,
-            Input::Synchronized {
-                mp_capable: capable,
-            },
-        );
+        self.feed(now, idx, Input::Synchronized { capable });
         let Some((key, ck)) = server_key else {
             return;
         };
@@ -1149,7 +1143,7 @@ impl MptcpConnection {
             return;
         }
         let affected = self.live_subflows_where(|_, s| s.sock.tuple().src.addr == addr);
-        if !matches!(self.life, Life::Fallback(_) | Life::Closed(_)) && !affected.is_empty() {
+        if !self.is_fallback() && !affected.is_empty() {
             let mut ids: Vec<u8> = affected.iter().map(|&i| self.subflows[i].addr_id).collect();
             ids.sort_unstable();
             ids.dedup();

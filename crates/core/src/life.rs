@@ -29,7 +29,7 @@ pub(crate) enum Life {
 }
 
 /// What happened to a connection: the initial subflow's handshake
-/// finished (`mp_capable`: a client's SYN/ACK carried MP_CAPABLE); a
+/// finished (`capable`: a client's SYN/ACK carried MP_CAPABLE); a
 /// non-SYN segment on the established initial subflow; a DSS or
 /// MP_CAPABLE; the data-level timer, a failed checksum or MP_FAIL with
 /// `live` subflows; bytes outside any mapping (`lone`: on the only live
@@ -37,7 +37,7 @@ pub(crate) enum Life {
 /// close; our DATA_FIN acknowledged (`both`: the peer's is in too).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Input {
-    Synchronized { mp_capable: bool },
+    Synchronized { capable: bool },
     Segment { mptcp: bool },
     MptcpSeen,
     DataRto { live: usize },
@@ -74,7 +74,7 @@ impl Life {
         let (next, action) = match (*self, input) {
             (Closed(_), _) => return None,
             (_, Abort(reason)) => (Closed(reason), Some(Action::Abort(reason))),
-            (Handshake { client: true }, Synchronized { mp_capable: true }) => {
+            (Handshake { client: true }, Synchronized { capable: true }) => {
                 (ClientUnconfirmed, None)
             }
             (Handshake { client: true }, Synchronized { .. }) => {
@@ -185,8 +185,8 @@ mod tests {
     fn inputs() -> Vec<Input> {
         use Input::*;
         vec![
-            Synchronized { mp_capable: true },
-            Synchronized { mp_capable: false },
+            Synchronized { capable: true },
+            Synchronized { capable: false },
             Segment { mptcp: true },
             Segment { mptcp: false },
             MptcpSeen,
