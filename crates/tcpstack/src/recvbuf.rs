@@ -61,6 +61,11 @@ impl RecvQueue {
         self.capacity = self.capacity.max(cap);
     }
 
+    /// Offset one past the last in-order byte received.
+    pub fn end(&self) -> u64 {
+        self.next_offset
+    }
+
     /// Receive window to advertise: free space in the buffer.
     pub fn window(&self) -> u32 {
         self.capacity.saturating_sub(self.buffered()) as u32

@@ -323,9 +323,11 @@ impl TcpSocket {
         self.recv_q.buffered()
     }
 
-    /// Has the peer's FIN been received (stream EOF)?
+    /// Has the peer's FIN been received (stream EOF)? It is the one thing
+    /// that takes `rcv_nxt` past the stream received, so a reset after it
+    /// leaves it seen.
     pub fn stream_fin(&self) -> bool {
-        self.life.peer_fin()
+        self.rcv_nxt.after(self.irs + 1 + self.recv_q.end() as u32)
     }
 
     /// Has our FIN been sent and acknowledged?
@@ -582,9 +584,10 @@ impl TcpSocket {
         // is position-independent (§3.3.4).
         self.harvest_mptcp(seg);
 
-        // A segment that carries nothing at an old sequence number (a
-        // zero-window probe) is answered with an ACK (RFC 9293 §3.10.7.4).
-        if seg.payload.is_empty() && !seg.flags.fin && seg.seq.before(self.rcv_nxt) {
+        // A zero-window probe, nothing at one below `rcv_nxt`, is answered
+        // with an ACK (RFC 9293 §3.10.7.4). Not any old empty segment: a
+        // pure ACK reordered behind data would draw a duplicate ACK.
+        if seg.payload.is_empty() && !seg.flags.fin && seg.seq + 1 == self.rcv_nxt {
             self.need_ack = true;
         }
 
@@ -1573,6 +1576,42 @@ mod tests {
         let tw = c.poll_at(now).unwrap();
         c.poll(tw);
         assert_eq!(c.state(), TcpState::Closed);
+    }
+
+    /// The peer's FIN stays seen through a reset after it; an orphan whose
+    /// FIN is never acknowledged goes out twice more, then closes without
+    /// error and without having seen a FIN.
+    #[test]
+    fn a_reset_keeps_the_peer_fin_and_an_abandoned_orphan_never_had_one() {
+        let (mut c, mut s) = established_pair();
+        let now = SimTime::from_millis(1);
+        c.close();
+        pump(now, &mut c, &mut s);
+        assert_eq!(s.state(), TcpState::CloseWait);
+        c.abort();
+        let rst = c.poll(now).expect("RST out");
+        s.handle_segment(now, &rst);
+        assert!(s.is_error());
+        assert!(s.stream_fin(), "the FIN arrived before the reset");
+
+        let (mut c, _s) = established_pair();
+        c.close();
+        let _lost = c.poll(now).expect("FIN");
+        assert_eq!(c.state(), TcpState::FinWait1);
+        c.orphan();
+        let mut t = now;
+        let mut fins = 0;
+        while let Some(at) = c.poll_at(t) {
+            t = t.max(at);
+            while let Some(seg) = c.poll(t) {
+                assert!(seg.flags.fin);
+                fins += 1;
+            }
+        }
+        assert_eq!(fins, 2);
+        assert_eq!(c.state(), TcpState::Closed);
+        assert!(!c.is_error());
+        assert!(!c.stream_fin(), "no FIN ever came");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, SeqNum, TcpSegment};
 use mptcp_tcpstack::{TcpConfig, TcpSocket};
+use mptcp_telemetry::CounterId;
 
 fn tuple() -> FourTuple {
     FourTuple {
@@ -141,6 +142,38 @@ fn finding_8_poll_at_agrees_with_poll() {
         promised,
         "finding 8: poll sends a window update that poll_at did not announce"
     );
+}
+
+/// The receiver half of finding 7 answers a probe, not every old empty
+/// segment. The server acks three of the client's segments with pure ACKs
+/// that arrive behind its own data; the client must not answer each of
+/// them with a duplicate ACK, which would push the server, data still in
+/// flight, into a spurious fast retransmit.
+#[test]
+fn a_reordered_pure_ack_draws_no_duplicate_ack() {
+    let (mut c, mut s) = established(TcpConfig::default());
+    let t = ms(1);
+    assert_eq!(c.send(&[1; 3 * 1_460]), 3 * 1_460);
+    let mut stale = Vec::new();
+    while let Some(seg) = c.poll(t) {
+        s.handle_segment(t, &seg);
+        stale.push(s.poll(t).expect("a pure ACK"));
+    }
+    assert_eq!(stale.len(), 3);
+    assert_eq!(s.send(&[2; 4 * 1_460]), 4 * 1_460);
+    let first = s.poll(t).expect("the server's first data segment");
+    let rest: Vec<TcpSegment> = std::iter::from_fn(|| s.poll(t)).collect();
+    assert!(!rest.is_empty(), "data still in flight");
+    let mut to_server = Vec::new();
+    for seg in std::iter::once(&first).chain(&stale) {
+        c.handle_segment(t, seg);
+        to_server.extend(std::iter::from_fn(|| c.poll(t)));
+    }
+    assert_eq!(to_server.len(), 1, "one ACK, for the data");
+    for seg in &to_server {
+        s.handle_segment(t, seg);
+    }
+    assert_eq!(s.telemetry.counter(CounterId::TcpFastRetransmits), 0);
 }
 
 /// Finding 7: the ACK of a zero-window probe keeps its window. The
