@@ -1453,8 +1453,8 @@ impl MptcpConnection {
         self.update_ack_state(now);
 
         // A DATA_ACK stops the data-level timer; start it again while
-        // anything is outstanding.
-        if self.tx.rto_unarmed() {
+        // anything is outstanding, unless the reap above closed us.
+        if self.life.running() && self.tx.rto_unarmed() {
             self.tx.arm_rto(now, self.data_rto_base());
         }
     }

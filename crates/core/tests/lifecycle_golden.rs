@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 use mptcp::telemetry::{CounterId, FallbackCause};
-use mptcp::{FailureDetection, MptcpConfig, MptcpConnection, MptcpListener};
+use mptcp::{AbortReason, FailureDetection, MptcpConfig, MptcpConnection, MptcpListener};
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use mptcp_tcpstack::TcpState;
@@ -769,5 +769,29 @@ fn finding_4_a_client_closing_while_awaiting_confirm_gets_both_data_fins_acked()
     assert!(
         stuck.is_empty(),
         "finding 4: seeds {stuck:?} of 30 never finished closing"
+    );
+}
+
+/// Every subflow times out with data outstanding and no all-paths abort
+/// deadline to beat them: the connection aborts typed, and leaves no
+/// deadline behind it (a past one would pin an event loop in a spin).
+#[test]
+fn every_subflow_timing_out_aborts_and_leaves_no_stale_deadline() {
+    let failure = FailureDetection {
+        abort_deadline: Duration::from_secs(100_000),
+        ..FailureDetection::default()
+    };
+    let cfg = MptcpConfig::builder().failure_detection(failure).build();
+    let mut w = Wire::new(cfg.expect("valid config"));
+    w.run(ms(100), &mut idle);
+    w.client.write(&[7; 40_000]);
+    w.script = Box::new(|_, _| false);
+    w.run(ms(3_000_000), &mut idle);
+    assert_eq!(w.client.abort_reason(), Some(AbortReason::AllSubflowsDied));
+    let at = w.client.poll_at(w.now);
+    assert!(
+        at.is_none_or(|t| t > w.now),
+        "poll_at {at:?} at {:?}",
+        w.now
     );
 }
