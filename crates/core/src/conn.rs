@@ -1,16 +1,12 @@
 //! The MPTCP connection: subflow management, scheduling, flow control,
 //! reliability at the data level, mechanisms M1–M4, and fallback.
 //!
-//! This is the paper's primary contribution assembled: a connection that
-//! stripes one byte stream over several TCP subflows while surviving the
-//! middlebox bestiary of §3 and performing well under the memory limits of
-//! §4. The connection itself is glue — handshake, join and fallback, option
-//! dispatch, the scheduler call with M1/M2, congestion coupling,
-//! `poll`/`tick` — around machines that each own one argument of the
-//! paper and know nothing of sockets: [`DataSender`] (§3.3 reliability and
-//! flow control), [`DataReceiver`] (§4.3 receive path), [`PathHealth`]
-//! (§3.4, §4.2 quiet paths) and [`PathManager`] (§3.2, §3.4 addresses).
-//! The crate documentation maps the paper's sections onto the modules.
+//! The connection is glue — joins, option dispatch, the scheduler call
+//! with M1/M2, congestion coupling, `poll`/`tick` — around machines that
+//! each own one argument of the paper and know nothing of sockets: `Life`
+//! (§3.1, §3.3.6 handshake, fallback and close), [`DataSender`] (§3.3),
+//! [`DataReceiver`] (§4.3), [`PathHealth`] (§3.4, §4.2) and
+//! [`PathManager`] (§3.2, §3.4).
 
 use std::collections::HashMap;
 
@@ -84,14 +80,10 @@ pub struct ConnStats {
 
 /// The MP_CAPABLE option of a handshake segment (§3.1): our key on the
 /// SYNs, both keys on the third ACK.
-fn mp_capable(
-    checksum_required: bool,
-    sender_key: u64,
-    receiver_key: Option<u64>,
-) -> Vec<TcpOption> {
+fn mp_capable(checksum: bool, sender_key: u64, receiver_key: Option<u64>) -> Vec<TcpOption> {
     vec![TcpOption::Mptcp(MptcpOption::MpCapable {
         version: 0,
-        checksum_required,
+        checksum_required: checksum,
         sender_key,
         receiver_key,
     })]
@@ -100,7 +92,6 @@ fn mp_capable(
 /// One end of a Multipath TCP connection.
 pub struct MptcpConnection {
     cfg: MptcpConfig,
-    /// Handshake, confirmation, fallback and close, with what each owns.
     life: Life,
     rng: SimRng,
 
@@ -111,9 +102,8 @@ pub struct MptcpConnection {
     subflows: Vec<Subflow>,
     next_addr_id: u8,
 
-    /// The path-manager policy engine: decides which subflows to open,
-    /// what to advertise and how to react to address churn; this
-    /// connection executes its [`PmAction`]s.
+    /// The path-manager policy engine; this connection executes its
+    /// [`PmAction`]s.
     pm: PathManager,
     /// Peer-advertised addresses by addr_id (ADD_ADDR idempotency: a
     /// repeat with the same address is ignored; a different address
@@ -132,10 +122,8 @@ pub struct MptcpConnection {
 
     /// Measurement counters.
     pub stats: ConnStats,
-    /// Fine-grained mechanism telemetry (merged with per-subflow and
-    /// reorder-queue recorders by [`MptcpConnection::telemetry`]). Its
-    /// trace half holds the ConnSamples and connection-level spans; the
-    /// per-subflow series live in each subflow socket's recorder.
+    /// Connection-level telemetry and trace; each subflow socket keeps
+    /// its own, merged by [`MptcpConnection::telemetry`].
     telemetry: Recorder,
     /// The configured packet scheduler (policy only; tiering, reinjection
     /// and telemetry stay here in the connection).
@@ -153,19 +141,14 @@ pub struct MptcpConnection {
     /// Scratch: subflows fed by the current `handle_segments` batch whose
     /// post-input pipeline is still owed. Empty between calls.
     touched: Vec<usize>,
-    /// Scratch, likewise: a socket's harvested options while they are
-    /// processed, the scheduler's view of the eligible paths, and the
-    /// flows the congestion coupling is computed over.
+    /// Scratch, likewise: harvested options, the scheduler's eligible
+    /// paths, the flows the congestion coupling is computed over.
     rx_opts: Vec<MptcpOption>,
     paths: Vec<PathSnapshot>,
     flows: Vec<FlowView>,
 }
 
 impl MptcpConnection {
-    // ------------------------------------------------------------------
-    // Construction.
-    // ------------------------------------------------------------------
-
     /// Active-open an MPTCP connection: the first [`MptcpConnection::poll`]
     /// emits a SYN carrying MP_CAPABLE with our key.
     pub fn client(
@@ -178,8 +161,7 @@ impl MptcpConnection {
         let syn_opts = mp_capable(cfg.checksum, local.key, None);
         let isn = SeqNum(rng.next_u32());
         let sock = TcpSocket::client(cfg.tcp.clone(), tuple, isn, now, syn_opts);
-        let opening = Life::Handshake { client: true };
-        let mut conn = MptcpConnection::common(cfg, opening, local, rng);
+        let mut conn = MptcpConnection::common(cfg, Life::Handshake { client: true }, local, rng);
         conn.push_subflow(sock, JoinState::Initial, 0);
         conn
     }
@@ -203,29 +185,27 @@ impl MptcpConnection {
             _ => None,
         });
 
-        let Some((peer_key, peer_ck)) = peer_capable else {
-            // No MP_CAPABLE (stripped or plain peer): regular TCP, with
-            // the subflow socket's own congestion control and no mappings.
-            let local = KeySet::from_key(rng.next_u64());
-            let isn = SeqNum(rng.next_u32());
-            let sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, vec![]);
-            let mut conn = MptcpConnection::common(cfg, Life::Fallback(None), local, rng);
-            conn.checksum_on = false;
-            conn.push_subflow(sock, JoinState::Initial, 0);
-            return conn;
-        };
-        let local = tokens.generate(&mut rng);
         let mut cfg = cfg;
-        cfg.checksum |= peer_ck;
-        let syn_opts = mp_capable(cfg.checksum, local.key, None);
+        // No MP_CAPABLE (stripped or plain peer): regular TCP, with the
+        // subflow socket's own congestion control and no mappings.
+        let (life, local) = match peer_capable {
+            Some((_, peer_ck)) => {
+                cfg.checksum |= peer_ck;
+                (Life::Handshake { client: false }, tokens.generate(&mut rng))
+            }
+            None => (Life::Fallback(None), KeySet::from_key(rng.next_u64())),
+        };
+        let syn_opts = peer_capable.map_or(vec![], |_| mp_capable(cfg.checksum, local.key, None));
         let isn = SeqNum(rng.next_u32());
         let mut sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, syn_opts);
         // The SYN's MP_CAPABLE was consumed here; don't let the harvested
         // copy masquerade as third-ACK confirmation.
         sock.take_rx_mptcp(&mut Vec::new());
-        let opening = Life::Handshake { client: false };
-        let mut conn = MptcpConnection::common(cfg, opening, local, rng);
-        conn.set_remote_key(peer_key);
+        let mut conn = MptcpConnection::common(cfg, life, local, rng);
+        match peer_capable {
+            Some((peer_key, _)) => conn.set_remote_key(peer_key),
+            None => conn.checksum_on = false,
+        }
         conn.push_subflow(sock, JoinState::Initial, 0);
         conn
     }
@@ -269,19 +249,17 @@ impl MptcpConnection {
         }
     }
 
-    /// Add a subflow around `sock`: tagged with its index for telemetry,
-    /// and running the configured congestion controller (coupled LIA by
-    /// default; see [`mptcp_tcpstack::CcAlgorithm`]) unless the connection
-    /// is plain TCP from the start.
+    /// Add a subflow around `sock`, tagged with its index for telemetry
+    /// and running the configured congestion controller unless the
+    /// connection is plain TCP from the start.
     fn push_subflow(&mut self, mut sock: TcpSocket, join: JoinState, addr_id: u8) -> &mut Subflow {
         sock.set_telemetry_tag(self.subflows.len() as u32);
         if !self.is_fallback() {
             let mss = self.cfg.tcp.mss as u32;
             *sock.cc_mut() = self.cfg.cc.build(mss, INIT_CWND_SEGS);
         }
-        let tracker = MappingTracker::new(self.checksum_on);
-        self.subflows
-            .push(Subflow::new(sock, tracker, join, addr_id));
+        let sf = Subflow::new(sock, MappingTracker::new(self.checksum_on), join, addr_id);
+        self.subflows.push(sf);
         self.health.add_path();
         self.subflows.last_mut().expect("just pushed")
     }
@@ -297,10 +275,6 @@ impl MptcpConnection {
         self.rx.start_at(ks.idsn.wrapping_add(1));
         self.remote = Some(ks);
     }
-
-    // ------------------------------------------------------------------
-    // Accessors.
-    // ------------------------------------------------------------------
 
     /// Connection state.
     pub fn state(&self) -> ConnState {
@@ -333,20 +307,18 @@ impl MptcpConnection {
 
     /// Stream EOF reached and drained?
     pub fn at_eof(&self) -> bool {
-        let fin = if self.is_fallback() {
-            self.subflows.first().is_some_and(|s| s.sock.stream_fin())
-        } else {
-            self.rx.eof()
+        let fin = match self.life {
+            Life::Fallback(_) => self.subflows[0].sock.stream_fin(),
+            _ => self.rx.eof(),
         };
         fin && !self.rx.readable()
     }
 
     /// Has our DATA_FIN (or fallback FIN) been acknowledged?
     pub fn send_closed(&self) -> bool {
-        if self.is_fallback() {
-            self.subflows.first().is_some_and(|s| s.sock.fin_acked())
-        } else {
-            self.tx.fin_acked()
+        match self.life {
+            Life::Fallback(_) => self.subflows[0].sock.fin_acked(),
+            _ => self.tx.fin_acked(),
         }
     }
 
@@ -403,10 +375,8 @@ impl MptcpConnection {
         self.rx.capacity()
     }
 
-    /// Snapshot the connection's telemetry: the connection-level recorder
-    /// (M1–M4, fallback, data-level timers, joins) merged with the reorder
-    /// queue's counters and every subflow socket's recorder (TCP RTOs,
-    /// fast retransmits, M4 caps). The events of all of them interleave by
+    /// Snapshot the connection's telemetry merged with the reorder queue's
+    /// counters and every subflow socket's recorder; events interleave by
     /// time, and the newest [`DEFAULT_EVENT_CAPACITY`] are kept.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         // A fresh recorder rather than a clone: the trace ring stays put.
@@ -426,10 +396,8 @@ impl MptcpConnection {
         rec.snapshot()
     }
 
-    /// Snapshot the time-series trace: the connection's own trace ring
-    /// (ConnSamples, connection-level spans) merged and time-sorted with
-    /// every subflow socket's (SubflowSamples, TCP-level spans). Empty
-    /// when tracing is disabled.
+    /// Snapshot the time-series trace, the connection's merged and
+    /// time-sorted with every subflow socket's. Empty when tracing is off.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
         let socks = self.subflows.iter().map(|sf| &sf.sock.telemetry);
         let all = std::iter::once(&self.telemetry).chain(socks);
@@ -459,10 +427,6 @@ impl MptcpConnection {
     pub fn data_outstanding(&self) -> u64 {
         self.tx.outstanding()
     }
-
-    // ------------------------------------------------------------------
-    // Application API.
-    // ------------------------------------------------------------------
 
     /// Write application data; the outcome says how many bytes were
     /// accepted and via which path (connection send buffer permitting).
@@ -504,13 +468,6 @@ impl MptcpConnection {
         if !self.feed(SimTime::ZERO, 0, Input::Close) {
             self.tx.close();
         }
-    }
-
-    /// Abort everything, with a recorded [`AbortReason`], surfaced via
-    /// [`MptcpConnection::abort_reason`], telemetry, and the trace.
-    pub fn abort_with(&mut self, reason: AbortReason, now: SimTime) {
-        self.ticked_at = None;
-        self.feed(now, 0, Input::Abort(reason));
     }
 
     /// Feed the lifecycle `input`, which concerns subflow `idx`, and carry
@@ -576,10 +533,6 @@ impl MptcpConnection {
         }
         true
     }
-
-    // ------------------------------------------------------------------
-    // Subflow management.
-    // ------------------------------------------------------------------
 
     /// Open an additional subflow (MP_JOIN) from `local` to `remote`.
     /// Fails unless MPTCP is established, keys are known, the four-tuple
@@ -719,10 +672,6 @@ impl MptcpConnection {
         on_tuple(true).or_else(|| on_tuple(false))
     }
 
-    // ------------------------------------------------------------------
-    // Input path.
-    // ------------------------------------------------------------------
-
     /// Feed a segment belonging to this connection.
     pub fn handle_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         self.handle_segments(now, std::slice::from_ref(seg));
@@ -732,12 +681,10 @@ impl MptcpConnection {
     /// simulator delivery): the only ingest path.
     ///
     /// Every segment is fed to its subflow socket and moves the data-level
-    /// right edge. What follows — options, mapping translation, reorder,
-    /// ack state — runs once per touched subflow at the end of the batch
-    /// while the connection is established and confirmed, so N datagrams
-    /// cost one stream drain instead of N; before that (handshake,
-    /// confirmation, fallback) it runs after each segment, because those
-    /// decisions depend on which segment came first.
+    /// right edge. Once MPTCP is confirmed, what follows (options, mapping
+    /// translation, reorder, ack state) runs once per touched subflow at
+    /// the end of the batch; before, after each segment, because the
+    /// lifecycle's decisions depend on which segment came first.
     pub fn handle_segments(&mut self, now: SimTime, segs: &[TcpSegment]) {
         self.ticked_at = None;
         for seg in segs {
@@ -746,15 +693,12 @@ impl MptcpConnection {
             };
             self.subflows[idx].sock.handle_segment(now, seg);
 
-            // §3.3.2: the receive window is interpreted relative to the
-            // explicit DATA_ACK it travelled with. Before confirmation the
-            // handshake segments carry no DSS yet their window must open
-            // the connection; afterwards a DSS-less segment is either
-            // fallen-back TCP (no data-level window) or a middlebox forgery
-            // (a pro-active acker's 1 MB-window ACKs must not inflate the
-            // data-level edge). (`snd_una` advances in `after_input`, so
-            // mid-batch it may lag; the truncated ack only mis-expands on a
-            // drift of ≥ 2^31 bytes — impossible within one drain.)
+            // §3.3.2: the window is relative to the DATA_ACK it travelled
+            // with. Before confirmation the DSS-less handshake segments must
+            // open the connection; afterwards a DSS-less segment is a
+            // forgery (a pro-active acker's 1 MB windows must not inflate
+            // the edge). Mid-batch `snd_una` may lag; the truncated ack
+            // only mis-expands past a drift of 2^31 bytes.
             if !matches!(self.life, Life::Fallback(_) | Life::Closed(_)) && seg.flags.ack {
                 let dss_ack = seg.mptcp_options().find_map(|m| match m {
                     MptcpOption::Dss {
@@ -762,8 +706,8 @@ impl MptcpConnection {
                     } => Some(*a),
                     _ => None,
                 });
-                let confirmed = self.life == Life::Established;
-                self.tx.on_window(dss_ack, !confirmed, seg.window);
+                self.tx
+                    .on_window(dss_ack, self.life != Life::Established, seg.window);
             }
 
             if self.life == Life::Established {
@@ -776,8 +720,7 @@ impl MptcpConnection {
 
             // §3.1: "If the first non-SYN packet received by the server
             // does not contain an MPTCP option, the server must assume the
-            // path is not MPTCP-capable" — hardened to a short streak (see
-            // `Life`).
+            // path is not MPTCP-capable", hardened in `Life`.
             let mptcp = seg.options.iter().any(|o| o.is_mptcp());
             if !seg.flags.syn && idx == 0 && (mptcp || self.subflows[0].sock.is_established()) {
                 self.feed(now, 0, Input::Segment { mptcp });
@@ -812,11 +755,11 @@ impl MptcpConnection {
             }
             return;
         }
-        if !client {
-            self.feed(now, idx, Input::Synchronized { capable: true });
-            return;
+        // A server's handshake carried its key out; a client's brings the
+        // server's in.
+        if client {
+            sf.sock.take_rx_mptcp(&mut self.rx_opts);
         }
-        sf.sock.take_rx_mptcp(&mut self.rx_opts);
         let server_key = self.rx_opts.drain(..).rev().find_map(|o| match o {
             MptcpOption::MpCapable {
                 sender_key,
@@ -825,7 +768,7 @@ impl MptcpConnection {
             } => Some((sender_key, checksum_required)),
             _ => None,
         });
-        let capable = server_key.is_some();
+        let capable = !client || server_key.is_some();
         self.feed(now, idx, Input::Synchronized { capable });
         let Some((key, ck)) = server_key else {
             return;
@@ -882,20 +825,14 @@ impl MptcpConnection {
                     }
                 }
                 MptcpOption::AddAddr(a) => {
-                    // Idempotency: ADD_ADDR is advertised repeatedly for
-                    // reliability, so a repeat of a known (id, address)
-                    // pair must not re-count, re-note the event, or
-                    // trigger a duplicate join. A different address under
-                    // a known id replaces the mapping.
-                    if self.peer_adverts.get(&a.addr_id) == Some(&(a.addr, a.port)) {
-                        continue;
-                    }
-                    self.peer_adverts.insert(a.addr_id, (a.addr, a.port));
                     let AdvertisedAddr {
                         addr_id,
                         addr,
                         port,
                     } = a;
+                    if self.peer_adverts.insert(addr_id, (addr, port)) == Some((addr, port)) {
+                        continue; // a repeat (see `peer_adverts`)
+                    }
                     let (id, sent) = (u32::from(addr_id), 0);
                     self.telemetry
                         .note(now.0, EventKind::AddAddr { addr, id, sent });
@@ -908,9 +845,8 @@ impl MptcpConnection {
                 }
                 MptcpOption::RemoveAddr { addr_ids } => {
                     for id in addr_ids {
-                        // Reject withdrawals of ids we never learned —
-                        // a stray or forged REMOVE_ADDR must not touch
-                        // subflow state.
+                        // A stray or forged REMOVE_ADDR of an id we never
+                        // learned must not touch subflow state.
                         let advertised = self.peer_adverts.remove(&id);
                         let known = advertised.is_some()
                             || self.subflows.iter().any(|s| !s.dead && s.addr_id == id);
@@ -922,9 +858,8 @@ impl MptcpConnection {
                         }
                         self.telemetry
                             .note(now.0, EventKind::RemoveAddr { id, sent });
-                        // Affected subflows: those the peer opened under
-                        // this id, plus any we opened toward the
-                        // withdrawn address.
+                        // Subflows the peer opened under this id, and any
+                        // we opened toward the withdrawn address.
                         let gone = advertised.map(|(addr, _)| addr);
                         let affected = self.live_subflows_where(|_, s| {
                             s.addr_id == addr_id || Some(s.sock.tuple().dst.addr) == gone
@@ -976,11 +911,9 @@ impl MptcpConnection {
     }
 
     /// Under the redundant scheduler a subflow that joins mid-stream owes
-    /// copies of everything still outstanding: chunks pushed while it was
-    /// handshaking were duplicated only across the pre-existing paths.
-    /// Queue them for reinjection — the scheduler places each copy away
-    /// from the path already carrying it, so the newcomer catches up and
-    /// the every-chunk-on-every-path invariant holds from its first RTT.
+    /// copies of everything still outstanding, which were duplicated only
+    /// across the older paths: queue them for reinjection, which places
+    /// each copy away from the path already carrying it.
     fn seed_new_subflow(&mut self) {
         if self.cfg.scheduler == SchedulerKind::Redundant {
             self.tx.reinject_where(u64::MAX, |_, _| true);
@@ -1015,10 +948,6 @@ impl MptcpConnection {
         self.telemetry
             .note(now.0, EventKind::SubflowReset { subflow });
     }
-
-    // ------------------------------------------------------------------
-    // Path-manager integration: the PM decides, the connection executes.
-    // ------------------------------------------------------------------
 
     /// The path manager's live state (admin plane, tests).
     pub fn path_manager(&self) -> &PathManager {
@@ -1083,8 +1012,7 @@ impl MptcpConnection {
     }
 
     /// Tear down one subflow on PM orders (address withdrawn under it),
-    /// re-injecting its retained chunks; aborts the connection if it was
-    /// the last one standing.
+    /// re-injecting its chunks; abort if it was the last one standing.
     fn close_subflow(&mut self, now: SimTime, idx: usize) {
         if idx >= self.subflows.len() || self.subflows[idx].dead {
             return;
@@ -1226,9 +1154,8 @@ impl MptcpConnection {
             .note(now.0, EventKind::ChecksumFail { subflow, dsn });
         let live = self.alive_subflows();
         self.feed(now, idx, Input::ChecksumFail { live });
-        // On the only subflow, fall back to regular TCP, letting the
-        // middlebox rewrite as it wishes; the modified bytes continue the
-        // stream.
+        // On the only subflow, fall back and let the middlebox rewrite as
+        // it wishes: the modified bytes continue the stream.
         if self.is_fallback() {
             self.rx.deliver(data);
         }
@@ -1279,10 +1206,6 @@ impl MptcpConnection {
         self.stats.reinjections += self.tx.reinject_queued() as u64;
     }
 
-    // ------------------------------------------------------------------
-    // Path-failure detection and break-before-make recovery.
-    // ------------------------------------------------------------------
-
     /// Run the failure detector over every subflow and carry out its
     /// verdicts (see [`PathHealth`] for the rules).
     fn detect_path_failures(&mut self, now: SimTime) {
@@ -1310,11 +1233,10 @@ impl MptcpConnection {
         }
     }
 
-    /// Break-before-make: the retained chunks riding the failed path move
-    /// to the others *before* the subflow is torn down, so a blackout
-    /// costs one detection delay, not a full TCP death. Failure also feeds
-    /// the path manager, which may promote a pre-opened backup so the
-    /// scheduler's first tier is never empty.
+    /// Break-before-make: the chunks riding the failed path move to the
+    /// others *before* the subflow is torn down, so a blackout costs one
+    /// detection delay, not a TCP death; the path manager may promote a
+    /// pre-opened backup so the scheduler's first tier is never empty.
     fn on_path_failed(&mut self, now: SimTime, idx: usize) {
         let reinjected = self.tx.reinject_where(u64::MAX, |_, sf| sf == idx);
         self.stats.reinjections += reinjected;
@@ -1327,23 +1249,14 @@ impl MptcpConnection {
         self.pm_event(now, PmEvent::SubflowFailed { subflow, backups });
     }
 
-    // ------------------------------------------------------------------
-    // Output path.
-    // ------------------------------------------------------------------
-
     /// Emit at most one segment; call until `None`.
     ///
     /// The connection is ticked at `now` first, which is where timers
     /// fire and data is scheduled — unless it was ticked at this `now`
-    /// already and nothing a tick reads has changed since: a drain costs
-    /// one tick, not one per segment. What dirties it is every `&mut self`
-    /// method here and a subflow socket whose own `poll` fired a timer,
-    /// ended a loss recovery or put its first byte in flight
-    /// ([`TcpSocket::take_poll_changed`]); the next `poll` then ticks
-    /// again, inside the same drain. So polling a clean connection again
-    /// at the same `now` emits nothing and changes nothing — not
-    /// `poll_at`, not a counter, not the trace — and since a timer that
-    /// fires re-arms strictly after `now`, no drain double-fires one. See
+    /// already and nothing a tick reads has changed since, so a drain
+    /// costs one tick. Every `&mut self` method here dirties it, and so
+    /// does a subflow socket whose own `poll` changed what a tick reads
+    /// ([`TcpSocket::take_poll_changed`]). See
     /// [`MptcpConnection::poll_at`] for the contract an event loop may
     /// rely on.
     pub fn poll(&mut self, now: SimTime) -> Option<TcpSegment> {
@@ -1370,10 +1283,9 @@ impl MptcpConnection {
         None
     }
 
-    /// Earliest deadline across subflows, the data-level timer, and the
-    /// failure detector (probes, progress timers, the all-paths abort
-    /// deadline — the guarantees of "abort, never hang" depend on these
-    /// being visible here).
+    /// Earliest deadline across subflows, the data-level timer and the
+    /// failure detector, whose all-paths abort deadline "abort, never
+    /// hang" depends on being visible here.
     ///
     /// # The event-loop contract (wall-clock jitter)
     ///
@@ -1413,36 +1325,24 @@ impl MptcpConnection {
             return;
         }
         self.reap_dead(now);
-        // Interval-driven trace sampling (congestion events add their own
-        // samples; this keeps the timeline dense even on quiet paths).
+        // Keeps the trace dense on quiet paths too.
         if self.telemetry.sample_due(now.0) {
             self.trace_conn_sample(now);
             for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
                 sf.sock.trace_sample(now);
             }
         }
-        if self.is_fallback() {
-            return;
-        }
-
         // Data-level retransmission timer (§3.3.5: "If a DATA ACK does
         // not arrive, a timer fires and the sender retransmits that
-        // data").
+        // data"). Fallback voids it, and what follows is MPTCP's alone.
         if self.tx.rto_deadline().is_some_and(|t| t <= now) {
             self.on_data_rto(now);
-            if self.is_fallback() {
-                // The timeout itself triggered fallback; the data-level
-                // machinery (including this timer) is now void.
-                return;
-            }
         }
-
         if self.life.running() {
             self.detect_path_failures(now);
             if matches!(self.life, Life::Closed(_)) {
                 return; // abort deadline expired with every path Failed
             }
-            // Service the path manager's ADD_ADDR retransmit schedule.
             let pm_actions = self.pm.tick(now);
             self.pm_apply(now, pm_actions);
             self.refresh_coupling();
@@ -1453,7 +1353,7 @@ impl MptcpConnection {
         self.update_ack_state(now);
 
         // A DATA_ACK stops the data-level timer; start it again while
-        // anything is outstanding, unless the reap above closed us.
+        // anything is outstanding.
         if self.life.running() && self.tx.rto_unarmed() {
             self.tx.arm_rto(now, self.data_rto_base());
         }
@@ -1481,24 +1381,19 @@ impl MptcpConnection {
         self.telemetry
             .note(now.0, EventKind::DataAckStall { dsn, stalled_ns });
         self.trace_conn_sample(now);
-        // Client-side fallback detection (§3.3.6): our DSS options are
-        // being stripped somewhere — subflow delivery succeeds but nothing
-        // is ever DATA_ACKed and no MPTCP option has arrived since the
-        // handshake. Deciding on the first timer expiry also prevents
-        // re-injecting onto the lone subflow, which would duplicate bytes
+        // Client-side fallback detection (§3.3.6), decided on the first
+        // expiry: re-injecting onto the lone subflow would duplicate bytes
         // in the raw stream a fallen-back peer is reading.
         let live = self.alive_subflows();
         if self.feed(now, 0, Input::DataRto { live }) {
             return;
         }
         self.tx.back_off_rto(now, base);
-        // Re-inject the chunk holding up the data-level window, plus every
-        // retained chunk whose subflow believes it was delivered (nothing
-        // left in flight there). Those bytes were acknowledged at the
-        // subflow level but never DATA_ACKed — the signature of a
-        // pro-active-ACKing proxy whose segments then died downstream, or
-        // of a coalescer that ate the mapping (§3.3.5). One-at-a-time
-        // recovery would crawl under the exponential timer backoff.
+        // Re-inject the chunk holding up the window, plus every chunk whose
+        // subflow has nothing left in flight: acknowledged there but never
+        // DATA_ACKed, as behind a pro-active-ACKing proxy or a coalescer
+        // that ate the mapping (§3.3.5). One at a time would crawl under
+        // the timer's backoff.
         let subflows = &self.subflows;
         self.stats.reinjections += self.tx.reinject_where(128, |chunk, sf| {
             chunk == dsn || subflows[sf].dead || subflows[sf].sock.bytes_in_flight() == 0
@@ -1509,16 +1404,13 @@ impl MptcpConnection {
         }
     }
 
-    /// Recompute cross-subflow coupling and push per-flow signals down.
-    ///
-    /// The connection owns the [`CoupledState`]; subflow controllers only
-    /// ever see their own [`mptcp_tcpstack::CoupledSignal`].
+    /// Recompute cross-subflow coupling and push each subflow its own
+    /// [`CoupledSignal`].
     fn refresh_coupling(&mut self) {
         if !self.coupled.is_coupled() {
             return;
         }
-        // Only subflows with an RTT sample shape the computation (matching
-        // the original LIA alpha computation).
+        // Only subflows with an RTT sample shape the computation.
         let sampled = |sf: &Subflow| sf.usable() && sf.sock.srtt().is_some();
         self.flows.clear();
         for sf in self.subflows.iter().filter(|sf| sampled(sf)) {
@@ -1537,8 +1429,7 @@ impl MptcpConnection {
             sf.sock.cc_mut().set_coupled(sig);
         }
         // Usable subflows still waiting for a first RTT sample see the
-        // aggregate (alpha/total) view too, as the inlined computation
-        // did — with a neutral per-path term for per-path algorithms.
+        // aggregate (alpha/total) view, with a neutral per-path term.
         let shared = CoupledSignal {
             alpha: if olia { 0.0 } else { signals[0].alpha },
             ..signals[0]
@@ -1569,11 +1460,10 @@ impl MptcpConnection {
         paths.extend(eligible.map(|(i, sf)| sf.snapshot(i, best == 2)));
     }
 
-    /// Chunk placement: ask the configured [`Scheduler`] where the next
-    /// chunk goes — a reinjection first, new data after — until it stalls,
-    /// defers, or the window or the application runs dry. The reinjection
-    /// queue, M1/M2 and stall/pick telemetry are here, around the call, so
-    /// every scheduler policy inherits them.
+    /// Ask the configured [`Scheduler`] where the next chunk goes — a
+    /// reinjection first, new data after — until it stalls, defers, or the
+    /// window or the application runs dry. Reinjection, M1/M2 and the
+    /// stall/pick telemetry wrap the call, so every policy inherits them.
     fn push_data(&mut self, now: SimTime) {
         loop {
             Self::eligible_paths(&self.subflows, &self.health, &mut self.paths);
@@ -1607,10 +1497,8 @@ impl MptcpConnection {
                     }
                     return;
                 }
-                // Work may be waiting but no subflow can take it. Stall
-                // accounting is per scheduler decision: a redundant or
-                // round-robin placement with only *some* paths blocked
-                // never lands here.
+                // No subflow can take the work (a placement with only some
+                // paths blocked never lands here).
                 SchedDecision::Stall => {
                     if work_pending {
                         self.telemetry.count(CounterId::SchedulerStalls);
@@ -1629,9 +1517,8 @@ impl MptcpConnection {
             let (dsn, data) = if let Some(chunk) = self.tx.take_reinject(primary) {
                 chunk
             } else if self.tx.window_room() == 0 {
-                // Receive-window limited. That's where M1/M2 earn their
-                // keep (§4.2): a subflow has spare cwnd but the shared
-                // window is exhausted by data stuck on a slower path.
+                // Receive-window limited, where M1/M2 earn their keep
+                // (§4.2): the shared window is stuck on a slower path.
                 self.maybe_mechanisms(now, primary);
                 return;
             } else if self.tx.pending_bytes() == 0 {
@@ -1685,9 +1572,8 @@ impl MptcpConnection {
             return; // the trailing chunk is already on the fast path
         }
         // Both mechanisms exist for *asymmetric* paths (a slow 3G holding
-        // up a fast WiFi). When subflow RTTs are comparable — symmetric
-        // links, Fig 6(c) — duplicating traffic and halving windows only
-        // does damage, so require the culprit to be meaningfully slower.
+        // up a fast WiFi); with comparable RTTs (Fig 6(c)) they only do
+        // damage, so the culprit must be meaningfully slower.
         let fast_srtt = self.subflows[fast].srtt_or_default();
         let culprit_srtt = self.subflows[culprit].srtt_or_default();
         if culprit_srtt.as_secs_f64() < 1.5 * fast_srtt.as_secs_f64() {

@@ -1,14 +1,9 @@
-//! The connection's lifecycle as one value (§3.1, §3.3.6, §3.4).
-//!
-//! The paper's deployability rules are rows of one table: fall back when
-//! the SYN/ACK comes without MP_CAPABLE or the server's first segments
-//! carry no MPTCP option, confirm MPTCP on a later segment that does,
-//! close the subflows once the DATA_FIN is acknowledged. [`Life`] is its
-//! state, each stage holding what it owns; it is fed an [`Input`] and
-//! answers with the [`Action`] the connection carries out. It knows no
-//! socket and no connection: subflows appear only as the number alive.
+//! The connection's lifecycle as one value (§3.1, §3.3.6, §3.4): the
+//! paper's deployability rules as rows of one table. [`Life`] is fed an
+//! [`Input`] and answers with the [`Action`] the connection carries out; it
+//! knows no socket and no connection, only how many subflows live.
 
-use mptcp_telemetry::FallbackCause;
+use mptcp_telemetry::FallbackCause as Cause;
 
 use crate::api::AbortReason;
 use crate::conn::ConnState;
@@ -17,20 +12,19 @@ use crate::conn::ConnState;
 /// both keys until a segment from the server proves MPTCP works both ways;
 /// a server counts option-less segments in a row on the initial subflow
 /// until one carries an MPTCP option. `Fallback(None)`: MPTCP was never
-/// offered. Every way into `Closed` has a reason.
+/// offered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Life {
     Handshake { client: bool },
     ClientUnconfirmed,
     ServerUnconfirmed { plain_streak: u32 },
     Established,
-    Fallback(Option<FallbackCause>),
+    Fallback(Option<Cause>),
     Closed(AbortReason),
 }
 
-/// What happened to a connection: the initial subflow's handshake
-/// finished (`capable`: a client's SYN/ACK carried MP_CAPABLE); a
-/// non-SYN segment on the established initial subflow; a DSS or
+/// What happened: the initial subflow's handshake finished (`capable`: a
+/// client's SYN/ACK carried MP_CAPABLE); a non-SYN segment on it; a DSS or
 /// MP_CAPABLE; the data-level timer, a failed checksum or MP_FAIL with
 /// `live` subflows; bytes outside any mapping (`lone`: on the only live
 /// subflow, which never had one); a reason to abort; the application's
@@ -49,17 +43,15 @@ pub(crate) enum Input {
     DataFinAcked { both: bool },
 }
 
-/// What the connection does about an input: start the path manager once
-/// MPTCP is confirmed, fall back, reset every subflow, reset the one the
-/// input came from, or close the subflows (after the acknowledged
-/// DATA_FIN, or as the close itself in fallback). Once both DATA_FINs are
-/// acknowledged the connection is closed (RFC 8684 §3.3.3): the subflows
-/// are `orphan`ed, their FINs retried only briefly into a peer that may
-/// have left. A fallback's FIN is the close itself and keeps its retries.
+/// What the connection does about an input; each of the first three also
+/// moves the stage. Closing the subflows after our DATA_FIN is acked
+/// `orphan`s them once the peer's is in too (RFC 8684 §3.3.3: the
+/// connection is closed), so their FINs are retried only briefly; a
+/// fallback's FIN is the close itself and keeps its retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Action {
     Confirm,
-    FallBack(FallbackCause),
+    FallBack(Cause),
     Abort(AbortReason),
     ResetSubflow,
     CloseSubflows { orphan: bool },
@@ -68,66 +60,54 @@ pub(crate) enum Action {
 impl Life {
     /// Take `input`: move on and say what the connection must do.
     pub(crate) fn on(&mut self, input: Input) -> Option<Action> {
+        use Action::{CloseSubflows, Confirm, FallBack, ResetSubflow};
         use Input::*;
         use Life::*;
         let running = self.running();
-        let (next, action) = match (*self, input) {
+        let action = match (*self, input) {
             (Closed(_), _) => return None,
-            (_, Abort(reason)) => (Closed(reason), Some(Action::Abort(reason))),
+            (_, Abort(reason)) => Action::Abort(reason),
             (Handshake { client: true }, Synchronized { capable: true }) => {
-                (ClientUnconfirmed, None)
+                *self = ClientUnconfirmed;
+                return None;
             }
-            (Handshake { client: true }, Synchronized { .. }) => {
-                return self.fall_back(FallbackCause::OptionStripped)
-            }
+            (Handshake { client: true }, Synchronized { .. }) => FallBack(Cause::OptionStripped),
             (Handshake { client: false }, Synchronized { .. })
             | (ServerUnconfirmed { .. }, Segment { mptcp: true }) => {
-                (ServerUnconfirmed { plain_streak: 0 }, None)
+                *self = ServerUnconfirmed { plain_streak: 0 };
+                return None;
             }
             // Three in a row: a real option-stripping path strips every
             // segment, while a proxy may forge the odd option-less ACK.
             (ServerUnconfirmed { plain_streak: 2 }, Segment { .. }) => {
-                return self.fall_back(FallbackCause::OptionStripped)
+                FallBack(Cause::OptionStripped)
             }
             (ServerUnconfirmed { plain_streak }, Segment { .. }) => {
                 let plain_streak = plain_streak + 1;
-                (ServerUnconfirmed { plain_streak }, None)
+                *self = ServerUnconfirmed { plain_streak };
+                return None;
             }
-            (ClientUnconfirmed | ServerUnconfirmed { .. }, MptcpSeen) => {
-                (Established, Some(Action::Confirm))
-            }
+            (ClientUnconfirmed | ServerUnconfirmed { .. }, MptcpSeen) => Confirm,
             // A client cannot tell stripping from a slow path by what
             // arrives (a pro-active-acking proxy forges option-less ACKs
             // ahead of the server's own): nothing DATA_ACKed by the
             // data-level timer on a lone subflow is its evidence.
-            (ClientUnconfirmed, DataRto { live: 1 }) => {
-                return self.fall_back(FallbackCause::DataRtoUnconfirmed)
-            }
-            (_, ChecksumFail { live }) if running && live > 1 => {
-                (*self, Some(Action::ResetSubflow))
-            }
-            (_, ChecksumFail { .. }) if running => {
-                return self.fall_back(FallbackCause::ChecksumFail)
-            }
-            (_, Unmapped { lone: true }) if running => {
-                return self.fall_back(FallbackCause::OptionStripped)
-            }
-            (_, MpFail { live }) if running && live <= 1 => {
-                return self.fall_back(FallbackCause::MpFail)
-            }
-            (Fallback(_), Close) => (*self, Some(Action::CloseSubflows { orphan: false })),
-            (_, DataFinAcked { both }) if running => {
-                (*self, Some(Action::CloseSubflows { orphan: both }))
-            }
+            (ClientUnconfirmed, DataRto { live: 1 }) => FallBack(Cause::DataRtoUnconfirmed),
+            (_, ChecksumFail { live }) if running && live > 1 => ResetSubflow,
+            (_, ChecksumFail { .. }) if running => FallBack(Cause::ChecksumFail),
+            (_, Unmapped { lone: true }) if running => FallBack(Cause::OptionStripped),
+            (_, MpFail { live }) if running && live <= 1 => FallBack(Cause::MpFail),
+            (Fallback(_), Close) => CloseSubflows { orphan: false },
+            (_, DataFinAcked { both }) if running => CloseSubflows { orphan: both },
             _ => return None,
         };
-        *self = next;
-        action
-    }
-
-    fn fall_back(&mut self, cause: FallbackCause) -> Option<Action> {
-        *self = Life::Fallback(Some(cause));
-        Some(Action::FallBack(cause))
+        match action {
+            Confirm => *self = Established,
+            FallBack(cause) => *self = Fallback(Some(cause)),
+            Action::Abort(reason) => *self = Closed(reason),
+            ResetSubflow | CloseSubflows { .. } => {}
+        }
+        Some(action)
     }
 
     /// The public view.

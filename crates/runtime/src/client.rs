@@ -112,7 +112,6 @@ impl<A: ConnApp> ClientRuntime<A> {
         let hard = Instant::now() + timeout;
         while !self.app.finished() {
             self.turn();
-            // Checked after the turn: an abort also ends the app's work.
             if let Some(reason) = self.conn.abort_reason() {
                 return Err(RuntimeError::Aborted(reason));
             }

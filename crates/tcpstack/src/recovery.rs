@@ -19,8 +19,6 @@ use mptcp_packet::SeqNum;
 const DUP_ACK_THRESHOLD: u32 = 3;
 /// The timer may fire this many times in a row; the next firing gives up.
 const MAX_CONSECUTIVE_RTOS: u32 = 15;
-/// The same for an orphaned connection, whose next firing abandons it.
-const ORPHAN_RETRIES: u32 = 2;
 /// Cap on the backoff multiplier (the product is capped by `max_rto` too).
 const MAX_BACKOFF: u32 = 512;
 /// Caps on the persist timer's multiplier and on its interval.
@@ -61,8 +59,6 @@ pub enum TimerAction {
     Retry,
     /// Too many firings in a row: the peer is gone.
     GiveUp,
-    /// An orphaned connection's retries are spent: close it quietly.
-    Abandon,
 }
 
 /// Loss-recovery and timer state of one connection's sending side.
@@ -87,8 +83,6 @@ pub struct Recovery {
     /// queued data, with a backoff of its own.
     persist_deadline: Option<SimTime>,
     persist_backoff: u32,
-    /// See [`Recovery::orphan`].
-    orphaned: bool,
 }
 
 impl Recovery {
@@ -108,13 +102,8 @@ impl Recovery {
             consecutive_rtos: 0,
             persist_deadline: None,
             persist_backoff: 1,
-            orphaned: false,
         }
     }
-
-    // ------------------------------------------------------------------
-    // The timer.
-    // ------------------------------------------------------------------
 
     /// The timeout the timer is armed with, given the estimator's `base`.
     /// The backoff multiplier is applied after the estimator's clamp, so
@@ -162,13 +151,6 @@ impl Recovery {
         self.persist_deadline = None;
     }
 
-    /// Nothing needs the connection's close any more: what is outstanding
-    /// goes out at most twice again, then the timer abandons the
-    /// connection.
-    pub fn orphan(&mut self) {
-        self.orphaned = true;
-    }
-
     /// The handshake completed: the SYN's timer and its backoff are done.
     pub fn on_established(&mut self) {
         self.deadline = None;
@@ -187,10 +169,6 @@ impl Recovery {
         flight: Option<(SeqNum, SeqNum)>,
     ) -> TimerAction {
         self.consecutive_rtos += 1;
-        if self.orphaned && self.consecutive_rtos > ORPHAN_RETRIES {
-            self.deadline = None;
-            return TimerAction::Abandon;
-        }
         if self.consecutive_rtos > MAX_CONSECUTIVE_RTOS {
             self.deadline = None;
             return TimerAction::GiveUp;
@@ -236,10 +214,6 @@ impl Recovery {
         }
         due
     }
-
-    // ------------------------------------------------------------------
-    // ACKs.
-    // ------------------------------------------------------------------
 
     /// `ack` acknowledged new data and is the new `snd_una`. Resets the
     /// backoff and restarts the timer (stops it when nothing is left
@@ -293,10 +267,6 @@ impl Recovery {
         self.hole = Some(snd_una);
         true
     }
-
-    // ------------------------------------------------------------------
-    // What to send.
-    // ------------------------------------------------------------------
 
     /// Is the connection in fast or post-timeout recovery?
     pub fn in_loss_recovery(&self) -> bool {
@@ -571,17 +541,6 @@ mod tests {
             assert_eq!(r.consecutive_rtos(), n);
         }
         assert_eq!(r.on_timer(T0, BASE, None), TimerAction::GiveUp);
-        assert_eq!(r.deadline(), None);
-    }
-
-    #[test]
-    fn an_orphan_is_abandoned_after_two_retries() {
-        let mut r = machine();
-        r.arm(T0, BASE);
-        r.on_timer(T0, BASE, None);
-        r.orphan();
-        assert_eq!(r.on_timer(T0, BASE, None), TimerAction::Retry);
-        assert_eq!(r.on_timer(T0, BASE, None), TimerAction::Abandon);
         assert_eq!(r.deadline(), None);
     }
 

@@ -33,11 +33,14 @@ pub struct SocketStats {
     pub bytes_acked: u64,
 }
 
+/// Timer firings in a row an orphaned socket takes; the next abandons it.
+const ORPHAN_RETRIES: u32 = 2;
+
 /// What a poll sends.
 #[derive(Clone, Copy)]
 enum Out {
     Rst,
-    Syn(TcpFlags),
+    Syn,
     Retransmit,
     NewData,
     Fin,
@@ -48,8 +51,6 @@ enum Out {
 /// A single TCP connection endpoint.
 pub struct TcpSocket {
     cfg: TcpConfig,
-    /// The state, with what it owns: a SYN owed, a close waiting for its
-    /// FIN, TIME_WAIT's deadline, an error and the RST an abort owes.
     life: Life,
     tuple: FourTuple,
 
@@ -98,6 +99,8 @@ pub struct TcpSocket {
 
     /// See [`TcpSocket::take_poll_changed`].
     poll_changed: bool,
+    /// See [`TcpSocket::orphan`].
+    orphaned: bool,
     /// Counters.
     pub stats: SocketStats,
     /// Structured telemetry: counters, a bounded event ring and — when
@@ -120,11 +123,7 @@ impl TcpSocket {
         now: SimTime,
         syn_options: Vec<TcpOption>,
     ) -> TcpSocket {
-        let opening = Life::SynSent {
-            syn: true,
-            fin: false,
-        };
-        TcpSocket::common(cfg, tuple, iss, now, opening, syn_options)
+        TcpSocket::common(cfg, tuple, iss, now, false, syn_options)
     }
 
     /// Create a passive opener directly from a received SYN. The first
@@ -136,11 +135,7 @@ impl TcpSocket {
         now: SimTime,
         syn_options: Vec<TcpOption>,
     ) -> TcpSocket {
-        let opening = Life::SynReceived {
-            syn: true,
-            fin: false,
-        };
-        let mut s = TcpSocket::common(cfg, syn.tuple.reversed(), iss, now, opening, syn_options);
+        let mut s = TcpSocket::common(cfg, syn.tuple.reversed(), iss, now, true, syn_options);
         s.snd_wnd = syn.window;
         s.wl1 = syn.seq;
         s.absorb_syn(syn);
@@ -153,22 +148,18 @@ impl TcpSocket {
         tuple: FourTuple,
         iss: SeqNum,
         now: SimTime,
-        life: Life,
+        rcvd: bool,
         syn_options: Vec<TcpOption>,
     ) -> TcpSocket {
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
-        let cc = CcAlgorithm::Reno.build(cfg.mss as u32, INIT_CWND_SEGS);
         // Autotuned buffers start small and grow on demand.
-        let start = |max: usize| {
-            if cfg.autotune {
-                max.min(16 * cfg.mss)
-            } else {
-                max
-            }
-        };
+        let start = |max: usize| max.min(if cfg.autotune { 16 * cfg.mss } else { max });
         TcpSocket {
             effective_mss: cfg.mss,
-            life,
+            life: Life::Opening {
+                rcvd,
+                syn: true,
+                fin: false,
+            },
             tuple,
             iss,
             irs: SeqNum(0),
@@ -181,8 +172,8 @@ impl TcpSocket {
             send_q: SendQueue::new(iss + 1),
             recv_q: RecvQueue::new(start(cfg.recv_buf)),
             sbuf_cap: start(cfg.send_buf),
-            rtt,
-            cc,
+            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
+            cc: CcAlgorithm::Reno.build(cfg.mss as u32, INIT_CWND_SEGS),
             recovery: Recovery::new(iss, cfg.max_rto),
             last_cap_at: None,
             need_ack: false,
@@ -196,6 +187,7 @@ impl TcpSocket {
             window_override: None,
             rx_mptcp: Vec::new(),
             poll_changed: false,
+            orphaned: false,
             stats: SocketStats::default(),
             telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
             telemetry_tag: 0,
@@ -230,10 +222,6 @@ impl TcpSocket {
         self.telemetry.sample(rec);
     }
 
-    // ------------------------------------------------------------------
-    // Accessors.
-    // ------------------------------------------------------------------
-
     /// Connection state.
     pub fn state(&self) -> TcpState {
         self.life.state()
@@ -246,7 +234,7 @@ impl TcpSocket {
 
     /// Has the handshake completed?
     pub fn is_established(&self) -> bool {
-        self.state().is_synchronized()
+        !matches!(self.life, Life::Opening { .. } | Life::Closed(_))
     }
 
     /// Did the connection fail (RST or persistent timeout)?
@@ -409,7 +397,7 @@ impl TcpSocket {
     /// unacknowledged goes out at most twice more, then the socket closes
     /// without error instead of retrying into a peer that has left.
     pub fn orphan(&mut self) {
-        self.recovery.orphan();
+        self.orphaned = true;
     }
 
     /// Probe a possibly-dead path right now instead of waiting for the
@@ -429,10 +417,6 @@ impl TcpSocket {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Application API.
-    // ------------------------------------------------------------------
-
     /// Enqueue payload with the option every segment cut from it carries
     /// (the MPTCP mapping path): `None`, `Some(option)` or a one-element
     /// `Vec`; a second option panics.
@@ -449,11 +433,11 @@ impl TcpSocket {
         }
         let mut option = option.into_iter();
         let first = option.next();
-        assert!(
-            option.next().is_none(),
-            "a chunk carries at most one option"
-        );
-        self.maybe_grow_sbuf(payload.len());
+        assert!(option.next().is_none(), "at most one option per chunk");
+        if self.cfg.autotune {
+            let used = self.send_q.buffered() + payload.len();
+            self.sbuf_cap = grown(self.sbuf_cap, used, self.cfg.send_buf);
+        }
         self.send_q.enqueue(payload, first);
         true
     }
@@ -475,17 +459,6 @@ impl TcpSocket {
         }
         self.send_chunk(Bytes::copy_from_slice(&payload[..take]), None);
         take
-    }
-
-    fn maybe_grow_sbuf(&mut self, incoming: usize) {
-        if !self.cfg.autotune {
-            return;
-        }
-        while self.send_q.buffered() + incoming > self.sbuf_cap / 2
-            && self.sbuf_cap < self.cfg.send_buf
-        {
-            self.sbuf_cap = (self.sbuf_cap * 2).min(self.cfg.send_buf);
-        }
     }
 
     /// Close the send direction: a FIN goes out once the queue drains.
@@ -513,16 +486,12 @@ impl TcpSocket {
         true
     }
 
-    // ------------------------------------------------------------------
-    // Input.
-    // ------------------------------------------------------------------
-
     /// Process an incoming segment addressed to this socket.
     pub fn handle_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         self.stats.segs_in += 1;
         match self.life {
             Life::Closed(_) => {}
-            Life::SynSent { .. } => self.handle_syn_sent(now, seg),
+            Life::Opening { rcvd: false, .. } => self.handle_syn_sent(now, seg),
             _ => self.handle_synchronized(now, seg),
         }
     }
@@ -562,7 +531,6 @@ impl TcpSocket {
 
     fn handle_synchronized(&mut self, now: SimTime, seg: &TcpSegment) {
         if seg.flags.rst {
-            // Accept an in-window RST.
             if self.seq_acceptable(seg) {
                 self.feed(Input::Failed, now);
             }
@@ -582,7 +550,7 @@ impl TcpSocket {
         // Harvest MPTCP options from anything plausibly belonging to the
         // connection, including out-of-window duplicates: the DSS mapping
         // is position-independent (§3.3.4).
-        self.harvest_mptcp(seg);
+        self.rx_mptcp.extend(seg.mptcp_options().cloned());
 
         // A zero-window probe, nothing at one below `rcv_nxt`, is answered
         // with an ACK (RFC 9293 §3.10.7.4). Not any old empty segment: a
@@ -603,11 +571,9 @@ impl TcpSocket {
             self.process_fin(now, seg);
         }
 
-        // Timestamp echo bookkeeping.
-        if let Some((val, _)) = timestamps_of(seg) {
-            if seg.seq.before_eq(self.rcv_nxt) {
-                self.ts_recent = val;
-            }
+        match timestamps_of(seg) {
+            Some((val, _)) if seg.seq.before_eq(self.rcv_nxt) => self.ts_recent = val,
+            _ => {}
         }
     }
 
@@ -671,7 +637,6 @@ impl TcpSocket {
                 AckResponse::PartialAck => {}
             }
 
-            // M4 / FreeBSD inflight: cap cwnd when the path is bufferbloated.
             if self.cfg.cap_cwnd_on_bufferbloat {
                 self.apply_bufferbloat_cap(now);
             }
@@ -712,7 +677,6 @@ impl TcpSocket {
             self.trace_sample(now);
         }
 
-        // Zero-window handling: arm/disarm the persist timer.
         let blocked = self.snd_wnd == 0 && self.send_q.has_data_at(self.snd_nxt);
         self.recovery.on_peer_window(now, self.rtt.rto(), blocked);
     }
@@ -745,59 +709,33 @@ impl TcpSocket {
     }
 
     fn process_payload(&mut self, seg: &TcpSegment) {
-        if !self.state().can_receive() {
-            self.need_ack = true;
+        // In order, out of order, duplicate or refused: every data segment
+        // is acked at once.
+        self.need_ack = true;
+        // Data may arrive until the peer's FIN.
+        if !self.is_established() || self.stream_fin() {
             return;
         }
         // Stream offset of the segment's first byte (0-based, first data
-        // byte after the SYN is offset 0).
+        // byte after the SYN is offset 0), and what overlaps the SYN
+        // (shouldn't happen) to clip.
         let first_data = self.irs + 1;
         let rel = i64::from(seg.seq.dist_from(first_data) as i32);
-        let (off, payload) = if rel < 0 {
-            // Overlaps the SYN (shouldn't happen); clip.
-            let cut = (-rel) as usize;
-            if cut >= seg.payload.len() {
-                self.need_ack = true;
-                return;
-            }
-            (0u64, seg.payload.slice(cut..))
-        } else {
-            (seg.seq.dist_from(first_data) as u64, seg.payload.clone())
-        };
-
+        let (off, cut) = (rel.max(0) as u64, (-rel).max(0) as usize);
         // Clip to the advertised window's right edge (connection-level
         // clipping — data in-window at subflow level but out-of-window at
         // data level is dropped by the MPTCP layer above, §3.3.5).
         let window_right =
             u64::from(self.rcv_nxt.dist_from(first_data)) + u64::from(self.adv_window());
-        let payload = if off + payload.len() as u64 > window_right {
-            if off >= window_right {
-                self.need_ack = true;
-                return;
-            }
-            payload.slice(..(window_right - off) as usize)
-        } else {
-            payload
-        };
-
-        let advanced = self.recv_q.insert(off, payload);
-        self.rcv_nxt += advanced as u32;
-        self.maybe_grow_rbuf();
-
-        // In order, out of order or duplicate: every data segment is
-        // acked at once (a dup ACK in the latter two cases).
-        self.need_ack = true;
-    }
-
-    fn maybe_grow_rbuf(&mut self) {
-        if !self.cfg.autotune {
+        if cut >= seg.payload.len() || off >= window_right {
             return;
         }
-        while self.recv_q.buffered() > self.recv_q.capacity() / 2
-            && self.recv_q.capacity() < self.cfg.recv_buf
-        {
-            let next = (self.recv_q.capacity() * 2).min(self.cfg.recv_buf);
-            self.recv_q.set_capacity(next);
+        let end = seg.payload.len().min(cut + (window_right - off) as usize);
+        let advanced = self.recv_q.insert(off, seg.payload.slice(cut..end));
+        self.rcv_nxt += advanced as u32;
+        if self.cfg.autotune {
+            let q = &mut self.recv_q;
+            q.set_capacity(grown(q.capacity(), q.buffered(), self.cfg.recv_buf));
         }
     }
 
@@ -821,11 +759,7 @@ impl TcpSocket {
                 self.effective_mss = self.effective_mss.min(*m as usize);
             }
         }
-        self.harvest_mptcp(syn);
-    }
-
-    fn harvest_mptcp(&mut self, seg: &TcpSegment) {
-        self.rx_mptcp.extend(seg.mptcp_options().cloned());
+        self.rx_mptcp.extend(syn.mptcp_options().cloned());
     }
 
     fn sample_rtt_from_ts(&mut self, now: SimTime, seg: &TcpSegment) -> Option<Duration> {
@@ -845,21 +779,14 @@ impl TcpSocket {
         (now.since(self.epoch).as_micros() as u64 % u64::from(u32::MAX)).max(1) as u32
     }
 
-    // ------------------------------------------------------------------
-    // Output.
-    // ------------------------------------------------------------------
-
     /// Next instant this socket needs a poll: now when it has a segment to
     /// give, else its earliest timer.
     pub fn poll_at(&self, _now: SimTime) -> Option<SimTime> {
-        if self.next_out().is_some() {
-            return Some(SimTime::ZERO); // poll me right now
+        match self.life {
+            _ if self.next_out().is_some() => Some(SimTime::ZERO), // poll me right now
+            Life::TimeWait { until } => min_deadline(self.recovery.poll_at(), Some(until)),
+            _ => self.recovery.poll_at(),
         }
-        let time_wait = match self.life {
-            Life::TimeWait { until } => Some(until),
-            _ => None,
-        };
-        min_deadline(self.recovery.poll_at(), time_wait)
     }
 
     /// What `poll` sends next: the one decision `poll` acts on and
@@ -869,8 +796,7 @@ impl TcpSocket {
     fn next_out(&self) -> Option<Out> {
         match self.life {
             Life::Closed(end) => return (end == End::RstDue).then_some(Out::Rst),
-            Life::SynSent { syn, .. } => return syn.then_some(Out::Syn(TcpFlags::SYN)),
-            Life::SynReceived { syn, .. } => return syn.then_some(Out::Syn(TcpFlags::SYN_ACK)),
+            Life::Opening { syn, .. } => return syn.then_some(Out::Syn),
             _ => {}
         }
         let fin_queued = matches!(
@@ -904,14 +830,10 @@ impl TcpSocket {
     /// Usable send window: `min(cwnd, peer window) − bytes in flight`,
     /// with `cwnd` as loss recovery sees it.
     fn usable_window(&self) -> u32 {
-        self.recovery
-            .send_window(
-                self.cc.cwnd(),
-                self.cc.ssthresh(),
-                self.effective_mss as u32,
-            )
-            .min(self.snd_wnd)
-            .saturating_sub(self.bytes_in_flight())
+        let (cwnd, mss) = (self.cc.cwnd(), self.effective_mss as u32);
+        let window = self.recovery.send_window(cwnd, self.cc.ssthresh(), mss);
+        let flight = self.bytes_in_flight();
+        window.min(self.snd_wnd).saturating_sub(flight)
     }
 
     /// May new data go out now?
@@ -952,7 +874,7 @@ impl TcpSocket {
                     seg.flags.ack = self.irs != SeqNum(0) || self.rcv_nxt != SeqNum(0);
                     seg
                 }
-                Out::Syn(flags) => self.build_syn(now, flags),
+                Out::Syn => self.build_syn(now),
                 // The hole an ACK or a probe named, then the post-RTO
                 // go-back-N walk, paced by cwnd.
                 Out::Retransmit => {
@@ -960,7 +882,7 @@ impl TcpSocket {
                         .recovery
                         .next_retransmit(self.snd_una, self.cc.cwnd())?;
                     let seq = rtx.seq;
-                    let seg = match self.data_segment(now, seq, self.effective_mss, true) {
+                    let seg = match self.data_segment(now, seq, self.effective_mss) {
                         // FIN-only retransmission.
                         None if self.fin_seq() == Some(seq) => Some(self.fin_segment(now, seq)),
                         seg => seg,
@@ -975,7 +897,7 @@ impl TcpSocket {
                 }
                 Out::NewData => {
                     let room = self.usable_window() as usize;
-                    let seg = self.data_segment(now, self.snd_nxt, room, false)?;
+                    let seg = self.data_segment(now, self.snd_nxt, room)?;
                     self.poll_changed |= self.snd_nxt == self.snd_una;
                     self.snd_nxt = seg.seq_end();
                     self.recovery.ensure_armed(now, self.rtt.rto());
@@ -1040,26 +962,27 @@ impl TcpSocket {
         let handshake = !self.is_established();
         let outstanding = self.snd_una.before(self.snd_nxt) || self.fin_seq().is_some();
         let flight = (!handshake && outstanding).then_some((self.snd_una, self.snd_nxt));
-        match self.recovery.on_timer(now, self.rtt.rto(), flight) {
-            TimerAction::GiveUp => {
-                self.feed(Input::Failed, now);
+        let input = match self.recovery.on_timer(now, self.rtt.rto(), flight) {
+            TimerAction::GiveUp => Input::Failed,
+            TimerAction::Retry if self.orphaned && self.consecutive_rtos() > ORPHAN_RETRIES => {
+                Input::Abandon
             }
-            TimerAction::Abandon => {
-                self.feed(Input::Abandon, now);
+            // §3.1: retry without the extension option in case a
+            // middlebox is silently dropping option-bearing SYNs.
+            TimerAction::Retry if self.state() == TcpState::SynSent => {
+                self.syn_options.clear();
+                Input::SynTimeout
             }
-            TimerAction::Retry if handshake => {
-                // §3.1: retry without the extension option in case a
-                // middlebox is silently dropping option-bearing SYNs.
-                if self.state() == TcpState::SynSent {
-                    self.syn_options.clear();
+            TimerAction::Retry if handshake => Input::SynTimeout,
+            TimerAction::Retry => {
+                let in_flight = self.bytes_in_flight().min(self.cc.cwnd());
+                if flight.is_some() {
+                    self.cc.on_retransmit_timeout(now, in_flight);
                 }
-                self.feed(Input::SynTimeout, now);
+                return;
             }
-            TimerAction::Retry if flight.is_some() => self
-                .cc
-                .on_retransmit_timeout(now, self.bytes_in_flight().min(self.cc.cwnd())),
-            TimerAction::Retry => {}
-        }
+        };
+        self.feed(input, now);
     }
 
     fn adv_window(&self) -> u32 {
@@ -1073,16 +996,17 @@ impl TcpSocket {
         }
     }
 
-    fn build_syn(&mut self, now: SimTime, flags: TcpFlags) -> TcpSegment {
+    fn build_syn(&mut self, now: SimTime) -> TcpSegment {
         self.feed(Input::SynOut, now);
         self.recovery.arm(now, self.rtt.rto());
         // The SYN occupies one sequence number.
         self.snd_nxt = self.iss + 1;
-        let mut seg = TcpSegment::new(self.tuple, self.iss, self.rcv_nxt, flags);
+        let mut seg = TcpSegment::new(self.tuple, self.iss, self.rcv_nxt, TcpFlags::SYN);
+        seg.flags.ack = self.state() == TcpState::SynReceived;
         seg.options.push(TcpOption::Mss(self.cfg.mss as u16));
         seg.options.push(TcpOption::WindowScale(WSCALE));
         seg.options.push(TcpOption::SackPermitted);
-        let ecr = if flags.ack { self.ts_recent } else { 0 };
+        let ecr = if seg.flags.ack { self.ts_recent } else { 0 };
         seg.options.push(self.timestamps(now, ecr));
         seg.options.extend(self.syn_options.iter().cloned());
         seg.window = self.adv_window();
@@ -1092,16 +1016,11 @@ impl TcpSocket {
     /// Up to `max_len` bytes of queued data from `seq` (never more than
     /// the MSS, never across a chunk), as a segment with its chunk's
     /// options; `None` when nothing is queued there.
-    fn data_segment(
-        &mut self,
-        now: SimTime,
-        seq: SeqNum,
-        max_len: usize,
-        retx: bool,
-    ) -> Option<TcpSegment> {
+    fn data_segment(&mut self, now: SimTime, seq: SeqNum, max_len: usize) -> Option<TcpSegment> {
         let max = self.effective_mss.min(max_len.max(1));
         let data = self.send_q.segment_at(seq, max)?;
-        if retx {
+        // Every byte below `snd_nxt` went out before.
+        if seq.before(self.snd_nxt) {
             self.telemetry.count(CounterId::TcpRetransmittedSegs);
         }
         self.stats.bytes_out += data.payload.len() as u64;
@@ -1161,6 +1080,14 @@ impl TcpSocket {
         self.need_ack = false;
         seg
     }
+}
+
+/// Autotuning: `cap` doubled toward `max` until `used` fills at most half.
+fn grown(mut cap: usize, used: usize, max: usize) -> usize {
+    while used > cap / 2 && cap < max {
+        cap = (cap * 2).min(max);
+    }
+    cap
 }
 
 /// The `(val, ecr)` of the segment's timestamps option.

@@ -1,11 +1,9 @@
 //! The TCP connection state machine (RFC 9293).
 //!
-//! [`TcpState`] is the public view. The socket keeps a `Life`: the state
-//! with what each state owns — a SYN owed while opening, the
-//! application's close while the FIN waits behind queued data, TIME_WAIT's
-//! deadline, how a closed end ended. It feeds it what happened as an
-//! `Input` and reads the state back; the machine holds no sequence number
-//! and builds no segment.
+//! [`TcpState`] is the public view. The socket keeps a `Life`, the state
+//! with what each state owns, feeds it an `Input` for what happened and
+//! reads the state back; the machine holds no sequence number and builds
+//! no segment.
 
 use mptcp_netsim::{Duration, SimTime};
 
@@ -38,30 +36,12 @@ pub enum TcpState {
     TimeWait,
 }
 
-impl TcpState {
-    /// May data still arrive from the peer?
-    pub fn can_receive(self) -> bool {
-        matches!(
-            self,
-            TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2
-        )
-    }
-
-    /// Is the handshake complete (data may flow in at least one direction)?
-    pub fn is_synchronized(self) -> bool {
-        !matches!(
-            self,
-            TcpState::Closed | TcpState::SynSent | TcpState::SynReceived
-        )
-    }
-}
-
-/// A [`TcpState`] with what it owns: `syn` while the SYN (SYN/ACK) is
-/// owed, `fin` from the application's close until the FIN is out.
+/// A [`TcpState`] with what it owns. Opening: `rcvd` once the peer's SYN
+/// is in (SYN_RECEIVED), `syn` while our SYN, or SYN/ACK, is owed. `fin`:
+/// the application closed and the FIN is not out yet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Life {
-    SynSent { syn: bool, fin: bool },
-    SynReceived { syn: bool, fin: bool },
+    Opening { rcvd: bool, syn: bool, fin: bool },
     Established { fin: bool },
     CloseWait { fin: bool },
     FinWait1,
@@ -72,9 +52,8 @@ pub(crate) enum Life {
     Closed(End),
 }
 
-/// How a connection end closed: cleanly (both FINs exchanged, or
-/// abandoned once orphaned), or reset, timed out or aborted — with the
-/// abort's RST still owed to the peer, or not.
+/// How a closed end ended: cleanly, or reset, timed out or aborted, with
+/// the abort's RST still owed or not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum End {
     Clean,
@@ -82,13 +61,9 @@ pub(crate) enum End {
     RstDue,
 }
 
-/// What happened to a connection end: the SYN (SYN/ACK) went out or its
-/// timer fired; the peer's SYN arrived (a simultaneous open, or a
-/// retransmission in SYN_RECEIVED); our SYN or FIN was acknowledged; the
-/// application closed; our FIN went out; the peer's FIN arrived in order;
-/// an acceptable RST or the timer giving up; the application aborted; the
-/// abort's RST went out; an orphan's retries ran out; the clock reached
-/// the instant fed.
+/// What happened to a connection end. `Failed`: an acceptable RST, or the
+/// timer gave up; `Abandon`: an orphan's retries ran out; `Tick`: the
+/// clock reached the instant fed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Input {
     SynOut,
@@ -114,22 +89,21 @@ impl Life {
         Some(match (self, input) {
             (Closed(End::RstDue), RstOut) | (Closed(End::Clean), Abort) => Closed(End::Failed),
             (Closed(_), _) => return None,
-            (_, Failed) | (SynSent { .. }, Abort) => Closed(End::Failed),
+            (_, Failed) | (Opening { rcvd: false, .. }, Abort) => Closed(End::Failed),
             (_, Abandon) => Closed(End::Clean),
             // An RST goes to a peer that knows of the connection.
             (_, Abort) => Closed(End::RstDue),
-            (SynSent { fin, .. }, SynOut | SynTimeout) => SynSent {
-                syn: input == SynTimeout,
-                fin,
-            },
-            (SynReceived { fin, .. }, SynOut | SynTimeout | PeerSyn) => SynReceived {
+            (Opening { rcvd, fin, .. }, SynOut | SynTimeout | PeerSyn) => Opening {
+                rcvd: rcvd || input == PeerSyn,
                 syn: input != SynOut,
                 fin,
             },
-            (SynSent { fin, .. }, PeerSyn) => SynReceived { syn: true, fin },
-            (SynSent { fin, .. } | SynReceived { fin, .. }, SynAcked) => Established { fin },
-            (SynSent { syn, .. }, Close) => SynSent { syn, fin: true },
-            (SynReceived { syn, .. }, Close) => SynReceived { syn, fin: true },
+            (Opening { fin, .. }, SynAcked) => Established { fin },
+            (Opening { rcvd, syn, .. }, Close) => Opening {
+                rcvd,
+                syn,
+                fin: true,
+            },
             (Established { .. }, Close) => Established { fin: true },
             (CloseWait { .. }, Close) => CloseWait { fin: true },
             (Established { fin: true }, FinOut) => FinWait1,
@@ -149,8 +123,8 @@ impl Life {
     /// The public view.
     pub(crate) fn state(self) -> TcpState {
         match self {
-            Life::SynSent { .. } => TcpState::SynSent,
-            Life::SynReceived { .. } => TcpState::SynReceived,
+            Life::Opening { rcvd: false, .. } => TcpState::SynSent,
+            Life::Opening { .. } => TcpState::SynReceived,
             Life::Established { .. } => TcpState::Established,
             Life::CloseWait { .. } => TcpState::CloseWait,
             Life::FinWait1 => TcpState::FinWait1,
@@ -166,7 +140,8 @@ impl Life {
     /// active opener and a synchronized end before its close take data.
     pub(crate) fn send_closed(self) -> bool {
         match self {
-            Life::SynSent { fin, .. } | Life::Established { fin } | Life::CloseWait { fin } => fin,
+            Life::Opening { rcvd: true, .. } => true,
+            Life::Opening { fin, .. } | Life::Established { fin } | Life::CloseWait { fin } => fin,
             _ => true,
         }
     }
@@ -182,11 +157,10 @@ mod tests {
     fn states() -> Vec<Life> {
         use Life::*;
         let mut all = Vec::new();
-        for (syn, fin) in [(true, false), (false, false), (true, true), (false, true)] {
-            all.push(SynSent { syn, fin });
-        }
-        for (syn, fin) in [(true, false), (false, false), (true, true), (false, true)] {
-            all.push(SynReceived { syn, fin });
+        for rcvd in [false, true] {
+            for (syn, fin) in [(true, false), (false, false), (true, true), (false, true)] {
+                all.push(Opening { rcvd, syn, fin });
+            }
         }
         for fin in [false, true] {
             all.push(Established { fin });
@@ -222,10 +196,12 @@ mod tests {
     fn name(l: Life) -> String {
         let flag = |on: bool, s: &'static str| if on { s } else { "" };
         match l {
-            Life::SynSent { syn, fin } => format!("SS{}{}", flag(syn, "+syn"), flag(fin, "+fin")),
-            Life::SynReceived { syn, fin } => {
-                format!("SR{}{}", flag(syn, "+syn"), flag(fin, "+fin"))
-            }
+            Life::Opening { rcvd, syn, fin } => format!(
+                "{}{}{}",
+                if rcvd { "SR" } else { "SS" },
+                flag(syn, "+syn"),
+                flag(fin, "+fin")
+            ),
             Life::Established { fin } => format!("ES{}", flag(fin, "+fin")),
             Life::CloseWait { fin } => format!("CW{}", flag(fin, "+fin")),
             Life::FinWait1 => "FW1".into(),
@@ -279,21 +255,16 @@ CL.RstDue: - - - - - - - - - - CL.Failed - -
         assert_eq!(got, want, "actual table:\n{got}");
     }
 
+    /// Writes are taken only in SYN_SENT and, before a close, once
+    /// synchronized.
     #[test]
     fn predicates() {
-        assert!(TcpState::FinWait2.can_receive());
-        assert!(!TcpState::CloseWait.can_receive());
-        assert!(TcpState::Established.is_synchronized());
-        assert!(!TcpState::SynSent.is_synchronized());
         for s in states() {
-            let st = s.state();
-            // Writes are taken only in SYN_SENT and before a close.
-            if !s.send_closed() {
-                assert!(matches!(
-                    st,
-                    TcpState::SynSent | TcpState::Established | TcpState::CloseWait
-                ));
-            }
+            let open = matches!(
+                s.state(),
+                TcpState::SynSent | TcpState::Established | TcpState::CloseWait
+            );
+            assert!(s.send_closed() || open, "{s:?}");
         }
     }
 }
