@@ -127,7 +127,7 @@ pub struct MptcpConnection {
     telemetry: Recorder,
     /// The configured packet scheduler (policy only; tiering, reinjection
     /// and telemetry stay here in the connection).
-    sched: Box<dyn Scheduler>,
+    sched: Scheduler,
     /// Cross-subflow congestion-control coupling state (owned here: only
     /// the connection sees every subflow).
     coupled: CoupledState,
@@ -348,7 +348,7 @@ impl MptcpConnection {
     }
 
     /// The connection-level out-of-order queue (Figure 8 algorithms).
-    pub fn reorder_queue(&self) -> &dyn OooQueue {
+    pub fn reorder_queue(&self) -> &OooQueue {
         self.rx.queue()
     }
 
@@ -1457,7 +1457,7 @@ impl MptcpConnection {
         };
         let in_best = |p: &(usize, &Subflow)| tier(*p) == Some(best);
         let eligible = subflows.iter().enumerate().filter(in_best);
-        paths.extend(eligible.map(|(i, sf)| sf.snapshot(i, best == 2)));
+        paths.extend(eligible.map(|(i, sf)| sf.snapshot(i)));
     }
 
     /// Ask the configured [`Scheduler`] where the next chunk goes — a

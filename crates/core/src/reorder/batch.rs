@@ -16,311 +16,148 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use bytes::Bytes;
 
-use super::OooQueue;
+use super::Slot;
 
 struct Batch {
     end: u64,
     segs: VecDeque<(u64, Bytes)>,
 }
 
-/// Batch-grouped out-of-order queue with per-subflow shortcuts.
-pub struct AllShortcutsQueue {
+/// Contiguous batches with per-subflow shortcuts.
+#[derive(Default)]
+pub(super) struct Batches {
     batches: BTreeMap<u64, Batch>,
     /// batch end DSN -> batch start key (for O(1) append-to-batch).
     by_end: HashMap<u64, u64>,
-    bytes: usize,
-    segments: usize,
     /// subflow -> DSN where its next segment is expected.
     cursors: HashMap<usize, u64>,
-    ops: u64,
-    hits: u64,
-    inserts: u64,
 }
 
-impl AllShortcutsQueue {
-    /// An empty queue.
-    pub fn new() -> AllShortcutsQueue {
-        AllShortcutsQueue {
-            batches: BTreeMap::new(),
-            by_end: HashMap::new(),
-            bytes: 0,
-            segments: 0,
-            cursors: HashMap::new(),
-            ops: 0,
-            hits: 0,
-            inserts: 0,
-        }
-    }
-
-    /// Append a segment to the batch ending exactly at `dsn`, then merge
-    /// with the following batch if they now touch. Returns the batch's new
-    /// end, so a batch-insert run can track it without another lookup.
-    fn extend_batch(&mut self, start_key: u64, dsn: u64, data: Bytes) -> u64 {
-        let len = data.len() as u64;
-        let batch = self.batches.get_mut(&start_key).expect("batch exists");
-        debug_assert_eq!(batch.end, dsn);
-        self.by_end.remove(&batch.end);
-        batch.segs.push_back((dsn, data));
-        batch.end += len;
-        let new_end = batch.end;
-        self.segments += 1;
-        self.bytes += len as usize;
-
-        // Merge with the successor batch if contiguous.
-        if let Some(mut succ) = self.batches.remove(&new_end) {
-            self.by_end.remove(&succ.end);
-            let succ_end = succ.end;
-            let batch = self.batches.get_mut(&start_key).unwrap();
-            batch.segs.append(&mut succ.segs);
-            batch.end = succ_end;
-            self.by_end.insert(succ_end, start_key);
-            succ_end
-        } else {
-            self.by_end.insert(new_end, start_key);
-            new_end
-        }
-    }
-
-    /// Create a fresh batch, merging with a successor that starts at its
-    /// end.
-    fn new_batch(&mut self, dsn: u64, data: Bytes) {
-        let len = data.len() as u64;
-        let mut segs = VecDeque::new();
-        segs.push_back((dsn, data));
-        let mut end = dsn + len;
-        self.segments += 1;
-        self.bytes += len as usize;
-
-        if let Some(mut succ) = self.batches.remove(&end) {
-            self.by_end.remove(&succ.end);
-            segs.append(&mut succ.segs);
-            end = succ.end;
-        }
-        self.batches.insert(dsn, Batch { end, segs });
-        self.by_end.insert(end, dsn);
-    }
-
-    fn remove_batch_front(&mut self, start_key: u64) -> Option<(u64, Bytes)> {
-        let batch = self.batches.get_mut(&start_key)?;
-        let (dsn, data) = batch.segs.pop_front()?;
-        self.segments -= 1;
-        self.bytes -= data.len();
-        if batch.segs.is_empty() {
-            let b = self.batches.remove(&start_key).unwrap();
-            self.by_end.remove(&b.end);
-        } else {
-            // Re-key the batch at its new start.
-            let b = self.batches.remove(&start_key).unwrap();
-            let new_start = b.segs.front().unwrap().0;
-            self.by_end.insert(b.end, new_start);
-            self.batches.insert(new_start, b);
-        }
-        Some((dsn, data))
-    }
-}
-
-impl Default for AllShortcutsQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OooQueue for AllShortcutsQueue {
-    fn insert(&mut self, dsn: u64, data: Bytes, subflow: usize) {
-        self.inserts += 1;
-        if data.is_empty() {
-            return;
-        }
-        let len = data.len() as u64;
-
-        // Shortcut: the subflow expected to continue exactly here, and a
-        // batch indeed ends here (O(1) via the end index).
+impl Batches {
+    /// The shortcut first: the subflow expected to continue exactly at
+    /// `dsn`, and a batch ends there — `run`, the batch the previous piece
+    /// of a batch insert landed in, or found in O(1) through the end index.
+    /// Otherwise iterate over batches (not segments), newest first.
+    pub(super) fn locate(&self, dsn: u64, subflow: usize, run: Option<(u64, u64)>) -> Slot {
         if self.cursors.get(&subflow) == Some(&dsn) {
-            if let Some(&start_key) = self.by_end.get(&dsn) {
-                self.ops += 1;
-                self.hits += 1;
-                self.extend_batch(start_key, dsn, data);
-                self.cursors.insert(subflow, dsn + len);
-                return;
+            let key = match run {
+                Some((key, end)) if end == dsn => Some(key),
+                _ => self.by_end.get(&dsn).copied(),
+            };
+            if let Some(key) = key {
+                return Slot {
+                    prev_end: Some(dsn),
+                    next_start: None,
+                    at: key,
+                    ops: 1,
+                    hit: true,
+                };
             }
         }
-
-        // Fallback: iterate over batches (not segments), newest first.
-        let mut covered = false;
-        let mut target: Option<u64> = None; // batch to extend at its end
-        let mut clip_to: Option<u64> = None; // successor start limiting tail
-        self.ops += 1;
-        for (&start, batch) in self.batches.range(..).rev() {
-            self.ops += 1;
-            if start > dsn {
-                clip_to = Some(start);
-                continue;
+        let (mut ops, mut next_start, mut prev) = (1, None, None);
+        for (&start, batch) in self.batches.iter().rev() {
+            ops += 1;
+            if start <= dsn {
+                prev = Some((start, batch.end));
+                break;
             }
-            // First batch starting at or before dsn.
-            if dsn < batch.end {
-                // Starts inside this batch: contiguous runs hold all bytes
-                // in [start, end), so the overlapped prefix is duplicate.
-                if dsn + len <= batch.end {
-                    covered = true;
-                } else {
-                    target = Some(start); // extend after trimming the front
-                }
-            } else if dsn == batch.end {
-                target = Some(start);
-            }
-            break;
+            next_start = Some(start);
         }
-        if covered {
-            return;
+        Slot {
+            prev_end: prev.map(|(_, end)| end),
+            next_start,
+            at: prev.map_or(0, |(start, _)| start),
+            ops,
+            hit: false,
         }
+    }
 
-        let (dsn, data) = {
-            // Trim the front against the target batch's end.
-            let (mut dsn, mut data) = (dsn, data);
-            if let Some(t) = target {
-                let bend = self.batches[&t].end;
-                if bend > dsn {
-                    let cut = (bend - dsn) as usize;
-                    data = data.slice(cut..);
-                    dsn = bend;
-                }
-            }
-            // Trim the tail against the successor batch.
-            if let Some(ns) = clip_to {
-                if dsn >= ns {
-                    return;
-                }
-                if dsn + data.len() as u64 > ns {
-                    data = data.slice(..(ns - dsn) as usize);
-                }
-            }
-            if data.is_empty() {
-                return;
-            }
-            (dsn, data)
-        };
-
+    /// Append the piece to the batch before it when that batch ends where
+    /// the piece starts, else open a batch; then merge with a successor
+    /// that now touches it. Returns the batch's key and end.
+    pub(super) fn place(
+        &mut self,
+        slot: &Slot,
+        dsn: u64,
+        data: Bytes,
+        subflow: usize,
+    ) -> (u64, u64) {
         let end = dsn + data.len() as u64;
-        match target {
-            Some(t) if self.batches[&t].end == dsn => {
-                self.extend_batch(t, dsn, data);
-            }
-            _ => self.new_batch(dsn, data),
-        }
         self.cursors.insert(subflow, end);
-    }
-
-    /// The promoted default ingress path: a drain of N contiguous datagrams
-    /// costs one lookup to find the target batch, then N O(1) appends
-    /// against a cached `(batch key, batch end)` — no per-segment cursor or
-    /// end-index probing.
-    fn insert_batch(&mut self, items: &mut Vec<(u64, Bytes, usize)>) {
-        // Batch being extended by the current contiguous run.
-        let mut cached: Option<(u64, u64)> = None;
-        for (dsn, data, subflow) in items.drain(..) {
-            if data.is_empty() {
-                self.inserts += 1;
-                continue;
-            }
-            let len = data.len() as u64;
-            // Fast path mirrors `insert`'s shortcut exactly: the subflow's
-            // cursor expected `dsn` AND a batch ends right there (the
-            // cached one — batch ends are unique, so `by_end[dsn]` could
-            // name no other).
-            let fast = matches!(cached, Some((_, end)) if end == dsn)
-                && self.cursors.get(&subflow) == Some(&dsn);
-            if fast {
-                let (key, _) = cached.unwrap();
-                self.inserts += 1;
-                self.ops += 1;
-                self.hits += 1;
-                let new_end = self.extend_batch(key, dsn, data);
-                self.cursors.insert(subflow, dsn + len);
-                // If a successor merge pushed the end past dsn+len, the next
-                // contiguous item misses the cache and takes the full
-                // insert — the same route the sequential shortcut takes.
-                cached = Some((key, new_end));
-                continue;
-            }
-            self.insert(dsn, data, subflow);
-            // Re-arm the cache: after an insert the subflow's cursor points
-            // one past the inserted bytes; if a batch ends exactly there,
-            // the next contiguous segment can take the fast path.
-            cached = self
-                .cursors
-                .get(&subflow)
-                .and_then(|&c| self.by_end.get(&c).map(|&k| (k, c)));
+        let key = if slot.prev_end == Some(dsn) {
+            self.by_end.remove(&dsn);
+            slot.at
+        } else {
+            dsn
+        };
+        let succ = self.batches.remove(&end);
+        let batch = self.batches.entry(key).or_insert_with(|| Batch {
+            end,
+            segs: VecDeque::new(),
+        });
+        batch.segs.push_back((dsn, data));
+        batch.end = end;
+        if let Some(mut succ) = succ {
+            self.by_end.remove(&succ.end);
+            batch.segs.append(&mut succ.segs);
+            batch.end = succ.end;
         }
+        self.by_end.insert(batch.end, key);
+        (key, batch.end)
     }
 
-    fn pop_ready(&mut self, rcv_nxt: u64) -> Option<(u64, Bytes)> {
-        loop {
-            let (&start, batch) = self.batches.first_key_value()?;
-            if batch.end <= rcv_nxt {
-                // Entire batch superseded.
-                let b = self.batches.remove(&start).unwrap();
-                self.by_end.remove(&b.end);
-                self.segments -= b.segs.len();
-                self.bytes -= b.segs.iter().map(|(_, d)| d.len()).sum::<usize>();
-                continue;
+    pub(super) fn front(&self) -> Option<(u64, &Bytes)> {
+        let (_, batch) = self.batches.first_key_value()?;
+        batch.segs.front().map(|(dsn, data)| (*dsn, data))
+    }
+
+    /// Take the first batch's first segment, re-keying the rest of the
+    /// batch at its new start.
+    pub(super) fn pop_front(&mut self) -> Option<Bytes> {
+        let (_, mut batch) = self.batches.pop_first()?;
+        let (_, data) = batch.segs.pop_front()?;
+        match batch.segs.front() {
+            Some(&(start, _)) => {
+                self.by_end.insert(batch.end, start);
+                self.batches.insert(start, batch);
             }
-            if start > rcv_nxt {
-                return None;
+            None => {
+                self.by_end.remove(&batch.end);
             }
-            let (dsn, data) = self.remove_batch_front(start)?;
-            let end = dsn + data.len() as u64;
-            if end <= rcv_nxt {
-                continue; // stale front segment
-            }
-            if dsn >= rcv_nxt {
-                if dsn == rcv_nxt {
-                    return Some((dsn, data));
-                }
-                // Shouldn't happen (batch.start <= rcv_nxt), defensive:
-                return Some((dsn, data));
-            }
-            let cut = (rcv_nxt - dsn) as usize;
-            return Some((rcv_nxt, data.slice(cut..)));
         }
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len(&self) -> usize {
-        self.segments
-    }
-
-    fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    fn shortcut_hits(&self) -> u64 {
-        self.hits
-    }
-
-    fn inserts(&self) -> u64 {
-        self.inserts
+        Some(data)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{make_queue, Index, OooQueue};
     use super::*;
+    use crate::config::ReorderAlgo;
 
     fn b(n: usize) -> Bytes {
         Bytes::from(vec![0u8; n])
     }
 
+    fn queue() -> OooQueue {
+        make_queue(ReorderAlgo::AllShortcuts)
+    }
+
+    fn batches(q: &OooQueue) -> usize {
+        match &q.index {
+            Index::AllShortcuts(b) => b.batches.len(),
+            _ => unreachable!("an AllShortcuts queue"),
+        }
+    }
+
     #[test]
     fn batches_merge_when_hole_fills() {
-        let mut q = AllShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         q.insert(20, b(10), 1);
-        assert_eq!(q.batches.len(), 2);
+        assert_eq!(batches(&q), 2);
         q.insert(10, b(10), 2); // fills the hole: one batch remains
-        assert_eq!(q.batches.len(), 1);
+        assert_eq!(batches(&q), 1);
         assert_eq!(q.len(), 3);
         // Drains in order.
         assert_eq!(q.pop_ready(0).unwrap().0, 0);
@@ -332,7 +169,7 @@ mod tests {
 
     #[test]
     fn fallback_scans_batches_not_segments() {
-        let mut q = AllShortcutsQueue::new();
+        let mut q = queue();
         // One huge contiguous batch of 1000 segments.
         for i in 0..1000u64 {
             q.insert(1000 + i * 10, b(10), 0);
@@ -346,7 +183,7 @@ mod tests {
 
     #[test]
     fn shortcut_extends_batch_in_constant_ops() {
-        let mut q = AllShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         let before = q.ops();
         for i in 1..100u64 {
@@ -354,12 +191,12 @@ mod tests {
         }
         assert_eq!(q.ops() - before, 99);
         assert_eq!(q.shortcut_hits(), 99);
-        assert_eq!(q.batches.len(), 1);
+        assert_eq!(batches(&q), 1);
     }
 
     #[test]
     fn duplicate_interior_covered() {
-        let mut q = AllShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         q.insert(10, b(10), 0);
         q.insert(5, b(10), 1); // interior of the single batch
@@ -369,7 +206,7 @@ mod tests {
 
     #[test]
     fn partial_overlap_extends() {
-        let mut q = AllShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         q.insert(5, b(10), 1); // 5 bytes duplicate, 5 new
         assert_eq!(q.buffered_bytes(), 15);
@@ -381,7 +218,7 @@ mod tests {
 
     #[test]
     fn pop_rekeys_batch() {
-        let mut q = AllShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         q.insert(10, b(10), 0);
         q.pop_ready(0).unwrap();

@@ -5,169 +5,39 @@
 //! `tcp_data_queue_ofo`, the scan starts from the tail, which is cheap for
 //! appends but walks the whole queue for interleaved multipath arrivals.
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 
-use super::OooQueue;
+use super::Slot;
 
-#[derive(Debug)]
-pub(crate) struct Entry {
-    pub dsn: u64,
-    pub data: Bytes,
-}
-
-impl Entry {
-    pub fn end(&self) -> u64 {
-        self.dsn + self.data.len() as u64
+/// Scan from the tail for the index `dsn` belongs at: one op per entry
+/// compared, plus the boundary.
+pub(super) fn locate(entries: &VecDeque<(u64, Bytes)>, dsn: u64) -> Slot {
+    let (mut idx, mut ops) = (entries.len(), 1);
+    while idx > 0 && entries[idx - 1].0 > dsn {
+        idx -= 1;
+        ops += 1;
     }
-}
-
-/// Linear-scan out-of-order queue.
-pub struct LinearQueue {
-    entries: std::collections::VecDeque<Entry>,
-    bytes: usize,
-    ops: u64,
-    inserts: u64,
-}
-
-impl LinearQueue {
-    /// An empty queue.
-    pub fn new() -> LinearQueue {
-        LinearQueue {
-            entries: std::collections::VecDeque::new(),
-            bytes: 0,
-            ops: 0,
-            inserts: 0,
-        }
-    }
-}
-
-impl Default for LinearQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OooQueue for LinearQueue {
-    fn insert(&mut self, dsn: u64, data: Bytes, _subflow: usize) {
-        self.inserts += 1;
-        if data.is_empty() {
-            return;
-        }
-        // Scan from the tail for the insertion index.
-        let mut idx = self.entries.len();
-        self.ops += 1;
-        while idx > 0 && self.entries[idx - 1].dsn > dsn {
-            idx -= 1;
-            self.ops += 1;
-        }
-        let (dsn, data) = match trim_against_neighbors(
-            dsn,
-            data,
-            idx.checked_sub(1).and_then(|i| self.entries.get(i)),
-            self.entries.get(idx),
-        ) {
-            Some(x) => x,
-            None => return,
-        };
-        self.bytes += data.len();
-        self.entries.insert(idx, Entry { dsn, data });
-    }
-
-    fn pop_ready(&mut self, rcv_nxt: u64) -> Option<(u64, Bytes)> {
-        pop_from_front(&mut self.entries, &mut self.bytes, rcv_nxt)
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    fn shortcut_hits(&self) -> u64 {
-        0
-    }
-
-    fn inserts(&self) -> u64 {
-        self.inserts
-    }
-}
-
-/// Shared neighbor-trimming logic: clip the new range against the entry
-/// before it and the entry after it; `None` when fully covered.
-pub(crate) fn trim_against_neighbors(
-    mut dsn: u64,
-    mut data: Bytes,
-    prev: Option<&Entry>,
-    next: Option<&Entry>,
-) -> Option<(u64, Bytes)> {
-    if let Some(p) = prev {
-        let pend = p.end();
-        if pend >= dsn + data.len() as u64 {
-            return None; // fully covered by predecessor
-        }
-        if pend > dsn {
-            let cut = (pend - dsn) as usize;
-            data = data.slice(cut..);
-            dsn = pend;
-        }
-    }
-    if let Some(n) = next {
-        if dsn >= n.dsn {
-            return None; // would start inside or after successor
-        }
-        let end = dsn + data.len() as u64;
-        if end > n.dsn {
-            data = data.slice(..(n.dsn - dsn) as usize);
-        }
-    }
-    if data.is_empty() {
-        None
-    } else {
-        Some((dsn, data))
-    }
-}
-
-/// Shared pop logic for front-ordered entry queues.
-pub(crate) fn pop_from_front(
-    entries: &mut std::collections::VecDeque<Entry>,
-    bytes: &mut usize,
-    rcv_nxt: u64,
-) -> Option<(u64, Bytes)> {
-    loop {
-        let front = entries.front()?;
-        if front.end() <= rcv_nxt {
-            // Superseded (delivered via a duplicate on another subflow).
-            let e = entries.pop_front().unwrap();
-            *bytes -= e.data.len();
-            continue;
-        }
-        if front.dsn > rcv_nxt {
-            return None; // hole remains
-        }
-        let e = entries.pop_front().unwrap();
-        *bytes -= e.data.len();
-        if e.dsn == rcv_nxt {
-            return Some((e.dsn, e.data));
-        }
-        // Partial overlap with already-delivered data.
-        let cut = (rcv_nxt - e.dsn) as usize;
-        return Some((rcv_nxt, e.data.slice(cut..)));
+    let prev = idx.checked_sub(1).map(|i| &entries[i]);
+    Slot {
+        prev_end: prev.map(|(dsn, data)| dsn + data.len() as u64),
+        next_start: entries.get(idx).map(|&(dsn, _)| dsn),
+        at: idx as u64,
+        ops,
+        hit: false,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::make_queue;
     use super::*;
+    use crate::config::ReorderAlgo;
 
     #[test]
     fn tail_appends_are_cheap() {
-        let mut q = LinearQueue::new();
+        let mut q = make_queue(ReorderAlgo::Regular);
         for i in 0..100u64 {
             q.insert(i * 10, Bytes::from(vec![0u8; 10]), 0);
         }
@@ -177,7 +47,7 @@ mod tests {
 
     #[test]
     fn front_insert_scans_everything() {
-        let mut q = LinearQueue::new();
+        let mut q = make_queue(ReorderAlgo::Regular);
         for i in 1..=50u64 {
             q.insert(i * 100, Bytes::from(vec![0u8; 10]), 0);
         }
@@ -188,7 +58,7 @@ mod tests {
 
     #[test]
     fn partial_pop_after_duplicate_delivery() {
-        let mut q = LinearQueue::new();
+        let mut q = make_queue(ReorderAlgo::Regular);
         q.insert(0, Bytes::from(vec![1u8; 10]), 0);
         // rcv_nxt advanced to 5 some other way.
         let (dsn, data) = q.pop_ready(5).unwrap();

@@ -16,20 +16,21 @@
 //! * **AllShortcuts** — when the pointer misses, iterate over contiguous
 //!   *batches* instead of individual segments.
 //!
-//! All four implement [`OooQueue`] and count *ops* (node visits /
-//! comparisons) so the Figure 8 experiment can report relative CPU cost;
-//! the benchmark's `mptcp.reorder_*_msegs` probes measure real wall-clock
-//! time as well.
+//! They differ only in how a piece finds its place. [`OooQueue`] is one
+//! struct for all four: it keeps the tallies, the neighbour clip and the
+//! pop rule once, and an enum holds the index structure of each algorithm.
+//! An index answers where a piece lands (its lookup counts the *ops* —
+//! node visits / comparisons — and shortcut hits the Figure 8 experiment
+//! reports as relative CPU cost), stores it there, and names and removes
+//! its front entry. The benchmark's `mptcp.reorder_*_msegs` probes measure
+//! real wall-clock time as well.
 
 mod batch;
 mod linear;
 mod shortcut;
 mod tree;
 
-pub use batch::AllShortcutsQueue;
-pub use linear::LinearQueue;
-pub use shortcut::ShortcutsQueue;
-pub use tree::TreeQueue;
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 
@@ -37,62 +38,217 @@ use crate::config::ReorderAlgo;
 
 /// A connection-level out-of-order queue.
 ///
-/// Invariants all implementations maintain:
+/// Invariants every algorithm keeps:
 /// * entries are non-overlapping and sorted by data sequence number;
 /// * duplicate or fully-covered inserts are dropped;
 /// * `pop_ready(rcv_nxt)` returns the entry starting exactly at `rcv_nxt`,
 ///   if present.
-pub trait OooQueue: Send {
+pub struct OooQueue {
+    index: Index,
+    /// Payload bytes held (receiver memory, Figure 5b).
+    bytes: usize,
+    /// Entries held.
+    len: usize,
+    /// Cumulative lookup cost: the CPU proxy plotted in Figure 8.
+    ops: u64,
+    /// Inserts placed through a shortcut pointer.
+    hits: u64,
+    /// Insert calls.
+    inserts: u64,
+}
+
+/// What differs between the four algorithms: where entries live.
+enum Index {
+    /// Regular: `(dsn, bytes)` in order, scanned from the tail.
+    Regular(VecDeque<(u64, Bytes)>),
+    /// Tree: a balanced tree keyed by data sequence number.
+    Tree(BTreeMap<u64, Bytes>),
+    /// Shortcuts: a linked list and a cursor per subflow.
+    Shortcuts(shortcut::List),
+    /// AllShortcuts: contiguous batches, their end index and a cursor per
+    /// subflow.
+    AllShortcuts(batch::Batches),
+}
+
+/// Where an index's lookup says a piece lands.
+struct Slot {
+    /// End of the entry before it.
+    prev_end: Option<u64>,
+    /// Start of the entry after it.
+    next_start: Option<u64>,
+    /// The position in the index's own terms: a deque index, the list node
+    /// to link after, the key of the batch before it (a tree needs none).
+    at: u64,
+    /// What the lookup cost (Figure 8's ops).
+    ops: u64,
+    /// Found through a shortcut pointer.
+    hit: bool,
+}
+
+/// Construct a queue for the configured algorithm.
+pub fn make_queue(algo: ReorderAlgo) -> OooQueue {
+    let index = match algo {
+        ReorderAlgo::Regular => Index::Regular(VecDeque::new()),
+        ReorderAlgo::Tree => Index::Tree(BTreeMap::new()),
+        ReorderAlgo::Shortcuts => Index::Shortcuts(shortcut::List::new()),
+        ReorderAlgo::AllShortcuts => Index::AllShortcuts(batch::Batches::default()),
+    };
+    OooQueue {
+        index,
+        bytes: 0,
+        len: 0,
+        ops: 0,
+        hits: 0,
+        inserts: 0,
+    }
+}
+
+impl OooQueue {
     /// Insert a segment at data sequence `dsn`, arriving on `subflow`.
-    fn insert(&mut self, dsn: u64, data: Bytes, subflow: usize);
+    pub fn insert(&mut self, dsn: u64, data: Bytes, subflow: usize) {
+        self.put(dsn, data, subflow, None);
+    }
 
     /// Insert a run of segments that arrived together (one ingress drain),
     /// consuming `items` but keeping its capacity for reuse.
     ///
-    /// Observationally identical to calling [`OooQueue::insert`] in order;
-    /// batch-structured implementations override this so a drain of N
-    /// contiguous datagrams costs one lookup walk, not N.
-    fn insert_batch(&mut self, items: &mut Vec<(u64, Bytes, usize)>) {
+    /// Observationally identical to calling [`OooQueue::insert`] in order,
+    /// counts included. AllShortcuts hands each lookup the batch the
+    /// previous piece landed in, so a contiguous run costs one walk and
+    /// then appends without probing the end index.
+    pub fn insert_batch(&mut self, items: &mut Vec<(u64, Bytes, usize)>) {
+        let mut run = None;
         for (dsn, data, subflow) in items.drain(..) {
-            self.insert(dsn, data, subflow);
+            run = self.put(dsn, data, subflow, run);
         }
     }
 
+    /// Insert one piece. `run` is AllShortcuts' `(batch key, batch end)`
+    /// holding the previous piece of a batch insert; returns the one holding
+    /// this piece (`run` again when it was dropped).
+    fn put(
+        &mut self,
+        dsn: u64,
+        data: Bytes,
+        subflow: usize,
+        run: Option<(u64, u64)>,
+    ) -> Option<(u64, u64)> {
+        self.inserts += 1;
+        if data.is_empty() {
+            return run;
+        }
+        let slot = match &self.index {
+            Index::Regular(entries) => linear::locate(entries, dsn),
+            Index::Tree(map) => tree::locate(map, dsn),
+            Index::Shortcuts(list) => list.locate(dsn, data.len(), subflow),
+            Index::AllShortcuts(batches) => batches.locate(dsn, subflow, run),
+        };
+        self.ops += slot.ops;
+        self.hits += u64::from(slot.hit);
+        let Some((dsn, data)) = clip(dsn, data, &slot) else {
+            return run;
+        };
+        self.bytes += data.len();
+        self.len += 1;
+        match &mut self.index {
+            Index::Regular(entries) => entries.insert(slot.at as usize, (dsn, data)),
+            Index::Tree(map) => {
+                map.insert(dsn, data);
+            }
+            Index::Shortcuts(list) => list.place(slot.at as usize, dsn, data, subflow),
+            Index::AllShortcuts(batches) => return Some(batches.place(&slot, dsn, data, subflow)),
+        }
+        None
+    }
+
     /// Pop the entry starting at `rcv_nxt`, if queued. Entries that have
-    /// been fully superseded (end ≤ rcv_nxt) are discarded on the way.
-    fn pop_ready(&mut self, rcv_nxt: u64) -> Option<(u64, Bytes)>;
+    /// been fully superseded (end ≤ rcv_nxt) are discarded on the way, and
+    /// one that straddles `rcv_nxt` comes out trimmed to it.
+    pub fn pop_ready(&mut self, rcv_nxt: u64) -> Option<(u64, Bytes)> {
+        loop {
+            let (dsn, end) = match &self.index {
+                Index::Regular(entries) => entries.front().map(|(dsn, data)| (*dsn, data)),
+                Index::Tree(map) => map.first_key_value().map(|(dsn, data)| (*dsn, data)),
+                Index::Shortcuts(list) => list.front(),
+                Index::AllShortcuts(batches) => batches.front(),
+            }
+            .map(|(dsn, data)| (dsn, dsn + data.len() as u64))?;
+            if dsn > rcv_nxt {
+                return None; // hole remains
+            }
+            let data = match &mut self.index {
+                Index::Regular(entries) => entries.pop_front()?.1,
+                Index::Tree(map) => map.pop_first()?.1,
+                Index::Shortcuts(list) => list.pop_front()?,
+                Index::AllShortcuts(batches) => batches.pop_front()?,
+            };
+            self.bytes -= data.len();
+            self.len -= 1;
+            if end > rcv_nxt {
+                // Trim a partial overlap with already-delivered data.
+                let data = if dsn < rcv_nxt {
+                    data.slice((rcv_nxt - dsn) as usize..)
+                } else {
+                    data
+                };
+                return Some((rcv_nxt, data));
+            }
+            // Superseded (delivered via a duplicate on another subflow).
+        }
+    }
 
     /// Total payload bytes held (receiver memory, Figure 5b).
-    fn buffered_bytes(&self) -> usize;
+    pub fn buffered_bytes(&self) -> usize {
+        self.bytes
+    }
 
     /// Number of queued entries.
-    fn len(&self) -> usize;
+    pub fn len(&self) -> usize {
+        self.len
+    }
 
     /// Is the queue empty?
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Cumulative operation count (node visits / comparisons): the CPU
     /// proxy plotted in Figure 8.
-    fn ops(&self) -> u64;
+    pub fn ops(&self) -> u64 {
+        self.ops
+    }
 
-    /// Fraction of inserts satisfied by a shortcut pointer (0 for the
-    /// algorithms that have none).
-    fn shortcut_hits(&self) -> u64;
+    /// Inserts satisfied by a shortcut pointer (0 for the algorithms that
+    /// have none).
+    pub fn shortcut_hits(&self) -> u64 {
+        self.hits
+    }
 
     /// Count of insert calls.
-    fn inserts(&self) -> u64;
+    pub fn inserts(&self) -> u64 {
+        self.inserts
+    }
 }
 
-/// Construct a queue for the configured algorithm.
-pub fn make_queue(algo: ReorderAlgo) -> Box<dyn OooQueue> {
-    match algo {
-        ReorderAlgo::Regular => Box::new(LinearQueue::new()),
-        ReorderAlgo::Tree => Box::new(TreeQueue::new()),
-        ReorderAlgo::Shortcuts => Box::new(ShortcutsQueue::new()),
-        ReorderAlgo::AllShortcuts => Box::new(AllShortcutsQueue::new()),
+/// Clip a non-empty piece against the end of the entry before it and the
+/// start of the entry after it; `None` when nothing new is left.
+fn clip(mut dsn: u64, mut data: Bytes, slot: &Slot) -> Option<(u64, Bytes)> {
+    if let Some(prev_end) = slot.prev_end.filter(|&end| end > dsn) {
+        if prev_end >= dsn + data.len() as u64 {
+            return None; // fully covered by the predecessor
+        }
+        data = data.slice((prev_end - dsn) as usize..);
+        dsn = prev_end;
     }
+    if let Some(next_start) = slot.next_start {
+        if dsn >= next_start {
+            return None; // would start inside or after the successor
+        }
+        if dsn + data.len() as u64 > next_start {
+            data = data.slice(..(next_start - dsn) as usize);
+        }
+    }
+    Some((dsn, data))
 }
 
 #[cfg(test)]
@@ -103,7 +259,7 @@ mod tests {
         Bytes::from(vec![fill; n])
     }
 
-    fn all_queues() -> Vec<(&'static str, Box<dyn OooQueue>)> {
+    fn all_queues() -> Vec<(&'static str, OooQueue)> {
         vec![
             ("regular", make_queue(ReorderAlgo::Regular)),
             ("tree", make_queue(ReorderAlgo::Tree)),
@@ -114,7 +270,7 @@ mod tests {
 
     /// Drain everything in order starting from `rcv_nxt`, returning
     /// (dsn, len) pairs.
-    fn drain(q: &mut dyn OooQueue, mut rcv_nxt: u64) -> Vec<(u64, usize)> {
+    fn drain(q: &mut OooQueue, mut rcv_nxt: u64) -> Vec<(u64, usize)> {
         let mut out = Vec::new();
         while let Some((dsn, data)) = q.pop_ready(rcv_nxt) {
             assert_eq!(dsn, rcv_nxt);
@@ -131,7 +287,7 @@ mod tests {
             q.insert(10, bytes(10, 2), 0);
             q.insert(20, bytes(5, 3), 0);
             assert_eq!(q.buffered_bytes(), 25, "{name}");
-            let got = drain(q.as_mut(), 0);
+            let got = drain(&mut q, 0);
             assert_eq!(got, vec![(0, 10), (10, 10), (20, 5)], "{name}");
             assert_eq!(q.buffered_bytes(), 0, "{name}");
         }
@@ -147,9 +303,9 @@ mod tests {
             q.insert(110, bytes(10, 1), 1);
             q.insert(10, bytes(10, 0), 0);
             assert_eq!(q.len(), 4, "{name}");
-            let got = drain(q.as_mut(), 0);
+            let got = drain(&mut q, 0);
             assert_eq!(got, vec![(0, 10), (10, 10)], "{name}");
-            let got = drain(q.as_mut(), 100);
+            let got = drain(&mut q, 100);
             assert_eq!(got, vec![(100, 10), (110, 10)], "{name}");
         }
     }
@@ -161,7 +317,7 @@ mod tests {
                 q.insert(i * 10, bytes(10, i as u8), 0);
             }
             assert_eq!(q.len(), 20, "{name}");
-            let got = drain(q.as_mut(), 0);
+            let got = drain(&mut q, 0);
             assert_eq!(got.len(), 20, "{name}");
         }
     }
@@ -182,7 +338,7 @@ mod tests {
             q.insert(0, bytes(100, 1), 0);
             q.insert(20, bytes(10, 2), 1); // interior duplicate
             assert_eq!(q.len(), 1, "{name}");
-            let got = drain(q.as_mut(), 0);
+            let got = drain(&mut q, 0);
             assert_eq!(got, vec![(0, 100)], "{name}");
         }
     }
@@ -298,11 +454,11 @@ mod tests {
             assert_eq!(batched.len(), seq.len(), "{algo:?}");
             assert_eq!(batched.buffered_bytes(), seq.buffered_bytes(), "{algo:?}");
             assert_eq!(batched.inserts(), seq.inserts(), "{algo:?}");
-            let a = drain(batched.as_mut(), 0);
-            let b = drain(seq.as_mut(), 0);
+            let a = drain(&mut batched, 0);
+            let b = drain(&mut seq, 0);
             assert_eq!(a, b, "{algo:?}");
-            let a = drain(batched.as_mut(), 100);
-            let b = drain(seq.as_mut(), 100);
+            let a = drain(&mut batched, 100);
+            let b = drain(&mut seq, 100);
             assert_eq!(a, b, "{algo:?}");
         }
     }

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use super::OooQueue;
+use super::Slot;
 
 const NIL: usize = usize::MAX;
 
@@ -35,264 +35,142 @@ impl Node {
     }
 }
 
-/// Linked-list out-of-order queue with per-subflow insertion shortcuts.
-pub struct ShortcutsQueue {
+/// A linked list with a per-subflow insertion shortcut.
+pub(super) struct List {
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
-    len: usize,
-    bytes: usize,
     /// subflow -> (node index, generation) after which the next segment
     /// from that subflow is expected to land.
     cursors: HashMap<usize, (usize, u32)>,
-    ops: u64,
-    hits: u64,
-    inserts: u64,
 }
 
-impl ShortcutsQueue {
-    /// An empty queue.
-    pub fn new() -> ShortcutsQueue {
-        ShortcutsQueue {
+impl List {
+    pub(super) fn new() -> List {
+        List {
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            len: 0,
-            bytes: 0,
             cursors: HashMap::new(),
-            ops: 0,
-            hits: 0,
-            inserts: 0,
         }
     }
 
-    fn alloc(&mut self, dsn: u64, data: Bytes) -> usize {
-        match self.free.pop() {
-            Some(i) => {
-                let gen = self.nodes[i].gen.wrapping_add(1);
-                self.nodes[i] = Node {
-                    dsn,
-                    data,
-                    prev: NIL,
-                    next: NIL,
-                    gen,
-                    alive: true,
-                };
-                i
+    /// The node to link `[dsn, dsn + len)` after: the subflow's cursor when
+    /// the piece fits right behind it (one op, a hit), else a scan from the
+    /// tail.
+    pub(super) fn locate(&self, dsn: u64, len: usize, subflow: usize) -> Slot {
+        let (after, ops, hit) = match self.cursors.get(&subflow) {
+            Some(&(idx, gen))
+                if idx < self.nodes.len()
+                    && self.nodes[idx].gen == gen
+                    && self.fits_after(idx, dsn, len) =>
+            {
+                (idx, 1, true)
             }
-            None => {
-                self.nodes.push(Node {
-                    dsn,
-                    data,
-                    prev: NIL,
-                    next: NIL,
-                    gen: 0,
-                    alive: true,
-                });
-                self.nodes.len() - 1
+            _ => {
+                let (mut t, mut ops) = (self.tail, 1);
+                while t != NIL && self.nodes[t].dsn > dsn {
+                    t = self.nodes[t].prev;
+                    ops += 1;
+                }
+                (t, ops, false)
             }
-        }
-    }
-
-    /// Insert the node after `after` (NIL = at head).
-    fn link_after(&mut self, after: usize, idx: usize) {
-        if after == NIL {
-            self.nodes[idx].next = self.head;
-            self.nodes[idx].prev = NIL;
-            if self.head != NIL {
-                self.nodes[self.head].prev = idx;
-            }
-            self.head = idx;
-            if self.tail == NIL {
-                self.tail = idx;
-            }
-        } else {
-            let next = self.nodes[after].next;
-            self.nodes[idx].prev = after;
-            self.nodes[idx].next = next;
-            self.nodes[after].next = idx;
-            if next != NIL {
-                self.nodes[next].prev = idx;
-            } else {
-                self.tail = idx;
-            }
-        }
-        self.len += 1;
-        self.bytes += self.nodes[idx].data.len();
-    }
-
-    fn unlink(&mut self, idx: usize) -> Bytes {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.nodes[idx].alive = false;
-        self.len -= 1;
-        self.bytes -= self.nodes[idx].data.len();
-        self.free.push(idx);
-        std::mem::replace(&mut self.nodes[idx].data, Bytes::new())
-    }
-
-    /// Does inserting `[dsn, dsn+len)` directly after node `after` keep the
-    /// list sorted and non-overlapping?
-    fn position_valid(&self, after: usize, dsn: u64, len: usize) -> bool {
-        let end = dsn + len as u64;
-        if after == NIL {
-            self.head == NIL || end <= self.nodes[self.head].dsn
-        } else {
-            let n = &self.nodes[after];
-            if !n.alive || n.end() > dsn {
-                return false;
-            }
-            n.next == NIL || end <= self.nodes[n.next].dsn
-        }
-    }
-
-    /// Scan from the tail for the node after which `dsn` belongs.
-    fn scan_position(&mut self, dsn: u64) -> usize {
-        let mut t = self.tail;
-        self.ops += 1;
-        while t != NIL && self.nodes[t].dsn > dsn {
-            t = self.nodes[t].prev;
-            self.ops += 1;
-        }
-        t
-    }
-
-    fn insert_after(&mut self, after: usize, mut dsn: u64, mut data: Bytes) -> Option<usize> {
-        // Trim against predecessor.
-        if after != NIL {
-            let pend = self.nodes[after].end();
-            if pend >= dsn + data.len() as u64 {
-                return None;
-            }
-            if pend > dsn {
-                let cut = (pend - dsn) as usize;
-                data = data.slice(cut..);
-                dsn = pend;
-            }
-        }
-        // Trim against successor.
+        };
         let next = if after == NIL {
             self.head
         } else {
             self.nodes[after].next
         };
-        if next != NIL {
-            let nstart = self.nodes[next].dsn;
-            if dsn >= nstart {
-                return None;
-            }
-            let end = dsn + data.len() as u64;
-            if end > nstart {
-                data = data.slice(..(nstart - dsn) as usize);
-            }
+        Slot {
+            prev_end: (after != NIL).then(|| self.nodes[after].end()),
+            next_start: (next != NIL).then(|| self.nodes[next].dsn),
+            at: after as u64,
+            ops,
+            hit,
         }
-        if data.is_empty() {
-            return None;
-        }
-        let idx = self.alloc(dsn, data);
-        self.link_after(after, idx);
-        Some(idx)
     }
-}
 
-impl Default for ShortcutsQueue {
-    fn default() -> Self {
-        Self::new()
+    /// Does `[dsn, dsn + len)` go directly after live node `idx`, keeping
+    /// the list sorted and non-overlapping?
+    fn fits_after(&self, idx: usize, dsn: u64, len: usize) -> bool {
+        let n = &self.nodes[idx];
+        n.alive && n.end() <= dsn && (n.next == NIL || dsn + len as u64 <= self.nodes[n.next].dsn)
     }
-}
 
-impl OooQueue for ShortcutsQueue {
-    fn insert(&mut self, dsn: u64, data: Bytes, subflow: usize) {
-        self.inserts += 1;
-        if data.is_empty() {
-            return;
-        }
-        // Try the subflow's shortcut pointer first.
-        let after = match self.cursors.get(&subflow) {
-            Some(&(idx, gen))
-                if idx != NIL
-                    && idx < self.nodes.len()
-                    && self.nodes[idx].gen == gen
-                    && self.position_valid(idx, dsn, data.len()) =>
-            {
-                self.ops += 1;
-                self.hits += 1;
-                idx
-            }
-            _ => self.scan_position(dsn),
+    /// Link a new node after `after` (NIL = at the head) and point the
+    /// subflow's cursor at it.
+    pub(super) fn place(&mut self, after: usize, dsn: u64, data: Bytes, subflow: usize) {
+        let node = |gen| Node {
+            dsn,
+            data,
+            prev: after,
+            next: NIL,
+            gen,
+            alive: true,
         };
-        if let Some(idx) = self.insert_after(after, dsn, data) {
-            let gen = self.nodes[idx].gen;
-            self.cursors.insert(subflow, (idx, gen));
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i] = node(self.nodes[i].gen.wrapping_add(1));
+                i
+            }
+            None => {
+                self.nodes.push(node(0));
+                self.nodes.len() - 1
+            }
+        };
+        let next = if after == NIL {
+            std::mem::replace(&mut self.head, idx)
+        } else {
+            std::mem::replace(&mut self.nodes[after].next, idx)
+        };
+        self.nodes[idx].next = next;
+        if next == NIL {
+            self.tail = idx;
+        } else {
+            self.nodes[next].prev = idx;
         }
+        self.cursors.insert(subflow, (idx, self.nodes[idx].gen));
     }
 
-    fn pop_ready(&mut self, rcv_nxt: u64) -> Option<(u64, Bytes)> {
-        loop {
-            if self.head == NIL {
-                return None;
-            }
-            let h = self.head;
-            let (dsn, end) = (self.nodes[h].dsn, self.nodes[h].end());
-            if end <= rcv_nxt {
-                self.unlink(h);
-                continue;
-            }
-            if dsn > rcv_nxt {
-                return None;
-            }
-            let data = self.unlink(h);
-            if dsn == rcv_nxt {
-                return Some((dsn, data));
-            }
-            let cut = (rcv_nxt - dsn) as usize;
-            return Some((rcv_nxt, data.slice(cut..)));
+    pub(super) fn front(&self) -> Option<(u64, &Bytes)> {
+        let head = self.nodes.get(self.head)?;
+        Some((head.dsn, &head.data))
+    }
+
+    pub(super) fn pop_front(&mut self) -> Option<Bytes> {
+        let h = self.head;
+        let node = self.nodes.get_mut(h)?;
+        node.alive = false;
+        let data = std::mem::replace(&mut node.data, Bytes::new());
+        self.head = node.next;
+        match self.nodes.get_mut(self.head) {
+            Some(next) => next.prev = NIL,
+            None => self.tail = NIL,
         }
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    fn shortcut_hits(&self) -> u64 {
-        self.hits
-    }
-
-    fn inserts(&self) -> u64 {
-        self.inserts
+        self.free.push(h);
+        Some(data)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{make_queue, OooQueue};
     use super::*;
+    use crate::config::ReorderAlgo;
 
     fn b(n: usize) -> Bytes {
         Bytes::from(vec![0u8; n])
     }
 
+    fn queue() -> OooQueue {
+        make_queue(ReorderAlgo::Shortcuts)
+    }
+
     #[test]
     fn contiguous_batch_hits_shortcut() {
-        let mut q = ShortcutsQueue::new();
+        let mut q = queue();
         q.insert(100, b(10), 0); // miss (empty queue scan, cheap)
         for i in 1..50u64 {
             q.insert(100 + i * 10, b(10), 0);
@@ -303,7 +181,7 @@ mod tests {
 
     #[test]
     fn interleaved_subflows_each_hit_their_cursor() {
-        let mut q = ShortcutsQueue::new();
+        let mut q = queue();
         // sf0 at 0.., sf1 at 10_000.., alternating arrivals.
         q.insert(0, b(10), 0);
         q.insert(10_000, b(10), 1);
@@ -317,7 +195,7 @@ mod tests {
 
     #[test]
     fn stale_cursor_detected_after_pop() {
-        let mut q = ShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         // Pop recycles the node slot.
         assert!(q.pop_ready(0).is_some());
@@ -334,7 +212,7 @@ mod tests {
 
     #[test]
     fn overlap_trimmed_on_shortcut_path() {
-        let mut q = ShortcutsQueue::new();
+        let mut q = queue();
         q.insert(0, b(10), 0);
         q.insert(5, b(10), 0); // overlaps its own previous segment
         assert_eq!(q.buffered_bytes(), 15);

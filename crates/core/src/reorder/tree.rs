@@ -8,128 +8,36 @@
 //! comparison count.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 use bytes::Bytes;
 
-use super::OooQueue;
+use super::Slot;
 
-/// Balanced-tree out-of-order queue.
-pub struct TreeQueue {
-    map: BTreeMap<u64, Bytes>,
-    bytes: usize,
-    ops: u64,
-    inserts: u64,
-}
-
-impl TreeQueue {
-    /// An empty queue.
-    pub fn new() -> TreeQueue {
-        TreeQueue {
-            map: BTreeMap::new(),
-            bytes: 0,
-            ops: 0,
-            inserts: 0,
-        }
-    }
-
-    fn lookup_cost(&self) -> u64 {
-        (usize::BITS - self.map.len().leading_zeros()) as u64 + 1
-    }
-}
-
-impl Default for TreeQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OooQueue for TreeQueue {
-    fn insert(&mut self, mut dsn: u64, mut data: Bytes, _subflow: usize) {
-        self.inserts += 1;
-        if data.is_empty() {
-            return;
-        }
-        self.ops += self.lookup_cost();
-
-        // Trim against predecessor.
-        if let Some((&pstart, pdata)) = self.map.range(..=dsn).next_back() {
-            let pend = pstart + pdata.len() as u64;
-            if pend >= dsn + data.len() as u64 {
-                return;
-            }
-            if pend > dsn {
-                let cut = (pend - dsn) as usize;
-                data = data.slice(cut..);
-                dsn = pend;
-            }
-        }
-        // Trim against successor.
-        if let Some((&nstart, _)) = self.map.range(dsn..).next() {
-            if dsn >= nstart {
-                return;
-            }
-            let end = dsn + data.len() as u64;
-            if end > nstart {
-                data = data.slice(..(nstart - dsn) as usize);
-            }
-        }
-        if data.is_empty() {
-            return;
-        }
-        self.bytes += data.len();
-        self.map.insert(dsn, data);
-    }
-
-    fn pop_ready(&mut self, rcv_nxt: u64) -> Option<(u64, Bytes)> {
-        loop {
-            let (&dsn, data) = self.map.first_key_value()?;
-            let end = dsn + data.len() as u64;
-            if end <= rcv_nxt {
-                let (_, d) = self.map.pop_first().unwrap();
-                self.bytes -= d.len();
-                continue;
-            }
-            if dsn > rcv_nxt {
-                return None;
-            }
-            let (dsn, data) = self.map.pop_first().unwrap();
-            self.bytes -= data.len();
-            if dsn == rcv_nxt {
-                return Some((dsn, data));
-            }
-            let cut = (rcv_nxt - dsn) as usize;
-            return Some((rcv_nxt, data.slice(cut..)));
-        }
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    fn shortcut_hits(&self) -> u64 {
-        0
-    }
-
-    fn inserts(&self) -> u64 {
-        self.inserts
+/// The entries on either side of `dsn`, at a balanced tree's cost.
+pub(super) fn locate(map: &BTreeMap<u64, Bytes>, dsn: u64) -> Slot {
+    let prev = map.range(..=dsn).next_back();
+    Slot {
+        prev_end: prev.map(|(start, data)| start + data.len() as u64),
+        next_start: map
+            .range((Excluded(dsn), Unbounded))
+            .next()
+            .map(|(&start, _)| start),
+        at: 0,
+        ops: (usize::BITS - map.len().leading_zeros()) as u64 + 1,
+        hit: false,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::make_queue;
     use super::*;
+    use crate::config::ReorderAlgo;
 
     #[test]
     fn ops_grow_logarithmically() {
-        let mut q = TreeQueue::new();
+        let mut q = make_queue(ReorderAlgo::Tree);
         for i in 0..1024u64 {
             q.insert(i * 10, Bytes::from(vec![0u8; 10]), 0);
         }
@@ -141,7 +49,7 @@ mod tests {
 
     #[test]
     fn covered_insert_dropped() {
-        let mut q = TreeQueue::new();
+        let mut q = make_queue(ReorderAlgo::Tree);
         q.insert(0, Bytes::from(vec![0u8; 100]), 0);
         q.insert(10, Bytes::from(vec![0u8; 10]), 0);
         assert_eq!(q.len(), 1);

@@ -22,7 +22,7 @@ pub struct DataReceiver {
     /// Next expected data sequence number: the cumulative DATA_ACK.
     rcv_nxt: u64,
     /// The connection-level out-of-order queue (Figure 8 algorithms).
-    ooo: Box<dyn OooQueue>,
+    ooo: OooQueue,
     /// In-order data the application has not read yet.
     app_rx: VecDeque<Bytes>,
     app_rx_bytes: usize,
@@ -68,8 +68,8 @@ impl DataReceiver {
     }
 
     /// The reorder queue, for its occupancy and operation counts.
-    pub fn queue(&self) -> &dyn OooQueue {
-        self.ooo.as_ref()
+    pub fn queue(&self) -> &OooQueue {
+        &self.ooo
     }
 
     /// Bytes held: reorder queue plus unread in-order data.

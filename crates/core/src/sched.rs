@@ -1,8 +1,9 @@
-//! Pluggable packet schedulers: which subflow carries the next chunk.
+//! Packet schedulers: which subflow carries the next chunk.
 //!
 //! The paper bakes a single lowest-RTT scheduler into §4.2; this module
-//! extracts that decision behind the [`Scheduler`] trait so path-selection
-//! policy becomes a sweep axis (`MptcpConfig::builder().scheduler(..)`,
+//! extracts that decision into the [`Scheduler`] enum, one variant per
+//! policy holding the state that policy keeps, so path selection becomes a
+//! sweep axis (`MptcpConfig::builder().scheduler(..)`,
 //! `repro <exp> --sched <name>`). The connection remains responsible for
 //! everything around the decision — path-state tiering (Active → backup →
 //! Suspect, never Failed), the reinjection queue, M1/M2 mechanisms, chunk
@@ -56,12 +57,6 @@ pub struct PathSnapshot {
     pub headroom: usize,
     /// Free space in the subflow's send buffer.
     pub send_space: usize,
-    /// Bytes currently in flight on this subflow.
-    pub in_flight: u32,
-    /// Peer advertised this path as backup (MP_JOIN B-flag).
-    pub backup: bool,
-    /// Path is in the Suspect failure-detection tier.
-    pub suspect: bool,
 }
 
 impl PathSnapshot {
@@ -101,16 +96,6 @@ pub enum SchedDecision {
     Defer,
     /// No eligible path can take data.
     Stall,
-}
-
-/// Which subflow should carry the next chunk of data?
-pub trait Scheduler: Send {
-    /// Decide where the next chunk goes. See the module docs for the
-    /// full contract.
-    fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision;
-
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// The registry of built-in schedulers.
@@ -153,12 +138,12 @@ impl SchedulerKind {
     }
 
     /// Instantiate the scheduler.
-    pub fn build(self) -> Box<dyn Scheduler> {
+    pub fn build(self) -> Scheduler {
         match self {
-            SchedulerKind::MinRtt => Box::new(MinRtt),
-            SchedulerKind::RoundRobin => Box::new(RoundRobin::new()),
-            SchedulerKind::Redundant => Box::new(Redundant),
-            SchedulerKind::Blest => Box::new(Blest::new()),
+            SchedulerKind::MinRtt => Scheduler::MinRtt,
+            SchedulerKind::RoundRobin => Scheduler::RoundRobin { last: None },
+            SchedulerKind::Redundant => Scheduler::Redundant,
+            SchedulerKind::Blest => Scheduler::Blest,
         }
     }
 }
@@ -198,176 +183,127 @@ fn fastest_with_room(paths: &[PathSnapshot], avoid: Option<usize>) -> Option<&Pa
         .or_else(|| fastest(None))
 }
 
-/// Lowest-RTT-first: the paper's §4.2 scheduler, byte-identical to the
-/// loop this trait was extracted from.
-pub struct MinRtt;
+/// BLEST's safety multiplier on the blocking estimate (the paper's lambda,
+/// adapted upward on observed blocking; we keep it fixed).
+const BLEST_LAMBDA: f64 = 1.0;
 
-impl Scheduler for MinRtt {
-    fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        match fastest_with_room(ctx.paths, ctx.avoid) {
-            Some(p) => SchedDecision::Pick(p.id),
-            None => SchedDecision::Stall,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "minrtt"
-    }
+/// Which subflow should carry the next chunk of data: one built-in policy
+/// and the state it keeps across calls.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scheduler {
+    /// Lowest-RTT-first: the paper's §4.2 scheduler, byte-identical to the
+    /// loop it was extracted from.
+    MinRtt,
+    /// Cycle through eligible paths, skipping ones without room.
+    RoundRobin {
+        /// Id of the last subflow picked: the rotation resumes after it,
+        /// so it is stable even as the eligible set changes.
+        last: Option<usize>,
+    },
+    /// Duplicate every chunk on every eligible path.
+    ///
+    /// The copies carry the same DSN, so the connection-level receiver
+    /// delivers the first to arrive and discards the rest (`DupDataBytes`
+    /// telemetry) — trading goodput efficiency for latency and loss armor.
+    ///
+    /// The *primary* (lowest-RTT path with cwnd headroom) gates admission:
+    /// no new chunk is cut unless some path can transmit right now. The
+    /// copies deliberately ignore cwnd headroom and only require send-buffer
+    /// space — in the saturated steady state at most one congestion window
+    /// has headroom at any instant, so a headroom-gated duplicate would
+    /// never happen and the scheduler would silently degrade to
+    /// first-with-room. Queued copies are paced out by each subflow's own
+    /// cwnd; a path whose buffer backs up (e.g. during a blackout) drops out
+    /// of duplication naturally once `send_space` hits zero.
+    Redundant,
+    /// BLEST-style blocking estimation (Ferlin et al., IFIP Networking 2016).
+    ///
+    /// Lowest-RTT-first, but before spilling onto a slower path while the
+    /// fast path is cwnd-limited, estimate how many bytes the fast path will
+    /// push during one slow-path RTT ([`blest_blocking_estimate`]). If the
+    /// connection-level send window cannot hold that estimate *plus* the
+    /// chunk, sending on the slow path would block the window behind a slow
+    /// delivery (head-of-line risk) — defer instead and let the fast path
+    /// drain. Reinjections never defer: they are loss recovery.
+    Blest,
 }
 
-/// Cycle through eligible paths, skipping ones without room.
-///
-/// The cursor tracks the last-picked subflow id, so the rotation is
-/// stable even as the eligible set changes between decisions.
-pub struct RoundRobin {
-    /// Id of the last subflow picked (rotation resumes after it).
-    last: Option<usize>,
-}
-
-impl RoundRobin {
-    /// Fresh round-robin state.
-    pub fn new() -> RoundRobin {
-        RoundRobin { last: None }
-    }
-}
-
-impl Default for RoundRobin {
-    fn default() -> Self {
-        RoundRobin::new()
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        let n = ctx.paths.len();
-        // Rotate to just past the last pick (paths are in id order).
-        let start = match self.last {
-            Some(last) => ctx.paths.iter().position(|p| p.id > last).unwrap_or(0),
-            None => 0,
-        };
-        let rotated = |k: usize| &ctx.paths[(start + k) % n];
-        let mut found = None;
-        for k in 0..n {
-            let p = rotated(k);
-            if !p.has_room() {
-                continue;
+impl Scheduler {
+    /// Decide where the next chunk goes. See the module docs for the full
+    /// contract.
+    pub fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
+        match self {
+            Scheduler::MinRtt => match fastest_with_room(ctx.paths, ctx.avoid) {
+                Some(p) => SchedDecision::Pick(p.id),
+                None => SchedDecision::Stall,
+            },
+            Scheduler::RoundRobin { last } => {
+                let n = ctx.paths.len();
+                // Rotate to just past the last pick (paths are in id order).
+                let start = last.map_or(0, |last| {
+                    ctx.paths.iter().position(|p| p.id > last).unwrap_or(0)
+                });
+                let mut open = (0..n)
+                    .map(|k| &ctx.paths[(start + k) % n])
+                    .filter(|p| p.has_room());
+                // A path that is `avoid` only when no other has room.
+                let found = open
+                    .clone()
+                    .find(|p| ctx.avoid != Some(p.id))
+                    .or_else(|| open.next());
+                match found {
+                    Some(p) => {
+                        *last = Some(p.id);
+                        SchedDecision::Pick(p.id)
+                    }
+                    None => SchedDecision::Stall,
+                }
             }
-            if ctx.avoid == Some(p.id) {
-                // Usable, but keep looking for a non-stuck path first.
-                found.get_or_insert(p);
-                continue;
+            Scheduler::Redundant => {
+                let Some(primary) = fastest_with_room(ctx.paths, ctx.avoid) else {
+                    return SchedDecision::Stall;
+                };
+                // Re-duplicating onto `avoid` (the path a reinjected chunk is
+                // already stuck on) helps nobody: a copy is already there.
+                let takes_copy = |p: &&PathSnapshot| {
+                    p.id != primary.id && p.send_space > 0 && ctx.avoid != Some(p.id)
+                };
+                let mut copies: Vec<&PathSnapshot> = ctx.paths.iter().filter(takes_copy).collect();
+                if copies.is_empty() {
+                    return SchedDecision::Pick(primary.id);
+                }
+                copies.sort_by_key(|p| p.srtt);
+                let targets = std::iter::once(primary).chain(copies).map(|p| p.id);
+                SchedDecision::PickAll(targets.collect())
             }
-            found = Some(p);
-            break;
-        }
-        match found {
-            Some(p) => {
-                self.last = Some(p.id);
-                SchedDecision::Pick(p.id)
+            Scheduler::Blest => {
+                let Some(candidate) = fastest_with_room(ctx.paths, ctx.avoid) else {
+                    return SchedDecision::Stall;
+                };
+                let fastest = ctx
+                    .paths
+                    .iter()
+                    .min_by_key(|p| p.srtt)
+                    .expect("never empty");
+                if candidate.id == fastest.id || ctx.is_reinject {
+                    return SchedDecision::Pick(candidate.id);
+                }
+                // The fast path is full; how much will it send while one
+                // chunk crosses the slow path once?
+                let est = blest_blocking_estimate(
+                    fastest.cwnd,
+                    fastest.mss,
+                    fastest.srtt,
+                    candidate.srtt,
+                );
+                let chunk = candidate.mss.min(ctx.pending_bytes.max(1)) as f64;
+                if (ctx.send_window_free as f64) >= est * BLEST_LAMBDA + chunk {
+                    SchedDecision::Pick(candidate.id)
+                } else {
+                    SchedDecision::Defer
+                }
             }
-            None => SchedDecision::Stall,
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-}
-
-/// Duplicate every chunk on every eligible path.
-///
-/// The copies carry the same DSN, so the connection-level receiver
-/// delivers the first to arrive and discards the rest (`DupDataBytes`
-/// telemetry) — trading goodput efficiency for latency and loss armor.
-///
-/// The *primary* (lowest-RTT path with cwnd headroom) gates admission:
-/// no new chunk is cut unless some path can transmit right now. The
-/// copies deliberately ignore cwnd headroom and only require send-buffer
-/// space — in the saturated steady state at most one congestion window
-/// has headroom at any instant, so a headroom-gated duplicate would
-/// never happen and the scheduler would silently degrade to
-/// first-with-room. Queued copies are paced out by each subflow's own
-/// cwnd; a path whose buffer backs up (e.g. during a blackout) drops out
-/// of duplication naturally once `send_space` hits zero.
-pub struct Redundant;
-
-impl Scheduler for Redundant {
-    fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        let Some(primary) = fastest_with_room(ctx.paths, ctx.avoid) else {
-            return SchedDecision::Stall;
-        };
-        // Re-duplicating onto `avoid` (the path a reinjected chunk is
-        // already stuck on) helps nobody: a copy is already there.
-        let takes_copy =
-            |p: &&PathSnapshot| p.id != primary.id && p.send_space > 0 && ctx.avoid != Some(p.id);
-        let mut copies: Vec<&PathSnapshot> = ctx.paths.iter().filter(takes_copy).collect();
-        if copies.is_empty() {
-            return SchedDecision::Pick(primary.id);
-        }
-        copies.sort_by_key(|p| p.srtt);
-        let targets = std::iter::once(primary).chain(copies).map(|p| p.id);
-        SchedDecision::PickAll(targets.collect())
-    }
-
-    fn name(&self) -> &'static str {
-        "redundant"
-    }
-}
-
-/// BLEST-style blocking estimation (Ferlin et al., IFIP Networking 2016).
-///
-/// Lowest-RTT-first, but before spilling onto a slower path while the
-/// fast path is cwnd-limited, estimate how many bytes the fast path will
-/// push during one slow-path RTT ([`blest_blocking_estimate`]). If the
-/// connection-level send window cannot hold that estimate *plus* the
-/// chunk, sending on the slow path would block the window behind a slow
-/// delivery (head-of-line risk) — defer instead and let the fast path
-/// drain. Reinjections never defer: they are loss recovery.
-pub struct Blest {
-    /// Safety multiplier on the estimate (the paper's lambda, adapted
-    /// upward on observed blocking; we keep it fixed).
-    lambda: f64,
-}
-
-impl Blest {
-    /// BLEST with the default lambda of 1.
-    pub fn new() -> Blest {
-        Blest { lambda: 1.0 }
-    }
-}
-
-impl Default for Blest {
-    fn default() -> Self {
-        Blest::new()
-    }
-}
-
-impl Scheduler for Blest {
-    fn pick(&mut self, ctx: &SchedCtx<'_>) -> SchedDecision {
-        let Some(candidate) = fastest_with_room(ctx.paths, ctx.avoid) else {
-            return SchedDecision::Stall;
-        };
-        let fastest = ctx
-            .paths
-            .iter()
-            .min_by_key(|p| p.srtt)
-            .expect("never empty");
-        if candidate.id == fastest.id || ctx.is_reinject {
-            return SchedDecision::Pick(candidate.id);
-        }
-        // The fast path is full; how much will it send while one chunk
-        // crosses the slow path once?
-        let est = blest_blocking_estimate(fastest.cwnd, fastest.mss, fastest.srtt, candidate.srtt);
-        let chunk = candidate.mss.min(ctx.pending_bytes.max(1)) as f64;
-        if (ctx.send_window_free as f64) >= est * self.lambda + chunk {
-            SchedDecision::Pick(candidate.id)
-        } else {
-            SchedDecision::Defer
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "blest"
     }
 }
 
@@ -406,9 +342,6 @@ mod tests {
             mss: 1000,
             headroom,
             send_space: if headroom > 0 { 10_000 } else { 0 },
-            in_flight: 0,
-            backup: false,
-            suspect: false,
         }
     }
 
@@ -425,16 +358,16 @@ mod tests {
     #[test]
     fn minrtt_prefers_lowest_rtt_with_room() {
         let paths = [path(0, 100, 5000), path(1, 10, 5000)];
-        assert_eq!(MinRtt.pick(&ctx(&paths)), SchedDecision::Pick(1));
+        assert_eq!(Scheduler::MinRtt.pick(&ctx(&paths)), SchedDecision::Pick(1));
         // Fast path full: falls through to the slow one.
         let paths = [path(0, 100, 5000), path(1, 10, 0)];
-        assert_eq!(MinRtt.pick(&ctx(&paths)), SchedDecision::Pick(0));
+        assert_eq!(Scheduler::MinRtt.pick(&ctx(&paths)), SchedDecision::Pick(0));
     }
 
     #[test]
     fn minrtt_stalls_when_everything_full() {
         let paths = [path(0, 100, 0), path(1, 10, 0)];
-        assert_eq!(MinRtt.pick(&ctx(&paths)), SchedDecision::Stall);
+        assert_eq!(Scheduler::MinRtt.pick(&ctx(&paths)), SchedDecision::Stall);
     }
 
     #[test]
@@ -443,18 +376,18 @@ mod tests {
         let mut c = ctx(&paths);
         c.is_reinject = true;
         c.avoid = Some(0);
-        assert_eq!(MinRtt.pick(&c), SchedDecision::Pick(1));
+        assert_eq!(Scheduler::MinRtt.pick(&c), SchedDecision::Pick(1));
         // ...but falls back to the stuck path when it's the only option.
         let paths = [path(0, 10, 5000), path(1, 100, 0)];
         let mut c = ctx(&paths);
         c.avoid = Some(0);
-        assert_eq!(MinRtt.pick(&c), SchedDecision::Pick(0));
+        assert_eq!(Scheduler::MinRtt.pick(&c), SchedDecision::Pick(0));
     }
 
     #[test]
     fn round_robin_cycles() {
         let paths = [path(0, 10, 5000), path(1, 100, 5000), path(2, 50, 5000)];
-        let mut rr = RoundRobin::new();
+        let mut rr = SchedulerKind::RoundRobin.build();
         let picks: Vec<_> = (0..6).map(|_| rr.pick(&ctx(&paths))).collect();
         assert_eq!(
             picks,
@@ -472,7 +405,7 @@ mod tests {
     #[test]
     fn round_robin_skips_full_paths_and_survives_set_changes() {
         let a = [path(0, 10, 5000), path(1, 100, 0), path(2, 50, 5000)];
-        let mut rr = RoundRobin::new();
+        let mut rr = SchedulerKind::RoundRobin.build();
         assert_eq!(rr.pick(&ctx(&a)), SchedDecision::Pick(0));
         assert_eq!(rr.pick(&ctx(&a)), SchedDecision::Pick(2));
         // Path 1 regains room; rotation resumes after id 2 -> wraps to 0.
@@ -490,7 +423,7 @@ mod tests {
         // Primary (first) is the lowest-RTT path with cwnd headroom; a
         // path with neither headroom nor buffer space gets no copy.
         assert_eq!(
-            Redundant.pick(&ctx(&paths)),
+            Scheduler::Redundant.pick(&ctx(&paths)),
             SchedDecision::PickAll(vec![1, 0])
         );
         // cwnd-saturated paths still take copies as long as the send
@@ -500,17 +433,23 @@ mod tests {
         saturated.send_space = 8_000;
         let paths = [path(0, 100, 5000), saturated];
         assert_eq!(
-            Redundant.pick(&ctx(&paths)),
+            Scheduler::Redundant.pick(&ctx(&paths)),
             SchedDecision::PickAll(vec![0, 1])
         );
         // No buffer space anywhere else: plain pick.
         let paths = [path(0, 100, 5000), path(1, 10, 0)];
-        assert_eq!(Redundant.pick(&ctx(&paths)), SchedDecision::Pick(0));
+        assert_eq!(
+            Scheduler::Redundant.pick(&ctx(&paths)),
+            SchedDecision::Pick(0)
+        );
         // Admission is still headroom-gated: no primary, no chunk.
         let mut full = path(0, 100, 0);
         full.send_space = 8_000;
         let paths = [full, path(1, 10, 0)];
-        assert_eq!(Redundant.pick(&ctx(&paths)), SchedDecision::Stall);
+        assert_eq!(
+            Scheduler::Redundant.pick(&ctx(&paths)),
+            SchedDecision::Stall
+        );
     }
 
     #[test]
@@ -519,7 +458,7 @@ mod tests {
         let mut c = ctx(&paths);
         c.is_reinject = true;
         c.avoid = Some(0);
-        assert_eq!(Redundant.pick(&c), SchedDecision::Pick(1));
+        assert_eq!(Scheduler::Redundant.pick(&c), SchedDecision::Pick(1));
     }
 
     #[test]
@@ -547,7 +486,7 @@ mod tests {
         let paths = [path(0, 10, 5000), path(1, 100, 5000)];
         let mut c = ctx(&paths);
         c.send_window_free = 1; // tight window is irrelevant on the fast path
-        assert_eq!(Blest::new().pick(&c), SchedDecision::Pick(0));
+        assert_eq!(Scheduler::Blest.pick(&c), SchedDecision::Pick(0));
     }
 
     #[test]
@@ -558,10 +497,10 @@ mod tests {
         let paths = [path(0, 10, 0), path(1, 100, 5000)];
         let mut c = ctx(&paths);
         c.send_window_free = 20_000; // << estimate (~145_000)
-        assert_eq!(Blest::new().pick(&c), SchedDecision::Defer);
+        assert_eq!(Scheduler::Blest.pick(&c), SchedDecision::Defer);
         // A roomy window takes the slow path happily.
         c.send_window_free = 1 << 20;
-        assert_eq!(Blest::new().pick(&c), SchedDecision::Pick(1));
+        assert_eq!(Scheduler::Blest.pick(&c), SchedDecision::Pick(1));
     }
 
     #[test]
@@ -570,16 +509,22 @@ mod tests {
         let mut c = ctx(&paths);
         c.send_window_free = 1;
         c.is_reinject = true;
-        assert_eq!(Blest::new().pick(&c), SchedDecision::Pick(1));
+        assert_eq!(Scheduler::Blest.pick(&c), SchedDecision::Pick(1));
     }
 
     #[test]
     fn scheduler_kind_names_round_trip() {
-        for kind in SchedulerKind::ALL {
+        let built = [
+            Scheduler::MinRtt,
+            Scheduler::RoundRobin { last: None },
+            Scheduler::Redundant,
+            Scheduler::Blest,
+        ];
+        for (kind, built) in SchedulerKind::ALL.into_iter().zip(built) {
             let parsed: SchedulerKind = kind.name().parse().unwrap();
             assert_eq!(parsed, kind);
             assert_eq!(format!("{kind}"), kind.name());
-            assert_eq!(kind.build().name(), kind.name());
+            assert_eq!(kind.build(), built);
         }
         assert_eq!(
             "round-robin".parse::<SchedulerKind>().unwrap(),

@@ -98,7 +98,7 @@ impl Subflow {
     }
 
     /// What the scheduler needs to know, as subflow `id`.
-    pub(crate) fn snapshot(&self, id: usize, suspect: bool) -> PathSnapshot {
+    pub(crate) fn snapshot(&self, id: usize) -> PathSnapshot {
         PathSnapshot {
             id,
             srtt: self.srtt_or_default(),
@@ -106,9 +106,6 @@ impl Subflow {
             mss: self.sock.mss(),
             headroom: self.tx_headroom(),
             send_space: self.sock.send_space(),
-            in_flight: self.sock.bytes_in_flight(),
-            backup: self.backup,
-            suspect,
         }
     }
 

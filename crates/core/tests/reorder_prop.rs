@@ -168,7 +168,7 @@ fn arb_workload() -> impl Strategy<Value = Vec<(u64, usize)>> {
     })
 }
 
-fn drain_all(q: &mut dyn OooQueue) -> Vec<u64> {
+fn drain_all(q: &mut OooQueue) -> Vec<u64> {
     let mut rcv = 0u64;
     let mut out = Vec::new();
     while let Some((dsn, data)) = q.pop_ready(rcv) {
@@ -194,7 +194,7 @@ proptest! {
             for &(dsn, sf) in &w {
                 q.insert(dsn, Bytes::from(vec![(dsn % 251) as u8; 10]), sf);
             }
-            let drained = drain_all(q.as_mut());
+            let drained = drain_all(&mut q);
             prop_assert!(q.is_empty(), "{algo:?} left entries");
             prop_assert_eq!(q.buffered_bytes(), 0, "{:?} leaked bytes", algo);
             match &reference {
