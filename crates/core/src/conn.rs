@@ -816,6 +816,9 @@ impl MptcpConnection {
                     if data_fin {
                         self.rx
                             .on_data_fin(mapping.map(|m| m.dsn + u64::from(m.len)));
+                        // Answer now: a peer that has closed its subflows
+                        // sends nothing else for the DATA_ACK to ride.
+                        self.subflows[idx].sock.request_ack();
                     }
                     if let Some(m) = mapping.filter(|m| m.len > 0) {
                         self.subflows[idx].tracker.add(&m);

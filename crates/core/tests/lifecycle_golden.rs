@@ -294,10 +294,11 @@ fn close_with_the_peer_data_fin_before_the_subflow_fin() {
     );
 }
 
-/// The server answers the client's DATA_FIN with data of its own, which
-/// carries the DATA_ACK, and closes a second later: the client's subflow
-/// FIN is in before the server's DATA_FIN leaves, so the server sends its
-/// DATA_FIN on a subflow in CLOSE_WAIT and its FIN from there.
+/// The server acknowledges the client's DATA_FIN at once, writes data of
+/// its own and closes a second later: the client's subflow FIN is in
+/// before the server's DATA_FIN leaves, so the server sends its DATA_FIN
+/// on a subflow in CLOSE_WAIT and its FIN from there. The client answers
+/// that DATA_FIN at once too, and both subflows close.
 #[test]
 fn close_with_the_subflow_fin_before_the_peer_data_fin() {
     let mut w = Wire::new(MptcpConfig::default());
@@ -320,17 +321,22 @@ fn close_with_the_subflow_fin_before_the_peer_data_fin() {
             "10.000 c AwaitingConfirm [Established] | s Handshake [SynReceived]",
             "15.000 c AwaitingConfirm [Established] | s Established [Established]",
             "20.000 c Established [Established] | s Established [Established]",
-            "305.000 c Established [FinWait1] | s Established [Established]",
-            "310.000 c Established [FinWait1] | s Established [CloseWait]",
-            "315.000 c Established [FinWait2] | s Established [CloseWait]",
+            "210.000 c Established [FinWait1] | s Established [Established]",
+            "215.000 c Established [FinWait1] | s Established [CloseWait]",
+            "220.000 c Established [FinWait2] | s Established [CloseWait]",
+            "1210.000 c Established [FinWait2] | s Established [LastAck]",
+            "1215.000 c Established [TimeWait] | s Established [LastAck]",
+            "1220.000 c Established [TimeWait] | s Established [Closed]",
+            "9215.000 c Established [Closed] | s Established [Closed]",
         ],
         (&[], &[]),
     );
 }
 
 /// Both ends close in the same instant and the DATA_FINs cross. Each
-/// rides a segment with nothing else to acknowledge, and nothing answers
-/// it until a data-level timer sends the DATA_FIN again.
+/// rides a segment with nothing else to acknowledge; each end answers the
+/// other's at once, so the subflows close simultaneously, through CLOSING,
+/// with no data-level timeout.
 #[test]
 fn crossing_data_fins() {
     let mut w = Wire::new(MptcpConfig::default());
@@ -344,6 +350,10 @@ fn crossing_data_fins() {
         drain_server(w);
     });
     assert!(w.client.send_closed() && w.client.at_eof());
+    let server = w.server().expect("accepted").telemetry();
+    for t in [w.client.telemetry(), server] {
+        assert_eq!(t.counter(CounterId::DataRtos), 0);
+    }
     w.assert_pinned(
         &[
             "0.000 c Handshake [SynSent] | s -",
@@ -351,11 +361,10 @@ fn crossing_data_fins() {
             "10.000 c AwaitingConfirm [Established] | s Handshake [SynReceived]",
             "15.000 c AwaitingConfirm [Established] | s Established [Established]",
             "20.000 c Established [Established] | s Established [Established]",
-            "605.000 c Established [Established] | s Established [FinWait1]",
-            "610.000 c Established [LastAck] | s Established [FinWait1]",
-            "615.000 c Established [LastAck] | s Established [TimeWait]",
-            "620.000 c Established [Closed] | s Established [TimeWait]",
-            "8615.000 c Established [Closed] | s Established [Closed]",
+            "210.000 c Established [FinWait1] | s Established [FinWait1]",
+            "215.000 c Established [Closing] | s Established [Closing]",
+            "220.000 c Established [TimeWait] | s Established [TimeWait]",
+            "8220.000 c Established [Closed] | s Established [Closed]",
         ],
         (&[], &[]),
     );

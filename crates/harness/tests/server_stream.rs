@@ -169,7 +169,7 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
     let host = sim.hosts[server].as_server().unwrap();
     assert_eq!(host.app_bytes_received, 3 * TOTAL as u64);
     assert_eq!(host.listener.len(), 3);
-    assert_eq!(summary(&stream), (1494, 10844866714817838153));
+    assert_eq!(summary(&stream), (1497, 16337955782797814834));
 }
 
 #[test]
@@ -202,5 +202,5 @@ fn mesh_2x2_server_stream_is_pinned() {
     assert_eq!(sc.server().app_bytes_received, TOTAL as u64);
     assert_eq!(sc.server().listener.len(), 1);
     assert_eq!(sc.server().listener.conns[0].subflows().len(), 4);
-    assert_eq!(summary(&stream), (844, 10572256511111064695));
+    assert_eq!(summary(&stream), (852, 10890298012892546300));
 }
