@@ -39,7 +39,8 @@ use crate::config::ReorderAlgo;
 /// A connection-level out-of-order queue.
 ///
 /// Invariants every algorithm keeps:
-/// * entries are non-overlapping and sorted by data sequence number;
+/// * entries are non-overlapping and sorted by data sequence number (but
+///   AllShortcuts' shortcut does not clip against the next batch);
 /// * duplicate or fully-covered inserts are dropped;
 /// * `pop_ready(rcv_nxt)` returns the entry starting exactly at `rcv_nxt`,
 ///   if present.

@@ -1,6 +1,6 @@
 //! Loop-phase profiler: where does one `step()` spend its time?
 //!
-//! Before the server loop can be sharded (ROADMAP item 1) we need to know
+//! Before the server loop can be sharded (ROADMAP, Parked) we need to know
 //! whether iterations are dominated by recv syscalls, demux, protocol
 //! work, encoding, or kernel flush. Each phase of an iteration is timed
 //! with `Instant` laps into one [`LogHistogram`] per phase, reported as
