@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use mptcp_netsim::{Duration, SimTime};
+use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{Endpoint, FourTuple, MptcpOption, TcpOption, TcpSegment};
 
 use mptcp_telemetry::{CounterId, EventKind, TraceConfig};
@@ -18,7 +19,7 @@ use crate::config::{FailureDetection, Mechanisms, MptcpConfig};
 use crate::conn::MptcpConnection;
 use crate::endpoint::MptcpListener;
 use crate::health::PathState;
-use crate::pm::{EndpointFlags, PathManagerCfg, PmEndpoint};
+use crate::pm::{EndpointFlags, PathManagerCfg, PmEndpoint, PmPolicy};
 use crate::sched::SchedulerKind;
 use mptcp_tcpstack::CcAlgorithm;
 
@@ -319,6 +320,39 @@ fn join_synack_mac_verified() {
     assert!(spans.contains(&"subflow_reset"), "{spans:?}");
     assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 1);
     // The original subflow still works.
+    w.mangle = None;
+    w.client.write(b"still alive");
+    w.run(w.now + Duration::from_millis(200));
+    assert_eq!(read_all(server_conn(&mut w)), b"still alive");
+}
+
+#[test]
+fn join_ack_hmac_verified() {
+    // The server's side of the same check: corrupt the client's full HMAC
+    // on the join's third ACK, and the server must reset the join.
+    let mut w = setup(MptcpConfig::default().with_trace(TraceConfig::enabled()));
+    w.run(SimTime::from_millis(100));
+    w.mangle = Some(Box::new(|_, mut seg: TcpSegment| {
+        for o in &mut seg.options {
+            if let TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }) = o {
+                mac[0] ^= 0xff;
+            }
+        }
+        Some(seg)
+    }));
+    let _ = w
+        .client
+        .open_subflow(Endpoint::new(C2, 1001), Endpoint::new(S1, 80), w.now);
+    w.run(w.now + Duration::from_millis(300));
+    let s = server_conn(&mut w);
+    assert_eq!(s.telemetry().counter(CounterId::JoinsRejected), 1);
+    let trace = s.trace_snapshot();
+    let spans: Vec<&str> = trace.spans().map(|(_, _, k)| k.name()).collect();
+    assert!(spans.contains(&"join_rejected"), "{spans:?}");
+    assert!(spans.contains(&"subflow_reset"), "{spans:?}");
+    assert_eq!(s.subflows().iter().filter(|s| s.usable()).count(), 1);
+    // The reset reaches the client, and the original subflow still works.
+    assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 1);
     w.mangle = None;
     w.client.write(b"still alive");
     w.run(w.now + Duration::from_millis(200));
@@ -669,6 +703,115 @@ fn add_addr_event_surfaces() {
     // The path manager learned the address and joined toward it.
     assert_eq!(w.client.path_manager().remotes_accepted(), 1);
     assert_eq!(w.client.path_manager().subflows_opened(), 1);
+}
+
+/// The server advertises `ADVERTISED` as soon as MPTCP is confirmed; the
+/// client's path manager never joins toward it, so nothing echoes the
+/// advertisement and the server sends it four times (once, then three
+/// retransmits a second apart). `rewrite` may change each copy in flight,
+/// numbered from 1.
+fn unechoed_add_addr(mut rewrite: impl FnMut(u32, &mut AdvertisedAddr) + 'static) -> Wire {
+    let signal = PmEndpoint::new(ADVERTISED, EndpointFlags::SIGNAL).with_port(80);
+    let server_cfg = MptcpConfig::default()
+        .with_path_manager(PathManagerCfg::default().endpoint(signal))
+        .expect("a signal endpoint is a valid path-manager config");
+    let client_cfg = MptcpConfig::default()
+        .with_path_manager(PathManagerCfg::new(PmPolicy::SignalOnly))
+        .expect("a policy alone is a valid path-manager config");
+    let mut w = Wire::new(client_conn(client_cfg), MptcpListener::new(server_cfg, 22));
+    let mut sent = 0;
+    w.mangle = Some(Box::new(move |_, mut seg: TcpSegment| {
+        for o in &mut seg.options {
+            if let TcpOption::Mptcp(MptcpOption::AddAddr(a)) = o {
+                sent += 1;
+                rewrite(sent, a);
+            }
+        }
+        Some(seg)
+    }));
+    w.run(SimTime::from_secs(5));
+    w
+}
+
+const ADVERTISED: u32 = 0x0a000064;
+
+/// The `(addr, id)` of every ADD_ADDR the client took as news.
+fn add_addrs_learned(conn: &MptcpConnection) -> Vec<(u32, u32)> {
+    let t = conn.telemetry();
+    let learned = t.events.iter().filter_map(|e| match e.kind {
+        EventKind::AddAddr { addr, id, sent: 0 } => Some((addr, id)),
+        _ => None,
+    });
+    learned.collect()
+}
+
+#[test]
+fn a_repeated_add_addr_is_one_event_and_one_remote() {
+    let w = unechoed_add_addr(|_, _| {});
+    let server = &w.server.conns[0];
+    assert_eq!(server.telemetry().counter(CounterId::AddAddrRetransmits), 3);
+    assert_eq!(w.client.telemetry().counter(CounterId::AddAddrsReceived), 1);
+    assert_eq!(add_addrs_learned(&w.client).len(), 1);
+    assert_eq!(w.client.path_manager().remotes_accepted(), 1);
+    assert_eq!(w.client.path_manager().subflows_opened(), 0);
+}
+
+#[test]
+fn an_add_addr_with_a_known_id_and_a_new_address_replaces_it() {
+    // Copies 2 and 3 name another address under the same id, copy 4 the
+    // first one again: the id's entry now holds the second address, so
+    // only the first copy of each change is news.
+    const MOVED: u32 = 0x0a000065;
+    let w = unechoed_add_addr(|n, a| {
+        if n == 2 || n == 3 {
+            a.addr = MOVED;
+        }
+    });
+    let learned = add_addrs_learned(&w.client);
+    let id = learned[0].1;
+    assert_eq!(
+        learned,
+        vec![(ADVERTISED, id), (MOVED, id), (ADVERTISED, id)]
+    );
+}
+
+#[test]
+fn add_addr_retransmits_keep_their_addr_id() {
+    let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let log = seen.clone();
+    let _w = unechoed_add_addr(move |_, a| log.borrow_mut().push(*a));
+    let seen = seen.borrow();
+    assert_eq!(seen.len(), 4, "{seen:?}");
+    assert!(seen.iter().all(|a| *a == seen[0]), "{seen:?}");
+    assert_eq!((seen[0].addr, seen[0].port), (ADVERTISED, Some(80)));
+}
+
+#[test]
+fn remove_addr_of_an_unknown_id_touches_no_subflow() {
+    let mut w = setup(MptcpConfig::default());
+    w.run(SimTime::from_millis(100));
+    let _ = w
+        .client
+        .open_subflow(Endpoint::new(C2, 1001), Endpoint::new(S1, 80), w.now);
+    w.run(w.now + Duration::from_millis(200));
+    assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 2);
+
+    // No address and no subflow of either end was ever given id 42.
+    let mut forged = false;
+    w.mangle = Some(Box::new(move |_, mut seg: TcpSegment| {
+        if seg.tuple.dst.addr != S1 && !std::mem::replace(&mut forged, true) {
+            let remove = MptcpOption::RemoveAddr { addr_ids: vec![42] };
+            seg.options.push(TcpOption::Mptcp(remove));
+        }
+        Some(seg)
+    }));
+    w.client.write(b"ping");
+    w.run(w.now + Duration::from_millis(300));
+    let t = w.client.telemetry();
+    assert_eq!(t.counter(CounterId::RemoveAddrUnknown), 1);
+    assert_eq!(t.counter(CounterId::RemoveAddrsReceived), 0);
+    assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 2);
+    assert_eq!(read_all(server_conn(&mut w)), b"ping");
 }
 
 #[test]
