@@ -1,21 +1,18 @@
 //! The MPTCP connection: subflow management, scheduling, flow control,
 //! reliability at the data level, mechanisms M1–M4, and fallback.
 //!
-//! The connection is glue — joins, option dispatch, the scheduler call
-//! with M1/M2, congestion coupling, `poll`/`tick` — around machines that
-//! each own one argument of the paper and know nothing of sockets: `Life`
+//! The connection is glue — option dispatch, the scheduler call with
+//! M1/M2, congestion coupling, `poll`/`tick` — around machines that each
+//! own one argument of the paper and know nothing of sockets: `Life`
 //! (§3.1, §3.3.6 handshake, fallback and close), [`DataSender`] (§3.3),
 //! [`DataReceiver`] (§4.3), [`PathHealth`] (§3.4, §4.2) and
-//! [`PathManager`] (§3.2, §3.4).
-
-use std::collections::HashMap;
+//! [`PathManager`] (§3.2, §3.4, and every address id).
 
 use bytes::Bytes;
 use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, SimRng, SimTime};
-use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{
-    checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
+    crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
 use mptcp_tcpstack::{
     CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS,
@@ -89,6 +86,18 @@ fn mp_capable(checksum: bool, sender_key: u64, receiver_key: Option<u64>) -> Vec
     })]
 }
 
+/// The sender's key and checksum flag, if `opt` is an MP_CAPABLE.
+fn capable_key(opt: &MptcpOption) -> Option<(u64, bool)> {
+    match *opt {
+        MptcpOption::MpCapable {
+            sender_key,
+            checksum_required,
+            ..
+        } => Some((sender_key, checksum_required)),
+        _ => None,
+    }
+}
+
 /// One end of a Multipath TCP connection.
 pub struct MptcpConnection {
     cfg: MptcpConfig,
@@ -100,18 +109,10 @@ pub struct MptcpConnection {
     checksum_on: bool,
 
     subflows: Vec<Subflow>,
-    next_addr_id: u8,
 
-    /// The path-manager policy engine; this connection executes its
-    /// [`PmAction`]s.
+    /// The path-manager policy engine and the owner of every address id;
+    /// this connection executes its [`PmAction`]s.
     pm: PathManager,
-    /// Peer-advertised addresses by addr_id (ADD_ADDR idempotency: a
-    /// repeat with the same address is ignored; a different address
-    /// replaces the mapping).
-    peer_adverts: HashMap<u8, (u32, Option<u16>)>,
-    /// Stable addr_id per locally-advertised address, so ADD_ADDR
-    /// retransmits re-use the id instead of minting a new one.
-    advertised_local: HashMap<u32, u8>,
 
     /// Data-level reliability and flow control on the sending side.
     tx: DataSender,
@@ -162,7 +163,7 @@ impl MptcpConnection {
         let isn = SeqNum(rng.next_u32());
         let sock = TcpSocket::client(cfg.tcp.clone(), tuple, isn, now, syn_opts);
         let mut conn = MptcpConnection::common(cfg, Life::Handshake { client: true }, local, rng);
-        conn.push_subflow(sock, JoinState::Initial, 0);
+        conn.push_subflow(sock, JoinState::Initial, 0, false);
         conn
     }
 
@@ -176,15 +177,7 @@ impl MptcpConnection {
         mut rng: SimRng,
         tokens: &mut TokenTable,
     ) -> MptcpConnection {
-        let peer_capable = syn.mptcp_options().find_map(|m| match m {
-            MptcpOption::MpCapable {
-                sender_key,
-                checksum_required,
-                ..
-            } => Some((*sender_key, *checksum_required)),
-            _ => None,
-        });
-
+        let peer_capable = syn.mptcp_options().find_map(capable_key);
         let mut cfg = cfg;
         // No MP_CAPABLE (stripped or plain peer): regular TCP, with the
         // subflow socket's own congestion control and no mappings.
@@ -206,7 +199,7 @@ impl MptcpConnection {
             Some((peer_key, _)) => conn.set_remote_key(peer_key),
             None => conn.checksum_on = false,
         }
-        conn.push_subflow(sock, JoinState::Initial, 0);
+        conn.push_subflow(sock, JoinState::Initial, 0, false);
         conn
     }
 
@@ -224,10 +217,7 @@ impl MptcpConnection {
             remote: None,
             checksum_on: cfg.checksum,
             subflows: Vec::new(),
-            next_addr_id: 1,
             pm: PathManager::new(cfg.pm.clone()),
-            peer_adverts: HashMap::new(),
-            advertised_local: HashMap::new(),
             tx: DataSender::new(local.idsn.wrapping_add(1), cfg.send_buf.min(start)),
             rx: DataReceiver::new(cfg.reorder, cfg.recv_buf.min(start)),
             health: PathHealth::new(cfg.failure),
@@ -252,20 +242,22 @@ impl MptcpConnection {
     /// Add a subflow around `sock`, tagged with its index for telemetry
     /// and running the configured congestion controller unless the
     /// connection is plain TCP from the start.
-    fn push_subflow(&mut self, mut sock: TcpSocket, join: JoinState, addr_id: u8) -> &mut Subflow {
+    fn push_subflow(&mut self, mut sock: TcpSocket, join: JoinState, addr_id: u8, backup: bool) {
         sock.set_telemetry_tag(self.subflows.len() as u32);
         if !self.is_fallback() {
             let mss = self.cfg.tcp.mss as u32;
             *sock.cc_mut() = self.cfg.cc.build(mss, INIT_CWND_SEGS);
         }
-        let sf = Subflow::new(sock, MappingTracker::new(self.checksum_on), join, addr_id);
-        self.subflows.push(sf);
+        let tracker = MappingTracker::new(self.checksum_on);
+        let sf = Subflow::new(sock, tracker, join, addr_id);
+        self.subflows.push(Subflow { backup, ..sf });
         self.health.add_path();
-        self.subflows.last_mut().expect("just pushed")
     }
 
-    /// Subflow `idx` is dead: reset, timed out or torn down.
+    /// Subflow `idx` is dead: reset here (a no-op on a socket that has
+    /// failed already), timed out or torn down.
     fn bury(&mut self, idx: usize) {
+        self.subflows[idx].sock.abort();
         self.subflows[idx].dead = true;
         self.health.retire(idx);
     }
@@ -404,6 +396,11 @@ impl MptcpConnection {
         TraceSnapshot::merge(all.map(Recorder::trace_snapshot).collect())
     }
 
+    /// Record one connection-level event.
+    fn note(&mut self, now: SimTime, kind: EventKind) {
+        self.telemetry.note(now.0, kind);
+    }
+
     /// Record one connection-level sample (no-op when disabled).
     fn trace_conn_sample(&mut self, now: SimTime) {
         if !self.telemetry.tracing() {
@@ -478,14 +475,12 @@ impl MptcpConnection {
         };
         match action {
             Action::Confirm => {
-                let FourTuple {
-                    src: local,
-                    dst: remote,
-                } = self.subflows[0].sock.tuple();
+                let tuple = self.subflows[0].sock.tuple();
+                let (local, remote) = (tuple.src, tuple.dst);
                 self.pm_event(now, PmEvent::Established { local, remote });
             }
             Action::FallBack(cause) => {
-                self.telemetry.note(now.0, EventKind::Fallback { cause });
+                self.note(now, EventKind::Fallback { cause });
                 // Stop MPTCP signalling; plain TCP from here, and the
                 // failure detector stops with it.
                 for sf in &mut self.subflows {
@@ -503,7 +498,7 @@ impl MptcpConnection {
             }
             Action::Abort(reason) => {
                 let code = reason.code();
-                self.telemetry.note(now.0, EventKind::ConnAborted { code });
+                self.note(now, EventKind::ConnAborted { code });
                 for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
                     sf.sock.abort();
                 }
@@ -517,9 +512,7 @@ impl MptcpConnection {
             Action::ResetSubflow => {
                 let dsn = self.rx.rcv_nxt();
                 self.subflows[idx].signal(MptcpOption::MpFail { dsn });
-                self.subflows[idx].sock.abort();
-                self.bury(idx);
-                self.note_subflow_reset(now, idx);
+                self.reset_subflow(now, idx);
                 self.reinject_chunks_of_dead();
             }
             Action::CloseSubflows { orphan } => {
@@ -576,8 +569,7 @@ impl MptcpConnection {
             return Err(SubflowError::SubflowLimit);
         }
         let nonce = self.rng.next_u32();
-        let addr_id = self.next_addr_id;
-        self.next_addr_id += 1;
+        let addr_id = self.pm.mint_id();
         let syn_opts = vec![TcpOption::Mptcp(MptcpOption::MpJoinSyn {
             token: rk.token,
             nonce,
@@ -586,9 +578,7 @@ impl MptcpConnection {
         })];
         let isn = SeqNum(self.rng.next_u32());
         let sock = TcpSocket::client(self.cfg.tcp.clone(), tuple, isn, now, syn_opts);
-        let sf = self.push_subflow(sock, JoinState::ClientSyn, addr_id);
-        sf.nonce_local = nonce;
-        sf.backup = backup;
+        self.push_subflow(sock, JoinState::ClientSyn { nonce }, addr_id, backup);
         let id = SubflowId(self.subflows.len() - 1);
         self.telemetry
             .gauge_set(GaugeId::Subflows, self.alive_subflows() as u64);
@@ -599,58 +589,56 @@ impl MptcpConnection {
     /// demuxed it via the token). The error says why validation failed.
     pub fn accept_join(&mut self, syn: &TcpSegment, now: SimTime) -> Result<(), JoinError> {
         self.ticked_at = None;
-        if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
-            self.reject_join(now, 0);
-            return Err(JoinError::WrongState);
-        }
-        let Some(MptcpOption::MpJoinSyn {
-            token,
-            nonce,
-            addr_id,
-            backup,
-        }) = syn
-            .mptcp_options()
-            .find(|m| matches!(m, MptcpOption::MpJoinSyn { .. }))
-            .cloned()
-        else {
-            self.reject_join(now, 0);
-            return Err(JoinError::NoJoinOption);
+        let join = syn.mptcp_options().find_map(|m| match *m {
+            MptcpOption::MpJoinSyn {
+                token,
+                nonce,
+                addr_id,
+                backup,
+            } => Some((token, nonce, addr_id, backup)),
+            _ => None,
+        });
+        // A refusal names the token the join asked for, if it got that far.
+        let checked = match (join, self.remote) {
+            _ if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) => {
+                Err((JoinError::WrongState, 0))
+            }
+            (None, _) => Err((JoinError::NoJoinOption, 0)),
+            (Some((token, ..)), Some(_)) if token != self.local.token => {
+                Err((JoinError::UnknownToken, token))
+            }
+            (Some((token, ..)), None) => Err((JoinError::UnknownToken, token)),
+            (Some((token, ..)), _) if self.alive_subflows() >= MAX_SUBFLOWS => {
+                Err((JoinError::SubflowLimit, token))
+            }
+            (Some((_, theirs, addr_id, backup)), Some(rk)) => Ok((theirs, addr_id, backup, rk)),
         };
-        if token != self.local.token || self.remote.is_none() {
-            self.reject_join(now, token);
-            return Err(JoinError::UnknownToken);
-        }
-        if self.alive_subflows() >= MAX_SUBFLOWS {
-            self.reject_join(now, token);
-            return Err(JoinError::SubflowLimit);
-        }
-        let rk = self.remote.unwrap();
-        let nonce_local = self.rng.next_u32();
-        let mac = crypto::join_synack_mac(self.local.key, rk.key, nonce, nonce_local);
+        let (theirs, addr_id, backup, rk) = match checked {
+            Ok(join) => join,
+            Err((refusal, token)) => {
+                self.note(now, EventKind::JoinRejected { token });
+                return Err(refusal);
+            }
+        };
+        let ours = self.rng.next_u32();
+        let mac = crypto::join_synack_mac(self.local.key, rk.key, theirs, ours);
         let syn_opts = vec![TcpOption::Mptcp(MptcpOption::MpJoinSynAck {
             mac,
-            nonce: nonce_local,
+            nonce: ours,
             addr_id: 0,
             backup: false,
         })];
         let isn = SeqNum(self.rng.next_u32());
         let mut sock = TcpSocket::accept(self.cfg.tcp.clone(), syn, isn, now, syn_opts);
         sock.take_rx_mptcp(&mut Vec::new()); // MP_JOIN SYN consumed above
-        let sf = self.push_subflow(sock, JoinState::ServerWait, addr_id);
-        sf.nonce_local = nonce_local;
-        sf.nonce_remote = nonce;
-        sf.backup = backup;
+        let join = JoinState::ServerWait { ours, theirs };
+        self.push_subflow(sock, join, addr_id, backup);
         // The peer joined toward this local address: if we had been
         // advertising it, the join is the echo — stop retransmitting.
         self.pm.mark_echoed(syn.tuple.dst.addr);
         self.telemetry
             .gauge_set(GaugeId::Subflows, self.alive_subflows() as u64);
         Ok(())
-    }
-
-    fn reject_join(&mut self, now: SimTime, token: u32) {
-        self.telemetry
-            .note(now.0, EventKind::JoinRejected { token });
     }
 
     /// Does `incoming` (a tuple as seen in an arriving segment) belong to
@@ -760,14 +748,7 @@ impl MptcpConnection {
         if client {
             sf.sock.take_rx_mptcp(&mut self.rx_opts);
         }
-        let server_key = self.rx_opts.drain(..).rev().find_map(|o| match o {
-            MptcpOption::MpCapable {
-                sender_key,
-                checksum_required,
-                ..
-            } => Some((sender_key, checksum_required)),
-            _ => None,
-        });
+        let server_key = self.rx_opts.drain(..).rev().find_map(|o| capable_key(&o));
         let capable = !client || server_key.is_some();
         self.feed(now, idx, Input::Synchronized { capable });
         let Some((key, ck)) = server_key else {
@@ -808,11 +789,7 @@ impl MptcpConnection {
                     data_fin,
                 } => {
                     self.feed(now, idx, Input::MptcpSeen);
-                    // The server only speaks DSS on a join subflow after
-                    // validating the client's HMAC: stop carrying it.
-                    if self.subflows[idx].join == JoinState::ClientEstablished {
-                        self.subflows[idx].join = JoinState::Active;
-                    }
+                    self.subflows[idx].join_confirmed();
                     if data_fin {
                         self.rx
                             .on_data_fin(mapping.map(|m| m.dsn + u64::from(m.len)));
@@ -827,53 +804,18 @@ impl MptcpConnection {
                         self.tx.on_data_ack(a);
                     }
                 }
-                MptcpOption::AddAddr(a) => {
-                    let AdvertisedAddr {
-                        addr_id,
-                        addr,
-                        port,
-                    } = a;
-                    if self.peer_adverts.insert(addr_id, (addr, port)) == Some((addr, port)) {
-                        continue; // a repeat (see `peer_adverts`)
-                    }
-                    let (id, sent) = (u32::from(addr_id), 0);
-                    self.telemetry
-                        .note(now.0, EventKind::AddAddr { addr, id, sent });
-                    let learned = PmEvent::AddrAdvertised {
-                        addr_id,
-                        addr,
-                        port,
-                    };
-                    self.pm_event(now, learned);
-                }
+                MptcpOption::AddAddr(a) => self.pm_event(now, PmEvent::AddrAdvertised(a)),
                 MptcpOption::RemoveAddr { addr_ids } => {
-                    for id in addr_ids {
-                        // A stray or forged REMOVE_ADDR of an id we never
-                        // learned must not touch subflow state.
-                        let advertised = self.peer_adverts.remove(&id);
-                        let known = advertised.is_some()
-                            || self.subflows.iter().any(|s| !s.dead && s.addr_id == id);
-                        let (addr_id, id, sent) = (id, u32::from(id), 0);
-                        if !known {
-                            self.telemetry
-                                .note(now.0, EventKind::RemoveAddrUnknown { id });
-                            continue;
-                        }
-                        self.telemetry
-                            .note(now.0, EventKind::RemoveAddr { id, sent });
-                        // Subflows the peer opened under this id, and any
-                        // we opened toward the withdrawn address.
-                        let gone = advertised.map(|(addr, _)| addr);
-                        let affected = self.live_subflows_where(|_, s| {
-                            s.addr_id == addr_id || Some(s.sock.tuple().dst.addr) == gone
-                        });
-                        self.pm_event(now, PmEvent::AddrWithdrawn { addr_id, affected });
+                    for addr_id in addr_ids {
+                        let live = self.subflows.iter().enumerate().filter(|(_, s)| !s.dead);
+                        let live = live.map(|(i, s)| (i, s.addr_id, s.sock.tuple().dst.addr));
+                        let live = live.collect();
+                        self.pm_event(now, PmEvent::AddrWithdrawn { addr_id, live });
                     }
                 }
-                MptcpOption::MpJoinSynAck { mac, nonce, .. } => {
-                    self.handle_join_synack(now, idx, mac, nonce)
+                mac @ (MptcpOption::MpJoinSynAck { .. } | MptcpOption::MpJoinAck { .. }) => {
+                    self.on_join_mac(now, idx, mac)
                 }
-                MptcpOption::MpJoinAck { mac } => self.handle_join_ack(now, idx, mac),
                 // Handled at accept_join; a duplicate SYN's option.
                 MptcpOption::MpJoinSyn { .. } => {}
                 MptcpOption::MpFail { .. } => {
@@ -889,67 +831,35 @@ impl MptcpConnection {
         self.rx_opts = opts; // drained; keep the capacity
     }
 
-    fn handle_join_synack(&mut self, now: SimTime, idx: usize, mac: u64, nonce_remote: u32) {
-        let sf = &mut self.subflows[idx];
-        if sf.join != JoinState::ClientSyn {
-            return;
-        }
+    /// A join's MAC arrived on subflow `idx` (the server's on the SYN/ACK,
+    /// or the client's on the third ACK): the subflow checks it.
+    fn on_join_mac(&mut self, now: SimTime, idx: usize, opt: MptcpOption) {
         let Some(rk) = self.remote else { return };
-        let expect = crypto::join_synack_mac(rk.key, self.local.key, sf.nonce_local, nonce_remote);
-        if mac != expect {
-            self.reject_join_mac(now, idx, rk.token);
-            return;
-        }
-        sf.join = JoinState::ClientEstablished;
-        // The third ACK carries our full HMAC, computed here once, until
-        // the server confirms (by sending any DSS on this subflow).
-        sf.join_ack_mac =
-            crypto::join_ack_mac(self.local.key, rk.key, sf.nonce_local, nonce_remote);
-        let ack = MptcpOption::MpJoinAck {
-            mac: sf.join_ack_mac,
-        };
-        sf.sock.set_carry_options(vec![TcpOption::Mptcp(ack)]);
-        sf.sock.request_ack();
-        self.seed_new_subflow();
-    }
-
-    /// Under the redundant scheduler a subflow that joins mid-stream owes
-    /// copies of everything still outstanding, which were duplicated only
-    /// across the older paths: queue them for reinjection, which places
-    /// each copy away from the path already carrying it.
-    fn seed_new_subflow(&mut self) {
-        if self.cfg.scheduler == SchedulerKind::Redundant {
-            self.tx.reinject_where(u64::MAX, |_, _| true);
+        // A rejected join names the token it asked for: ours on its server.
+        let server = matches!(opt, MptcpOption::MpJoinAck { .. });
+        let token = if server { self.local.token } else { rk.token };
+        match self.subflows[idx].verify_join(opt, self.local.key, rk.key) {
+            // Under the redundant scheduler a subflow that joins mid-stream
+            // owes copies of everything still outstanding, which were
+            // duplicated only across the older paths: queue them for
+            // reinjection, which places each copy away from the path
+            // already carrying it.
+            Some(true) if self.cfg.scheduler == SchedulerKind::Redundant => {
+                self.tx.reinject_where(u64::MAX, |_, _| true);
+            }
+            Some(false) => {
+                self.note(now, EventKind::JoinRejected { token });
+                self.reset_subflow(now, idx);
+            }
+            _ => {}
         }
     }
 
-    fn handle_join_ack(&mut self, now: SimTime, idx: usize, mac: [u8; 20]) {
-        let sf = &mut self.subflows[idx];
-        if sf.join != JoinState::ServerWait {
-            return;
-        }
-        let Some(rk) = self.remote else { return };
-        let expect = crypto::join_ack_mac(rk.key, self.local.key, sf.nonce_remote, sf.nonce_local);
-        if mac != expect {
-            self.reject_join_mac(now, idx, self.local.token);
-            return;
-        }
-        sf.join = JoinState::Active;
-        self.seed_new_subflow();
-    }
-
-    /// A join's HMAC did not verify: reset the subflow.
-    fn reject_join_mac(&mut self, now: SimTime, idx: usize, token: u32) {
-        self.subflows[idx].sock.abort();
+    /// Reset subflow `idx`; the connection lives on without it.
+    fn reset_subflow(&mut self, now: SimTime, idx: usize) {
         self.bury(idx);
-        self.reject_join(now, token);
-        self.note_subflow_reset(now, idx);
-    }
-
-    fn note_subflow_reset(&mut self, now: SimTime, idx: usize) {
         let subflow = idx as u32;
-        self.telemetry
-            .note(now.0, EventKind::SubflowReset { subflow });
+        self.note(now, EventKind::SubflowReset { subflow });
     }
 
     /// The path manager's live state (admin plane, tests).
@@ -959,7 +869,7 @@ impl MptcpConnection {
 
     /// Tell the path manager what happened and execute what it decides.
     fn pm_event(&mut self, now: SimTime, ev: PmEvent) {
-        let actions = self.pm.on_event(now, ev);
+        let actions = self.pm.on_event(now, ev, &mut self.telemetry);
         self.pm_apply(now, actions);
     }
 
@@ -977,50 +887,36 @@ impl MptcpConnection {
                         remote: remote.addr,
                         backup: u32::from(backup),
                     };
-                    self.telemetry.note(now.0, opening);
+                    self.note(now, opening);
                     if self.open_subflow_with(local, remote, backup, now).is_ok() {
                         self.telemetry.count(CounterId::PmSubflowsOpened);
                     }
                 }
-                PmAction::Advertise { addr, port } => self.pm_send_advert(now, addr, port),
+                PmAction::Advertise { advert, retransmit } => {
+                    let Some(sf) = self.subflows.iter_mut().find(|s| s.usable()) else {
+                        continue;
+                    };
+                    sf.signal(MptcpOption::AddAddr(advert));
+                    self.telemetry.count(if retransmit {
+                        CounterId::AddAddrRetransmits
+                    } else {
+                        CounterId::AddAddrsSent
+                    });
+                    let (addr, id) = (advert.addr, u32::from(advert.addr_id));
+                    self.note(now, EventKind::PmAdvertise { addr, id });
+                }
                 PmAction::CloseSubflow { subflow } => self.close_subflow(now, subflow),
                 PmAction::PromoteBackup { subflow } => self.promote_backup(now, subflow),
             }
         }
     }
 
-    /// Send (or retransmit) an ADD_ADDR for `addr` with a stable addr_id.
-    fn pm_send_advert(&mut self, now: SimTime, addr: u32, port: Option<u16>) {
-        let retx = self.advertised_local.contains_key(&addr);
-        let addr_id = *self.advertised_local.entry(addr).or_insert_with(|| {
-            self.next_addr_id += 1;
-            self.next_addr_id - 1
-        });
-        let advert = AdvertisedAddr {
-            addr_id,
-            addr,
-            port,
-        };
-        if let Some(sf) = self.subflows.iter_mut().find(|s| s.usable()) {
-            sf.signal(MptcpOption::AddAddr(advert));
-            self.telemetry.count(if retx {
-                CounterId::AddAddrRetransmits
-            } else {
-                CounterId::AddAddrsSent
-            });
-            let id = u32::from(addr_id);
-            self.telemetry
-                .note(now.0, EventKind::PmAdvertise { addr, id });
-        }
-    }
-
     /// Tear down one subflow on PM orders (address withdrawn under it),
     /// re-injecting its chunks; abort if it was the last one standing.
     fn close_subflow(&mut self, now: SimTime, idx: usize) {
-        if idx >= self.subflows.len() || self.subflows[idx].dead {
+        if self.subflows.get(idx).is_none_or(|s| s.dead) {
             return;
         }
-        self.subflows[idx].sock.abort();
         self.bury(idx);
         self.reinject_chunks_of_dead();
         if self.alive_subflows() == 0 {
@@ -1031,18 +927,16 @@ impl MptcpConnection {
     /// Clear a subflow's backup priority and tell the peer via MP_PRIO —
     /// the handover moment: the pre-opened backup becomes the workhorse.
     fn promote_backup(&mut self, now: SimTime, idx: usize) {
-        if idx >= self.subflows.len() || self.subflows[idx].dead || !self.subflows[idx].backup {
+        let Some(sf) = self.subflows.get_mut(idx).filter(|s| !s.dead && s.backup) else {
             return;
-        }
-        let sf = &mut self.subflows[idx];
+        };
         sf.backup = false;
         sf.signal(MptcpOption::MpPrio {
             backup: false,
             addr_id: Some(sf.addr_id),
         });
         let subflow = idx as u32;
-        self.telemetry
-            .note(now.0, EventKind::PmBackupPromoted { subflow });
+        self.note(now, EventKind::PmBackupPromoted { subflow });
     }
 
     /// Indices of the live subflows `wanted` selects, ascending.
@@ -1087,8 +981,7 @@ impl MptcpConnection {
                     addr_ids: ids.clone(),
                 });
                 for (id, sent) in ids.into_iter().map(|id| (u32::from(id), 1)) {
-                    self.telemetry
-                        .note(now.0, EventKind::RemoveAddr { id, sent });
+                    self.note(now, EventKind::RemoveAddr { id, sent });
                 }
             }
         }
@@ -1134,46 +1027,39 @@ impl MptcpConnection {
                 let Some(c) = tracker.consume_next(&mut off, &mut bytes) else {
                     break;
                 };
-                match c {
-                    Consumed::Mapped { dsn, data } => self.rx.stage(dsn, data),
+                let (input, data) = match c {
+                    Consumed::Mapped { dsn, data } => {
+                        self.rx.stage(dsn, data);
+                        continue;
+                    }
                     Consumed::ChecksumFail { dsn, data } => {
                         self.rx.flush(now, idx, &mut self.telemetry);
-                        self.on_checksum_fail(now, idx, dsn, data);
+                        let subflow = idx as u32;
+                        self.note(now, EventKind::ChecksumFail { subflow, dsn });
+                        let live = self.alive_subflows();
+                        (Input::ChecksumFail { live }, data)
                     }
+                    // Mid-stream option stripping on the only subflow is an
+                    // infinite mapping (§3.3.6, §4.1). Elsewhere the bytes
+                    // go: acked on the subflow but never DATA_ACKed, they
+                    // are re-injected (§3.3.5).
                     Consumed::Unmapped { data } => {
                         self.rx.flush(now, idx, &mut self.telemetry);
-                        self.on_unmapped(now, idx, data);
+                        let never_mapped = self.subflows[idx].tracker.mappings_received == 0;
+                        let lone = self.alive_subflows() == 1 && never_mapped;
+                        (Input::Unmapped { lone }, data)
                     }
+                };
+                self.feed(now, idx, input);
+                // Fallen back, the bytes continue the stream as they came,
+                // however a middlebox rewrote them.
+                if self.is_fallback() {
+                    self.rx.deliver(data);
                 }
             }
         }
         self.rx.flush(now, idx, &mut self.telemetry);
         self.rx.check_fin();
-    }
-
-    fn on_checksum_fail(&mut self, now: SimTime, idx: usize, dsn: u64, data: Bytes) {
-        let subflow = idx as u32;
-        self.telemetry
-            .note(now.0, EventKind::ChecksumFail { subflow, dsn });
-        let live = self.alive_subflows();
-        self.feed(now, idx, Input::ChecksumFail { live });
-        // On the only subflow, fall back and let the middlebox rewrite as
-        // it wishes: the modified bytes continue the stream.
-        if self.is_fallback() {
-            self.rx.deliver(data);
-        }
-    }
-
-    /// Mid-stream option stripping on the only subflow is an infinite
-    /// mapping: fall back (§3.3.6, §4.1). Otherwise drop: the subflow has
-    /// acked these bytes but they are not DATA_ACKed, so the sender
-    /// re-injects them (§3.3.5).
-    fn on_unmapped(&mut self, now: SimTime, idx: usize, data: Bytes) {
-        let lone = self.alive_subflows() == 1 && self.subflows[idx].tracker.mappings_received == 0;
-        self.feed(now, idx, Input::Unmapped { lone });
-        if self.is_fallback() {
-            self.rx.deliver(data);
-        }
     }
 
     fn alive_subflows(&self) -> usize {
@@ -1216,15 +1102,11 @@ impl MptcpConnection {
             let verdict = self.health.observe(now, i, self.subflows[i].observe());
             let subflow = i as u32;
             match verdict.change {
-                Some(Change::Suspect { rtos }) => self
-                    .telemetry
-                    .note(now.0, EventKind::PathSuspect { subflow, rtos }),
-                Some(Change::Fail) => self.on_path_failed(now, i),
-                Some(Change::Recover) => {
-                    self.telemetry
-                        .note(now.0, EventKind::PathRecovered { subflow });
-                    self.pm_event(now, PmEvent::SubflowRecovered { subflow: i });
+                Some(Change::Suspect { rtos }) => {
+                    self.note(now, EventKind::PathSuspect { subflow, rtos })
                 }
+                Some(Change::Fail) => self.on_path_failed(now, i),
+                Some(Change::Recover) => self.note(now, EventKind::PathRecovered { subflow }),
                 None => {}
             }
             if verdict.probe {
@@ -1247,9 +1129,9 @@ impl MptcpConnection {
             subflow: idx as u32,
             reinjected,
         };
-        self.telemetry.note(now.0, failed);
-        let (subflow, backups) = (idx, self.backup_candidates(&[idx]));
-        self.pm_event(now, PmEvent::SubflowFailed { subflow, backups });
+        self.note(now, failed);
+        let backups = self.backup_candidates(&[idx]);
+        self.pm_event(now, PmEvent::SubflowFailed { backups });
     }
 
     /// Emit at most one segment; call until `None`.
@@ -1379,10 +1261,9 @@ impl MptcpConnection {
     fn on_data_rto(&mut self, now: SimTime) {
         let dsn = self.tx.snd_una();
         let base = self.data_rto_base();
-        self.telemetry.note(now.0, EventKind::DataRto { dsn });
+        self.note(now, EventKind::DataRto { dsn });
         let stalled_ns = self.tx.rto_interval(base).as_nanos() as u64;
-        self.telemetry
-            .note(now.0, EventKind::DataAckStall { dsn, stalled_ns });
+        self.note(now, EventKind::DataAckStall { dsn, stalled_ns });
         self.trace_conn_sample(now);
         // Client-side fallback detection (§3.3.6), decided on the first
         // expiry: re-injecting onto the lone subflow would duplicate bytes
@@ -1510,7 +1391,7 @@ impl MptcpConnection {
                                 pending_bytes: self.tx.pending_bytes() as u64,
                                 reinject_queued: self.tx.reinject_queued() as u64,
                             };
-                            self.telemetry.note(now.0, stall);
+                            self.note(now, stall);
                         }
                     }
                     return;
@@ -1543,24 +1424,7 @@ impl MptcpConnection {
 
     /// Hand one chunk with its DSS mapping to a subflow.
     fn place_chunk(&mut self, idx: usize, dsn: u64, data: &Bytes) {
-        let sf = &mut self.subflows[idx];
-        let ssn = sf.sock.next_tx_offset() as u32;
-        let len = data.len() as u16;
-        let checksum = self
-            .checksum_on
-            .then(|| checksum::dss_checksum(dsn, ssn, len, data));
-        let dss = TcpOption::Mptcp(MptcpOption::Dss {
-            data_ack: None,
-            mapping: Some(DssMapping {
-                dsn,
-                subflow_seq: ssn,
-                len,
-                checksum,
-            }),
-            data_fin: false,
-        });
-        let ok = sf.sock.send_chunk(data.clone(), Some(dss));
-        debug_assert!(ok, "subflow send buffer unexpectedly full");
+        self.subflows[idx].send_mapped(dsn, data, self.checksum_on);
         self.stats.bytes_scheduled += data.len() as u64;
         self.telemetry.count(CounterId::SchedulerPicks);
     }
@@ -1589,8 +1453,7 @@ impl MptcpConnection {
             if let Some((dsn, data)) = self.tx.retransmit_head(now, fast, fast_srtt) {
                 self.place_chunk(fast, dsn, &data);
                 let (from, to) = (culprit as u32, fast as u32);
-                self.telemetry
-                    .note(now.0, EventKind::M1Reinject { dsn, from, to });
+                self.note(now, EventKind::M1Reinject { dsn, from, to });
             }
         }
 
@@ -1603,7 +1466,7 @@ impl MptcpConnection {
                     before,
                     after,
                 };
-                self.telemetry.note(now.0, penalized);
+                self.note(now, penalized);
                 // The penalty is exactly the cwnd discontinuity Fig. 4
                 // visualizes; pin a subflow sample at the instant.
                 self.subflows[culprit].sock.trace_sample(now);
@@ -1654,20 +1517,7 @@ impl MptcpConnection {
         for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
             sf.sock.set_window_override(Some(window));
             if data_ack {
-                // Rewritten in the buffer the socket already holds. A
-                // client still proving MP_JOIN on this subflow keeps the
-                // join ACK in front.
-                let carry = sf.sock.carry_options_mut();
-                carry.clear();
-                if sf.join == JoinState::ClientEstablished {
-                    let mac = sf.join_ack_mac;
-                    carry.push(TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
-                }
-                carry.push(TcpOption::Mptcp(MptcpOption::Dss {
-                    data_ack: Some(da),
-                    mapping: None,
-                    data_fin: false,
-                }));
+                sf.carry(Some(da));
             }
         }
     }
@@ -1692,8 +1542,7 @@ impl MptcpConnection {
         let grew_rcv = self.rx.grow_to(wanted.min(self.cfg.recv_buf));
         if self.tx.grow_to(wanted.min(self.cfg.send_buf)) || grew_rcv {
             let (snd_cap, rcv_cap) = (self.tx.capacity() as u64, self.rx.capacity() as u64);
-            self.telemetry
-                .note(now.0, EventKind::M3Grow { snd_cap, rcv_cap });
+            self.note(now, EventKind::M3Grow { snd_cap, rcv_cap });
             self.trace_conn_sample(now);
             self.telemetry.gauge_set(GaugeId::SndBufCap, snd_cap);
             self.telemetry.gauge_set(GaugeId::RcvBufCap, rcv_cap);

@@ -16,6 +16,11 @@
 //! advertise, close, promote-backup). It holds no sockets and sends no
 //! packets, so every policy is unit-testable without a connection.
 //!
+//! It owns both address-id spaces: the ids of our addresses (advertised
+//! ones and the ones joins are opened from, drawn from one counter) and the
+//! peer's, one entry per advertised id. So it is what decides whether an
+//! ADD_ADDR is a repeat and whether a REMOVE_ADDR names anything.
+//!
 //! ADD_ADDR is advertised reliably: an advertisement is retransmitted on
 //! a fixed interval until *echoed* — the peer demonstrates receipt by
 //! joining toward the advertised address — or until the retry budget is
@@ -27,7 +32,9 @@ use core::fmt;
 use core::str::FromStr;
 
 use mptcp_netsim::{Duration, SimTime};
+use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::Endpoint;
+use mptcp_telemetry::{EventKind, Recorder};
 
 /// Kernel-PM-style per-endpoint flags.
 ///
@@ -273,21 +280,18 @@ pub enum PmEvent {
     /// The MPTCP handshake completed; `local`/`remote` are the primary
     /// subflow's endpoints.
     Established { local: Endpoint, remote: Endpoint },
-    /// The peer advertised `addr` (already deduplicated by the
-    /// connection; repeated identical ADD_ADDRs never reach the PM).
-    AddrAdvertised {
+    /// The peer's ADD_ADDR, as received: a repeat of what its id already
+    /// names is ignored, a new address under a known id replaces it.
+    AddrAdvertised(AdvertisedAddr),
+    /// The peer's REMOVE_ADDR of `addr_id`; `live` holds every live
+    /// subflow as (index, the id it joined under, its remote address).
+    AddrWithdrawn {
         addr_id: u8,
-        addr: u32,
-        port: Option<u16>,
+        live: Vec<(usize, u8, u32)>,
     },
-    /// The peer withdrew `addr_id`; `affected` are the live subflow
-    /// indices using that remote address.
-    AddrWithdrawn { addr_id: u8, affected: Vec<usize> },
-    /// The failure detector declared subflow `subflow` Failed; `backups`
-    /// are the live backup-priority subflow indices still standing.
-    SubflowFailed { subflow: usize, backups: Vec<usize> },
-    /// Subflow `subflow` recovered back to Active.
-    SubflowRecovered { subflow: usize },
+    /// The failure detector declared a subflow Failed; `backups` are the
+    /// live backup-priority subflow indices still standing.
+    SubflowFailed { backups: Vec<usize> },
     /// A local address went away (interface down); `affected` are the
     /// live subflow indices bound to it, `backups` the surviving
     /// backup-priority subflows.
@@ -309,9 +313,12 @@ pub enum PmAction {
         remote: Endpoint,
         backup: bool,
     },
-    /// Advertise local address `addr` via ADD_ADDR (first send or
-    /// retransmit; the connection keeps the addr_id stable per address).
-    Advertise { addr: u32, port: Option<u16> },
+    /// Send `advert`, the ADD_ADDR of a local address. Its id is the
+    /// address's for good; every send after the first is a `retransmit`.
+    Advertise {
+        advert: AdvertisedAddr,
+        retransmit: bool,
+    },
     /// Close subflow `subflow` (address withdrawn under it).
     CloseSubflow { subflow: usize },
     /// Clear subflow `subflow`'s backup priority and tell the peer via
@@ -322,19 +329,24 @@ pub enum PmAction {
 /// Reliable-advertisement state for one signal endpoint.
 #[derive(Clone, Copy, Debug)]
 struct Advert {
-    addr: u32,
-    port: Option<u16>,
+    advert: AdvertisedAddr,
+    /// The address is ours: one that went down keeps its entry, and so its
+    /// id, for when it comes back.
+    up: bool,
     echoed: bool,
-    /// Next retransmit deadline; `None` once echoed or out of budget.
+    /// Next retransmit deadline; `None` once echoed, out of budget or down.
     rtx_at: Option<SimTime>,
     rtx_count: u32,
 }
 
-/// One learned remote address.
+/// One address the peer advertised, under its id.
 #[derive(Clone, Copy, Debug)]
 struct Remote {
-    addr_id: u8,
-    ep: Endpoint,
+    advert: AdvertisedAddr,
+    /// Acted on: within `add_addr_accepted`, and not an address accepted
+    /// under another id already. The rest are only remembered, so that
+    /// their repeats stay repeats and their REMOVE_ADDR names something.
+    accepted: bool,
 }
 
 /// The per-connection path-manager state machine. See the module docs.
@@ -342,11 +354,13 @@ pub struct PathManager {
     cfg: PathManagerCfg,
     primary_local: Option<Endpoint>,
     primary_remote: Option<Endpoint>,
-    /// Learned remote addresses, in arrival order, capped by
-    /// `add_addr_accepted`.
+    /// The peer's addresses, one per id, in the order they were learned.
     remotes: Vec<Remote>,
-    /// Outstanding local advertisements.
+    /// Our advertised addresses, one per address.
     adverts: Vec<Advert>,
+    /// The next id of ours, for an advertised address or a join (0 is the
+    /// initial subflow's).
+    next_id: u8,
     /// `(local addr, remote addr)` pairs already opened (dedup).
     opened_pairs: Vec<(u32, u32)>,
     /// OpenSubflow actions emitted so far, capped by
@@ -368,6 +382,7 @@ impl PathManager {
             primary_remote: None,
             remotes: Vec::new(),
             adverts: Vec::new(),
+            next_id: 1,
             opened_pairs: Vec::new(),
             opened: 0,
             remotes_ignored: 0,
@@ -393,7 +408,7 @@ impl PathManager {
 
     /// Learned remote addresses currently accepted.
     pub fn remotes_accepted(&self) -> usize {
-        self.remotes.len()
+        self.remotes.iter().filter(|r| r.accepted).count()
     }
 
     /// Learned remote addresses dropped by the `add_addr_accepted` cap.
@@ -404,20 +419,22 @@ impl PathManager {
     /// Advertisement states as `(addr, echoed, retransmits)` for the
     /// admin plane.
     pub fn advert_states(&self) -> Vec<(u32, bool, u32)> {
-        self.adverts
-            .iter()
-            .map(|a| (a.addr, a.echoed, a.rtx_count))
-            .collect()
+        let up = self.adverts.iter().filter(|a| a.up);
+        up.map(|a| (a.advert.addr, a.echoed, a.rtx_count)).collect()
+    }
+
+    /// A fresh id for an address of ours: a join's local address, or one
+    /// we advertise.
+    pub fn mint_id(&mut self) -> u8 {
+        self.next_id += 1;
+        self.next_id - 1
     }
 
     /// The peer demonstrated receipt of our ADD_ADDR for `addr` (it
     /// joined toward that address): stop retransmitting.
     pub fn mark_echoed(&mut self, addr: u32) {
-        for a in &mut self.adverts {
-            if a.addr == addr {
-                a.echoed = true;
-                a.rtx_at = None;
-            }
+        for a in self.adverts.iter_mut().filter(|a| a.advert.addr == addr) {
+            (a.echoed, a.rtx_at) = (true, None);
         }
     }
 
@@ -442,46 +459,36 @@ impl PathManager {
             }
             a.rtx_count += 1;
             a.rtx_at = Some(now + limits.add_addr_rtx);
-            actions.push(PmAction::Advertise {
-                addr: a.addr,
-                port: a.port,
-            });
+            let (advert, retransmit) = (a.advert, true);
+            actions.push(PmAction::Advertise { advert, retransmit });
         }
         actions
     }
 
-    /// Feed one connection event; returns the decisions to execute.
-    pub fn on_event(&mut self, now: SimTime, ev: PmEvent) -> Vec<PmAction> {
+    /// Feed one connection event; returns the decisions to execute. What
+    /// the peer's address signalling meant is noted in `rec`.
+    pub fn on_event(&mut self, now: SimTime, ev: PmEvent, rec: &mut Recorder) -> Vec<PmAction> {
         match ev {
             PmEvent::Established { local, remote } => self.on_established(now, local, remote),
-            PmEvent::AddrAdvertised {
-                addr_id,
-                addr,
-                port,
-            } => self.on_addr_advertised(addr_id, addr, port),
-            PmEvent::AddrWithdrawn { addr_id, affected } => {
-                self.remotes.retain(|r| r.addr_id != addr_id);
-                affected
-                    .into_iter()
-                    .map(|subflow| PmAction::CloseSubflow { subflow })
-                    .collect()
+            PmEvent::AddrAdvertised(a) => self.on_addr_advertised(now, a, rec),
+            PmEvent::AddrWithdrawn { addr_id, live } => {
+                self.on_addr_withdrawn(now, addr_id, live, rec)
             }
-            PmEvent::SubflowFailed { backups, .. } => self.promote_first(&backups),
-            PmEvent::SubflowRecovered { .. } => Vec::new(),
+            PmEvent::SubflowFailed { backups } => promote_first(&backups).into_iter().collect(),
             PmEvent::LocalAddrDown {
                 addr,
                 affected,
                 backups,
             } => {
                 // Stop advertising an address we no longer own.
-                self.adverts.retain(|a| a.addr != addr);
+                for a in self.adverts.iter_mut().filter(|a| a.advert.addr == addr) {
+                    (a.up, a.rtx_at) = (false, None);
+                }
                 self.opened_pairs.retain(|&(l, _)| l != addr);
-                let mut actions: Vec<PmAction> = affected
+                let close = affected
                     .into_iter()
-                    .map(|subflow| PmAction::CloseSubflow { subflow })
-                    .collect();
-                actions.extend(self.promote_first(&backups));
-                actions
+                    .map(|subflow| PmAction::CloseSubflow { subflow });
+                close.chain(promote_first(&backups)).collect()
             }
             PmEvent::LocalAddrUp { addr } => {
                 // Re-advertise a returning signal endpoint; joins from it
@@ -509,15 +516,11 @@ impl PathManager {
         self.primary_remote = Some(remote);
         self.opened_pairs.push((local.addr, remote.addr));
         let mut actions = Vec::new();
-        let signals: Vec<PmEndpoint> = self
-            .cfg
-            .endpoints
-            .iter()
-            .filter(|e| e.flags.signal)
-            .copied()
-            .collect();
-        for ep in signals {
-            actions.push(self.start_advert(now, ep.addr, ep.port));
+        for i in 0..self.cfg.endpoints.len() {
+            let ep = self.cfg.endpoints[i];
+            if ep.flags.signal {
+                actions.push(self.start_advert(now, ep.addr, ep.port));
+            }
         }
         // Fullmesh starts pairing immediately: every mesh-local against
         // the primary remote. Other policies wait for learned remotes.
@@ -528,42 +531,71 @@ impl PathManager {
     }
 
     fn start_advert(&mut self, now: SimTime, addr: u32, port: Option<u16>) -> PmAction {
-        let rtx_at = Some(now + self.cfg.limits.add_addr_rtx);
-        if let Some(a) = self.adverts.iter_mut().find(|a| a.addr == addr) {
-            a.echoed = false;
-            a.rtx_at = rtx_at;
-            a.rtx_count = 0;
-        } else {
-            self.adverts.push(Advert {
-                addr,
-                port,
-                echoed: false,
-                rtx_at,
-                rtx_count: 0,
-            });
-        }
-        PmAction::Advertise { addr, port }
+        let known = self.adverts.iter().position(|a| a.advert.addr == addr);
+        // One still up keeps its place; one back up goes last, as new.
+        let i = match known {
+            Some(i) if self.adverts[i].up => i,
+            Some(i) => {
+                self.adverts[i..].rotate_left(1);
+                self.adverts.len() - 1
+            }
+            None => {
+                let addr_id = self.mint_id();
+                self.adverts.push(Advert {
+                    advert: AdvertisedAddr {
+                        addr_id,
+                        addr,
+                        port,
+                    },
+                    up: true,
+                    echoed: false,
+                    rtx_at: None,
+                    rtx_count: 0,
+                });
+                self.adverts.len() - 1
+            }
+        };
+        let a = &mut self.adverts[i];
+        (a.up, a.echoed, a.rtx_count) = (true, false, 0);
+        a.rtx_at = Some(now + self.cfg.limits.add_addr_rtx);
+        let (advert, retransmit) = (a.advert, known.is_some());
+        PmAction::Advertise { advert, retransmit }
     }
 
-    fn on_addr_advertised(&mut self, addr_id: u8, addr: u32, port: Option<u16>) -> Vec<PmAction> {
-        if self.remotes.iter().any(|r| r.ep.addr == addr) {
+    fn on_addr_advertised(
+        &mut self,
+        now: SimTime,
+        advert: AdvertisedAddr,
+        rec: &mut Recorder,
+    ) -> Vec<PmAction> {
+        let at = self
+            .remotes
+            .iter()
+            .position(|r| r.advert.addr_id == advert.addr_id);
+        if let Some(i) = at {
+            if self.remotes[i].advert == advert {
+                return Vec::new(); // a repeat
+            }
+            self.remotes.remove(i); // a new address under a known id
+        }
+        let (addr, id) = (advert.addr, u32::from(advert.addr_id));
+        rec.note(now.0, EventKind::AddAddr { addr, id, sent: 0 });
+        let known = self
+            .remotes
+            .iter()
+            .any(|r| r.accepted && r.advert.addr == addr);
+        let full = !known && self.remotes_accepted() >= self.cfg.limits.add_addr_accepted;
+        self.remotes_ignored += u64::from(full);
+        let accepted = !known && !full;
+        self.remotes.push(Remote { advert, accepted });
+        if !accepted || !self.established {
             return Vec::new();
         }
-        if self.remotes.len() >= self.cfg.limits.add_addr_accepted {
-            self.remotes_ignored += 1;
-            return Vec::new();
-        }
-        let remote_port = port
+        let remote_port = advert
+            .port
             .or(self.primary_remote.map(|r| r.port))
             .unwrap_or_default();
         let remote = Endpoint::new(addr, remote_port);
-        self.remotes.push(Remote {
-            addr_id,
-            ep: remote,
-        });
-        if !self.established {
-            return Vec::new();
-        }
         match self.cfg.policy {
             PmPolicy::SignalOnly => Vec::new(),
             PmPolicy::Fullmesh => self.mesh_against(remote),
@@ -571,15 +603,9 @@ impl PathManager {
                 // Positional pairing: the k-th learned remote joins from
                 // the k-th subflow endpoint, falling back to the primary
                 // local address when the registry runs out.
-                let k = self.remotes.len() - 1;
-                let subflow_eps: Vec<PmEndpoint> = self
-                    .cfg
-                    .endpoints
-                    .iter()
-                    .filter(|e| e.flags.subflow)
-                    .copied()
-                    .collect();
-                let (local_addr, port_hint, mut backup) = match subflow_eps.get(k) {
+                let k = self.remotes_accepted() - 1;
+                let mut subflow_eps = self.cfg.endpoints.iter().filter(|e| e.flags.subflow);
+                let (local_addr, port_hint, mut backup) = match subflow_eps.nth(k) {
                     Some(e) => (e.addr, e.port, e.flags.backup),
                     None => match self.primary_local {
                         Some(p) => (p.addr, None, false),
@@ -594,6 +620,36 @@ impl PathManager {
                     .collect()
             }
         }
+    }
+
+    fn on_addr_withdrawn(
+        &mut self,
+        now: SimTime,
+        addr_id: u8,
+        live: Vec<(usize, u8, u32)>,
+        rec: &mut Recorder,
+    ) -> Vec<PmAction> {
+        let at = self
+            .remotes
+            .iter()
+            .position(|r| r.advert.addr_id == addr_id);
+        let gone = at.map(|i| self.remotes.remove(i).advert.addr);
+        let id = u32::from(addr_id);
+        // A stray or forged REMOVE_ADDR of an id never learned must not
+        // touch subflow state.
+        if gone.is_none() && !live.iter().any(|&(_, joined, _)| joined == addr_id) {
+            rec.note(now.0, EventKind::RemoveAddrUnknown { id });
+            return Vec::new();
+        }
+        rec.note(now.0, EventKind::RemoveAddr { id, sent: 0 });
+        // Subflows the peer opened under this id, and any we opened toward
+        // the withdrawn address.
+        let affected = live.into_iter().filter_map(|(subflow, joined, remote)| {
+            (joined == addr_id || Some(remote) == gone).then_some(subflow)
+        });
+        affected
+            .map(|subflow| PmAction::CloseSubflow { subflow })
+            .collect()
     }
 
     /// Fullmesh pairing: every mesh-local (subflow endpoints plus the
@@ -641,13 +697,13 @@ impl PathManager {
             backup,
         })
     }
+}
 
-    fn promote_first(&self, backups: &[usize]) -> Vec<PmAction> {
-        match backups.first() {
-            Some(&subflow) => vec![PmAction::PromoteBackup { subflow }],
-            None => Vec::new(),
-        }
-    }
+/// Promote the first of `backups`, if there is one.
+fn promote_first(backups: &[usize]) -> Option<PmAction> {
+    backups
+        .first()
+        .map(|&subflow| PmAction::PromoteBackup { subflow })
 }
 
 #[cfg(test)]
@@ -663,25 +719,22 @@ mod tests {
         port: 80,
     };
 
+    fn on(pm: &mut PathManager, ev: PmEvent) -> Vec<PmAction> {
+        pm.on_event(SimTime::ZERO, ev, &mut Recorder::new())
+    }
+
     fn established(pm: &mut PathManager) -> Vec<PmAction> {
-        pm.on_event(
-            SimTime::ZERO,
-            PmEvent::Established {
-                local: LOCAL,
-                remote: REMOTE,
-            },
-        )
+        let (local, remote) = (LOCAL, REMOTE);
+        on(pm, PmEvent::Established { local, remote })
     }
 
     fn learned(pm: &mut PathManager, id: u8, addr: u32) -> Vec<PmAction> {
-        pm.on_event(
-            SimTime::ZERO,
-            PmEvent::AddrAdvertised {
-                addr_id: id,
-                addr,
-                port: Some(80),
-            },
-        )
+        let advert = AdvertisedAddr {
+            addr_id: id,
+            addr,
+            port: Some(80),
+        };
+        on(pm, PmEvent::AddrAdvertised(advert))
     }
 
     fn opens(actions: &[PmAction]) -> usize {
@@ -816,7 +869,13 @@ mod tests {
         let mut pm = PathManager::new(cfg);
         let a = established(&mut pm);
         assert_eq!(opens(&a), 0);
-        assert!(matches!(a[..], [PmAction::Advertise { addr: 2, .. }]));
+        assert!(matches!(
+            a[..],
+            [PmAction::Advertise {
+                advert: AdvertisedAddr { addr: 2, .. },
+                ..
+            }]
+        ));
         assert_eq!(opens(&learned(&mut pm, 1, 101)), 0);
     }
 
@@ -843,7 +902,13 @@ mod tests {
             });
         let mut pm = PathManager::new(cfg);
         let a = established(&mut pm);
-        assert!(matches!(a[..], [PmAction::Advertise { addr: 2, .. }]));
+        assert!(matches!(
+            a[..],
+            [PmAction::Advertise {
+                advert: AdvertisedAddr { addr: 2, .. },
+                ..
+            }]
+        ));
         let t1 = SimTime::ZERO + Duration::from_secs(1);
         assert_eq!(pm.poll_at(), Some(t1));
         // Before the deadline: nothing fires.
@@ -852,7 +917,13 @@ mod tests {
             .is_empty());
         // First retransmit, re-armed relative to the tick's now.
         let r1 = pm.tick(t1);
-        assert!(matches!(r1[..], [PmAction::Advertise { addr: 2, .. }]));
+        assert!(matches!(
+            r1[..],
+            [PmAction::Advertise {
+                advert: AdvertisedAddr { addr: 2, .. },
+                ..
+            }]
+        ));
         assert!(
             pm.tick(t1).is_empty(),
             "ticks are idempotent at a fixed now"
@@ -885,13 +956,9 @@ mod tests {
         let mut pm = PathManager::new(PathManagerCfg::default());
         established(&mut pm);
         learned(&mut pm, 1, 101);
-        let a = pm.on_event(
-            SimTime::ZERO,
-            PmEvent::AddrWithdrawn {
-                addr_id: 1,
-                affected: vec![1, 2],
-            },
-        );
+        // Subflow 1 joined under the id, subflow 2 toward the address.
+        let live = vec![(0, 0, REMOTE.addr), (1, 1, 7), (2, 5, 101)];
+        let a = on(&mut pm, PmEvent::AddrWithdrawn { addr_id: 1, live });
         assert_eq!(
             a,
             vec![
@@ -906,21 +973,10 @@ mod tests {
     fn subflow_failure_promotes_first_backup() {
         let mut pm = PathManager::new(PathManagerCfg::default());
         established(&mut pm);
-        let a = pm.on_event(
-            SimTime::ZERO,
-            PmEvent::SubflowFailed {
-                subflow: 0,
-                backups: vec![1, 2],
-            },
-        );
+        let backups = vec![1, 2];
+        let a = on(&mut pm, PmEvent::SubflowFailed { backups });
         assert_eq!(a, vec![PmAction::PromoteBackup { subflow: 1 }]);
-        let none = pm.on_event(
-            SimTime::ZERO,
-            PmEvent::SubflowFailed {
-                subflow: 0,
-                backups: vec![],
-            },
-        );
+        let none = on(&mut pm, PmEvent::SubflowFailed { backups: vec![] });
         assert!(none.is_empty());
     }
 
@@ -929,14 +985,12 @@ mod tests {
         let cfg = PathManagerCfg::default().endpoint(PmEndpoint::new(2, EndpointFlags::SIGNAL));
         let mut pm = PathManager::new(cfg);
         established(&mut pm);
-        let a = pm.on_event(
-            SimTime::ZERO,
-            PmEvent::LocalAddrDown {
-                addr: 2,
-                affected: vec![0],
-                backups: vec![1],
-            },
-        );
+        let down = PmEvent::LocalAddrDown {
+            addr: 2,
+            affected: vec![0],
+            backups: vec![1],
+        };
+        let a = on(&mut pm, down);
         assert_eq!(
             a,
             vec![
@@ -947,9 +1001,43 @@ mod tests {
         // The advert for the dead address is dropped...
         assert!(pm.advert_states().is_empty());
         // ...and restarts when the address returns.
-        let up = pm.on_event(SimTime::ZERO, PmEvent::LocalAddrUp { addr: 2 });
-        assert!(matches!(up[..], [PmAction::Advertise { addr: 2, .. }]));
+        let up = on(&mut pm, PmEvent::LocalAddrUp { addr: 2 });
+        assert!(matches!(
+            up[..],
+            [PmAction::Advertise {
+                advert: AdvertisedAddr { addr: 2, .. },
+                ..
+            }]
+        ));
         assert_eq!(pm.advert_states(), vec![(2, false, 0)]);
+    }
+
+    #[test]
+    fn an_advertised_address_keeps_its_id_through_down_and_up() {
+        let cfg = PathManagerCfg::default()
+            .endpoint(PmEndpoint::new(2, EndpointFlags::SIGNAL))
+            .endpoint(PmEndpoint::new(3, EndpointFlags::SIGNAL));
+        let mut pm = PathManager::new(cfg);
+        let first = established(&mut pm);
+        assert_eq!(pm.mint_id(), 3, "joins draw ids from the same counter");
+        let down = PmEvent::LocalAddrDown {
+            addr: 2,
+            affected: vec![],
+            backups: vec![],
+        };
+        on(&mut pm, down);
+        let up = on(&mut pm, PmEvent::LocalAddrUp { addr: 2 });
+        let advert = AdvertisedAddr {
+            addr_id: 1,
+            addr: 2,
+            port: None,
+        };
+        let retransmit = false;
+        assert_eq!(first[0], PmAction::Advertise { advert, retransmit });
+        let retransmit = true;
+        assert_eq!(up, vec![PmAction::Advertise { advert, retransmit }]);
+        // Back up, it goes last, as a new advertisement would.
+        assert_eq!(pm.advert_states(), vec![(3, false, 0), (2, false, 0)]);
     }
 
     #[test]

@@ -1,25 +1,29 @@
 //! One MPTCP subflow: a TCP socket plus MPTCP-specific state.
 
+use bytes::Bytes;
 use mptcp_netsim::{Duration, SimTime};
-use mptcp_packet::{MptcpOption, TcpOption};
+use mptcp_packet::{checksum, crypto, DssMapping, MptcpOption, TcpOption};
 use mptcp_tcpstack::TcpSocket;
 
 use crate::health::PathObs;
 use crate::mapping::MappingTracker;
 use crate::sched::PathSnapshot;
 
-/// MP_JOIN handshake progress for an additional subflow.
+/// MP_JOIN handshake progress for an additional subflow, holding what the
+/// step it is at needs of the two nonces (§3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinState {
     /// The connection's initial subflow (MP_CAPABLE, not MP_JOIN).
     Initial,
-    /// Client-side: SYN+MP_JOIN sent, awaiting SYN/ACK MAC.
-    ClientSyn,
-    /// Client-side: MAC verified; carrying the MP_JOIN ACK until the
-    /// server demonstrably has it.
-    ClientEstablished,
-    /// Server-side: SYN/ACK+MAC sent, awaiting the client's full HMAC.
-    ServerWait,
+    /// Client-side: SYN+MP_JOIN sent with our `nonce`, awaiting the
+    /// SYN/ACK's MAC.
+    ClientSyn { nonce: u32 },
+    /// Client-side: MAC verified; carrying the MP_JOIN ACK with our full
+    /// HMAC `mac` until the server demonstrably has it.
+    ClientEstablished { mac: [u8; 20] },
+    /// Server-side: SYN/ACK+MAC sent with nonce `ours`, in answer to the
+    /// client's `theirs`; awaiting the client's full HMAC.
+    ServerWait { ours: u32, theirs: u32 },
     /// Fully authenticated; data may flow.
     Active,
 }
@@ -34,10 +38,6 @@ pub struct Subflow {
     pub join: JoinState,
     /// Address identifier used in MP_JOIN/ADD_ADDR.
     pub addr_id: u8,
-    /// Our nonce for this subflow's MP_JOIN exchange.
-    pub nonce_local: u32,
-    /// The peer's nonce.
-    pub nonce_remote: u32,
     /// Marked when the socket errored or was reset; excluded from
     /// scheduling and demux.
     pub dead: bool,
@@ -45,9 +45,6 @@ pub struct Subflow {
     pub backup: bool,
     /// Last time mechanism 2 penalized this subflow (at most once per RTT).
     pub last_penalty: Option<SimTime>,
-    /// Client side of a join: the HMAC the third ACK carries, computed
-    /// once when the SYN/ACK verified.
-    pub(crate) join_ack_mac: [u8; 20],
 }
 
 impl Subflow {
@@ -58,12 +55,9 @@ impl Subflow {
             tracker,
             join,
             addr_id,
-            nonce_local: 0,
-            nonce_remote: 0,
             dead: false,
             backup: false,
             last_penalty: None,
-            join_ack_mac: [0; 20],
         }
     }
 
@@ -73,8 +67,89 @@ impl Subflow {
             && self.sock.is_established()
             && matches!(
                 self.join,
-                JoinState::Initial | JoinState::ClientEstablished | JoinState::Active
+                JoinState::Initial | JoinState::ClientEstablished { .. } | JoinState::Active
             )
+    }
+
+    /// Check the MAC `opt` carries against our `key` and the `peer`'s: a
+    /// client in `ClientSyn` checks the server's on the SYN/ACK, a server
+    /// in `ServerWait` the client's full HMAC on the third ACK. Verified,
+    /// the join moves on, and a client carries its own HMAC from here,
+    /// computed once. `None` when this subflow awaits no such MAC.
+    pub(crate) fn verify_join(&mut self, opt: MptcpOption, key: u64, peer: u64) -> Option<bool> {
+        let (verified, next) = match (opt, self.join) {
+            (
+                MptcpOption::MpJoinSynAck { mac, nonce, .. },
+                JoinState::ClientSyn { nonce: ours },
+            ) => {
+                let ok = mac == crypto::join_synack_mac(peer, key, ours, nonce);
+                let mac = crypto::join_ack_mac(key, peer, ours, nonce);
+                (ok, JoinState::ClientEstablished { mac })
+            }
+            (MptcpOption::MpJoinAck { mac }, JoinState::ServerWait { ours, theirs }) => {
+                let ok = mac == crypto::join_ack_mac(peer, key, theirs, ours);
+                (ok, JoinState::Active)
+            }
+            _ => return None,
+        };
+        if verified {
+            self.join = next;
+            if let JoinState::ClientEstablished { .. } = next {
+                self.carry(None);
+                self.sock.request_ack();
+            }
+        }
+        Some(verified)
+    }
+
+    /// The server sent a DSS here, which it does only once it has verified
+    /// a client's HMAC: the join needs no more proof.
+    pub(crate) fn join_confirmed(&mut self) {
+        if let JoinState::ClientEstablished { .. } = self.join {
+            self.join = JoinState::Active;
+        }
+    }
+
+    /// Rewrite what every segment carries, in the buffer the socket
+    /// already holds: the MP_JOIN ACK while a client still proves its join,
+    /// then a DATA_ACK of `data_ack` if given.
+    pub(crate) fn carry(&mut self, data_ack: Option<u64>) {
+        let carry = self.sock.carry_options_mut();
+        carry.clear();
+        if let JoinState::ClientEstablished { mac } = self.join {
+            carry.push(TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
+        }
+        if let Some(a) = data_ack {
+            let dss = MptcpOption::Dss {
+                data_ack: Some(a),
+                mapping: None,
+                data_fin: false,
+            };
+            carry.push(TcpOption::Mptcp(dss));
+        }
+    }
+
+    /// Queue the chunk of the data stream at `dsn` behind its DSS mapping
+    /// (checksummed when `with_checksum`).
+    pub(crate) fn send_mapped(&mut self, dsn: u64, data: &Bytes, with_checksum: bool) {
+        let subflow_seq = self.sock.next_tx_offset() as u32;
+        let len = data.len() as u16;
+        let checksum = with_checksum.then(|| checksum::dss_checksum(dsn, subflow_seq, len, data));
+        let mapping = Some(DssMapping {
+            dsn,
+            subflow_seq,
+            len,
+            checksum,
+        });
+        let dss = MptcpOption::Dss {
+            data_ack: None,
+            mapping,
+            data_fin: false,
+        };
+        let ok = self
+            .sock
+            .send_chunk(data.clone(), Some(TcpOption::Mptcp(dss)));
+        debug_assert!(ok, "subflow send buffer unexpectedly full");
     }
 
     /// Congestion-window headroom: bytes the scheduler may still enqueue.
@@ -162,7 +237,8 @@ mod tests {
 
     #[test]
     fn server_wait_not_usable() {
-        let mut sf = Subflow::new(sock(), MappingTracker::new(true), JoinState::ServerWait, 1);
+        let wait = JoinState::ServerWait { ours: 1, theirs: 2 };
+        let mut sf = Subflow::new(sock(), MappingTracker::new(true), wait, 1);
         sf.dead = false;
         assert!(!sf.usable());
         sf.join = JoinState::Active;
