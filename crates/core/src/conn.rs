@@ -18,8 +18,8 @@ use mptcp_tcpstack::{
     CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS,
 };
 use mptcp_telemetry::{
-    CounterId, EventKind, GaugeId, Recorder, TelemetrySnapshot, TraceRecord, TraceSnapshot,
-    DEFAULT_EVENT_CAPACITY,
+    CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
+    TraceSnapshot, DEFAULT_EVENT_CAPACITY,
 };
 
 use crate::api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
@@ -486,6 +486,12 @@ impl MptcpConnection {
                 for sf in &mut self.subflows {
                     sf.sock.set_carry_options(Vec::new());
                     sf.sock.set_window_override(None);
+                }
+                // RFC 8684 §3.7: a checksum failure on the last subflow is
+                // the peer's to hear of, or it keeps speaking MPTCP.
+                if cause == FallbackCause::ChecksumFail {
+                    let dsn = self.rx.rcv_nxt();
+                    self.subflows[idx].signal(MptcpOption::MpFail { dsn });
                 }
                 self.health.clear();
                 // Unsent data continues as plain writes on subflow 0.
@@ -1012,7 +1018,7 @@ impl MptcpConnection {
     /// and hand the mapped pieces to the receiver as one run, so a drain of
     /// N datagrams costs one reorder walk instead of N.
     fn drain_subflow_stream(&mut self, now: SimTime, idx: usize) {
-        loop {
+        'drain: loop {
             let piece = self.subflows[idx].sock.read_stream(64 * 1024);
             let Some((mut off, mut bytes)) = piece else {
                 break;
@@ -1055,6 +1061,11 @@ impl MptcpConnection {
                 // however a middlebox rewrote them.
                 if self.is_fallback() {
                     self.rx.deliver(data);
+                }
+                // Reset, the subflow's other bytes are not checked again:
+                // their chunks are re-injected on the subflows left.
+                if self.subflows[idx].dead {
+                    break 'drain;
                 }
             }
         }

@@ -8,13 +8,32 @@
 //! back inside `poll`. Plain TCP has room at once, but no segment and no
 //! timer will ever bring the host back to say so: it has to look again
 //! after the poll that changed things.
+//!
+//! The server's MP_FAIL would take the client to fallback on arrival, not
+//! inside `poll`; it rides one segment, once, so here that one is lost.
 
 use mptcp::telemetry::FallbackCause;
 use mptcp::{Mechanisms, MptcpConfig};
 use mptcp_harness::hosts::{ClientApp, ServerApp};
 use mptcp_harness::{Scenario, TransportKind};
 use mptcp_middlebox::PayloadModifier;
-use mptcp_netsim::{Duration, LinkCfg, Path};
+use mptcp_netsim::{Dir, Duration, LinkCfg, MbVerdict, Middlebox, Path, SimRng, SimTime};
+use mptcp_packet::{MptcpOption, TcpOption, TcpSegment};
+
+/// Loses every MP_FAIL option and nothing else.
+struct MpFailLost;
+
+impl Middlebox for MpFailLost {
+    fn process(&mut self, _: SimTime, _: Dir, mut seg: TcpSegment, _: &mut SimRng) -> MbVerdict {
+        seg.options
+            .retain(|o| !matches!(o, TcpOption::Mptcp(MptcpOption::MpFail { .. })));
+        MbVerdict::pass(seg)
+    }
+
+    fn name(&self) -> &'static str {
+        "mp-fail-lost"
+    }
+}
 
 #[test]
 fn bulk_larger_than_the_send_buffer_survives_fallback_inside_poll() {
@@ -28,7 +47,8 @@ fn bulk_larger_than_the_send_buffer_survives_fallback_inside_poll() {
     // The application's bytes are all 0x5a, so the box rewrites every
     // data segment from the first and each grows by two bytes.
     let path = Path::symmetric(LinkCfg::threeg())
-        .with_middlebox(Box::new(PayloadModifier::new(&[0x5a; 8], &[0x21; 10])));
+        .with_middlebox(Box::new(PayloadModifier::new(&[0x5a; 8], &[0x21; 10])))
+        .with_middlebox(Box::new(MpFailLost));
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {

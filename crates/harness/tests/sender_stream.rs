@@ -226,7 +226,7 @@ fn checksum_failure_on_a_lone_subflow_is_pinned() {
     // segment from the first; the tap sits behind it, on the receiver's
     // side. The whole stream fits the send buffer and is written (and
     // closed) up front; the slow link keeps a third of it unmapped until
-    // the client's data-level timer gives up on MPTCP.
+    // the server's MP_FAIL tells the client to give up on MPTCP.
     let path = Path::symmetric(LinkCfg::threeg())
         .with_middlebox(Box::new(PayloadModifier::new(&[0x5a; 8], &[0x21; 10])))
         .with_middlebox(Box::new(Tap(Arc::clone(&stream))));
@@ -242,11 +242,11 @@ fn checksum_failure_on_a_lone_subflow_is_pinned() {
     assert_eq!(server.fallback_causes(), [FallbackCause::ChecksumFail]);
     assert_eq!(
         sc.client().transport.telemetry().fallback_causes(),
-        [FallbackCause::DataRtoUnconfirmed]
+        [FallbackCause::MpFail]
     );
     assert!(client(&mut sc).send_closed());
     assert!(sc.server().listener.conns[0].at_eof());
     // Each rewrite grows its segment by two bytes.
-    assert_eq!(sc.server().app_bytes_received, 1_001_372);
-    assert_eq!(summary(&stream), (1376, 14844968871487259800));
+    assert_eq!(sc.server().app_bytes_received, 1_001_374);
+    assert_eq!(summary(&stream), (1378, 15286185336302862325));
 }

@@ -79,16 +79,14 @@ const FIG9_TABLE: &str = concat!(
 );
 
 const FALLBACK_TABLE: &str = concat!(
-    "  scheduler_picks     137\n",
-    "  scheduler_stalls    137\n",
-    "  data_rtos           1\n",
-    "  data_ack_stalls     1\n",
+    "  scheduler_picks     10\n",
+    "  scheduler_stalls    11\n",
     "  fallbacks           1\n",
     "  add_addrs_received  1\n",
     "  snd_buf_cap (max)   262144\n",
     "  rcv_buf_cap (max)   262144\n",
     "  subflows (max)      1\n",
-    "  fallback_causes     data_rto_unconfirmed\n",
+    "  fallback_causes     mp_fail\n",
 );
 
 const BLACKOUT_TABLE: &str = concat!(
@@ -137,12 +135,12 @@ fn fallback_trace_artifacts_are_pinned() {
         "fallback",
         &trace_rows(&art),
         &[
-            ("report.json", 941, 0x66b93f32b5fcd26c),
-            ("report_lines.json", 945, 0x37b59ffff955aef6),
-            ("trace.jsonl", 39753, 0xe4645765eb70e6fa),
-            ("trace.csv", 22370, 0xf2459d7b2ef0460c),
-            ("pcap.jsonl", 67685, 0x8c0d9b10e66635d3),
-            ("table.txt", 273, 0x8043df001256de9f),
+            ("report.json", 740, 0x721a33470b2ed11c),
+            ("report_lines.json", 744, 0xb48e8436eb20a284),
+            ("trace.jsonl", 31871, 0x0dfe612ce0acc02e),
+            ("trace.csv", 16776, 0xd1082f94ca9d57b4),
+            ("pcap.jsonl", 63217, 0xb88460b0f252bbfe),
+            ("table.txt", 210, 0x0f6f2da88d7623ae),
         ],
     );
     assert_eq!(art.run.bulk.telemetry.render_table(), FALLBACK_TABLE);
