@@ -12,7 +12,7 @@ use bytes::Bytes;
 use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{
-    crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
+    checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
 use mptcp_tcpstack::{
     CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS,
@@ -396,11 +396,6 @@ impl MptcpConnection {
         TraceSnapshot::merge(all.map(Recorder::trace_snapshot).collect())
     }
 
-    /// Record one connection-level event.
-    fn note(&mut self, now: SimTime, kind: EventKind) {
-        self.telemetry.note(now.0, kind);
-    }
-
     /// Record one connection-level sample (no-op when disabled).
     fn trace_conn_sample(&mut self, now: SimTime) {
         if !self.telemetry.tracing() {
@@ -475,12 +470,14 @@ impl MptcpConnection {
         };
         match action {
             Action::Confirm => {
-                let tuple = self.subflows[0].sock.tuple();
-                let (local, remote) = (tuple.src, tuple.dst);
+                let FourTuple {
+                    src: local,
+                    dst: remote,
+                } = self.subflows[0].sock.tuple();
                 self.pm_event(now, PmEvent::Established { local, remote });
             }
             Action::FallBack(cause) => {
-                self.note(now, EventKind::Fallback { cause });
+                self.telemetry.note(now.0, EventKind::Fallback { cause });
                 // Stop MPTCP signalling; plain TCP from here, and the
                 // failure detector stops with it.
                 for sf in &mut self.subflows {
@@ -504,7 +501,7 @@ impl MptcpConnection {
             }
             Action::Abort(reason) => {
                 let code = reason.code();
-                self.note(now, EventKind::ConnAborted { code });
+                self.telemetry.note(now.0, EventKind::ConnAborted { code });
                 for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
                     sf.sock.abort();
                 }
@@ -622,7 +619,8 @@ impl MptcpConnection {
         let (theirs, addr_id, backup, rk) = match checked {
             Ok(join) => join,
             Err((refusal, token)) => {
-                self.note(now, EventKind::JoinRejected { token });
+                self.telemetry
+                    .note(now.0, EventKind::JoinRejected { token });
                 return Err(refusal);
             }
         };
@@ -854,7 +852,8 @@ impl MptcpConnection {
                 self.tx.reinject_where(u64::MAX, |_, _| true);
             }
             Some(false) => {
-                self.note(now, EventKind::JoinRejected { token });
+                self.telemetry
+                    .note(now.0, EventKind::JoinRejected { token });
                 self.reset_subflow(now, idx);
             }
             _ => {}
@@ -865,7 +864,8 @@ impl MptcpConnection {
     fn reset_subflow(&mut self, now: SimTime, idx: usize) {
         self.bury(idx);
         let subflow = idx as u32;
-        self.note(now, EventKind::SubflowReset { subflow });
+        self.telemetry
+            .note(now.0, EventKind::SubflowReset { subflow });
     }
 
     /// The path manager's live state (admin plane, tests).
@@ -893,7 +893,7 @@ impl MptcpConnection {
                         remote: remote.addr,
                         backup: u32::from(backup),
                     };
-                    self.note(now, opening);
+                    self.telemetry.note(now.0, opening);
                     if self.open_subflow_with(local, remote, backup, now).is_ok() {
                         self.telemetry.count(CounterId::PmSubflowsOpened);
                     }
@@ -909,7 +909,8 @@ impl MptcpConnection {
                         CounterId::AddAddrsSent
                     });
                     let (addr, id) = (advert.addr, u32::from(advert.addr_id));
-                    self.note(now, EventKind::PmAdvertise { addr, id });
+                    self.telemetry
+                        .note(now.0, EventKind::PmAdvertise { addr, id });
                 }
                 PmAction::CloseSubflow { subflow } => self.close_subflow(now, subflow),
                 PmAction::PromoteBackup { subflow } => self.promote_backup(now, subflow),
@@ -920,7 +921,7 @@ impl MptcpConnection {
     /// Tear down one subflow on PM orders (address withdrawn under it),
     /// re-injecting its chunks; abort if it was the last one standing.
     fn close_subflow(&mut self, now: SimTime, idx: usize) {
-        if self.subflows.get(idx).is_none_or(|s| s.dead) {
+        if idx >= self.subflows.len() || self.subflows[idx].dead {
             return;
         }
         self.bury(idx);
@@ -933,16 +934,18 @@ impl MptcpConnection {
     /// Clear a subflow's backup priority and tell the peer via MP_PRIO —
     /// the handover moment: the pre-opened backup becomes the workhorse.
     fn promote_backup(&mut self, now: SimTime, idx: usize) {
-        let Some(sf) = self.subflows.get_mut(idx).filter(|s| !s.dead && s.backup) else {
+        if idx >= self.subflows.len() || self.subflows[idx].dead || !self.subflows[idx].backup {
             return;
-        };
+        }
+        let sf = &mut self.subflows[idx];
         sf.backup = false;
         sf.signal(MptcpOption::MpPrio {
             backup: false,
             addr_id: Some(sf.addr_id),
         });
         let subflow = idx as u32;
-        self.note(now, EventKind::PmBackupPromoted { subflow });
+        self.telemetry
+            .note(now.0, EventKind::PmBackupPromoted { subflow });
     }
 
     /// Indices of the live subflows `wanted` selects, ascending.
@@ -987,7 +990,8 @@ impl MptcpConnection {
                     addr_ids: ids.clone(),
                 });
                 for (id, sent) in ids.into_iter().map(|id| (u32::from(id), 1)) {
-                    self.note(now, EventKind::RemoveAddr { id, sent });
+                    self.telemetry
+                        .note(now.0, EventKind::RemoveAddr { id, sent });
                 }
             }
         }
@@ -1041,7 +1045,8 @@ impl MptcpConnection {
                     Consumed::ChecksumFail { dsn, data } => {
                         self.rx.flush(now, idx, &mut self.telemetry);
                         let subflow = idx as u32;
-                        self.note(now, EventKind::ChecksumFail { subflow, dsn });
+                        self.telemetry
+                            .note(now.0, EventKind::ChecksumFail { subflow, dsn });
                         let live = self.alive_subflows();
                         (Input::ChecksumFail { live }, data)
                     }
@@ -1113,11 +1118,13 @@ impl MptcpConnection {
             let verdict = self.health.observe(now, i, self.subflows[i].observe());
             let subflow = i as u32;
             match verdict.change {
-                Some(Change::Suspect { rtos }) => {
-                    self.note(now, EventKind::PathSuspect { subflow, rtos })
-                }
+                Some(Change::Suspect { rtos }) => self
+                    .telemetry
+                    .note(now.0, EventKind::PathSuspect { subflow, rtos }),
                 Some(Change::Fail) => self.on_path_failed(now, i),
-                Some(Change::Recover) => self.note(now, EventKind::PathRecovered { subflow }),
+                Some(Change::Recover) => self
+                    .telemetry
+                    .note(now.0, EventKind::PathRecovered { subflow }),
                 None => {}
             }
             if verdict.probe {
@@ -1140,7 +1147,7 @@ impl MptcpConnection {
             subflow: idx as u32,
             reinjected,
         };
-        self.note(now, failed);
+        self.telemetry.note(now.0, failed);
         let backups = self.backup_candidates(&[idx]);
         self.pm_event(now, PmEvent::SubflowFailed { backups });
     }
@@ -1272,9 +1279,10 @@ impl MptcpConnection {
     fn on_data_rto(&mut self, now: SimTime) {
         let dsn = self.tx.snd_una();
         let base = self.data_rto_base();
-        self.note(now, EventKind::DataRto { dsn });
+        self.telemetry.note(now.0, EventKind::DataRto { dsn });
         let stalled_ns = self.tx.rto_interval(base).as_nanos() as u64;
-        self.note(now, EventKind::DataAckStall { dsn, stalled_ns });
+        self.telemetry
+            .note(now.0, EventKind::DataAckStall { dsn, stalled_ns });
         self.trace_conn_sample(now);
         // Client-side fallback detection (§3.3.6), decided on the first
         // expiry: re-injecting onto the lone subflow would duplicate bytes
@@ -1402,7 +1410,7 @@ impl MptcpConnection {
                                 pending_bytes: self.tx.pending_bytes() as u64,
                                 reinject_queued: self.tx.reinject_queued() as u64,
                             };
-                            self.note(now, stall);
+                            self.telemetry.note(now.0, stall);
                         }
                     }
                     return;
@@ -1435,7 +1443,24 @@ impl MptcpConnection {
 
     /// Hand one chunk with its DSS mapping to a subflow.
     fn place_chunk(&mut self, idx: usize, dsn: u64, data: &Bytes) {
-        self.subflows[idx].send_mapped(dsn, data, self.checksum_on);
+        let sf = &mut self.subflows[idx];
+        let ssn = sf.sock.next_tx_offset() as u32;
+        let len = data.len() as u16;
+        let checksum = self
+            .checksum_on
+            .then(|| checksum::dss_checksum(dsn, ssn, len, data));
+        let dss = TcpOption::Mptcp(MptcpOption::Dss {
+            data_ack: None,
+            mapping: Some(DssMapping {
+                dsn,
+                subflow_seq: ssn,
+                len,
+                checksum,
+            }),
+            data_fin: false,
+        });
+        let ok = sf.sock.send_chunk(data.clone(), Some(dss));
+        debug_assert!(ok, "subflow send buffer unexpectedly full");
         self.stats.bytes_scheduled += data.len() as u64;
         self.telemetry.count(CounterId::SchedulerPicks);
     }
@@ -1464,7 +1489,8 @@ impl MptcpConnection {
             if let Some((dsn, data)) = self.tx.retransmit_head(now, fast, fast_srtt) {
                 self.place_chunk(fast, dsn, &data);
                 let (from, to) = (culprit as u32, fast as u32);
-                self.note(now, EventKind::M1Reinject { dsn, from, to });
+                self.telemetry
+                    .note(now.0, EventKind::M1Reinject { dsn, from, to });
             }
         }
 
@@ -1477,7 +1503,7 @@ impl MptcpConnection {
                     before,
                     after,
                 };
-                self.note(now, penalized);
+                self.telemetry.note(now.0, penalized);
                 // The penalty is exactly the cwnd discontinuity Fig. 4
                 // visualizes; pin a subflow sample at the instant.
                 self.subflows[culprit].sock.trace_sample(now);
@@ -1553,7 +1579,8 @@ impl MptcpConnection {
         let grew_rcv = self.rx.grow_to(wanted.min(self.cfg.recv_buf));
         if self.tx.grow_to(wanted.min(self.cfg.send_buf)) || grew_rcv {
             let (snd_cap, rcv_cap) = (self.tx.capacity() as u64, self.rx.capacity() as u64);
-            self.note(now, EventKind::M3Grow { snd_cap, rcv_cap });
+            self.telemetry
+                .note(now.0, EventKind::M3Grow { snd_cap, rcv_cap });
             self.trace_conn_sample(now);
             self.telemetry.gauge_set(GaugeId::SndBufCap, snd_cap);
             self.telemetry.gauge_set(GaugeId::RcvBufCap, rcv_cap);

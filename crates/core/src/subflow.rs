@@ -1,8 +1,7 @@
 //! One MPTCP subflow: a TCP socket plus MPTCP-specific state.
 
-use bytes::Bytes;
 use mptcp_netsim::{Duration, SimTime};
-use mptcp_packet::{checksum, crypto, DssMapping, MptcpOption, TcpOption};
+use mptcp_packet::{crypto, MptcpOption, TcpOption};
 use mptcp_tcpstack::TcpSocket;
 
 use crate::health::PathObs;
@@ -127,29 +126,6 @@ impl Subflow {
             };
             carry.push(TcpOption::Mptcp(dss));
         }
-    }
-
-    /// Queue the chunk of the data stream at `dsn` behind its DSS mapping
-    /// (checksummed when `with_checksum`).
-    pub(crate) fn send_mapped(&mut self, dsn: u64, data: &Bytes, with_checksum: bool) {
-        let subflow_seq = self.sock.next_tx_offset() as u32;
-        let len = data.len() as u16;
-        let checksum = with_checksum.then(|| checksum::dss_checksum(dsn, subflow_seq, len, data));
-        let mapping = Some(DssMapping {
-            dsn,
-            subflow_seq,
-            len,
-            checksum,
-        });
-        let dss = MptcpOption::Dss {
-            data_ack: None,
-            mapping,
-            data_fin: false,
-        };
-        let ok = self
-            .sock
-            .send_chunk(data.clone(), Some(TcpOption::Mptcp(dss)));
-        debug_assert!(ok, "subflow send buffer unexpectedly full");
     }
 
     /// Congestion-window headroom: bytes the scheduler may still enqueue.
