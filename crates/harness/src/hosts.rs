@@ -6,6 +6,7 @@
 //! serves every baseline — plus a [`ServerApp`].
 
 use mptcp::{MptcpConfig, MptcpConnection, MptcpListener};
+use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, Host, Outbox, SimRng, SimTime};
 use mptcp_packet::SeqNum;
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
@@ -226,6 +227,11 @@ impl ClientHost {
     /// would ever come back for.
     fn pump(&mut self, now: SimTime, out: &mut Outbox) {
         self.drive_app(now);
+        // The sampler sees what the application has just written, at every
+        // call into the host; it adds no wake-up of its own.
+        let transport = &self.transport;
+        self.mem_sampler
+            .maybe_sample(now, || transport.sender_memory() as f64);
         loop {
             while let Some(s) = self.transport.poll(now) {
                 out.send(s);
@@ -246,10 +252,6 @@ impl Host for ClientHost {
     }
 
     fn poll(&mut self, now: SimTime, out: &mut Outbox) {
-        // The sampler sees what the application has just written.
-        self.drive_app(now);
-        let mem = self.transport.sender_memory() as f64;
-        self.mem_sampler.maybe_sample(now, || mem);
         self.pump(now, out);
     }
 
@@ -353,8 +355,13 @@ impl ServerHost {
         }
     }
 
-    /// Poll the listener into `out`.
+    /// Poll the listener into `out`. Every call into the host ends here,
+    /// so this is where the memory sampler runs; it sums every connection
+    /// ever accepted, so only when a sample is due.
     fn emit(&mut self, now: SimTime, out: &mut Outbox) {
+        let listener = &self.listener;
+        self.mem_sampler
+            .maybe_sample(now, || receiver_memory(listener) as f64);
         self.listener.poll(now, &mut self.polled);
         for s in self.polled.drain(..) {
             out.send(s);
@@ -454,11 +461,6 @@ impl Host for ServerHost {
 
     fn poll(&mut self, now: SimTime, out: &mut Outbox) {
         self.drive_app(now, None);
-        // Every connection ever accepted is summed here, so only when a
-        // sample is due, not on every turn of the simulator.
-        let listener = &self.listener;
-        self.mem_sampler
-            .maybe_sample(now, || receiver_memory(listener) as f64);
         self.emit(now, out);
     }
 
@@ -477,15 +479,13 @@ impl Host for ServerHost {
     fn poll_at(&self, now: SimTime) -> Option<SimTime> {
         let base = self.listener.poll_at(now);
         // A rate-limited reader must wake itself to keep draining (and to
-        // send window updates) even when the network is quiescent.
-        let tick = match &self.app {
-            ServerApp::SlowSink { .. } => Some(now + Duration::from_millis(20)),
-            _ => None,
-        };
-        match (base, tick) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
+        // send window updates) even when the network is quiescent: 20 ms
+        // after it last read.
+        match &self.app {
+            ServerApp::SlowSink { last, .. } => {
+                min_deadline(base, Some(*last + Duration::from_millis(20)))
+            }
+            _ => base,
         }
     }
 }

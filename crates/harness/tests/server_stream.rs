@@ -169,7 +169,7 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
     let host = sim.hosts[server].as_server().unwrap();
     assert_eq!(host.app_bytes_received, 3 * TOTAL as u64);
     assert_eq!(host.listener.len(), 3);
-    assert_eq!(summary(&stream), (1497, 16337955782797814834));
+    assert_eq!(summary(&stream), (1338, 7289358393020537363));
 }
 
 #[test]

@@ -67,7 +67,7 @@ const FIG9_TABLE: &str = concat!(
     "  m1_reinjections         25\n",
     "  m2_penalizations        6\n",
     "  scheduler_picks         9060\n",
-    "  scheduler_stalls        27041\n",
+    "  scheduler_stalls        9047\n",
     "  add_addrs_received      1\n",
     "  pm_subflows_opened      1\n",
     "  tcp_fast_retransmits    12\n",
@@ -80,7 +80,7 @@ const FIG9_TABLE: &str = concat!(
 
 const FALLBACK_TABLE: &str = concat!(
     "  scheduler_picks     10\n",
-    "  scheduler_stalls    11\n",
+    "  scheduler_stalls    2\n",
     "  fallbacks           1\n",
     "  add_addrs_received  1\n",
     "  snd_buf_cap (max)   262144\n",
@@ -93,7 +93,7 @@ const BLACKOUT_TABLE: &str = concat!(
     "  m1_reinjections         181\n",
     "  m2_penalizations        4\n",
     "  scheduler_picks         6164\n",
-    "  scheduler_stalls        16680\n",
+    "  scheduler_stalls        6087\n",
     "  data_rtos               2\n",
     "  data_ack_stalls         2\n",
     "  add_addrs_received      1\n",
@@ -117,12 +117,12 @@ fn fig9_trace_artifacts_are_pinned() {
         "fig9",
         &trace_rows(&art),
         &[
-            ("report.json", 4502, 0xf8836b02a6afb8ff),
-            ("report_lines.json", 4506, 0xe7ce76b8ce48b27b),
-            ("trace.jsonl", 3851126, 0xbaed3d14e49b44bd),
-            ("trace.csv", 2197796, 0x5382c736754307b1),
+            ("report.json", 4501, 0x361f8a19423fcfa9),
+            ("report_lines.json", 4505, 0x1faad3bef90f718f),
+            ("trace.jsonl", 3800873, 0x08de340665fc861b),
+            ("trace.csv", 2172216, 0x974c44ae98ea16d5),
             ("pcap.jsonl", 5075358, 0x8d5f6043f59f1341),
-            ("table.txt", 361, 0xd829cb7e5c59de8e),
+            ("table.txt", 360, 0xaa50ea8c5389dbea),
         ],
     );
     assert_eq!(art.run.bulk.telemetry.render_table(), FIG9_TABLE);
@@ -135,12 +135,12 @@ fn fallback_trace_artifacts_are_pinned() {
         "fallback",
         &trace_rows(&art),
         &[
-            ("report.json", 740, 0x721a33470b2ed11c),
-            ("report_lines.json", 744, 0xb48e8436eb20a284),
-            ("trace.jsonl", 31871, 0x0dfe612ce0acc02e),
-            ("trace.csv", 16776, 0xd1082f94ca9d57b4),
+            ("report.json", 739, 0xfc5e10dcb2ce1958),
+            ("report_lines.json", 743, 0x39ee9443f1b09e26),
+            ("trace.jsonl", 31100, 0x72b582e1f1133f6b),
+            ("trace.csv", 16405, 0x681ef9539055609d),
             ("pcap.jsonl", 63217, 0xb88460b0f252bbfe),
-            ("table.txt", 210, 0x0f6f2da88d7623ae),
+            ("table.txt", 209, 0x04c62b6197a20cf0),
         ],
     );
     assert_eq!(art.run.bulk.telemetry.render_table(), FALLBACK_TABLE);
@@ -166,11 +166,11 @@ fn chaos_blackout_artifacts_are_pinned() {
         "chaos blackout",
         &rows,
         &[
-            ("report.json", 17601, 0x93ddfb071a008c11),
-            ("trace.jsonl", 2194196, 0xe065659877daf664),
-            ("trace.csv", 1258896, 0xb6bf7e1977b8dbc3),
+            ("report.json", 17600, 0xcfaa7d688630e014),
+            ("trace.jsonl", 2146213, 0x7cc81ca3f184d770),
+            ("trace.csv", 1234351, 0xb3701e9519bdf206),
             ("faults.json", 150, 0xd0ab9ee28e6d38ef),
-            ("table.txt", 530, 0x315e3103abc7f3ce),
+            ("table.txt", 529, 0xa0fec376c61dad42),
         ],
     );
     assert_eq!(b.telemetry.render_table(), BLACKOUT_TABLE);

@@ -9,32 +9,15 @@ use std::collections::BinaryHeap;
 use crate::time::SimTime;
 
 /// An ordered queue of `(SimTime, T)` events.
+///
+/// The heap orders small `(at, seq, slot)` keys; the events sit still in
+/// `slots`, so a heap operation moves 24 bytes however large `T` is.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Where the keys point; `None` marks a slot on the free list.
+    slots: Vec<Option<T>>,
+    free: Vec<usize>,
     seq: u64,
-}
-
-struct Entry<T> {
-    at: SimTime,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 impl<T> EventQueue<T> {
@@ -42,25 +25,39 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
 
     /// Schedule `item` at instant `at`.
     pub fn push(&mut self, at: SimTime, item: T) {
-        let seq = self.seq;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(item);
+                slot
+            }
+            None => {
+                self.slots.push(Some(item));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, item }));
     }
 
     /// Instant of the earliest event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.heap.peek().map(|Reverse((at, ..))| *at)
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.item))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        let item = self.slots[slot].take().expect("a queued key owns its slot");
+        Some((at, item))
     }
 
     /// Pop the earliest event only if it is due at or before `now`.
@@ -115,6 +112,25 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop().unwrap().1, i);
         }
+    }
+
+    #[test]
+    fn stable_for_equal_times_through_reused_slots() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.push(t, 0);
+        q.push(t, 1);
+        q.push(t, 2);
+        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(q.pop().unwrap().1, 1);
+        // These two take the freed slots, the later one the lower slot.
+        q.push(t, 3);
+        q.push(t, 4);
+        assert_eq!(q.len(), 3);
+        for i in 2..5 {
+            assert_eq!(q.pop().unwrap().1, i);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

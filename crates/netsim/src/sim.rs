@@ -6,6 +6,12 @@
 //! entries model per-packet round-robin link bonding (the Figure 11
 //! baseline). The loop alternates between letting hosts emit segments and
 //! advancing the clock to the next delivery or timer.
+//!
+//! The simulator holds each host's next deadline, asked through
+//! [`Host::poll_at`] once after every call it makes into that host, and
+//! polls a host only when that deadline is due: a host with no timer
+//! running and nothing delivered to it costs nothing. A segment's delivery
+//! is its own call; the host pumps itself inside it.
 
 use std::collections::HashMap;
 
@@ -53,9 +59,17 @@ pub trait Host {
 
     /// Emit everything the host can send right now (data, ACKs,
     /// retransmissions due to expired timers, application writes...).
+    ///
+    /// The simulator calls this only when [`Host::poll_at`] said so, and
+    /// on the first turn of every `run_*` call.
     fn poll(&mut self, now: SimTime, out: &mut Outbox);
 
-    /// The next instant this host needs to be polled (timer deadline).
+    /// The next instant this host needs a [`Host::poll`], absolute, or
+    /// `None` for no timer: `Some(now)` (or earlier) while it holds output
+    /// it has not emitted. The simulator asks once after each call into
+    /// the host and holds the answer until its next call, so the answer
+    /// must stay valid until then: a deadline that would move without a
+    /// call is a missed wake-up (debug builds panic on one).
     fn poll_at(&self, now: SimTime) -> Option<SimTime>;
 
     /// One of this host's addresses changed state (interface up/down),
@@ -97,6 +111,8 @@ pub struct Sim<H: Host> {
     pub faults: FaultSchedule,
     /// The one outbox every host call fills and `route_outbox` empties.
     outbox: Outbox,
+    /// Each host's [`Host::poll_at`], asked after the last call into it.
+    wake: Vec<Option<SimTime>>,
 }
 
 impl<H: Host> Sim<H> {
@@ -114,12 +130,14 @@ impl<H: Host> Sim<H> {
             capture: PacketCapture::new(CaptureConfig::disabled()),
             faults: FaultSchedule::default(),
             outbox: Outbox::default(),
+            wake: Vec::new(),
         }
     }
 
     /// Add a host; returns its id.
     pub fn add_host(&mut self, host: H) -> HostId {
         self.hosts.push(host);
+        self.wake.push(Some(SimTime::ZERO));
         self.hosts.len() - 1
     }
 
@@ -162,11 +180,17 @@ impl<H: Host> Sim<H> {
 
     /// Run until `keep_going` returns false (checked between events), no
     /// events remain, or `deadline`.
+    ///
+    /// The first turn polls every host: [`Sim::hosts`] is public, and what
+    /// a caller did to a host between runs is known to no held deadline.
     pub fn run_while<F: FnMut(&Sim<H>) -> bool>(&mut self, deadline: SimTime, mut keep_going: F) {
+        self.wake.fill(Some(SimTime::ZERO));
         let mut stuck_at = self.now;
         let mut stuck_iters = 0u32;
         loop {
             self.drain_hosts();
+            #[cfg(debug_assertions)]
+            self.assert_none_missed();
             if !keep_going(self) {
                 return;
             }
@@ -204,29 +228,53 @@ impl<H: Host> Sim<H> {
         }
     }
 
-    fn drain_hosts(&mut self) {
+    /// Make one call into host `id`, route what it sent, and hold its
+    /// next deadline.
+    fn call(&mut self, id: HostId, f: impl FnOnce(&mut H, SimTime, &mut Outbox)) {
         let mut out = std::mem::take(&mut self.outbox);
-        for i in 0..self.hosts.len() {
-            self.hosts[i].poll(self.now, &mut out);
-            self.route_outbox(&mut out);
-        }
+        f(&mut self.hosts[id], self.now, &mut out);
+        self.route_outbox(&mut out);
         self.outbox = out;
+        self.wake[id] = self.hosts[id].poll_at(self.now);
+    }
+
+    /// Poll the hosts whose held deadline is due, in id order.
+    fn drain_hosts(&mut self) {
+        for id in 0..self.hosts.len() {
+            if self.wake[id].is_some_and(|t| t <= self.now) {
+                self.call(id, |h, now, out| h.poll(now, out));
+            }
+        }
+    }
+
+    /// A host that wants a poll earlier than the deadline held for it was
+    /// changed without a call, or its `poll_at` moved on its own: it would
+    /// stall until an unrelated event, silently. Fail where it happened.
+    #[cfg(debug_assertions)]
+    fn assert_none_missed(&self) {
+        let due = |t: Option<SimTime>| t.map(|t| t.max(self.now));
+        for (id, host) in self.hosts.iter().enumerate() {
+            let (held, fresh) = (due(self.wake[id]), due(host.poll_at(self.now)));
+            assert!(
+                fresh.is_none_or(|f| held.is_some_and(|h| h <= f)),
+                "host {id} wants a poll at {fresh:?} but the simulator holds {held:?}: \
+                 its poll_at moved without a call into it"
+            );
+        }
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
-        let mut next = self.deliveries.peek_time();
-        for h in &self.hosts {
-            next = min_deadline(next, h.poll_at(self.now));
+        let mut next = min_deadline(self.deliveries.peek_time(), self.faults.next_at());
+        for &t in &self.wake {
+            next = min_deadline(next, t);
         }
         for p in &self.paths {
             next = min_deadline(next, p.poll_at());
         }
-        next = min_deadline(next, self.faults.next_at());
         next
     }
 
     fn fire_due(&mut self) {
-        let mut out = std::mem::take(&mut self.outbox);
         // Scheduled faults mutate paths before any traffic moves at this
         // instant, so a blackout swallows segments due "now".
         self.faults.apply_due(self.now, &mut self.paths);
@@ -237,8 +285,7 @@ impl<H: Host> Sim<H> {
             let Some(&owner) = self.addr_owner.get(&addr) else {
                 continue;
             };
-            self.hosts[owner].addr_event(self.now, addr, up, &mut out);
-            self.route_outbox(&mut out);
+            self.call(owner, |h, now, out| h.addr_event(now, addr, up, out));
         }
         // Middlebox timers (e.g. coalescers releasing held segments).
         for pid in 0..self.paths.len() {
@@ -257,10 +304,8 @@ impl<H: Host> Sim<H> {
                 self.routing_drops += 1;
                 continue;
             };
-            self.hosts[owner].handle_segment(self.now, seg, &mut out);
-            self.route_outbox(&mut out);
+            self.call(owner, |h, now, out| h.handle_segment(now, seg, out));
         }
-        self.outbox = out;
     }
 
     fn route_segment(&mut self, seg: TcpSegment) {
@@ -271,6 +316,10 @@ impl<H: Host> Sim<H> {
         };
         let (pid, dir) = entry.hops[entry.rr % entry.hops.len()];
         entry.rr = entry.rr.wrapping_add(1);
+        if self.paths[pid].chain.is_empty() {
+            self.transmit_on(pid, dir, seg, false);
+            return;
+        }
         // Keep the pre-chain segment around only when capture is on, so the
         // disabled path stays clone-free.
         let original = if self.capture.is_enabled() {
@@ -327,7 +376,8 @@ impl<H: Host> Sim<H> {
         }
     }
 
-    /// True when nothing remains scheduled (all hosts idle).
+    /// True when nothing remains scheduled (all hosts idle, as of the
+    /// simulator's last call into each).
     pub fn idle(&self) -> bool {
         self.next_wakeup().is_none()
     }
@@ -343,24 +393,29 @@ mod tests {
     const A: u32 = 0x0a000001;
     const B: u32 = 0x0a000002;
 
-    /// Ping-pong host: sends one segment at t=0, echoes whatever arrives,
-    /// up to a bounce budget.
+    /// Ping-pong host: sends one segment per poll while it has kicks,
+    /// echoes whatever arrives, up to a bounce budget. Logs every poll, and
+    /// numbers what it sends in its sequence field.
     struct Pinger {
         me: u32,
         peer: u32,
         kicks: u32,
         bounces: u32,
         received: Vec<SimTime>,
+        received_seqs: Vec<u32>,
+        polls: Vec<SimTime>,
+        sent: u32,
     }
 
     impl Pinger {
-        fn seg(&self) -> TcpSegment {
+        fn seg(&mut self) -> TcpSegment {
+            self.sent += 1;
             let mut s = TcpSegment::new(
                 FourTuple {
                     src: Endpoint::new(self.me, 1),
                     dst: Endpoint::new(self.peer, 2),
                 },
-                SeqNum(0),
+                SeqNum(self.sent),
                 SeqNum(0),
                 TcpFlags::ACK,
             );
@@ -370,21 +425,23 @@ mod tests {
     }
 
     impl Host for Pinger {
-        fn handle_segment(&mut self, now: SimTime, _seg: TcpSegment, out: &mut Outbox) {
+        fn handle_segment(&mut self, now: SimTime, seg: TcpSegment, out: &mut Outbox) {
             self.received.push(now);
+            self.received_seqs.push(seg.seq.0);
             if self.bounces > 0 {
                 self.bounces -= 1;
                 out.send(self.seg());
             }
         }
-        fn poll(&mut self, _now: SimTime, out: &mut Outbox) {
+        fn poll(&mut self, now: SimTime, out: &mut Outbox) {
+            self.polls.push(now);
             if self.kicks > 0 {
                 self.kicks -= 1;
                 out.send(self.seg());
             }
         }
-        fn poll_at(&self, _now: SimTime) -> Option<SimTime> {
-            None
+        fn poll_at(&self, now: SimTime) -> Option<SimTime> {
+            (self.kicks > 0).then_some(now)
         }
     }
 
@@ -395,7 +452,20 @@ mod tests {
             kicks,
             bounces,
             received: Vec::new(),
+            received_seqs: Vec::new(),
+            polls: Vec::new(),
+            sent: 0,
         }
+    }
+
+    fn ping_pair(a_kicks: u32, b_bounces: u32, link: LinkCfg) -> Sim<Pinger> {
+        let mut sim: Sim<Pinger> = Sim::new(7);
+        let a = sim.add_host(pinger(A, B, a_kicks, 0));
+        let b = sim.add_host(pinger(B, A, 0, b_bounces));
+        sim.bind_addr(A, a);
+        sim.bind_addr(B, b);
+        sim.connect(A, B, Path::symmetric(link));
+        sim
     }
 
     #[test]
@@ -472,5 +542,55 @@ mod tests {
         assert!(sim.now <= SimTime::from_millis(500));
         // ~100 ms per bounce pair: only a handful of receptions fit.
         assert!(sim.hosts[a].received.len() < 10);
+    }
+
+    #[test]
+    fn only_a_due_host_is_polled_after_the_first_turn() {
+        // A has three kicks (`Some(now)` until they are spent); B has no
+        // timer and only receives. The first turn polls both.
+        let mut sim = ping_pair(3, 0, LinkCfg::gigabit());
+        sim.run_until(SimTime::from_secs(1));
+        let zero = SimTime::ZERO;
+        assert_eq!(sim.hosts[0].polls, [zero; 3]);
+        assert_eq!(sim.hosts[1].polls, [zero]);
+        assert_eq!(sim.hosts[1].received_seqs, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_host_changed_between_runs_is_polled_on_the_next_first_turn() {
+        let mut sim = ping_pair(0, 0, LinkCfg::gigabit());
+        sim.run_until(SimTime::from_secs(1));
+        // Nothing the simulator holds says B has work now; the next run's
+        // first turn finds it anyway.
+        sim.hosts[1].kicks = 1;
+        let t1 = SimTime::from_secs(1);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.hosts[1].polls, [SimTime::ZERO, t1]);
+        assert_eq!(sim.hosts[0].polls, [SimTime::ZERO, t1]);
+        assert_eq!(sim.hosts[0].received_seqs, [1]);
+        assert!(sim.hosts[0].received[0] > t1);
+    }
+
+    #[test]
+    fn equal_instant_deliveries_keep_insertion_order() {
+        // Two identical bonded paths: segments 1 and 2 land at one instant,
+        // 3 and 4 at the next, and so on. B echoes each as it lands, so the
+        // echoes take heap slots the deliveries just freed, in reverse.
+        let mut sim: Sim<Pinger> = Sim::new(7);
+        let a = sim.add_host(pinger(A, B, 8, 0));
+        let b = sim.add_host(pinger(B, A, 0, 8));
+        sim.bind_addr(A, a);
+        sim.bind_addr(B, b);
+        for _ in 0..2 {
+            let p = sim.add_path(Path::symmetric(LinkCfg::gigabit()));
+            sim.add_route(A, B, p, Dir::Fwd);
+            sim.add_route(B, A, p, Dir::Rev);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        for host in &sim.hosts {
+            assert_eq!(host.received_seqs, (1..=8).collect::<Vec<_>>());
+            assert_eq!(host.received[0], host.received[1]);
+            assert_eq!(host.received[2], host.received[3]);
+        }
     }
 }
