@@ -152,11 +152,12 @@ impl Path {
     ) -> (Vec<TcpSegment>, Vec<TcpSegment>) {
         let mut inflight = vec![seg];
         let mut backwash = Vec::new();
-        let idxs: Vec<usize> = match dir {
-            Dir::Fwd => (0..self.chain.len()).collect(),
-            Dir::Rev => (0..self.chain.len()).rev().collect(),
-        };
-        for i in idxs {
+        let n = self.chain.len();
+        for k in 0..n {
+            let i = match dir {
+                Dir::Fwd => k,
+                Dir::Rev => n - 1 - k,
+            };
             let mut next = Vec::new();
             for s in inflight {
                 let v = self.chain[i].process(now, dir, s, rng);
