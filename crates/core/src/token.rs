@@ -25,12 +25,15 @@ pub struct KeySet {
 }
 
 impl KeySet {
-    /// Derive token and IDSN from a key.
+    /// Derive token and IDSN from a key, with one SHA-1. RFC 6824: the
+    /// token is the most significant 32 bits of SHA1(key), the IDSN the
+    /// least significant 64.
     pub fn from_key(key: u64) -> KeySet {
+        let d = crypto::sha1(&key.to_be_bytes());
         KeySet {
             key,
-            token: crypto::token_from_key(key),
-            idsn: crypto::idsn_from_key(key),
+            token: u32::from_be_bytes([d[0], d[1], d[2], d[3]]),
+            idsn: u64::from_be_bytes([d[12], d[13], d[14], d[15], d[16], d[17], d[18], d[19]]),
         }
     }
 }
@@ -182,9 +185,30 @@ mod tests {
 
     #[test]
     fn keyset_derivation_matches_crypto() {
-        let ks = KeySet::from_key(0xfeed);
-        assert_eq!(ks.token, crypto::token_from_key(0xfeed));
-        assert_eq!(ks.idsn, crypto::idsn_from_key(0xfeed));
+        // Known answers: SHA1 of the key's eight big-endian bytes, first
+        // four bytes and last eight.
+        for (key, token, idsn) in [
+            (0xfeed, 0x6c26_6da0, 0xd70d_5a5d_38f6_c58e),
+            (0x0102_0304_0506_0708, 0xdd57_83bc, 0x3a95_ed6e_4ebb_4ad5),
+            (0xdead_beef_cafe_babe, 0x9f48_de0e, 0xac7a_6783_e39e_d492),
+        ] {
+            let ks = KeySet::from_key(key);
+            assert_eq!((ks.key, ks.token, ks.idsn), (key, token, idsn));
+        }
+    }
+
+    #[test]
+    fn token_is_deterministic_and_spread() {
+        let t1 = KeySet::from_key(0x0102030405060708).token;
+        let t2 = KeySet::from_key(0x0102030405060709).token;
+        assert_eq!(t1, KeySet::from_key(0x0102030405060708).token);
+        assert_ne!(t1, t2);
+    }
+
+    #[test]
+    fn idsn_differs_from_token() {
+        let ks = KeySet::from_key(0xdeadbeefcafebabe);
+        assert_ne!(u64::from(ks.token), ks.idsn);
     }
 
     #[test]

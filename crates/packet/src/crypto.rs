@@ -154,22 +154,6 @@ pub fn hmac_sha1(key: &[u8], msg: &[u8]) -> [u8; SHA1_LEN] {
     outer.finalize()
 }
 
-/// Derive the 32-bit connection token from a 64-bit MPTCP key.
-///
-/// RFC 6824: the token is the most significant 32 bits of SHA1(key).
-pub fn token_from_key(key: u64) -> u32 {
-    let d = sha1(&key.to_be_bytes());
-    u32::from_be_bytes([d[0], d[1], d[2], d[3]])
-}
-
-/// Derive the 64-bit initial data sequence number from a key.
-///
-/// RFC 6824: the IDSN is the least significant 64 bits of SHA1(key).
-pub fn idsn_from_key(key: u64) -> u64 {
-    let d = sha1(&key.to_be_bytes());
-    u64::from_be_bytes([d[12], d[13], d[14], d[15], d[16], d[17], d[18], d[19]])
-}
-
 /// MP_JOIN SYN/ACK MAC: the sender (listener) proves knowledge of both keys.
 ///
 /// Truncated to the most significant 64 bits of
@@ -277,20 +261,6 @@ mod tests {
             s.update(std::slice::from_ref(b));
         }
         assert_eq!(s.finalize(), oneshot);
-    }
-
-    #[test]
-    fn token_is_deterministic_and_spread() {
-        let t1 = token_from_key(0x0102030405060708);
-        let t2 = token_from_key(0x0102030405060709);
-        assert_eq!(t1, token_from_key(0x0102030405060708));
-        assert_ne!(t1, t2);
-    }
-
-    #[test]
-    fn idsn_differs_from_token() {
-        let key = 0xdeadbeefcafebabe;
-        assert_ne!(u64::from(token_from_key(key)), idsn_from_key(key));
     }
 
     #[test]
