@@ -25,9 +25,8 @@ pub struct KeySet {
 }
 
 impl KeySet {
-    /// Derive token and IDSN from a key, with one SHA-1. RFC 6824: the
-    /// token is the most significant 32 bits of SHA1(key), the IDSN the
-    /// least significant 64.
+    /// Derive token and IDSN from one SHA1(key) (RFC 6824: the token is its
+    /// most significant 32 bits, the IDSN its least significant 64).
     pub fn from_key(key: u64) -> KeySet {
         let d = crypto::sha1(&key.to_be_bytes());
         KeySet {

@@ -33,16 +33,11 @@ impl<T> EventQueue<T> {
 
     /// Schedule `item` at instant `at`.
     pub fn push(&mut self, at: SimTime, item: T) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(item);
-                slot
-            }
-            None => {
-                self.slots.push(Some(item));
-                self.slots.len() - 1
-            }
-        };
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.slots[slot] = Some(item);
         self.heap.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
     }

@@ -7,11 +7,8 @@
 //! baseline). The loop alternates between letting hosts emit segments and
 //! advancing the clock to the next delivery or timer.
 //!
-//! The simulator holds each host's next deadline, asked through
-//! [`Host::poll_at`] once after every call it makes into that host, and
-//! polls a host only when that deadline is due: a host with no timer
-//! running and nothing delivered to it costs nothing. A segment's delivery
-//! is its own call; the host pumps itself inside it.
+//! It holds each host's [`Host::poll_at`], asked after every call into the
+//! host, and polls a host only when that is due: an idle host costs nothing.
 
 use std::collections::HashMap;
 
@@ -221,19 +218,14 @@ impl<H: Host> Sim<H> {
         }
     }
 
-    /// Route everything `out` collected; `out` keeps its allocation.
-    fn route_outbox(&mut self, out: &mut Outbox) {
-        for s in out.segs.drain(..) {
-            self.route_segment(s);
-        }
-    }
-
     /// Make one call into host `id`, route what it sent, and hold its
     /// next deadline.
     fn call(&mut self, id: HostId, f: impl FnOnce(&mut H, SimTime, &mut Outbox)) {
         let mut out = std::mem::take(&mut self.outbox);
         f(&mut self.hosts[id], self.now, &mut out);
-        self.route_outbox(&mut out);
+        for s in out.segs.drain(..) {
+            self.route_segment(s);
+        }
         self.outbox = out;
         self.wake[id] = self.hosts[id].poll_at(self.now);
     }
@@ -247,9 +239,8 @@ impl<H: Host> Sim<H> {
         }
     }
 
-    /// A host that wants a poll earlier than the deadline held for it was
-    /// changed without a call, or its `poll_at` moved on its own: it would
-    /// stall until an unrelated event, silently. Fail where it happened.
+    /// A host that wants a poll before its held deadline would stall
+    /// until an unrelated event, silently. Fail where it happened.
     #[cfg(debug_assertions)]
     fn assert_none_missed(&self) {
         let due = |t: Option<SimTime>| t.map(|t| t.max(self.now));

@@ -116,7 +116,8 @@ registry! {
         SchedulerPicks = "scheduler_picks", "segments handed to a subflow by the scheduler";
         /// (One per tick — an input batch, a timer, an application call —
         /// that had data to place and no eligible subflow with room; not
-        /// one per `poll`.)
+        /// one per `poll`. `netsim` calls a host only when something is
+        /// due for it, so no tick comes from polling an idle host.)
         SchedulerStalls = "scheduler_stalls",
             "scheduler runs that found data waiting and every subflow blocked";
         SchedulerDefers = "scheduler_defers",
