@@ -480,7 +480,7 @@ impl Host for ServerHost {
         let base = self.listener.poll_at(now);
         // A rate-limited reader must wake itself to keep draining (and to
         // send window updates) even when the network is quiescent: 20 ms
-        // after it last read.
+        // after its budget was last refilled.
         match &self.app {
             ServerApp::SlowSink { last, .. } => {
                 min_deadline(base, Some(*last + Duration::from_millis(20)))

@@ -106,7 +106,7 @@ pub struct Sim<H: Host> {
     /// Timed fault events (blackouts, loss bursts, middlebox churn)
     /// applied to paths as the clock reaches them; empty by default.
     pub faults: FaultSchedule,
-    /// The one outbox every host call fills and `route_outbox` empties.
+    /// The one outbox every host call fills and `call` empties.
     outbox: Outbox,
     /// Each host's [`Host::poll_at`], asked after the last call into it.
     wake: Vec<Option<SimTime>>,
