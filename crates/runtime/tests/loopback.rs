@@ -279,3 +279,54 @@ fn a_client_whose_subflows_all_die_aborts_instead_of_timing_out() {
         started.elapsed()
     );
 }
+
+/// Twenty 64 KiB fetches in a row against one server, both loops turned
+/// from this thread. When a client's app finishes (its body verified and
+/// the stream ended), neither end of that connection has had a data-level
+/// timeout: a DATA_FIN that fell off a full segment would be resent only
+/// by the server's data-level timer, 400 ms later.
+#[test]
+fn sequential_fetches_end_without_a_data_level_timeout() {
+    const SIZE: u64 = 64 * 1024;
+    const FETCHES: u64 = 20;
+    let mut server = ServerRuntime::bind(
+        MptcpConfig::default(),
+        SEED + 1,
+        &loopback(2),
+        Box::new(|| Box::new(FetchServer::new())),
+        LoopConfig::default(),
+    )
+    .expect("bind server paths");
+    let addrs: Vec<SocketAddr> = (0..2).map(|i| server.local_addr(i).unwrap()).collect();
+    // Finished clients stay bound: the listener still routes their
+    // four-tuples, so no later fetch may reuse one of their ports.
+    let mut finished = Vec::new();
+    for fetch in 0..FETCHES {
+        let mut client = ClientRuntime::connect(
+            MptcpConfig::default(),
+            SEED + fetch,
+            &loopback(2),
+            &addrs,
+            FetchClient::new(SIZE, fetch),
+            LoopConfig::default(),
+        )
+        .expect("bind client paths");
+        let hard = Instant::now() + Duration::from_secs(30);
+        while !client.app().finished() {
+            if !(client.step() | server.step()) {
+                thread::sleep(Duration::from_micros(100));
+            }
+            assert!(Instant::now() < hard, "fetch {fetch} stalled");
+        }
+        assert!(client.app().ok(), "fetch {fetch} did not verify");
+        assert_eq!(server.accepted() as u64, fetch + 1);
+        let served = server.listener().conns.last().expect("accepted");
+        let rtos = [client.conn(), served].map(|c| c.telemetry().counter(CounterId::DataRtos));
+        assert_eq!(
+            rtos,
+            [0, 0],
+            "fetch {fetch}: data-level RTOs (client, server)"
+        );
+        finished.push(client);
+    }
+}
