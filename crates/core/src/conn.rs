@@ -1441,7 +1441,8 @@ impl MptcpConnection {
         }
     }
 
-    /// Hand one chunk with its DSS mapping to a subflow.
+    /// Hand one chunk with its DSS mapping to a subflow. A mapping that
+    /// ends at the DATA_FIN carries it, on every copy.
     fn place_chunk(&mut self, idx: usize, dsn: u64, data: &Bytes) {
         let sf = &mut self.subflows[idx];
         let ssn = sf.sock.next_tx_offset() as u32;
@@ -1457,7 +1458,7 @@ impl MptcpConnection {
                 len,
                 checksum,
             }),
-            data_fin: false,
+            data_fin: self.tx.ends_at_fin(dsn, data.len()),
         });
         let ok = sf.sock.send_chunk(data.clone(), Some(dss));
         debug_assert!(ok, "subflow send buffer unexpectedly full");
@@ -1511,8 +1512,9 @@ impl MptcpConnection {
         }
     }
 
-    /// §3.4: the DATA_FIN goes out once everything before it is DATA_ACKed,
-    /// and the subflow FINs only after the DATA_FIN is.
+    /// §3.4: a DATA_FIN that rides no mapping goes out once everything
+    /// before it is DATA_ACKed, and the subflow FINs only after the
+    /// DATA_FIN is.
     fn maybe_send_data_fin(&mut self, now: SimTime) {
         if self.tx.assign_fin() {
             self.send_data_fin_signal();

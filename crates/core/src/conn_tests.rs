@@ -1013,6 +1013,58 @@ fn data_fin_retransmitted_if_lost() {
     assert!(s.at_eof(), "DATA_FIN must be retransmitted after loss");
 }
 
+/// The server writes and closes in one go, so its DATA_FIN rides the one
+/// chunk's mapping; that chunk goes out on the initial subflow, whose
+/// data never arrives. The copy the data-level timer reinjects onto the
+/// joined subflow carries the DATA_FIN too, and no separate DATA_FIN is
+/// sent.
+#[test]
+fn a_reinjected_last_chunk_still_carries_the_data_fin() {
+    let mut w = setup(MptcpConfig::default());
+    w.run(SimTime::from_millis(100));
+    w.client
+        .open_subflow(Endpoint::new(C2, 1001), Endpoint::new(S1, 80), w.now)
+        .expect("join");
+    w.run(w.now + Duration::from_millis(200));
+    // Every DSS mapping the server sends: (client address, len, data_fin).
+    let sent = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let log = std::rc::Rc::clone(&sent);
+    w.mangle = Some(Box::new(move |_, seg: TcpSegment| {
+        if seg.tuple.src.addr != S1 {
+            return Some(seg);
+        }
+        for m in seg.mptcp_options() {
+            if let MptcpOption::Dss {
+                mapping: Some(map),
+                data_fin,
+                ..
+            } = *m
+            {
+                log.borrow_mut()
+                    .push((seg.tuple.dst.addr, map.len, data_fin));
+            }
+        }
+        let lost = seg.tuple.dst.addr == C1 && !seg.payload.is_empty();
+        (!lost).then_some(seg)
+    }));
+    let s = server_conn(&mut w);
+    assert_eq!(s.write(&pattern(1000)).accepted(), 1000);
+    s.close();
+    w.run(w.now + Duration::from_secs(5));
+    assert_eq!(read_all(&mut w.client), pattern(1000));
+    assert!(w.client.at_eof());
+    let s = server_conn(&mut w);
+    assert!(s.send_closed(), "the DATA_FIN was acknowledged");
+    assert!(s.stats.reinjections > 0);
+    let sent = sent.borrow();
+    let on = |addr| sent.iter().filter(move |m| m.0 == addr).count();
+    assert!(on(C1) > 0, "the chunk went out on the initial subflow");
+    assert!(on(C2) > 0, "and was reinjected on the joined one");
+    for &(addr, len, data_fin) in sent.iter() {
+        assert_eq!((len, data_fin), (1000, true), "a mapping to {addr:#x}");
+    }
+}
+
 /// One patterned two-subflow transfer under an explicit policy, returning
 /// the reassembled server-side stream.
 fn policy_transfer(cc: CcAlgorithm, sched: SchedulerKind, len: usize) -> (Vec<u8>, Vec<u8>) {

@@ -205,7 +205,9 @@ impl DataSender {
     /// mapping granularity: every later copy re-uses these boundaries, so
     /// a middlebox never sees inconsistent content. A chunk inside one
     /// application write is a view of that write; only one that straddles
-    /// two is copied together.
+    /// two is copied together. The last chunk of a closed stream takes the
+    /// DATA_FIN's sequence number with it: every copy of that chunk
+    /// carries the DATA_FIN (§3.3.3).
     pub fn cut_chunk(&mut self, mss: usize, subflow: usize) -> (u64, Bytes) {
         let take = mss.min(self.window_room() as usize).min(self.pending_bytes);
         let mut data = self.pop_pending(take);
@@ -226,6 +228,9 @@ impl DataSender {
             data: data.clone(),
             subflow,
         });
+        if self.fin_queued && self.pending_bytes == 0 {
+            self.take_fin_dsn();
+        }
         (dsn, data)
     }
 
@@ -313,23 +318,35 @@ impl DataSender {
         self.fin_queued
     }
 
-    /// Give the DATA_FIN its sequence number, once the application has
-    /// closed and every byte before it is DATA_ACKed. `true` the one time
-    /// it does.
+    /// Give the DATA_FIN of a close that came after every byte was mapped
+    /// its sequence number, once every byte before it is DATA_ACKed: it
+    /// has no chunk to ride and is signalled on its own. `true` the one
+    /// time it does. (A close before the last cut is numbered by
+    /// [`cut_chunk`](Self::cut_chunk).)
     pub fn assign_fin(&mut self) -> bool {
         let due = self.fin_queued
             && self.fin_dsn.is_none()
             && self.pending.is_empty()
             && self.snd_una == self.snd_nxt;
         if due {
-            self.fin_dsn = Some(self.snd_nxt);
-            self.snd_nxt += 1;
-            // Closed: nothing is written again, and a listener keeps the
-            // connection object long after. `on_data_ack` gave back `sent`;
-            // this is the write queue's room for its fullest moment.
-            self.pending = VecDeque::new();
+            self.take_fin_dsn();
         }
         due
+    }
+
+    /// The DATA_FIN takes the next sequence number.
+    fn take_fin_dsn(&mut self) {
+        self.fin_dsn = Some(self.snd_nxt);
+        self.snd_nxt += 1;
+        // Closed: nothing is written again, and a listener keeps the
+        // connection object long after. `on_data_ack` gives back `sent`;
+        // this is the write queue's room for its fullest moment.
+        self.pending = VecDeque::new();
+    }
+
+    /// Does the mapping of `len` bytes from `dsn` end at the DATA_FIN?
+    pub fn ends_at_fin(&self, dsn: u64, len: usize) -> bool {
+        self.fin_dsn == Some(dsn + len as u64)
     }
 
     /// The DATA_FIN's sequence number, once assigned.
@@ -531,12 +548,45 @@ mod tests {
     }
 
     #[test]
-    fn data_fin_only_after_everything_is_acked() {
+    fn a_close_before_the_last_cut_numbers_the_data_fin_with_it() {
         let mut tx = sender(20_000, 1500);
         tx.close();
         assert!(tx.closing());
-        assert!(!tx.assign_fin(), "data still unmapped");
+        let first = tx.cut_chunk(MSS, 0);
+        assert_eq!(tx.fin_dsn(), None, "data still unmapped");
+        assert!(!tx.ends_at_fin(first.0, first.1.len()));
+        let (dsn, last) = tx.cut_chunk(MSS, 1);
+        assert_eq!(
+            tx.fin_dsn(),
+            Some(START + 1500),
+            "numbered with the last cut"
+        );
+        assert!(
+            tx.ends_at_fin(dsn, last.len()),
+            "every copy of it carries the FIN"
+        );
+        assert_eq!(
+            tx.outstanding(),
+            1501,
+            "the DATA_FIN takes a sequence number"
+        );
+        assert!(!tx.assign_fin(), "no second DATA_FIN after the DATA_ACK");
+        tx.on_data_ack(START + 1500);
+        assert!(!tx.assign_fin());
+        assert!(
+            !tx.fin_acked(),
+            "an ack of the data is not an ack of the FIN"
+        );
+        tx.on_data_ack(START + 1501);
+        assert!(tx.fin_acked());
+    }
+
+    #[test]
+    fn a_close_after_everything_is_mapped_waits_for_the_data_ack() {
+        let mut tx = sender(20_000, 1500);
         cut_all(&mut tx);
+        tx.close();
+        assert_eq!(tx.fin_dsn(), None, "no chunk left to ride");
         assert!(!tx.assign_fin(), "data still unacknowledged");
         tx.on_data_ack(START + 1500);
         assert!(tx.assign_fin());
@@ -544,11 +594,6 @@ mod tests {
         assert_eq!(tx.outstanding(), 1, "the DATA_FIN takes a sequence number");
         assert!(!tx.assign_fin(), "assigned once");
         assert!(!tx.fin_acked());
-        tx.on_data_ack(START + 1500);
-        assert!(
-            !tx.fin_acked(),
-            "an ack of the data is not an ack of the FIN"
-        );
         tx.on_data_ack(START + 1501);
         assert!(tx.fin_acked());
     }

@@ -19,7 +19,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 use mptcp::telemetry::{CounterId, FallbackCause};
-use mptcp::{AbortReason, FailureDetection, MptcpConfig, MptcpConnection, MptcpListener};
+use mptcp::{
+    AbortReason, FailureDetection, MptcpConfig, MptcpConnection, MptcpListener, ReadOutcome,
+};
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use mptcp_tcpstack::TcpState;
@@ -393,13 +395,41 @@ fn orphaned_fin_is_abandoned_after_two_retries() {
             "10.000 c AwaitingConfirm [Established] | s Handshake [SynReceived]",
             "15.000 c AwaitingConfirm [Established] | s Established [Established]",
             "20.000 c Established [Established] | s Established [Established]",
-            "120.000 c Established [FinWait1] | s Established [Established]",
-            "125.000 c Established [FinWait1] | s Established [LastAck]",
-            "330.000 c Established [FinWait2] | s Established [LastAck]",
-            "7125.000 c Established [FinWait2] | s Established [Closed]",
+            "110.000 c Established [FinWait1] | s Established [Established]",
+            "115.000 c Established [FinWait1] | s Established [LastAck]",
+            "320.000 c Established [FinWait2] | s Established [LastAck]",
+            "7115.000 c Established [FinWait2] | s Established [Closed]",
         ],
         (&[], &[]),
     );
+}
+
+/// The server writes a response and closes in the same call, as an HTTP
+/// server does. The DATA_FIN rides the mapping of the response's last
+/// chunk, so the client reads EOF in the turn its last byte arrives: no
+/// exchange comes between them. (While the DATA_FIN waited for the
+/// DATA_ACK of everything before it, one round trip did.)
+#[test]
+fn a_close_in_the_call_that_writes_the_data_costs_no_round_trip() {
+    let mut w = Wire::new(MptcpConfig::default());
+    w.run(ms(100), &mut idle);
+    let server = w.server().expect("accepted");
+    assert_eq!(server.write(&[9; 20_000]).accepted(), 20_000);
+    server.close();
+    let (mut last_byte, mut eof) = (None, None);
+    w.run(ms(2_000), &mut |w| loop {
+        match w.client.read(usize::MAX) {
+            ReadOutcome::Data(_) => last_byte = Some(w.now),
+            ReadOutcome::Eof => {
+                eof.get_or_insert(w.now);
+                break;
+            }
+            _ => break,
+        }
+    });
+    let (last_byte, eof) = (last_byte.expect("data"), eof.expect("EOF"));
+    let round_trips = (eof - last_byte).as_nanos() / (w.delay * 2).as_nanos();
+    assert_eq!(round_trips, 0, "last byte at {last_byte:?}, EOF at {eof:?}");
 }
 
 /// After fallback a FIN is the data-level close itself: lost the same

@@ -154,7 +154,7 @@ impl ClientHost {
         }
     }
 
-    fn drive_app(&mut self, now: SimTime) {
+    fn drive_app(&mut self, now: SimTime, out: &mut Outbox) {
         if !self.transport.is_established() {
             return;
         }
@@ -198,7 +198,13 @@ impl ClientHost {
                 }
                 if *requested && self.transport.at_eof() {
                     *completed += 1;
+                    // Send what the close owes before the transport goes:
+                    // the final DATA_ACK, without which the server keeps
+                    // the response, and the DATA_FIN.
                     self.transport.close();
+                    while let Some(s) = self.transport.poll(now) {
+                        out.send(s);
+                    }
                     // Closed loop: immediately reconnect.
                     self.transport = self.factory.make(now);
                     *requested = false;
@@ -226,7 +232,7 @@ impl ClientHost {
     /// data-level timeout, say) can unblock a write that nothing else
     /// would ever come back for.
     fn pump(&mut self, now: SimTime, out: &mut Outbox) {
-        self.drive_app(now);
+        self.drive_app(now, out);
         // The sampler sees what the application has just written, at every
         // call into the host; it adds no wake-up of its own.
         let transport = &self.transport;
@@ -237,7 +243,7 @@ impl ClientHost {
                 out.send(s);
             }
             let before = (self.app_bytes_sent, self.app_bytes_received);
-            self.drive_app(now);
+            self.drive_app(now, out);
             if (self.app_bytes_sent, self.app_bytes_received) == before {
                 break;
             }

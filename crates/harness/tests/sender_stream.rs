@@ -139,7 +139,7 @@ fn rwnd_limited_wifi_3g_is_pinned() {
     let t = sc.client().transport.telemetry();
     assert_eq!(t.counter(CounterId::M1Reinjections), 54);
     assert_eq!(t.counter(CounterId::M2Penalizations), 16);
-    assert_eq!(summary(&stream), (4306, 837055880061515837));
+    assert_eq!(summary(&stream), (4302, 8907363830962914173));
 }
 
 #[test]
@@ -167,7 +167,7 @@ fn mid_transfer_blackout_is_pinned() {
     // path; the DATA_FIN is acknowledged when it arrives.
     assert_eq!(t.counter(CounterId::DataRtos), 2);
     assert_eq!(client(&mut sc).stats.reinjections, 189);
-    assert_eq!(summary(&stream), (9734, 8123765105624700773));
+    assert_eq!(summary(&stream), (9730, 15571249275434596215));
 }
 
 #[test]
@@ -192,7 +192,7 @@ fn peer_reset_of_a_subflow_is_pinned() {
     let conn = client(&mut sc);
     assert!(conn.subflows()[1].dead);
     assert_eq!(conn.stats.reinjections, 61);
-    assert_eq!(summary(&stream), (4313, 8779623562350865502));
+    assert_eq!(summary(&stream), (4311, 5431604886813212856));
 }
 
 #[test]
@@ -215,7 +215,7 @@ fn redundant_join_mid_stream_is_pinned() {
     // chunks outstanding and is handed a copy of each.
     assert_eq!(dup, 941_600);
     assert_eq!(client(&mut sc).stats.bytes_scheduled, 1_941_600);
-    assert_eq!(summary(&stream), (2747, 3474144789937809895));
+    assert_eq!(summary(&stream), (2743, 16206625945891045815));
 }
 
 #[test]

@@ -109,9 +109,9 @@ fn http_fleet_server_stream_is_pinned() {
         .iter()
         .map(|&id| sc.sim.hosts[id].as_client().unwrap().http_completed())
         .collect();
-    assert_eq!(completed, [15, 15, 15, 15, 15, 15, 15, 15, 15, 15]);
-    assert_eq!(sc.server().listener.len(), 160);
-    assert_eq!(summary(&stream), (3670, 5475457436434170421));
+    assert_eq!(completed, [16, 16, 16, 16, 16, 16, 16, 16, 16, 16]);
+    assert_eq!(sc.server().listener.len(), 170);
+    assert_eq!(summary(&stream), (3900, 4991398618588910579));
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
     let host = sim.hosts[server].as_server().unwrap();
     assert_eq!(host.app_bytes_received, 3 * TOTAL as u64);
     assert_eq!(host.listener.len(), 3);
-    assert_eq!(summary(&stream), (1338, 7289358393020537363));
+    assert_eq!(summary(&stream), (1336, 10046251072808423125));
 }
 
 #[test]
@@ -202,5 +202,5 @@ fn mesh_2x2_server_stream_is_pinned() {
     assert_eq!(sc.server().app_bytes_received, TOTAL as u64);
     assert_eq!(sc.server().listener.len(), 1);
     assert_eq!(sc.server().listener.conns[0].subflows().len(), 4);
-    assert_eq!(summary(&stream), (852, 10890298012892546300));
+    assert_eq!(summary(&stream), (848, 7273261275631567893));
 }

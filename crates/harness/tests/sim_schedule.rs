@@ -161,11 +161,11 @@ fn http_fleet_schedule_is_pinned() {
         &sc,
         Pin {
             server_bytes: 0,
-            client_bytes: 18_929_200,
-            http_requests: 630,
-            captured: 29_150,
-            counters: (315, 0x3e6f_5f98_8bf9_cebd),
-            capture: (7_979_738, 0x6acf_3d10_f9cb_b31a),
+            client_bytes: 20_246_000,
+            http_requests: 670,
+            captured: 31_160,
+            counters: (315, 0x0579_96dd_e816_c2aa),
+            capture: (8_533_155, 0xa2be_367f_dff8_20fe),
         },
     );
 }
