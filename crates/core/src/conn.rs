@@ -1458,7 +1458,7 @@ impl MptcpConnection {
                 len,
                 checksum,
             }),
-            data_fin: self.tx.ends_at_fin(dsn, data.len()),
+            data_fin: self.tx.fin_dsn() == Some(dsn + data.len() as u64),
         });
         let ok = sf.sock.send_chunk(data.clone(), Some(dss));
         debug_assert!(ok, "subflow send buffer unexpectedly full");
@@ -1512,9 +1512,8 @@ impl MptcpConnection {
         }
     }
 
-    /// §3.4: a DATA_FIN that rides no mapping goes out once everything
-    /// before it is DATA_ACKed, and the subflow FINs only after the
-    /// DATA_FIN is.
+    /// §3.4: a DATA_FIN on no mapping goes out once everything before it
+    /// is DATA_ACKed, and the subflow FINs only after the DATA_FIN is.
     fn maybe_send_data_fin(&mut self, now: SimTime) {
         if self.tx.assign_fin() {
             self.send_data_fin_signal();

@@ -318,11 +318,9 @@ impl DataSender {
         self.fin_queued
     }
 
-    /// Give the DATA_FIN of a close that came after every byte was mapped
-    /// its sequence number, once every byte before it is DATA_ACKed: it
-    /// has no chunk to ride and is signalled on its own. `true` the one
-    /// time it does. (A close before the last cut is numbered by
-    /// [`cut_chunk`](Self::cut_chunk).)
+    /// Number the DATA_FIN of a close that came after the last cut (one
+    /// before it rides that chunk), once every byte is DATA_ACKed: it is
+    /// signalled on its own. `true` the one time it does.
     pub fn assign_fin(&mut self) -> bool {
         let due = self.fin_queued
             && self.fin_dsn.is_none()
@@ -342,11 +340,6 @@ impl DataSender {
         // connection object long after. `on_data_ack` gives back `sent`;
         // this is the write queue's room for its fullest moment.
         self.pending = VecDeque::new();
-    }
-
-    /// Does the mapping of `len` bytes from `dsn` end at the DATA_FIN?
-    pub fn ends_at_fin(&self, dsn: u64, len: usize) -> bool {
-        self.fin_dsn == Some(dsn + len as u64)
     }
 
     /// The DATA_FIN's sequence number, once assigned.
@@ -552,18 +545,13 @@ mod tests {
         let mut tx = sender(20_000, 1500);
         tx.close();
         assert!(tx.closing());
-        let first = tx.cut_chunk(MSS, 0);
+        tx.cut_chunk(MSS, 0);
         assert_eq!(tx.fin_dsn(), None, "data still unmapped");
-        assert!(!tx.ends_at_fin(first.0, first.1.len()));
         let (dsn, last) = tx.cut_chunk(MSS, 1);
         assert_eq!(
             tx.fin_dsn(),
-            Some(START + 1500),
-            "numbered with the last cut"
-        );
-        assert!(
-            tx.ends_at_fin(dsn, last.len()),
-            "every copy of it carries the FIN"
+            Some(dsn + last.len() as u64),
+            "numbered with the last cut, right after it"
         );
         assert_eq!(
             tx.outstanding(),

@@ -1,13 +1,19 @@
 //! Figure 11: apachebench-style requests/sec vs transfer size.
 //!
 //! Closed-loop clients each issue a request and read a `file_size`-byte
-//! response to EOF, then immediately reconnect — over two parallel links —
-//! comparing regular TCP (one link), TCP with per-packet round-robin
-//! bonding (both links), and MPTCP (one subflow per link).
+//! response to EOF, send what their close owes, then immediately
+//! reconnect — over two parallel links — comparing regular TCP (one
+//! link), TCP with per-packet round-robin bonding (both links), and MPTCP
+//! (one subflow per link). The server writes each response and closes in
+//! one go, so its DATA_FIN rides the response's last mapping and EOF
+//! arrives with the last byte.
 //!
 //! Expected shape: MPTCP loses below ~30 KB (second-subflow setup cost
 //! dominates), roughly doubles TCP above ~100 KB, and edges out bonding
-//! for the largest files.
+//! for the largest files. Measured here: MPTCP level with TCP at every
+//! size, because the fleet never gets its second subflow (EXPERIMENTS.md,
+//! deviation 6); `tests/fig11_shape.rs` holds it to ≥ 0.95× TCP at 4 and
+//! 30 KB.
 //!
 //! Scale note: the paper used 100 clients on 2×1 Gbps with a real Apache.
 //! The default here is a smaller fleet on 2×100 Mbps so a full sweep runs

@@ -199,8 +199,7 @@ impl ClientHost {
                 if *requested && self.transport.at_eof() {
                     *completed += 1;
                     // Send what the close owes before the transport goes:
-                    // the final DATA_ACK, without which the server keeps
-                    // the response, and the DATA_FIN.
+                    // the DATA_FIN, and the DATA_ACK that frees the response.
                     self.transport.close();
                     while let Some(s) = self.transport.poll(now) {
                         out.send(s);
