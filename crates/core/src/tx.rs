@@ -207,7 +207,7 @@ impl DataSender {
     /// application write is a view of that write; only one that straddles
     /// two is copied together. The last chunk of a closed stream takes the
     /// DATA_FIN's sequence number with it: every copy of that chunk
-    /// carries the DATA_FIN (§3.3.3).
+    /// carries the DATA_FIN (RFC 8684 §3.3.3).
     pub fn cut_chunk(&mut self, mss: usize, subflow: usize) -> (u64, Bytes) {
         let take = mss.min(self.window_room() as usize).min(self.pending_bytes);
         let mut data = self.pop_pending(take);
