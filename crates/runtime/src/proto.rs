@@ -488,6 +488,13 @@ mod tests {
             off += n;
         }
         assert_eq!(client.received(), total as u64);
+        let mut delivered = Fnv1a::new();
+        delivered.update(&body);
+        assert_eq!(
+            client.checksum(),
+            delivered.digest(),
+            "digest is of what arrived, corrupted at {corrupt}"
+        );
         assert_ne!(
             client.checksum(),
             clean.digest(),
