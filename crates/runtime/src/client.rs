@@ -15,6 +15,7 @@ use crate::stats::RuntimeStats;
 use crate::{virtual_tuple, LoopConfig, RuntimeError};
 
 /// One connection, one app, N UDP paths, driven by the shared loop core.
+/// Its waits leave the calling thread's timer slack at 1 ns (exact timers).
 pub struct ClientRuntime<A: ConnApp> {
     core: EventLoop,
     conn: MptcpConnection,

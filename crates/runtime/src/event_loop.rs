@@ -37,8 +37,9 @@ const RECV_BATCH: usize = 64;
 /// has only just halted, and what that costs depends on where the scheduler
 /// put the two threads and on the rest of the machine; held off, the wait
 /// is ended by a timer and what the peer sent meanwhile is there when the
-/// loop looks. The price is this much latency, plus the kernel's timer
-/// slack, on every round trip that finds the loop idle (DESIGN.md §10).
+/// loop looks. The price is this much latency, and no more, on every round
+/// trip that finds the loop idle: the thread that drives a loop runs with
+/// 1 ns of timer slack, not the kernel's default 50 µs (DESIGN.md §10).
 pub(crate) const WAKE_HOLD: Duration = Duration::from_micros(250);
 
 /// Clock, sockets, buffers and instrumentation of one event loop, plus the

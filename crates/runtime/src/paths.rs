@@ -14,8 +14,9 @@
 //! and transparently follows a peer whose real address changes.
 //!
 //! The set also owns the loop's one blocking call, `PathSet::wait`:
-//! `ppoll(2)`, declared here rather than taken from a crate. It is Linux's,
-//! so that is where this crate builds.
+//! `ppoll(2)`, declared here rather than taken from a crate, as is the
+//! `prctl(2)` that makes its timers exact. Both are Linux's, so that is
+//! where this crate builds.
 
 use std::collections::HashMap;
 use std::ffi::{c_int, c_long, c_ulong, c_void};
@@ -76,6 +77,8 @@ struct Timespec {
     tv_nsec: c_long,
 }
 
+const PR_SET_TIMERSLACK: c_int = 29; // prctl(2): the thread's, in ns
+
 extern "C" {
     fn ppoll(
         fds: *mut PollFd,
@@ -83,6 +86,7 @@ extern "C" {
         timeout: *const Timespec,
         sigmask: *const c_void,
     ) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
 }
 
 /// Why [`PathSet::wait`] returned.
@@ -259,7 +263,7 @@ impl PathSet {
     /// of `deadline` (time left to the protocol's next timer) and `cap` runs
     /// out; the hold is part of that time, not added to it. Level-triggered:
     /// what arrived before the call, or during the hold, ends it as soon as
-    /// the hold is over.
+    /// the hold is over. Leaves the calling thread's timer slack at 1 ns.
     pub(crate) fn wait(
         &mut self,
         extra: impl Iterator<Item = (RawFd, i16)>,
@@ -278,31 +282,35 @@ impl PathSet {
         // The hold is the same call over no descriptor at all.
         let stages = [(0, hold), (self.fds.len(), timeout - hold)];
         let mut ready = 0;
-        for (nfds, span) in stages.into_iter().skip(usize::from(hold.is_zero())) {
-            // Nanoseconds, where poll(2)'s milliseconds would spin through
-            // a sub-millisecond deadline or overshoot it.
-            let ts = Timespec {
-                tv_sec: c_long::try_from(span.as_secs()).unwrap_or(c_long::MAX),
-                tv_nsec: span.subsec_nanos() as c_long,
-            };
-            // SAFETY: pointer and length are those of `self.fds` (or a
-            // length of zero, and then no element is touched), whose
-            // elements have `struct pollfd`'s layout and which this
-            // exclusive borrow keeps alive and unaliased for the call; the
-            // kernel writes only their `revents`. `ts` is a valid
-            // `timespec`, only read; a null mask leaves signals as they
-            // are. A descriptor closed since it was listed is not an
-            // error: it reads back POLLNVAL.
-            ready = unsafe {
-                ppoll(
+        // SAFETY: `prctl` with PR_SET_TIMERSLACK takes one unsigned long
+        // and touches no memory of ours. For `ppoll`, pointer and length
+        // are those of `self.fds` (or a length of zero, and then no element
+        // is touched), whose elements have `struct pollfd`'s layout and
+        // which this exclusive borrow keeps alive and unaliased for the
+        // call; the kernel writes only their `revents`. `ts` is a valid
+        // `timespec`, only read; a null mask leaves signals as they are. A
+        // descriptor closed since it was listed is not an error: it reads
+        // back POLLNVAL.
+        unsafe {
+            // The default 50 us would stretch every hold. Slack is the
+            // thread's, so it is set here, where the loop's thread blocks.
+            prctl(PR_SET_TIMERSLACK, 1 as c_ulong);
+            for (nfds, span) in stages.into_iter().skip(usize::from(hold.is_zero())) {
+                // Nanoseconds, where poll(2)'s milliseconds would spin
+                // through a sub-millisecond deadline or overshoot it.
+                let ts = Timespec {
+                    tv_sec: c_long::try_from(span.as_secs()).unwrap_or(c_long::MAX),
+                    tv_nsec: span.subsec_nanos() as c_long,
+                };
+                ready = ppoll(
                     self.fds.as_mut_ptr(),
                     nfds as c_ulong,
                     &ts,
                     std::ptr::null(),
-                )
-            };
-            if ready < 0 {
-                break;
+                );
+                if ready < 0 {
+                    break;
+                }
             }
         }
         match ready {
@@ -392,6 +400,24 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         b.drain(0, 16, &mut stats, &mut got);
         assert!(got.is_empty(), "blocked ingress is discarded");
+    }
+
+    /// The slack is the thread's own, so it is read back on the thread
+    /// that waited. `/proc/thread-self` has no `timerslack_ns`, but the
+    /// thread's id names a directory that has one.
+    #[test]
+    fn wait_leaves_the_thread_with_exact_timers() {
+        let slack = std::thread::spawn(|| {
+            let mut set = PathSet::bind(&[any_loopback()]).unwrap();
+            let deadline = Some(Duration::from_millis(1));
+            set.wait(std::iter::empty(), Duration::ZERO, deadline, Duration::MAX);
+            let me = std::fs::read_link("/proc/thread-self").unwrap();
+            let tid = me.file_name().unwrap().to_str().unwrap().to_owned();
+            std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).unwrap()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(slack.trim(), "1");
     }
 
     #[test]

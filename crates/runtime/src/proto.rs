@@ -5,7 +5,10 @@
 //! keystream derived from `seed`, then closes. Because both sides can
 //! regenerate the stream independently, the client verifies every byte as
 //! it arrives (not just a final digest), so a corruption is pinned to an
-//! exact offset, and no multi-MiB expected-buffer is held in memory.
+//! exact offset, and no multi-MiB expected-buffer is held in memory. The
+//! client's FNV-1a digest of the body is computed when asked for, from the
+//! regenerated keystream; only bytes from the first mismatch on, the ones
+//! that differ from it, are hashed as they arrive.
 //!
 //! Applications plug into the event loop through [`ConnApp`]: the loop
 //! calls `drive` whenever the connection made progress (ingress, timer, or
@@ -128,13 +131,14 @@ enum FetchState {
 /// Client app: request `size` bytes and verify them against the keystream.
 pub struct FetchClient {
     size: u64,
+    seed: u64,
     state: FetchState,
     expect: Keystream,
     scratch: Vec<u8>,
-    checksum: Fnv1a,
     received: u64,
-    /// First offset whose byte did not match, if any.
-    mismatch_at: Option<u64>,
+    /// First offset whose byte did not match, and the digest of the body
+    /// through what has arrived since.
+    mismatch: Option<(u64, Fnv1a)>,
     eof_clean: bool,
 }
 
@@ -144,12 +148,12 @@ impl FetchClient {
         let req = format!("MPFETCH {size} {seed}\n").into_bytes();
         FetchClient {
             size,
+            seed,
             state: FetchState::Sending(req),
             expect: Keystream::new(seed),
             scratch: vec![0u8; CHUNK],
-            checksum: Fnv1a::new(),
             received: 0,
-            mismatch_at: None,
+            mismatch: None,
             eof_clean: false,
         }
     }
@@ -159,37 +163,58 @@ impl FetchClient {
         self.received
     }
 
-    /// FNV-1a digest of the received body.
+    /// FNV-1a digest of the received body: of the keystream, regenerated
+    /// here, while every byte has matched.
     pub fn checksum(&self) -> u64 {
-        self.checksum.digest()
+        match &self.mismatch {
+            Some((_, digest)) => digest.digest(),
+            None => keystream_digest(self.seed, self.received).digest(),
+        }
     }
 
     /// True when the full body arrived byte-identical and the stream ended
     /// cleanly.
     pub fn ok(&self) -> bool {
-        self.eof_clean && self.received == self.size && self.mismatch_at.is_none()
+        self.eof_clean && self.received == self.size && self.mismatch.is_none()
     }
 
     /// First mismatching offset, if verification failed.
     pub fn mismatch_at(&self) -> Option<u64> {
-        self.mismatch_at
+        self.mismatch.as_ref().map(|&(at, _)| at)
     }
 
+    /// Compare `data` with the keystream up to the first mismatch, and
+    /// hash it from there on.
     fn verify(&mut self, data: &[u8]) {
         let mut off = 0;
-        while off < data.len() {
+        while self.mismatch.is_none() && off < data.len() {
             let n = (data.len() - off).min(self.scratch.len());
             self.expect.fill(&mut self.scratch[..n]);
             let (got, want) = (&data[off..off + n], &self.scratch[..n]);
-            if self.mismatch_at.is_none() && got != want {
-                let i = got.iter().zip(want).position(|(g, w)| g != w);
-                self.mismatch_at = i.map(|i| self.received + (off + i) as u64);
+            if got == want {
+                off += n;
+                continue;
             }
-            off += n;
+            off += got.iter().zip(want).take_while(|(g, w)| g == w).count();
+            let at = self.received + off as u64;
+            self.mismatch = Some((at, keystream_digest(self.seed, at)));
         }
-        self.checksum.update(data);
+        if let Some((_, digest)) = &mut self.mismatch {
+            digest.update(&data[off..]);
+        }
         self.received += data.len() as u64;
     }
+}
+
+/// FNV-1a over the first `len` bytes of `seed`'s keystream.
+fn keystream_digest(seed: u64, len: u64) -> Fnv1a {
+    let (mut ks, mut digest, mut buf) = (Keystream::new(seed), Fnv1a::new(), [0u8; 4096]);
+    for at in (0..len).step_by(buf.len()) {
+        let n = (len - at).min(buf.len() as u64) as usize;
+        ks.fill(&mut buf[..n]);
+        digest.update(&buf[..n]);
+    }
+    digest
 }
 
 impl ConnApp for FetchClient {

@@ -38,7 +38,8 @@ pub(crate) struct Slot {
     pub(crate) created: SimTime,
 }
 
-/// Listener and connection slots over the core.
+/// Listener and connection slots over the core. Its waits, not `bind`,
+/// leave the calling thread's timer slack at 1 ns (exact timers).
 pub struct ServerRuntime {
     core: EventLoop,
     listener: MptcpListener,
