@@ -4,7 +4,7 @@ use mptcp::telemetry::{TraceConfig, TraceSnapshot};
 use mptcp::{
     CcAlgorithm, Mechanisms, MptcpConfig, PathManagerCfg, PmPolicy, ReorderAlgo, SchedulerKind,
 };
-use mptcp_netsim::{CaptureConfig, CaptureSnapshot, Duration, PacketCapture, Path, SimTime};
+use mptcp_netsim::{CaptureConfig, CaptureSnapshot, Duration, PacketCapture, Path};
 use mptcp_tcpstack::TcpConfig;
 
 use crate::hosts::{ClientApp, ServerApp};
@@ -35,12 +35,6 @@ impl Policy {
             sched,
             pm: PmPolicy::default(),
         }
-    }
-
-    /// Replace the path-manager policy (builder style).
-    pub fn with_pm(mut self, pm: PmPolicy) -> Policy {
-        self.pm = pm;
-        self
     }
 
     /// `"lia+minrtt+default"`-style label for reports and table headers.
@@ -314,6 +308,3 @@ pub fn wifi_3g_paths() -> Vec<Path> {
 pub const WARMUP: Duration = Duration::from_secs(3);
 /// Default measurement duration.
 pub const MEASURE: Duration = Duration::from_secs(20);
-
-/// Default deadline guard for runs that should quiesce on their own.
-pub const LONG: SimTime = SimTime::from_secs(120);

@@ -46,21 +46,6 @@ impl Row {
     pub fn median_us(&self) -> f64 {
         self.hist.quantile(0.5) as f64 / 1000.0
     }
-
-    /// PDF over microsecond buckets up to `max_us`.
-    pub fn pdf_us(&self, max_us: usize) -> Vec<(usize, f64)> {
-        let mut counts = vec![0u64; max_us + 1];
-        for &ns in &self.samples_ns {
-            let us = ((ns + 500) / 1000) as usize;
-            counts[us.min(max_us)] += 1;
-        }
-        let total = self.samples_ns.len().max(1) as f64;
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(us, c)| (us, 100.0 * c as f64 / total))
-            .collect()
-    }
 }
 
 fn mp_syn(rng: &mut SimRng) -> TcpSegment {

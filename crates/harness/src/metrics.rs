@@ -14,11 +14,6 @@ impl Rates {
         }
         (bytes as f64 * 8.0) / dur.as_secs_f64() / 1e6
     }
-
-    /// Bytes over a duration, in gigabits per second.
-    pub fn gbps(bytes: u64, dur: Duration) -> f64 {
-        Rates::mbps(bytes, dur) / 1e3
-    }
 }
 
 /// Samples a value at a fixed simulated-time interval (memory curves of

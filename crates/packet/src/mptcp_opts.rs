@@ -444,16 +444,6 @@ impl MptcpOption {
             _ => None,
         }
     }
-
-    /// Is this a DSS option carrying a mapping?
-    pub fn as_mapping(&self) -> Option<&DssMapping> {
-        match self {
-            MptcpOption::Dss {
-                mapping: Some(m), ..
-            } => Some(m),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -219,11 +219,6 @@ impl AdminServer {
         std::iter::once((self.listener.as_raw_fd(), POLLIN)).chain(clients)
     }
 
-    /// Connected admin clients (for tests and health output).
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     fn dispatch_buffered(c: &mut AdminClient, stats: &mut RuntimeStats, ctx: &AdminCtx<'_>) {
         if c.dead {
             return;
