@@ -1,10 +1,13 @@
 //! Internet ones-complement checksums.
 //!
-//! MPTCP reuses TCP's 16-bit ones-complement checksum for the DSS option so
-//! that the (expensive) pass over the payload is done only once: the payload
-//! sum is folded into both the TCP checksum and the DSS checksum over an
-//! MPTCP pseudo-header (§3.3.6 of the paper). This module provides the raw
-//! sum, the fold, and the DSS pseudo-header checksum.
+//! MPTCP reuses TCP's 16-bit ones-complement checksum for the DSS option
+//! (§3.3.6 of the paper), so one pass over the payload could feed both it
+//! and the TCP checksum. This stack makes four per trip, with DSS checksums
+//! on (the default): `TcpSegment::encode_into` and `MptcpConnection::
+//! place_chunk`'s [`dss_checksum`] each sum every data byte on the way out,
+//! `TcpSegment::decode_verified_view_into` and `MappingTracker::
+//! consume_next` on the way in (ROADMAP item 16). This module provides the
+//! raw sum, the fold, and the DSS pseudo-header checksum.
 
 /// Accumulate the ones-complement sum of `data` into `sum`.
 ///
