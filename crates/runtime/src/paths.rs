@@ -77,7 +77,7 @@ struct Timespec {
     tv_nsec: c_long,
 }
 
-const PR_SET_TIMERSLACK: c_int = 29; // prctl(2): the thread's, in ns
+const PR_SET_TIMERSLACK: c_int = 29; // prctl(2): the calling thread's timer slack
 
 extern "C" {
     fn ppoll(
@@ -293,7 +293,8 @@ impl PathSet {
         // back POLLNVAL.
         unsafe {
             // The default 50 us would stretch every hold. Slack is the
-            // thread's, so it is set here, where the loop's thread blocks.
+            // thread's, so it is set here, where the loop's thread blocks;
+            // were the call to fail, the default would cost only latency.
             prctl(PR_SET_TIMERSLACK, 1 as c_ulong);
             for (nfds, span) in stages.into_iter().skip(usize::from(hold.is_zero())) {
                 // Nanoseconds, where poll(2)'s milliseconds would spin
