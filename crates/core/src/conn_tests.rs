@@ -1170,3 +1170,42 @@ fn round_robin_uses_both_paths() {
         "round-robin left a path idle: {per_subflow:?}"
     );
 }
+
+/// The path manager decides that a backup is promoted; the connection
+/// picks which: the first usable backup subflow, and none when no backup
+/// is left.
+#[test]
+fn an_address_going_down_promotes_the_first_backup_left() {
+    const C3: u32 = 0x0a000003;
+    let mut w = setup(MptcpConfig::default());
+    w.run(SimTime::from_millis(100));
+    for (addr, port) in [(C2, 1001), (C3, 1002)] {
+        let local = Endpoint::new(addr, port);
+        w.client
+            .open_subflow_with(local, Endpoint::new(S1, 80), true, w.now)
+            .unwrap();
+    }
+    w.run(w.now + Duration::from_millis(200));
+    assert_eq!(w.client.subflows().iter().filter(|s| s.usable()).count(), 3);
+    let promoted = |c: &MptcpConnection| {
+        let t = c.telemetry();
+        let kinds = t.events.iter().map(|e| e.kind);
+        let subflows = kinds.filter_map(|k| match k {
+            EventKind::PmBackupPromoted { subflow } => Some(subflow),
+            _ => None,
+        });
+        subflows.collect::<Vec<_>>()
+    };
+
+    let t = w.now;
+    w.client.local_addr_down(C1, t);
+    assert_eq!(promoted(&w.client), [1]);
+    let backups: Vec<bool> = w.client.subflows().iter().map(|s| s.backup).collect();
+    assert_eq!(backups, [false, false, true]);
+    // Subflow 2's address goes: its promotion finds no backup left.
+    w.client.local_addr_down(C3, t);
+    assert_eq!(promoted(&w.client), [1]);
+    w.client.write(b"on the promoted backup");
+    w.run(w.now + Duration::from_millis(300));
+    assert_eq!(read_all(server_conn(&mut w)), b"on the promoted backup");
+}
