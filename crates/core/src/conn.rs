@@ -2,11 +2,18 @@
 //! reliability at the data level, mechanisms M1–M4, and fallback.
 //!
 //! The connection is glue — option dispatch, the scheduler call with
-//! M1/M2, congestion coupling, `poll`/`tick` — around machines that each
-//! own one argument of the paper and know nothing of sockets: `Life`
-//! (§3.1, §3.3.6 handshake, fallback and close), [`DataSender`] (§3.3),
-//! [`DataReceiver`] (§4.3), [`PathHealth`] (§3.4, §4.2) and
-//! [`PathManager`] (§3.2, §3.4, and every address id).
+//! M1/M2, `poll`/`tick` — around machines that each own one argument of
+//! the paper and know nothing of the others: `Life` (§3.1, §3.3.6
+//! handshake, fallback and close), `DataSender` (§3.3), `DataReceiver`
+//! (§4.3), `PathHealth` (§3.4, §4.2), [`PathManager`] (§3.2, §3.4, and
+//! every address id) and [`CoupledState`] (coupled congestion control,
+//! which reads and sets the subflow sockets itself).
+//!
+//! Each fact has one owner here too. The negotiated DSS checksum is
+//! `cfg.checksum`, which every subflow's mapping tracker is handed. The
+//! path manager decides *that* a backup is promoted; the subflow table
+//! says *which*. And a subflow leaves by one path, `retire`, whatever
+//! killed it.
 
 use bytes::Bytes;
 use mptcp_netsim::time::min_deadline;
@@ -14,9 +21,7 @@ use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{
     checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
-use mptcp_tcpstack::{
-    CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpSocket, TcpState, INIT_CWND_SEGS,
-};
+use mptcp_tcpstack::{CoupledState, TcpSocket, TcpState, INIT_CWND_SEGS};
 use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
     TraceSnapshot, DEFAULT_EVENT_CAPACITY,
@@ -26,7 +31,7 @@ use crate::api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, W
 use crate::config::{MptcpConfig, AUTOTUNE_START};
 use crate::health::{Change, PathHealth, PathState};
 use crate::life::{Action, Input, Life};
-use crate::mapping::{Consumed, MappingTracker};
+use crate::mapping::Consumed;
 use crate::pm::{PathManager, PmAction, PmEvent};
 use crate::reorder::OooQueue;
 use crate::rx::DataReceiver;
@@ -100,13 +105,14 @@ fn capable_key(opt: &MptcpOption) -> Option<(u64, bool)> {
 
 /// One end of a Multipath TCP connection.
 pub struct MptcpConnection {
+    /// The configuration, with `checksum` the negotiated value (§3.3.6):
+    /// either end requiring DSS checksums turns them on for both.
     cfg: MptcpConfig,
     life: Life,
     rng: SimRng,
 
     local: KeySet,
     remote: Option<KeySet>,
-    checksum_on: bool,
 
     subflows: Vec<Subflow>,
 
@@ -129,8 +135,8 @@ pub struct MptcpConnection {
     /// The configured packet scheduler (policy only; tiering, reinjection
     /// and telemetry stay here in the connection).
     sched: Scheduler,
-    /// Cross-subflow congestion-control coupling state (owned here: only
-    /// the connection sees every subflow).
+    /// Cross-subflow congestion-control coupling, handed every usable
+    /// subflow's socket on each tick (only the connection sees them all).
     coupled: CoupledState,
     /// Last scheduler decision was a stall? Gates the transition-only
     /// stall span; any non-stall decision clears it.
@@ -142,11 +148,10 @@ pub struct MptcpConnection {
     /// Scratch: subflows fed by the current `handle_segments` batch whose
     /// post-input pipeline is still owed. Empty between calls.
     touched: Vec<usize>,
-    /// Scratch, likewise: harvested options, the scheduler's eligible
-    /// paths, the flows the congestion coupling is computed over.
+    /// Scratch, likewise: harvested options and the scheduler's eligible
+    /// paths.
     rx_opts: Vec<MptcpOption>,
     paths: Vec<PathSnapshot>,
-    flows: Vec<FlowView>,
 }
 
 impl MptcpConnection {
@@ -186,7 +191,10 @@ impl MptcpConnection {
                 cfg.checksum |= peer_ck;
                 (Life::Handshake { client: false }, tokens.generate(&mut rng))
             }
-            None => (Life::Fallback(None), KeySet::from_key(rng.next_u64())),
+            None => {
+                cfg.checksum = false;
+                (Life::Fallback(None), KeySet::from_key(rng.next_u64()))
+            }
         };
         let syn_opts = peer_capable.map_or(vec![], |_| mp_capable(cfg.checksum, local.key, None));
         let isn = SeqNum(rng.next_u32());
@@ -195,9 +203,8 @@ impl MptcpConnection {
         // copy masquerade as third-ACK confirmation.
         sock.take_rx_mptcp(&mut Vec::new());
         let mut conn = MptcpConnection::common(cfg, life, local, rng);
-        match peer_capable {
-            Some((peer_key, _)) => conn.set_remote_key(peer_key),
-            None => conn.checksum_on = false,
+        if let Some((peer_key, _)) = peer_capable {
+            conn.set_remote_key(peer_key);
         }
         conn.push_subflow(sock, JoinState::Initial, 0, false);
         conn
@@ -215,7 +222,6 @@ impl MptcpConnection {
             rng,
             local,
             remote: None,
-            checksum_on: cfg.checksum,
             subflows: Vec::new(),
             pm: PathManager::new(cfg.pm.clone()),
             tx: DataSender::new(local.idsn.wrapping_add(1), cfg.send_buf.min(start)),
@@ -234,7 +240,6 @@ impl MptcpConnection {
             touched: Vec::with_capacity(4),
             rx_opts: Vec::with_capacity(4),
             paths: Vec::with_capacity(4),
-            flows: Vec::with_capacity(4),
             cfg,
         }
     }
@@ -248,18 +253,32 @@ impl MptcpConnection {
             let mss = self.cfg.tcp.mss as u32;
             *sock.cc_mut() = self.cfg.cc.build(mss, INIT_CWND_SEGS);
         }
-        let tracker = MappingTracker::new(self.checksum_on);
-        let sf = Subflow::new(sock, tracker, join, addr_id);
-        self.subflows.push(Subflow { backup, ..sf });
+        self.subflows
+            .push(Subflow::new(sock, join, addr_id, backup));
         self.health.add_path();
     }
 
     /// Subflow `idx` is dead: reset here (a no-op on a socket that has
-    /// failed already), timed out or torn down.
-    fn bury(&mut self, idx: usize) {
+    /// failed already), timed out or torn down. Its chunks go to the
+    /// subflows left — "if a subflow fails, the connection must continue
+    /// as long as another subflow has connectivity" — and if it was the
+    /// last, the connection aborts for `reason`.
+    fn retire(&mut self, now: SimTime, idx: usize, reason: AbortReason) {
         self.subflows[idx].sock.abort();
         self.subflows[idx].dead = true;
         self.health.retire(idx);
+        self.stats.reinjections += self.tx.reinject_where(u64::MAX, |_, sf| sf == idx);
+        if self.alive_subflows() == 0 {
+            self.feed(now, idx, Input::Abort(reason));
+        }
+    }
+
+    /// Reset subflow `idx` on a protocol error.
+    fn reset_subflow(&mut self, now: SimTime, idx: usize) {
+        let subflow = idx as u32;
+        self.telemetry
+            .note(now.0, EventKind::SubflowReset { subflow });
+        self.retire(now, idx, AbortReason::AllSubflowsDied);
     }
 
     fn set_remote_key(&mut self, key: u64) {
@@ -516,7 +535,6 @@ impl MptcpConnection {
                 let dsn = self.rx.rcv_nxt();
                 self.subflows[idx].signal(MptcpOption::MpFail { dsn });
                 self.reset_subflow(now, idx);
-                self.reinject_chunks_of_dead();
             }
             Action::CloseSubflows { orphan } => {
                 for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
@@ -759,10 +777,10 @@ impl MptcpConnection {
             return;
         };
         self.set_remote_key(key);
-        self.checksum_on |= ck;
+        self.cfg.checksum |= ck;
         // Third ACK (and every segment until confirmed) carries
         // MP_CAPABLE with both keys (§3.1).
-        let carry = mp_capable(self.checksum_on, self.local.key, Some(key));
+        let carry = mp_capable(self.cfg.checksum, self.local.key, Some(key));
         self.subflows[idx].sock.set_carry_options(carry);
         self.subflows[idx].sock.request_ack();
     }
@@ -860,14 +878,6 @@ impl MptcpConnection {
         }
     }
 
-    /// Reset subflow `idx`; the connection lives on without it.
-    fn reset_subflow(&mut self, now: SimTime, idx: usize) {
-        self.bury(idx);
-        let subflow = idx as u32;
-        self.telemetry
-            .note(now.0, EventKind::SubflowReset { subflow });
-    }
-
     /// The path manager's live state (admin plane, tests).
     pub fn path_manager(&self) -> &PathManager {
         &self.pm
@@ -912,32 +922,28 @@ impl MptcpConnection {
                     self.telemetry
                         .note(now.0, EventKind::PmAdvertise { addr, id });
                 }
-                PmAction::CloseSubflow { subflow } => self.close_subflow(now, subflow),
-                PmAction::PromoteBackup { subflow } => self.promote_backup(now, subflow),
+                // The address went away under it.
+                PmAction::CloseSubflow { subflow } => {
+                    if self.subflows.get(subflow).is_some_and(|s| !s.dead) {
+                        self.retire(now, subflow, AbortReason::LastSubflowRemoved);
+                    }
+                }
+                PmAction::PromoteBackup => self.promote_backup(now),
             }
         }
     }
 
-    /// Tear down one subflow on PM orders (address withdrawn under it),
-    /// re-injecting its chunks; abort if it was the last one standing.
-    fn close_subflow(&mut self, now: SimTime, idx: usize) {
-        if idx >= self.subflows.len() || self.subflows[idx].dead {
+    /// Clear the backup priority of the first usable backup subflow whose
+    /// path has not failed, and tell the peer via MP_PRIO — the handover
+    /// moment: the pre-opened backup becomes the workhorse.
+    fn promote_backup(&mut self, now: SimTime) {
+        let health = &self.health;
+        let mut subflows = self.subflows.iter_mut().enumerate();
+        let Some((idx, sf)) =
+            subflows.find(|(i, s)| s.usable() && s.backup && health.state(*i) != PathState::Failed)
+        else {
             return;
-        }
-        self.bury(idx);
-        self.reinject_chunks_of_dead();
-        if self.alive_subflows() == 0 {
-            self.feed(now, idx, Input::Abort(AbortReason::LastSubflowRemoved));
-        }
-    }
-
-    /// Clear a subflow's backup priority and tell the peer via MP_PRIO —
-    /// the handover moment: the pre-opened backup becomes the workhorse.
-    fn promote_backup(&mut self, now: SimTime, idx: usize) {
-        if idx >= self.subflows.len() || self.subflows[idx].dead || !self.subflows[idx].backup {
-            return;
-        }
-        let sf = &mut self.subflows[idx];
+        };
         sf.backup = false;
         sf.signal(MptcpOption::MpPrio {
             backup: false,
@@ -946,25 +952,6 @@ impl MptcpConnection {
         let subflow = idx as u32;
         self.telemetry
             .note(now.0, EventKind::PmBackupPromoted { subflow });
-    }
-
-    /// Indices of the live subflows `wanted` selects, ascending.
-    fn live_subflows_where(&self, wanted: impl Fn(usize, &Subflow) -> bool) -> Vec<usize> {
-        let live = self.subflows.iter().enumerate().filter(|(_, s)| !s.dead);
-        live.filter(|(i, s)| wanted(*i, s))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Usable backup-priority subflows outside `except` whose path has not
-    /// failed (the PM's promotion candidates).
-    fn backup_candidates(&self, except: &[usize]) -> Vec<usize> {
-        self.live_subflows_where(|i, s| {
-            !except.contains(&i)
-                && s.usable()
-                && s.backup
-                && self.health.state(i) != PathState::Failed
-        })
     }
 
     /// A local address went away (interface down, §3.4 mobility): tell
@@ -976,7 +963,9 @@ impl MptcpConnection {
         if matches!(self.life, Life::Closed(_)) {
             return;
         }
-        let affected = self.live_subflows_where(|_, s| s.sock.tuple().src.addr == addr);
+        let subflows = self.subflows.iter().enumerate();
+        let on_addr = subflows.filter(|(_, s)| !s.dead && s.sock.tuple().src.addr == addr);
+        let affected: Vec<usize> = on_addr.map(|(i, _)| i).collect();
         if !self.is_fallback() && !affected.is_empty() {
             let mut ids: Vec<u8> = affected.iter().map(|&i| self.subflows[i].addr_id).collect();
             ids.sort_unstable();
@@ -995,17 +984,7 @@ impl MptcpConnection {
                 }
             }
         }
-        let backups = if affected.is_empty() {
-            Vec::new()
-        } else {
-            self.backup_candidates(&affected)
-        };
-        let down = PmEvent::LocalAddrDown {
-            addr,
-            affected,
-            backups,
-        };
-        self.pm_event(now, down);
+        self.pm_event(now, PmEvent::LocalAddrDown { addr, affected });
     }
 
     /// A local address came (back) up: the path manager re-advertises it
@@ -1034,7 +1013,7 @@ impl MptcpConnection {
             }
             loop {
                 let tracker = &mut self.subflows[idx].tracker;
-                let Some(c) = tracker.consume_next(&mut off, &mut bytes) else {
+                let Some(c) = tracker.consume_next(&mut off, &mut bytes, self.cfg.checksum) else {
                     break;
                 };
                 let (input, data) = match c {
@@ -1082,33 +1061,14 @@ impl MptcpConnection {
         self.subflows.iter().filter(|s| !s.dead).count()
     }
 
+    /// Retire every subflow whose socket failed (reset by the peer, or
+    /// timed out).
     fn reap_dead(&mut self, now: SimTime) {
-        let mut any_died = false;
         for i in 0..self.subflows.len() {
             if !self.subflows[i].dead && self.subflows[i].sock.is_error() {
-                self.bury(i);
-                any_died = true;
+                self.retire(now, i, AbortReason::AllSubflowsDied);
             }
         }
-        if any_died {
-            self.reinject_chunks_of_dead();
-            if self.alive_subflows() == 0 {
-                self.feed(now, 0, Input::Abort(AbortReason::AllSubflowsDied));
-            }
-        }
-    }
-
-    /// Queue chunks that were riding dead subflows for re-injection on
-    /// live ones — the robustness goal: "if a subflow fails, the
-    /// connection must continue as long as another subflow has
-    /// connectivity".
-    fn reinject_chunks_of_dead(&mut self) {
-        if self.is_fallback() {
-            return;
-        }
-        let subflows = &self.subflows;
-        self.tx.reinject_where(u64::MAX, |_, sf| subflows[sf].dead);
-        self.stats.reinjections += self.tx.reinject_queued() as u64;
     }
 
     /// Run the failure detector over every subflow and carry out its
@@ -1148,8 +1108,7 @@ impl MptcpConnection {
             reinjected,
         };
         self.telemetry.note(now.0, failed);
-        let backups = self.backup_candidates(&[idx]);
-        self.pm_event(now, PmEvent::SubflowFailed { backups });
+        self.pm_event(now, PmEvent::SubflowFailed);
     }
 
     /// Emit at most one segment; call until `None`.
@@ -1248,7 +1207,9 @@ impl MptcpConnection {
             }
             let pm_actions = self.pm.tick(now);
             self.pm_apply(now, pm_actions);
-            self.refresh_coupling();
+            let subflows = &mut self.subflows;
+            self.coupled
+                .couple(subflows, |sf| sf.usable().then_some(&mut sf.sock));
             self.push_data(now);
             self.maybe_send_data_fin(now);
         }
@@ -1304,42 +1265,6 @@ impl MptcpConnection {
         // Retransmit a lost DATA_FIN signal.
         if self.tx.fin_dsn().is_some_and(|f| dsn >= f) {
             self.send_data_fin_signal();
-        }
-    }
-
-    /// Recompute cross-subflow coupling and push each subflow its own
-    /// [`CoupledSignal`].
-    fn refresh_coupling(&mut self) {
-        if !self.coupled.is_coupled() {
-            return;
-        }
-        // Only subflows with an RTT sample shape the computation.
-        let sampled = |sf: &Subflow| sf.usable() && sf.sock.srtt().is_some();
-        self.flows.clear();
-        for sf in self.subflows.iter().filter(|sf| sampled(sf)) {
-            self.flows.push(FlowView {
-                cwnd: sf.sock.cwnd(),
-                srtt: sf.sock.srtt().expect("filtered above"),
-            });
-        }
-        if self.flows.is_empty() {
-            return;
-        }
-        let olia = self.coupled.algo() == CcAlgorithm::Olia;
-        let signals = self.coupled.recompute(&self.flows);
-        let members = self.subflows.iter_mut().filter(|sf| sampled(sf));
-        for (sf, &sig) in members.zip(signals) {
-            sf.sock.cc_mut().set_coupled(sig);
-        }
-        // Usable subflows still waiting for a first RTT sample see the
-        // aggregate (alpha/total) view, with a neutral per-path term.
-        let shared = CoupledSignal {
-            alpha: if olia { 0.0 } else { signals[0].alpha },
-            ..signals[0]
-        };
-        let unsampled = |sf: &&mut Subflow| sf.usable() && sf.sock.srtt().is_none();
-        for sf in self.subflows.iter_mut().filter(unsampled) {
-            sf.sock.cc_mut().set_coupled(shared);
         }
     }
 
@@ -1448,7 +1373,8 @@ impl MptcpConnection {
         let ssn = sf.sock.next_tx_offset() as u32;
         let len = data.len() as u16;
         let checksum = self
-            .checksum_on
+            .cfg
+            .checksum
             .then(|| checksum::dss_checksum(dsn, ssn, len, data));
         let dss = TcpOption::Mptcp(MptcpOption::Dss {
             data_ack: None,

@@ -12,7 +12,7 @@ use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{Endpoint, FourTuple, MptcpOption, TcpOption, TcpSegment};
 
-use mptcp_telemetry::{CounterId, EventKind, TraceConfig};
+use mptcp_telemetry::{CounterId, EventKind, FallbackCause, TraceConfig};
 
 use crate::api::{AbortReason, WriteOutcome};
 use crate::config::{FailureDetection, Mechanisms, MptcpConfig};
@@ -1169,6 +1169,64 @@ fn round_robin_uses_both_paths() {
         per_subflow.iter().all(|&b| b > 20_000),
         "round-robin left a path idle: {per_subflow:?}"
     );
+}
+
+/// §3.3.6: the negotiated checksum is either end's. A client configured
+/// without checksums that meets a server requiring them verifies every
+/// mapping, so one flipped payload byte on its lone subflow is caught and
+/// the connection falls back, as it does with checksums on at both ends.
+#[test]
+fn a_client_verifies_the_checksums_a_server_requires() {
+    let cfg = |on| MptcpConfig::builder().checksum(on).build().unwrap();
+    let mut w = Wire::new(client_conn(cfg(false)), MptcpListener::new(cfg(true), 22));
+    let mut flipped = false;
+    w.mangle = Some(Box::new(move |_, mut seg: TcpSegment| {
+        if seg.tuple.dst.addr == C1 && !seg.payload.is_empty() && !flipped {
+            let mut bytes = seg.payload.to_vec();
+            bytes[0] ^= 0xff;
+            seg.payload = bytes::Bytes::from(bytes);
+            flipped = true;
+        }
+        Some(seg)
+    }));
+    w.run(SimTime::from_millis(100));
+    let data = pattern(20_000);
+    assert_eq!(server_conn(&mut w).write(&data).accepted(), data.len());
+    w.run(w.now + Duration::from_secs(5));
+    let t = w.client.telemetry();
+    assert_eq!(t.counter(CounterId::ChecksumFailures), 1);
+    assert_eq!(t.fallback_causes(), [FallbackCause::ChecksumFail]);
+    assert!(w.client.is_fallback());
+}
+
+/// A retired subflow's chunks are counted as reinjections once: the
+/// chunks still queued from an earlier death are not counted again.
+#[test]
+fn each_reinjected_chunk_is_counted_once() {
+    let mut w = setup(MptcpConfig::default());
+    w.run(SimTime::from_millis(100));
+    w.client
+        .open_subflow(Endpoint::new(C2, 1001), Endpoint::new(S1, 80), w.now)
+        .unwrap();
+    w.run(w.now + Duration::from_millis(200));
+    // Freeze the wire: what leaves now stays in flight.
+    w.mangle = Some(Box::new(|_, _| None));
+    let mss = w.client.subflows()[0].sock.mss();
+    assert_eq!(w.client.write(&pattern(20 * mss)).accepted(), 20 * mss);
+    while w.client.poll(w.now).is_some() {}
+    for sf in w.client.subflows() {
+        assert_eq!(
+            sf.sock.bytes_in_flight() as usize,
+            10 * mss,
+            "ten chunks on each"
+        );
+    }
+    for idx in [1, 0] {
+        w.client.subflows_mut()[idx].sock.abort();
+        while w.client.poll(w.now).is_some() {}
+    }
+    assert_eq!(w.client.stats.reinjections, 20);
+    assert_eq!(w.client.abort_reason(), Some(AbortReason::AllSubflowsDied));
 }
 
 /// The path manager decides that a backup is promoted; the connection

@@ -65,13 +65,12 @@ pub enum Consumed {
 }
 
 /// Per-subflow mapping state.
+#[derive(Default)]
 pub struct MappingTracker {
     /// Mappings awaiting data, sorted by stream offset. They arrive and
     /// complete in stream order but for reordering and retransmission, so
     /// a deque searched by bisection does a map's job without its nodes.
     maps: VecDeque<MapEntry>,
-    /// Verify checksums.
-    pub verify_checksums: bool,
     /// Total unmapped bytes seen (fallback heuristics).
     pub unmapped_total: u64,
     /// Checksum failures seen.
@@ -81,17 +80,6 @@ pub struct MappingTracker {
 }
 
 impl MappingTracker {
-    /// New tracker.
-    pub fn new(verify_checksums: bool) -> MappingTracker {
-        MappingTracker {
-            maps: VecDeque::new(),
-            verify_checksums,
-            unmapped_total: 0,
-            checksum_failures: 0,
-            mappings_received: 0,
-        }
-    }
-
     /// Record a mapping from a DSS option. Duplicates (TSO copies, §3.3.4)
     /// are ignored.
     pub fn add(&mut self, m: &DssMapping) {
@@ -126,12 +114,18 @@ impl MappingTracker {
     /// 0-based `offset` — into the next data-level piece, advancing both
     /// past what it took. `None` once `data` is used up; pieces of a
     /// checksummed mapping held for the verdict produce nothing until the
-    /// last one arrives.
+    /// last one arrives. `verify` is whether the connection negotiated
+    /// DSS checksums.
     ///
     /// A piece that is the whole of its mapping — the only case on a path
     /// no middlebox re-segments — is summed, verified and handed through
     /// as it is.
-    pub fn consume_next(&mut self, offset: &mut u64, data: &mut Bytes) -> Option<Consumed> {
+    pub fn consume_next(
+        &mut self,
+        offset: &mut u64,
+        data: &mut Bytes,
+        verify: bool,
+    ) -> Option<Consumed> {
         while !data.is_empty() {
             // The mapping covering `offset`: the last one starting at or
             // before it, if it reaches that far.
@@ -156,7 +150,7 @@ impl MappingTracker {
             }
             entry.consumed += piece.len() as u32;
             let complete = entry.consumed >= entry.len;
-            let verdict_due = self.verify_checksums && entry.checksum.is_some();
+            let verdict_due = verify && entry.checksum.is_some();
             if !verdict_due {
                 if complete {
                     self.maps.remove(at);
@@ -235,7 +229,7 @@ mod tests {
 
     /// Every piece `data` (subflow bytes from `offset`) translates to.
     fn consume(t: &mut MappingTracker, mut offset: u64, mut data: Bytes) -> Vec<Consumed> {
-        std::iter::from_fn(|| t.consume_next(&mut offset, &mut data)).collect()
+        std::iter::from_fn(|| t.consume_next(&mut offset, &mut data, true)).collect()
     }
 
     fn mapping(dsn: u64, ssn1: u32, payload: &[u8], with_cksum: bool) -> DssMapping {
@@ -249,7 +243,7 @@ mod tests {
 
     #[test]
     fn single_mapping_consumed_whole() {
-        let mut t = MappingTracker::new(true);
+        let mut t = MappingTracker::default();
         let payload = b"hello multipath";
         t.add(&mapping(1000, 1, payload, true));
         let out = consume(&mut t, 0, Bytes::from_static(payload));
@@ -268,7 +262,7 @@ mod tests {
     fn mapping_consumed_in_pieces_checksum_ok() {
         // TSO split the segment: bytes arrive in three odd-sized pieces,
         // the checksum must still verify.
-        let mut t = MappingTracker::new(true);
+        let mut t = MappingTracker::default();
         let payload = b"abcdefghijk"; // 11 bytes
         t.add(&mapping(500, 1, payload, true));
         // A checksummed mapping is held until complete (a modified
@@ -298,7 +292,7 @@ mod tests {
 
     #[test]
     fn checksum_failure_detected() {
-        let mut t = MappingTracker::new(true);
+        let mut t = MappingTracker::default();
         let original = b"PORT 10.0.0.1";
         let modified = b"PORT 99.9.9.9"; // same length, different bytes
         t.add(&mapping(0, 1, original, true));
@@ -310,11 +304,12 @@ mod tests {
 
     #[test]
     fn checksum_skipped_when_disabled() {
-        let mut t = MappingTracker::new(false);
+        let mut t = MappingTracker::default();
         let original = b"data";
         t.add(&mapping(0, 1, original, true));
-        let out = consume(&mut t, 0, Bytes::from_static(b"XXXX"));
-        assert!(matches!(out[0], Consumed::Mapped { .. }));
+        let (mut offset, mut data) = (0, Bytes::from_static(b"XXXX"));
+        let out = t.consume_next(&mut offset, &mut data, false);
+        assert!(matches!(out, Some(Consumed::Mapped { .. })));
         assert_eq!(t.checksum_failures, 0);
     }
 
@@ -322,7 +317,7 @@ mod tests {
     fn unmapped_bytes_surface() {
         // A coalescer dropped the second chunk's mapping: its bytes arrive
         // with no covering mapping.
-        let mut t = MappingTracker::new(false);
+        let mut t = MappingTracker::default();
         t.add(&mapping(100, 1, b"aaaa", false));
         let out = consume(&mut t, 0, Bytes::from_static(b"aaaabbbb"));
         assert_eq!(out.len(), 2);
@@ -336,7 +331,7 @@ mod tests {
 
     #[test]
     fn unmapped_gap_before_mapping() {
-        let mut t = MappingTracker::new(false);
+        let mut t = MappingTracker::default();
         // Mapping covers offsets 4..8 only (ssn1 = 5).
         t.add(&mapping(100, 5, b"bbbb", false));
         let out = consume(&mut t, 0, Bytes::from_static(b"aaaabbbb"));
@@ -347,7 +342,7 @@ mod tests {
 
     #[test]
     fn duplicate_mappings_ignored() {
-        let mut t = MappingTracker::new(false);
+        let mut t = MappingTracker::default();
         let m = mapping(1, 1, b"xyz", false);
         t.add(&m);
         t.add(&m);
@@ -358,7 +353,7 @@ mod tests {
 
     #[test]
     fn two_mappings_interleave_with_stream() {
-        let mut t = MappingTracker::new(true);
+        let mut t = MappingTracker::default();
         // Data sequence space has the two chunks swapped relative to the
         // subflow stream (batching from different connection positions).
         t.add(&mapping(2000, 1, b"late", true));
@@ -375,7 +370,7 @@ mod tests {
 
     #[test]
     fn zero_length_mapping_is_signal_only() {
-        let mut t = MappingTracker::new(true);
+        let mut t = MappingTracker::default();
         t.add(&DssMapping {
             dsn: 999,
             subflow_seq: 0,

@@ -290,17 +290,11 @@ pub enum PmEvent {
         addr_id: u8,
         live: Vec<(usize, u8, u32)>,
     },
-    /// The failure detector declared a subflow Failed; `backups` are the
-    /// live backup-priority subflow indices still standing.
-    SubflowFailed { backups: Vec<usize> },
+    /// The failure detector declared a subflow Failed.
+    SubflowFailed,
     /// A local address went away (interface down); `affected` are the
-    /// live subflow indices bound to it, `backups` the surviving
-    /// backup-priority subflows.
-    LocalAddrDown {
-        addr: u32,
-        affected: Vec<usize>,
-        backups: Vec<usize>,
-    },
+    /// live subflow indices bound to it.
+    LocalAddrDown { addr: u32, affected: Vec<usize> },
     /// A local address came (back) up.
     LocalAddrUp { addr: u32 },
 }
@@ -322,9 +316,10 @@ pub enum PmAction {
     },
     /// Close subflow `subflow` (address withdrawn under it).
     CloseSubflow { subflow: usize },
-    /// Clear subflow `subflow`'s backup priority and tell the peer via
-    /// MP_PRIO.
-    PromoteBackup { subflow: usize },
+    /// Promote a backup: the connection clears the backup priority of the
+    /// first usable backup subflow whose path has not failed, if any, and
+    /// tells the peer via MP_PRIO.
+    PromoteBackup,
 }
 
 /// Reliable-advertisement state for one signal endpoint.
@@ -478,12 +473,8 @@ impl PathManager {
             PmEvent::AddrWithdrawn { addr_id, live } => {
                 self.on_addr_withdrawn(now, addr_id, live, rec)
             }
-            PmEvent::SubflowFailed { backups } => self.promote_first(&backups),
-            PmEvent::LocalAddrDown {
-                addr,
-                affected,
-                backups,
-            } => {
+            PmEvent::SubflowFailed => vec![PmAction::PromoteBackup],
+            PmEvent::LocalAddrDown { addr, affected } => {
                 // Stop advertising an address we no longer own.
                 for a in self.adverts.iter_mut().filter(|a| a.advert.addr == addr) {
                     (a.up, a.rtx_at) = (false, None);
@@ -493,7 +484,10 @@ impl PathManager {
                     .into_iter()
                     .map(|subflow| PmAction::CloseSubflow { subflow })
                     .collect();
-                actions.extend(self.promote_first(&backups));
+                // Migrate: what ran on the address moves to a backup.
+                if !actions.is_empty() {
+                    actions.push(PmAction::PromoteBackup);
+                }
                 actions
             }
             PmEvent::LocalAddrUp { addr } => {
@@ -698,13 +692,6 @@ impl PathManager {
             remote,
             backup,
         })
-    }
-
-    fn promote_first(&self, backups: &[usize]) -> Vec<PmAction> {
-        match backups.first() {
-            Some(&subflow) => vec![PmAction::PromoteBackup { subflow }],
-            None => Vec::new(),
-        }
     }
 }
 
@@ -975,11 +962,9 @@ mod tests {
     fn subflow_failure_promotes_first_backup() {
         let mut pm = PathManager::new(PathManagerCfg::default());
         established(&mut pm);
-        let backups = vec![1, 2];
-        let a = on(&mut pm, PmEvent::SubflowFailed { backups });
-        assert_eq!(a, vec![PmAction::PromoteBackup { subflow: 1 }]);
-        let none = on(&mut pm, PmEvent::SubflowFailed { backups: vec![] });
-        assert!(none.is_empty());
+        // Which backup, if any, is the connection's to resolve.
+        let a = on(&mut pm, PmEvent::SubflowFailed);
+        assert_eq!(a, vec![PmAction::PromoteBackup]);
     }
 
     #[test]
@@ -990,14 +975,13 @@ mod tests {
         let down = PmEvent::LocalAddrDown {
             addr: 2,
             affected: vec![0],
-            backups: vec![1],
         };
         let a = on(&mut pm, down);
         assert_eq!(
             a,
             vec![
                 PmAction::CloseSubflow { subflow: 0 },
-                PmAction::PromoteBackup { subflow: 1 }
+                PmAction::PromoteBackup
             ]
         );
         // The advert for the dead address is dropped...
@@ -1025,9 +1009,8 @@ mod tests {
         let down = PmEvent::LocalAddrDown {
             addr: 2,
             affected: vec![],
-            backups: vec![],
         };
-        on(&mut pm, down);
+        assert!(on(&mut pm, down).is_empty(), "nothing ran on it");
         let up = on(&mut pm, PmEvent::LocalAddrUp { addr: 2 });
         let advert = AdvertisedAddr {
             addr_id: 1,

@@ -48,14 +48,14 @@ pub struct Subflow {
 
 impl Subflow {
     /// Wrap a socket as a subflow.
-    pub fn new(sock: TcpSocket, tracker: MappingTracker, join: JoinState, addr_id: u8) -> Subflow {
+    pub fn new(sock: TcpSocket, join: JoinState, addr_id: u8, backup: bool) -> Subflow {
         Subflow {
             sock,
-            tracker,
+            tracker: MappingTracker::default(),
             join,
             addr_id,
             dead: false,
-            backup: false,
+            backup,
             last_penalty: None,
         }
     }
@@ -207,14 +207,14 @@ mod tests {
 
     #[test]
     fn unestablished_subflow_not_usable() {
-        let sf = Subflow::new(sock(), MappingTracker::new(true), JoinState::Initial, 0);
+        let sf = Subflow::new(sock(), JoinState::Initial, 0, false);
         assert!(!sf.usable()); // still SynSent
     }
 
     #[test]
     fn server_wait_not_usable() {
         let wait = JoinState::ServerWait { ours: 1, theirs: 2 };
-        let mut sf = Subflow::new(sock(), MappingTracker::new(true), wait, 1);
+        let mut sf = Subflow::new(sock(), wait, 1, false);
         sf.dead = false;
         assert!(!sf.usable());
         sf.join = JoinState::Active;
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn headroom_tracks_queue_depth() {
-        let mut sf = Subflow::new(sock(), MappingTracker::new(true), JoinState::Initial, 0);
+        let mut sf = Subflow::new(sock(), JoinState::Initial, 0, false);
         let before = sf.tx_headroom();
         assert!(before > 0);
         sf.sock

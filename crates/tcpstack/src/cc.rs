@@ -15,9 +15,10 @@
 //!   `repro --cc` flag and JSON reports (via
 //!   [`FromStr`]/[`Display`](core::fmt::Display)).
 //! * [`CoupledState`] — the cross-subflow coupling computation. The
-//!   connection owns one of these, feeds it a [`FlowView`] per usable
-//!   subflow once per RTT-ish, and pushes the resulting per-flow
-//!   [`CoupledSignal`]s down via [`Cc::set_coupled`].
+//!   connection owns one of these and hands it its usable subflows'
+//!   sockets on every tick ([`CoupledState::couple`]); it reads each
+//!   one's window and smoothed RTT and sets each one's [`CoupledSignal`]
+//!   via [`Cc::set_coupled`].
 //!
 //! # Contract
 //!
@@ -34,6 +35,8 @@ use core::fmt;
 use core::str::FromStr;
 
 use mptcp_netsim::{Duration, SimTime};
+
+use crate::socket::TcpSocket;
 
 /// The registry of built-in congestion-control algorithms.
 ///
@@ -150,16 +153,17 @@ pub struct FlowView {
 /// The cross-subflow half of coupled congestion control.
 ///
 /// Owned by the MPTCP connection (never by individual sockets): the
-/// connection is the only entity that sees every subflow, so it collects
-/// a [`FlowView`] per usable subflow, calls [`CoupledState::recompute`],
-/// and distributes the returned per-flow [`CoupledSignal`]s — one per
-/// input flow, in input order — to the subflow sockets. Algorithms never
-/// reach across subflows themselves; everything they may know about their
-/// siblings arrives in the signal.
+/// connection is the only entity that sees every subflow, so it hands
+/// them all to [`CoupledState::couple`], which reads a [`FlowView`] off
+/// each, calls [`CoupledState::recompute`] and sets each socket's
+/// [`CoupledSignal`]. Algorithms never reach across subflows themselves;
+/// everything they may know about their siblings arrives in the signal.
 #[derive(Debug)]
 pub struct CoupledState {
     algo: CcAlgorithm,
     signals: Vec<CoupledSignal>,
+    /// Scratch for `couple`: the views of the sampled subflows.
+    flows: Vec<FlowView>,
 }
 
 impl CoupledState {
@@ -168,7 +172,47 @@ impl CoupledState {
         CoupledState {
             algo,
             signals: Vec::new(),
+            // Sized here, not on first use: an allocation made
+            // mid-transfer lands between payload buffers.
+            flows: Vec::with_capacity(4),
         }
+    }
+
+    /// Couple the sockets `sock` picks out of `subflows` (the usable
+    /// ones, in order) and set each one's signal. Only sockets with an
+    /// RTT sample shape the computation; one still waiting for its first
+    /// sees the aggregate (alpha/total) view with a neutral per-path term.
+    /// A no-op for Reno, and allocation-free once the scratch has grown.
+    pub fn couple<T>(
+        &mut self,
+        subflows: &mut [T],
+        mut sock: impl FnMut(&mut T) -> Option<&mut TcpSocket>,
+    ) {
+        if !self.is_coupled() {
+            return;
+        }
+        let mut flows = std::mem::take(&mut self.flows);
+        flows.clear();
+        for s in subflows.iter_mut().filter_map(&mut sock) {
+            if let Some(srtt) = s.srtt() {
+                let cwnd = s.cwnd();
+                flows.push(FlowView { cwnd, srtt });
+            }
+        }
+        if !flows.is_empty() {
+            let olia = self.algo == CcAlgorithm::Olia;
+            let signals = self.recompute(&flows);
+            let shared = CoupledSignal {
+                alpha: if olia { 0.0 } else { signals[0].alpha },
+                ..signals[0]
+            };
+            let mut sampled = signals.iter();
+            for s in subflows.iter_mut().filter_map(&mut sock) {
+                let own = s.srtt().and_then(|_| sampled.next());
+                s.cc_mut().set_coupled(own.copied().unwrap_or(shared));
+            }
+        }
+        self.flows = flows; // keep the capacity
     }
 
     /// The algorithm this state couples for.
