@@ -72,7 +72,7 @@
 mod admin_cli;
 mod runtime_cli;
 
-use mptcp_harness::experiments::common::Policy;
+use mptcp_harness::experiments::common::{Policy, Variant, UNTRACED, WARMUP};
 use mptcp_harness::experiments::*;
 use mptcp_netsim::Duration;
 
@@ -252,7 +252,7 @@ fn fig4(quick: bool, policy: Policy) {
     } else {
         fig4_rcvbuf::default_bufs()
     };
-    let rows = fig4_rcvbuf::sweep_with(&bufs, SEED, policy);
+    let rows = fig4_rcvbuf::sweep(&bufs, SEED, policy);
     print!("{:>9}", "buf KB");
     for v in fig4_rcvbuf::variants() {
         print!("  {:>16}", v.label());
@@ -293,7 +293,7 @@ fn fig5(quick: bool, policy: Policy) {
     } else {
         fig5_memory::default_bufs()
     };
-    let rows = fig5_memory::sweep_with(&bufs, SEED, policy);
+    let rows = fig5_memory::sweep(&bufs, SEED, policy);
     if let Some(first) = rows.first() {
         print!("{:>9}", "buf KB");
         for (label, _, _) in &first.results {
@@ -318,7 +318,7 @@ fn fig6(panel: fig6_scenarios::Panel, quick: bool, policy: Policy) {
     if quick {
         bufs.truncate(3);
     }
-    let rows = fig6_scenarios::sweep_with(panel, &bufs, SEED, policy);
+    let rows = fig6_scenarios::sweep(panel, &bufs, SEED, policy);
     if let Some(first) = rows.first() {
         print!("{:>9}", "buf KB");
         for (label, _) in &first.results {
@@ -343,7 +343,7 @@ fn fig7(quick: bool, policy: Policy) {
     } else {
         Duration::from_secs(30)
     };
-    let curves = fig7_appdelay::run_with(200_000, dur, SEED, policy);
+    let curves = fig7_appdelay::run(200_000, dur, SEED, policy);
     println!(
         "{:>16}  {:>8}  {:>8}  {:>8}  {:>8}",
         "curve", "mean ms", "p50 ms", "p95 ms", "p99 ms"
@@ -384,7 +384,7 @@ fn fig8(policy: Policy) {
         "{:>14}  {:>9}  {:>8}  {:>11}  {:>9}  {:>12}",
         "algorithm", "subflows", "CPU %", "ops/packet", "hit rate", "goodput Mbps"
     );
-    for r in fig8_reorder::run_with(SEED, policy) {
+    for r in fig8_reorder::run(SEED, policy) {
         println!(
             "{:>14}  {:>9}  {:>8.1}  {:>11.2}  {:>8.0}%  {:>12.0}",
             r.algo,
@@ -405,7 +405,7 @@ fn fig9(quick: bool, policy: Policy) {
     } else {
         fig9_wifi3g::default_bufs()
     };
-    let rows = fig9_wifi3g::sweep_with(&bufs, SEED, policy);
+    let rows = fig9_wifi3g::sweep(&bufs, SEED, policy);
     if let Some(first) = rows.first() {
         print!("{:>9}", "buf KB");
         for (label, _) in &first.results {
@@ -448,7 +448,7 @@ fn fig11(quick: bool, policy: Policy) {
         cfg.link_mbps,
         cfg.duration.as_secs()
     );
-    let rows = fig11_http::sweep_with(cfg, &sizes, SEED, policy);
+    let rows = fig11_http::sweep(cfg, &sizes, SEED, policy);
     if let Some(first) = rows.first() {
         print!("{:>9}", "size KB");
         for (label, _) in &first.results {
@@ -473,27 +473,19 @@ fn telemetry_report(quick: bool, policy: Policy) {
     } else {
         common::MEASURE
     };
-    let r = common::run_bulk_with(
-        common::Variant::MptcpM12,
-        200_000,
-        common::wifi_3g_paths(),
-        common::WARMUP,
-        measure,
-        SEED,
-        policy,
-    );
+    let (v, paths) = (Variant::MptcpM12, common::wifi_3g_paths());
+    let r = common::run_bulk(v, 200_000, paths, WARMUP, measure, SEED, policy, UNTRACED).bulk;
     println!(
         "goodput {:.2} Mbps, throughput {:.2} Mbps",
         r.goodput_mbps, r.throughput_mbps
     );
     print!("{}", r.telemetry.render_table());
-    let report =
-        mptcp_harness::RunReport::new("telemetry", common::Variant::MptcpM12.label(), r.telemetry)
-            .policy(policy.cc.name(), policy.sched.name(), policy.pm.name())
-            .metric("goodput_mbps", r.goodput_mbps)
-            .metric("throughput_mbps", r.throughput_mbps)
-            .metric("sender_mem", r.sender_mem)
-            .metric("receiver_mem", r.receiver_mem);
+    let report = mptcp_harness::RunReport::new("telemetry", v.label(), r.telemetry)
+        .policy(policy.cc.name(), policy.sched.name(), policy.pm.name())
+        .metric("goodput_mbps", r.goodput_mbps)
+        .metric("throughput_mbps", r.throughput_mbps)
+        .metric("sender_mem", r.sender_mem)
+        .metric("receiver_mem", r.receiver_mem);
     println!();
     println!("JSON report:");
     println!("{}", mptcp_harness::to_json_lines(&[report]));
@@ -537,7 +529,7 @@ fn trace_run(mut args: Vec<String>, policy: Policy) {
         scenario.describe()
     ));
     print_policy(policy);
-    let art = tr::run_with(scenario, SEED, policy);
+    let art = tr::run(scenario, SEED, policy);
     let r = &art.run;
     println!(
         "goodput {:.2} Mbps, throughput {:.2} Mbps{}",
@@ -609,7 +601,7 @@ fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
 
     header("Chaos: fault injection, path failure and break-before-make recovery");
     print_policy(policy);
-    let art = chaos::run_with(SEED, sweep_n, policy);
+    let art = chaos::run(SEED, sweep_n, policy);
 
     let b = &art.blackout;
     println!("[blackout] WiFi path dark for 3 s at t=1 s, continuous bulk over WiFi+3G");
@@ -721,7 +713,7 @@ fn handover_run(mut args: Vec<String>, policy: Policy) {
 
     header("Handover: WiFi withdrawn mid-stream, migrate onto pre-opened backup");
     print_policy(policy);
-    let out = handover::run_with(SEED, policy);
+    let out = handover::run(SEED, policy);
 
     println!(
         "WiFi address withdrawn at t={:.1} s; backup subflow {} before the switch \
@@ -806,7 +798,7 @@ fn mbox_matrix(policy: Policy) {
         "{:>20}  {:>22}  {:>22}  {:>22}",
         "middlebox", "MPTCP", "strawman (striped)", "TCP"
     );
-    let cells = mbox::matrix_with(SEED, policy);
+    let cells = mbox::matrix(SEED, policy);
     for chunk in cells.chunks(3) {
         print!("{:>20}", chunk[0].mbox.label());
         for cell in chunk {

@@ -91,12 +91,7 @@ pub struct BlackoutOutcome {
 
 /// Blackout the WiFi path (path 0 — the scheduler's preferred low-RTT
 /// path) from t=1 s for 3 s under a continuous bulk transfer.
-pub fn blackout(seed: u64) -> BlackoutOutcome {
-    blackout_with(seed, Policy::default())
-}
-
-/// [`blackout`] with an explicit cc + scheduler policy.
-pub fn blackout_with(seed: u64, policy: Policy) -> BlackoutOutcome {
+pub fn blackout(seed: u64, policy: Policy) -> BlackoutOutcome {
     let mut sc = bulk_scenario(chaos_cfg(true, policy), usize::MAX / 2, seed);
     sc.sim
         .faults
@@ -199,12 +194,7 @@ pub struct AllPathsOutcome {
 
 /// Take every path down (open-ended, no restore) one second into a bulk
 /// transfer; the connection must abort with a typed reason — never hang.
-pub fn all_paths(seed: u64) -> AllPathsOutcome {
-    all_paths_with(seed, Policy::default())
-}
-
-/// [`all_paths`] with an explicit cc + scheduler policy.
-pub fn all_paths_with(seed: u64, policy: Policy) -> AllPathsOutcome {
+pub fn all_paths(seed: u64, policy: Policy) -> AllPathsOutcome {
     let abort_deadline = Duration::from_secs(5);
     let cfg = chaos_cfg(false, policy)
         .into_builder()
@@ -309,12 +299,7 @@ fn random_schedule(sc: &mut Scenario, seed: u64) {
 }
 
 /// Run one seeded randomized-fault transfer and check the invariants.
-pub fn sweep_run(seed: u64) -> SweepRun {
-    sweep_run_with(seed, Policy::default())
-}
-
-/// [`sweep_run`] with an explicit cc + scheduler policy.
-pub fn sweep_run_with(seed: u64, policy: Policy) -> SweepRun {
+pub fn sweep_run(seed: u64, policy: Policy) -> SweepRun {
     let mut sc = bulk_scenario(chaos_cfg(false, policy), SWEEP_TOTAL, seed);
     random_schedule(&mut sc, seed);
 
@@ -398,17 +383,12 @@ impl ChaosArtifacts {
 }
 
 /// Run everything.
-pub fn run(seed: u64, sweep_n: u64) -> ChaosArtifacts {
-    run_with(seed, sweep_n, Policy::default())
-}
-
-/// [`run`] with an explicit cc + scheduler policy.
-pub fn run_with(seed: u64, sweep_n: u64, policy: Policy) -> ChaosArtifacts {
+pub fn run(seed: u64, sweep_n: u64, policy: Policy) -> ChaosArtifacts {
     ChaosArtifacts {
-        blackout: blackout_with(seed, policy),
-        all_paths: all_paths_with(seed, policy),
+        blackout: blackout(seed, policy),
+        all_paths: all_paths(seed, policy),
         sweep: (0..sweep_n)
-            .map(|i| sweep_run_with(seed ^ (i * 7919), policy))
+            .map(|i| sweep_run(seed ^ (i * 7919), policy))
             .collect(),
     }
 }
@@ -421,7 +401,7 @@ mod tests {
 
     #[test]
     fn blackout_survives_and_recovers() {
-        let out = blackout(SEED);
+        let out = blackout(SEED, Policy::default());
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.delivered_during > 0);
         // The path_* spans must also be visible in the time-series trace.
@@ -435,14 +415,14 @@ mod tests {
 
     #[test]
     fn all_paths_down_aborts_with_typed_reason() {
-        let out = all_paths(SEED);
+        let out = all_paths(SEED, Policy::default());
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.abort, Some(AbortReason::AllPathsFailed));
     }
 
     #[test]
     fn randomized_sweep_holds_invariants() {
-        let run = sweep_run(SEED);
+        let run = sweep_run(SEED, Policy::default());
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(!run.faults.is_empty(), "schedule injected nothing");
     }

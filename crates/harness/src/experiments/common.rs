@@ -149,8 +149,16 @@ pub struct TracedBulkResult {
     pub capture: CaptureSnapshot,
 }
 
-/// Run a continuous bulk transfer (client → server) for `warmup +
-/// measure`, returning rates over the measurement window only.
+/// Neither a time-series trace nor a packet capture: what the figures'
+/// bulk runs ask [`run_bulk`] for.
+pub const UNTRACED: (TraceConfig, CaptureConfig) =
+    (TraceConfig::disabled(), CaptureConfig::disabled());
+
+/// Run a continuous bulk transfer (client → server) under `policy` for
+/// `warmup + measure`, returning rates over the measurement window only,
+/// with time-series tracing and packet capture as `traced` asks
+/// ([`UNTRACED`] costs nothing).
+#[allow(clippy::too_many_arguments)]
 pub fn run_bulk(
     variant: Variant,
     buf: usize,
@@ -158,82 +166,8 @@ pub fn run_bulk(
     warmup: Duration,
     measure: Duration,
     seed: u64,
-) -> BulkResult {
-    run_bulk_with(
-        variant,
-        buf,
-        paths,
-        warmup,
-        measure,
-        seed,
-        Policy::default(),
-    )
-}
-
-/// [`run_bulk`] with an explicit congestion-control + scheduler policy.
-#[allow(clippy::too_many_arguments)] // mirrors run_bulk + the policy
-pub fn run_bulk_with(
-    variant: Variant,
-    buf: usize,
-    paths: Vec<Path>,
-    warmup: Duration,
-    measure: Duration,
-    seed: u64,
     policy: Policy,
-) -> BulkResult {
-    run_bulk_traced_with(
-        variant,
-        buf,
-        paths,
-        warmup,
-        measure,
-        seed,
-        policy,
-        TraceConfig::disabled(),
-        CaptureConfig::disabled(),
-    )
-    .bulk
-}
-
-/// [`run_bulk`] with time-series tracing and packet capture wired in.
-/// Disabled configs make this identical (and identically cheap) to
-/// `run_bulk`.
-#[allow(clippy::too_many_arguments)] // mirrors run_bulk + the two configs
-pub fn run_bulk_traced(
-    variant: Variant,
-    buf: usize,
-    paths: Vec<Path>,
-    warmup: Duration,
-    measure: Duration,
-    seed: u64,
-    trace: TraceConfig,
-    capture: CaptureConfig,
-) -> TracedBulkResult {
-    run_bulk_traced_with(
-        variant,
-        buf,
-        paths,
-        warmup,
-        measure,
-        seed,
-        Policy::default(),
-        trace,
-        capture,
-    )
-}
-
-/// [`run_bulk_traced`] with an explicit policy.
-#[allow(clippy::too_many_arguments)] // mirrors run_bulk_traced + the policy
-pub fn run_bulk_traced_with(
-    variant: Variant,
-    buf: usize,
-    paths: Vec<Path>,
-    warmup: Duration,
-    measure: Duration,
-    seed: u64,
-    policy: Policy,
-    trace: TraceConfig,
-    capture: CaptureConfig,
+    (trace, capture): (TraceConfig, CaptureConfig),
 ) -> TracedBulkResult {
     let mut kind = variant.kind_with(buf, policy);
     match &mut kind {

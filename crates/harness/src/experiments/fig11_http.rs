@@ -85,13 +85,9 @@ fn run_one(kind: TransportKind, cfg: &Config, file_size: usize, seed: u64) -> f6
     (done1 - done0) as f64 / (sc.sim.now - t0).as_secs_f64()
 }
 
-/// Run the sweep over `sizes` for all three transports.
-pub fn sweep(cfg: Config, sizes: &[usize], seed: u64) -> Vec<Row> {
-    sweep_with(cfg, sizes, seed, Policy::default())
-}
-
-/// [`sweep`] with an explicit cc + scheduler policy for the MPTCP row.
-pub fn sweep_with(cfg: Config, sizes: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+/// Run the sweep over `sizes` for all three transports, the MPTCP row
+/// under `policy`.
+pub fn sweep(cfg: Config, sizes: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
     sizes
         .iter()
         .map(|&file_size| {

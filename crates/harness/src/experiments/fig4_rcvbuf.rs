@@ -14,7 +14,7 @@
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
 use super::common::{
-    run_bulk, run_bulk_with, wifi_3g_paths, BulkResult, Policy, Variant, MEASURE, WARMUP,
+    run_bulk, wifi_3g_paths, BulkResult, Policy, Variant, MEASURE, UNTRACED, WARMUP,
 };
 
 /// One sweep point.
@@ -45,16 +45,14 @@ pub fn run_tcp_3g(buf: usize, seed: u64) -> BulkResult {
         WARMUP,
         MEASURE,
         seed,
+        Policy::default(),
+        UNTRACED,
     )
+    .bulk
 }
 
 /// Run the full sweep. `bufs` in bytes (paper: 0–1000 KB).
-pub fn sweep(bufs: &[usize], seed: u64) -> Vec<Row> {
-    sweep_with(bufs, seed, Policy::default())
-}
-
-/// [`sweep`] with an explicit cc + scheduler policy.
-pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+pub fn sweep(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
     bufs.iter()
         .map(|&buf| {
             let results = variants()
@@ -66,7 +64,7 @@ pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
                     };
                     (
                         v,
-                        run_bulk_with(v, buf, paths, WARMUP, MEASURE, seed, policy),
+                        run_bulk(v, buf, paths, WARMUP, MEASURE, seed, policy, UNTRACED).bulk,
                     )
                 })
                 .collect();
@@ -95,5 +93,8 @@ pub fn quick(buf: usize, v: Variant, seed: u64) -> BulkResult {
         Duration::from_secs(2),
         Duration::from_secs(8),
         seed,
+        Policy::default(),
+        UNTRACED,
     )
+    .bulk
 }

@@ -10,7 +10,7 @@
 
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
-use super::common::{run_bulk_with, wifi_3g_paths, Policy, Variant};
+use super::common::{run_bulk, wifi_3g_paths, Policy, Variant, UNTRACED};
 
 /// One sweep point.
 #[derive(Clone, Debug)]
@@ -22,12 +22,7 @@ pub struct Row {
 }
 
 /// Run the memory sweep with autotuning enabled everywhere.
-pub fn sweep(bufs: &[usize], seed: u64) -> Vec<Row> {
-    sweep_with(bufs, seed, Policy::default())
-}
-
-/// [`sweep`] with an explicit cc + scheduler policy.
-pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+pub fn sweep(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
     let warm = Duration::from_secs(3);
     let meas = Duration::from_secs(15);
     bufs.iter()
@@ -37,7 +32,7 @@ pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
                 ("MPTCP+M1,2,3,4", Variant::MptcpAll),
                 ("MPTCP+M1,2,3", Variant::MptcpM123),
             ] {
-                let r = run_bulk_with(v, buf, wifi_3g_paths(), warm, meas, seed, policy);
+                let r = run_bulk(v, buf, wifi_3g_paths(), warm, meas, seed, policy, UNTRACED).bulk;
                 results.push((label, r.sender_mem, r.receiver_mem));
             }
             // Autotuned TCP baselines.

@@ -12,7 +12,7 @@
 
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
-use super::common::{run_bulk, run_bulk_with, BulkResult, Policy, Variant};
+use super::common::{run_bulk, BulkResult, Policy, Variant, UNTRACED};
 
 /// A WAN-ish link: 10 ms one-way, one base-RTT of buffer.
 fn wan(rate_bps: u64) -> LinkCfg {
@@ -101,12 +101,7 @@ pub struct Row {
 }
 
 /// Run one panel's sweep.
-pub fn sweep(panel: Panel, bufs: &[usize], seed: u64) -> Vec<Row> {
-    sweep_with(panel, bufs, seed, Policy::default())
-}
-
-/// [`sweep`] with an explicit cc + scheduler policy.
-pub fn sweep_with(panel: Panel, bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+pub fn sweep(panel: Panel, bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
     let (warm, meas) = panel.windows();
     bufs.iter()
         .map(|&buf| {
@@ -115,11 +110,13 @@ pub fn sweep_with(panel: Panel, bufs: &[usize], seed: u64, policy: Policy) -> Ve
                 ("MPTCP+M1,2", Variant::MptcpM12),
                 ("regular MPTCP", Variant::MptcpRegular),
             ] {
-                let r: BulkResult = run_bulk_with(v, buf, panel.paths(), warm, meas, seed, policy);
+                let r: BulkResult =
+                    run_bulk(v, buf, panel.paths(), warm, meas, seed, policy, UNTRACED).bulk;
                 results.push((label, r.goodput_mbps));
             }
             for (label, path) in panel.baselines() {
-                let r = run_bulk(Variant::Tcp, buf, vec![path], warm, meas, seed);
+                let paths = vec![path];
+                let r = run_bulk(Variant::Tcp, buf, paths, warm, meas, seed, policy, UNTRACED).bulk;
                 results.push((label, r.goodput_mbps));
             }
             Row { buf, results }

@@ -42,12 +42,7 @@ fn run_blocks(kind: TransportKind, paths: Vec<Path>, dur: Duration, seed: u64) -
 }
 
 /// Run all four Figure 7 curves with `buf`-byte buffers.
-pub fn run(buf: usize, dur: Duration, seed: u64) -> Vec<Curve> {
-    run_with(buf, dur, seed, Policy::default())
-}
-
-/// [`run`] with an explicit cc + scheduler policy.
-pub fn run_with(buf: usize, dur: Duration, seed: u64, policy: Policy) -> Vec<Curve> {
+pub fn run(buf: usize, dur: Duration, seed: u64, policy: Policy) -> Vec<Curve> {
     let mut out = Vec::new();
     for (label, v) in [
         ("MPTCP + M1,2", Variant::MptcpM12),

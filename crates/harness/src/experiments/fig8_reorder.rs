@@ -48,12 +48,7 @@ pub struct Row {
 }
 
 /// Run one (algorithm, subflow-count) cell.
-pub fn run_cell(algo: ReorderAlgo, nsub: usize, seed: u64) -> Row {
-    run_cell_with(algo, nsub, seed, Policy::default())
-}
-
-/// [`run_cell`] with an explicit cc + scheduler policy.
-pub fn run_cell_with(algo: ReorderAlgo, nsub: usize, seed: u64, policy: Policy) -> Row {
+pub fn run_cell(algo: ReorderAlgo, nsub: usize, seed: u64, policy: Policy) -> Row {
     let cfg = MptcpConfig::builder()
         .buffers(8 * 1024 * 1024)
         .mechanisms(Mechanisms::M1_2)
@@ -142,12 +137,7 @@ fn snapshot(sc: &mut Scenario) -> (u64, u64, u64, u64, u64) {
 }
 
 /// Run the whole figure: all algorithms × {2, 8} subflows + TCP baselines.
-pub fn run(seed: u64) -> Vec<Row> {
-    run_with(seed, Policy::default())
-}
-
-/// [`run`] with an explicit cc + scheduler policy.
-pub fn run_with(seed: u64, policy: Policy) -> Vec<Row> {
+pub fn run(seed: u64, policy: Policy) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut pkt_rate_estimate = 0.0f64;
     for nsub in [2usize, 8] {
@@ -157,7 +147,7 @@ pub fn run_with(seed: u64, policy: Policy) -> Vec<Row> {
             ReorderAlgo::Shortcuts,
             ReorderAlgo::AllShortcuts,
         ] {
-            let row = run_cell_with(algo, nsub, seed, policy);
+            let row = run_cell(algo, nsub, seed, policy);
             // Estimate the wire packet rate from goodput for the baseline.
             pkt_rate_estimate = pkt_rate_estimate.max(row.goodput_mbps * 1e6 / 8.0 / 1460.0);
             rows.push(row);

@@ -9,7 +9,7 @@
 
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
-use super::common::{run_bulk, run_bulk_with, Policy, Variant};
+use super::common::{run_bulk, Policy, Variant, UNTRACED};
 
 /// Capped-WiFi link: 2 Mbps, 20 ms RTT, 80 ms buffer.
 pub fn capped_wifi() -> LinkCfg {
@@ -29,14 +29,9 @@ pub struct Row {
     pub results: Vec<(&'static str, f64)>,
 }
 
-/// Sweep the paper's buffer axis: 50, 100, 200, 500 KB.
-pub fn sweep(bufs: &[usize], seed: u64) -> Vec<Row> {
-    sweep_with(bufs, seed, Policy::default())
-}
-
-/// [`sweep`] with an explicit cc + scheduler policy for the MPTCP row
-/// (the TCP baselines are single-path and unaffected).
-pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+/// Sweep the paper's buffer axis: 50, 100, 200, 500 KB. `policy` drives
+/// the MPTCP row; the TCP baselines are single-path and unaffected.
+pub fn sweep(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
     let warm = Duration::from_secs(4);
     let meas = Duration::from_secs(25);
     bufs.iter()
@@ -46,7 +41,7 @@ pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
                 Path::symmetric(capped_wifi()),
                 Path::symmetric(LinkCfg::threeg()),
             ];
-            let r = run_bulk_with(
+            let r = run_bulk(
                 Variant::MptcpM12,
                 buf,
                 mptcp_paths,
@@ -54,7 +49,9 @@ pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
                 meas,
                 seed,
                 policy,
-            );
+                UNTRACED,
+            )
+            .bulk;
             results.push(("MPTCP", r.goodput_mbps));
             let r = run_bulk(
                 Variant::Tcp,
@@ -63,7 +60,10 @@ pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
                 warm,
                 meas,
                 seed,
-            );
+                Policy::default(),
+                UNTRACED,
+            )
+            .bulk;
             results.push(("TCP over WiFi", r.goodput_mbps));
             let r = run_bulk(
                 Variant::Tcp,
@@ -72,7 +72,10 @@ pub fn sweep_with(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
                 warm,
                 meas,
                 seed,
-            );
+                Policy::default(),
+                UNTRACED,
+            )
+            .bulk;
             results.push(("TCP over 3G", r.goodput_mbps));
             Row { buf, results }
         })

@@ -70,12 +70,7 @@ pub struct HandoverOutcome {
 }
 
 /// Run the handover scenario with the default policy.
-pub fn run(seed: u64) -> HandoverOutcome {
-    run_with(seed, Policy::default())
-}
-
-/// [`run`] with an explicit cc + scheduler + pm policy.
-pub fn run_with(seed: u64, policy: Policy) -> HandoverOutcome {
+pub fn run(seed: u64, policy: Policy) -> HandoverOutcome {
     let cfg = MptcpConfig::builder()
         .buffers(256 * 1024)
         .mechanisms(Mechanisms::M1_2)
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn handover_migrates_without_stall() {
-        let out = run(SEED);
+        let out = run(SEED, Policy::default());
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.backup_preopened);
         assert!(out.delivered_before > 0 && out.delivered_after > 0);
@@ -238,7 +233,7 @@ mod tests {
 
     #[test]
     fn handover_emits_pm_decision_spans() {
-        let out = run(SEED ^ 1);
+        let out = run(SEED ^ 1, Policy::default());
         let mut saw_open = false;
         let mut saw_promote = false;
         let mut saw_remove = false;
@@ -257,7 +252,7 @@ mod tests {
 
     #[test]
     fn backup_carries_no_data_before_switch() {
-        let out = run(SEED ^ 2);
+        let out = run(SEED ^ 2, Policy::default());
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(
             out.backup_bytes_before, 0,

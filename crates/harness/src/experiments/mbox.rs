@@ -183,12 +183,7 @@ fn make_path(mbox: MboxKind, client_addr: u32) -> Path {
 }
 
 /// Run one cell: a 200 KB transfer with a generous deadline.
-pub fn run_cell(mbox: MboxKind, design: Design, seed: u64) -> Cell {
-    run_cell_with(mbox, design, seed, Policy::default())
-}
-
-/// [`run_cell`] with an explicit cc + scheduler policy.
-pub fn run_cell_with(mbox: MboxKind, design: Design, seed: u64, policy: Policy) -> Cell {
+pub fn run_cell(mbox: MboxKind, design: Design, seed: u64, policy: Policy) -> Cell {
     let buf = 256 * 1024;
     let (kind, paths) = match design {
         Design::Mptcp => {
@@ -259,16 +254,11 @@ pub fn run_cell_with(mbox: MboxKind, design: Design, seed: u64, policy: Policy) 
 }
 
 /// Run the full matrix.
-pub fn matrix(seed: u64) -> Vec<Cell> {
-    matrix_with(seed, Policy::default())
-}
-
-/// [`matrix`] with an explicit cc + scheduler policy.
-pub fn matrix_with(seed: u64, policy: Policy) -> Vec<Cell> {
+pub fn matrix(seed: u64, policy: Policy) -> Vec<Cell> {
     let mut cells = Vec::new();
     for mbox in MboxKind::all() {
         for design in [Design::Mptcp, Design::Strawman, Design::Tcp] {
-            cells.push(run_cell_with(mbox, design, seed, policy));
+            cells.push(run_cell(mbox, design, seed, policy));
         }
     }
     cells

@@ -24,7 +24,7 @@ use mptcp::{Mechanisms, MptcpConfig};
 use mptcp_middlebox::PayloadModifier;
 use mptcp_netsim::{CaptureConfig, Duration, LinkCfg, PacketCapture, Path};
 
-use super::common::{measure_bulk, run_bulk_traced_with, wifi_3g_paths};
+use super::common::{measure_bulk, run_bulk, wifi_3g_paths};
 use super::common::{Policy, TracedBulkResult, Variant};
 use super::fig9_wifi3g::capped_wifi;
 use crate::hosts::{ClientApp, ServerApp};
@@ -97,18 +97,12 @@ pub struct TraceArtifacts {
 const TRACE_BUF: usize = 100_000;
 
 /// Run one traced scenario with default-capacity tracing and capture.
-pub fn run(scenario: TraceScenario, seed: u64) -> TraceArtifacts {
-    run_with(scenario, seed, Policy::default())
-}
-
-/// [`run`] with an explicit cc + scheduler policy.
-pub fn run_with(scenario: TraceScenario, seed: u64, policy: Policy) -> TraceArtifacts {
-    let trace = TraceConfig::enabled();
-    let capture = CaptureConfig::enabled();
+pub fn run(scenario: TraceScenario, seed: u64, policy: Policy) -> TraceArtifacts {
+    let (trace, capture) = (TraceConfig::enabled(), CaptureConfig::enabled());
     let (label, run) = match scenario {
         TraceScenario::Fig4 => (
             "MPTCP+M1,2 @ 100 KB, WiFi+3G",
-            run_bulk_traced_with(
+            run_bulk(
                 Variant::MptcpM12,
                 TRACE_BUF,
                 wifi_3g_paths(),
@@ -116,13 +110,12 @@ pub fn run_with(scenario: TraceScenario, seed: u64, policy: Policy) -> TraceArti
                 Duration::from_secs(20),
                 seed,
                 policy,
-                trace,
-                capture,
+                (trace, capture),
             ),
         ),
         TraceScenario::Fig9 => (
             "MPTCP+M1,2 @ 100 KB, capped WiFi+3G",
-            run_bulk_traced_with(
+            run_bulk(
                 Variant::MptcpM12,
                 TRACE_BUF,
                 vec![
@@ -133,8 +126,7 @@ pub fn run_with(scenario: TraceScenario, seed: u64, policy: Policy) -> TraceArti
                 Duration::from_secs(25),
                 seed,
                 policy,
-                trace,
-                capture,
+                (trace, capture),
             ),
         ),
         TraceScenario::Fallback => (

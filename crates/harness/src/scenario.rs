@@ -51,21 +51,13 @@ impl Scenario {
     /// Build a scenario with one client, one server, and one path per
     /// entry of `paths` (path *i* connects client interface *i* to server
     /// interface *i*).
+    ///
+    /// netsim delivers by address, so there is exactly one client here;
+    /// [`Scenario::http_fleet`] gives each of many clients its own
+    /// addresses.
     pub fn new(
         kind: TransportKind,
         app: ClientApp,
-        server_app: ServerApp,
-        paths: Vec<Path>,
-        seed: u64,
-    ) -> Scenario {
-        Scenario::with_clients(kind, vec![app], server_app, paths, seed)
-    }
-
-    /// Build with several clients sharing the path set (closed-loop HTTP).
-    /// Client *k* uses source ports `10_000 + k·500 + i`.
-    pub fn with_clients(
-        kind: TransportKind,
-        apps: Vec<ClientApp>,
         server_app: ServerApp,
         paths: Vec<Path>,
         seed: u64,
@@ -138,34 +130,24 @@ impl Scenario {
             TransportKind::Mptcp(cfg) => Some(cfg.clone()),
             _ => None,
         };
-        let mut clients = Vec::new();
-        let mut seeder = SimRng::new(seed ^ 0xc11e);
-        for (k, app) in apps.into_iter().enumerate() {
-            let base_port = 10_000u16.wrapping_add((k as u16) * 500);
-            let factory = ConnFactory {
-                mptcp: client_cfg.clone(),
-                tcp_cfg: match &kind {
-                    TransportKind::Tcp(t) | TransportKind::BondedTcp(t) => t.clone(),
-                    TransportKind::Mptcp(cfg) => cfg.tcp().clone(),
-                },
-                local: Endpoint::new(Endpoints::CLIENT[0], base_port),
-                server: Endpoint::new(Endpoints::SERVER[0], Endpoints::PORT),
-                rng: seeder.fork(),
-            };
-            let id = sim.add_host(Node::Client(ClientHost::new(factory, app, SimTime::ZERO)));
-            clients.push(id);
-        }
-        // netsim delivers by address, so this constructor supports exactly
-        // one client; multi-client scenarios use [`Scenario::http_fleet`],
-        // which gives each client its own addresses.
-        assert_eq!(clients.len(), 1, "use Scenario::http_fleet for fleets");
+        let factory = ConnFactory {
+            mptcp: client_cfg,
+            tcp_cfg: match &kind {
+                TransportKind::Tcp(t) | TransportKind::BondedTcp(t) => t.clone(),
+                TransportKind::Mptcp(cfg) => cfg.tcp().clone(),
+            },
+            local: Endpoint::new(Endpoints::CLIENT[0], 10_000),
+            server: Endpoint::new(Endpoints::SERVER[0], Endpoints::PORT),
+            rng: SimRng::new(seed ^ 0xc11e).fork(),
+        };
+        let client = sim.add_host(Node::Client(ClientHost::new(factory, app, SimTime::ZERO)));
         for addr in &Endpoints::CLIENT[..npaths] {
-            sim.bind_addr(*addr, clients[0]);
+            sim.bind_addr(*addr, client);
         }
 
         Scenario {
             sim,
-            clients,
+            clients: vec![client],
             server,
         }
     }

@@ -7,7 +7,7 @@
 use mptcp::telemetry::CounterId;
 use mptcp::{CcAlgorithm, SchedulerKind};
 use mptcp_harness::experiments::chaos;
-use mptcp_harness::experiments::common::{run_bulk_with, Policy, Variant};
+use mptcp_harness::experiments::common::{run_bulk, Policy, Variant, UNTRACED};
 use mptcp_harness::experiments::fig9_wifi3g::capped_wifi;
 use mptcp_harness::hosts::{ClientApp, ServerApp};
 use mptcp_harness::scenario::Scenario;
@@ -77,7 +77,7 @@ fn every_policy_pair_delivers_exactly_once() {
 #[test]
 fn default_policy_goodput_is_pinned() {
     const PINNED_MBPS: f64 = 3.781968;
-    let r = run_bulk_with(
+    let r = run_bulk(
         Variant::MptcpM12,
         200_000,
         matrix_paths(),
@@ -85,7 +85,9 @@ fn default_policy_goodput_is_pinned() {
         Duration::from_secs(10),
         7,
         Policy::default(),
-    );
+        UNTRACED,
+    )
+    .bulk;
     let rel = (r.goodput_mbps - PINNED_MBPS).abs() / PINNED_MBPS;
     assert!(
         rel < 0.01,
@@ -103,7 +105,7 @@ fn default_policy_goodput_is_pinned() {
 /// reinjects them.)
 #[test]
 fn redundant_scheduler_rides_out_blackout_without_data_rtos() {
-    let out = chaos::blackout_with(7, Policy::new(CcAlgorithm::Lia, SchedulerKind::Redundant));
+    let out = chaos::blackout(7, Policy::new(CcAlgorithm::Lia, SchedulerKind::Redundant));
     assert!(
         out.delivered_during > 0,
         "no bytes delivered during the blackout"

@@ -5,7 +5,8 @@
 
 use mptcp::telemetry::{CounterId, FallbackCause, GaugeId};
 use mptcp::{Mechanisms, MptcpConfig};
-use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, Variant, WARMUP};
+use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, Policy, Variant};
+use mptcp_harness::experiments::common::{UNTRACED, WARMUP};
 use mptcp_harness::{ClientApp, RunReport, Scenario, ServerApp, TransportKind};
 use mptcp_middlebox::PayloadModifier;
 use mptcp_netsim::{Duration, LinkCfg, Path};
@@ -24,7 +25,10 @@ fn rwnd_limited_run_records_m1_and_m2() {
         WARMUP,
         Duration::from_secs(5),
         SEED,
-    );
+        Policy::default(),
+        UNTRACED,
+    )
+    .bulk;
     let t = &r.telemetry;
     assert!(
         t.counter(CounterId::M1Reinjections) > 0,

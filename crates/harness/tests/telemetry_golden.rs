@@ -9,6 +9,7 @@
 //! (`RuntimeStats::json_fields()` has its own goldens in `mptcp-runtime`.)
 
 use mptcp::telemetry::TraceWriter;
+use mptcp_harness::experiments::common::Policy;
 use mptcp_harness::experiments::{chaos, trace};
 use mptcp_harness::{to_json_lines, RunReport};
 
@@ -112,7 +113,7 @@ const BLACKOUT_TABLE: &str = concat!(
 
 #[test]
 fn fig9_trace_artifacts_are_pinned() {
-    let art = trace::run(trace::TraceScenario::Fig9, SEED);
+    let art = trace::run(trace::TraceScenario::Fig9, SEED, Policy::default());
     check(
         "fig9",
         &trace_rows(&art),
@@ -130,7 +131,7 @@ fn fig9_trace_artifacts_are_pinned() {
 
 #[test]
 fn fallback_trace_artifacts_are_pinned() {
-    let art = trace::run(trace::TraceScenario::Fallback, SEED);
+    let art = trace::run(trace::TraceScenario::Fallback, SEED, Policy::default());
     check(
         "fallback",
         &trace_rows(&art),
@@ -149,7 +150,7 @@ fn fallback_trace_artifacts_are_pinned() {
 /// The chaos blackout cell, with the report `repro chaos` writes for it.
 #[test]
 fn chaos_blackout_artifacts_are_pinned() {
-    let b = chaos::blackout(SEED);
+    let b = chaos::blackout(SEED, Policy::default());
     let report = RunReport::new("chaos", "blackout 3s, WiFi+3G", b.telemetry.clone())
         .metric("delivered_during_blackout", b.delivered_during as f64)
         .metric("path_failures", b.path_failures as f64)

@@ -3,7 +3,7 @@
 //! all observed from outside the stack.
 
 use mptcp::telemetry::{EventKind, TraceConfig};
-use mptcp_harness::experiments::common::{run_bulk_traced, wifi_3g_paths, Variant};
+use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, Policy, Variant};
 use mptcp_harness::experiments::trace::{run, timeline_dat, TraceScenario};
 use mptcp_netsim::{CaptureConfig, Duration};
 
@@ -15,7 +15,7 @@ const SEED: u64 = 20120425;
 /// option-carrying packet precedes the fallback span.
 #[test]
 fn fallback_trace_options_end_before_fallback_span() {
-    let art = run(TraceScenario::Fallback, SEED);
+    let art = run(TraceScenario::Fallback, SEED, Policy::default());
     let trace = &art.run.trace;
     let capture = &art.run.capture;
 
@@ -51,15 +51,15 @@ fn fallback_trace_options_end_before_fallback_span() {
 /// asserted in the telemetry unit tests).
 #[test]
 fn disabled_tracing_records_nothing() {
-    let r = run_bulk_traced(
+    let r = run_bulk(
         Variant::MptcpM12,
         100_000,
         wifi_3g_paths(),
         Duration::from_secs(1),
         Duration::from_secs(2),
         SEED,
-        TraceConfig::disabled(),
-        CaptureConfig::disabled(),
+        Policy::default(),
+        (TraceConfig::disabled(), CaptureConfig::disabled()),
     );
     assert!(r.bulk.goodput_mbps > 0.0, "run carried no data");
     assert!(r.trace.is_empty(), "disabled tracer produced records");
@@ -73,15 +73,15 @@ fn disabled_tracing_records_nothing() {
 /// separated for gnuplot `index` selection.
 #[test]
 fn traced_rwnd_limited_run_has_series_and_penalty_spans() {
-    let r = run_bulk_traced(
+    let r = run_bulk(
         Variant::MptcpM12,
         100_000,
         wifi_3g_paths(),
         Duration::from_secs(2),
         Duration::from_secs(6),
         SEED,
-        TraceConfig::enabled(),
-        CaptureConfig::enabled(),
+        Policy::default(),
+        (TraceConfig::enabled(), CaptureConfig::enabled()),
     );
     assert_eq!(r.trace.subflow_ids(), vec![0, 1]);
     assert!(

@@ -6,6 +6,7 @@
 //! cargo run --release --example datacenter_http
 //! ```
 
+use mptcp_harness::experiments::common::Policy;
 use mptcp_harness::experiments::fig11_http::{sweep, Config};
 use mptcp_netsim::Duration;
 
@@ -22,7 +23,7 @@ fn main() {
         cfg.duration.as_secs()
     );
     let sizes = [8_192usize, 30_000, 100_000, 300_000];
-    let rows = sweep(cfg, &sizes, 2);
+    let rows = sweep(cfg, &sizes, 2, Policy::default());
     println!(
         "{:>9} {:>12} {:>14} {:>14}",
         "size KB", "MPTCP", "bonding TCP", "regular TCP"

@@ -5,6 +5,7 @@
 //! cargo run --release --example middlebox_gauntlet
 //! ```
 
+use mptcp_harness::experiments::common::Policy;
 use mptcp_harness::experiments::mbox::{matrix, Outcome};
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
         "{:>20}  {:>20}  {:>20}  {:>20}",
         "middlebox", "MPTCP", "strawman", "TCP"
     );
-    for chunk in matrix(11).chunks(3) {
+    for chunk in matrix(11, Policy::default()).chunks(3) {
         print!("{:>20}", chunk[0].mbox.label());
         for cell in chunk {
             let txt = match cell.outcome {

@@ -6,7 +6,7 @@
 //! ```
 
 use mptcp::{Mechanisms, MptcpConfig};
-use mptcp_harness::experiments::common::{run_bulk, Variant};
+use mptcp_harness::experiments::common::{run_bulk, Policy, Variant, UNTRACED};
 use mptcp_harness::hosts::{ClientApp, ServerApp};
 use mptcp_harness::scenario::{Scenario, TransportKind};
 use mptcp_netsim::{Duration, LinkCfg, Path};
@@ -72,7 +72,10 @@ fn main() {
             Duration::from_secs(2),
             Duration::from_secs(15),
             42,
-        );
+            Policy::default(),
+            UNTRACED,
+        )
+        .bulk;
         println!("{label}:  {:>6.2} Mbps", r.goodput_mbps);
     }
 }

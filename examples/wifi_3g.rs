@@ -5,7 +5,7 @@
 //! cargo run --release --example wifi_3g
 //! ```
 
-use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, Variant};
+use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, Policy, Variant, UNTRACED};
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
 fn main() {
@@ -18,17 +18,11 @@ fn main() {
         "buf KB", "TCP (WiFi)", "regular MPTCP", "MPTCP+M1", "MPTCP+M1,2"
     );
     for buf in [100_000usize, 200_000, 400_000, 800_000] {
-        let tcp = run_bulk(
-            Variant::Tcp,
-            buf,
-            vec![Path::symmetric(LinkCfg::wifi())],
-            warm,
-            meas,
-            1,
-        );
-        let reg = run_bulk(Variant::MptcpRegular, buf, wifi_3g_paths(), warm, meas, 1);
-        let m1 = run_bulk(Variant::MptcpM1, buf, wifi_3g_paths(), warm, meas, 1);
-        let m12 = run_bulk(Variant::MptcpM12, buf, wifi_3g_paths(), warm, meas, 1);
+        let run = |v, paths| run_bulk(v, buf, paths, warm, meas, 1, Policy::default(), UNTRACED);
+        let tcp = run(Variant::Tcp, vec![Path::symmetric(LinkCfg::wifi())]).bulk;
+        let reg = run(Variant::MptcpRegular, wifi_3g_paths()).bulk;
+        let m1 = run(Variant::MptcpM1, wifi_3g_paths()).bulk;
+        let m12 = run(Variant::MptcpM12, wifi_3g_paths()).bulk;
         println!(
             "{:>8} {:>14.2} {:>16.2} {:>12.2} {:>12.2}",
             buf / 1000,

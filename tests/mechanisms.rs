@@ -1,7 +1,8 @@
 //! Behavioural assertions on the paper's receive-buffer mechanisms:
 //! Figure 4's pathology and its fixes, Figure 6(a)'s weak-cellular rescue.
 
-use mptcp_harness::experiments::common::{run_bulk, run_bulk_traced, wifi_3g_paths, Variant};
+use mptcp_harness::experiments::common::UNTRACED;
+use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, BulkResult, Policy, Variant};
 use mptcp_harness::experiments::fig6_scenarios::Panel;
 use mptcp_netsim::{CaptureConfig, Duration, LinkCfg, Path};
 use mptcp_tcpstack::TcpConfig;
@@ -11,14 +12,18 @@ const SEED: u64 = 31;
 const WARM: Duration = Duration::from_secs(2);
 const MEAS: Duration = Duration::from_secs(8);
 
+/// An untraced bulk run under the default policy.
+fn bulk(v: Variant, buf: usize, paths: Vec<Path>, warm: Duration, meas: Duration) -> BulkResult {
+    run_bulk(v, buf, paths, warm, meas, SEED, Policy::default(), UNTRACED).bulk
+}
+
 fn wifi_tcp(buf: usize) -> f64 {
-    run_bulk(
+    bulk(
         Variant::Tcp,
         buf,
         vec![Path::symmetric(LinkCfg::wifi())],
         WARM,
         MEAS,
-        SEED,
     )
     .goodput_mbps
 }
@@ -28,14 +33,7 @@ fn regular_mptcp_underperforms_tcp_when_underbuffered() {
     // The paper's headline pathology (Fig 4a): with a small shared buffer,
     // packets stuck on 3G stall the fast WiFi path.
     let buf = 150_000;
-    let regular = run_bulk(
-        Variant::MptcpRegular,
-        buf,
-        wifi_3g_paths(),
-        WARM,
-        MEAS,
-        SEED,
-    );
+    let regular = bulk(Variant::MptcpRegular, buf, wifi_3g_paths(), WARM, MEAS);
     let tcp = wifi_tcp(buf);
     assert!(
         regular.goodput_mbps < tcp,
@@ -49,15 +47,8 @@ fn regular_mptcp_underperforms_tcp_when_underbuffered() {
 fn mechanisms_rescue_underbuffered_mptcp() {
     // Fig 4(c): M1+M2 lift underbuffered MPTCP well above regular MPTCP.
     let buf = 100_000;
-    let regular = run_bulk(
-        Variant::MptcpRegular,
-        buf,
-        wifi_3g_paths(),
-        WARM,
-        MEAS,
-        SEED,
-    );
-    let fixed = run_bulk(Variant::MptcpM12, buf, wifi_3g_paths(), WARM, MEAS, SEED);
+    let regular = bulk(Variant::MptcpRegular, buf, wifi_3g_paths(), WARM, MEAS);
+    let fixed = bulk(Variant::MptcpM12, buf, wifi_3g_paths(), WARM, MEAS);
     assert!(
         fixed.goodput_mbps > regular.goodput_mbps * 1.1,
         "M1,2 {:.2} vs regular {:.2}",
@@ -72,20 +63,13 @@ fn mechanisms_reach_the_aggregate_with_enough_buffer() {
     // sum (the paper plots ~9.5), while regular MPTCP with the same
     // buffer still trails TCP over WiFi alone.
     let buf = 400_000;
-    let fixed = run_bulk(Variant::MptcpM12, buf, wifi_3g_paths(), WARM, MEAS, SEED);
+    let fixed = bulk(Variant::MptcpM12, buf, wifi_3g_paths(), WARM, MEAS);
     assert!(
         fixed.goodput_mbps >= 8.5,
         "M1,2 {:.2} Mbps of the 10 Mbps link sum at {buf}B",
         fixed.goodput_mbps
     );
-    let regular = run_bulk(
-        Variant::MptcpRegular,
-        buf,
-        wifi_3g_paths(),
-        WARM,
-        MEAS,
-        SEED,
-    );
+    let regular = bulk(Variant::MptcpRegular, buf, wifi_3g_paths(), WARM, MEAS);
     let tcp = wifi_tcp(buf);
     assert!(
         regular.goodput_mbps < tcp,
@@ -100,15 +84,15 @@ fn subflows_send_full_sized_segments() {
     // Sender-side silly-window avoidance, seen on the wire: a subflow
     // whose usable window is a sliver waits for it to widen instead of
     // answering every ACK with a fragment that pays a full header.
-    let r = run_bulk_traced(
+    let r = run_bulk(
         Variant::MptcpM12,
         200_000,
         wifi_3g_paths(),
         WARM,
         MEAS,
         SEED,
-        TraceConfig::disabled(),
-        CaptureConfig::enabled(),
+        Policy::default(),
+        (TraceConfig::disabled(), CaptureConfig::enabled()),
     );
     assert_eq!(r.capture.dropped_records, 0, "capture ring overflowed");
     let mss = TcpConfig::default().mss;
@@ -133,7 +117,7 @@ fn m1_throughput_exceeds_goodput() {
     // Fig 4(b): opportunistic retransmission alone wastes capacity on
     // duplicates — visible as throughput > goodput.
     let buf = 150_000;
-    let m1 = run_bulk(Variant::MptcpM1, buf, wifi_3g_paths(), WARM, MEAS, SEED);
+    let m1 = bulk(Variant::MptcpM1, buf, wifi_3g_paths(), WARM, MEAS);
     assert!(
         m1.throughput_mbps >= m1.goodput_mbps,
         "throughput {:.2} < goodput {:.2}?",
@@ -151,8 +135,8 @@ fn weak_cellular_link_rescued_by_mechanisms() {
     let paths = || Panel::WeakCellular.paths();
     let warm = Duration::from_secs(3);
     let meas = Duration::from_secs(15);
-    let regular = run_bulk(Variant::MptcpRegular, buf, paths(), warm, meas, SEED);
-    let fixed = run_bulk(Variant::MptcpM12, buf, paths(), warm, meas, SEED);
+    let regular = bulk(Variant::MptcpRegular, buf, paths(), warm, meas);
+    let fixed = bulk(Variant::MptcpM12, buf, paths(), warm, meas);
     assert!(
         fixed.goodput_mbps > regular.goodput_mbps * 2.0,
         "M1,2 {:.3} vs regular {:.3}: expected multi-x rescue",
@@ -185,8 +169,8 @@ fn symmetric_paths_do_not_need_mechanisms() {
     };
     let warm = Duration::from_secs(1);
     let meas = Duration::from_secs(3);
-    let regular = run_bulk(Variant::MptcpRegular, buf, paths(), warm, meas, SEED);
-    let fixed = run_bulk(Variant::MptcpM12, buf, paths(), warm, meas, SEED);
+    let regular = bulk(Variant::MptcpRegular, buf, paths(), warm, meas);
+    let fixed = bulk(Variant::MptcpM12, buf, paths(), warm, meas);
     let ratio = fixed.goodput_mbps / regular.goodput_mbps.max(1e-9);
     assert!(
         (0.6..=1.7).contains(&ratio),
@@ -261,7 +245,7 @@ fn reinjection_after_subflow_death_delivers_on_survivor() {
 fn autotuning_keeps_memory_below_configured_max() {
     // Fig 5: with M3 the buffers grow only as needed.
     let buf = 2_000_000;
-    let r = run_bulk(Variant::MptcpM123, buf, wifi_3g_paths(), WARM, MEAS, SEED);
+    let r = bulk(Variant::MptcpM123, buf, wifi_3g_paths(), WARM, MEAS);
     assert!(r.sender_mem > 0.0);
     assert!(
         r.sender_mem < buf as f64,
@@ -275,8 +259,8 @@ fn capping_reduces_memory_on_bufferbloated_paths() {
     // Fig 5: M4 (cwnd capping) cuts memory vs M1,2,3 alone when the 3G
     // path has seconds of buffering.
     let buf = 1_000_000;
-    let without = run_bulk(Variant::MptcpM123, buf, wifi_3g_paths(), WARM, MEAS, SEED);
-    let with = run_bulk(Variant::MptcpAll, buf, wifi_3g_paths(), WARM, MEAS, SEED);
+    let without = bulk(Variant::MptcpM123, buf, wifi_3g_paths(), WARM, MEAS);
+    let with = bulk(Variant::MptcpAll, buf, wifi_3g_paths(), WARM, MEAS);
     assert!(
         with.sender_mem < without.sender_mem * 1.05,
         "M4 {:.0} should not exceed M1,2,3 {:.0}",

@@ -2,12 +2,13 @@
 //! survive which middleboxes. These are the qualitative claims the paper's
 //! measurement study established.
 
+use mptcp_harness::experiments::common::Policy;
 use mptcp_harness::experiments::mbox::{run_cell, Design, MboxKind};
 
 const SEED: u64 = 99;
 
 fn outcome(mbox: MboxKind, design: Design) -> mptcp_harness::experiments::mbox::Outcome {
-    run_cell(mbox, design, SEED).outcome
+    run_cell(mbox, design, SEED, Policy::default()).outcome
 }
 
 #[test]
@@ -82,7 +83,12 @@ fn syn_dropper_handled_by_plain_retry() {
 fn payload_alg_detected_by_dss_checksum() {
     // §3.3.6: content-modifying middleboxes break the DSS checksum; the
     // transfer must continue (fallback or subflow reset), not corrupt.
-    let cell = run_cell(MboxKind::PayloadRewrite, Design::Mptcp, SEED);
+    let cell = run_cell(
+        MboxKind::PayloadRewrite,
+        Design::Mptcp,
+        SEED,
+        Policy::default(),
+    );
     assert!(cell.outcome.completed(), "{:?}", cell.outcome);
     // Plain TCP sails through (the ALG fixes the stream consistently).
     assert!(outcome(MboxKind::PayloadRewrite, Design::Tcp).completed());
