@@ -19,10 +19,10 @@
 //!
 //! Highlights, with their paper sections:
 //! * MP_CAPABLE keys/tokens and MP_JOIN HMAC authentication (§3.1–3.2,
-//!   [`token`], [`MptcpListener`]).
+//!   [`TokenTable`], [`KeyPool`], [`MptcpListener`]).
 //! * Relative, length-delimited, checksummed data sequence mappings that
 //!   survive sequence rewriting, TSO resegmentation and coalescing
-//!   (§3.3.4–3.3.6, [`mapping`]).
+//!   (§3.3.4–3.3.6, each subflow's `MappingTracker`).
 //! * Explicit DATA_ACK in TCP options — never the payload (§3.3.2–3.3.3).
 //! * Shared receive pool window semantics (§3.3.1).
 //! * Fallback to regular TCP when middleboxes interfere (§3.1, §3.3.6).
@@ -35,17 +35,17 @@ pub mod config;
 pub mod conn;
 pub mod dsn;
 pub mod endpoint;
-pub mod health;
+pub(crate) mod health;
 mod life;
-pub mod mapping;
-pub mod pm;
+pub(crate) mod mapping;
+pub(crate) mod pm;
 pub mod reorder;
-pub mod rx;
-pub mod sched;
+pub(crate) mod rx;
+pub(crate) mod sched;
 pub mod subflow;
 mod timers;
-pub mod token;
-pub mod tx;
+pub(crate) mod token;
+pub(crate) mod tx;
 
 pub use api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
 pub use config::{
@@ -53,16 +53,12 @@ pub use config::{
 };
 pub use conn::{ConnState, ConnStats, MptcpConnection, MAX_SUBFLOWS};
 pub use endpoint::MptcpListener;
-pub use health::{PathHealth, PathState};
-pub use mptcp_tcpstack::{CcAlgorithm, CoupledSignal, CoupledState, FlowView, TcpConfig};
+pub use health::PathState;
+pub use mptcp_tcpstack::{CcAlgorithm, TcpConfig};
 pub use mptcp_telemetry as telemetry;
-pub use pm::{
-    EndpointFlags, PathManager, PathManagerCfg, PmAction, PmEndpoint, PmEvent, PmLimits, PmPolicy,
-};
-pub use rx::DataReceiver;
-pub use sched::{PathSnapshot, SchedCtx, SchedDecision, Scheduler, SchedulerKind};
-pub use token::{KeyPool, KeySet, TokenTable};
-pub use tx::DataSender;
+pub use pm::{EndpointFlags, PathManager, PathManagerCfg, PmEndpoint, PmLimits, PmPolicy};
+pub use sched::{Scheduler, SchedulerKind};
+pub use token::{KeyPool, TokenTable};
 
 #[cfg(test)]
 mod conn_tests;

@@ -220,7 +220,7 @@ pub enum Scheduler {
     ///
     /// Lowest-RTT-first, but before spilling onto a slower path while the
     /// fast path is cwnd-limited, estimate how many bytes the fast path will
-    /// push during one slow-path RTT ([`blest_blocking_estimate`]). If the
+    /// push during one slow-path RTT (`blest_blocking_estimate`). If the
     /// connection-level send window cannot hold that estimate *plus* the
     /// chunk, sending on the slow path would block the window behind a slow
     /// delivery (head-of-line risk) — defer instead and let the fast path
