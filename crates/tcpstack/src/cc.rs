@@ -182,7 +182,8 @@ impl CoupledState {
     /// ones, in order) and set each one's signal. Only sockets with an
     /// RTT sample shape the computation; one still waiting for its first
     /// sees the aggregate (alpha/total) view with a neutral per-path term.
-    /// A no-op for Reno, and allocation-free once the scratch has grown.
+    /// A no-op for Reno; for LIA and cubic, allocation-free once the
+    /// scratch has grown (OLIA's [`olia_alphas`] still allocates).
     pub fn couple<T>(
         &mut self,
         subflows: &mut [T],

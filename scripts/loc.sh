@@ -6,6 +6,8 @@
 # After the total, two files get rows of their own, counted the same way:
 # `conn.rs` and `socket.rs`, the two ROADMAP names as where size matters
 # most. They are already inside their crates' rows, so not in the total.
+# Their two structs close the table with their field counts, the other
+# measure of how much one machine holds.
 #
 # `--check` compares each row with scripts/loc.baseline (the same table,
 # committed) and fails when one is above it. A change that must grow a
@@ -15,9 +17,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 over=0
-# Print one row; under `--check`, flag it when above its baseline entry.
+# Print one row (a third column names its unit, if not lines); under
+# `--check`, flag it when above its baseline entry.
 row() {
-  printf '%-12s %6d\n' "$1" "$2"
+  printf '%-16s %6d%s\n' "$1" "$2" "${3:+ $3}"
   if [ "${check:-}" = --check ]; then
     allowed=$(awk -v c="$1" '$1 == c {print $2}' scripts/loc.baseline)
     if [ "$2" -gt "${allowed:-0}" ]; then
@@ -28,6 +31,14 @@ row() {
 }
 count() {
   awk '/#\[cfg\(test\)\]/{nextfile} {n++} END{print n+0}' "$@"
+}
+# Fields of `pub struct $2` in file $1: its lines that open with a name
+# and a colon, comments and blank lines aside.
+fields() {
+  awk -v s="$2" '$0 ~ "^pub struct " s " \\{" {inside=1; next}
+    inside && /^}/ {exit}
+    inside && /^    (pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*:/ {n++}
+    END {print n+0}' "$1"
 }
 
 check=${1:-}
@@ -42,4 +53,6 @@ row total "$total"
 for file in crates/core/src/conn.rs crates/tcpstack/src/socket.rs; do
   row "$(basename "$file")" "$(count "$file")"
 done
+row MptcpConnection "$(fields crates/core/src/conn.rs MptcpConnection)" fields
+row TcpSocket "$(fields crates/tcpstack/src/socket.rs TcpSocket)" fields
 exit "$over"
