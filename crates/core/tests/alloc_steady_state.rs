@@ -2,7 +2,7 @@
 //! the heap per segment once it is warm — the counting allocator of
 //! `packet/tests/alloc_counting.rs`, one layer up.
 //!
-//! Two subflows, DSS checksum on, 4 MiB buffers, 64 KiB application
+//! Two subflows coupled by LIA and then by OLIA, DSS checksum on, 4 MiB buffers, 64 KiB application
 //! writes, one-way delay 100 µs, no loss. The driver adds nothing of its
 //! own inside the measured window: both ingress `Vec`s are reused and a
 //! segment is dropped once its receiver has seen it, so every counted
@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mptcp::{MptcpConfig, MptcpConnection, MptcpListener, ReadOutcome, WriteOutcome};
+use mptcp::{CcAlgorithm, MptcpConfig, MptcpConnection, MptcpListener, ReadOutcome, WriteOutcome};
 use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
 
@@ -155,11 +155,22 @@ impl Pair {
     }
 }
 
+/// One test, not one per algorithm: the counting allocator is global,
+/// so two tests in this binary would count each other's allocations.
 #[test]
 fn steady_state_transfer_stays_within_its_allocation_budget() {
+    for cc in [CcAlgorithm::Lia, CcAlgorithm::Olia] {
+        measure(cc);
+    }
+}
+
+/// Warm a pair coupled by `cc`, then hold its measured window to the
+/// budgets.
+fn measure(cc: CcAlgorithm) {
     let cfg = MptcpConfig::builder()
         .buffers(4 << 20)
         .checksum(true)
+        .cc(cc)
         .build()
         .expect("valid config");
     let now = SimTime::from_millis(1);
@@ -206,7 +217,7 @@ fn steady_state_transfer_stays_within_its_allocation_budget() {
     let per_seg = allocs.saturating_sub(writes) as f64 / segments as f64;
     let per_byte = bytes as f64 / MEASURED_BYTES as f64;
     println!(
-        "{allocs} allocations, {bytes} bytes over {segments} segments, {writes} writes, \
+        "{cc}: {allocs} allocations, {bytes} bytes over {segments} segments, {writes} writes, \
          {MEASURED_BYTES} payload bytes: {per_seg:.3} per segment beyond one per write, \
          {per_byte:.3} bytes per payload byte"
     );
@@ -216,11 +227,12 @@ fn steady_state_transfer_stays_within_its_allocation_budget() {
     );
     assert!(
         per_seg <= MAX_ALLOCS_PER_SEG,
-        "{per_seg:.3} allocations per emitted segment (beyond one per write), \
+        "{cc}: {per_seg:.3} allocations per emitted segment (beyond one per write), \
          budget {MAX_ALLOCS_PER_SEG}"
     );
     assert!(
         per_byte <= MAX_BYTES_PER_PAYLOAD_BYTE,
-        "{per_byte:.3} bytes allocated per payload byte, budget {MAX_BYTES_PER_PAYLOAD_BYTE}"
+        "{cc}: {per_byte:.3} bytes allocated per payload byte, \
+         budget {MAX_BYTES_PER_PAYLOAD_BYTE}"
     );
 }

@@ -182,8 +182,7 @@ impl CoupledState {
     /// ones, in order) and set each one's signal. Only sockets with an
     /// RTT sample shape the computation; one still waiting for its first
     /// sees the aggregate (alpha/total) view with a neutral per-path term.
-    /// A no-op for Reno; for LIA and cubic, allocation-free once the
-    /// scratch has grown (OLIA's [`olia_alphas`] still allocates).
+    /// A no-op for Reno; allocation-free once the scratch has grown.
     pub fn couple<T>(
         &mut self,
         subflows: &mut [T],
@@ -253,9 +252,7 @@ impl CoupledState {
             srtt: f.srtt,
         }));
         if self.algo == CcAlgorithm::Olia {
-            for (signal, alpha) in self.signals.iter_mut().zip(olia_alphas(flows)) {
-                signal.alpha = alpha;
-            }
+            olia_alphas(flows, self.signals.iter_mut().map(|s| &mut s.alpha));
         }
         &self.signals
     }
@@ -603,43 +600,33 @@ pub fn lia_alpha(flows: &[FlowView]) -> f64 {
 ///   for everyone else — windows migrate from big to good-but-small.
 /// * If `collected` is empty (the best paths already hold the biggest
 ///   windows): all `alpha_i = 0` and OLIA's rate term rules alone.
-pub fn olia_alphas(flows: &[FlowView]) -> Vec<f64> {
+///
+/// Writes `alpha_i` through the `i`-th item of `alphas` (one per flow), in
+/// three passes over `flows` that allocate nothing.
+pub fn olia_alphas<'a>(flows: &[FlowView], alphas: impl IntoIterator<Item = &'a mut f64>) {
     let n = flows.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let quality: Vec<f64> = flows
-        .iter()
-        .map(|f| {
-            let rtt_s = f.srtt.as_secs_f64().max(1e-6);
-            f64::from(f.cwnd) / (rtt_s * rtt_s)
-        })
-        .collect();
+    let quality = |f: &FlowView| {
+        let rtt_s = f.srtt.as_secs_f64().max(1e-6);
+        f64::from(f.cwnd) / (rtt_s * rtt_s)
+    };
     let max_w = flows.iter().map(|f| f.cwnd).max().unwrap_or(0);
-    let max_q = quality.iter().cloned().fold(0.0f64, f64::max);
+    let max_q = flows.iter().map(quality).fold(0.0f64, f64::max);
     let near = |a: f64, b: f64| (a - b).abs() <= b * 1e-9;
-    let in_m: Vec<bool> = flows.iter().map(|f| f.cwnd == max_w).collect();
-    let in_best: Vec<bool> = quality
-        .iter()
-        .map(|&q| max_q > 0.0 && near(q, max_q))
-        .collect();
-    let collected: Vec<bool> = (0..n).map(|i| in_best[i] && !in_m[i]).collect();
-    let n_collected = collected.iter().filter(|&&b| b).count();
-    if n_collected == 0 {
-        return vec![0.0; n];
+    let in_m = |f: &FlowView| f.cwnd == max_w;
+    let collected = |f: &FlowView| max_q > 0.0 && near(quality(f), max_q) && !in_m(f);
+    let n_collected = flows.iter().filter(|f| collected(f)).count();
+    let n_m = flows.iter().filter(|f| in_m(f)).count().max(1);
+    for (f, alpha) in flows.iter().zip(alphas) {
+        *alpha = if n_collected == 0 {
+            0.0
+        } else if collected(f) {
+            1.0 / (n as f64 * n_collected as f64)
+        } else if in_m(f) {
+            -1.0 / (n as f64 * n_m as f64)
+        } else {
+            0.0
+        };
     }
-    let n_m = in_m.iter().filter(|&&b| b).count().max(1);
-    (0..n)
-        .map(|i| {
-            if collected[i] {
-                1.0 / (n as f64 * n_collected as f64)
-            } else if in_m[i] {
-                -1.0 / (n as f64 * n_m as f64)
-            } else {
-                0.0
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -793,6 +780,13 @@ mod tests {
         }
     }
 
+    /// [`olia_alphas`] collected into one `Vec`.
+    fn olia(flows: &[FlowView]) -> Vec<f64> {
+        let mut alphas = vec![f64::NAN; flows.len()];
+        olia_alphas(flows, &mut alphas);
+        alphas
+    }
+
     #[test]
     fn olia_alpha_collected_path_gets_positive_share() {
         // Path 0: small window, excellent quality (10 ms RTT) — collected.
@@ -800,7 +794,7 @@ mod tests {
         // q0 = 10_000/0.01^2 = 1e8 > q1 = 20_000/0.1^2 = 2e6.
         // n = 2, |collected| = 1, |M| = 1:
         //   alpha_0 = +1/(2*1) = 0.5, alpha_1 = -1/(2*1) = -0.5.
-        let a = olia_alphas(&[fv(10_000, 10), fv(20_000, 100)]);
+        let a = olia(&[fv(10_000, 10), fv(20_000, 100)]);
         assert!((a[0] - 0.5).abs() < 1e-12, "alpha = {a:?}");
         assert!((a[1] + 0.5).abs() < 1e-12, "alpha = {a:?}");
     }
@@ -809,7 +803,7 @@ mod tests {
     fn olia_alpha_zero_when_best_path_has_max_window() {
         // Equal RTTs: the max-window path is also the best-quality path,
         // so `collected` is empty and every alpha is zero.
-        let a = olia_alphas(&[fv(10_000, 50), fv(20_000, 50)]);
+        let a = olia(&[fv(10_000, 50), fv(20_000, 50)]);
         assert_eq!(a, vec![0.0, 0.0]);
     }
 
@@ -819,7 +813,7 @@ mod tests {
         // Path 1: w=30_000, rtt=100ms -> q = 3e6   (max-w: M)
         // Path 2: w=20_000, rtt=100ms -> q = 2e6   (neither)
         // n = 3: alpha = [+1/3, -1/3, 0].
-        let a = olia_alphas(&[fv(10_000, 10), fv(30_000, 100), fv(20_000, 100)]);
+        let a = olia(&[fv(10_000, 10), fv(30_000, 100), fv(20_000, 100)]);
         assert!((a[0] - 1.0 / 3.0).abs() < 1e-12, "alpha = {a:?}");
         assert!((a[1] + 1.0 / 3.0).abs() < 1e-12, "alpha = {a:?}");
         assert!(a[2].abs() < 1e-12, "alpha = {a:?}");
@@ -827,9 +821,9 @@ mod tests {
 
     #[test]
     fn olia_alpha_degenerate_inputs() {
-        assert!(olia_alphas(&[]).is_empty());
+        assert!(olia(&[]).is_empty());
         // Single path: it is both best and max-window -> alpha 0.
-        assert_eq!(olia_alphas(&[fv(10_000, 50)]), vec![0.0]);
+        assert_eq!(olia(&[fv(10_000, 50)]), vec![0.0]);
     }
 
     #[test]
