@@ -18,7 +18,7 @@
 //!   fig11   HTTP requests/sec vs file size (TCP / bonding / MPTCP)
 //!   mbox    the §3 middlebox × design survival matrix
 //!   telemetry  one rwnd-limited MPTCP run: counter table + JSON report
-//!   trace   one traced run: time-series JSONL/CSV, MPTCP-aware packet
+//!   trace   one traced run: time-series JSONL, MPTCP-aware packet
 //!           capture, gnuplot timeline (scenarios: fig4, fig9, fallback)
 //!   chaos   fault injection: single-path blackout survival + recovery,
 //!           all-paths abort with a typed reason, randomized seed sweep
@@ -41,6 +41,10 @@
 //! ```
 //!
 //! Performance is measured by `benchmark/run.sh`, not by this binary.
+//!
+//! Every figure prints as Markdown tables, one per `harness::Figure` the
+//! experiment returns; EXPERIMENTS.md quotes them, and
+//! `scripts/check_figures.sh` checks the deterministic ones against it.
 //!
 //! `--quick` shrinks sweeps for a fast smoke run.
 //!
@@ -74,6 +78,7 @@ mod runtime_cli;
 
 use mptcp_harness::experiments::common::{Policy, Variant, UNTRACED, WARMUP};
 use mptcp_harness::experiments::*;
+use mptcp_harness::Figure;
 use mptcp_netsim::Duration;
 
 const SEED: u64 = 20120425; // NSDI'12 presentation date
@@ -157,18 +162,6 @@ fn main() {
     let which = args.first().cloned().unwrap_or_else(|| "all".to_string());
 
     match which.as_str() {
-        "fig3" => fig3(),
-        "fig4" => fig4(quick, policy),
-        "fig5" => fig5(quick, policy),
-        "fig6a" => fig6(fig6_scenarios::Panel::WeakCellular, quick, policy),
-        "fig6b" => fig6(fig6_scenarios::Panel::Asymmetric, quick, policy),
-        "fig6c" => fig6(fig6_scenarios::Panel::Symmetric3, quick, policy),
-        "fig7" => fig7(quick, policy),
-        "fig8" => fig8(policy),
-        "fig9" => fig9(quick, policy),
-        "fig10" => fig10(quick),
-        "fig11" => fig11(quick, policy),
-        "mbox" => mbox_matrix(policy),
         "telemetry" => telemetry_report(quick, policy),
         "trace" => trace_run(args, policy),
         "chaos" => chaos_run(args, quick, policy),
@@ -178,24 +171,46 @@ fn main() {
         "stat" => admin_cli::stat(args),
         "top" => admin_cli::top(args, quick),
         "all" => {
-            mbox_matrix(policy);
             telemetry_report(quick, policy);
-            fig3();
-            fig4(quick, policy);
-            fig5(quick, policy);
-            fig6(fig6_scenarios::Panel::WeakCellular, quick, policy);
-            fig6(fig6_scenarios::Panel::Asymmetric, quick, policy);
-            fig6(fig6_scenarios::Panel::Symmetric3, quick, policy);
-            fig7(quick, policy);
-            fig8(policy);
-            fig9(quick, policy);
-            fig10(quick);
-            fig11(quick, policy);
+            for name in FIGURES {
+                print_figures(name, quick, policy);
+            }
         }
+        name => print_figures(name, quick, policy),
+    }
+}
+
+/// Every figure experiment, in the order `all` runs them.
+const FIGURES: [&str; 12] = [
+    "mbox", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9", "fig10",
+    "fig11",
+];
+
+/// Run figure experiment `name` and print its tables; exit 2 if there is
+/// no such experiment.
+fn print_figures(name: &str, quick: bool, policy: Policy) {
+    use fig6_scenarios::Panel;
+    let fig6 = |panel| vec![fig6_scenarios::figure(panel, quick, SEED, policy)];
+    let figures: Vec<Figure> = match name {
+        "mbox" => vec![mbox::figure(SEED, policy)],
+        "fig3" => fig3_checksum::figures().into(),
+        "fig4" => vec![fig4_rcvbuf::figure(quick, SEED, policy)],
+        "fig5" => vec![fig5_memory::figure(quick, SEED, policy)],
+        "fig6a" => fig6(Panel::WeakCellular),
+        "fig6b" => fig6(Panel::Asymmetric),
+        "fig6c" => fig6(Panel::Symmetric3),
+        "fig7" => fig7_appdelay::figures(quick, SEED, policy).into(),
+        "fig8" => vec![fig8_reorder::figure(SEED, policy)],
+        "fig9" => vec![fig9_wifi3g::figure(quick, SEED, policy)],
+        "fig10" => vec![fig10_handshake::figure(quick, SEED)],
+        "fig11" => vec![fig11_http::figure(quick, SEED, policy)],
         other => {
             eprintln!("unknown experiment: {other}");
             std::process::exit(2);
         }
+    };
+    for figure in &figures {
+        print!("{figure}");
     }
 }
 
@@ -204,264 +219,10 @@ fn header(title: &str) {
     println!("=== {title} ===");
 }
 
-/// Note a non-default policy under the header so sweeps are self-labelling.
+/// Note a non-default policy under the header so runs are self-labelling.
 fn print_policy(policy: Policy) {
-    if policy != Policy::default() {
-        println!(
-            "(policy: cc={}, scheduler={}, pm={})",
-            policy.cc, policy.sched, policy.pm
-        );
-    }
-}
-
-fn fig3() {
-    header("Figure 3: goodput vs MSS, DSM checksum on/off (10 Gbps)");
-    let measured = fig3_checksum::calibrate();
-    println!(
-        "this machine: per-packet {:.0} ns, checksum {:.3} ns/byte — modern CPUs\n         checksum at >10 GB/s, so the 2012 bottleneck vanishes here. Both views:",
-        measured.t_pkt * 1e9,
-        measured.t_byte * 1e9
-    );
-    for (label, cal) in [
-        (
-            "paper-era Xeon calibration",
-            fig3_checksum::Calibration::PAPER_ERA,
-        ),
-        ("this machine (measured)", measured),
-    ] {
-        println!("\n[{label}]");
-        println!(
-            "{:>6}  {:>14}  {:>14}  {:>7}",
-            "MSS", "no-cksum Gbps", "cksum Gbps", "loss%"
-        );
-        for r in fig3_checksum::run(cal, &fig3_checksum::default_msss()) {
-            let loss = 100.0 * (1.0 - r.checksum_gbps / r.no_checksum_gbps.max(1e-9));
-            println!(
-                "{:>6}  {:>14.2}  {:>14.2}  {:>6.1}%",
-                r.mss, r.no_checksum_gbps, r.checksum_gbps, loss
-            );
-        }
-    }
-}
-
-fn fig4(quick: bool, policy: Policy) {
-    header("Figure 4: throughput vs receive buffer (WiFi 8M/20ms + 3G 2M/150ms)");
-    print_policy(policy);
-    let bufs = if quick {
-        vec![100_000, 200_000, 400_000, 1_000_000]
-    } else {
-        fig4_rcvbuf::default_bufs()
-    };
-    let rows = fig4_rcvbuf::sweep(&bufs, SEED, policy);
-    print!("{:>9}", "buf KB");
-    for v in fig4_rcvbuf::variants() {
-        print!("  {:>16}", v.label());
-    }
-    println!("  {:>13}", "M1 thruput");
-    for row in &rows {
-        print!("{:>9}", row.buf / 1000);
-        let mut m1_thru = 0.0;
-        for (v, r) in &row.results {
-            print!("  {:>13.2} Mb", r.goodput_mbps);
-            if *v == common::Variant::MptcpM1 {
-                m1_thru = r.throughput_mbps;
-            }
-        }
-        println!("  {:>10.2} Mb", m1_thru);
-    }
-    let tcp3g = fig4_rcvbuf::run_tcp_3g(500_000, SEED);
-    println!("(TCP over 3G at 500 KB: {:.2} Mbps)", tcp3g.goodput_mbps);
-    // The tightest buffer is where M1/M2 earn their keep; show the counters.
-    if let Some(row) = rows.first() {
-        if let Some((_, r)) = row
-            .results
-            .iter()
-            .find(|(v, _)| *v == common::Variant::MptcpM12)
-        {
-            println!();
-            println!("MPTCP+M1,2 telemetry at {} KB:", row.buf / 1000);
-            print!("{}", r.telemetry.render_table());
-        }
-    }
-}
-
-fn fig5(quick: bool, policy: Policy) {
-    header("Figure 5: memory used vs configured receive buffer (autotuning)");
-    print_policy(policy);
-    let bufs = if quick {
-        vec![200_000, 600_000, 1_000_000]
-    } else {
-        fig5_memory::default_bufs()
-    };
-    let rows = fig5_memory::sweep(&bufs, SEED, policy);
-    if let Some(first) = rows.first() {
-        print!("{:>9}", "buf KB");
-        for (label, _, _) in &first.results {
-            print!("  {:>22}", label);
-        }
-        println!();
-    }
-    for row in &rows {
-        print!("{:>9}", row.buf / 1000);
-        for (_, smem, rmem) in &row.results {
-            print!("  {:>9.0}/{:>9.0} B", smem, rmem);
-        }
-        println!();
-    }
-    println!("(cells are mean sender/receiver memory)");
-}
-
-fn fig6(panel: fig6_scenarios::Panel, quick: bool, policy: Policy) {
-    header(&format!("Figure 6 {:?}: goodput vs buffer size", panel));
-    print_policy(policy);
-    let mut bufs = panel.default_bufs();
-    if quick {
-        bufs.truncate(3);
-    }
-    let rows = fig6_scenarios::sweep(panel, &bufs, SEED, policy);
-    if let Some(first) = rows.first() {
-        print!("{:>9}", "buf KB");
-        for (label, _) in &first.results {
-            print!("  {:>20}", label);
-        }
-        println!();
-    }
-    for row in &rows {
-        print!("{:>9}", row.buf / 1000);
-        for (_, g) in &row.results {
-            print!("  {:>17.2} Mb", g);
-        }
-        println!();
-    }
-}
-
-fn fig7(quick: bool, policy: Policy) {
-    header("Figure 7: application-delay PDF (8 KB blocks, 200 KB buffers)");
-    print_policy(policy);
-    let dur = if quick {
-        Duration::from_secs(10)
-    } else {
-        Duration::from_secs(30)
-    };
-    let curves = fig7_appdelay::run(200_000, dur, SEED, policy);
-    println!(
-        "{:>16}  {:>8}  {:>8}  {:>8}  {:>8}",
-        "curve", "mean ms", "p50 ms", "p95 ms", "p99 ms"
-    );
-    for c in &curves {
-        println!(
-            "{:>16}  {:>8.1}  {:>8.1}  {:>8.1}  {:>8.1}",
-            c.label,
-            c.stats.mean().as_secs_f64() * 1e3,
-            c.stats.quantile(0.5).as_secs_f64() * 1e3,
-            c.stats.quantile(0.95).as_secs_f64() * 1e3,
-            c.stats.quantile(0.99).as_secs_f64() * 1e3,
-        );
-    }
-    println!();
-    println!("PDF (50 ms bins, % of blocks):");
-    print!("{:>16}", "bin");
-    for ms in (0..450).step_by(50) {
-        print!("  {:>5}", ms);
-    }
-    println!();
-    for c in &curves {
-        print!("{:>16}", c.label);
-        for (_, p) in c
-            .stats
-            .pdf(Duration::from_millis(50), Duration::from_millis(400))
-        {
-            print!("  {:>5.1}", p);
-        }
-        println!();
-    }
-}
-
-fn fig8(policy: Policy) {
-    header("Figure 8: receiver CPU load by reorder algorithm (2 x 1 Gbps)");
-    print_policy(policy);
-    println!(
-        "{:>14}  {:>9}  {:>8}  {:>11}  {:>9}  {:>12}",
-        "algorithm", "subflows", "CPU %", "ops/packet", "hit rate", "goodput Mbps"
-    );
-    for r in fig8_reorder::run(SEED, policy) {
-        println!(
-            "{:>14}  {:>9}  {:>8.1}  {:>11.2}  {:>8.0}%  {:>12.0}",
-            r.algo,
-            r.subflows,
-            r.cpu_util,
-            r.ops_per_pkt,
-            r.hit_rate * 100.0,
-            r.goodput_mbps
-        );
-    }
-}
-
-fn fig9(quick: bool, policy: Policy) {
-    header("Figure 9: MPTCP over real-like 3G and capped WiFi (both 2 Mbps)");
-    print_policy(policy);
-    let bufs = if quick {
-        vec![100_000, 500_000]
-    } else {
-        fig9_wifi3g::default_bufs()
-    };
-    let rows = fig9_wifi3g::sweep(&bufs, SEED, policy);
-    if let Some(first) = rows.first() {
-        print!("{:>9}", "buf KB");
-        for (label, _) in &first.results {
-            print!("  {:>16}", label);
-        }
-        println!();
-    }
-    for row in &rows {
-        print!("{:>9}", row.buf / 1000);
-        for (_, g) in &row.results {
-            print!("  {:>13.2} Mb", g);
-        }
-        println!();
-    }
-}
-
-fn fig10(quick: bool) {
-    header("Figure 10: SYN->SYN/ACK latency (wall clock, this machine)");
-    let trials = if quick { 2_000 } else { 20_000 };
-    let rows = fig10_handshake::run(trials, SEED);
-    println!("{:>28}  {:>10}", "configuration", "median us");
-    for r in &rows {
-        println!("{:>28}  {:>10.2}", r.label, r.median_us());
-    }
-}
-
-fn fig11(quick: bool, policy: Policy) {
-    header("Figure 11: HTTP requests/sec vs transfer size (closed loop)");
-    print_policy(policy);
-    let mut cfg = fig11_http::Config::default();
-    let mut sizes = fig11_http::default_sizes();
-    if quick {
-        cfg.clients = 4;
-        cfg.duration = Duration::from_secs(2);
-        sizes = vec![4_096, 30_000, 100_000, 300_000];
-    }
-    println!(
-        "({} clients, 2 x {} Mbps links, {}s per point)",
-        cfg.clients,
-        cfg.link_mbps,
-        cfg.duration.as_secs()
-    );
-    let rows = fig11_http::sweep(cfg, &sizes, SEED, policy);
-    if let Some(first) = rows.first() {
-        print!("{:>9}", "size KB");
-        for (label, _) in &first.results {
-            print!("  {:>13}", label);
-        }
-        println!();
-    }
-    for row in &rows {
-        print!("{:>9}", row.file_size / 1000);
-        for (_, rps) in &row.results {
-            print!("  {:>8.0} req/s", rps);
-        }
-        println!();
+    if let Some(note) = policy.note() {
+        println!("{note}");
     }
 }
 
@@ -491,15 +252,34 @@ fn telemetry_report(quick: bool, policy: Policy) {
     println!("{}", mptcp_harness::to_json_lines(&[report]));
 }
 
-/// Write one run's artifact files under `out_dir` (created if missing),
-/// naming each on stdout; any I/O error ends the process with status 1.
-fn write_artifacts(out_dir: &std::path::Path, files: &[(String, String)]) {
+/// Write a traced run's artifacts under `out_dir` (created if missing) as
+/// `{stem}_*`: the trace's JSONL, the packet capture's if the run has one,
+/// the gnuplot timeline and the JSON report, naming each on stdout; any
+/// I/O error ends the process with status 1.
+fn write_artifacts(
+    out_dir: &std::path::Path,
+    stem: &str,
+    trace: &mptcp_telemetry::TraceSnapshot,
+    pcap: Option<String>,
+    report: &mptcp_harness::RunReport,
+) {
+    use mptcp_harness::experiments::trace::timeline_dat;
+    let report = mptcp_harness::to_json_lines(std::slice::from_ref(report));
+    let files = [
+        (
+            "trace.jsonl",
+            Some(mptcp_telemetry::TraceWriter::to_jsonl(trace)),
+        ),
+        ("pcap.jsonl", pcap),
+        ("timeline.dat", Some(timeline_dat(trace))),
+        ("report.json", Some(report)),
+    ];
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("cannot create {}: {e}", out_dir.display());
         std::process::exit(1);
     }
-    for (name, contents) in files {
-        let path = out_dir.join(name);
+    for (name, contents) in files.iter().filter_map(|(n, c)| Some((n, c.as_ref()?))) {
+        let path = out_dir.join(format!("{stem}_{name}"));
         if let Err(e) = std::fs::write(&path, contents) {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(1);
@@ -510,7 +290,6 @@ fn write_artifacts(out_dir: &std::path::Path, files: &[(String, String)]) {
 
 fn trace_run(mut args: Vec<String>, policy: Policy) {
     use mptcp_harness::experiments::trace as tr;
-    use mptcp_telemetry::TraceWriter;
 
     let out_dir: std::path::PathBuf =
         take_value_flag(&mut args, "--out").unwrap_or_else(|| "trace_out".into());
@@ -559,21 +338,8 @@ fn trace_run(mut args: Vec<String>, policy: Policy) {
         r.capture.dropped_records
     );
 
-    let stem = scenario.name();
-    let files = [
-        (
-            format!("{stem}_trace.jsonl"),
-            TraceWriter::to_jsonl(&r.trace),
-        ),
-        (format!("{stem}_trace.csv"), TraceWriter::to_csv(&r.trace)),
-        (format!("{stem}_pcap.jsonl"), r.capture.to_jsonl()),
-        (format!("{stem}_timeline.dat"), tr::timeline_dat(&r.trace)),
-        (
-            format!("{stem}_report.json"),
-            mptcp_harness::to_json_lines(std::slice::from_ref(&art.report)),
-        ),
-    ];
-    write_artifacts(&out_dir, &files);
+    let pcap = Some(r.capture.to_jsonl());
+    write_artifacts(&out_dir, scenario.name(), &r.trace, pcap, &art.report);
 
     let dropped = r.trace.dropped_samples + r.capture.dropped_records;
     if fail_on_drops && dropped > 0 {
@@ -587,9 +353,6 @@ fn trace_run(mut args: Vec<String>, policy: Policy) {
 }
 
 fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
-    use mptcp_harness::experiments::{chaos, trace as tr};
-    use mptcp_telemetry::TraceWriter;
-
     let out_dir: std::path::PathBuf =
         take_value_flag(&mut args, "--out").unwrap_or_else(|| "chaos_out".into());
     let mut sweep_n: u64 = take_value_flag(&mut args, "--seed-sweep").unwrap_or(4);
@@ -677,18 +440,7 @@ fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
             .metric("path_recoveries", b.path_recoveries as f64)
             .metric("reinjections", b.reinjections as f64)
             .trace(&b.trace);
-    let files = [
-        (
-            "chaos_trace.jsonl".to_string(),
-            TraceWriter::to_jsonl(&b.trace),
-        ),
-        ("chaos_timeline.dat".to_string(), tr::timeline_dat(&b.trace)),
-        (
-            "chaos_report.json".to_string(),
-            mptcp_harness::to_json_lines(std::slice::from_ref(&report)),
-        ),
-    ];
-    write_artifacts(&out_dir, &files);
+    write_artifacts(&out_dir, "chaos", &b.trace, None, &report);
 
     let violations = art.violations();
     if !violations.is_empty() {
@@ -703,9 +455,6 @@ fn chaos_run(mut args: Vec<String>, quick: bool, policy: Policy) {
 }
 
 fn handover_run(mut args: Vec<String>, policy: Policy) {
-    use mptcp_harness::experiments::{handover, trace as tr};
-    use mptcp_telemetry::TraceWriter;
-
     let out_dir: std::path::PathBuf =
         take_value_flag(&mut args, "--out").unwrap_or_else(|| "handover_out".into());
     let fail_on_stall = take_flag(&mut args, "--fail-on-stall");
@@ -764,21 +513,7 @@ fn handover_run(mut args: Vec<String>, policy: Policy) {
     .metric("backup_bytes_before_switch", out.backup_bytes_before as f64)
     .metric("promotions", out.promotions as f64)
     .trace(&out.trace);
-    let files = [
-        (
-            "handover_trace.jsonl".to_string(),
-            TraceWriter::to_jsonl(&out.trace),
-        ),
-        (
-            "handover_timeline.dat".to_string(),
-            tr::timeline_dat(&out.trace),
-        ),
-        (
-            "handover_report.json".to_string(),
-            mptcp_harness::to_json_lines(std::slice::from_ref(&report)),
-        ),
-    ];
-    write_artifacts(&out_dir, &files);
+    write_artifacts(&out_dir, "handover", &out.trace, None, &report);
 
     if !out.violations.is_empty() {
         println!();
@@ -788,27 +523,5 @@ fn handover_run(mut args: Vec<String>, policy: Policy) {
         if fail_on_stall {
             std::process::exit(1);
         }
-    }
-}
-
-fn mbox_matrix(policy: Policy) {
-    header("S3/S4.1: middlebox x design survival matrix (200 KB transfer)");
-    print_policy(policy);
-    println!(
-        "{:>20}  {:>22}  {:>22}  {:>22}",
-        "middlebox", "MPTCP", "strawman (striped)", "TCP"
-    );
-    let cells = mbox::matrix(SEED, policy);
-    for chunk in cells.chunks(3) {
-        print!("{:>20}", chunk[0].mbox.label());
-        for cell in chunk {
-            let txt = match cell.outcome {
-                mbox::Outcome::Ok => format!("ok {:.1} Mbps", cell.goodput_mbps),
-                mbox::Outcome::FellBack => format!("fell back {:.1} Mbps", cell.goodput_mbps),
-                mbox::Outcome::Stalled(p) => format!("STALLED {p:.0}%"),
-            };
-            print!("  {:>22}", txt);
-        }
-        println!();
     }
 }

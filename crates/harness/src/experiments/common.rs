@@ -41,6 +41,17 @@ impl Policy {
     pub fn label(&self) -> String {
         format!("{}+{}+{}", self.cc, self.sched, self.pm)
     }
+
+    /// The note a run under a non-default policy carries, so sweeps are
+    /// self-labelling; `None` for the default.
+    pub fn note(&self) -> Option<String> {
+        (*self != Policy::default()).then(|| {
+            format!(
+                "(policy: cc={}, scheduler={}, pm={})",
+                self.cc, self.sched, self.pm
+            )
+        })
+    }
 }
 
 /// The transport variants the figures compare.

@@ -24,6 +24,7 @@ use mptcp_netsim::{Duration, LinkCfg, Path};
 use mptcp_tcpstack::TcpConfig;
 
 use super::common::Policy;
+use crate::report::Figure;
 use crate::scenario::{Scenario, TransportKind};
 
 /// Sweep configuration.
@@ -45,15 +46,6 @@ impl Default for Config {
             duration: Duration::from_secs(5),
         }
     }
-}
-
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Transfer (file) size in bytes.
-    pub file_size: usize,
-    /// (label, requests per second).
-    pub results: Vec<(&'static str, f64)>,
 }
 
 fn link(cfg: &Config) -> LinkCfg {
@@ -85,43 +77,56 @@ fn run_one(kind: TransportKind, cfg: &Config, file_size: usize, seed: u64) -> f6
     (done1 - done0) as f64 / (sc.sim.now - t0).as_secs_f64()
 }
 
-/// Run the sweep over `sizes` for all three transports, the MPTCP row
-/// under `policy`.
-pub fn sweep(cfg: Config, sizes: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
-    sizes
-        .iter()
-        .map(|&file_size| {
-            let tcp = TcpConfig::with_buffers(512 * 1024);
-            let mcfg = MptcpConfig::builder()
-                .buffers(512 * 1024)
-                .mechanisms(Mechanisms::M1_2)
-                .checksum(false)
-                .cc(policy.cc)
-                .scheduler(policy.sched)
-                .build()
-                .expect("fig11 config is valid");
-            let results = vec![
-                (
-                    "MPTCP",
-                    run_one(TransportKind::Mptcp(mcfg.clone()), &cfg, file_size, seed),
-                ),
-                (
-                    "bonding TCP",
-                    run_one(TransportKind::BondedTcp(tcp.clone()), &cfg, file_size, seed),
-                ),
-                (
-                    "regular TCP",
-                    run_one(TransportKind::Tcp(tcp.clone()), &cfg, file_size, seed),
-                ),
-            ];
-            Row { file_size, results }
-        })
-        .collect()
+/// Run the sweep over `sizes` for all three transports, the MPTCP column
+/// under `policy`: requests per second at each size.
+pub fn sweep(cfg: Config, sizes: &[usize], seed: u64, policy: Policy) -> Figure {
+    let mut fig = Figure::new("Figure 11: HTTP requests/sec vs transfer size (closed loop)")
+        .column("size KB", 0)
+        .column("MPTCP", 0)
+        .column("bonding TCP", 0)
+        .column("regular TCP", 0);
+    let tcp = TcpConfig::with_buffers(512 * 1024);
+    let mptcp = MptcpConfig::builder()
+        .buffers(512 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .checksum(false)
+        .cc(policy.cc)
+        .scheduler(policy.sched)
+        .build()
+        .expect("fig11 config is valid");
+    for &file_size in sizes {
+        let kinds = [
+            TransportKind::Mptcp(mptcp.clone()),
+            TransportKind::BondedTcp(tcp.clone()),
+            TransportKind::Tcp(tcp.clone()),
+        ];
+        let mut row = vec![(file_size / 1000).into()];
+        row.extend(kinds.map(|kind| run_one(kind, &cfg, file_size, seed).into()));
+        fig.row(row);
+    }
+    fig.notes.push(format!(
+        "({} clients, 2 x {} Mbps links, {}s per point)",
+        cfg.clients,
+        cfg.link_mbps,
+        cfg.duration.as_secs()
+    ));
+    fig.notes.extend(policy.note());
+    fig
 }
 
-/// The paper's x-axis (bytes): 4 KB – 300 KB.
-pub fn default_sizes() -> Vec<usize> {
-    vec![
+/// [`sweep`] over the paper's axis, 4 to 300 KB, with the default fleet;
+/// four sizes and a four-client fleet for 2 s per point when `quick`.
+pub fn figure(quick: bool, seed: u64, policy: Policy) -> Figure {
+    if quick {
+        let cfg = Config {
+            clients: 4,
+            duration: Duration::from_secs(2),
+            ..Config::default()
+        };
+        return sweep(cfg, &[4_096, 30_000, 100_000, 300_000], seed, policy);
+    }
+    let sizes = [
         4_096, 16_384, 30_000, 65_536, 100_000, 150_000, 200_000, 300_000,
-    ]
+    ];
+    sweep(Config::default(), &sizes, seed, policy)
 }

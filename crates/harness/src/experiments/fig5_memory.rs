@@ -11,41 +11,50 @@
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
 use super::common::{run_bulk, wifi_3g_paths, Policy, Variant, UNTRACED};
+use crate::report::{Figure, Value};
 
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Configured max buffer (bytes).
-    pub buf: usize,
-    /// (variant label, mean sender memory, mean receiver memory).
-    pub results: Vec<(&'static str, f64, f64)>,
-}
-
-/// Run the memory sweep with autotuning enabled everywhere.
-pub fn sweep(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+/// The memory sweep with autotuning enabled everywhere, over 100 KB to
+/// 1 MB of configured buffer (three points when `quick`): each variant's
+/// mean sender and receiver memory.
+pub fn figure(quick: bool, seed: u64, policy: Policy) -> Figure {
+    let bufs: &[usize] = if quick {
+        &[200_000, 600_000, 1_000_000]
+    } else {
+        &[100_000, 200_000, 400_000, 600_000, 800_000, 1_000_000]
+    };
     let warm = Duration::from_secs(3);
     let meas = Duration::from_secs(15);
-    bufs.iter()
-        .map(|&buf| {
-            let mut results = Vec::new();
-            for (label, v) in [
-                ("MPTCP+M1,2,3,4", Variant::MptcpAll),
-                ("MPTCP+M1,2,3", Variant::MptcpM123),
-            ] {
-                let r = run_bulk(v, buf, wifi_3g_paths(), warm, meas, seed, policy, UNTRACED).bulk;
-                results.push((label, r.sender_mem, r.receiver_mem));
-            }
-            // Autotuned TCP baselines.
-            for (label, link) in [
-                ("TCP over WiFi", LinkCfg::wifi()),
-                ("TCP over 3G", LinkCfg::threeg()),
-            ] {
-                let r = run_tcp_autotuned(buf, link, warm, meas, seed);
-                results.push((label, r.0, r.1));
-            }
-            Row { buf, results }
-        })
-        .collect()
+    let mptcp = [
+        ("MPTCP+M1,2,3,4", Variant::MptcpAll),
+        ("MPTCP+M1,2,3", Variant::MptcpM123),
+    ];
+    // Autotuned TCP baselines.
+    let tcp = [
+        ("TCP over WiFi", LinkCfg::wifi()),
+        ("TCP over 3G", LinkCfg::threeg()),
+    ];
+    let mut fig =
+        Figure::new("Figure 5: memory used vs configured receive buffer (autotuning), mean bytes")
+            .column("buf KB", 0);
+    for label in mptcp.iter().map(|m| m.0).chain(tcp.iter().map(|t| t.0)) {
+        fig = fig
+            .column(format!("{label} sender"), 0)
+            .column(format!("{label} receiver"), 0);
+    }
+    for &buf in bufs {
+        let mut row: Vec<Value> = vec![(buf / 1000).into()];
+        for (_, v) in mptcp {
+            let r = run_bulk(v, buf, wifi_3g_paths(), warm, meas, seed, policy, UNTRACED).bulk;
+            row.extend([r.sender_mem.into(), r.receiver_mem.into()]);
+        }
+        for (_, link) in tcp {
+            let (smem, rmem) = run_tcp_autotuned(buf, link, warm, meas, seed);
+            row.extend([smem.into(), rmem.into()]);
+        }
+        fig.row(row);
+    }
+    fig.notes.extend(policy.note());
+    fig
 }
 
 fn run_tcp_autotuned(
@@ -75,9 +84,4 @@ fn run_tcp_autotuned(
     let smem = sc.client().mem_sampler.mean_after(t0);
     let rmem = sc.server().mem_sampler.mean_after(t0);
     (smem, rmem)
-}
-
-/// Default x-axis: 100 KB – 1 MB.
-pub fn default_bufs() -> Vec<usize> {
-    vec![100_000, 200_000, 400_000, 600_000, 800_000, 1_000_000]
 }

@@ -12,7 +12,8 @@
 
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
-use super::common::{run_bulk, BulkResult, Policy, Variant, UNTRACED};
+use super::common::{run_bulk, Policy, Variant, UNTRACED};
+use crate::report::Figure;
 
 /// A WAN-ish link: 10 ms one-way, one base-RTT of buffer.
 fn wan(rate_bps: u64) -> LinkCfg {
@@ -72,14 +73,19 @@ impl Panel {
         }
     }
 
-    /// Buffer sweep matching the paper's axes.
-    pub fn default_bufs(&self) -> Vec<usize> {
-        match self {
+    /// Buffer sweep matching the paper's axes (its first three points
+    /// when `quick`).
+    fn bufs(&self, quick: bool) -> Vec<usize> {
+        let mut bufs = match self {
             Panel::WeakCellular => vec![100_000, 200_000, 500_000, 1_000_000, 2_000_000],
             _ => vec![
                 250_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000,
             ],
+        };
+        if quick {
+            bufs.truncate(3);
         }
+        bufs
     }
 
     /// Measurement window (high-rate panels need less simulated time).
@@ -91,35 +97,36 @@ impl Panel {
     }
 }
 
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Buffer size (bytes).
-    pub buf: usize,
-    /// (label, goodput Mbps).
-    pub results: Vec<(&'static str, f64)>,
-}
-
-/// Run one panel's sweep.
-pub fn sweep(panel: Panel, bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
+/// Run one panel's buffer sweep: goodput of MPTCP+M1,2, regular MPTCP
+/// and the panel's TCP baselines.
+pub fn figure(panel: Panel, quick: bool, seed: u64, policy: Policy) -> Figure {
     let (warm, meas) = panel.windows();
-    bufs.iter()
-        .map(|&buf| {
-            let mut results = Vec::new();
-            for (label, v) in [
-                ("MPTCP+M1,2", Variant::MptcpM12),
-                ("regular MPTCP", Variant::MptcpRegular),
-            ] {
-                let r: BulkResult =
-                    run_bulk(v, buf, panel.paths(), warm, meas, seed, policy, UNTRACED).bulk;
-                results.push((label, r.goodput_mbps));
-            }
-            for (label, path) in panel.baselines() {
-                let paths = vec![path];
-                let r = run_bulk(Variant::Tcp, buf, paths, warm, meas, seed, policy, UNTRACED).bulk;
-                results.push((label, r.goodput_mbps));
-            }
-            Row { buf, results }
-        })
-        .collect()
+    let mptcp = [
+        ("MPTCP+M1,2", Variant::MptcpM12),
+        ("regular MPTCP", Variant::MptcpRegular),
+    ];
+    let mut fig = Figure::new(format!("Figure 6 {panel:?}: goodput vs buffer size, Mbps"))
+        .column("buf KB", 0);
+    for label in mptcp
+        .iter()
+        .map(|m| m.0)
+        .chain(panel.baselines().iter().map(|b| b.0))
+    {
+        fig = fig.column(label, 2);
+    }
+    for buf in panel.bufs(quick) {
+        let mut row = vec![(buf / 1000).into()];
+        for (_, v) in mptcp {
+            let r = run_bulk(v, buf, panel.paths(), warm, meas, seed, policy, UNTRACED).bulk;
+            row.push(r.goodput_mbps.into());
+        }
+        for (_, path) in panel.baselines() {
+            let paths = vec![path];
+            let r = run_bulk(Variant::Tcp, buf, paths, warm, meas, seed, policy, UNTRACED).bulk;
+            row.push(r.goodput_mbps.into());
+        }
+        fig.row(row);
+    }
+    fig.notes.extend(policy.note());
+    fig
 }

@@ -12,18 +12,10 @@ use mptcp_netsim::{Duration, LinkCfg, Path};
 
 use crate::hosts::{ClientApp, ServerApp};
 use crate::metrics::AppDelayStats;
+use crate::report::Figure;
 use crate::scenario::{Scenario, TransportKind};
 
 use super::common::{wifi_3g_paths, Policy, Variant};
-
-/// One curve of the PDF plot.
-#[derive(Clone, Debug)]
-pub struct Curve {
-    /// Legend label.
-    pub label: &'static str,
-    /// Delay statistics.
-    pub stats: AppDelayStats,
-}
 
 fn run_blocks(kind: TransportKind, paths: Vec<Path>, dur: Duration, seed: u64) -> AppDelayStats {
     let mut sc = Scenario::new(kind, ClientApp::Blocks, ServerApp::Sink, paths, seed);
@@ -41,31 +33,49 @@ fn run_blocks(kind: TransportKind, paths: Vec<Path>, dur: Duration, seed: u64) -
     )
 }
 
-/// Run all four Figure 7 curves with `buf`-byte buffers.
-pub fn run(buf: usize, dur: Duration, seed: u64, policy: Policy) -> Vec<Curve> {
-    let mut out = Vec::new();
+/// All four Figure 7 curves with 200 KB buffers over 30 s (10 s when
+/// `quick`): each curve's delay summary, then its PDF.
+pub fn figures(quick: bool, seed: u64, policy: Policy) -> [Figure; 2] {
+    let (buf, dur) = (200_000, Duration::from_secs(if quick { 10 } else { 30 }));
+    let mut curves = Vec::new();
     for (label, v) in [
         ("MPTCP + M1,2", Variant::MptcpM12),
         ("regular MPTCP", Variant::MptcpRegular),
     ] {
-        out.push(Curve {
-            label,
-            stats: run_blocks(v.kind_with(buf, policy), wifi_3g_paths(), dur, seed),
-        });
+        let kind = v.kind_with(buf, policy);
+        curves.push((label, run_blocks(kind, wifi_3g_paths(), dur, seed)));
     }
     for (label, link) in [
         ("TCP over WiFi", LinkCfg::wifi()),
         ("TCP over 3G", LinkCfg::threeg()),
     ] {
-        out.push(Curve {
-            label,
-            stats: run_blocks(
-                Variant::Tcp.kind(buf),
-                vec![Path::symmetric(link)],
-                dur,
-                seed,
-            ),
-        });
+        let paths = vec![Path::symmetric(link)];
+        curves.push((label, run_blocks(Variant::Tcp.kind(buf), paths, dur, seed)));
     }
-    out
+    let mut summary = Figure::new("Figure 7: application-delay PDF (8 KB blocks, 200 KB buffers)")
+        .column("curve", 0);
+    for label in ["mean ms", "p50 ms", "p95 ms", "p99 ms"] {
+        summary = summary.column(label, 1);
+    }
+    let mut pdf =
+        Figure::new("Figure 7: application-delay PDF (50 ms bins, % of blocks)").column("bin", 0);
+    for ms in (0..450).step_by(50) {
+        pdf = pdf.column(ms.to_string(), 1);
+    }
+    let ms = |d: Duration| (d.as_secs_f64() * 1e3).into();
+    for (label, stats) in &curves {
+        let q = |p| ms(stats.quantile(p));
+        summary.row(vec![
+            (*label).into(),
+            ms(stats.mean()),
+            q(0.5),
+            q(0.95),
+            q(0.99),
+        ]);
+        let bins = stats.pdf(Duration::from_millis(50), Duration::from_millis(400));
+        let row = std::iter::once((*label).into()).chain(bins.into_iter().map(|(_, p)| p.into()));
+        pdf.row(row.collect());
+    }
+    summary.notes.extend(policy.note());
+    [summary, pdf]
 }

@@ -21,6 +21,7 @@ use mptcp_netsim::{Duration, LinkCfg, Path};
 use mptcp_packet::Endpoint;
 
 use crate::hosts::{ClientApp, ServerApp};
+use crate::report::{Figure, Value};
 use crate::scenario::{Endpoints, Scenario, TransportKind};
 
 /// Modelled fixed per-packet receive cost (ns).
@@ -30,25 +31,9 @@ pub const T_OPT_NS: f64 = 350.0;
 /// Cost per reorder-queue operation (ns).
 pub const T_OP_NS: f64 = 120.0;
 
-/// One bar of Figure 8.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Algorithm label ("TCP" for the baseline).
-    pub algo: String,
-    /// Number of subflows (connections for TCP).
-    pub subflows: usize,
-    /// Modelled CPU utilization (%).
-    pub cpu_util: f64,
-    /// Measured reorder-queue ops per received packet.
-    pub ops_per_pkt: f64,
-    /// Shortcut hit rate (0–1), if the algorithm has pointers.
-    pub hit_rate: f64,
-    /// Aggregate goodput (Mbps) achieved during the window.
-    pub goodput_mbps: f64,
-}
-
-/// Run one (algorithm, subflow-count) cell.
-pub fn run_cell(algo: ReorderAlgo, nsub: usize, seed: u64, policy: Policy) -> Row {
+/// Run one (algorithm, subflow-count) cell: its bar, and the packet rate
+/// (per second) its goodput implies on the wire.
+fn run_cell(algo: ReorderAlgo, nsub: usize, seed: u64, policy: Policy) -> (Vec<Value>, f64) {
     let cfg = MptcpConfig::builder()
         .buffers(8 * 1024 * 1024)
         .mechanisms(Mechanisms::M1_2)
@@ -101,30 +86,21 @@ pub fn run_cell(algo: ReorderAlgo, nsub: usize, seed: u64, policy: Policy) -> Ro
     let pkts_per_sec = pkts / win;
     let ops_per_pkt = if pkts > 0.0 { ops / pkts } else { 0.0 };
     let util = pkts_per_sec * (T_PKT_NS + T_OPT_NS + ops_per_pkt * T_OP_NS) / 1e9 * 100.0;
-    Row {
-        algo: format!("{algo:?}"),
-        subflows: nsub,
-        cpu_util: util,
-        ops_per_pkt,
-        hit_rate: if ins1 > 0 {
-            hits1 as f64 / ins1 as f64
-        } else {
-            0.0
-        },
-        goodput_mbps: crate::metrics::Rates::mbps(bytes1 - bytes0, sc.sim.now - t0),
-    }
-}
-
-/// The TCP baseline bar: same packet rate, no reorder queue, no options.
-pub fn tcp_baseline(pkts_per_sec: f64, conns: usize) -> Row {
-    Row {
-        algo: "TCP".into(),
-        subflows: conns,
-        cpu_util: pkts_per_sec * T_PKT_NS / 1e9 * 100.0,
-        ops_per_pkt: 0.0,
-        hit_rate: 0.0,
-        goodput_mbps: 0.0,
-    }
+    let hit_rate = if ins1 > 0 {
+        hits1 as f64 / ins1 as f64
+    } else {
+        0.0
+    };
+    let goodput_mbps = crate::metrics::Rates::mbps(bytes1 - bytes0, sc.sim.now - t0);
+    let bar = vec![
+        format!("{algo:?}").into(),
+        nsub.into(),
+        util.into(),
+        ops_per_pkt.into(),
+        (hit_rate * 100.0).into(),
+        goodput_mbps.into(),
+    ];
+    (bar, goodput_mbps * 1e6 / 8.0 / 1460.0)
 }
 
 fn snapshot(sc: &mut Scenario) -> (u64, u64, u64, u64, u64) {
@@ -136,9 +112,18 @@ fn snapshot(sc: &mut Scenario) -> (u64, u64, u64, u64, u64) {
     (ooo.ops(), ooo.inserts(), ooo.shortcut_hits(), pkts, bytes)
 }
 
-/// Run the whole figure: all algorithms × {2, 8} subflows + TCP baselines.
-pub fn run(seed: u64, policy: Policy) -> Vec<Row> {
-    let mut rows = Vec::new();
+/// The whole figure: all algorithms × {2, 8} subflows, then the TCP
+/// baseline bar — the same packet rate with no reorder queue and no
+/// options, which has no shortcut pointers and whose goodput is not
+/// measured.
+pub fn figure(seed: u64, policy: Policy) -> Figure {
+    let mut fig = Figure::new("Figure 8: receiver CPU load by reorder algorithm (2 x 1 Gbps)")
+        .column("algorithm", 0)
+        .column("subflows", 0)
+        .column("CPU %", 1)
+        .column("ops/packet", 2)
+        .column("hit rate %", 0)
+        .column("goodput Mbps", 0);
     let mut pkt_rate_estimate = 0.0f64;
     for nsub in [2usize, 8] {
         for algo in [
@@ -147,12 +132,21 @@ pub fn run(seed: u64, policy: Policy) -> Vec<Row> {
             ReorderAlgo::Shortcuts,
             ReorderAlgo::AllShortcuts,
         ] {
-            let row = run_cell(algo, nsub, seed, policy);
+            let (bar, pkt_rate) = run_cell(algo, nsub, seed, policy);
             // Estimate the wire packet rate from goodput for the baseline.
-            pkt_rate_estimate = pkt_rate_estimate.max(row.goodput_mbps * 1e6 / 8.0 / 1460.0);
-            rows.push(row);
+            pkt_rate_estimate = pkt_rate_estimate.max(pkt_rate);
+            fig.row(bar);
         }
     }
-    rows.push(tcp_baseline(pkt_rate_estimate, 2));
-    rows
+    let tcp_util = pkt_rate_estimate * T_PKT_NS / 1e9 * 100.0;
+    fig.row(vec![
+        "TCP".into(),
+        2usize.into(),
+        tcp_util.into(),
+        0.0.into(),
+        Value::Unmeasured,
+        Value::Unmeasured,
+    ]);
+    fig.notes.extend(policy.note());
+    fig
 }

@@ -10,6 +10,7 @@
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
 use super::common::{run_bulk, Policy, Variant, UNTRACED};
+use crate::report::Figure;
 
 /// Capped-WiFi link: 2 Mbps, 20 ms RTT, 80 ms buffer.
 pub fn capped_wifi() -> LinkCfg {
@@ -20,69 +21,50 @@ pub fn capped_wifi() -> LinkCfg {
     )
 }
 
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Buffer size (bytes).
-    pub buf: usize,
-    /// (label, goodput Mbps).
-    pub results: Vec<(&'static str, f64)>,
-}
-
-/// Sweep the paper's buffer axis: 50, 100, 200, 500 KB. `policy` drives
-/// the MPTCP row; the TCP baselines are single-path and unaffected.
-pub fn sweep(bufs: &[usize], seed: u64, policy: Policy) -> Vec<Row> {
-    let warm = Duration::from_secs(4);
-    let meas = Duration::from_secs(25);
-    bufs.iter()
-        .map(|&buf| {
-            let mut results = Vec::new();
-            let mptcp_paths = vec![
-                Path::symmetric(capped_wifi()),
-                Path::symmetric(LinkCfg::threeg()),
-            ];
-            let r = run_bulk(
-                Variant::MptcpM12,
-                buf,
-                mptcp_paths,
-                warm,
-                meas,
-                seed,
-                policy,
-                UNTRACED,
-            )
-            .bulk;
-            results.push(("MPTCP", r.goodput_mbps));
-            let r = run_bulk(
-                Variant::Tcp,
-                buf,
-                vec![Path::symmetric(capped_wifi())],
-                warm,
-                meas,
-                seed,
-                Policy::default(),
-                UNTRACED,
-            )
-            .bulk;
-            results.push(("TCP over WiFi", r.goodput_mbps));
-            let r = run_bulk(
-                Variant::Tcp,
-                buf,
-                vec![Path::symmetric(LinkCfg::threeg())],
-                warm,
-                meas,
-                seed,
-                Policy::default(),
-                UNTRACED,
-            )
-            .bulk;
-            results.push(("TCP over 3G", r.goodput_mbps));
-            Row { buf, results }
-        })
-        .collect()
-}
-
-/// The paper's x-axis.
-pub fn default_bufs() -> Vec<usize> {
-    vec![50_000, 100_000, 200_000, 500_000]
+/// Sweep the paper's buffer axis, 50 to 500 KB (100 and 500 KB when
+/// `quick`). `policy` drives the MPTCP column; the TCP baselines are
+/// single-path and unaffected.
+pub fn figure(quick: bool, seed: u64, policy: Policy) -> Figure {
+    let bufs: &[usize] = if quick {
+        &[100_000, 500_000]
+    } else {
+        &[50_000, 100_000, 200_000, 500_000]
+    };
+    let (warm, meas) = (Duration::from_secs(4), Duration::from_secs(25));
+    let runs = [
+        ("MPTCP", Variant::MptcpM12, capped_wifi(), policy),
+        (
+            "TCP over WiFi",
+            Variant::Tcp,
+            capped_wifi(),
+            Policy::default(),
+        ),
+        (
+            "TCP over 3G",
+            Variant::Tcp,
+            LinkCfg::threeg(),
+            Policy::default(),
+        ),
+    ];
+    let mut fig = Figure::new(
+        "Figure 9: MPTCP over real-like 3G and capped WiFi (both 2 Mbps), goodput Mbps",
+    )
+    .column("buf KB", 0);
+    for (label, ..) in &runs {
+        fig = fig.column(*label, 2);
+    }
+    for &buf in bufs {
+        let mut row = vec![(buf / 1000).into()];
+        for (_, v, link, policy) in &runs {
+            let mut paths = vec![Path::symmetric(*link)];
+            if *v == Variant::MptcpM12 {
+                paths.push(Path::symmetric(LinkCfg::threeg()));
+            }
+            let r = run_bulk(*v, buf, paths, warm, meas, seed, *policy, UNTRACED).bulk;
+            row.push(r.goodput_mbps.into());
+        }
+        fig.row(row);
+    }
+    fig.notes.extend(policy.note());
+    fig
 }

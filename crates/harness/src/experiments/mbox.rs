@@ -25,6 +25,7 @@ use mptcp_tcpstack::TcpConfig;
 
 use super::common::Policy;
 use crate::hosts::{ClientApp, ServerApp};
+use crate::report::Figure;
 use crate::scenario::{Scenario, TransportKind};
 
 /// The transfer designs compared (§3).
@@ -157,10 +158,6 @@ impl MboxKind {
 /// One matrix cell result.
 #[derive(Clone, Debug)]
 pub struct Cell {
-    /// Middlebox under test.
-    pub mbox: MboxKind,
-    /// Design under test.
-    pub design: Design,
     /// What happened.
     pub outcome: Outcome,
     /// Goodput in Mbps (delivered/elapsed).
@@ -246,20 +243,33 @@ pub fn run_cell(mbox: MboxKind, design: Design, seed: u64, policy: Policy) -> Ce
         Outcome::Stalled(100.0 * delivered as f64 / TRANSFER as f64)
     };
     Cell {
-        mbox,
-        design,
         outcome,
         goodput_mbps: crate::metrics::Rates::mbps(delivered, elapsed),
     }
 }
 
-/// Run the full matrix.
-pub fn matrix(seed: u64, policy: Policy) -> Vec<Cell> {
-    let mut cells = Vec::new();
+/// The full matrix: every middlebox against MPTCP, the strawman and TCP.
+pub fn figure(seed: u64, policy: Policy) -> Figure {
+    let mut fig = Figure::new("S3/S4.1: middlebox x design survival matrix (200 KB transfer)")
+        .column("middlebox", 0)
+        .column("MPTCP", 0)
+        .column("strawman (striped)", 0)
+        .column("TCP", 0);
     for mbox in MboxKind::all() {
+        let mut row = vec![mbox.label().into()];
         for design in [Design::Mptcp, Design::Strawman, Design::Tcp] {
-            cells.push(run_cell(mbox, design, seed, policy));
+            let cell = run_cell(mbox, design, seed, policy);
+            row.push(
+                match cell.outcome {
+                    Outcome::Ok => format!("ok {:.1} Mbps", cell.goodput_mbps),
+                    Outcome::FellBack => format!("fell back {:.1} Mbps", cell.goodput_mbps),
+                    Outcome::Stalled(p) => format!("STALLED {p:.0}%"),
+                }
+                .into(),
+            );
         }
+        fig.row(row);
     }
-    cells
+    fig.notes.extend(policy.note());
+    fig
 }

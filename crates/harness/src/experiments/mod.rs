@@ -1,7 +1,8 @@
 //! Experiment drivers: one module per figure/table of the paper.
 //!
-//! Each module exposes a `run()` (or `sweep()`) returning plain row
-//! structs; the `repro` binary in `mptcp-bench` formats them. Absolute
+//! Each figure module returns its table as a [`Figure`](crate::Figure)
+//! (two for Figs 3 and 7), with the `--quick` axis chosen inside it; the
+//! `repro` binary in `mptcp-bench` prints it through the one renderer. Absolute
 //! numbers depend on the simulated substrate (see DESIGN.md §2); the
 //! *shape* of each result — orderings, crossovers, ratios — is the
 //! reproduction target recorded in EXPERIMENTS.md.

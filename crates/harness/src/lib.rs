@@ -8,8 +8,8 @@
 //! timestamped 8 KB blocks (Figure 7), and closed-loop HTTP (Figure 11).
 //!
 //! Each experiment in [`experiments`] reproduces one figure: it builds the
-//! paper's topology, sweeps the paper's parameter, and returns rows that
-//! the `repro` binary (in `mptcp-bench`) prints.
+//! paper's topology, sweeps the paper's parameter, and returns a
+//! [`Figure`] that the `repro` binary (in `mptcp-bench`) prints.
 
 pub mod experiments;
 pub mod hosts;
@@ -20,6 +20,6 @@ pub mod transport;
 
 pub use hosts::{ClientApp, ClientHost, ServerApp, ServerHost};
 pub use metrics::{AppDelayStats, Rates, Sampler};
-pub use report::{to_csv, to_json_lines, RunReport, Series};
+pub use report::{to_json_lines, Figure, RunReport, Value};
 pub use scenario::{Endpoints, Scenario, TransportKind};
 pub use transport::{Transport, WriteError};

@@ -1,54 +1,118 @@
-//! Plain-text/CSV/JSON rendering of experiment rows, for piping into
-//! plotting tools (`repro figN | tee` covers the human-readable side; these
-//! helpers produce machine-readable series and per-run JSON reports that
-//! embed the transport's [`TelemetrySnapshot`]).
+//! How experiment results leave the harness: every paper figure as a
+//! [`Figure`] (a table as data) that one renderer prints as Markdown, and
+//! per-run JSON reports that embed the transport's [`TelemetrySnapshot`].
+
+use std::fmt;
 
 use mptcp::telemetry::json::Writer;
 use mptcp::telemetry::{TelemetrySnapshot, TraceSnapshot};
 
-/// A labelled series of (x, y) points.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// Legend label.
+/// One cell of a [`Figure`] row.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// A number, printed at its column's precision.
+    Num(f64),
+    /// A label or a categorical outcome, printed as it is.
+    Text(String),
+    /// A quantity the row does not measure, printed `—`.
+    Unmeasured,
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::Num(x)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Text(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Text(s)
+    }
+}
+
+/// A labelled column of a [`Figure`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Column {
+    /// Header text, with the unit where the title does not give it.
     pub label: String,
-    /// Data points.
-    pub points: Vec<(f64, f64)>,
+    /// Decimals a [`Value::Num`] in this column prints with.
+    pub precision: usize,
 }
 
-/// Render aligned series as CSV: `x,label1,label2,...` — one row per x.
+/// One table of a paper figure, as data: what `repro figN` prints and
+/// EXPERIMENTS.md quotes.
 ///
-/// Series are aligned by index; shorter series pad with empty cells.
-pub fn to_csv(x_name: &str, series: &[Series]) -> String {
-    let mut out = String::new();
-    out.push_str(x_name);
-    for s in series {
-        out.push(',');
-        out.push_str(&escape(&s.label));
-    }
-    out.push('\n');
-    let rows = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        let x = series
-            .iter()
-            .find_map(|s| s.points.get(i).map(|p| p.0))
-            .unwrap_or(f64::NAN);
-        out.push_str(&format!("{x}"));
-        for s in series {
-            out.push(',');
-            if let Some(p) = s.points.get(i) {
-                out.push_str(&format!("{}", p.1));
-            }
-        }
-        out.push('\n');
-    }
-    out
+/// Its [`Display`](fmt::Display) is the one renderer: the title as a
+/// Markdown heading, the table, then each note as a paragraph.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Figure {
+    /// Heading, e.g. `"Figure 9: ..."`.
+    pub title: String,
+    /// Columns, left to right.
+    pub columns: Vec<Column>,
+    /// Rows, each with one value per column.
+    pub rows: Vec<Vec<Value>>,
+    /// Paragraphs printed under the table.
+    pub notes: Vec<String>,
 }
 
-fn escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+impl Figure {
+    /// A figure with a title and nothing else yet.
+    pub fn new(title: impl Into<String>) -> Figure {
+        Figure {
+            title: title.into(),
+            ..Figure::default()
+        }
+    }
+
+    /// Append a column whose numbers print with `precision` decimals
+    /// (builder style).
+    pub fn column(mut self, label: impl Into<String>, precision: usize) -> Figure {
+        let label = label.into();
+        self.columns.push(Column { label, precision });
+        self
+    }
+
+    /// Append a row, one value per column.
+    pub fn row(&mut self, values: Vec<Value>) {
+        debug_assert_eq!(values.len(), self.columns.len(), "{}", self.title);
+        self.rows.push(values);
+    }
+}
+
+impl fmt::Display for Figure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "\n### {}\n", self.title)?;
+        for c in &self.columns {
+            write!(f, "| {} ", c.label)?;
+        }
+        writeln!(f, "|\n|{}", "---|".repeat(self.columns.len()))?;
+        for row in &self.rows {
+            for (value, c) in row.iter().zip(&self.columns) {
+                match value {
+                    Value::Num(x) => write!(f, "| {x:.*} ", c.precision)?,
+                    Value::Text(t) => write!(f, "| {t} ")?,
+                    Value::Unmeasured => write!(f, "| — ")?,
+                }
+            }
+            writeln!(f, "|")?;
+        }
+        for note in &self.notes {
+            writeln!(f, "\n{note}")?;
+        }
+        Ok(())
     }
 }
 
@@ -189,27 +253,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_layout() {
-        let series = vec![
-            Series {
-                label: "a".into(),
-                points: vec![(1.0, 10.0), (2.0, 20.0)],
-            },
-            Series {
-                label: "b,c".into(),
-                points: vec![(1.0, 11.0)],
-            },
-        ];
-        let csv = to_csv("x", &series);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "x,a,\"b,c\"");
-        assert_eq!(lines[1], "1,10,11");
-        assert_eq!(lines[2], "2,20,");
-    }
-
-    #[test]
-    fn empty_series() {
-        assert_eq!(to_csv("x", &[]), "x\n");
+    fn figure_renders_a_markdown_table() {
+        let mut fig = Figure::new("Figure 0: a test")
+            .column("buf KB", 0)
+            .column("goodput", 2)
+            .column("verdict", 0);
+        fig.row(vec![50usize.into(), 7.718.into(), "ok".into()]);
+        fig.row(vec![
+            100usize.into(),
+            Value::Unmeasured,
+            "STALLED 32%".into(),
+        ]);
+        fig.notes.push("(a note)".into());
+        assert_eq!(
+            fig.to_string(),
+            "\n### Figure 0: a test\n\n\
+             | buf KB | goodput | verdict |\n\
+             |---|---|---|\n\
+             | 50 | 7.72 | ok |\n\
+             | 100 | — | STALLED 32% |\n\
+             \n(a note)\n"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden over every telemetry artifact the harness renders.
 //!
-//! Output bytes are the contract of reports, trace JSONL/CSV, pcap JSONL
+//! Output bytes are the contract of reports, trace JSONL, pcap JSONL
 //! and the counter table, so each artifact of three deterministic runs —
 //! the `fig9` and `fallback` trace scenarios and the chaos blackout cell —
 //! is pinned by length and FNV-1a digest; the counter tables, being small,
@@ -54,7 +54,6 @@ fn trace_rows(art: &trace::TraceArtifacts) -> Rows {
         "trace.jsonl",
         &TraceWriter::to_jsonl(&art.run.trace),
     );
-    row(&mut rows, "trace.csv", &TraceWriter::to_csv(&art.run.trace));
     row(&mut rows, "pcap.jsonl", &art.run.capture.to_jsonl());
     row(
         &mut rows,
@@ -121,7 +120,6 @@ fn fig9_trace_artifacts_are_pinned() {
             ("report.json", 4501, 0x361f8a19423fcfa9),
             ("report_lines.json", 4505, 0x1faad3bef90f718f),
             ("trace.jsonl", 3800873, 0x08de340665fc861b),
-            ("trace.csv", 2172216, 0x974c44ae98ea16d5),
             ("pcap.jsonl", 5075358, 0x8d5f6043f59f1341),
             ("table.txt", 360, 0xaa50ea8c5389dbea),
         ],
@@ -139,7 +137,6 @@ fn fallback_trace_artifacts_are_pinned() {
             ("report.json", 739, 0xfc5e10dcb2ce1958),
             ("report_lines.json", 743, 0x39ee9443f1b09e26),
             ("trace.jsonl", 31100, 0x72b582e1f1133f6b),
-            ("trace.csv", 16405, 0x681ef9539055609d),
             ("pcap.jsonl", 63217, 0xb88460b0f252bbfe),
             ("table.txt", 209, 0x04c62b6197a20cf0),
         ],
@@ -160,7 +157,6 @@ fn chaos_blackout_artifacts_are_pinned() {
     let mut rows = Rows::new();
     row(&mut rows, "report.json", &report.to_json());
     row(&mut rows, "trace.jsonl", &TraceWriter::to_jsonl(&b.trace));
-    row(&mut rows, "trace.csv", &TraceWriter::to_csv(&b.trace));
     row(&mut rows, "faults.json", &b.fault_telemetry.to_json());
     row(&mut rows, "table.txt", &b.telemetry.render_table());
     check(
@@ -169,7 +165,6 @@ fn chaos_blackout_artifacts_are_pinned() {
         &[
             ("report.json", 17600, 0xcfaa7d688630e014),
             ("trace.jsonl", 2146213, 0x7cc81ca3f184d770),
-            ("trace.csv", 1234351, 0xb3701e9519bdf206),
             ("faults.json", 150, 0xd0ab9ee28e6d38ef),
             ("table.txt", 529, 0xa0fec376c61dad42),
         ],

@@ -148,7 +148,7 @@ impl TraceRecord {
         }
     }
 
-    /// Stable snake_case record-type name used in JSONL and CSV output.
+    /// Stable snake_case record-type name used in JSONL output.
     pub fn type_name(&self) -> &'static str {
         match self {
             TraceRecord::SubflowSample { .. } => "subflow_sample",
@@ -158,7 +158,7 @@ impl TraceRecord {
     }
 
     /// A sample's columns as `(name, value)` pairs in output order — the
-    /// one list its JSON members and its CSV cells are rendered from.
+    /// one list its JSON members are rendered from.
     /// Empty for spans, whose payload belongs to the [`EventKind`].
     fn sample_fields(&self) -> Vec<(&'static str, u64)> {
         match *self {
@@ -290,7 +290,7 @@ impl TraceSnapshot {
     }
 }
 
-/// Renders a [`TraceSnapshot`] as JSONL or CSV text. File placement is the
+/// Renders a [`TraceSnapshot`] as JSONL text. File placement is the
 /// caller's business; this crate stays IO-free.
 pub struct TraceWriter;
 
@@ -311,57 +311,6 @@ impl TraceWriter {
         w.end_object();
         out.push_str(&w.finish());
         out.push('\n');
-        out
-    }
-
-    /// A flat CSV table with one row per record; columns not applicable to
-    /// a record type are left empty. Span payload fields are folded into a
-    /// `detail` column as `name=value` pairs.
-    pub fn to_csv(snap: &TraceSnapshot) -> String {
-        let mut out = String::from(
-            "at_ns,record,subflow,cwnd,ssthresh,srtt_us,in_flight,snd_nxt,rcv_nxt,\
-             rwnd,data_snd_nxt,data_snd_una,data_rcv_nxt,reorder_segs,reorder_bytes,\
-             snd_buf_cap,rcv_buf_cap,kind,detail\n",
-        );
-        for r in &snap.records {
-            let cells: Vec<String> = r
-                .sample_fields()
-                .iter()
-                .map(|(_, v)| v.to_string())
-                .collect();
-            let cells = cells.join(",");
-            let (at_ns, name) = (r.at_ns(), r.type_name());
-            match *r {
-                // Columns 3-9, then the 8 connection columns, kind and
-                // detail stay empty.
-                TraceRecord::SubflowSample { .. } => {
-                    out.push_str(&format!("{at_ns},{name},{cells},,,,,,,,,,\n"))
-                }
-                TraceRecord::ConnSample { .. } => {
-                    out.push_str(&format!("{at_ns},{name},,,,,,,,{cells},,\n"))
-                }
-                TraceRecord::Span { subflow, kind, .. } => {
-                    let sf = if subflow == SPAN_CONN_LEVEL {
-                        String::new()
-                    } else {
-                        subflow.to_string()
-                    };
-                    let mut detail: Vec<String> = kind
-                        .fields()
-                        .into_iter()
-                        .map(|(n, v)| format!("{n}={v}"))
-                        .collect();
-                    if let EventKind::Fallback { cause } = kind {
-                        detail.push(format!("cause={}", cause.name()));
-                    }
-                    out.push_str(&format!(
-                        "{at_ns},{name},{sf},,,,,,,,,,,,,,,{},{}\n",
-                        kind.name(),
-                        detail.join(";")
-                    ));
-                }
-            }
-        }
         out
     }
 }
@@ -490,26 +439,5 @@ mod tests {
         assert!(j.contains("\"kind\":\"m2_penalize\""));
         assert!(j.contains("\"subflow\":null"));
         assert!(j.contains("\"before\":20"));
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_record() {
-        let mut t = traced(8, 1);
-        t.sample(sf_sample(5));
-        t.sample(TraceRecord::Span {
-            at_ns: 6,
-            subflow: 1,
-            kind: EventKind::M4Cap {
-                subflow: 1,
-                cap: 2920,
-            },
-        });
-        let csv = TraceWriter::to_csv(&t.trace_snapshot());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("at_ns,record,subflow,cwnd"));
-        assert!(lines[1].contains("subflow_sample"));
-        assert!(lines[2].contains("m4_cap"));
-        assert!(lines[2].contains("cap=2920"));
     }
 }

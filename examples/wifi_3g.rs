@@ -6,32 +6,39 @@
 //! ```
 
 use mptcp_harness::experiments::common::{run_bulk, wifi_3g_paths, Policy, Variant, UNTRACED};
+use mptcp_harness::Figure;
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
 fn main() {
-    println!("Receive-buffer sweep over WiFi 8 Mbps/20 ms + 3G 2 Mbps/150 ms");
-    println!("(goodput in Mbps; compare with the paper's Figure 4)\n");
     let warm = Duration::from_secs(2);
     let meas = Duration::from_secs(12);
-    println!(
-        "{:>8} {:>14} {:>16} {:>12} {:>12}",
-        "buf KB", "TCP (WiFi)", "regular MPTCP", "MPTCP+M1", "MPTCP+M1,2"
-    );
-    for buf in [100_000usize, 200_000, 400_000, 800_000] {
-        let run = |v, paths| run_bulk(v, buf, paths, warm, meas, 1, Policy::default(), UNTRACED);
-        let tcp = run(Variant::Tcp, vec![Path::symmetric(LinkCfg::wifi())]).bulk;
-        let reg = run(Variant::MptcpRegular, wifi_3g_paths()).bulk;
-        let m1 = run(Variant::MptcpM1, wifi_3g_paths()).bulk;
-        let m12 = run(Variant::MptcpM12, wifi_3g_paths()).bulk;
-        println!(
-            "{:>8} {:>14.2} {:>16.2} {:>12.2} {:>12.2}",
-            buf / 1000,
-            tcp.goodput_mbps,
-            reg.goodput_mbps,
-            m1.goodput_mbps,
-            m12.goodput_mbps
-        );
+    let variants = [
+        ("TCP (WiFi)", Variant::Tcp),
+        ("regular MPTCP", Variant::MptcpRegular),
+        ("MPTCP+M1", Variant::MptcpM1),
+        ("MPTCP+M1,2", Variant::MptcpM12),
+    ];
+    let mut fig = Figure::new(
+        "Receive-buffer sweep over WiFi 8 Mbps/20 ms + 3G 2 Mbps/150 ms, goodput Mbps \
+         (compare with the paper's Figure 4)",
+    )
+    .column("buf KB", 0);
+    for (label, _) in variants {
+        fig = fig.column(label, 2);
     }
+    for buf in [100_000usize, 200_000, 400_000, 800_000] {
+        let mut row = vec![(buf / 1000).into()];
+        for (_, v) in variants {
+            let paths = match v {
+                Variant::Tcp => vec![Path::symmetric(LinkCfg::wifi())],
+                _ => wifi_3g_paths(),
+            };
+            let r = run_bulk(v, buf, paths, warm, meas, 1, Policy::default(), UNTRACED);
+            row.push(r.bulk.goodput_mbps.into());
+        }
+        fig.row(row);
+    }
+    print!("{fig}");
     println!("\nExpected shape: regular MPTCP trails TCP over WiFi at every buffer");
     println!("shown, and M1 alone does not close the gap (it re-sends, but the slow");
     println!("subflow keeps its window). M1+M2 beats TCP from 100 KB on and carries");
