@@ -85,9 +85,9 @@ impl Figure {
         self
     }
 
-    /// Append a row, one value per column.
+    /// Append a row, one value per column; panics on any other count.
     pub fn row(&mut self, values: Vec<Value>) {
-        debug_assert_eq!(values.len(), self.columns.len(), "{}", self.title);
+        assert_eq!(values.len(), self.columns.len(), "{}", self.title);
         self.rows.push(values);
     }
 }

@@ -7,16 +7,13 @@
 # so they are not checked.
 #
 #   cargo build --release --offline --bin repro && scripts/check_figures.sh
-#
-# `REPRO` names another binary to run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-repro=${REPRO:-target/release/repro}
 doc=$(cat EXPERIMENTS.md)
 status=0
 for fig in fig4 fig6a fig8 fig9 "fig11 --quick"; do
   # shellcheck disable=SC2086 # "fig11 --quick" is two arguments
-  table=$(timeout 120 "$repro" $fig | grep '^|')
+  table=$(timeout 120 target/release/repro $fig | grep '^|')
   if [[ "$doc" != *$'\n'"$table"$'\n\n'* ]]; then
     printf 'repro %s: this table is not in EXPERIMENTS.md:\n%s\n' "$fig" "$table" >&2
     status=1
