@@ -268,3 +268,62 @@ fn capping_reduces_memory_on_bufferbloated_paths() {
         without.sender_mem
     );
 }
+
+#[test]
+fn builder_order_leaves_subflow_capping_and_tracing_alone() {
+    // M4 and the time-series trace act inside the subflow sockets. Whether
+    // `.tcp(..)` comes before or after `.mechanisms(..)` and `.trace(..)`,
+    // the config must run the same subflows on Fig 5's bufferbloated
+    // WiFi+3G paths: the same cwnd caps, the same subflow trace records.
+    use mptcp::telemetry::{CounterId, TraceRecord};
+    use mptcp::{Mechanisms, MptcpConfig};
+    use mptcp_harness::{ClientApp, Scenario, ServerApp, TransportKind};
+
+    let tcp = MptcpConfig::default().tcp().clone();
+    let tcp_last = MptcpConfig::builder()
+        .buffers(1_000_000)
+        .mechanisms(Mechanisms::ALL)
+        .trace(TraceConfig::enabled())
+        .tcp(tcp.clone());
+    let tcp_first = MptcpConfig::builder()
+        .tcp(tcp)
+        .buffers(1_000_000)
+        .mechanisms(Mechanisms::ALL)
+        .trace(TraceConfig::enabled());
+    let runs: Vec<(u64, usize)> = [tcp_last, tcp_first]
+        .into_iter()
+        .map(|builder| {
+            let cfg = builder.build().expect("config is valid");
+            let mut sc = Scenario::new(
+                TransportKind::Mptcp(cfg),
+                ClientApp::Bulk {
+                    total: usize::MAX / 2,
+                    written: 0,
+                    close_when_done: false,
+                },
+                ServerApp::Sink,
+                wifi_3g_paths(),
+                SEED,
+            );
+            sc.run_for(Duration::from_secs(6));
+            let transport = &sc.client().transport;
+            let caps = transport.telemetry().counter(CounterId::M4CwndCaps);
+            let trace = transport.trace_snapshot();
+            let subflow_samples = trace
+                .records
+                .iter()
+                .filter(|r| matches!(r, TraceRecord::SubflowSample { .. }))
+                .count();
+            (caps, subflow_samples)
+        })
+        .collect();
+    assert!(
+        runs[1].0 > 0 && runs[1].1 > 0,
+        "tcp first: M4 must cap and subflows must trace, got {:?}",
+        runs[1]
+    );
+    assert_eq!(
+        runs[0], runs[1],
+        "(M4 caps, subflow trace records): tcp last vs tcp first"
+    );
+}
