@@ -7,7 +7,7 @@ use mptcp_harness::hosts::{ClientApp, ServerApp};
 use mptcp_harness::scenario::{Scenario, TransportKind};
 use mptcp_harness::transport::Transport;
 use mptcp_middlebox::{OptionStripper, PayloadModifier, SegmentCoalescer, StripMode};
-use mptcp_netsim::{Duration, LinkCfg, Path};
+use mptcp_netsim::{Duration, LinkCfg, Path, SimTime};
 
 const SEED: u64 = 43;
 const TRANSFER: usize = 150_000;
@@ -58,6 +58,53 @@ fn data_option_stripping_falls_back_and_delivers() {
     sc.run_for(Duration::from_secs(20));
     assert_eq!(sc.server().app_bytes_received, TRANSFER as u64);
     assert!(conn(&sc).is_fallback());
+}
+
+/// A fallen-back connection is still held to the buffers it was configured
+/// with: a 50 MB bulk write into a 50 KB/s reader behind `mode`'s option
+/// stripper, sampled every second for 10 s.
+fn fallback_keeps_the_configured_buffers(mode: StripMode) {
+    const CAP: usize = 256 * 1024;
+    let p = Path::symmetric(link()).with_middlebox(Box::new(OptionStripper::mptcp(mode)));
+    let mut sc = Scenario::new(
+        TransportKind::Mptcp(mptcp_cfg()),
+        ClientApp::Bulk {
+            total: 50_000_000,
+            written: 0,
+            close_when_done: false,
+        },
+        ServerApp::SlowSink {
+            rate: 50_000,
+            last: SimTime::ZERO,
+            credit: 0.0,
+        },
+        vec![p],
+        7,
+    );
+    for second in 1..=10 {
+        sc.run_for(Duration::from_secs(1));
+        let c = conn(&sc);
+        // Fallen back, everything the sender holds is in subflow 0's queue.
+        let queued = c.subflows()[0].sock.bytes_queued();
+        let sender = c.sender_memory();
+        let receiver = sc.server().receiver_memory();
+        assert!(
+            sender <= CAP && (sender == queued || !c.is_fallback()) && receiver <= CAP,
+            "{mode:?} at {second} s: sender_memory {sender} (subflow 0 queues {queued}), \
+             receiver_memory {receiver}, cap {CAP}"
+        );
+    }
+    assert!(conn(&sc).is_fallback(), "{mode:?}: never fell back");
+}
+
+#[test]
+fn fallback_after_syn_stripping_keeps_the_configured_buffers() {
+    fallback_keeps_the_configured_buffers(StripMode::SynOnly);
+}
+
+#[test]
+fn fallback_mid_stream_keeps_the_configured_buffers() {
+    fallback_keeps_the_configured_buffers(StripMode::DataOnly);
 }
 
 #[test]
