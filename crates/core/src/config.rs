@@ -116,14 +116,13 @@ impl Default for FailureDetection {
     }
 }
 
-/// Configuration for an MPTCP connection.
-///
-/// Construct via [`MptcpConfig::builder`] (validated) or start from
-/// [`MptcpConfig::default`] and the `with_*` conveniences; fields are
-/// crate-private so every external mutation goes through the builder.
+/// Configuration for an MPTCP connection, built by [`MptcpConfig::builder`]
+/// (validated) or taken as [`MptcpConfig::default`]. Fields are
+/// crate-private, one per setting: a subflow socket's M4 flag and trace are
+/// derived from `mech` and `trace` ([`MptcpConfig::subflow_tcp`]).
 #[derive(Clone, Debug)]
 pub struct MptcpConfig {
-    /// Per-subflow TCP parameters.
+    /// Per-subflow TCP parameters, less the two `subflow_tcp` derives.
     pub(crate) tcp: TcpConfig,
     /// Require and verify DSS checksums (§3.3.6; off for datacenters).
     pub(crate) checksum: bool,
@@ -135,13 +134,12 @@ pub struct MptcpConfig {
     pub(crate) cc: CcAlgorithm,
     /// Packet scheduler deciding which subflow carries each chunk.
     pub(crate) scheduler: SchedulerKind,
-    /// Connection-level send buffer cap in bytes.
+    /// Connection-level send buffer cap in bytes, fallen back or not.
     pub(crate) send_buf: usize,
-    /// Connection-level receive buffer cap in bytes.
+    /// Connection-level receive buffer cap in bytes, fallen back or not.
     pub(crate) recv_buf: usize,
-    /// Time-series tracing of connection and subflow internals. Disabled
-    /// by default; when set enabled it is also propagated to each
-    /// subflow's `tcp.trace` so per-subflow cwnd/RTT series record too.
+    /// Time-series tracing of connection and subflow internals (every
+    /// subflow socket traces with it too). Disabled by default.
     pub(crate) trace: TraceConfig,
     /// Path-failure detection thresholds and the all-paths abort deadline.
     pub(crate) failure: FailureDetection,
@@ -176,30 +174,6 @@ impl Default for MptcpConfig {
 }
 
 impl MptcpConfig {
-    /// Set both connection-level buffers — the sweep knob of Figs 4–6, 9.
-    pub fn with_buffers(mut self, bytes: usize) -> MptcpConfig {
-        self.send_buf = bytes;
-        self.recv_buf = bytes;
-        self
-    }
-
-    /// Select the mechanism set.
-    pub fn with_mechanisms(mut self, mech: Mechanisms) -> MptcpConfig {
-        self.mech = mech;
-        // M4 is implemented inside the subflow TCP (like FreeBSD's
-        // inflight limiter), so propagate it.
-        self.tcp.cap_cwnd_on_bufferbloat = mech.cap_cwnd;
-        self
-    }
-
-    /// Enable or replace time-series tracing. The same config is pushed
-    /// down to the per-subflow TCP so subflow sockets trace too.
-    pub fn with_trace(mut self, trace: TraceConfig) -> MptcpConfig {
-        self.trace = trace;
-        self.tcp.trace = trace;
-        self
-    }
-
     /// Start a validated configuration build.
     pub fn builder() -> MptcpConfigBuilder {
         MptcpConfigBuilder {
@@ -212,9 +186,20 @@ impl MptcpConfig {
         MptcpConfigBuilder { cfg: self }
     }
 
-    /// Per-subflow TCP parameters.
+    /// Per-subflow TCP parameters as set ([`MptcpConfig::subflow_tcp`] runs).
     pub fn tcp(&self) -> &TcpConfig {
         &self.tcp
+    }
+
+    /// What every subflow socket is made with: `tcp`, plus M4 (which acts
+    /// inside the subflow TCP, like FreeBSD's inflight limiter) and tracing
+    /// from this config. The one place either reaches a socket.
+    pub fn subflow_tcp(&self) -> TcpConfig {
+        TcpConfig {
+            cap_cwnd_on_bufferbloat: self.mech.cap_cwnd,
+            trace: self.trace,
+            ..self.tcp.clone()
+        }
     }
 
     /// Are DSS checksums required and verified?
@@ -267,16 +252,6 @@ impl MptcpConfig {
         &self.pm
     }
 
-    /// Replace the path-manager configuration on an already-built config,
-    /// re-running validation. Harness plumbing: one scenario config fans
-    /// out into distinct client (subflow endpoints) and server (signal
-    /// endpoints) variants without rebuilding from scratch.
-    pub fn with_path_manager(mut self, pm: PathManagerCfg) -> Result<MptcpConfig, ConfigError> {
-        self.pm = pm;
-        self.validate()?;
-        Ok(self)
-    }
-
     /// Check invariants a hand-assembled configuration may violate.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.send_buf == 0 {
@@ -288,9 +263,6 @@ impl MptcpConfig {
         // A zero-capacity trace ring would silently drop every sample; the
         // way to turn tracing off is `enabled: false`, not capacity 0.
         if self.trace.enabled && self.trace.capacity == 0 {
-            return Err(ConfigError::ZeroTraceCapacity);
-        }
-        if self.tcp.trace.enabled && self.tcp.trace.capacity == 0 {
             return Err(ConfigError::ZeroTraceCapacity);
         }
         // M3 starts the autotuned buffers at 64 KiB and grows them toward
@@ -433,9 +405,9 @@ impl MptcpConfigBuilder {
         self
     }
 
-    /// Select the mechanism set (propagates M4 to the subflow TCP).
+    /// Select the mechanism set.
     pub fn mechanisms(mut self, mech: Mechanisms) -> Self {
-        self.cfg = self.cfg.with_mechanisms(mech);
+        self.cfg.mech = mech;
         self
     }
 
@@ -463,15 +435,16 @@ impl MptcpConfigBuilder {
         self
     }
 
-    /// Replace the per-subflow TCP parameters.
+    /// Replace the per-subflow TCP parameters; their M4 flag and trace are
+    /// derived from `mechanisms` and `trace`, whatever the call order.
     pub fn tcp(mut self, tcp: TcpConfig) -> Self {
         self.cfg.tcp = tcp;
         self
     }
 
-    /// Enable or replace time-series tracing (pushed down to subflows).
+    /// Enable or replace time-series tracing (subflow sockets included).
     pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.cfg = self.cfg.with_trace(trace);
+        self.cfg.trace = trace;
         self
     }
 
@@ -509,15 +482,14 @@ mod tests {
 
     #[test]
     fn mech_propagates_capping_to_tcp() {
-        let cfg = MptcpConfig::default().with_mechanisms(Mechanisms::ALL);
-        assert!(cfg.tcp.cap_cwnd_on_bufferbloat);
-        let cfg = MptcpConfig::default().with_mechanisms(Mechanisms::M1_2);
-        assert!(!cfg.tcp.cap_cwnd_on_bufferbloat);
+        let mech = |m| MptcpConfig::builder().mechanisms(m).build().unwrap();
+        assert!(mech(Mechanisms::ALL).subflow_tcp().cap_cwnd_on_bufferbloat);
+        assert!(!mech(Mechanisms::M1_2).subflow_tcp().cap_cwnd_on_bufferbloat);
     }
 
     #[test]
     fn buffer_setter() {
-        let cfg = MptcpConfig::default().with_buffers(123_456);
+        let cfg = MptcpConfig::builder().buffers(123_456).build().unwrap();
         assert_eq!(cfg.send_buf, 123_456);
         assert_eq!(cfg.recv_buf, 123_456);
     }
@@ -560,10 +532,13 @@ mod tests {
 
     #[test]
     fn trace_propagates_to_subflow_tcp() {
-        let cfg = MptcpConfig::default().with_trace(TraceConfig::enabled());
+        let cfg = MptcpConfig::builder()
+            .trace(TraceConfig::enabled())
+            .build()
+            .unwrap();
         assert!(cfg.trace.enabled);
-        assert!(cfg.tcp.trace.enabled);
-        assert_eq!(cfg.tcp.trace.capacity, cfg.trace.capacity);
+        assert!(cfg.subflow_tcp().trace.enabled);
+        assert_eq!(cfg.subflow_tcp().trace.capacity, cfg.trace.capacity);
     }
 
     #[test]

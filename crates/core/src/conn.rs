@@ -166,7 +166,7 @@ impl MptcpConnection {
         let local = KeySet::from_key(rng.next_u64());
         let syn_opts = mp_capable(cfg.checksum, local.key, None);
         let isn = SeqNum(rng.next_u32());
-        let sock = TcpSocket::client(cfg.tcp.clone(), tuple, isn, now, syn_opts);
+        let sock = TcpSocket::client(cfg.subflow_tcp(), tuple, isn, now, syn_opts);
         let mut conn = MptcpConnection::common(cfg, Life::Handshake { client: true }, local, rng);
         conn.push_subflow(sock, JoinState::Initial, 0, false);
         conn
@@ -176,14 +176,13 @@ impl MptcpConnection {
     /// connection negotiates MPTCP (drawing a unique-token key from
     /// `tokens`); otherwise it starts in fallback (plain TCP).
     pub fn server_accept(
-        cfg: MptcpConfig,
+        mut cfg: MptcpConfig,
         syn: &TcpSegment,
         now: SimTime,
         mut rng: SimRng,
         tokens: &mut TokenTable,
     ) -> MptcpConnection {
         let peer_capable = syn.mptcp_options().find_map(capable_key);
-        let mut cfg = cfg;
         // No MP_CAPABLE (stripped or plain peer): regular TCP, with the
         // subflow socket's own congestion control and no mappings.
         let (life, local) = match peer_capable {
@@ -198,7 +197,7 @@ impl MptcpConnection {
         };
         let syn_opts = peer_capable.map_or(vec![], |_| mp_capable(cfg.checksum, local.key, None));
         let isn = SeqNum(rng.next_u32());
-        let mut sock = TcpSocket::accept(cfg.tcp.clone(), syn, isn, now, syn_opts);
+        let mut sock = TcpSocket::accept(cfg.subflow_tcp(), syn, isn, now, syn_opts);
         // The SYN's MP_CAPABLE was consumed here; don't let the harvested
         // copy masquerade as third-ACK confirmation.
         sock.take_rx_mptcp(&mut Vec::new());
@@ -364,9 +363,12 @@ impl MptcpConnection {
     }
 
     /// Bytes the sender holds: pending + retained-until-DATA_ACK chunks
-    /// (Figure 5a's sender memory).
+    /// (Figure 5a's sender memory); fallen back, subflow 0's send queue.
     pub fn sender_memory(&self) -> usize {
-        self.tx.memory()
+        match self.life {
+            Life::Fallback(_) => self.subflows[0].sock.bytes_queued(),
+            _ => self.tx.memory(),
+        }
     }
 
     /// Bytes the receiver holds: connection out-of-order queue + unread
@@ -447,7 +449,9 @@ impl MptcpConnection {
             return WriteOutcome::Closed;
         }
         if self.is_fallback() {
-            let n = self.subflows[0].sock.send(data);
+            let sock = &mut self.subflows[0].sock;
+            let room = self.cfg.send_buf.saturating_sub(sock.bytes_queued());
+            let n = sock.send(&data[..data.len().min(room)]);
             self.stats.bytes_written += n as u64;
             return WriteOutcome::FellBack(n);
         }
@@ -501,7 +505,6 @@ impl MptcpConnection {
                 // failure detector stops with it.
                 for sf in &mut self.subflows {
                     sf.sock.set_carry_options(Vec::new());
-                    sf.sock.set_window_override(None);
                 }
                 // RFC 8684 §3.7: a checksum failure on the last subflow is
                 // the peer's to hear of, or it keeps speaking MPTCP.
@@ -598,7 +601,7 @@ impl MptcpConnection {
             backup,
         })];
         let isn = SeqNum(self.rng.next_u32());
-        let sock = TcpSocket::client(self.cfg.tcp.clone(), tuple, isn, now, syn_opts);
+        let sock = TcpSocket::client(self.cfg.subflow_tcp(), tuple, isn, now, syn_opts);
         self.push_subflow(sock, JoinState::ClientSyn { nonce }, addr_id, backup);
         let id = SubflowId(self.subflows.len() - 1);
         self.telemetry
@@ -651,7 +654,7 @@ impl MptcpConnection {
             backup: false,
         })];
         let isn = SeqNum(self.rng.next_u32());
-        let mut sock = TcpSocket::accept(self.cfg.tcp.clone(), syn, isn, now, syn_opts);
+        let mut sock = TcpSocket::accept(self.cfg.subflow_tcp(), syn, isn, now, syn_opts);
         sock.take_rx_mptcp(&mut Vec::new()); // MP_JOIN SYN consumed above
         let join = JoinState::ServerWait { ours, theirs };
         self.push_subflow(sock, join, addr_id, backup);
@@ -1469,8 +1472,14 @@ impl MptcpConnection {
     }
 
     /// Refresh window overrides and DATA_ACK carry options on every
-    /// subflow (§3.3.1: one shared pool; §3.3.2: explicit DATA_ACK).
+    /// subflow (§3.3.1: one shared pool; §3.3.2: explicit DATA_ACK). Fallen
+    /// back, subflow 0's own window is held to what `recv_buf` leaves.
     fn update_ack_state(&mut self, now: SimTime) {
+        if self.is_fallback() {
+            let room = self.cfg.recv_buf.saturating_sub(self.receiver_memory());
+            let sock = &mut self.subflows[0].sock;
+            sock.set_window_override(Some(sock.recv_window().min(room as u32)));
+        }
         if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
             return;
         }

@@ -298,7 +298,12 @@ fn the_subflow_limit_is_a_constant_both_ends_enforce() {
 fn join_synack_mac_verified() {
     // Corrupt the MP_JOIN SYN/ACK MAC in flight: the client must reset
     // the subflow rather than attach it.
-    let mut w = setup(MptcpConfig::default().with_trace(TraceConfig::enabled()));
+    let mut w = setup(
+        MptcpConfig::builder()
+            .trace(TraceConfig::enabled())
+            .build()
+            .unwrap(),
+    );
     w.run(SimTime::from_millis(100));
     w.mangle = Some(Box::new(|_, mut seg: TcpSegment| {
         for o in &mut seg.options {
@@ -330,7 +335,12 @@ fn join_synack_mac_verified() {
 fn join_ack_hmac_verified() {
     // The server's side of the same check: corrupt the client's full HMAC
     // on the join's third ACK, and the server must reset the join.
-    let mut w = setup(MptcpConfig::default().with_trace(TraceConfig::enabled()));
+    let mut w = setup(
+        MptcpConfig::builder()
+            .trace(TraceConfig::enabled())
+            .build()
+            .unwrap(),
+    );
     w.run(SimTime::from_millis(100));
     w.mangle = Some(Box::new(|_, mut seg: TcpSegment| {
         for o in &mut seg.options {
@@ -483,7 +493,7 @@ fn subflow_failure_recovers_on_other_path() {
     // Mid-transfer, one path goes dark (all segments dropped). The
     // connection must finish over the surviving subflow — the paper's
     // robustness goal.
-    let mut w = setup(MptcpConfig::default().with_buffers(256 * 1024));
+    let mut w = setup(MptcpConfig::builder().buffers(256 * 1024).build().unwrap());
     w.run(SimTime::from_millis(100));
     let _ = w
         .client
@@ -531,7 +541,7 @@ fn path_blackout_fails_and_recovers() {
     // demote it (Suspect -> Failed), reinject its in-flight chunks on the
     // survivor so the stream keeps flowing, and promote it back to Active
     // once the blackout lifts — all visible in stats and telemetry.
-    let mut w = setup(MptcpConfig::default().with_buffers(256 * 1024));
+    let mut w = setup(MptcpConfig::builder().buffers(256 * 1024).build().unwrap());
     // Make C2 the scheduler's preferred (lowest-RTT) path so the blackout
     // hits a path that is actually carrying the stream.
     w.set_delay(C1, S1, Duration::from_millis(100));
@@ -680,8 +690,9 @@ fn add_addr_event_surfaces() {
     // The server's path manager advertises its `signal` endpoint as soon
     // as MPTCP is confirmed.
     let signal = PmEndpoint::new(0x0a000064, EndpointFlags::SIGNAL).with_port(80);
-    let server_cfg = MptcpConfig::default()
-        .with_path_manager(PathManagerCfg::default().endpoint(signal))
+    let server_cfg = MptcpConfig::builder()
+        .path_manager(PathManagerCfg::default().endpoint(signal))
+        .build()
         .expect("a signal endpoint is a valid path-manager config");
     let client = client_conn(MptcpConfig::default());
     let mut w = Wire::new(client, MptcpListener::new(server_cfg, 22));
@@ -712,11 +723,13 @@ fn add_addr_event_surfaces() {
 /// numbered from 1.
 fn unechoed_add_addr(mut rewrite: impl FnMut(u32, &mut AdvertisedAddr) + 'static) -> Wire {
     let signal = PmEndpoint::new(ADVERTISED, EndpointFlags::SIGNAL).with_port(80);
-    let server_cfg = MptcpConfig::default()
-        .with_path_manager(PathManagerCfg::default().endpoint(signal))
+    let server_cfg = MptcpConfig::builder()
+        .path_manager(PathManagerCfg::default().endpoint(signal))
+        .build()
         .expect("a signal endpoint is a valid path-manager config");
-    let client_cfg = MptcpConfig::default()
-        .with_path_manager(PathManagerCfg::new(PmPolicy::SignalOnly))
+    let client_cfg = MptcpConfig::builder()
+        .path_manager(PathManagerCfg::new(PmPolicy::SignalOnly))
+        .build()
         .expect("a policy alone is a valid path-manager config");
     let mut w = Wire::new(client_conn(client_cfg), MptcpListener::new(server_cfg, 22));
     let mut sent = 0;
@@ -858,8 +871,11 @@ fn mechanisms_fire_on_asymmetric_paths() {
     // A slow, bufferbloated path plus a fast one, small shared buffer:
     // M1 (opportunistic retransmission) and M2 (penalization) must
     // engage to keep the fast path flowing (§4.2, Figure 4).
-    let mut cfg = MptcpConfig::default().with_buffers(64 * 1024);
-    cfg = cfg.with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(64 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .unwrap();
     let mut w = setup(cfg);
     w.set_delay(C2, S1, Duration::from_millis(150));
     w.run(SimTime::from_millis(100));
@@ -900,7 +916,7 @@ fn sender_memory_freed_only_by_data_ack() {
 fn receiver_window_is_shared_pool() {
     // The advertised window on every subflow reflects the connection
     // buffer, not per-subflow state (§3.3.1).
-    let mut w = setup(MptcpConfig::default().with_buffers(100_000));
+    let mut w = setup(MptcpConfig::builder().buffers(100_000).build().unwrap());
     w.run(SimTime::from_millis(100));
     w.client.write(&pattern(60_000));
     w.run(w.now + Duration::from_secs(1));

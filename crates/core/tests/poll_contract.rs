@@ -277,7 +277,11 @@ fn observed(conn: &MptcpConnection, now: SimTime) -> (Option<SimTime>, String, S
 
 #[test]
 fn polling_a_dry_connection_again_at_the_same_instant_changes_nothing() {
-    let cfg = lax_cfg().with_trace(mptcp::telemetry::TraceConfig::enabled());
+    let cfg = lax_cfg()
+        .into_builder()
+        .trace(mptcp::telemetry::TraceConfig::enabled())
+        .build()
+        .expect("valid config");
     let now = SimTime::from_millis(1);
     let (mut client, _listener) = two_path_pair(cfg, now);
     // More than two initial windows: data stays pending behind full

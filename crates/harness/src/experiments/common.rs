@@ -182,7 +182,10 @@ pub fn run_bulk(
 ) -> TracedBulkResult {
     let mut kind = variant.kind_with(buf, policy);
     match &mut kind {
-        TransportKind::Mptcp(cfg) => *cfg = cfg.clone().with_trace(trace),
+        TransportKind::Mptcp(cfg) => {
+            let traced = cfg.clone().into_builder().trace(trace);
+            *cfg = traced.build().expect("trace is valid");
+        }
         TransportKind::Tcp(tcp) | TransportKind::BondedTcp(tcp) => tcp.trace = trace,
     }
     let mut sc = Scenario::new(

@@ -10,9 +10,10 @@ use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, Host, Outbox, SimRng, SimTime};
 use mptcp_packet::SeqNum;
 use mptcp_packet::{Endpoint, FourTuple, TcpSegment};
-use mptcp_tcpstack::{TcpConfig, TcpSocket};
+use mptcp_tcpstack::TcpSocket;
 
 use crate::metrics::Sampler;
+use crate::scenario::TransportKind;
 use crate::transport::Transport;
 
 /// Block size for the Figure 7 latency workload.
@@ -56,10 +57,8 @@ pub enum ClientApp {
 
 /// How new client transports are minted (for reconnecting workloads).
 pub struct ConnFactory {
-    /// MPTCP config (`None` ⇒ plain TCP with `tcp_cfg`).
-    pub mptcp: Option<MptcpConfig>,
-    /// TCP config for the plain baseline.
-    pub tcp_cfg: TcpConfig,
+    /// The transport each new connection uses.
+    pub kind: TransportKind,
     /// Primary local address.
     pub local: Endpoint,
     /// Server address for the initial subflow.
@@ -76,20 +75,16 @@ impl ConnFactory {
             src: Endpoint::new(self.local.addr, src_port),
             dst: self.server,
         };
-        match &self.mptcp {
-            Some(cfg) => Transport::Mptcp(MptcpConnection::client(
+        match &self.kind {
+            TransportKind::Mptcp(cfg) => Transport::Mptcp(MptcpConnection::client(
                 cfg.clone(),
                 tuple,
                 now,
                 self.rng.fork(),
             )),
-            None => Transport::Tcp(TcpSocket::client(
-                self.tcp_cfg.clone(),
-                tuple,
-                SeqNum(self.rng.next_u32()),
-                now,
-                vec![],
-            )),
+            TransportKind::Tcp(tcp) | TransportKind::BondedTcp(tcp) => Transport::Tcp(
+                TcpSocket::client(tcp.clone(), tuple, SeqNum(self.rng.next_u32()), now, vec![]),
+            ),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! one address pair over several parallel paths (per-packet round-robin,
 //! like the Linux bonding driver in Figure 11).
 
-use mptcp::{EndpointFlags, MptcpConfig, PmEndpoint, PmPolicy};
+use mptcp::{EndpointFlags, Mechanisms, MptcpConfig, PathManagerCfg, PmEndpoint, PmPolicy};
 use mptcp_netsim::{Dir, Path, Sim, SimRng, SimTime};
 use mptcp_packet::Endpoint;
 use mptcp_tcpstack::TcpConfig;
@@ -70,26 +70,11 @@ impl Scenario {
         // interfaces (SIGNAL endpoints); the client's path manager pairs
         // them against its own SUBFLOW endpoints and opens the joins —
         // the kernel-PM flow, replacing hand-rolled host-side joins.
-        let server_cfg = match &kind {
-            TransportKind::Mptcp(cfg) => {
-                let mut pm = cfg.path_manager().clone();
-                pm.endpoints = Endpoints::SERVER[1..npaths]
-                    .iter()
-                    .map(|a| PmEndpoint::new(*a, EndpointFlags::SIGNAL).with_port(Endpoints::PORT))
-                    .collect();
-                cfg.clone()
-                    .with_path_manager(pm)
-                    .expect("server PM config is valid")
-            }
-            TransportKind::Tcp(tcp) | TransportKind::BondedTcp(tcp) => MptcpConfig::builder()
-                .tcp(tcp.clone())
-                .send_buf(tcp.send_buf)
-                .recv_buf(tcp.recv_buf)
-                .build()
-                .expect("single-path config is valid"),
-        };
+        let signal = Endpoints::SERVER[1..npaths].iter();
+        let signal =
+            signal.map(|a| PmEndpoint::new(*a, EndpointFlags::SIGNAL).with_port(Endpoints::PORT));
         let server = sim.add_host(Node::Server(ServerHost::new(
-            server_cfg,
+            server_cfg(&kind, signal.collect()),
             server_app,
             seed ^ 0x5e4,
         )));
@@ -114,28 +99,16 @@ impl Scenario {
         // Clients. A caller-specified endpoint registry wins (e.g. the
         // handover scenario marks its cellular interface SUBFLOW|BACKUP);
         // otherwise each extra interface becomes a plain SUBFLOW endpoint.
-        let client_cfg = match &kind {
-            TransportKind::Mptcp(cfg) if cfg.path_manager().endpoints.is_empty() => {
-                let mut pm = cfg.path_manager().clone();
-                pm.endpoints = Endpoints::CLIENT[1..npaths]
-                    .iter()
-                    .map(|a| PmEndpoint::new(*a, EndpointFlags::SUBFLOW))
-                    .collect();
-                Some(
-                    cfg.clone()
-                        .with_path_manager(pm)
-                        .expect("client PM config is valid"),
-                )
+        let subflow = Endpoints::CLIENT[1..npaths].iter();
+        let subflow = subflow.map(|a| PmEndpoint::new(*a, EndpointFlags::SUBFLOW));
+        let kind = match kind {
+            TransportKind::Mptcp(c) if !c.path_manager().endpoints.is_empty() => {
+                TransportKind::Mptcp(c)
             }
-            TransportKind::Mptcp(cfg) => Some(cfg.clone()),
-            _ => None,
+            kind => client_kind(&kind, subflow.collect()),
         };
         let factory = ConnFactory {
-            mptcp: client_cfg,
-            tcp_cfg: match &kind {
-                TransportKind::Tcp(t) | TransportKind::BondedTcp(t) => t.clone(),
-                TransportKind::Mptcp(cfg) => cfg.tcp().clone(),
-            },
+            kind,
             local: Endpoint::new(Endpoints::CLIENT[0], 10_000),
             server: Endpoint::new(Endpoints::SERVER[0], Endpoints::PORT),
             rng: SimRng::new(seed ^ 0xc11e).fork(),
@@ -165,20 +138,8 @@ impl Scenario {
         seed: u64,
     ) -> Scenario {
         let mut sim: Sim<Node> = Sim::new(seed);
-        let server_cfg = match &kind {
-            TransportKind::Mptcp(cfg) => {
-                let mut pm = cfg.path_manager().clone();
-                pm.endpoints = vec![PmEndpoint::new(Endpoints::SERVER[1], EndpointFlags::SIGNAL)
-                    .with_port(Endpoints::PORT)];
-                cfg.clone()
-                    .with_path_manager(pm)
-                    .expect("server PM config is valid")
-            }
-            TransportKind::Tcp(tcp) | TransportKind::BondedTcp(tcp) => MptcpConfig::builder()
-                .tcp(tcp.clone())
-                .build()
-                .expect("single-path config is valid"),
-        };
+        let signal = PmEndpoint::new(Endpoints::SERVER[1], EndpointFlags::SIGNAL);
+        let server_cfg = server_cfg(&kind, vec![signal.with_port(Endpoints::PORT)]);
         let server = sim.add_host(Node::Server(ServerHost::new(
             server_cfg,
             ServerApp::HttpResponder { file_size },
@@ -210,22 +171,7 @@ impl Scenario {
                 }
             }
             let factory = ConnFactory {
-                mptcp: match &kind {
-                    TransportKind::Mptcp(cfg) => {
-                        let mut pm = cfg.path_manager().clone();
-                        pm.endpoints = vec![PmEndpoint::new(a2, EndpointFlags::SUBFLOW)];
-                        Some(
-                            cfg.clone()
-                                .with_path_manager(pm)
-                                .expect("client PM config is valid"),
-                        )
-                    }
-                    _ => None,
-                },
-                tcp_cfg: match &kind {
-                    TransportKind::Tcp(t) | TransportKind::BondedTcp(t) => t.clone(),
-                    TransportKind::Mptcp(cfg) => cfg.tcp().clone(),
-                },
+                kind: client_kind(&kind, vec![PmEndpoint::new(a2, EndpointFlags::SUBFLOW)]),
                 local: Endpoint::new(a1, 10_000),
                 server: Endpoint::new(Endpoints::SERVER[0], Endpoints::PORT),
                 rng: seeder.fork(),
@@ -267,15 +213,12 @@ impl Scenario {
         assert!((1..=3).contains(&n_remote), "1..=3 server interfaces");
         let mut sim: Sim<Node> = Sim::new(seed);
 
-        let mut server_pm = cfg.path_manager().clone();
-        server_pm.endpoints = Endpoints::SERVER[1..n_remote]
-            .iter()
-            .map(|a| PmEndpoint::new(*a, EndpointFlags::SIGNAL).with_port(Endpoints::PORT))
-            .collect();
-        let server_cfg = cfg
-            .clone()
-            .with_path_manager(server_pm)
-            .expect("server PM config is valid");
+        let server_cfg = edit_pm(&cfg, |pm| {
+            pm.endpoints = Endpoints::SERVER[1..n_remote]
+                .iter()
+                .map(|a| PmEndpoint::new(*a, EndpointFlags::SIGNAL).with_port(Endpoints::PORT))
+                .collect();
+        });
         let server = sim.add_host(Node::Server(ServerHost::new(
             server_cfg,
             server_app,
@@ -293,18 +236,15 @@ impl Scenario {
             }
         }
 
-        let mut client_pm = cfg.path_manager().clone();
-        client_pm.policy = PmPolicy::Fullmesh;
-        client_pm.endpoints = Endpoints::CLIENT[1..n_local]
-            .iter()
-            .map(|a| PmEndpoint::new(*a, EndpointFlags::SUBFLOW | EndpointFlags::FULLMESH))
-            .collect();
-        let client_cfg = cfg
-            .with_path_manager(client_pm)
-            .expect("client PM config is valid");
+        let client_cfg = edit_pm(&cfg, |pm| {
+            pm.policy = PmPolicy::Fullmesh;
+            pm.endpoints = Endpoints::CLIENT[1..n_local]
+                .iter()
+                .map(|a| PmEndpoint::new(*a, EndpointFlags::SUBFLOW | EndpointFlags::FULLMESH))
+                .collect();
+        });
         let factory = ConnFactory {
-            tcp_cfg: client_cfg.tcp().clone(),
-            mptcp: Some(client_cfg),
+            kind: TransportKind::Mptcp(client_cfg),
             local: Endpoint::new(Endpoints::CLIENT[0], 10_000),
             server: Endpoint::new(Endpoints::SERVER[0], Endpoints::PORT),
             rng: SimRng::new(seed ^ 0xc11e),
@@ -345,5 +285,45 @@ impl Scenario {
     pub fn run_for(&mut self, d: mptcp_netsim::Duration) {
         let deadline = self.sim.now + d;
         self.sim.run_until(deadline);
+    }
+}
+
+/// `cfg` with its path manager edited by `edit`, validated again.
+fn edit_pm(cfg: &MptcpConfig, edit: impl FnOnce(&mut PathManagerCfg)) -> MptcpConfig {
+    let mut pm = cfg.path_manager().clone();
+    edit(&mut pm);
+    let builder = cfg.clone().into_builder().path_manager(pm);
+    builder.build().expect("path-manager config is valid")
+}
+
+/// The server's configuration for clients of `kind`, its path manager
+/// advertising `signal`. A plain-TCP client meets a listener that falls
+/// back, holding each connection to the socket's own buffers, M4 flag and
+/// trace.
+fn server_cfg(kind: &TransportKind, signal: Vec<PmEndpoint>) -> MptcpConfig {
+    match kind {
+        TransportKind::Mptcp(cfg) => edit_pm(cfg, |pm| pm.endpoints = signal),
+        TransportKind::Tcp(tcp) | TransportKind::BondedTcp(tcp) => MptcpConfig::builder()
+            .tcp(tcp.clone())
+            .send_buf(tcp.send_buf)
+            .recv_buf(tcp.recv_buf)
+            .mechanisms(Mechanisms {
+                cap_cwnd: tcp.cap_cwnd_on_bufferbloat,
+                ..Mechanisms::M1_2
+            })
+            .trace(tcp.trace)
+            .build()
+            .expect("single-path config is valid"),
+    }
+}
+
+/// The client's transport: `kind`, its MPTCP path manager opening subflows
+/// from `subflow`.
+fn client_kind(kind: &TransportKind, subflow: Vec<PmEndpoint>) -> TransportKind {
+    match kind {
+        TransportKind::Mptcp(cfg) => {
+            TransportKind::Mptcp(edit_pm(cfg, |pm| pm.endpoints = subflow))
+        }
+        tcp => tcp.clone(),
     }
 }

@@ -145,8 +145,10 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
         sim.connect(addr, SERVER, tapped(LinkCfg::wifi(), &stream));
         let factory = ConnFactory {
             // The middle client is plain TCP: the listener's fallback arm.
-            mptcp: (k != 1).then(|| cfg.clone()),
-            tcp_cfg: cfg.tcp().clone(),
+            kind: match k {
+                1 => TransportKind::Tcp(cfg.tcp().clone()),
+                _ => TransportKind::Mptcp(cfg.clone()),
+            },
             local: Endpoint::new(addr, 10_000),
             server: Endpoint::new(SERVER, 80),
             rng: SimRng::new(50 + k as u64),
@@ -169,7 +171,7 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
     let host = sim.hosts[server].as_server().unwrap();
     assert_eq!(host.app_bytes_received, 3 * TOTAL as u64);
     assert_eq!(host.listener.len(), 3);
-    assert_eq!(summary(&stream), (1336, 10046251072808423125));
+    assert_eq!(summary(&stream), (1325, 5557349217835429016));
 }
 
 #[test]

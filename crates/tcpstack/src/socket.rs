@@ -381,6 +381,11 @@ impl TcpSocket {
         self.need_ack = true;
     }
 
+    /// The receive window the socket's own buffer leaves.
+    pub fn recv_window(&self) -> u32 {
+        self.recv_q.window()
+    }
+
     /// Override the advertised receive window (MPTCP shared buffer pool).
     pub fn set_window_override(&mut self, window: Option<u32>) {
         self.window_override = window;

@@ -15,9 +15,11 @@ fn main() {
     println!("MPTCP quickstart: 10 MB over WiFi (8 Mbps) + 3G (2 Mbps)\n");
 
     // --- The level-of-detail view: build a scenario by hand. -----------
-    let cfg = MptcpConfig::default()
-        .with_buffers(512 * 1024)
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(512 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {

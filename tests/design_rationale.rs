@@ -27,9 +27,11 @@ fn slow_reader_pauses_but_never_deadlocks() {
     // pure ACKs that flow control cannot block, so no deadlock cycle can
     // form even with data queued on both subflows.
     let total = 120_000;
-    let cfg = MptcpConfig::default()
-        .with_buffers(32 * 1024) // tiny shared pool
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(32 * 1024) // tiny shared pool
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {
@@ -61,9 +63,11 @@ fn subflow_stall_does_not_deadlock_shared_pool() {
     // other subflow and fills the buffer. With per-subflow buffers this
     // deadlocks; with the shared pool + re-injection it must recover.
     let total = 200_000;
-    let cfg = MptcpConfig::default()
-        .with_buffers(64 * 1024)
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(64 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let clean = Path::symmetric(link());
     // The second path delivers the SYN exchange then starts dropping
     // everything (random loss = 1 would break the join handshake, so give
@@ -95,9 +99,11 @@ fn relative_mappings_survive_rewriter_plus_splitter_chain() {
     let p = Path::symmetric(link())
         .with_middlebox(Box::new(SeqRewriter::new()))
         .with_middlebox(Box::new(SegmentSplitter::new(512)));
-    let cfg = MptcpConfig::default()
-        .with_buffers(256 * 1024)
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(256 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {
@@ -123,9 +129,11 @@ fn connection_level_memory_accounting_matches_claims() {
     // §4.2: "the receiver will spend at least two thirds of the memory the
     // sender spends" under multipath reordering — qualitatively, receiver
     // memory must be substantial (not near-zero as in single-path TCP).
-    let cfg = MptcpConfig::default()
-        .with_buffers(500_000)
-        .with_mechanisms(Mechanisms::NONE);
+    let cfg = MptcpConfig::builder()
+        .buffers(500_000)
+        .mechanisms(Mechanisms::NONE)
+        .build()
+        .expect("config is valid");
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {

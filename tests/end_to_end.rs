@@ -27,9 +27,11 @@ fn two_clean_paths() -> Vec<Path> {
 
 #[test]
 fn mptcp_transfer_completes_over_two_paths() {
-    let cfg = MptcpConfig::default()
-        .with_buffers(256 * 1024)
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(256 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         bulk(500_000),
@@ -96,9 +98,11 @@ fn mptcp_aggregates_more_than_single_path() {
         Duration::from_millis(10),
         Duration::from_millis(80),
     );
-    let cfg = MptcpConfig::default()
-        .with_buffers(500_000)
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(500_000)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let mut m = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {

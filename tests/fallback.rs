@@ -22,9 +22,11 @@ fn link() -> LinkCfg {
 }
 
 fn mptcp_cfg() -> MptcpConfig {
-    MptcpConfig::default()
-        .with_buffers(256 * 1024)
-        .with_mechanisms(Mechanisms::M1_2)
+    MptcpConfig::builder()
+        .buffers(256 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid")
 }
 
 fn scenario(paths: Vec<Path>) -> Scenario {

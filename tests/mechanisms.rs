@@ -190,9 +190,11 @@ fn reinjection_after_subflow_death_delivers_on_survivor() {
     use mptcp_netsim::{FaultKind, SimTime};
 
     const TOTAL: usize = 2_000_000;
-    let cfg = MptcpConfig::default()
-        .with_buffers(256 * 1024)
-        .with_mechanisms(Mechanisms::M1_2);
+    let cfg = MptcpConfig::builder()
+        .buffers(256 * 1024)
+        .mechanisms(Mechanisms::M1_2)
+        .build()
+        .expect("config is valid");
     let mut sc = Scenario::new(
         TransportKind::Mptcp(cfg),
         ClientApp::Bulk {
