@@ -20,11 +20,11 @@ use mptcp_middlebox::{
     HoleDropper, Nat, OptionStripper, PayloadModifier, ProactiveAcker, SegmentCoalescer,
     SegmentSplitter, SeqRewriter, StripMode, SynDropper,
 };
-use mptcp_netsim::{Duration, LinkCfg, Middlebox, Path};
+use mptcp_netsim::{Duration, LinkCfg, Middlebox, Path, Sim};
 use mptcp_tcpstack::TcpConfig;
 
 use super::common::Policy;
-use crate::hosts::{ClientApp, ServerApp};
+use crate::hosts::{ClientApp, Node, ServerApp};
 use crate::report::Figure;
 use crate::scenario::{Scenario, TransportKind};
 
@@ -160,7 +160,7 @@ impl MboxKind {
 pub struct Cell {
     /// What happened.
     pub outcome: Outcome,
-    /// Goodput in Mbps (delivered/elapsed).
+    /// Goodput in Mbps over the transfer (over the whole 30 s if it stalled).
     pub goodput_mbps: f64,
 }
 
@@ -179,7 +179,7 @@ fn make_path(mbox: MboxKind, client_addr: u32) -> Path {
     p
 }
 
-/// Run one cell: a 200 KB transfer with a generous deadline.
+/// Run one cell: a 200 KB transfer with a 30 s deadline.
 pub fn run_cell(mbox: MboxKind, design: Design, seed: u64, policy: Policy) -> Cell {
     let buf = 256 * 1024;
     let (kind, paths) = match design {
@@ -225,10 +225,17 @@ pub fn run_cell(mbox: MboxKind, design: Design, seed: u64, policy: Policy) -> Ce
         paths,
         seed,
     );
+    // Time the transfer to its last byte; judge the outcome at the deadline
+    // (a mid-stream fallback may be detected after the last delivery).
     let start = sc.sim.now;
-    sc.run_for(Duration::from_secs(30));
-    let delivered = sc.server().app_bytes_received;
+    let deadline = start + Duration::from_secs(30);
+    let server = sc.server;
+    let received = |sim: &Sim<Node>| sim.hosts[server].as_server().unwrap().app_bytes_received;
+    sc.sim
+        .run_while(deadline, |sim| received(sim) < TRANSFER as u64);
     let elapsed = sc.sim.now - start;
+    sc.sim.run_until(deadline);
+    let delivered = sc.server().app_bytes_received;
     let fell_back = match &sc.client().transport {
         crate::transport::Transport::Mptcp(c) => c.is_fallback(),
         _ => false,
