@@ -119,7 +119,7 @@ impl Default for FailureDetection {
 /// Configuration for an MPTCP connection, built by [`MptcpConfig::builder`]
 /// (validated) or taken as [`MptcpConfig::default`]. Fields are
 /// crate-private, one per setting: a subflow socket's M4 flag and trace are
-/// derived from `mech` and `trace` ([`MptcpConfig::subflow_tcp`]).
+/// derived from `mech` and `trace` where the socket is made.
 #[derive(Clone, Debug)]
 pub struct MptcpConfig {
     /// Per-subflow TCP parameters, less the two `subflow_tcp` derives.
@@ -186,7 +186,9 @@ impl MptcpConfig {
         MptcpConfigBuilder { cfg: self }
     }
 
-    /// Per-subflow TCP parameters as set ([`MptcpConfig::subflow_tcp`] runs).
+    /// Per-subflow TCP parameters as set; subflow sockets take their M4
+    /// flag and trace from [`MptcpConfig::mechanisms`] and
+    /// [`MptcpConfig::trace`] instead.
     pub fn tcp(&self) -> &TcpConfig {
         &self.tcp
     }
@@ -194,7 +196,7 @@ impl MptcpConfig {
     /// What every subflow socket is made with: `tcp`, plus M4 (which acts
     /// inside the subflow TCP, like FreeBSD's inflight limiter) and tracing
     /// from this config. The one place either reaches a socket.
-    pub fn subflow_tcp(&self) -> TcpConfig {
+    pub(crate) fn subflow_tcp(&self) -> TcpConfig {
         TcpConfig {
             cap_cwnd_on_bufferbloat: self.mech.cap_cwnd,
             trace: self.trace,

@@ -1477,8 +1477,9 @@ impl MptcpConnection {
     fn update_ack_state(&mut self, now: SimTime) {
         if self.is_fallback() {
             let room = self.cfg.recv_buf.saturating_sub(self.receiver_memory());
+            let room = u32::try_from(room).unwrap_or(u32::MAX);
             let sock = &mut self.subflows[0].sock;
-            sock.set_window_override(Some(sock.recv_window().min(room as u32)));
+            sock.set_window_override(Some(sock.recv_window().min(room)));
         }
         if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
             return;
