@@ -244,6 +244,28 @@ fn reinjection_after_subflow_death_delivers_on_survivor() {
 }
 
 #[test]
+fn m3_grows_the_receivers_buffer() {
+    // Fig 5: M3 sizes the receiver's buffer from the bytes arriving per
+    // RTT, so a receiver whose subflows only ACK (and never take an srtt)
+    // must still grow it past its 64 KiB start.
+    use mptcp_harness::{ClientApp, Scenario, ServerApp};
+    let mut sc = Scenario::new(
+        Variant::MptcpM123.kind(1_000_000),
+        ClientApp::Bulk {
+            total: usize::MAX / 2,
+            written: 0,
+            close_when_done: false,
+        },
+        ServerApp::Sink,
+        wifi_3g_paths(),
+        SEED,
+    );
+    sc.run_for(Duration::from_secs(6));
+    let cap = sc.server().listener.conns[0].rcv_buf_capacity();
+    assert!(cap > 65_536, "server receive buffer stuck at {cap} B");
+}
+
+#[test]
 fn autotuning_keeps_memory_below_configured_max() {
     // Fig 5: with M3 the buffers grow only as needed.
     let buf = 2_000_000;
