@@ -116,6 +116,26 @@ fn http_fleet_server_stream_is_pinned() {
 
 #[test]
 fn staggered_bulk_into_a_slow_reader_is_pinned() {
+    assert_eq!(
+        staggered_bulk_into_a_slow_reader(None),
+        (1325, 5557349217835429016)
+    );
+}
+
+/// Sampling a run must not perturb it: the slow reader reads on its own
+/// clock, not on every poll, so stepping the simulator in 10 ms slices
+/// puts the same stream on the wire as one run to the end.
+#[test]
+fn a_slow_reader_run_in_steps_sends_the_same_stream() {
+    assert_eq!(
+        staggered_bulk_into_a_slow_reader(Some(Duration::from_millis(10))),
+        staggered_bulk_into_a_slow_reader(None)
+    );
+}
+
+/// Three staggered bulk connections into one 400 KB/s reader, run to 14 s
+/// in one call or in `steps`; the server's `(segments, FNV-1a)`.
+fn staggered_bulk_into_a_slow_reader(steps: Option<Duration>) -> (u64, u64) {
     const SERVER: u32 = 0x0a00_0065;
     const TOTAL: usize = 300_000;
     let stream = Arc::new(Mutex::new(Stream::default()));
@@ -163,7 +183,13 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
         clients.push(id);
     }
     // Past the transfers (~2.3 s at the reader's rate) and past TIME_WAIT.
-    sim.run_until(SimTime::from_secs(14));
+    let end = SimTime::from_secs(14);
+    if let Some(step) = steps {
+        while sim.now + step < end {
+            sim.run_until(sim.now + step);
+        }
+    }
+    sim.run_until(end);
 
     for &id in &clients {
         assert!(sim.hosts[id].as_client().unwrap().bulk_done());
@@ -171,7 +197,7 @@ fn staggered_bulk_into_a_slow_reader_is_pinned() {
     let host = sim.hosts[server].as_server().unwrap();
     assert_eq!(host.app_bytes_received, 3 * TOTAL as u64);
     assert_eq!(host.listener.len(), 3);
-    assert_eq!(summary(&stream), (1325, 5557349217835429016));
+    summary(&stream)
 }
 
 #[test]
