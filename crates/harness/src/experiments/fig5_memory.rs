@@ -10,12 +10,17 @@
 
 use mptcp_netsim::{Duration, LinkCfg, Path};
 
-use super::common::{run_bulk, wifi_3g_paths, Policy, Variant, UNTRACED};
+use super::common::{
+    measure_bulk, run_bulk, tcp_cfg, wifi_3g_paths, BulkResult, Policy, Variant, UNTRACED,
+};
+use crate::hosts::{ClientApp, ServerApp};
 use crate::report::{Figure, Value};
+use crate::scenario::{Scenario, TransportKind};
 
 /// The memory sweep with autotuning enabled everywhere, over 100 KB to
 /// 1 MB of configured buffer (three points when `quick`): each variant's
-/// mean sender and receiver memory.
+/// mean sender and receiver memory, and its goodput — memory alone cannot
+/// tell a one-path connection from a multipath one.
 pub fn figure(quick: bool, seed: u64, policy: Policy) -> Figure {
     let bufs: &[usize] = if quick {
         &[200_000, 600_000, 1_000_000]
@@ -39,17 +44,21 @@ pub fn figure(quick: bool, seed: u64, policy: Policy) -> Figure {
     for label in mptcp.iter().map(|m| m.0).chain(tcp.iter().map(|t| t.0)) {
         fig = fig
             .column(format!("{label} sender"), 0)
-            .column(format!("{label} receiver"), 0);
+            .column(format!("{label} receiver"), 0)
+            .column(format!("{label} Mbit/s"), 2);
     }
     for &buf in bufs {
+        let mptcp = mptcp.map(|(_, v)| {
+            run_bulk(v, buf, wifi_3g_paths(), warm, meas, seed, policy, UNTRACED).bulk
+        });
+        let tcp = tcp.map(|(_, link)| run_tcp_autotuned(buf, link, warm, meas, seed));
         let mut row: Vec<Value> = vec![(buf / 1000).into()];
-        for (_, v) in mptcp {
-            let r = run_bulk(v, buf, wifi_3g_paths(), warm, meas, seed, policy, UNTRACED).bulk;
-            row.extend([r.sender_mem.into(), r.receiver_mem.into()]);
-        }
-        for (_, link) in tcp {
-            let (smem, rmem) = run_tcp_autotuned(buf, link, warm, meas, seed);
-            row.extend([smem.into(), rmem.into()]);
+        for r in mptcp.iter().chain(&tcp) {
+            row.extend([
+                r.sender_mem.into(),
+                r.receiver_mem.into(),
+                r.goodput_mbps.into(),
+            ]);
         }
         fig.row(row);
     }
@@ -57,18 +66,17 @@ pub fn figure(quick: bool, seed: u64, policy: Policy) -> Figure {
     fig
 }
 
-fn run_tcp_autotuned(
+/// One plain-TCP bulk run over `link` with autotuned buffers, measured
+/// like [`run_bulk`].
+pub fn run_tcp_autotuned(
     buf: usize,
     link: LinkCfg,
     warm: Duration,
     meas: Duration,
     seed: u64,
-) -> (f64, f64) {
-    use crate::hosts::{ClientApp, ServerApp};
-    use crate::scenario::{Scenario, TransportKind};
-    let cfg = super::common::tcp_cfg(buf, true);
+) -> BulkResult {
     let mut sc = Scenario::new(
-        TransportKind::Tcp(cfg),
+        TransportKind::Tcp(tcp_cfg(buf, true)),
         ClientApp::Bulk {
             total: usize::MAX / 2,
             written: 0,
@@ -78,10 +86,5 @@ fn run_tcp_autotuned(
         vec![Path::symmetric(link)],
         seed,
     );
-    sc.run_for(warm);
-    let t0 = sc.sim.now;
-    sc.run_for(meas);
-    let smem = sc.client().mem_sampler.mean_after(t0);
-    let rmem = sc.server().mem_sampler.mean_after(t0);
-    (smem, rmem)
+    measure_bulk(&mut sc, warm, meas).bulk
 }
