@@ -188,16 +188,19 @@ impl MptcpConfig {
 
     /// Per-subflow TCP parameters as set; subflow sockets take their M4
     /// flag and trace from [`MptcpConfig::mechanisms`] and
-    /// [`MptcpConfig::trace`] instead.
+    /// [`MptcpConfig::trace`] instead, and autotune under M3 too.
     pub fn tcp(&self) -> &TcpConfig {
         &self.tcp
     }
 
     /// What every subflow socket is made with: `tcp`, plus M4 (which acts
-    /// inside the subflow TCP, like FreeBSD's inflight limiter) and tracing
-    /// from this config. The one place either reaches a socket.
+    /// inside the subflow TCP, like FreeBSD's inflight limiter), M3's
+    /// autotuning (whose receive RTT the connection reads off the
+    /// subflows) and tracing from this config. The one place any of them
+    /// reaches a socket.
     pub(crate) fn subflow_tcp(&self) -> TcpConfig {
         TcpConfig {
+            autotune: self.tcp.autotune || self.mech.autotune,
             cap_cwnd_on_bufferbloat: self.mech.cap_cwnd,
             trace: self.trace,
             ..self.tcp.clone()
@@ -267,16 +270,6 @@ impl MptcpConfig {
         if self.trace.enabled && self.trace.capacity == 0 {
             return Err(ConfigError::ZeroTraceCapacity);
         }
-        // M3 starts the autotuned buffers at 64 KiB and grows them toward
-        // the configured caps; caps below the start would "autotune"
-        // downward, which is a contradiction the builder rejects.
-        if self.mech.autotune && (self.send_buf < AUTOTUNE_START || self.recv_buf < AUTOTUNE_START)
-        {
-            return Err(ConfigError::AutotuneCapBelowStart {
-                cap: self.send_buf.min(self.recv_buf),
-                start: AUTOTUNE_START,
-            });
-        }
         // Detection must escalate: zero thresholds would demote a healthy
         // path, and a fail threshold below the suspect threshold would skip
         // the Suspect state the scheduler relies on.
@@ -311,9 +304,6 @@ impl MptcpConfig {
     }
 }
 
-/// M3's initial autotuned buffer size.
-pub const AUTOTUNE_START: usize = 64 * 1024;
-
 /// Why [`MptcpConfigBuilder::build`] refused a configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
@@ -323,13 +313,6 @@ pub enum ConfigError {
     ZeroRecvBuffer,
     /// Tracing enabled with a zero-record ring; disable tracing instead.
     ZeroTraceCapacity,
-    /// M3 autotuning enabled with a buffer cap below its starting size.
-    AutotuneCapBelowStart {
-        /// The offending (smaller) cap.
-        cap: usize,
-        /// The autotune starting size the cap must at least reach.
-        start: usize,
-    },
     /// Path-failure thresholds out of order: suspect must be nonzero and
     /// no larger than fail.
     FailureThresholdOrder {
@@ -358,10 +341,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroTraceCapacity => {
                 f.write_str("enabled tracing needs a nonzero ring capacity")
             }
-            ConfigError::AutotuneCapBelowStart { cap, start } => write!(
-                f,
-                "autotune (M3) requires buffer caps >= its {start}-byte starting size, got {cap}"
-            ),
             ConfigError::FailureThresholdOrder { suspect, fail } => write!(
                 f,
                 "failure thresholds must satisfy 1 <= suspect <= fail, got suspect={suspect} fail={fail}"
@@ -541,22 +520,6 @@ mod tests {
         assert!(cfg.trace.enabled);
         assert!(cfg.subflow_tcp().trace.enabled);
         assert_eq!(cfg.subflow_tcp().trace.capacity, cfg.trace.capacity);
-    }
-
-    #[test]
-    fn builder_rejects_autotune_below_start() {
-        let err = MptcpConfig::builder()
-            .mechanisms(Mechanisms::M1_2_3)
-            .buffers(32 * 1024)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::AutotuneCapBelowStart { .. }));
-        // At or above the starting size it passes.
-        MptcpConfig::builder()
-            .mechanisms(Mechanisms::M1_2_3)
-            .buffers(AUTOTUNE_START)
-            .build()
-            .expect("64 KiB cap is the minimum");
     }
 
     #[test]

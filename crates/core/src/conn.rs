@@ -21,14 +21,14 @@ use mptcp_netsim::{Duration, SimRng, SimTime};
 use mptcp_packet::{
     checksum, crypto, DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpOption, TcpSegment,
 };
-use mptcp_tcpstack::{CoupledState, TcpSocket, TcpState, INIT_CWND_SEGS};
+use mptcp_tcpstack::{autotuned, over_rtt_max, CoupledState, TcpSocket, TcpState, INIT_CWND_SEGS};
 use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, TelemetrySnapshot, TraceRecord,
     TraceSnapshot, DEFAULT_EVENT_CAPACITY,
 };
 
 use crate::api::{AbortReason, JoinError, ReadOutcome, SubflowError, SubflowId, WriteOutcome};
-use crate::config::{MptcpConfig, AUTOTUNE_START};
+use crate::config::MptcpConfig;
 use crate::health::{Change, PathHealth, PathState};
 use crate::life::{Action, Input, Life};
 use crate::mapping::Consumed;
@@ -211,11 +211,8 @@ impl MptcpConnection {
 
     fn common(cfg: MptcpConfig, life: Life, local: KeySet, rng: SimRng) -> MptcpConnection {
         // M3 starts both buffers small and grows them toward their caps.
-        let start = if cfg.mech.autotune {
-            AUTOTUNE_START
-        } else {
-            usize::MAX
-        };
+        let m3 = cfg.mech.autotune;
+        let start = |cap| if m3 { autotuned(0, cap) } else { cap };
         MptcpConnection {
             life,
             rng,
@@ -223,8 +220,8 @@ impl MptcpConnection {
             remote: None,
             subflows: Vec::new(),
             pm: PathManager::new(cfg.pm.clone()),
-            tx: DataSender::new(local.idsn.wrapping_add(1), cfg.send_buf.min(start)),
-            rx: DataReceiver::new(cfg.reorder, cfg.recv_buf.min(start)),
+            tx: DataSender::new(local.idsn.wrapping_add(1), start(cfg.send_buf)),
+            rx: DataReceiver::new(cfg.reorder, start(cfg.recv_buf)),
             health: PathHealth::new(cfg.failure),
             stats: ConnStats::default(),
             telemetry: Recorder::traced(DEFAULT_EVENT_CAPACITY, cfg.trace),
@@ -1484,7 +1481,7 @@ impl MptcpConnection {
         if matches!(self.life, Life::Fallback(_) | Life::Closed(_)) {
             return;
         }
-        self.maybe_grow_rcvbuf(now);
+        self.autotune(now);
         let window = self.rx.window();
         let da = self.rx.rcv_nxt();
         let data_ack = self.life.carries_data_ack(self.tx.fin_dsn().is_some());
@@ -1496,25 +1493,20 @@ impl MptcpConnection {
         }
     }
 
-    /// M3: grow buffers toward `2·Σxᵢ·RTTmax` (§4.2).
-    fn maybe_grow_rcvbuf(&mut self, now: SimTime) {
+    /// M3: both buffers toward `2·Σxᵢ·RTT_max` (§4.2), each rate taken
+    /// where it is observed: sending, `cwndᵢ/srttᵢ`; receiving, the bytes
+    /// one round trip brought in on subflow `i`.
+    fn autotune(&mut self, now: SimTime) {
         if !self.cfg.mech.autotune {
             return;
         }
-        let mut rate_sum = 0.0f64; // bytes/sec
-        let mut rtt_max = Duration::ZERO;
-        for sf in self.subflows.iter().filter(|s| s.usable()) {
-            if let Some(srtt) = sf.sock.srtt() {
-                rate_sum += f64::from(sf.sock.cwnd()) / srtt.as_secs_f64().max(1e-6);
-                rtt_max = rtt_max.max(srtt);
-            }
-        }
-        if rate_sum <= 0.0 {
-            return;
-        }
-        let wanted = (2.0 * rate_sum * rtt_max.as_secs_f64()) as usize;
-        let grew_rcv = self.rx.grow_to(wanted.min(self.cfg.recv_buf));
-        if self.tx.grow_to(wanted.min(self.cfg.send_buf)) || grew_rcv {
+        // Every live subflow: data arrives on a join the server has not yet
+        // confirmed too.
+        let socks = || self.subflows.iter().filter(|s| !s.dead).map(|s| &s.sock);
+        let snd = over_rtt_max(socks().filter_map(|s| Some((s.cwnd() as usize, s.srtt()?))));
+        let rcv = over_rtt_max(socks().filter_map(TcpSocket::rcv_rate));
+        let grew_rcv = self.rx.grow_to(autotuned(rcv, self.cfg.recv_buf));
+        if self.tx.resize(autotuned(snd, self.cfg.send_buf)) || grew_rcv {
             let (snd_cap, rcv_cap) = (self.tx.capacity() as u64, self.rx.capacity() as u64);
             self.telemetry
                 .note(now.0, EventKind::M3Grow { snd_cap, rcv_cap });

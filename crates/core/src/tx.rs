@@ -125,10 +125,11 @@ impl DataSender {
         self.buf_cap
     }
 
-    /// M3: raise the capacity to `cap`. Returns whether it grew.
-    pub fn grow_to(&mut self, cap: usize) -> bool {
+    /// M3: set the capacity to `cap`, below what is held if need be.
+    /// Returns whether it grew.
+    pub fn resize(&mut self, cap: usize) -> bool {
         let grew = cap > self.buf_cap;
-        self.buf_cap = self.buf_cap.max(cap);
+        self.buf_cap = cap;
         grew
     }
 

@@ -6,7 +6,7 @@
 //! retransmit/recovery ([`recovery`]), flow control with window scaling,
 //! persist-timer zero-window probing, one congestion window under four
 //! increase rules — Reno, LIA, OLIA, coupled cubic ([`cc`]) — and
-//! send/receive buffer autotuning.
+//! send/receive buffer autotuning ([`autotune`]).
 //!
 //! Design follows the smoltcp idiom: the socket is a pure state machine.
 //! You feed it segments with [`TcpSocket::handle_segment`], drain output
@@ -28,6 +28,7 @@
 //!   advertised window reflects the *connection-level* shared receive pool
 //!   rather than subflow buffer state — the §3.3.1 deadlock fix.
 
+pub mod autotune;
 pub mod cc;
 pub mod config;
 pub mod recovery;
@@ -37,6 +38,7 @@ pub mod sendbuf;
 pub mod socket;
 pub mod state;
 
+pub use autotune::{autotuned, over_rtt_max, AUTOTUNE_START};
 pub use cc::{Cc, CcAlgorithm, CoupledSignal, CoupledState, FlowView};
 pub use config::{TcpConfig, INIT_CWND_SEGS};
 pub use rtt::RttEstimator;

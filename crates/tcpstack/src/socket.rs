@@ -12,6 +12,7 @@ use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::{FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use mptcp_telemetry::{CounterId, EventKind, Recorder, TraceRecord, DEFAULT_EVENT_CAPACITY};
 
+use crate::autotune::{autotuned, RcvRate};
 use crate::cc::{Cc, CcAlgorithm};
 use crate::config::{TcpConfig, INIT_CWND_SEGS, WSCALE};
 use crate::recovery::{AckResponse, Recovery, TimerAction};
@@ -65,7 +66,8 @@ pub struct TcpSocket {
 
     send_q: SendQueue,
     recv_q: RecvQueue,
-    sbuf_cap: usize,
+    /// Receive autotuning: the bytes the last round trip brought in.
+    rcv_rate: RcvRate,
 
     rtt: RttEstimator,
     cc: Cc,
@@ -151,8 +153,12 @@ impl TcpSocket {
         rcvd: bool,
         syn_options: Vec<TcpOption>,
     ) -> TcpSocket {
-        // Autotuned buffers start small and grow on demand.
-        let start = |max: usize| max.min(if cfg.autotune { 16 * cfg.mss } else { max });
+        // An autotuned receive buffer starts small; a send buffer follows cwnd.
+        let rcv_cap = if cfg.autotune {
+            autotuned(0, cfg.recv_buf)
+        } else {
+            cfg.recv_buf
+        };
         TcpSocket {
             effective_mss: cfg.mss,
             life: Life::Opening {
@@ -170,8 +176,8 @@ impl TcpSocket {
             wl2: SeqNum(0),
             rcv_nxt: SeqNum(0),
             send_q: SendQueue::new(iss + 1),
-            recv_q: RecvQueue::new(start(cfg.recv_buf)),
-            sbuf_cap: start(cfg.send_buf),
+            recv_q: RecvQueue::new(rcv_cap),
+            rcv_rate: RcvRate::default(),
             rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
             cc: CcAlgorithm::Reno.build(cfg.mss as u32, INIT_CWND_SEGS),
             recovery: Recovery::new(iss, cfg.max_rto),
@@ -298,12 +304,25 @@ impl TcpSocket {
 
     /// Free space in the send buffer.
     pub fn send_space(&self) -> usize {
-        self.sbuf_cap.saturating_sub(self.send_q.buffered())
+        self.send_capacity().saturating_sub(self.send_q.buffered())
     }
 
-    /// Current send buffer capacity (autotuned).
+    /// Send buffer capacity: `send_buf`, or autotuned from the
+    /// congestion window.
     pub fn send_capacity(&self) -> usize {
-        self.sbuf_cap
+        let cwnd = self.cc.cwnd() as usize;
+        let cfg = &self.cfg;
+        if cfg.autotune {
+            autotuned(cwnd, cfg.send_buf)
+        } else {
+            cfg.send_buf
+        }
+    }
+
+    /// The bytes the last round trip brought in, and that round trip,
+    /// timed by the timestamp echo on arriving data (autotuned only).
+    pub fn rcv_rate(&self) -> Option<(usize, Duration)> {
+        Some((self.rcv_rate.per_rtt, self.rcv_rate.rtt?))
     }
 
     /// Bytes held in the receive buffer (for memory accounting).
@@ -439,10 +458,6 @@ impl TcpSocket {
         let mut option = option.into_iter();
         let first = option.next();
         assert!(option.next().is_none(), "at most one option per chunk");
-        if self.cfg.autotune {
-            let used = self.send_q.buffered() + payload.len();
-            self.sbuf_cap = grown(self.sbuf_cap, used, self.cfg.send_buf);
-        }
         self.send_q.enqueue(payload, first);
         true
     }
@@ -570,6 +585,14 @@ impl TcpSocket {
 
         if !seg.payload.is_empty() {
             self.process_payload(seg);
+            // Receive autotuning: a round trip timed by the timestamp echo,
+            // the buffer sized from what one round trip brought.
+            if self.cfg.autotune {
+                let rtt = self.echo_rtt(now, seg);
+                if let Some(n) = self.rcv_rate.on_data(now, self.recv_q.end(), rtt) {
+                    self.recv_q.set_capacity(autotuned(n, self.cfg.recv_buf));
+                }
+            }
         }
 
         if seg.flags.fin {
@@ -738,10 +761,6 @@ impl TcpSocket {
         let end = seg.payload.len().min(cut + (window_right - off) as usize);
         let advanced = self.recv_q.insert(off, seg.payload.slice(cut..end));
         self.rcv_nxt += advanced as u32;
-        if self.cfg.autotune {
-            let q = &mut self.recv_q;
-            q.set_capacity(grown(q.capacity(), q.buffered(), self.cfg.recv_buf));
-        }
     }
 
     fn process_fin(&mut self, now: SimTime, seg: &TcpSegment) {
@@ -768,16 +787,17 @@ impl TcpSocket {
     }
 
     fn sample_rtt_from_ts(&mut self, now: SimTime, seg: &TcpSegment) -> Option<Duration> {
-        let (_, ecr) = timestamps_of(seg).filter(|&(_, ecr)| ecr != 0)?;
-        let now_us = self.ts_now(now);
-        let delta = now_us.wrapping_sub(ecr);
-        // Reject absurd samples (clock skew after wrap).
-        if delta > 120_000_000 {
-            return None;
-        }
-        let rtt = Duration::from_micros(u64::from(delta));
+        let rtt = self.echo_rtt(now, seg)?;
         self.rtt.on_sample(rtt);
         Some(rtt)
+    }
+
+    /// The time since we sent the timestamp `seg` echoes.
+    fn echo_rtt(&self, now: SimTime, seg: &TcpSegment) -> Option<Duration> {
+        let (_, ecr) = timestamps_of(seg).filter(|&(_, ecr)| ecr != 0)?;
+        let delta = self.ts_now(now).wrapping_sub(ecr);
+        // Reject absurd samples (clock skew after wrap).
+        (delta <= 120_000_000).then(|| Duration::from_micros(u64::from(delta)))
     }
 
     fn ts_now(&self, now: SimTime) -> u32 {
@@ -1085,14 +1105,6 @@ impl TcpSocket {
         self.need_ack = false;
         seg
     }
-}
-
-/// Autotuning: `cap` doubled toward `max` until `used` fills at most half.
-fn grown(mut cap: usize, used: usize, max: usize) -> usize {
-    while used > cap / 2 && cap < max {
-        cap = (cap * 2).min(max);
-    }
-    cap
 }
 
 /// The `(val, ecr)` of the segment's timestamps option.
@@ -1676,8 +1688,63 @@ mod tests {
         assert_eq!(c.next_tx_offset(), 6);
     }
 
+    /// A bulk transfer from `c` to `s` until `end`, over a path of `rate`
+    /// bytes/s behind a `queue`-byte drop-tail buffer and `delay` each way
+    /// (ACKs unqueued), stepped every 100 µs; the receiver reads at once.
+    /// Returns the most bytes the receiver read in one `window`.
+    fn bulk_over_a_bottleneck(
+        c: &mut TcpSocket,
+        s: &mut TcpSocket,
+        (rate, queue, delay): (u64, u64, Duration),
+        end: SimTime,
+        window: Duration,
+    ) -> u64 {
+        let mut wire: std::collections::BTreeMap<(SimTime, u64), (bool, TcpSegment)> =
+            Default::default();
+        let (mut busy_until, mut order, mut now) = (SimTime::ZERO, 0, SimTime::ZERO);
+        let (mut read, mut reads) = (0u64, std::collections::VecDeque::new());
+        let mut best = 0;
+        while now < end {
+            while let Some(entry) = wire.first_entry() {
+                if entry.key().0 > now {
+                    break;
+                }
+                let (to_server, seg) = entry.remove();
+                let to = if to_server { &mut *s } else { &mut *c };
+                to.handle_segment(now, &seg);
+            }
+            while c.send_space() >= 1460 {
+                c.send(&[7u8; 1460]);
+            }
+            while let Some(seg) = c.poll(now) {
+                let backlog = busy_until.since(now).as_nanos() as u64 * rate / 1_000_000_000;
+                if backlog + seg.payload.len() as u64 > queue {
+                    continue; // dropped at the bottleneck
+                }
+                let tx = Duration::from_nanos(seg.payload.len() as u64 * 1_000_000_000 / rate);
+                busy_until = busy_until.max(now) + tx;
+                order += 1;
+                wire.insert((busy_until + delay, order), (true, seg));
+            }
+            while let Some(seg) = s.poll(now) {
+                order += 1;
+                wire.insert((now + delay, order), (false, seg));
+            }
+            while let Some(b) = s.read(usize::MAX) {
+                read += b.len() as u64;
+            }
+            reads.push_back((now, read));
+            while reads.front().is_some_and(|&(t, _)| now.since(t) > window) {
+                reads.pop_front();
+            }
+            best = best.max(read - reads.front().map_or(0, |&(_, r)| r));
+            now += Duration::from_micros(100);
+        }
+        best
+    }
+
     #[test]
-    fn autotuned_buffers_grow_on_demand() {
+    fn autotuned_buffers_track_cwnd_and_bytes_per_rtt() {
         let cfg = TcpConfig {
             autotune: true,
             recv_buf: 1 << 20,
@@ -1689,16 +1756,26 @@ mod tests {
         let syn = c.poll(now).unwrap();
         let mut s = TcpSocket::accept(cfg, &syn, SeqNum(500), now, vec![]);
         pump(now, &mut c, &mut s);
-        let initial_r = s.recv_q.capacity();
-        let initial_s = c.send_capacity();
-        c.send(&vec![1u8; 400_000]);
-        assert!(c.send_capacity() > initial_s, "send buffer autotuned up");
-        for _ in 0..50 {
-            pump(SimTime::from_millis(1), &mut c, &mut s);
-        }
-        // Receiver app never reads: buffer pressure grows capacity.
-        assert!(s.recv_q.capacity() >= initial_r);
-        assert!(s.recv_buffered() > 0);
+        // 80 Mbit/s, 10 ms round trip (100 KB in flight), 50 KB of queue.
+        let path = (10_000_000, 50_000, Duration::from_millis(5));
+        let rtt = Duration::from_millis(15);
+        let per_rtt = bulk_over_a_bottleneck(&mut c, &mut s, path, SimTime::from_secs(3), rtt);
+        // The sender holds what its window needs, twice over.
+        assert_eq!(c.send_capacity(), 2 * c.cwnd() as usize);
+        assert!(c.send_capacity() < 1 << 19, "{}", c.send_capacity());
+        // The receiver's buffer is twice what one round trip brings in,
+        // far from its 1 MB cap.
+        let (got, rcv_rtt) = s.rcv_rate().expect("the receiver timed a round trip");
+        assert!(
+            rcv_rtt >= Duration::from_millis(10) && rcv_rtt <= rtt,
+            "{rcv_rtt:?}"
+        );
+        let cap = s.recv_q.capacity();
+        assert!(
+            cap >= 2 * got && cap as u64 <= 2 * per_rtt,
+            "{cap} vs {got}, {per_rtt}"
+        );
+        assert!(cap > 100_000 && cap < 1 << 19, "{cap}");
     }
 
     #[test]

@@ -895,7 +895,12 @@ fn bufferbloat_cap_is_pinned() {
     assert!(w.c.telemetry.counter(CounterId::M4CwndCaps) > 0);
     assert_eq!(w.c.telemetry.counter(CounterId::TcpRtos), 0);
     assert!(w.c.send_capacity() > 16 * 1460, "send buffer autotuned up");
-    w.assert_pinned(1440, 1712526133276846046, [0, 0, 0, 0, 45], [0, 0, 0, 0, 0]);
+    w.assert_pinned(
+        1454,
+        16917091621189081877,
+        [0, 0, 0, 0, 24],
+        [0, 0, 0, 0, 0],
+    );
 }
 
 /// More options than forty bytes hold. Client data segments carry
