@@ -23,6 +23,10 @@ pub const HTTP_REQUEST_LEN: usize = 100;
 
 /// Largest single application write.
 const WRITE_MAX: usize = 64 * 1024;
+
+/// A [`ServerApp::SlowSink`] reads on its own grid of this period, not
+/// on every poll, so how a caller steps the simulator cannot move a read.
+const SLOW_READ_TICK: Duration = Duration::from_millis(20);
 /// What the applications write. The apps retry a refused write on every
 /// host poll and every delivered segment, so the bytes they offer live in
 /// statics: building a fresh buffer per attempt cost more than the stack.
@@ -277,11 +281,12 @@ impl Host for ClientHost {
 pub enum ServerApp {
     /// Read and discard everything as fast as possible.
     Sink,
-    /// Like `Sink`, but read at most `rate` bytes/sec (a slow reader).
+    /// Like `Sink`, but read at most `rate` bytes/sec (a slow reader),
+    /// every 20 ms.
     SlowSink {
         /// Read budget per second.
         rate: u64,
-        /// Budget accumulator bookkeeping.
+        /// The last read tick: budget accumulator bookkeeping.
         last: SimTime,
         credit: f64,
     },
@@ -384,11 +389,16 @@ impl ServerHost {
                 self.unread.insert(at, idx);
             }
         }
-        // Refill the slow-sink read budget outside the per-conn loop.
+        // Refill the slow-sink read budget outside the per-conn loop, once
+        // per tick passed; between ticks it does not read.
         let mut budget = match &mut self.app {
             ServerApp::SlowSink { rate, last, credit } => {
-                *credit += (*rate as f64) * (now - *last).as_secs_f64();
-                *last = now;
+                let ticks = (now.since(*last).as_nanos() / SLOW_READ_TICK.as_nanos()) as u32;
+                if ticks == 0 {
+                    return;
+                }
+                *last += SLOW_READ_TICK * ticks;
+                *credit += (*rate as f64) * (SLOW_READ_TICK * ticks).as_secs_f64();
                 *credit as usize
             }
             _ => usize::MAX,
@@ -479,12 +489,10 @@ impl Host for ServerHost {
     fn poll_at(&self, now: SimTime) -> Option<SimTime> {
         let base = self.listener.poll_at(now);
         // A rate-limited reader must wake itself to keep draining (and to
-        // send window updates) even when the network is quiescent: 20 ms
-        // after its budget was last refilled.
+        // send window updates) even when the network is quiescent: at its
+        // next read tick.
         match &self.app {
-            ServerApp::SlowSink { last, .. } => {
-                min_deadline(base, Some(*last + Duration::from_millis(20)))
-            }
+            ServerApp::SlowSink { last, .. } => min_deadline(base, Some(*last + SLOW_READ_TICK)),
             _ => base,
         }
     }

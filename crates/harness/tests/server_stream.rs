@@ -118,7 +118,7 @@ fn http_fleet_server_stream_is_pinned() {
 fn staggered_bulk_into_a_slow_reader_is_pinned() {
     assert_eq!(
         staggered_bulk_into_a_slow_reader(None),
-        (1325, 5557349217835429016)
+        (757, 12422985223323976061)
     );
 }
 
