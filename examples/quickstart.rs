@@ -7,9 +7,9 @@
 
 use mptcp::{Mechanisms, MptcpConfig};
 use mptcp_harness::experiments::common::{run_bulk, Policy, Variant, UNTRACED};
-use mptcp_harness::hosts::{ClientApp, ServerApp};
+use mptcp_harness::hosts::{ClientApp, Node, ServerApp};
 use mptcp_harness::scenario::{Scenario, TransportKind};
-use mptcp_netsim::{Duration, LinkCfg, Path};
+use mptcp_netsim::{Duration, LinkCfg, Path, Sim};
 
 fn main() {
     println!("MPTCP quickstart: 10 MB over WiFi (8 Mbps) + 3G (2 Mbps)\n");
@@ -34,8 +34,14 @@ fn main() {
         ],
         42,
     );
+    // Time the transfer to the server's read of its last byte, with 60 s
+    // as the deadline.
     let t0 = sc.sim.now;
-    sc.run_for(Duration::from_secs(60));
+    let server = sc.server;
+    let received = |sim: &Sim<Node>| sim.hosts[server].as_server().unwrap().app_bytes_received;
+    sc.sim.run_while(t0 + Duration::from_secs(60), |sim| {
+        received(sim) < 10_000_000
+    });
     let bytes = sc.server().app_bytes_received;
     let secs = (sc.sim.now - t0).as_secs_f64();
     println!(
