@@ -3,9 +3,9 @@
 //! (Fisk & Feng 2001), which Linux's receive autotuning follows, and the
 //! paper's M3, `2·Σxᵢ·RTT_max` (§4.2). A sender's rate is its congestion
 //! window; a receiver's, the bytes one round trip brought in, timed by the
-//! timestamp echo on arriving data.
+//! timestamp echo on arriving data ([`crate::recvbuf::RecvQueue::autotune`]).
 
-use mptcp_netsim::{Duration, SimTime};
+use mptcp_netsim::Duration;
 
 /// The size an autotuned buffer starts at: [`autotuned`] of nothing.
 pub const AUTOTUNE_START: usize = 64 * 1024;
@@ -22,40 +22,6 @@ pub fn over_rtt_max(flows: impl Iterator<Item = (usize, Duration)> + Clone) -> u
     let max = flows.clone().map(|(_, rtt)| rtt).max().unwrap_or_default();
     let x = |(bytes, rtt): (usize, Duration)| bytes as f64 / rtt.as_secs_f64().max(1e-6);
     (flows.map(x).sum::<f64>() * max.as_secs_f64()) as usize
-}
-
-/// A receiver's rate: the bytes that arrived in one round trip.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct RcvRate {
-    /// The round trip, smoothed by 1/8.
-    pub(crate) rtt: Option<Duration>,
-    /// What the last round brought in.
-    pub(crate) per_rtt: usize,
-    /// When the current round began, and the bytes received by then.
-    round: Option<(SimTime, u64)>,
-}
-
-impl RcvRate {
-    /// `got` in-order bytes so far at `now`, with an RTT sample if one was
-    /// taken. Once a round trip has passed since the round began, returns
-    /// what the round brought in and begins the next.
-    pub(crate) fn on_data(
-        &mut self,
-        now: SimTime,
-        got: u64,
-        rtt: Option<Duration>,
-    ) -> Option<usize> {
-        if let Some(s) = rtt {
-            self.rtt = Some(self.rtt.map_or(s, |r| (r * 7 + s) / 8));
-        }
-        let (began, base) = *self.round.get_or_insert((now, got));
-        if now.since(began) < self.rtt? {
-            return None;
-        }
-        self.round = Some((now, got));
-        self.per_rtt = got.saturating_sub(base) as usize;
-        Some(self.per_rtt)
-    }
 }
 
 #[cfg(test)]
@@ -77,23 +43,5 @@ mod tests {
         // 100 KB per 50 ms and 30 KB per 150 ms: 300 + 30 KB per 150 ms.
         let flows = [(100_000, ms(50)), (30_000, ms(150))];
         assert_eq!(over_rtt_max(flows.into_iter()), 330_000);
-    }
-
-    #[test]
-    fn a_round_closes_once_per_smoothed_rtt() {
-        let ms = SimTime::from_millis;
-        let mut r = RcvRate::default();
-        assert_eq!(r.on_data(ms(0), 0, None), None, "no round before an RTT");
-        assert_eq!(r.rtt, None);
-        let rtt = Some(Duration::from_millis(100));
-        assert_eq!(r.on_data(ms(10), 1_000, rtt), None);
-        assert_eq!((r.per_rtt, r.rtt), (0, Some(Duration::from_millis(100))));
-        assert_eq!(r.on_data(ms(60), 5_000, None), None);
-        assert_eq!(r.on_data(ms(110), 9_000, None), Some(9_000));
-        // A 180 ms sample moves the smoothed RTT to 110 ms.
-        let slower = Some(Duration::from_millis(180));
-        assert_eq!(r.on_data(ms(215), 12_000, slower), None);
-        assert_eq!(r.on_data(ms(220), 20_000, None), Some(11_000));
-        assert_eq!(r.rtt, Some(Duration::from_millis(110)));
     }
 }

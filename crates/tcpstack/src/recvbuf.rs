@@ -10,6 +10,9 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use mptcp_netsim::{Duration, SimTime};
+
+use crate::autotune::autotuned;
 
 /// Reassembly buffer for one TCP receive stream.
 pub struct RecvQueue {
@@ -25,6 +28,12 @@ pub struct RecvQueue {
     ooo_bytes: usize,
     /// Current buffer capacity (autotuning may grow it).
     capacity: usize,
+    /// Receive autotuning: the round trip, smoothed by 1/8 ...
+    rtt: Option<Duration>,
+    /// ... what the last one brought in ...
+    per_rtt: usize,
+    /// ... and when the current one began, with `next_offset` then.
+    round: (SimTime, u64),
 }
 
 impl RecvQueue {
@@ -38,6 +47,9 @@ impl RecvQueue {
             ooo: BTreeMap::new(),
             ooo_bytes: 0,
             capacity,
+            rtt: None,
+            per_rtt: 0,
+            round: (SimTime::ZERO, 0),
         }
     }
 
@@ -56,9 +68,25 @@ impl RecvQueue {
         self.capacity
     }
 
-    /// Grow (never shrink) the capacity.
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.capacity = self.capacity.max(cap);
+    /// Receive autotuning (Dynamic Right-Sizing), with an RTT sample if
+    /// one was taken: once a round trip has passed since the round began,
+    /// grow (never shrink) the capacity toward twice what it brought in,
+    /// within `max`.
+    pub fn autotune(&mut self, now: SimTime, rtt: Option<Duration>, max: usize) {
+        if let Some(s) = rtt {
+            self.rtt = Some(self.rtt.map_or(s, |r| (r * 7 + s) / 8));
+        }
+        let (began, base) = self.round;
+        if self.rtt.is_some_and(|rtt| now.since(began) >= rtt) {
+            self.round = (now, self.next_offset);
+            self.per_rtt = (self.next_offset - base) as usize;
+            self.capacity = self.capacity.max(autotuned(self.per_rtt, max));
+        }
+    }
+
+    /// The bytes the last round trip brought in, and that round trip.
+    pub fn rate(&self) -> Option<(usize, Duration)> {
+        Some((self.per_rtt, self.rtt?))
     }
 
     /// Offset one past the last in-order byte received.
@@ -294,10 +322,38 @@ mod tests {
 
     #[test]
     fn capacity_never_shrinks() {
-        let mut q = RecvQueue::new(100);
-        q.set_capacity(50);
-        assert_eq!(q.capacity(), 100);
-        q.set_capacity(200);
-        assert_eq!(q.capacity(), 200);
+        let (rtt, ms) = (Some(Duration::from_millis(10)), SimTime::from_millis);
+        let mut q = RecvQueue::new(100_000);
+        q.autotune(ms(0), rtt, 1 << 20);
+        q.insert(0, Bytes::from(vec![0u8; 90_000]));
+        q.autotune(ms(10), rtt, 1 << 20);
+        assert_eq!(q.capacity(), 180_000);
+        assert_eq!(q.rate(), Some((90_000, Duration::from_millis(10))));
+        // A quiet round trip leaves it where it was.
+        q.autotune(ms(20), rtt, 1 << 20);
+        assert_eq!(q.capacity(), 180_000);
+        assert_eq!(q.rate(), Some((0, Duration::from_millis(10))));
+    }
+
+    #[test]
+    fn a_round_lasts_the_smoothed_rtt() {
+        let (ms, data) = (SimTime::from_millis, |n| Bytes::from(vec![0u8; n]));
+        let mut q = RecvQueue::new(1 << 20);
+        q.insert(0, data(1_000));
+        q.autotune(ms(0), None, 1 << 20);
+        assert_eq!(q.rate(), None, "no round before an RTT");
+        q.autotune(ms(10), Some(Duration::from_millis(100)), 1 << 20);
+        q.insert(1_000, data(8_000));
+        q.autotune(ms(60), None, 1 << 20);
+        assert_eq!(q.rate(), Some((0, Duration::from_millis(100))));
+        q.autotune(ms(110), None, 1 << 20);
+        assert_eq!(q.rate(), Some((9_000, Duration::from_millis(100))));
+        // A 180 ms sample moves the smoothed RTT to 110 ms.
+        q.insert(9_000, data(3_000));
+        q.autotune(ms(215), Some(Duration::from_millis(180)), 1 << 20);
+        assert_eq!(q.rate(), Some((9_000, Duration::from_millis(110))));
+        q.insert(12_000, data(8_000));
+        q.autotune(ms(220), None, 1 << 20);
+        assert_eq!(q.rate(), Some((11_000, Duration::from_millis(110))));
     }
 }

@@ -12,7 +12,7 @@ use mptcp_netsim::{Duration, SimTime};
 use mptcp_packet::{FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use mptcp_telemetry::{CounterId, EventKind, Recorder, TraceRecord, DEFAULT_EVENT_CAPACITY};
 
-use crate::autotune::{autotuned, RcvRate};
+use crate::autotune::autotuned;
 use crate::cc::{Cc, CcAlgorithm};
 use crate::config::{TcpConfig, INIT_CWND_SEGS, WSCALE};
 use crate::recovery::{AckResponse, Recovery, TimerAction};
@@ -66,8 +66,6 @@ pub struct TcpSocket {
 
     send_q: SendQueue,
     recv_q: RecvQueue,
-    /// Receive autotuning: the bytes the last round trip brought in.
-    rcv_rate: RcvRate,
 
     rtt: RttEstimator,
     cc: Cc,
@@ -177,7 +175,6 @@ impl TcpSocket {
             rcv_nxt: SeqNum(0),
             send_q: SendQueue::new(iss + 1),
             recv_q: RecvQueue::new(rcv_cap),
-            rcv_rate: RcvRate::default(),
             rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
             cc: CcAlgorithm::Reno.build(cfg.mss as u32, INIT_CWND_SEGS),
             recovery: Recovery::new(iss, cfg.max_rto),
@@ -322,7 +319,7 @@ impl TcpSocket {
     /// The bytes the last round trip brought in, and that round trip,
     /// timed by the timestamp echo on arriving data (autotuned only).
     pub fn rcv_rate(&self) -> Option<(usize, Duration)> {
-        Some((self.rcv_rate.per_rtt, self.rcv_rate.rtt?))
+        self.recv_q.rate()
     }
 
     /// Bytes held in the receive buffer (for memory accounting).
@@ -585,13 +582,10 @@ impl TcpSocket {
 
         if !seg.payload.is_empty() {
             self.process_payload(seg);
-            // Receive autotuning: a round trip timed by the timestamp echo,
-            // the buffer sized from what one round trip brought.
+            // Receive autotuning, timed by the timestamp echo.
             if self.cfg.autotune {
                 let rtt = self.echo_rtt(now, seg);
-                if let Some(n) = self.rcv_rate.on_data(now, self.recv_q.end(), rtt) {
-                    self.recv_q.set_capacity(autotuned(n, self.cfg.recv_buf));
-                }
+                self.recv_q.autotune(now, rtt, self.cfg.recv_buf);
             }
         }
 
