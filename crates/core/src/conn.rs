@@ -1506,7 +1506,12 @@ impl MptcpConnection {
         let snd = over_rtt_max(socks().filter_map(|s| Some((s.cwnd() as usize, s.srtt()?))));
         let rcv = over_rtt_max(socks().filter_map(TcpSocket::rcv_rate));
         let grew_rcv = self.rx.grow_to(autotuned(rcv, self.cfg.recv_buf));
-        if self.tx.resize(autotuned(snd, self.cfg.send_buf)) || grew_rcv {
+        // The send buffer follows its rate down and up; it grew when it
+        // passes its high-water mark.
+        let high = self.telemetry.gauge(GaugeId::SndBufCap).max as usize;
+        let grew_snd =
+            self.tx.resize(autotuned(snd, self.cfg.send_buf)) && self.tx.capacity() > high;
+        if grew_snd || grew_rcv {
             let (snd_cap, rcv_cap) = (self.tx.capacity() as u64, self.rx.capacity() as u64);
             self.telemetry
                 .note(now.0, EventKind::M3Grow { snd_cap, rcv_cap });
