@@ -3,7 +3,7 @@
 //! (Fisk & Feng 2001), which Linux's receive autotuning follows, and the
 //! paper's M3, `2·Σxᵢ·RTT_max` (§4.2). A sender's rate is its congestion
 //! window; a receiver's, the bytes one round trip brought in, timed by the
-//! timestamp echo on arriving data ([`crate::recvbuf::RecvQueue::autotune`]).
+//! timestamp echo on arriving data (`RecvQueue::autotune`).
 
 use mptcp_netsim::Duration;
 

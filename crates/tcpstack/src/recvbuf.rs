@@ -72,7 +72,7 @@ impl RecvQueue {
     /// one was taken: once a round trip has passed since the round began,
     /// grow (never shrink) the capacity toward twice what it brought in,
     /// within `max`.
-    pub fn autotune(&mut self, now: SimTime, rtt: Option<Duration>, max: usize) {
+    pub(crate) fn autotune(&mut self, now: SimTime, rtt: Option<Duration>, max: usize) {
         if let Some(s) = rtt {
             self.rtt = Some(self.rtt.map_or(s, |r| (r * 7 + s) / 8));
         }
@@ -85,7 +85,7 @@ impl RecvQueue {
     }
 
     /// The bytes the last round trip brought in, and that round trip.
-    pub fn rate(&self) -> Option<(usize, Duration)> {
+    pub(crate) fn rate(&self) -> Option<(usize, Duration)> {
         Some((self.per_rtt, self.rtt?))
     }
 
