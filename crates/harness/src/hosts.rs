@@ -27,6 +27,7 @@ const WRITE_MAX: usize = 64 * 1024;
 /// A [`ServerApp::SlowSink`] reads on its own grid of this period, not
 /// on every poll, so how a caller steps the simulator cannot move a read.
 const SLOW_READ_TICK: Duration = Duration::from_millis(20);
+
 /// What the applications write. The apps retry a refused write on every
 /// host poll and every delivered segment, so the bytes they offer live in
 /// statics: building a fresh buffer per attempt cost more than the stack.
