@@ -36,7 +36,7 @@ use crate::pm::{PathManager, PmAction, PmEvent};
 use crate::reorder::OooQueue;
 use crate::rx::DataReceiver;
 use crate::sched::{PathSnapshot, SchedCtx, SchedDecision, Scheduler, SchedulerKind};
-use crate::subflow::{JoinState, Subflow};
+use crate::subflow::{ConnView, JoinState, Subflow};
 use crate::token::{KeySet, TokenTable};
 use crate::tx::DataSender;
 
@@ -81,14 +81,14 @@ pub struct ConnStats {
 }
 
 /// The MP_CAPABLE option of a handshake segment (§3.1): our key on the
-/// SYNs, both keys on the third ACK.
-fn mp_capable(checksum: bool, sender_key: u64, receiver_key: Option<u64>) -> Vec<TcpOption> {
-    vec![TcpOption::Mptcp(MptcpOption::MpCapable {
+/// SYNs, both keys on the third ACK and what follows it.
+fn mp_capable(checksum: bool, sender_key: u64, receiver_key: Option<u64>) -> TcpOption {
+    TcpOption::Mptcp(MptcpOption::MpCapable {
         version: 0,
         checksum_required: checksum,
         sender_key,
         receiver_key,
-    })]
+    })
 }
 
 /// The sender's key and checksum flag, if `opt` is an MP_CAPABLE.
@@ -164,7 +164,7 @@ impl MptcpConnection {
         mut rng: SimRng,
     ) -> MptcpConnection {
         let local = KeySet::from_key(rng.next_u64());
-        let syn_opts = mp_capable(cfg.checksum, local.key, None);
+        let syn_opts = vec![mp_capable(cfg.checksum, local.key, None)];
         let isn = SeqNum(rng.next_u32());
         let sock = TcpSocket::client(cfg.subflow_tcp(), tuple, isn, now, syn_opts);
         let mut conn = MptcpConnection::common(cfg, Life::Handshake { client: true }, local, rng);
@@ -195,7 +195,8 @@ impl MptcpConnection {
                 (Life::Fallback(None), KeySet::from_key(rng.next_u64()))
             }
         };
-        let syn_opts = peer_capable.map_or(vec![], |_| mp_capable(cfg.checksum, local.key, None));
+        let syn_opts =
+            peer_capable.map_or(vec![], |_| vec![mp_capable(cfg.checksum, local.key, None)]);
         let isn = SeqNum(rng.next_u32());
         let mut sock = TcpSocket::accept(cfg.subflow_tcp(), syn, isn, now, syn_opts);
         // The SYN's MP_CAPABLE was consumed here; don't let the harvested
@@ -498,19 +499,15 @@ impl MptcpConnection {
             }
             Action::FallBack(cause) => {
                 self.telemetry.note(now.0, EventKind::Fallback { cause });
-                // Stop MPTCP signalling; plain TCP from here, and the
-                // failure detector stops with it.
-                for sf in &mut self.subflows {
-                    sf.sock.set_carry_options(Vec::new());
-                }
                 // RFC 8684 §3.7: a checksum failure on the last subflow is
                 // the peer's to hear of, or it keeps speaking MPTCP.
                 if cause == FallbackCause::ChecksumFail {
                     let dsn = self.rx.rcv_nxt();
                     self.subflows[idx].signal(MptcpOption::MpFail { dsn });
                 }
+                // Plain TCP from here: the failure detector stops, and
+                // unsent data continues as plain writes on subflow 0.
                 self.health.clear();
-                // Unsent data continues as plain writes on subflow 0.
                 for p in self.tx.abandon() {
                     self.subflows[0].sock.send_chunk(p, None);
                 }
@@ -778,10 +775,7 @@ impl MptcpConnection {
         };
         self.set_remote_key(key);
         self.cfg.checksum |= ck;
-        // Third ACK (and every segment until confirmed) carries
-        // MP_CAPABLE with both keys (§3.1).
-        let carry = mp_capable(self.cfg.checksum, self.local.key, Some(key));
-        self.subflows[idx].sock.set_carry_options(carry);
+        // The third ACK, carrying MP_CAPABLE with both keys (§3.1).
         self.subflows[idx].sock.request_ack();
     }
 
@@ -1128,12 +1122,20 @@ impl MptcpConnection {
             self.ticked_at = Some(now);
             self.tick(now);
         }
+        let conn = ConnView {
+            life: self.life,
+            fin_out: self.tx.fin_dsn().is_some(),
+            data_ack: self.rx.rcv_nxt(),
+            echo: self
+                .remote
+                .map(|r| mp_capable(self.cfg.checksum, self.local.key, Some(r.key))),
+        };
         let n = self.subflows.len();
         for k in 0..n {
             let i = (self.poll_cursor + k) % n;
             // Dead subflows are still polled: an aborted socket must get
             // to emit its RST so the peer tears down and re-injects.
-            let seg = self.subflows[i].sock.poll(now);
+            let seg = self.subflows[i].poll(now, &conn);
             if self.subflows[i].sock.take_poll_changed() {
                 self.ticked_at = None;
             }
@@ -1468,9 +1470,9 @@ impl MptcpConnection {
         }
     }
 
-    /// Refresh window overrides and DATA_ACK carry options on every
-    /// subflow (§3.3.1: one shared pool; §3.3.2: explicit DATA_ACK). Fallen
-    /// back, subflow 0's own window is held to what `recv_buf` leaves.
+    /// Refresh the window every subflow advertises (§3.3.1: one shared
+    /// pool). Fallen back, subflow 0's own window is held to what
+    /// `recv_buf` leaves.
     fn update_ack_state(&mut self, now: SimTime) {
         if self.is_fallback() {
             let room = self.cfg.recv_buf.saturating_sub(self.receiver_memory());
@@ -1483,13 +1485,8 @@ impl MptcpConnection {
         }
         self.autotune(now);
         let window = self.rx.window();
-        let da = self.rx.rcv_nxt();
-        let data_ack = self.life.carries_data_ack(self.tx.fin_dsn().is_some());
         for sf in self.subflows.iter_mut().filter(|sf| !sf.dead) {
             sf.sock.set_window_override(Some(window));
-            if data_ack {
-                sf.carry(Some(da));
-            }
         }
     }
 

@@ -121,19 +121,6 @@ impl Life {
         }
     }
 
-    /// Do the subflows carry the DATA_ACK on every segment, given whether
-    /// our DATA_FIN is out? A server's do from the start. A client carries
-    /// MP_CAPABLE with both keys as its proof until MPTCP is confirmed —
-    /// unless its DATA_FIN is out: the server confirms on that DSS as on
-    /// any other, and beside MP_CAPABLE it would not fit the option space.
-    pub(crate) fn carries_data_ack(self, fin_out: bool) -> bool {
-        match self {
-            Life::Established | Life::ServerUnconfirmed { .. } => true,
-            Life::ClientUnconfirmed => fin_out,
-            _ => false,
-        }
-    }
-
     /// MPTCP negotiated, neither fallen back nor closed.
     pub(crate) fn running(self) -> bool {
         matches!(
@@ -211,19 +198,18 @@ mod tests {
 
     /// The whole table: per stage, one cell per input in the order of
     /// `inputs()`, `-` where nothing changes, else the next stage and the
-    /// action after a `!`; then whether the subflows carry the DATA_ACK
-    /// before and after our DATA_FIN is out.
+    /// action after a `!`.
     #[test]
     fn transition_table() {
         let want = "\
-HS(c): UC(c) FB(option_stripped)!fallback - - - - - - - - - - - CL(2)!abort(2) - - - | [0, 0]
-HS(s): UC(s0) UC(s0) - - - - - - - - - - - CL(2)!abort(2) - - - | [0, 0]
-UC(c): - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(c)!close UC(c)!orphan | [0, 1]
-UC(s0): - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s0)!close UC(s0)!orphan | [1, 1]
-UC(s2): - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s2)!close UC(s2)!orphan | [1, 1]
-ES: - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - ES!close ES!orphan | [1, 1]
-FB: - - - - - - - - - - - - - CL(2)!abort(2) FB!close - - | [0, 0]
-CL(0): - - - - - - - - - - - - - - - - - | [0, 0]
+HS(c): UC(c) FB(option_stripped)!fallback - - - - - - - - - - - CL(2)!abort(2) - - -
+HS(s): UC(s0) UC(s0) - - - - - - - - - - - CL(2)!abort(2) - - -
+UC(c): - - - - ES!confirm FB(data_rto_unconfirmed)!fallback - FB(checksum_fail)!fallback UC(c)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(c)!close UC(c)!orphan
+UC(s0): - - - UC(s1) ES!confirm - - FB(checksum_fail)!fallback UC(s0)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s0)!close UC(s0)!orphan
+UC(s2): - - UC(s0) FB(option_stripped)!fallback ES!confirm - - FB(checksum_fail)!fallback UC(s2)!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - UC(s2)!close UC(s2)!orphan
+ES: - - - - - - - FB(checksum_fail)!fallback ES!reset FB(option_stripped)!fallback - FB(mp_fail)!fallback - CL(2)!abort(2) - ES!close ES!orphan
+FB: - - - - - - - - - - - - - CL(2)!abort(2) FB!close - -
+CL(0): - - - - - - - - - - - - - - - - -
 ";
         let mut got = String::new();
         for stage in stages() {
@@ -238,8 +224,7 @@ CL(0): - - - - - - - - - - - - - - - - - | [0, 0]
                     }
                 })
                 .collect();
-            let carry = [false, true].map(|fin_out| u8::from(stage.carries_data_ack(fin_out)));
-            got += &format!("{}: {} | {carry:?}\n", name(stage), cells.join(" "));
+            got += &format!("{}: {}\n", name(stage), cells.join(" "));
         }
         assert_eq!(got, want, "actual table:\n{got}");
     }

@@ -1,10 +1,12 @@
 //! One MPTCP subflow: a TCP socket plus MPTCP-specific state.
 
 use mptcp_netsim::{Duration, SimTime};
-use mptcp_packet::{crypto, MptcpOption, TcpOption};
+use mptcp_packet::options::{options_wire_len, MAX_OPTIONS_LEN};
+use mptcp_packet::{crypto, MptcpOption, TcpOption, TcpSegment};
 use mptcp_tcpstack::TcpSocket;
 
 use crate::health::PathObs;
+use crate::life::Life;
 use crate::mapping::MappingTracker;
 use crate::sched::PathSnapshot;
 
@@ -44,6 +46,18 @@ pub struct Subflow {
     pub backup: bool,
     /// Last time mechanism 2 penalized this subflow (at most once per RTT).
     pub last_penalty: Option<SimTime>,
+    /// One-shot signals for the next segment to leave, in queued order.
+    signals: Vec<MptcpOption>,
+}
+
+/// What the options a connection's subflow segments carry are drawn
+/// from: its stage, whether our DATA_FIN is out, the data-level
+/// `rcv_nxt`, and MP_CAPABLE with both keys once the peer's is known.
+pub(crate) struct ConnView {
+    pub(crate) life: Life,
+    pub(crate) fin_out: bool,
+    pub(crate) data_ack: u64,
+    pub(crate) echo: Option<TcpOption>,
 }
 
 impl Subflow {
@@ -57,6 +71,7 @@ impl Subflow {
             dead: false,
             backup,
             last_penalty: None,
+            signals: Vec::new(),
         }
     }
 
@@ -94,37 +109,19 @@ impl Subflow {
         if verified {
             self.join = next;
             if let JoinState::ClientEstablished { .. } = next {
-                self.carry(None);
                 self.sock.request_ack();
             }
         }
         Some(verified)
     }
 
-    /// The server sent a DSS here, which it does only once it has verified
-    /// a client's HMAC: the join needs no more proof.
+    /// A DSS arrived here, so a client stops carrying its MP_JOIN ACK.
+    /// That does not prove the server verified the HMAC: a server's
+    /// DATA_ACK rides every live subflow, unverified joins included
+    /// (ROADMAP item 21).
     pub(crate) fn join_confirmed(&mut self) {
         if let JoinState::ClientEstablished { .. } = self.join {
             self.join = JoinState::Active;
-        }
-    }
-
-    /// Rewrite what every segment carries, in the buffer the socket
-    /// already holds: the MP_JOIN ACK while a client still proves its join,
-    /// then a DATA_ACK of `data_ack` if given.
-    pub(crate) fn carry(&mut self, data_ack: Option<u64>) {
-        let carry = self.sock.carry_options_mut();
-        carry.clear();
-        if let JoinState::ClientEstablished { mac } = self.join {
-            carry.push(TcpOption::Mptcp(MptcpOption::MpJoinAck { mac }));
-        }
-        if let Some(a) = data_ack {
-            let dss = MptcpOption::Dss {
-                data_ack: Some(a),
-                mapping: None,
-                data_fin: false,
-            };
-            carry.push(TcpOption::Mptcp(dss));
         }
     }
 
@@ -174,9 +171,66 @@ impl Subflow {
         Some((before, self.sock.cwnd()))
     }
 
-    /// Queue one MPTCP signalling option for the next segment to leave.
+    /// Queue one MPTCP signalling option for the next segment to leave,
+    /// and ask for a pure ACK so it leaves even with no data pending.
     pub(crate) fn signal(&mut self, opt: MptcpOption) {
-        self.sock.queue_oneshot_options([TcpOption::Mptcp(opt)]);
+        self.signals.push(opt);
+        self.sock.request_ack();
+    }
+
+    /// The one place a subflow segment leaves: the socket's, with room for
+    /// our MPTCP options, filled with them unless it is a SYN or an RST.
+    pub(crate) fn poll(&mut self, now: SimTime, conn: &ConnView) -> Option<TcpSegment> {
+        let carried = self.carried(conn);
+        let room = carried.iter().flatten().count() + self.signals.len();
+        let mut seg = self.sock.poll_with_room(now, room)?;
+        if !seg.flags.syn && !seg.flags.rst {
+            self.fill(&mut seg, carried);
+        }
+        Some(seg)
+    }
+
+    /// What every segment carries: a client's MP_JOIN ACK until a DSS
+    /// arrives on the join; then the DATA_ACK, a server's on every live
+    /// subflow (unverified joins included), a client's once confirmed or
+    /// once its DATA_FIN is out — before that its initial subflow echoes
+    /// MP_CAPABLE. Nothing once fallen back; once closed, the last DATA_ACK.
+    fn carried(&self, conn: &ConnView) -> [Option<TcpOption>; 2] {
+        let join_ack = match self.join {
+            JoinState::ClientEstablished { mac } => Some(MptcpOption::MpJoinAck { mac }),
+            _ => None,
+        };
+        let data_ack = Some(conn.data_ack);
+        let second = match conn.life {
+            Life::Handshake { .. } | Life::Fallback(_) => return [None, None],
+            Life::ClientUnconfirmed if !conn.fin_out => conn
+                .echo
+                .clone()
+                .filter(|_| self.join == JoinState::Initial),
+            _ => Some(TcpOption::Mptcp(MptcpOption::Dss {
+                data_ack,
+                mapping: None,
+                data_fin: false,
+            })),
+        };
+        [join_ack.map(TcpOption::Mptcp), second]
+    }
+
+    /// Spend `seg`'s 40 option bytes: `carried` after a data segment's
+    /// mapping, else right after the timestamps (before a SACK block), then
+    /// the queued signals, once. What does not fit is popped from the tail
+    /// and lost (ROADMAP item 1 puts a budget in its place).
+    fn fill(&mut self, seg: &mut TcpSegment, carried: [Option<TcpOption>; 2]) {
+        let opts = &mut seg.options;
+        let data = !seg.payload.is_empty();
+        let at = if data { opts.len() } else { 1 };
+        for (i, opt) in (at..).zip(carried.into_iter().flatten()) {
+            opts.insert(i, opt);
+        }
+        opts.extend(self.signals.drain(..).map(TcpOption::Mptcp));
+        while options_wire_len(opts) > MAX_OPTIONS_LEN {
+            opts.pop();
+        }
     }
 
     /// Smoothed RTT, or a large default for unsampled subflows.
@@ -220,6 +274,162 @@ mod tests {
         sf.join = JoinState::Active;
         // Still not usable: socket not established.
         assert!(!sf.usable());
+    }
+
+    fn name(o: &TcpOption) -> String {
+        use MptcpOption::*;
+        match o {
+            TcpOption::Timestamps { .. } => "ts".into(),
+            TcpOption::Sack(_) => "sack".into(),
+            TcpOption::Mptcp(Dss { data_fin: true, .. }) => "data_fin".into(),
+            TcpOption::Mptcp(Dss {
+                mapping: Some(_), ..
+            }) => "map".into(),
+            TcpOption::Mptcp(Dss {
+                data_ack: Some(a), ..
+            }) => format!("dack({a})"),
+            TcpOption::Mptcp(MpCapable {
+                checksum_required: true,
+                sender_key,
+                receiver_key: Some(theirs),
+                ..
+            }) => format!("capable({sender_key},{theirs})"),
+            TcpOption::Mptcp(MpJoinAck { .. }) => "join_ack".into(),
+            TcpOption::Mptcp(MpFail { .. }) => "fail".into(),
+            TcpOption::Mptcp(AddAddr(_)) => "addr".into(),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The fill rule, per carried state and queued signals: the options
+    /// that survive on a data segment with its mapping, a pure ACK with a
+    /// SACK block, a FIN and a zero-window probe, in wire order. Sizes:
+    /// timestamps 10, the checksummed mapping 20, the DATA_ACK 8,
+    /// MP_CAPABLE with both keys 20, the MP_JOIN ACK 24, SACK 10, MP_FAIL
+    /// 12, ADD_ADDR with a port 10, the DATA_FIN's DSS 22 — of 40.
+    #[test]
+    fn fill_table() {
+        use crate::api::AbortReason;
+        use mptcp_packet::mptcp_opts::AdvertisedAddr;
+        use mptcp_packet::{DssMapping, TcpFlags};
+        let want = "\
+ES -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
+ES fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
+ES data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
+UC(c) -: data[ts map] ack[ts capable(1,2) sack] fin[ts capable(1,2)] probe[ts capable(1,2)]
+UC(c) fail+addr: data[ts map] ack[ts capable(1,2) sack] fin[ts capable(1,2)] probe[ts capable(1,2)]
+UC(c) data_fin: data[ts map] ack[ts capable(1,2) sack] fin[ts capable(1,2)] probe[ts capable(1,2)]
+UC(c)+fin -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
+UC(c)+fin fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
+UC(c)+fin data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
+ES+join -: data[ts map] ack[ts join_ack] fin[ts join_ack] probe[ts join_ack]
+ES+join fail+addr: data[ts map] ack[ts join_ack] fin[ts join_ack] probe[ts join_ack]
+ES+join data_fin: data[ts map] ack[ts join_ack] fin[ts join_ack] probe[ts join_ack]
+FB -: data[ts map] ack[ts sack] fin[ts] probe[ts]
+FB fail+addr: data[ts map] ack[ts sack fail] fin[ts fail addr] probe[ts fail addr]
+FB data_fin: data[ts map] ack[ts sack] fin[ts data_fin] probe[ts data_fin]
+CL -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
+CL fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
+CL data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
+";
+        let echo = TcpOption::Mptcp(MptcpOption::MpCapable {
+            version: 0,
+            checksum_required: true,
+            sender_key: 1,
+            receiver_key: Some(2),
+        });
+        let view = |life, fin_out| ConnView {
+            life,
+            fin_out,
+            data_ack: 9,
+            echo: Some(echo.clone()),
+        };
+        let joined = JoinState::ClientEstablished { mac: [7; 20] };
+        let closed = Life::Closed(AbortReason::AllPathsFailed);
+        let states = [
+            ("ES", view(Life::Established, false), JoinState::Initial),
+            (
+                "UC(c)",
+                view(Life::ClientUnconfirmed, false),
+                JoinState::Initial,
+            ),
+            (
+                "UC(c)+fin",
+                view(Life::ClientUnconfirmed, true),
+                JoinState::Initial,
+            ),
+            ("ES+join", view(Life::Established, false), joined),
+            ("FB", view(Life::Fallback(None), false), JoinState::Initial),
+            ("CL", view(closed, false), JoinState::Initial),
+        ];
+        let add_addr = MptcpOption::AddAddr(AdvertisedAddr {
+            addr_id: 3,
+            addr: 0x0a00_0103,
+            port: Some(443),
+        });
+        let data_fin = MptcpOption::Dss {
+            data_ack: Some(9),
+            mapping: Some(DssMapping {
+                dsn: 50,
+                subflow_seq: 0,
+                len: 0,
+                checksum: None,
+            }),
+            data_fin: true,
+        };
+        let signals = [
+            ("-", vec![]),
+            ("fail+addr", vec![MptcpOption::MpFail { dsn: 9 }, add_addr]),
+            ("data_fin", vec![data_fin]),
+        ];
+        let mapping = TcpOption::Mptcp(MptcpOption::Dss {
+            data_ack: None,
+            mapping: Some(DssMapping {
+                dsn: 1,
+                subflow_seq: 1,
+                len: 1400,
+                checksum: Some(0xbeef),
+            }),
+            data_fin: false,
+        });
+        let fin = TcpFlags {
+            fin: true,
+            ..TcpFlags::ACK
+        };
+        let kinds = [
+            ("data", TcpFlags::ACK, 1400, Some(mapping)),
+            (
+                "ack",
+                TcpFlags::ACK,
+                0,
+                Some(TcpOption::Sack(vec![(10, 20)])),
+            ),
+            ("fin", fin, 0, None),
+            ("probe", TcpFlags::ACK, 0, None),
+        ];
+        let mut got = String::new();
+        for (state, conn, join) in &states {
+            for (queued, opts) in &signals {
+                got += &format!("{state} {queued}:");
+                for (kind, flags, len, option) in &kinds {
+                    let mut sf = Subflow::new(sock(), *join, 0, false);
+                    for o in opts {
+                        sf.signal(o.clone());
+                    }
+                    let mut seg = TcpSegment::new(sock().tuple(), SeqNum(1), SeqNum(1), *flags);
+                    seg.payload = bytes::Bytes::from(vec![0; *len]);
+                    seg.options.push(TcpOption::Timestamps { val: 1, ecr: 2 });
+                    seg.options.extend(option.clone());
+                    let carried = sf.carried(conn);
+                    sf.fill(&mut seg, carried);
+                    assert!(sf.signals.is_empty(), "a signal rides one segment only");
+                    let names: Vec<String> = seg.options.iter().map(name).collect();
+                    got += &format!(" {kind}[{}]", names.join(" "));
+                }
+                got += "\n";
+            }
+        }
+        assert_eq!(got, want, "actual table:\n{got}");
     }
 
     #[test]

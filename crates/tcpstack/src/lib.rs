@@ -21,9 +21,9 @@
 //!   retransmissions re-attach the chunk's option — the paper's
 //!   requirement that data sequence mappings be "retransmitted
 //!   consistently" (§3.3.3).
-//! * **Carried options** ([`TcpSocket::set_carry_options`]): options (the
-//!   DATA_ACK) attached to *every* outgoing segment, including pure ACKs,
-//!   which are not subject to flow control — the §3.3.3 conclusion.
+//! * **Room for the caller's options** ([`TcpSocket::poll_with_room`]):
+//!   the owner appends its own options (MPTCP's DATA_ACK on every segment,
+//!   pure ACKs included — the §3.3.3 conclusion) and fits them in 40 bytes.
 //! * **Window override** ([`TcpSocket::set_window_override`]): the
 //!   advertised window reflects the *connection-level* shared receive pool
 //!   rather than subflow buffer state — the §3.3.1 deadlock fix.

@@ -91,8 +91,6 @@ pub struct TcpSocket {
 
     // Extension points for MPTCP.
     syn_options: Vec<TcpOption>,
-    carry_options: Vec<TcpOption>,
-    oneshot_options: Vec<TcpOption>,
     window_override: Option<u32>,
     /// MPTCP options harvested from every incoming segment, in order.
     rx_mptcp: Vec<MptcpOption>,
@@ -185,8 +183,6 @@ impl TcpSocket {
             epoch: now,
             last_adv_right_edge: SeqNum(0),
             syn_options,
-            carry_options: Vec::new(),
-            oneshot_options: Vec::new(),
             window_override: None,
             rx_mptcp: Vec::new(),
             poll_changed: false,
@@ -376,25 +372,6 @@ impl TcpSocket {
     /// Read in-order payload (plain TCP application API).
     pub fn read(&mut self, max: usize) -> Option<Bytes> {
         self.recv_q.read(max)
-    }
-
-    /// Set options attached to every outgoing segment (e.g. the DATA_ACK).
-    pub fn set_carry_options(&mut self, opts: Vec<TcpOption>) {
-        self.carry_options = opts;
-    }
-
-    /// The options attached to every outgoing segment, to rewrite in place
-    /// (the DATA_ACK moves with every delivery; its buffer need not).
-    pub fn carry_options_mut(&mut self) -> &mut Vec<TcpOption> {
-        &mut self.carry_options
-    }
-
-    /// Queue options to ride on the *next* outgoing segment only
-    /// (ADD_ADDR, REMOVE_ADDR, DATA_FIN, MP_FAIL). Also schedules a pure
-    /// ACK so they go out promptly even with no data pending.
-    pub fn queue_oneshot_options(&mut self, opts: impl IntoIterator<Item = TcpOption>) {
-        self.oneshot_options.extend(opts);
-        self.need_ack = true;
     }
 
     /// The receive window the socket's own buffer leaves.
@@ -883,6 +860,14 @@ impl TcpSocket {
     /// Process timers, then emit at most one segment. Call repeatedly
     /// until `None`.
     pub fn poll(&mut self, now: SimTime) -> Option<TcpSegment> {
+        self.poll_with_room(now, 0)
+    }
+
+    /// [`poll`](TcpSocket::poll), leaving room in a synchronized segment's
+    /// option list for `room` more options the caller appends (MPTCP's),
+    /// so that list stays the segment's one allocation, made at its final
+    /// size. Fitting them in 40 bytes is the caller's to do.
+    pub fn poll_with_room(&mut self, now: SimTime, room: usize) -> Option<TcpSegment> {
         self.process_timers(now);
         loop {
             return Some(match self.next_out()? {
@@ -901,9 +886,11 @@ impl TcpSocket {
                         .recovery
                         .next_retransmit(self.snd_una, self.cc.cwnd())?;
                     let seq = rtx.seq;
-                    let seg = match self.data_segment(now, seq, self.effective_mss) {
+                    let seg = match self.data_segment(now, seq, self.effective_mss, room) {
                         // FIN-only retransmission.
-                        None if self.fin_seq() == Some(seq) => Some(self.fin_segment(now, seq)),
+                        None if self.fin_seq() == Some(seq) => {
+                            Some(self.fin_segment(now, seq, room))
+                        }
                         seg => seg,
                     };
                     let Some(seg) = seg else {
@@ -915,8 +902,8 @@ impl TcpSocket {
                     seg
                 }
                 Out::NewData => {
-                    let room = self.usable_window() as usize;
-                    let seg = self.data_segment(now, self.snd_nxt, room)?;
+                    let window = self.usable_window() as usize;
+                    let seg = self.data_segment(now, self.snd_nxt, window, room)?;
                     self.poll_changed |= self.snd_nxt == self.snd_una;
                     self.snd_nxt = seg.seq_end();
                     self.recovery.ensure_armed(now, self.rtt.rto());
@@ -928,7 +915,7 @@ impl TcpSocket {
                     self.snd_nxt = seq + 1;
                     self.feed(Input::FinOut, now);
                     self.recovery.ensure_armed(now, self.rtt.rto());
-                    self.fin_segment(now, seq)
+                    self.fin_segment(now, seq, room)
                 }
                 // Zero-window probe: nothing, at a sequence number the peer
                 // has acknowledged, which it answers with an ACK carrying its
@@ -937,7 +924,7 @@ impl TcpSocket {
                     self.probe_pending = false;
                     self.telemetry.count(CounterId::TcpZeroWindowProbes);
                     let seq = self.snd_una - 1;
-                    self.emit(now, seq, TcpFlags::ACK, Bytes::new(), None, true)
+                    self.emit(now, seq, TcpFlags::ACK, Bytes::new(), None, room)
                 }
                 // A pure ACK, SACKing the first out-of-order block so the
                 // peer sees reordering.
@@ -949,7 +936,7 @@ impl TcpSocket {
                             (first_data + end as u32).0,
                         )])
                     });
-                    self.emit(now, self.snd_nxt, TcpFlags::ACK, Bytes::new(), sack, true)
+                    self.emit(now, self.snd_nxt, TcpFlags::ACK, Bytes::new(), sack, room)
                 }
             });
         }
@@ -1035,7 +1022,13 @@ impl TcpSocket {
     /// Up to `max_len` bytes of queued data from `seq` (never more than
     /// the MSS, never across a chunk), as a segment with its chunk's
     /// options; `None` when nothing is queued there.
-    fn data_segment(&mut self, now: SimTime, seq: SeqNum, max_len: usize) -> Option<TcpSegment> {
+    fn data_segment(
+        &mut self,
+        now: SimTime,
+        seq: SeqNum,
+        max_len: usize,
+        room: usize,
+    ) -> Option<TcpSegment> {
         let max = self.effective_mss.min(max_len.max(1));
         let data = self.send_q.segment_at(seq, max)?;
         // Every byte below `snd_nxt` went out before.
@@ -1047,23 +1040,21 @@ impl TcpSocket {
             psh: true,
             ..TcpFlags::ACK
         };
-        Some(self.emit(now, data.seq, flags, data.payload, data.option, false))
+        Some(self.emit(now, data.seq, flags, data.payload, data.option, room))
     }
 
-    fn fin_segment(&mut self, now: SimTime, seq: SeqNum) -> TcpSegment {
+    fn fin_segment(&mut self, now: SimTime, seq: SeqNum, room: usize) -> TcpSegment {
         let flags = TcpFlags {
             fin: true,
             ..TcpFlags::ACK
         };
-        self.emit(now, seq, flags, Bytes::new(), None, true)
+        self.emit(now, seq, flags, Bytes::new(), None, room)
     }
 
     /// Build any segment of a synchronized connection: acknowledging
-    /// `rcv_nxt`, advertising the current window, carrying timestamps,
-    /// `option` (a chunk's, or an ACK's SACK block) and the carried
-    /// options — those first when `carried_first` — and whatever
-    /// one-shot options are waiting. The option list is the segment's one
-    /// allocation, made at its final size.
+    /// `rcv_nxt`, advertising the current window, carrying timestamps and
+    /// `option` (a chunk's, or an ACK's SACK block), with `room` for the
+    /// caller's options reserved.
     fn emit(
         &mut self,
         now: SimTime,
@@ -1071,29 +1062,13 @@ impl TcpSocket {
         flags: TcpFlags,
         payload: Bytes,
         option: Option<TcpOption>,
-        carried_first: bool,
+        room: usize,
     ) -> TcpSegment {
         let mut seg = TcpSegment::new(self.tuple, seq, self.rcv_nxt, flags);
         seg.payload = payload;
-        seg.options
-            .reserve_exact(2 + self.carry_options.len() + self.oneshot_options.len());
+        seg.options.reserve_exact(2 + room);
         seg.options.push(self.timestamps(now, self.ts_recent));
-        if carried_first {
-            seg.options.extend(self.carry_options.iter().cloned());
-            seg.options.extend(option);
-        } else {
-            seg.options.extend(option);
-            seg.options.extend(self.carry_options.iter().cloned());
-        }
-        seg.options.append(&mut self.oneshot_options);
-        // Option-space discipline: options are ordered by importance
-        // (timestamps, per-chunk mappings, then carried/one-shot extras), so
-        // trimming from the tail sacrifices the most expendable first.
-        while mptcp_packet::options::options_wire_len(&seg.options)
-            > mptcp_packet::options::MAX_OPTIONS_LEN
-        {
-            seg.options.pop();
-        }
+        seg.options.extend(option);
         seg.window = self.adv_window();
         self.last_adv_right_edge = self.rcv_nxt + seg.window;
         self.need_ack = false;
@@ -1585,25 +1560,6 @@ mod tests {
     }
 
     #[test]
-    fn carry_options_ride_every_segment() {
-        use mptcp_packet::MptcpOption;
-        let (mut c, mut s) = established_pair();
-        let dack = TcpOption::Mptcp(MptcpOption::Dss {
-            data_ack: Some(777),
-            mapping: None,
-            data_fin: false,
-        });
-        s.set_carry_options(vec![dack.clone()]);
-        c.send(b"ping");
-        let now = SimTime::from_millis(1);
-        let seg = c.poll(now).unwrap();
-        s.handle_segment(now, &seg);
-        let ack = s.poll(now).expect("ACK");
-        assert!(ack.payload.is_empty());
-        assert!(ack.options.contains(&dack), "pure ACK carries the DATA_ACK");
-    }
-
-    #[test]
     fn window_override_advertised() {
         let (mut c, mut s) = established_pair();
         s.set_window_override(Some(12345));
@@ -1777,15 +1733,15 @@ mod tests {
         use mptcp_packet::MptcpOption;
         let (mut c, mut s) = established_pair();
         let now = SimTime::from_millis(1);
-        s.set_carry_options(vec![TcpOption::Mptcp(MptcpOption::Dss {
-            data_ack: Some(55),
-            mapping: None,
-            data_fin: false,
-        })]);
         c.send(b"x");
         let seg = c.poll(now).unwrap();
         s.handle_segment(now, &seg);
-        let ack = s.poll(now).unwrap();
+        let mut ack = s.poll(now).unwrap();
+        ack.options.push(TcpOption::Mptcp(MptcpOption::Dss {
+            data_ack: Some(55),
+            mapping: None,
+            data_fin: false,
+        }));
         c.handle_segment(now, &ack);
         let mut opts = Vec::new();
         c.take_rx_mptcp(&mut opts);

@@ -17,15 +17,15 @@
 //!
 //! Only the socket's driving surface is used (`client`, `accept`,
 //! `handle_segment`, `poll`, `poll_at`, `send`, `send_chunk`, `read`,
-//! `close`, `abort`, the option hooks and read-only accessors), so the
-//! file does not care how the socket is built inside.
+//! `close`, `abort` and read-only accessors), so the file does not care
+//! how the socket is built inside. An option MPTCP would carry on every
+//! segment is attached by the wire itself, where a subflow places it.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, SimTime};
-use mptcp_packet::mptcp_opts::AdvertisedAddr;
 use mptcp_packet::{
     DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment,
 };
@@ -114,6 +114,9 @@ struct Wire {
     emitted: [u64; 2],
     /// The newest segment the client emitted (scenarios forge from it).
     last_up: Option<TcpSegment>,
+    /// An option every synchronized client segment carries: after a data
+    /// segment's mapping, else right after the timestamps.
+    carried: Option<TcpOption>,
     /// The instant of the newest loop turn.
     last_turn: SimTime,
     stream: Stream,
@@ -158,6 +161,7 @@ impl Wire {
             order: 0,
             emitted: [0; 2],
             last_up: None,
+            carried: None,
             last_turn: SimTime::ZERO,
             stream: Stream {
                 hash: 0xcbf2_9ce4_8422_2325,
@@ -243,7 +247,19 @@ impl Wire {
             let wake = app(self);
             assert!(wake.is_none_or(|t| t > self.now), "app must wake later");
             let mut polls = 0;
-            while let Some(seg) = self.c.poll(self.now) {
+            while let Some(mut seg) = self.c.poll(self.now) {
+                if let Some(opt) = self
+                    .carried
+                    .clone()
+                    .filter(|_| !seg.flags.syn && !seg.flags.rst)
+                {
+                    let at = if seg.payload.is_empty() {
+                        1
+                    } else {
+                        seg.options.len()
+                    };
+                    seg.options.insert(at, opt);
+                }
                 self.emit(Dir::Up, seg, fate);
                 polls += 1;
                 assert!(polls < 100_000, "client never runs dry at {:?}", self.now);
@@ -394,14 +410,6 @@ fn data_ack(ack: u64) -> TcpOption {
         mapping: None,
         data_fin: false,
     })
-}
-
-fn add_addr(port: Option<u16>) -> TcpOption {
-    TcpOption::Mptcp(MptcpOption::AddAddr(AdvertisedAddr {
-        addr_id: 3,
-        addr: 0x0a00_0103,
-        port,
-    }))
 }
 
 fn mp_capable(sender_key: u64, receiver_key: Option<u64>) -> TcpOption {
@@ -571,7 +579,7 @@ fn zero_window_persist_and_reopen_is_pinned() {
         ..TcpConfig::default()
     };
     let mut w = Wire::new(TcpConfig::default(), server_cfg, Duration::from_millis(10));
-    w.c.set_carry_options(vec![data_ack(7)]);
+    w.carried = Some(data_ack(7));
     const CHUNK: usize = 1000;
     const CHUNKS: usize = 48;
     let data = pattern(CHUNK * CHUNKS);
@@ -901,84 +909,4 @@ fn bufferbloat_cap_is_pinned() {
         [0, 0, 0, 0, 24],
         [0, 0, 0, 0, 0],
     );
-}
-
-/// More options than forty bytes hold. Client data segments carry
-/// timestamps, a 20-byte mapping and an 8-byte DATA_ACK (38 bytes), so
-/// any one-shot option queued behind them is trimmed; server ACKs carry
-/// timestamps, a DATA_ACK, a SACK block while a hole is open, and a
-/// 22-byte pair of one-shots that fits only without the SACK. Which
-/// option loses, and that it is dropped rather than deferred, is what
-/// this pins.
-#[test]
-fn option_space_overflow_is_pinned() {
-    let mut w = Wire::new(
-        TcpConfig::default(),
-        TcpConfig::default(),
-        Duration::from_millis(10),
-    );
-    w.rate = Some(TEN_MBIT);
-    w.c.set_carry_options(vec![data_ack(1)]);
-    // Rides the handshake's third ACK, where it fits.
-    w.c.queue_oneshot_options(vec![add_addr(None)]);
-    const CHUNK: usize = 1400;
-    const CHUNKS: usize = 40;
-    let data = pattern(CHUNK * CHUNKS);
-    let mut queued = 0;
-    let mut got = Vec::new();
-    let mut data_segs = 0;
-    let mut trimmed = 0;
-    let mut fate = |e: &Emit| {
-        if e.dir == Dir::Down && !e.seg.flags.syn {
-            let has = |f: fn(&MptcpOption) -> bool| e.seg.mptcp_options().any(f);
-            let fail = has(|m| matches!(m, MptcpOption::MpFail { .. }));
-            let addr = has(|m| matches!(m, MptcpOption::AddAddr(_)));
-            trimmed += u64::from(fail && !addr);
-        }
-        if !is_data(e) {
-            return Fate::Pass;
-        }
-        assert_eq!(e.seg.options.len(), 3, "timestamps, mapping, DATA_ACK");
-        data_segs += 1;
-        match data_segs {
-            12 => Fate::Drop,
-            _ => Fate::Pass,
-        }
-    };
-    let mut app = |w: &mut Wire| {
-        if w.c.is_established() && queued == 0 {
-            w.c.queue_oneshot_options(vec![
-                TcpOption::Mptcp(MptcpOption::MpPrio {
-                    backup: true,
-                    addr_id: Some(3),
-                }),
-                add_addr(Some(8080)),
-            ]);
-        }
-        while queued < CHUNKS && w.c.is_established() {
-            let off = queued * CHUNK;
-            let chunk = Bytes::copy_from_slice(&data[off..off + CHUNK]);
-            let map = dss(1 + off as u64, 1 + off as u32, CHUNK as u16);
-            assert!(w.c.send_chunk(chunk, vec![map]));
-            queued += 1;
-        }
-        let Some(s) = &mut w.s else { return None };
-        s.set_carry_options(vec![data_ack(got.len() as u64 + 1)]);
-        let before = got.len();
-        while let Some(b) = s.read(usize::MAX) {
-            got.extend_from_slice(&b);
-        }
-        if got.len() > before || s.recv_buffered() > 0 {
-            s.queue_oneshot_options(vec![
-                TcpOption::Mptcp(MptcpOption::MpFail { dsn: 99 }),
-                add_addr(Some(443)),
-            ]);
-        }
-        None
-    };
-    w.run(ms(5_000), &mut fate, &mut app);
-
-    assert!(got == data, "stream arrived byte-exact");
-    assert!(trimmed > 0, "a SACK-bearing ACK lost its ADD_ADDR");
-    w.assert_pinned(96, 15079773162712170262, [0, 1, 1, 0, 0], [0, 0, 0, 0, 0]);
 }

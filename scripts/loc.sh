@@ -3,9 +3,11 @@
 # the lines above its first `#[cfg(test)]` (conn_tests.rs is all test).
 # The one measure size claims in CHANGES.md are made with.
 #
-# After the total, two files get rows of their own, counted the same way:
-# `conn.rs` and `socket.rs`, the two ROADMAP names as where size matters
-# most. They are already inside their crates' rows, so not in the total.
+# After the total, `benchmark/src` gets a row, counted the same way but
+# not in the total: the benchmark is its own package. Then two files get
+# rows of their own, `conn.rs` and `socket.rs`, the two ROADMAP names as
+# where size matters most. They are already inside their crates' rows, so
+# not in the total.
 # Their two structs close the table with their field counts, the other
 # measure of how much one machine holds.
 #
@@ -50,6 +52,9 @@ for crate in crates/*/; do
   total=$((total + n))
 done
 row total "$total"
+# The benchmark is its own package, outside the workspace and the total.
+mapfile -d '' files < <(find benchmark/src -name '*.rs' -print0 | sort -z)
+row benchmark "$(count "${files[@]}")"
 for file in crates/core/src/conn.rs crates/tcpstack/src/socket.rs; do
   row "$(basename "$file")" "$(count "$file")"
 done
