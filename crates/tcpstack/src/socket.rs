@@ -1559,6 +1559,42 @@ mod tests {
         assert_eq!(c.telemetry.counter(CounterId::TcpRtos), 1);
     }
 
+    /// The owner's DATA_ACK rides a data segment, a pure ACK and a FIN
+    /// alike, in the room `poll_with_room` reserved: appending it moves
+    /// no option list.
+    #[test]
+    fn carry_options_ride_every_segment() {
+        use mptcp_packet::MptcpOption;
+        let (mut c, mut s) = established_pair();
+        let dack = TcpOption::Mptcp(MptcpOption::Dss {
+            data_ack: Some(777),
+            mapping: None,
+            data_fin: false,
+        });
+        let carry = |seg: &mut TcpSegment| {
+            let at = seg.options.as_ptr();
+            seg.options.push(dack.clone());
+            assert_eq!(seg.options.as_ptr(), at, "the option list was reallocated");
+        };
+        c.send(b"ping");
+        let now = SimTime::from_millis(1);
+        let mut seg = c.poll_with_room(now, 1).expect("data");
+        assert_eq!(&seg.payload[..], b"ping");
+        carry(&mut seg);
+        s.handle_segment(now, &seg);
+        let mut ack = s.poll_with_room(now, 1).expect("ACK");
+        assert!(ack.payload.is_empty() && !ack.flags.fin);
+        carry(&mut ack);
+        assert!(ack.options.contains(&dack), "pure ACK carries the DATA_ACK");
+        c.handle_segment(now, &ack);
+        c.close();
+        let mut fin = c.poll_with_room(now, 1).expect("FIN");
+        assert!(fin.flags.fin);
+        carry(&mut fin);
+        s.handle_segment(now, &fin);
+        assert!(s.stream_fin());
+    }
+
     #[test]
     fn window_override_advertised() {
         let (mut c, mut s) = established_pair();

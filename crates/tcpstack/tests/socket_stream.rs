@@ -18,14 +18,17 @@
 //! Only the socket's driving surface is used (`client`, `accept`,
 //! `handle_segment`, `poll`, `poll_at`, `send`, `send_chunk`, `read`,
 //! `close`, `abort` and read-only accessors), so the file does not care
-//! how the socket is built inside. An option MPTCP would carry on every
-//! segment is attached by the wire itself, where a subflow places it.
+//! how the socket is built inside. The options MPTCP adds to a segment
+//! are attached by the wire itself, as a subflow fills them: a carried
+//! one, then the queued one-shots, trimmed from the tail to 40 bytes.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use mptcp_netsim::time::min_deadline;
 use mptcp_netsim::{Duration, SimTime};
+use mptcp_packet::mptcp_opts::AdvertisedAddr;
+use mptcp_packet::options::{options_wire_len, MAX_OPTIONS_LEN};
 use mptcp_packet::{
     DssMapping, Endpoint, FourTuple, MptcpOption, SeqNum, TcpFlags, TcpOption, TcpSegment,
 };
@@ -114,9 +117,11 @@ struct Wire {
     emitted: [u64; 2],
     /// The newest segment the client emitted (scenarios forge from it).
     last_up: Option<TcpSegment>,
-    /// An option every synchronized client segment carries: after a data
-    /// segment's mapping, else right after the timestamps.
-    carried: Option<TcpOption>,
+    /// Per direction, an option every synchronized segment carries:
+    /// after a data segment's mapping, else right after the timestamps.
+    carried: [Option<TcpOption>; 2],
+    /// Per direction, options for the next synchronized segment only.
+    oneshots: [Vec<TcpOption>; 2],
     /// The instant of the newest loop turn.
     last_turn: SimTime,
     stream: Stream,
@@ -161,7 +166,8 @@ impl Wire {
             order: 0,
             emitted: [0; 2],
             last_up: None,
-            carried: None,
+            carried: [None, None],
+            oneshots: [Vec::new(), Vec::new()],
             last_turn: SimTime::ZERO,
             stream: Stream {
                 hash: 0xcbf2_9ce4_8422_2325,
@@ -173,6 +179,45 @@ impl Wire {
 
     fn server(&mut self) -> &mut TcpSocket {
         self.s.as_mut().expect("a SYN reached the server")
+    }
+
+    /// Queue `opts` for the next segment `dir` emits, and ask its socket
+    /// for a pure ACK so they leave even with no data pending.
+    fn signal(&mut self, dir: Dir, opts: impl IntoIterator<Item = TcpOption>) {
+        self.oneshots[dir as usize].extend(opts);
+        match dir {
+            Dir::Up => self.c.request_ack(),
+            Dir::Down => self.server().request_ack(),
+        }
+    }
+
+    /// Poll `dir`'s socket for one segment and, unless it is a SYN or an
+    /// RST, fill in that direction's MPTCP options as a subflow does.
+    fn poll(&mut self, dir: Dir) -> Option<TcpSegment> {
+        let d = dir as usize;
+        let room = self.carried[d].iter().count() + self.oneshots[d].len();
+        let sock = match dir {
+            Dir::Up => &mut self.c,
+            Dir::Down => self.s.as_mut()?,
+        };
+        let mut seg = sock.poll_with_room(self.now, room)?;
+        if seg.flags.syn || seg.flags.rst {
+            return Some(seg);
+        }
+        let opts = &mut seg.options;
+        if let Some(opt) = self.carried[d].clone() {
+            let at = if seg.payload.is_empty() {
+                1
+            } else {
+                opts.len()
+            };
+            opts.insert(at, opt);
+        }
+        opts.append(&mut self.oneshots[d]);
+        while options_wire_len(opts) > MAX_OPTIONS_LEN {
+            opts.pop();
+        }
+        Some(seg)
     }
 
     fn deliver(&mut self, dir: Dir, seg: TcpSegment) {
@@ -247,24 +292,12 @@ impl Wire {
             let wake = app(self);
             assert!(wake.is_none_or(|t| t > self.now), "app must wake later");
             let mut polls = 0;
-            while let Some(mut seg) = self.c.poll(self.now) {
-                if let Some(opt) = self
-                    .carried
-                    .clone()
-                    .filter(|_| !seg.flags.syn && !seg.flags.rst)
-                {
-                    let at = if seg.payload.is_empty() {
-                        1
-                    } else {
-                        seg.options.len()
-                    };
-                    seg.options.insert(at, opt);
-                }
+            while let Some(seg) = self.poll(Dir::Up) {
                 self.emit(Dir::Up, seg, fate);
                 polls += 1;
                 assert!(polls < 100_000, "client never runs dry at {:?}", self.now);
             }
-            while let Some(seg) = self.s.as_mut().and_then(|s| s.poll(self.now)) {
+            while let Some(seg) = self.poll(Dir::Down) {
                 self.emit(Dir::Down, seg, fate);
                 polls += 1;
                 assert!(polls < 100_000, "server never runs dry at {:?}", self.now);
@@ -410,6 +443,14 @@ fn data_ack(ack: u64) -> TcpOption {
         mapping: None,
         data_fin: false,
     })
+}
+
+fn add_addr(port: Option<u16>) -> TcpOption {
+    TcpOption::Mptcp(MptcpOption::AddAddr(AdvertisedAddr {
+        addr_id: 3,
+        addr: 0x0a00_0103,
+        port,
+    }))
 }
 
 fn mp_capable(sender_key: u64, receiver_key: Option<u64>) -> TcpOption {
@@ -579,7 +620,7 @@ fn zero_window_persist_and_reopen_is_pinned() {
         ..TcpConfig::default()
     };
     let mut w = Wire::new(TcpConfig::default(), server_cfg, Duration::from_millis(10));
-    w.carried = Some(data_ack(7));
+    w.carried[Dir::Up as usize] = Some(data_ack(7));
     const CHUNK: usize = 1000;
     const CHUNKS: usize = 48;
     let data = pattern(CHUNK * CHUNKS);
@@ -909,4 +950,90 @@ fn bufferbloat_cap_is_pinned() {
         [0, 0, 0, 0, 24],
         [0, 0, 0, 0, 0],
     );
+}
+
+/// More options than forty bytes hold. Client data segments carry
+/// timestamps, a 20-byte mapping and an 8-byte DATA_ACK (38 bytes), so
+/// any one-shot option queued behind them is trimmed; server ACKs carry
+/// timestamps, a DATA_ACK, a SACK block while a hole is open, and a
+/// 22-byte pair of one-shots that fits only without the SACK. Which
+/// option loses, and that it is dropped rather than deferred, is what
+/// this pins.
+#[test]
+fn option_space_overflow_is_pinned() {
+    let mut w = Wire::new(
+        TcpConfig::default(),
+        TcpConfig::default(),
+        Duration::from_millis(10),
+    );
+    w.rate = Some(TEN_MBIT);
+    w.carried[Dir::Up as usize] = Some(data_ack(1));
+    // Rides the handshake's third ACK, where it fits.
+    w.signal(Dir::Up, vec![add_addr(None)]);
+    const CHUNK: usize = 1400;
+    const CHUNKS: usize = 40;
+    let data = pattern(CHUNK * CHUNKS);
+    let mut queued = 0;
+    let mut got = Vec::new();
+    let mut data_segs = 0;
+    let mut trimmed = 0;
+    let mut fate = |e: &Emit| {
+        if e.dir == Dir::Down && !e.seg.flags.syn {
+            let has = |f: fn(&MptcpOption) -> bool| e.seg.mptcp_options().any(f);
+            let fail = has(|m| matches!(m, MptcpOption::MpFail { .. }));
+            let addr = has(|m| matches!(m, MptcpOption::AddAddr(_)));
+            trimmed += u64::from(fail && !addr);
+        }
+        if !is_data(e) {
+            return Fate::Pass;
+        }
+        assert_eq!(e.seg.options.len(), 3, "timestamps, mapping, DATA_ACK");
+        data_segs += 1;
+        match data_segs {
+            12 => Fate::Drop,
+            _ => Fate::Pass,
+        }
+    };
+    let mut app = |w: &mut Wire| {
+        if w.c.is_established() && queued == 0 {
+            w.signal(
+                Dir::Up,
+                vec![
+                    TcpOption::Mptcp(MptcpOption::MpPrio {
+                        backup: true,
+                        addr_id: Some(3),
+                    }),
+                    add_addr(Some(8080)),
+                ],
+            );
+        }
+        while queued < CHUNKS && w.c.is_established() {
+            let off = queued * CHUNK;
+            let chunk = Bytes::copy_from_slice(&data[off..off + CHUNK]);
+            let map = dss(1 + off as u64, 1 + off as u32, CHUNK as u16);
+            assert!(w.c.send_chunk(chunk, vec![map]));
+            queued += 1;
+        }
+        let Some(s) = &mut w.s else { return None };
+        w.carried[Dir::Down as usize] = Some(data_ack(got.len() as u64 + 1));
+        let before = got.len();
+        while let Some(b) = s.read(usize::MAX) {
+            got.extend_from_slice(&b);
+        }
+        if got.len() > before || s.recv_buffered() > 0 {
+            w.signal(
+                Dir::Down,
+                vec![
+                    TcpOption::Mptcp(MptcpOption::MpFail { dsn: 99 }),
+                    add_addr(Some(443)),
+                ],
+            );
+        }
+        None
+    };
+    w.run(ms(5_000), &mut fate, &mut app);
+
+    assert!(got == data, "stream arrived byte-exact");
+    assert!(trimmed > 0, "a SACK-bearing ACK lost its ADD_ADDR");
+    w.assert_pinned(96, 15079773162712170262, [0, 1, 1, 0, 0], [0, 0, 0, 0, 0]);
 }
