@@ -82,7 +82,7 @@ pub struct ConnStats {
 
 /// The MP_CAPABLE option of a handshake segment (§3.1): our key on the
 /// SYNs, both keys on the third ACK and what follows it.
-fn mp_capable(checksum: bool, sender_key: u64, receiver_key: Option<u64>) -> TcpOption {
+pub(crate) fn mp_capable(checksum: bool, sender_key: u64, receiver_key: Option<u64>) -> TcpOption {
     TcpOption::Mptcp(MptcpOption::MpCapable {
         version: 0,
         checksum_required: checksum,
@@ -1126,9 +1126,9 @@ impl MptcpConnection {
             life: self.life,
             fin_out: self.tx.fin_dsn().is_some(),
             data_ack: self.rx.rcv_nxt(),
-            echo: self
+            keys: self
                 .remote
-                .map(|r| mp_capable(self.cfg.checksum, self.local.key, Some(r.key))),
+                .map(|r| (self.cfg.checksum, self.local.key, r.key)),
         };
         let n = self.subflows.len();
         for k in 0..n {

@@ -5,6 +5,7 @@ use mptcp_packet::options::{options_wire_len, MAX_OPTIONS_LEN};
 use mptcp_packet::{crypto, MptcpOption, TcpOption, TcpSegment};
 use mptcp_tcpstack::TcpSocket;
 
+use crate::conn::mp_capable;
 use crate::health::PathObs;
 use crate::life::Life;
 use crate::mapping::MappingTracker;
@@ -47,17 +48,17 @@ pub struct Subflow {
     /// Last time mechanism 2 penalized this subflow (at most once per RTT).
     pub last_penalty: Option<SimTime>,
     /// One-shot signals for the next segment to leave, in queued order.
-    signals: Vec<MptcpOption>,
+    signals: Vec<TcpOption>,
 }
 
 /// What the options a connection's subflow segments carry are drawn
-/// from: its stage, whether our DATA_FIN is out, the data-level
-/// `rcv_nxt`, and MP_CAPABLE with both keys once the peer's is known.
+/// from: its stage, whether our DATA_FIN is out, the data-level `rcv_nxt`,
+/// and MP_CAPABLE's checksum flag, our key and the peer's once known.
 pub(crate) struct ConnView {
     pub(crate) life: Life,
     pub(crate) fin_out: bool,
     pub(crate) data_ack: u64,
-    pub(crate) echo: Option<TcpOption>,
+    pub(crate) keys: Option<(bool, u64, u64)>,
 }
 
 impl Subflow {
@@ -174,12 +175,12 @@ impl Subflow {
     /// Queue one MPTCP signalling option for the next segment to leave,
     /// and ask for a pure ACK so it leaves even with no data pending.
     pub(crate) fn signal(&mut self, opt: MptcpOption) {
-        self.signals.push(opt);
+        self.signals.push(TcpOption::Mptcp(opt));
         self.sock.request_ack();
     }
 
     /// The one place a subflow segment leaves: the socket's, with room for
-    /// our MPTCP options, filled with them unless it is a SYN or an RST.
+    /// what `fill` adds unless it is a SYN or an RST.
     pub(crate) fn poll(&mut self, now: SimTime, conn: &ConnView) -> Option<TcpSegment> {
         let carried = self.carried(conn);
         let room = carried.iter().flatten().count() + self.signals.len();
@@ -190,25 +191,24 @@ impl Subflow {
         Some(seg)
     }
 
-    /// What every segment carries: a client's MP_JOIN ACK until a DSS
-    /// arrives on the join; then the DATA_ACK, a server's on every live
-    /// subflow (unverified joins included), a client's once confirmed or
-    /// once its DATA_FIN is out — before that its initial subflow echoes
-    /// MP_CAPABLE. Nothing once fallen back; once closed, the last DATA_ACK.
+    /// What rides every segment: a client's MP_JOIN ACK until a DSS arrives
+    /// on the join; then the DATA_ACK, a server's on every live subflow
+    /// (unverified joins included), a client's once confirmed or once its
+    /// DATA_FIN is out — before that its initial subflow echoes MP_CAPABLE.
+    /// Nothing once fallen back; once closed, the last DATA_ACK.
     fn carried(&self, conn: &ConnView) -> [Option<TcpOption>; 2] {
         let join_ack = match self.join {
             JoinState::ClientEstablished { mac } => Some(MptcpOption::MpJoinAck { mac }),
             _ => None,
         };
-        let data_ack = Some(conn.data_ack);
         let second = match conn.life {
             Life::Handshake { .. } | Life::Fallback(_) => return [None, None],
             Life::ClientUnconfirmed if !conn.fin_out => conn
-                .echo
-                .clone()
-                .filter(|_| self.join == JoinState::Initial),
+                .keys
+                .filter(|_| self.join == JoinState::Initial)
+                .map(|(checksum, ours, theirs)| mp_capable(checksum, ours, Some(theirs))),
             _ => Some(TcpOption::Mptcp(MptcpOption::Dss {
-                data_ack,
+                data_ack: Some(conn.data_ack),
                 mapping: None,
                 data_fin: false,
             })),
@@ -227,7 +227,7 @@ impl Subflow {
         for (i, opt) in (at..).zip(carried.into_iter().flatten()) {
             opts.insert(i, opt);
         }
-        opts.extend(self.signals.drain(..).map(TcpOption::Mptcp));
+        opts.append(&mut self.signals);
         while options_wire_len(opts) > MAX_OPTIONS_LEN {
             opts.pop();
         }
@@ -313,6 +313,9 @@ mod tests {
         use mptcp_packet::mptcp_opts::AdvertisedAddr;
         use mptcp_packet::{DssMapping, TcpFlags};
         let want = "\
+HS -: data[ts map] ack[ts sack] fin[ts] probe[ts]
+HS fail+addr: data[ts map] ack[ts sack fail] fin[ts fail addr] probe[ts fail addr]
+HS data_fin: data[ts map] ack[ts sack] fin[ts data_fin] probe[ts data_fin]
 ES -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
 ES fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
 ES data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
@@ -322,9 +325,18 @@ UC(c) data_fin: data[ts map] ack[ts capable(1,2) sack] fin[ts capable(1,2)] prob
 UC(c)+fin -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
 UC(c)+fin fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
 UC(c)+fin data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
+UC(s) -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
+UC(s) fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
+UC(s) data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
+UC(s)+fin -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
+UC(s)+fin fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
+UC(s)+fin data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
 ES+join -: data[ts map] ack[ts join_ack] fin[ts join_ack] probe[ts join_ack]
 ES+join fail+addr: data[ts map] ack[ts join_ack] fin[ts join_ack] probe[ts join_ack]
 ES+join data_fin: data[ts map] ack[ts join_ack] fin[ts join_ack] probe[ts join_ack]
+ES+wait -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)]
+ES+wait fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
+ES+wait data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
 FB -: data[ts map] ack[ts sack] fin[ts] probe[ts]
 FB fail+addr: data[ts map] ack[ts sack fail] fin[ts fail addr] probe[ts fail addr]
 FB data_fin: data[ts map] ack[ts sack] fin[ts data_fin] probe[ts data_fin]
@@ -332,21 +344,22 @@ CL -: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9)] probe[ts dack(9)
 CL fail+addr: data[ts map dack(9)] ack[ts dack(9) sack fail] fin[ts dack(9) fail addr] probe[ts dack(9) fail addr]
 CL data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] probe[ts dack(9) data_fin]
 ";
-        let echo = TcpOption::Mptcp(MptcpOption::MpCapable {
-            version: 0,
-            checksum_required: true,
-            sender_key: 1,
-            receiver_key: Some(2),
-        });
         let view = |life, fin_out| ConnView {
             life,
             fin_out,
             data_ack: 9,
-            echo: Some(echo.clone()),
+            keys: Some((true, 1, 2)),
         };
         let joined = JoinState::ClientEstablished { mac: [7; 20] };
+        let waiting = JoinState::ServerWait { ours: 1, theirs: 2 };
         let closed = Life::Closed(AbortReason::AllPathsFailed);
+        let server = Life::ServerUnconfirmed { plain_streak: 0 };
         let states = [
+            (
+                "HS",
+                view(Life::Handshake { client: true }, false),
+                JoinState::Initial,
+            ),
             ("ES", view(Life::Established, false), JoinState::Initial),
             (
                 "UC(c)",
@@ -358,7 +371,10 @@ CL data_fin: data[ts map dack(9)] ack[ts dack(9) sack] fin[ts dack(9) data_fin] 
                 view(Life::ClientUnconfirmed, true),
                 JoinState::Initial,
             ),
+            ("UC(s)", view(server, false), JoinState::Initial),
+            ("UC(s)+fin", view(server, true), JoinState::Initial),
             ("ES+join", view(Life::Established, false), joined),
+            ("ES+wait", view(Life::Established, false), waiting),
             ("FB", view(Life::Fallback(None), false), JoinState::Initial),
             ("CL", view(closed, false), JoinState::Initial),
         ];

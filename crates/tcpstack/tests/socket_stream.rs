@@ -19,8 +19,12 @@
 //! `handle_segment`, `poll`, `poll_at`, `send`, `send_chunk`, `read`,
 //! `close`, `abort` and read-only accessors), so the file does not care
 //! how the socket is built inside. The options MPTCP adds to a segment
-//! are attached by the wire itself, as a subflow fills them: a carried
-//! one, then the queued one-shots, trimmed from the tail to 40 bytes.
+//! are attached by the wire itself: a carried one, then the queued
+//! one-shots, trimmed from the tail to 40 bytes. That fill is a frozen
+//! copy of the policy the `mptcp` crate's `Subflow::fill` applies today
+//! (which carries up to two options); it does not run `Subflow::fill`,
+//! whose rule `subflow::tests::fill_table` pins, so a change there does
+//! not show here.
 
 use std::collections::BTreeMap;
 
@@ -191,8 +195,10 @@ impl Wire {
         }
     }
 
-    /// Poll `dir`'s socket for one segment and, unless it is a SYN or an
-    /// RST, fill in that direction's MPTCP options as a subflow does.
+    /// Poll `dir`'s socket for one segment, with room reserved for that
+    /// direction's MPTCP options, and, unless it is a SYN or an RST, fill
+    /// them in by the wire's frozen copy of the subflow policy (see the
+    /// module doc).
     fn poll(&mut self, dir: Dir) -> Option<TcpSegment> {
         let d = dir as usize;
         let room = self.carried[d].iter().count() + self.oneshots[d].len();
@@ -958,7 +964,9 @@ fn bufferbloat_cap_is_pinned() {
 /// timestamps, a DATA_ACK, a SACK block while a hole is open, and a
 /// 22-byte pair of one-shots that fits only without the SACK. Which
 /// option loses, and that it is dropped rather than deferred, is what
-/// this pins.
+/// this pins, by the wire's frozen copy of the fill; of the socket, that
+/// it reserves the room it is told (`poll_with_room`) and that
+/// `request_ack` produces the bare ACKs the one-shots ride.
 #[test]
 fn option_space_overflow_is_pinned() {
     let mut w = Wire::new(
