@@ -530,6 +530,8 @@ fn render_health(stats: &RuntimeStats, ctx: &AdminCtx<'_>) -> String {
     );
     kv("datagrams_rx", c(CounterId::RtDatagramsRx).to_string());
     kv("datagrams_tx", c(CounterId::RtDatagramsTx).to_string());
+    kv("recv_calls", c(CounterId::RtRecvCalls).to_string());
+    kv("send_calls", c(CounterId::RtSendCalls).to_string());
     kv("decode_errors", c(CounterId::RtDecodeErrors).to_string());
     kv(
         "egress_backpressure",

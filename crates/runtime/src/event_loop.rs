@@ -28,7 +28,8 @@ use crate::LoopConfig;
 /// connection is not polled until the kernel drains the queue.
 pub(crate) const EGRESS_CAP: usize = 256;
 
-/// Datagrams drained per path per iteration before other work runs.
+/// Datagrams drained per path per iteration before other work runs:
+/// datagrams, however few reads brought them (`UDP_GRO` coalesces).
 const RECV_BATCH: usize = 64;
 
 /// What both runtimes' waits sleep through before they look at a socket:

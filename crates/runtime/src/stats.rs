@@ -184,6 +184,8 @@ mod tests {
                 "\"rt_send_batches\"",
                 "\"rt_datagrams_rx\"",
                 "\"rt_datagrams_tx\"",
+                "\"rt_recv_calls\"",
+                "\"rt_send_calls\"",
                 "\"rt_decode_errors\"",
                 "\"rt_egress_backpressure\"",
                 "\"rt_late_ticks\"",

@@ -37,6 +37,16 @@ fn spawn_server(
     cfg: MptcpConfig,
     n_paths: usize,
 ) -> (Vec<SocketAddr>, thread::JoinHandle<ServerReport>) {
+    spawn_server_until(cfg, n_paths, |_| true)
+}
+
+/// As [`spawn_server`], but the server thread goes on turning after its
+/// connection is served until `also` holds too, within the same 60 s.
+fn spawn_server_until(
+    cfg: MptcpConfig,
+    n_paths: usize,
+    also: fn(&ServerRuntime) -> bool,
+) -> (Vec<SocketAddr>, thread::JoinHandle<ServerReport>) {
     let mut server = ServerRuntime::bind(
         cfg,
         SEED + 1,
@@ -49,7 +59,11 @@ fn spawn_server(
         .map(|i| server.local_addr(i).unwrap())
         .collect();
     let handle = thread::spawn(move || {
+        let hard = Instant::now() + Duration::from_secs(60);
         let ok = server.run_until_served(1, Duration::from_secs(60)).is_ok();
+        while ok && !also(&server) && Instant::now() < hard {
+            server.turn();
+        }
         let conn = &server.listener().conns[0];
         ServerReport {
             served: if ok { server.served() } else { 0 },
@@ -172,7 +186,16 @@ fn transfer_survives_mid_stream_path_blackout() {
         })
         .build()
         .expect("valid config");
-    let (addrs, server) = spawn_server(cfg.clone(), 2);
+    // The server's failure detector takes the blacked-out path only after
+    // its back-offs have run, which a fast transfer and close can outpace:
+    // its thread waits for that too, not only for the connection.
+    let failed = |s: &ServerRuntime| {
+        s.listener().conns[0]
+            .telemetry()
+            .counter(CounterId::PathFailures)
+            > 0
+    };
+    let (addrs, server) = spawn_server_until(cfg.clone(), 2, failed);
 
     let mut client = ClientRuntime::connect(
         cfg,

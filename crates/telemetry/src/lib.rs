@@ -186,6 +186,8 @@ registry! {
         RtSendBatches = "rt_send_batches", "egress-flush rounds that pushed at least one datagram";
         RtDatagramsRx = "rt_datagrams_rx", "UDP datagrams received and decoded";
         RtDatagramsTx = "rt_datagrams_tx", "UDP datagrams handed to the kernel";
+        RtRecvCalls = "rt_recv_calls", "recvmsg calls on path sockets, empty reads included";
+        RtSendCalls = "rt_send_calls", "sendmsg calls on path sockets, each one run of datagrams";
         RtDecodeErrors = "rt_decode_errors",
             "inbound datagrams rejected by framing or checksum checks";
         /// (Backpressure: the connection's bounded egress queue.)

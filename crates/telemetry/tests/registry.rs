@@ -9,7 +9,7 @@ use mptcp_telemetry::{
     CounterId, EventKind, FallbackCause, GaugeId, Recorder, NUM_COUNTERS, NUM_GAUGES,
 };
 
-const COUNTER_NAMES: [&str; 54] = [
+const COUNTER_NAMES: [&str; 56] = [
     "m1_reinjections",
     "m2_penalizations",
     "m3_buffer_growths",
@@ -58,6 +58,8 @@ const COUNTER_NAMES: [&str; 54] = [
     "rt_send_batches",
     "rt_datagrams_rx",
     "rt_datagrams_tx",
+    "rt_recv_calls",
+    "rt_send_calls",
     "rt_decode_errors",
     "rt_egress_backpressure",
     "rt_late_ticks",
